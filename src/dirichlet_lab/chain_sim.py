@@ -13,10 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .forms import DiscreteForm, as_subset, is_transient
-from .rng import substream
+from .rng import chisquare, substream
 
 __all__ = [
     "PathSample",
@@ -196,5 +195,4 @@ def exit_law_chi2(form: DiscreteForm, D, x: int, n_paths: int = 100_000,
         if expected[-1] == 0:
             counts, expected = counts[:-1], expected[:-1]
     expected *= counts.sum() / expected.sum()
-    stat, p = stats.chisquare(counts, expected)
-    return float(stat), float(p)
+    return chisquare(counts, expected)

@@ -514,21 +514,76 @@ def _pv_exterior(kernels: FracKernels, radius: float, g: ExteriorData, x: float,
 # ---------------------------------------------------------------------------
 # product-integration matrix for the Green operator
 
-def _lagrange_matrix(ref_nodes: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Values of the Lagrange basis on ref_nodes at pts (barycentric form)."""
-    n = ref_nodes.size
-    lam = np.ones(n)
-    for i in range(n):
-        lam[i] = 1.0 / np.prod(ref_nodes[i] - np.delete(ref_nodes, i))
-    diff = pts[:, None] - ref_nodes[None, :]
+def _frozen(*arrays):
+    """The arrays, made read-only: cached rules are shared by every caller."""
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=16)
+def _bary_weights(order: int) -> np.ndarray:
+    """Barycentric weights of the Gauss-Legendre nodes of the given order."""
+    t, _ = _gl(order)
+    return _frozen(np.array([1.0 / np.prod(t[i] - np.delete(t, i)) for i in range(order)]))[0]
+
+
+def _lagrange_matrix(order: int, pts: np.ndarray) -> np.ndarray:
+    """Values at pts of the Lagrange basis on the Gauss-Legendre nodes of the
+    given order (barycentric form; rows of points on a node are unit rows)."""
+    t, _ = _gl(order)
+    diff = pts[..., None] - t
     exact = np.isclose(diff, 0.0, atol=1e-15)
-    safe = np.where(exact, 1.0, diff)
-    terms = lam[None, :] / safe
-    denom = terms.sum(axis=1, keepdims=True)
-    B = terms / denom
-    hit = exact.any(axis=1)
-    B[hit] = exact[hit].astype(float)
+    terms = _bary_weights(order) / np.where(exact, 1.0, diff)
+    B = terms / terms.sum(axis=-1, keepdims=True)
+    hit = exact.any(axis=-1)
+    B[hit] = exact[hit]
     return B
+
+
+@lru_cache(maxsize=16)
+def _graded_ref(order: int, levels: int, gamma: float):
+    """Rule on [0, 1] graded toward 0 with s^gamma baked into the innermost
+    panel, whose ``order`` nodes come first.  A piece of length H graded
+    toward its end e uses the nodes e +- H * s and the weights H * w."""
+    return _frozen(*_graded_panels(0.0, 1.0, order=order, levels=levels, grade_left=True,
+                                   grade_right=False, jacobi_left=gamma))
+
+
+@lru_cache(maxsize=16)
+def _neighbour_rule(order: int, levels: int, gamma: float):
+    """Near-field rule of a panel [lo, hi] of half-width h for targets outside
+    it: a target left of the panel sees the nodes lo + h * off, one right of
+    it hi - h * off, both with weights h * w; B_left / B_right are the
+    Lagrange matrices of the panel basis at those nodes."""
+    s, ws = _graded_ref(order, levels, gamma)
+    return _frozen(2.0 * s, 2.0 * ws, _lagrange_matrix(order, 2.0 * s - 1.0),
+                   _lagrange_matrix(order, 1.0 - 2.0 * s))
+
+
+@lru_cache(maxsize=16)
+def _own_rule(order: int, levels: int, gamma: float):
+    """Near-field rule of a panel of half-width h for its own k-th node x_k:
+    the panel splits at x_k into two pieces graded toward it, with nodes
+    x_k + h * off[k], weights h * w[k] and Lagrange matrix B[k].  The first
+    2 * order columns are the two innermost panels, which carry the power."""
+    s, ws = _graded_ref(order, levels, gamma)
+    t, _ = _gl(order)
+    left, right = (t + 1.0)[:, None], (1.0 - t)[:, None]
+    inner, rest = slice(0, order), slice(order, None)
+    off = np.concatenate([-left * s[inner], right * s[inner],
+                          -left * s[rest], right * s[rest]], axis=1)
+    w = np.concatenate([left * ws[inner], right * ws[inner],
+                        left * ws[rest], right * ws[rest]], axis=1)
+    return _frozen(off, w, _lagrange_matrix(order, t[:, None] + off))
+
+
+@lru_cache(maxsize=16)
+def _far_rule(order: int):
+    """Plain rule with six more nodes than the panel basis, and the weighted
+    Lagrange matrix mapping panel values to its integral."""
+    t_fine, w_fine = _gl(order + 6)
+    return _frozen(t_fine, _lagrange_matrix(order, t_fine) * w_fine[:, None])
 
 
 def green_matrix(kernels: FracKernels, grid: QuadGrid, diag_levels: int = 16) -> np.ndarray:
@@ -537,47 +592,50 @@ def green_matrix(kernels: FracKernels, grid: QuadGrid, diag_levels: int = 16) ->
     Sources are represented panelwise by their Lagrange interpolants on the
     panel quadrature nodes; far panels are integrated with a finer plain
     rule, panels containing or adjacent to the target with a rule graded
-    toward the target (diagonal power baked in below alpha = 1).
+    toward the target (diagonal power baked in below alpha = 1).  W is built
+    one source panel (column block) at a time, from reference rules cached
+    per order, in four kernel calls: far targets, left and right neighbours,
+    own nodes.  Raises ValueError naming the first non-finite entry.
     """
     a = kernels.alpha
     nodes = grid.interior_x
     breaks = grid.interior_breaks
     order = grid.order
-    n_panels = len(breaks) - 1
-    panel_of = np.repeat(np.arange(n_panels), order)
-    t_ref, _ = _gl(order)
-    t_fine, w_fine = _gl(order + 6)
-    B_fine = _lagrange_matrix(t_ref, t_fine)
+    n = nodes.size
     diag_gamma = a - 1.0 if a < 1.0 else 0.0
-    W = np.zeros((nodes.size, nodes.size))
-    for p in range(n_panels):
+    t_fine, B_fine = _far_rule(order)
+    off, w, B_left, B_right = _neighbour_rule(order, diag_levels, diag_gamma)
+    own_off, own_w, own_B = _own_rule(order, diag_levels, diag_gamma)
+    inner = slice(0, 2 * order)
+    W = np.zeros((n, n))
+    for p in range(len(breaks) - 1):
         lo, hi = breaks[p], breaks[p + 1]
         half = 0.5 * (hi - lo)
-        cols = slice(p * order, (p + 1) * order)
-        near = np.abs(panel_of - p) <= 1
-        far = ~near
-        yq = lo + half * (t_fine + 1.0)
-        gv = kernels.green(nodes[far][:, None], yq[None, :])
-        W[far, cols] = gv @ (B_fine * (w_fine * half)[:, None])
-        for jloc in np.nonzero(near)[0]:
-            xj = nodes[jloc]
-            pieces = []
-            if lo < xj < hi:
-                pieces.append((lo, xj, False, True))
-                pieces.append((xj, hi, True, False))
-            else:
-                toward_left = xj <= lo
-                pieces.append((lo, hi, toward_left, not toward_left))
-            row = np.zeros(order)
-            for (pa, pb, gl_, gr_) in pieces:
-                y, w = _graded_panels(pa, pb, order=order, levels=diag_levels,
-                                      grade_left=gl_, grade_right=gr_,
-                                      jacobi_left=diag_gamma if gl_ else 0.0,
-                                      jacobi_right=diag_gamma if gr_ else 0.0)
-                tloc = (y - lo) / half - 1.0
-                Bloc = _lagrange_matrix(t_ref, tloc)
-                row += (w * kernels.green(xj, y)) @ Bloc
-            W[jloc, cols] = row
+        c0, c1 = p * order, (p + 1) * order
+        cols = slice(c0, c1)
+        near_lo, near_hi = max(c0 - order, 0), min(c1 + order, n)
+        far = np.r_[0:near_lo, near_hi:n]
+        gv = kernels.green(nodes[far, None], lo + half * (t_fine + 1.0))
+        W[far, cols] = gv @ (half * B_fine)
+        if near_lo < c0:
+            gv = kernels.green(nodes[near_lo:c0, None], lo + half * off)
+            W[near_lo:c0, cols] = (gv * (half * w)) @ B_left
+        if c1 < near_hi:
+            gv = kernels.green(nodes[c1:near_hi, None], hi - half * off)
+            W[c1:near_hi, cols] = (gv * (half * w)) @ B_right
+        xs = nodes[cols, None]
+        y = xs + half * own_off
+        ww = half * own_w
+        # Bake the diagonal power with the distance the kernel sees: near
+        # +-1 rounding y moves it off the reference distance.
+        d_ref = half * np.abs(own_off[:, inner])
+        ww[:, inner] *= (d_ref / np.abs(y[:, inner] - xs)) ** diag_gamma
+        W[cols, cols] = np.einsum("km,kmn->kn", kernels.green(xs, y) * ww, own_B)
+    bad = np.argwhere(~np.isfinite(W))
+    if bad.size:
+        j, c = bad[0]
+        raise ValueError(f"green_matrix: non-finite entry W[{j}, {c}] = {W[j, c]} "
+                         f"at alpha = {a} ({len(bad)} non-finite entries)")
     return W
 
 

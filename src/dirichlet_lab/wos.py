@@ -15,11 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
-from scipy.special import betaincinv
+from scipy.special import betainc, betaincinv
 
 from .frac1d import FracKernels, _graded_panels
-from .rng import substream
+from .rng import chisquare, substream
 
 __all__ = [
     "WosPath",
@@ -39,7 +38,7 @@ def exit_cdf_ball(alpha: float, t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     out = np.zeros_like(t)
     ok = t > 1.0
-    out[ok] = stats.beta.cdf(1.0 - 1.0 / t[ok] ** 2, 1.0 - alpha / 2.0, alpha / 2.0)
+    out[ok] = betainc(1.0 - alpha / 2.0, alpha / 2.0, 1.0 - 1.0 / t[ok] ** 2)
     return out
 
 
@@ -201,8 +200,7 @@ def wos_exit_chi2(kernels: FracKernels, x: float, n_paths: int = 100_000,
     counts = np.asarray(counts, dtype=float)
     expect = np.asarray(expect, dtype=float)
     expect *= counts.sum() / expect.sum()
-    stat, p = stats.chisquare(counts, expect)
-    return float(stat), float(p)
+    return chisquare(counts, expect)
 
 
 def _bin_mass(kernels: FracKernels, x: float, lo: float, hi: float) -> float:

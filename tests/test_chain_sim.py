@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from dirichlet_lab import DiscreteForm, exit_second_moment
 from dirichlet_lab.chain_sim import (exit_law_chi2, mc_estimate, sample_path, simulate_batch)
 from dirichlet_lab.potential import green_operator
+from dirichlet_lab.rng import chisquare
 from dirichlet_lab.semilinear import ProblemSpec, power_nonlinearity, solve
 from dirichlet_lab.suite import random_form, random_problem
 
@@ -133,3 +136,12 @@ def test_conservative_interior_exits_with_probability_one():
     assert np.all(exits >= 0)
     est, se = mc_estimate("PDg", form, [1, 2], 1, n_paths=20_000, seed=10, g=np.ones(4))
     assert est == 1.0 and se == 0.0
+
+
+def test_chisquare_closed_form():
+    # one degree of freedom: the upper tail is erfc(sqrt(stat / 2))
+    stat, p = chisquare([30.0, 70.0], [40.0, 60.0])
+    assert stat == pytest.approx(100.0 / 40.0 + 100.0 / 60.0, rel=1e-15)
+    assert p == pytest.approx(math.erfc(math.sqrt(stat / 2.0)), rel=1e-12)
+    with pytest.raises(ValueError, match="total"):
+        chisquare([30.0, 70.0], [40.0, 61.0])

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -129,6 +130,59 @@ def test_green_matrix_reproduces_exit_time(packs):
         rows = W @ np.ones(grid.interior_x.size)
         exact = k.exit_coef * (1.0 - grid.interior_x ** 2) ** (a / 2.0)
         assert np.max(np.abs(rows / exact - 1.0)) < 1e-5
+
+
+def test_green_matrix_matches_direct_quadrature(packs):
+    # W applies R_D through panel interpolants; apply_RD integrates the
+    # smooth density directly on rules graded toward each target
+    def h(y):
+        return np.cos(2.0 * y) + y ** 3
+
+    for a in ALPHAS:
+        k, grid = packs[a]
+        nodes = grid.interior_x
+        pick = np.nonzero(np.abs(nodes) < 0.999)[0][::9]
+        via_w = (f1.green_matrix(k, grid) @ h(nodes))[pick]
+        direct = f1.apply_RD(k, grid, h=h, x=nodes[pick])
+        assert np.max(np.abs(via_w / direct - 1.0)) < 1e-6
+
+
+def test_lagrange_matrix_reproduces_polynomials():
+    rng = np.random.default_rng(4)
+    for order in (4, 10, 16):
+        t, _ = f1._gl(order)
+        pts = np.concatenate([rng.uniform(-1.0, 1.0, 50), t[::3], [-1.0, 1.0]])
+        B = f1._lagrange_matrix(order, pts)
+        for deg in range(order):
+            coef = rng.normal(size=deg + 1)
+            assert np.max(np.abs(B @ np.polyval(coef, t) - np.polyval(coef, pts))) < 1e-12
+        assert np.array_equal(B[50:50 + t[::3].size], np.eye(order)[::3])
+
+
+@dataclass(frozen=True)
+class _NaNGreen(f1.FracKernels):
+    """Kernel pack whose Green function is NaN between one target and the
+    sources of one panel."""
+
+    target: float = 0.0
+    panel: tuple = (0.0, 0.0)
+
+    def green(self, x, y):
+        out = super().green(x, y)
+        x, y = np.broadcast_arrays(x, y)
+        out[(x == self.target) & (y > self.panel[0]) & (y < self.panel[1])] = np.nan
+        return out
+
+
+def test_green_matrix_reports_nonfinite_entry(packs):
+    k, grid = packs[0.5]
+    j, p = 100, 40
+    bad = _NaNGreen(alpha=k.alpha, jump_coef=k.jump_coef, green_coef=k.green_coef,
+                    poisson_coef=k.poisson_coef, exit_coef=k.exit_coef,
+                    target=float(grid.interior_x[j]),
+                    panel=(grid.interior_breaks[p], grid.interior_breaks[p + 1]))
+    with pytest.raises(ValueError, match=rf"W\[{j}, {p * grid.order}\].*alpha = 0\.5"):
+        f1.green_matrix(bad, grid)
 
 
 def test_interval_dynkin_identity(packs):
