@@ -184,6 +184,8 @@ def exit_law_chi2(form: DiscreteForm, D, x: int, n_paths: int = 100_000,
     """
     from .projection import poisson_kernel
 
+    if n_paths < 100:
+        raise ValueError("n_paths must be at least 100")
     idx = as_subset(form.n, D)
     comp, counts = exit_law_counts(form, idx, x, n_paths, seed)
     P = poisson_kernel(form, idx).P

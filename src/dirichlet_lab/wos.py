@@ -31,6 +31,10 @@ __all__ = [
 ]
 
 _CHUNK = 4096
+# The shared first-ball quadrature runs on this many identical rows, not one:
+# numpy hands a one-row product to a dot kernel, which sums in another order
+# than the blocked matrix-vector kernel that a whole chunk of paths goes through.
+_SHARED_ROWS = 4
 
 
 def exit_cdf_ball(alpha: float, t) -> np.ndarray:
@@ -106,27 +110,33 @@ def wos_exit_batch(kernels: FracKernels, x: float, n_paths: int, seed: int,
                    h=None, max_steps: int = 10 ** 6):
     """Exit points and (optionally) per-path occupation functionals.
 
-    With ``h`` given, the second return value accumulates the expected
+    With ``h`` given, the third return value accumulates the expected
     occupation of h ball-by-ball: radius^alpha times the per-ball Green mass
-    of y -> h(center + radius * y).
+    of y -> h(center + radius * y).  Every path starts at x, so the first
+    ball is shared: its source term is evaluated once per call, with the
+    same expression as the later balls.
     """
     alpha = kernels.alpha
     exits = np.empty(n_paths)
-    occ = np.zeros(n_paths) if h is not None else None
+    occ = None
     mean_exit = np.zeros(n_paths)
     if h is not None:
         gy, gw = ball_green_rule(kernels)
+        x0 = np.full(_SHARED_ROWS, float(x))
+        r0 = 1.0 - np.abs(x0)
+        pts = x0[:, None] + r0[:, None] * gy[None, :]
+        occ = np.full(n_paths, ((r0 ** alpha) * (h(pts) @ gw))[0])
     for c0 in range(0, n_paths, _CHUNK):
         c1 = min(c0 + _CHUNK, n_paths)
         rng = substream(seed, c0 // _CHUNK)
         active = np.arange(c0, c1)
         xs = np.full(active.size, float(x))
-        for _ in range(max_steps):
+        for step in range(max_steps):
             if active.size == 0:
                 break
             r = 1.0 - np.abs(xs)
             mean_exit[active] += kernels.mean_exit_ball(1.0) * r ** alpha
-            if h is not None:
+            if h is not None and step > 0:
                 pts = xs[:, None] + r[:, None] * gy[None, :]
                 occ[active] += (r ** alpha) * (h(pts) @ gw)
             xs = xs + r * _sample_exit_positions(alpha, rng, active.size)
@@ -148,6 +158,8 @@ def wos_estimate(kind: str, kernels: FracKernels, x: float, *, n_paths: int = 10
     plus occupation of the absorption along the solved function, minus the
     solved value at the start; measure atoms are not supported here).
     """
+    if n_paths < 100:
+        raise ValueError("n_paths must be at least 100")
     if kind == "PDg":
         exits, _, _ = wos_exit_batch(kernels, x, n_paths, seed)
         vals = np.asarray(g(exits), dtype=float)
@@ -178,6 +190,8 @@ def wos_exit_chi2(kernels: FracKernels, x: float, n_paths: int = 100_000,
     Bin masses come from quadrature of the exit density over each cell (the
     overflow cells use the indicator route through the same machinery).
     """
+    if n_paths < 100:
+        raise ValueError("n_paths must be at least 100")
     exits, _, _ = wos_exit_batch(kernels, x, n_paths, seed)
     edges = np.asarray(edges, dtype=float)
     cells = []

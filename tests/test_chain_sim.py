@@ -106,6 +106,12 @@ def test_mc_estimate_validation(k3):
         mc_estimate("nope", k3, [1, 2], 1, n_paths=200, seed=0)
 
 
+def test_exit_law_chi2_too_few_paths(k3):
+    for n in (0, 99):
+        with pytest.raises(ValueError, match="n_paths"):
+            exit_law_chi2(k3, [1, 2], 1, n_paths=n, seed=0)
+
+
 def test_start_state_validation(k3):
     with pytest.raises(ValueError):
         sample_path(k3, [1, 2], 0, rng_seed=0)

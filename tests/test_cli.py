@@ -112,6 +112,19 @@ def test_main_reports_config_errors(tmp_path, capsys):
                      "--out", str(tmp_path / "o")]) == 2
 
 
+def test_wos_suite_rejects_too_few_paths(tmp_path, capsys):
+    obj = {"schema": 1, "backend": "frac1d", "alpha": 1.0,
+           "g": {"kind": "const", "value": 1.0},
+           "f": {"kind": "power", "b": 1.0, "p": 3.0},
+           "grid": {"order": 6, "n_base": 4, "edge_levels": 10, "out_levels": 6}}
+    path = tmp_path / "frac.json"
+    path.write_text(json.dumps(obj))
+    status = cli.main(["run", str(path), "--out", str(tmp_path / "out"),
+                       "--suite", "wos", "--tol", "wos_paths=50"])
+    assert status == 2
+    assert "n_paths" in capsys.readouterr().out
+
+
 def test_config_validation(tmp_path):
     spec = _demo_graph_spec(tmp_path)
     with pytest.raises(FileNotFoundError):

@@ -142,3 +142,71 @@ def test_estimates_bitwise_reproducible(pack):
     a = wos.wos_estimate("mean_exit_time", k, 0.3, n_paths=10_000, seed=77)
     b = wos.wos_estimate("mean_exit_time", k, 0.3, n_paths=10_000, seed=77)
     assert a == b
+    fk = dict(g=f1.const_exterior(1.0), u_fn=lambda y: 0.5 + 0.25 * np.cos(y),
+              f=power_nonlinearity(lambda y: np.ones_like(y), 3.0))
+    a = wos.wos_estimate("FK_residual", k, 0.3, n_paths=10_000, seed=77, **fk)
+    b = wos.wos_estimate("FK_residual", k, 0.3, n_paths=10_000, seed=77, **fk)
+    assert a == b
+
+
+def test_shared_first_ball_evaluated_once(pack):
+    # from the center every walk is one ball, the ball every path shares, so
+    # the source is evaluated on one block of rows rather than once per path
+    k, _ = pack
+    rows = []
+
+    def h(pts):
+        rows.append(pts.shape[0])
+        return np.cos(pts)
+
+    exits, _, occ = wos.wos_exit_batch(k, 0.0, 10_000, seed=4, h=h)
+    assert sum(rows) == wos._SHARED_ROWS
+    assert np.all(np.abs(exits) >= 1.0)
+    assert np.all(occ == occ[0])
+
+
+def _per_path_occupation(k, x, n_paths, seed, h):
+    # reference: the ball quadrature on every ball of every path, the first
+    # ball included, with the substreams and chunks of wos_exit_batch
+    gy, gw = wos.ball_green_rule(k)
+    occ = np.zeros(n_paths)
+    for c0 in range(0, n_paths, wos._CHUNK):
+        rng = substream(seed, c0 // wos._CHUNK)
+        active = np.arange(c0, min(c0 + wos._CHUNK, n_paths))
+        xs = np.full(active.size, float(x))
+        while active.size:
+            r = 1.0 - np.abs(xs)
+            occ[active] += (r ** k.alpha) * (h(xs[:, None] + r[:, None] * gy[None, :]) @ gw)
+            xs = xs + r * wos._sample_exit_positions(k.alpha, rng, active.size)
+            keep = np.abs(xs) < 1.0
+            active, xs = active[keep], xs[keep]
+    return occ
+
+
+def test_shared_first_ball_bit_identical_to_per_path():
+    def h(y):
+        return np.cos(3.0 * y) - y ** 3
+
+    for alpha in (0.5, 1.0, 1.5):
+        k = f1.build_kernels(alpha, validate=False)
+        _, _, occ = wos.wos_exit_batch(k, 0.2, 2_000, seed=6, h=h)
+        assert np.array_equal(occ, _per_path_occupation(k, 0.2, 2_000, 6, h))
+
+
+def test_unit_source_occupation_is_mean_exit():
+    # h = 1 turns the per-ball source quadrature into the per-ball mean exit
+    # time, on the shared first ball and on every later ball alike
+    for alpha in (0.5, 1.0, 1.5):
+        k = f1.build_kernels(alpha, validate=False)
+        _, mean_exit, occ = wos.wos_exit_batch(k, 0.2, 20_000, seed=8,
+                                               h=lambda y: np.ones_like(y))
+        np.testing.assert_allclose(occ, mean_exit, rtol=1e-6, atol=0.0)
+
+
+def test_too_few_paths_rejected(pack):
+    k, _ = pack
+    for n in (0, 99):
+        with pytest.raises(ValueError, match="n_paths"):
+            wos.wos_estimate("mean_exit_time", k, 0.3, n_paths=n, seed=0)
+        with pytest.raises(ValueError, match="n_paths"):
+            wos.wos_exit_chi2(k, 0.3, n_paths=n, seed=0)
