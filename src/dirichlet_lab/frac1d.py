@@ -801,12 +801,9 @@ def continuum_callable(prob: ContinuumProblem, sol: Solution):
 
     def u_fn(y):
         y = np.atleast_1d(np.asarray(y, dtype=float))
-        inside = np.abs(y) < 1.0
-        if inside.all():
-            return np.interp(y, nodes, sol.u)
-        out = np.empty_like(y)
-        out[inside] = np.interp(y[inside], nodes, sol.u)
-        out[~inside] = prob.g(y[~inside])
+        out = np.interp(y, nodes, sol.u)
+        outside = np.abs(y) >= 1.0
+        out[outside] = prob.g(y[outside])
         return out
 
     return u_fn

@@ -125,6 +125,18 @@ def test_wos_suite_rejects_too_few_paths(tmp_path, capsys):
     assert "n_paths" in capsys.readouterr().out
 
 
+def test_too_few_wos_paths_rejected_before_solving(tmp_path, capsys):
+    spec = _demo_graph_spec(tmp_path)
+    for paths in (50, 0.5):
+        with pytest.raises(ValueError, match="wos_paths"):
+            cli.RunConfig(spec_path=spec, out_dir=tmp_path, tolerances={"wos_paths": paths})
+    out = tmp_path / "out"
+    status = cli.main(["run", str(spec), "--out", str(out), "--tol", "wos_paths=0.5"])
+    assert status == 2
+    assert "wos_paths" in capsys.readouterr().out
+    assert not out.exists()
+
+
 def test_config_validation(tmp_path):
     spec = _demo_graph_spec(tmp_path)
     with pytest.raises(FileNotFoundError):

@@ -183,14 +183,17 @@ def _per_path_occupation(k, x, n_paths, seed, h):
     return occ
 
 
-def test_shared_first_ball_bit_identical_to_per_path():
+def test_shared_first_ball_matches_per_path():
     def h(y):
         return np.cos(3.0 * y) - y ** 3
 
     for alpha in (0.5, 1.0, 1.5):
         k = f1.build_kernels(alpha, validate=False)
         _, _, occ = wos.wos_exit_batch(k, 0.2, 2_000, seed=6, h=h)
-        assert np.array_equal(occ, _per_path_occupation(k, 0.2, 2_000, 6, h))
+        # a few ulp, not bit for bit: the two sides run differently shaped
+        # BLAS products, whose summation order depends on the BLAS build
+        np.testing.assert_allclose(occ, _per_path_occupation(k, 0.2, 2_000, 6, h),
+                                   rtol=4 * np.finfo(float).eps, atol=0)
 
 
 def test_unit_source_occupation_is_mean_exit():
