@@ -56,8 +56,9 @@ class RunConfig:
         for key, val in self.tolerances.items():
             if val <= 0:
                 raise ValueError(f"tolerance {key} must be positive")
-        if int(self.tolerances.get("wos_paths", 100)) < 100:
-            raise ValueError("tolerance wos_paths must be at least 100 (n_paths >= 100)")
+        for key in ("mc_paths", "wos_paths"):
+            if int(self.tolerances.get(key, 100)) < 100:
+                raise ValueError(f"tolerance {key} must be at least 100 (n_paths >= 100)")
         bad = set(self.suites) - set(_SUITES)
         if bad:
             raise ValueError(f"unknown suites: {sorted(bad)}")

@@ -125,16 +125,24 @@ def test_wos_suite_rejects_too_few_paths(tmp_path, capsys):
     assert "n_paths" in capsys.readouterr().out
 
 
-def test_too_few_wos_paths_rejected_before_solving(tmp_path, capsys):
+def _assert_too_few_paths_rejected_before_solving(key, tmp_path, capsys):
     spec = _demo_graph_spec(tmp_path)
     for paths in (50, 0.5):
-        with pytest.raises(ValueError, match="wos_paths"):
-            cli.RunConfig(spec_path=spec, out_dir=tmp_path, tolerances={"wos_paths": paths})
+        with pytest.raises(ValueError, match=key):
+            cli.RunConfig(spec_path=spec, out_dir=tmp_path, tolerances={key: paths})
     out = tmp_path / "out"
-    status = cli.main(["run", str(spec), "--out", str(out), "--tol", "wos_paths=0.5"])
+    status = cli.main(["run", str(spec), "--out", str(out), "--tol", f"{key}=0.5"])
     assert status == 2
-    assert "wos_paths" in capsys.readouterr().out
+    assert key in capsys.readouterr().out
     assert not out.exists()
+
+
+def test_too_few_wos_paths_rejected_before_solving(tmp_path, capsys):
+    _assert_too_few_paths_rejected_before_solving("wos_paths", tmp_path, capsys)
+
+
+def test_too_few_mc_paths_rejected_before_solving(tmp_path, capsys):
+    _assert_too_few_paths_rejected_before_solving("mc_paths", tmp_path, capsys)
 
 
 def test_config_validation(tmp_path):
