@@ -5,7 +5,7 @@ fractional-Laplacian continuum solver, with Monte Carlo oracles (killed jump
 chains, stable-ball exit walks) cross-checking every deterministic quantity.
 """
 
-from .forms import DiscreteForm, NonTransientError, energy, generator, is_transient, restrict
+from .forms import DiscreteForm, NonTransientError, energy, generator, is_transient
 from .potential import dynkin_defect, exit_second_moment, green_apply, green_operator, is_excessive
 from .projection import PoissonKernel, harmonic_boundary, harmonic_extension, poisson_kernel, project
 from .semilinear import (LadderConfig, Nonlinearity, ProblemSpec, Solution, apriori_report,
@@ -40,7 +40,6 @@ __all__ = [
     "power_nonlinearity",
     "project",
     "residual_probabilistic",
-    "restrict",
     "solve",
     "solve_shifted",
     "stability_gap",

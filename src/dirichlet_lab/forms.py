@@ -14,6 +14,7 @@ operators, chain rates) are fixed by this convention.
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,17 +22,14 @@ import numpy as np
 __all__ = [
     "DiscreteForm",
     "NonTransientError",
-    "RestrictedForm",
     "as_subset",
     "complement",
     "energy",
-    "energy_matrix",
     "form_from_dict",
     "form_to_dict",
     "generator",
     "is_transient",
     "read_form",
-    "restrict",
     "write_form",
 ]
 
@@ -54,13 +52,17 @@ class DiscreteForm:
     """Finite-state energy form (reference measure, jumps, killing).
 
     Instances are immutable after construction and safe to share across
-    threads; the backing arrays are marked read-only.
+    threads; the backing arrays are marked read-only.  ``_cho`` caches one
+    Cholesky factor per subset (``projection._restricted_cho``).
     """
 
     m: np.ndarray
     J: np.ndarray
     kappa: np.ndarray
     _amat: list = field(default_factory=list, repr=False, compare=False)
+    _cho: dict = field(default_factory=dict, repr=False, compare=False)
+    _cho_lock: threading.Lock = field(default_factory=threading.Lock, repr=False,
+                                      compare=False)
 
     def __post_init__(self):
         m = _as_1d(self.m, "m")
@@ -124,10 +126,6 @@ def energy(form: DiscreteForm, u, v) -> float:
     return float(u @ form.energy_matrix() @ v)
 
 
-def energy_matrix(form: DiscreteForm) -> np.ndarray:
-    return form.energy_matrix()
-
-
 def generator(form: DiscreteForm) -> np.ndarray:
     """Matrix L with E(u, v) = sum_x (-L u)(x) v(x) m[x].
 
@@ -135,36 +133,6 @@ def generator(form: DiscreteForm) -> np.ndarray:
     absorbs total jump and killing rates, so every row sum is -kappa[x]/m[x].
     """
     return -(form.energy_matrix() / form.m[:, None])
-
-
-@dataclass(frozen=True)
-class RestrictedForm:
-    """Energy form restricted to functions vanishing outside ``V``.
-
-    Principal-submatrix semantics: the restricted energy of vectors indexed
-    by ``V`` is given by the corresponding block of the full energy matrix.
-    """
-
-    form: DiscreteForm
-    V: np.ndarray
-    A: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.V.size
-
-    def energy(self, u, v) -> float:
-        u = _as_1d(u, "u")
-        v = _as_1d(v, "v")
-        if u.size != self.size or v.size != self.size:
-            raise ValueError("dimension mismatch with restricted subspace")
-        return float(u @ self.A @ v)
-
-
-def restrict(form: DiscreteForm, V) -> RestrictedForm:
-    idx = as_subset(form.n, V)
-    A = form.energy_matrix()[np.ix_(idx, idx)]
-    return RestrictedForm(form=form, V=idx, A=A)
 
 
 def is_transient(form: DiscreteForm, V) -> bool:

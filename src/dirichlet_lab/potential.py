@@ -11,30 +11,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
+from scipy.linalg import cho_solve
 
-from .forms import DiscreteForm, NonTransientError, as_subset, is_transient
-from .projection import project
+from .forms import DiscreteForm, as_subset
+from .projection import _restricted_cho, project
 
 __all__ = [
     "GreenOperator",
     "dynkin_defect",
     "exit_second_moment",
     "green_apply",
-    "green_density",
     "green_operator",
     "is_excessive",
 ]
-
-
-def _cho(form: DiscreteForm, idx: np.ndarray):
-    if not is_transient(form, idx):
-        raise NonTransientError(
-            f"subset of size {idx.size} is not transient: Green operator undefined")
-    try:
-        return cho_factor(form.energy_matrix()[np.ix_(idx, idx)])
-    except LinAlgError as exc:
-        raise NonTransientError(f"restricted system numerically singular: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -49,18 +38,12 @@ class GreenOperator:
     V: np.ndarray
     G: np.ndarray
 
-    def apply_density(self, f_on_V) -> np.ndarray:
-        return self.G @ np.asarray(f_on_V, dtype=float)
-
-    def apply_atoms(self, atoms_on_V, m_on_V) -> np.ndarray:
-        return self.G @ (np.asarray(atoms_on_V, dtype=float) / np.asarray(m_on_V, dtype=float))
-
 
 def green_operator(form: DiscreteForm, V) -> GreenOperator:
     idx = as_subset(form.n, V)
     if idx.size == 0:
         return GreenOperator(V=idx, G=np.zeros((0, 0)))
-    cho = _cho(form, idx)
+    cho = _restricted_cho(form, idx)
     G = cho_solve(cho, np.diag(form.m[idx]))
     return GreenOperator(V=idx, G=G)
 
@@ -78,14 +61,9 @@ def green_apply(form: DiscreteForm, V, mu) -> np.ndarray:
     out = np.zeros(form.n)
     if idx.size == 0:
         return out
-    cho = _cho(form, idx)
+    cho = _restricted_cho(form, idx)
     out[idx] = cho_solve(cho, mu[idx])
     return out
-
-
-def green_density(form: DiscreteForm, V, f) -> np.ndarray:
-    """Potential of the measure with density ``f`` (atoms f * m)."""
-    return green_apply(form, V, np.asarray(f, dtype=float) * form.m)
 
 
 def dynkin_defect(form: DiscreteForm, V, W, mu) -> float:

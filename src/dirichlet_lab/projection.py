@@ -9,6 +9,7 @@ the harmonic extension as a sub-stochastic matrix acting on boundary data.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,16 +26,36 @@ __all__ = [
 ]
 
 
-def _restricted_cho(form: DiscreteForm, idx: np.ndarray):
-    """Cholesky factor of the energy matrix block on idx, or raise."""
+def _factor(form: DiscreteForm, idx: np.ndarray):
+    """Transience check and read-only Cholesky factor of A[idx, idx].
+
+    Returns the ``cho_factor`` pair, or the message of the error to raise.
+    """
     if not is_transient(form, idx):
-        raise NonTransientError(
-            f"subset of size {idx.size} is not transient: restricted system singular")
-    A = form.energy_matrix()[np.ix_(idx, idx)]
+        return f"subset of size {idx.size} is not transient: restricted system singular"
     try:
-        return cho_factor(A)
+        c, lower = cho_factor(form.energy_matrix()[np.ix_(idx, idx)])
     except LinAlgError as exc:  # numerically singular despite graph escape
-        raise NonTransientError(f"restricted system numerically singular: {exc}") from exc
+        return f"restricted system numerically singular: {exc}"
+    c.setflags(write=False)
+    return c, lower
+
+
+def _restricted_cho(form: DiscreteForm, idx: np.ndarray):
+    """Cholesky factor of the energy matrix block on idx, or raise.
+
+    ``idx`` is a sorted index array from ``as_subset``.  The factor is
+    computed once per (form, subset) and cached on the form; concurrent
+    callers asking for the same subset wait for the one factorization.
+    """
+    with form._cho_lock:
+        slot = form._cho.setdefault(idx.tobytes(), [threading.Lock(), None])
+    with slot[0]:
+        if slot[1] is None:
+            slot[1] = _factor(form, idx)
+    if isinstance(slot[1], str):
+        raise NonTransientError(slot[1])
+    return slot[1]
 
 
 def project(form: DiscreteForm, V, u) -> np.ndarray:
@@ -76,9 +97,6 @@ class PoissonKernel:
     def apply(self, g) -> np.ndarray:
         return self.P @ np.asarray(g, dtype=float)
 
-    def row_defect(self) -> np.ndarray:
-        return 1.0 - self.P.sum(axis=1)
-
 
 def poisson_kernel(form: DiscreteForm, V) -> PoissonKernel:
     """Assemble the exit kernel column-by-column as harmonic extensions."""
@@ -102,12 +120,14 @@ def harmonic_boundary(form: DiscreteForm, D, weights=None, guard: float = 1e-14)
     The aggregated measure gives state y the mass sum_{x in D} w[x] P_D[x, y]
     with w defaulting to the reference measure.  Strict positivity up to a
     small rounding guard selects the minimal atomically-supported carrier.
+    Since A_DD is symmetric, w @ P_D[D, Dc] = -(A_DD^{-1} w) @ A[D, Dc]:
+    one solve, and the kernel itself is never formed.
     """
     idx = as_subset(form.n, D)
-    comp = complement(form.n, idx)
     if idx.size == 0:
         return np.array([], dtype=int)
+    cho = _restricted_cho(form, idx)
+    comp = complement(form.n, idx)
     w = form.m[idx] if weights is None else np.asarray(weights, dtype=float)[idx]
-    P = poisson_kernel(form, idx).P
-    mass = w @ P[idx][:, comp]
+    mass = -(cho_solve(cho, w) @ form.energy_matrix()[np.ix_(idx, comp)])
     return comp[mass > guard]

@@ -408,8 +408,7 @@ def verify_projective(u, spec: ProblemSpec) -> dict:
             d_var = max(d_var, float(np.max(np.abs(lhs - rhs)[V])))
     bd = harmonic_boundary(form, idx)
     d_bnd = float(np.max(np.abs(u - spec.g)[bd], initial=0.0))
-    VN = spec.nest[-1]
-    pvu = u - project(form, VN, u)
+    pvu = u - w  # the last nest level is D (ProblemSpec enforces it)
     pdg = harmonic_extension(form, idx, spec.g)
     d_exh = float(np.max(np.abs(pvu - pdg)[idx], initial=0.0))
     return {"variational": d_var, "boundary": d_bnd, "exhaustion": d_exh}

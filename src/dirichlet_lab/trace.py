@@ -13,10 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_solve
 
 from .forms import DiscreteForm, as_subset, complement
 from .potential import green_apply
-from .projection import poisson_kernel
+from .projection import _restricted_cho
 
 __all__ = [
     "TraceSequence",
@@ -102,17 +103,28 @@ class TraceSequence:
 
 
 def trace_sequence_graph(u, form: DiscreteForm, D, nest, probes=None) -> TraceSequence:
-    """Discrete trace values P_V(|u| * potential-of-killing) along the nest."""
+    """Discrete trace values P_V(|u| * potential-of-killing) along the nest.
+
+    P_V h is applied without forming the exit kernel: it is h outside V and
+    -A_VV^{-1} A[V, Vc] h[Vc] on V, so only the values of h outside V enter.
+    """
     if not nest:
         raise ValueError("nest must be nonempty")
     idx = as_subset(form.n, D)
     probes = idx if probes is None else as_subset(form.n, probes)
     u = np.asarray(u, dtype=float)
     integrand = np.abs(u) * green_apply(form, idx, killing_part(form, idx))
+    A = form.energy_matrix()
     rows = []
     for V in nest:
-        P = poisson_kernel(form, V).P
-        rows.append((P @ integrand)[probes])
+        V = as_subset(form.n, V)
+        vals = integrand.copy()
+        if V.size:
+            comp = complement(form.n, V)
+            flux = A[np.ix_(V, comp)] @ integrand[comp]
+            # 0.0 - x, not -x: a zero flux gives +0.0, as the kernel product did
+            vals[V] = 0.0 - cho_solve(_restricted_cho(form, V), flux)
+        rows.append(vals[probes])
     values = np.asarray(rows)
     extrap = np.array([aitken_iterated(values[:, j]) for j in range(probes.size)])
     tail = values[-3:] if values.shape[0] >= 3 else values

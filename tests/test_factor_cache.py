@@ -1,0 +1,159 @@
+"""One Cholesky factorization per (form, subset), and the kernel-free exit paths."""
+
+import threading
+import time
+
+import numpy as np
+import pytest
+from scipy.linalg import LinAlgError
+
+from dirichlet_lab import (DiscreteForm, NonTransientError, apriori_report,
+                           exit_second_moment, green_apply, harmonic_boundary,
+                           poisson_kernel, residual_probabilistic, solve, verify_projective)
+from dirichlet_lab import projection, semilinear
+from dirichlet_lab.forms import complement
+from dirichlet_lab.semilinear import ProblemSpec, power_nonlinearity
+from dirichlet_lab.suite import random_domain, random_form
+from dirichlet_lab.trace import killing_part, trace_sequence_graph
+
+
+def _counting(monkeypatch, module, name, delay=0.0):
+    """Replace ``module.name`` by a wrapper that counts its calls."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        time.sleep(delay)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _three_level_problem(seed):
+    rng = np.random.default_rng(seed)
+    form = random_form(rng, 20, 30)
+    D = random_domain(rng, form)
+    while D.size < 6:
+        D = random_domain(rng, form)
+    order = rng.permutation(D)
+    nest = (np.sort(order[:D.size // 3]), np.sort(order[:2 * D.size // 3]), D)
+    g = rng.uniform(-1.0, 1.0, size=form.n)
+    mu = np.zeros(form.n)
+    mu[D] = rng.uniform(0.0, 0.5, size=D.size)
+    f = power_nonlinearity(rng.uniform(0.0, 1.0, size=form.n), 3.0)
+    return ProblemSpec(form=form, D=D, g=g, mu=mu, f=f, nest=nest)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_one_factorization_per_subset(monkeypatch, seed):
+    spec = _three_level_problem(seed)
+    factorizations = _counting(monkeypatch, projection, "cho_factor")
+    projections = _counting(monkeypatch, semilinear, "project")
+    sol = solve(spec)
+    residual_probabilistic(sol.u, spec)
+    verify_projective(sol.u, spec)
+    apriori_report(sol.u, spec)
+    exit_second_moment(spec.form, spec.D, np.abs(spec.mu))
+    trace_sequence_graph(sol.u, spec.form, spec.D, spec.nest)
+    assert len({V.tobytes() for V in spec.nest}) == 3
+    assert len(factorizations) == 3
+    # verify_projective reuses the last level's projection for D
+    assert len(projections) == len(spec.nest)
+
+
+def test_concurrent_callers_share_one_factorization(monkeypatch):
+    form = random_form(np.random.default_rng(5), 30, 40)
+    V = np.arange(form.n - 3)
+    mu = np.random.default_rng(6).uniform(size=form.n)
+    factorizations = _counting(monkeypatch, projection, "cho_factor", delay=0.05)
+    barrier = threading.Barrier(8)
+    results = [None] * 8
+
+    def work(k):
+        barrier.wait(timeout=10)
+        results[k] = green_apply(form, V, mu)
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+    assert len(factorizations) == 1
+    assert all(np.array_equal(r, results[0]) for r in results)
+
+
+def test_non_transient_subset_raises_every_time(monkeypatch):
+    form = DiscreteForm(m=np.ones(2), J=np.array([[0.0, 1.0], [1.0, 0.0]]), kappa=np.zeros(2))
+    sweeps = _counting(monkeypatch, projection, "is_transient")
+    for _ in range(2):
+        with pytest.raises(NonTransientError, match="not transient"):
+            green_apply(form, [0, 1], np.ones(2))
+    assert len(sweeps) == 1
+
+
+def test_numerically_singular_subset_raises_every_time(monkeypatch, k3):
+    calls = []
+
+    def singular(a):
+        calls.append(1)
+        raise LinAlgError("not positive definite")
+
+    monkeypatch.setattr(projection, "cho_factor", singular)
+    for _ in range(2):
+        with pytest.raises(NonTransientError, match="numerically singular"):
+            projection.project(k3, [1, 2], np.ones(3))
+    assert len(calls) == 1
+
+
+def test_cached_factor_is_read_only(k3):
+    c, _ = projection._restricted_cho(k3, np.array([1, 2]))
+    with pytest.raises(ValueError):
+        c[0, 0] = 1.0
+    assert projection._restricted_cho(k3, np.array([1, 2]))[0] is c
+
+
+def _forms_and_domains():
+    rng = np.random.default_rng(11)
+    for _ in range(12):
+        form = random_form(rng, 5, 40)
+        yield rng, form, random_domain(rng, form)
+        yield rng, form, np.arange(form.n)  # empty complement; killing makes it transient
+        yield rng, form, np.array([], dtype=int)
+
+
+def test_trace_without_kernel_matches_kernel():
+    for rng, form, D in _forms_and_domains():
+        u = rng.normal(size=form.n)
+        keep = rng.random(D.size) < 0.5
+        nest = [np.array([], dtype=int), D[keep], D, np.arange(form.n)]
+        seq = trace_sequence_graph(u, form, D, nest)
+        integrand = np.abs(u) * green_apply(form, D, killing_part(form, D))
+        for k, V in enumerate(nest):
+            ref = (poisson_kernel(form, V).P @ integrand)[D]
+            np.testing.assert_allclose(seq.values[k], ref, rtol=1e-12, atol=0.0)
+        assert np.all(seq.values[2] == 0.0)
+
+
+def _boundary_by_kernel(form, D, w):
+    """Reference definition: aggregated mass w @ P_D over the complement."""
+    if D.size == 0:
+        return np.array([], dtype=int)
+    comp = complement(form.n, D)
+    P = poisson_kernel(form, D).P
+    return comp[w[D] @ P[D][:, comp] > 1e-14]
+
+
+def test_harmonic_boundary_without_kernel_matches_kernel():
+    for rng, form, D in _forms_and_domains():
+        w = rng.uniform(0.0, 2.0, size=form.n) * (rng.random(form.n) < 0.7)
+        assert np.array_equal(harmonic_boundary(form, D), _boundary_by_kernel(form, D, form.m))
+        assert np.array_equal(harmonic_boundary(form, D, weights=w),
+                              _boundary_by_kernel(form, D, w))
+
+
+def test_harmonic_boundary_non_transient_without_complement():
+    form = DiscreteForm(m=np.ones(2), J=np.array([[0.0, 1.0], [1.0, 0.0]]), kappa=np.zeros(2))
+    with pytest.raises(NonTransientError):
+        harmonic_boundary(form, [0, 1])
