@@ -15,7 +15,8 @@ double-sum energy layer, and the comparison / a-priori / stability bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -138,7 +139,13 @@ def table_nonlinearity(ys, values) -> Nonlinearity:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Graph-backend problem: domain, exterior data, measure, absorption, nest."""
+    """Graph-backend problem: domain, exterior data, measure, absorption, nest.
+
+    ``D``, ``g``, ``mu`` and the nest levels are read-only copies of the
+    caller's data.  ``pdg`` (P_D g) and ``rdm`` (R_D mu) are fixed data of
+    the problem: each is computed once, on first use, and is read-only.
+    ``solve`` reads both, so the CLI's suite threads only read the cache.
+    """
 
     form: DiscreteForm
     D: np.ndarray
@@ -149,8 +156,8 @@ class ProblemSpec:
 
     def __post_init__(self):
         idx = as_subset(self.form.n, self.D)
-        g = np.asarray(self.g, dtype=float)
-        mu = np.asarray(self.mu, dtype=float)
+        g = np.array(self.g, dtype=float)
+        mu = np.array(self.mu, dtype=float)
         if g.shape != (self.form.n,) or mu.shape != (self.form.n,):
             raise ValueError("g and mu must have one entry per state")
         if np.any(mu[complement(self.form.n, idx)] != 0):
@@ -165,10 +172,26 @@ class ProblemSpec:
             prev = V
         if not np.array_equal(nest[-1], idx):
             raise ValueError("nest must exhaust D")
+        for arr in (idx, g, mu, *nest):
+            arr.setflags(write=False)
         object.__setattr__(self, "D", idx)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "nest", nest)
+
+    @cached_property
+    def pdg(self) -> np.ndarray:
+        """P_D g: the harmonic extension of the exterior data."""
+        out = harmonic_extension(self.form, self.D, self.g)
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def rdm(self) -> np.ndarray:
+        """R_D mu: the Green potential of the measure."""
+        out = green_apply(self.form, self.D, self.mu)
+        out.setflags(write=False)
+        return out
 
 
 @dataclass(frozen=True)
@@ -314,14 +337,6 @@ def solve_ladder(base: np.ndarray, gmat: np.ndarray, f: Nonlinearity, points,
     return u, trace, meta
 
 
-def _graph_parts(spec: ProblemSpec):
-    form, idx = spec.form, spec.D
-    pdg = harmonic_extension(form, idx, spec.g)
-    rdm = green_apply(form, idx, spec.mu)
-    gop = green_operator(form, idx)
-    return pdg, rdm, gop
-
-
 def solve(spec, ladder: LadderConfig | None = None) -> Solution:
     """Solve the Dirichlet problem for the given spec (graph or continuum)."""
     if not isinstance(spec, ProblemSpec):
@@ -331,11 +346,11 @@ def solve(spec, ladder: LadderConfig | None = None) -> Solution:
 
 
 def _solve_graph(spec: ProblemSpec, ladder: LadderConfig | None) -> Solution:
-    form, idx = spec.form, spec.D
+    idx = spec.D
     spec.f.check_monotone(idx)
-    pdg, rdm, gop = _graph_parts(spec)
-    base_full = pdg + rdm
-    uD, trace, meta = solve_ladder(base_full[idx], gop.G, spec.f, idx, ladder)
+    base_full = spec.pdg + spec.rdm
+    G = green_operator(spec.form, idx).G
+    uD, trace, meta = solve_ladder(base_full[idx], G, spec.f, idx, ladder)
     u = spec.g.copy()
     u[idx] = uD
     res = residual_probabilistic(u, spec)
@@ -347,21 +362,17 @@ def _solve_graph(spec: ProblemSpec, ladder: LadderConfig | None) -> Solution:
 def solve_shifted(spec: ProblemSpec, h, ladder: LadderConfig | None = None) -> Solution:
     """Solve u = h + P_D g + R_D f(.,u) + R_D mu by shifting the absorption."""
     h = np.asarray(h, dtype=float)
-    form, idx = spec.form, spec.D
+    idx = spec.D
 
     def fn(pts, y):
         return spec.f(pts, h[pts] + y)
 
     fh = Nonlinearity(fn=fn, name=f"{spec.f.name}+shift")
-    shifted = ProblemSpec(form=form, D=idx, g=spec.g, mu=spec.mu, f=fh, nest=spec.nest)
-    sol = solve(shifted, ladder)
+    sol = solve(replace(spec, f=fh), ladder)
     u = sol.u.copy()
     u[idx] += h[idx]
     res = float(np.max(np.abs(
-        u[idx] - h[idx]
-        - harmonic_extension(form, idx, spec.g)[idx]
-        - green_density(spec, u)[idx]
-        - green_apply(form, idx, spec.mu)[idx])))
+        u[idx] - h[idx] - spec.pdg[idx] - green_density(spec, u)[idx] - spec.rdm[idx])))
     sol.u = u
     sol.residuals["shifted_fixed_point"] = res
     return sol
@@ -378,12 +389,9 @@ def green_density(spec: ProblemSpec, u) -> np.ndarray:
 def residual_probabilistic(u, spec: ProblemSpec) -> float:
     """Max defect of the fixed-point identity on D plus |u - g| outside D."""
     u = np.asarray(u, dtype=float)
-    form, idx = spec.form, spec.D
-    comp = complement(form.n, idx)
-    pdg = harmonic_extension(form, idx, spec.g)
+    comp = complement(spec.form.n, spec.D)
     rdf = green_density(spec, u)
-    rdm = green_apply(form, idx, spec.mu)
-    inner = float(np.max(np.abs(u - pdg - rdf - rdm)[idx], initial=0.0))
+    inner = float(np.max(np.abs(u - spec.pdg - rdf - spec.rdm)[spec.D], initial=0.0))
     outer = float(np.max(np.abs(u - spec.g)[comp], initial=0.0))
     return inner + outer
 
@@ -409,8 +417,7 @@ def verify_projective(u, spec: ProblemSpec) -> dict:
     bd = harmonic_boundary(form, idx)
     d_bnd = float(np.max(np.abs(u - spec.g)[bd], initial=0.0))
     pvu = u - w  # the last nest level is D (ProblemSpec enforces it)
-    pdg = harmonic_extension(form, idx, spec.g)
-    d_exh = float(np.max(np.abs(pvu - pdg)[idx], initial=0.0))
+    d_exh = float(np.max(np.abs(pvu - spec.pdg)[idx], initial=0.0))
     return {"variational": d_var, "boundary": d_bnd, "exhaustion": d_exh}
 
 
@@ -454,17 +461,6 @@ def compare(spec1: ProblemSpec, spec2: ProblemSpec, tol: float = 1e-9,
     return report
 
 
-def _abs_parts(spec: ProblemSpec, u):
-    form, idx = spec.form, spec.D
-    pdg = harmonic_extension(form, idx, spec.g)
-    pd_abs_g = harmonic_extension(form, idx, np.abs(spec.g))
-    rd_abs_mu = green_apply(form, idx, np.abs(spec.mu))
-    fu = np.zeros(form.n)
-    fu[idx] = np.abs(spec.f(idx, np.asarray(u)[idx]))
-    rd_abs_fu = green_apply(form, idx, fu * form.m)
-    return pdg, pd_abs_g, rd_abs_mu, rd_abs_fu
-
-
 def apriori_report(u, spec: ProblemSpec, rho=None) -> dict:
     """Defects of the three a-priori bounds for a solved instance.
 
@@ -474,14 +470,18 @@ def apriori_report(u, spec: ProblemSpec, rho=None) -> dict:
     normalized potential of one as fallback.
     """
     u = np.asarray(u, dtype=float)
-    form, idx = spec.form, spec.D
-    pdg, pd_abs_g, rd_abs_mu, rd_abs_fu = _abs_parts(spec, u)
+    form, idx, pdg = spec.form, spec.D, spec.pdg
+    fu = np.abs(_f_on_D(spec, u))
+    fpdg = np.abs(_f_on_D(spec, pdg))
+    pd_abs_g = harmonic_extension(form, idx, np.abs(spec.g))
+    rd_abs_mu = green_apply(form, idx, np.abs(spec.mu))
+    rd_abs_fu = green_apply(form, idx, fu * form.m)
     rd_abs_f0 = green_apply(form, idx, np.abs(_f_on_D(spec, np.zeros(form.n))) * form.m)
     lhs1 = np.abs(u) + rd_abs_fu
     rhs1 = 2.0 * rd_abs_f0 + rd_abs_mu + pd_abs_g
     d1 = float(np.max((lhs1 - rhs1)[idx], initial=0.0))
 
-    rd_abs_fpdg = green_apply(form, idx, np.abs(_f_on_D(spec, pdg)) * form.m)
+    rd_abs_fpdg = green_apply(form, idx, fpdg * form.m)
     lhs2 = np.abs(u - pdg) + rd_abs_fu
     rhs2 = 2.0 * rd_abs_fpdg + rd_abs_mu
     d2 = float(np.max((lhs2 - rhs2)[idx], initial=0.0))
@@ -494,8 +494,6 @@ def apriori_report(u, spec: ProblemSpec, rho=None) -> dict:
             pot = green_apply(form, idx, form.m)
             rho = pot / max(float(np.max(pot[idx], initial=1.0)), 1e-300)
     rho = np.asarray(rho, dtype=float)
-    fu = np.abs(_f_on_D(spec, u))
-    fpdg = np.abs(_f_on_D(spec, pdg))
     lhs3 = float(np.sum(fu[idx] * rho[idx] * form.m[idx]))
     rhs3 = 2.0 * float(np.sum(fpdg[idx] * rho[idx] * form.m[idx])) \
         + float(np.sum(rho[idx] * np.abs(spec.mu)[idx]))
@@ -576,13 +574,12 @@ def vd_check(u, spec: ProblemSpec) -> dict:
         raise ValueError("vd_check requires zero absorption")
     u = np.asarray(u, dtype=float)
     A = form.energy_matrix()
-    pdg = harmonic_extension(form, idx, spec.g)
-    w = u - pdg
-    d_id = float(np.max(np.abs((A @ w)[idx] - spec.mu[idx]), initial=0.0))
-    mu_dual = float(np.sqrt(max(spec.mu @ green_apply(form, idx, spec.mu), 0.0)))
-    nu = np.sqrt(max(_vd_energy(form, idx, u, u), 0.0))
-    npdg = np.sqrt(max(_vd_energy(form, idx, pdg, pdg), 0.0))
-    ng = np.sqrt(max(_vd_energy(form, idx, spec.g, spec.g), 0.0))
+    pdg = spec.pdg
+    d_id = float(np.max(np.abs((A @ (u - pdg))[idx] - spec.mu[idx]), initial=0.0))
+    mu_dual = float(np.sqrt(max(spec.mu @ spec.rdm, 0.0)))
+    nu = float(np.sqrt(max(_vd_energy(form, idx, u, u), 0.0)))
+    npdg = float(np.sqrt(max(_vd_energy(form, idx, pdg, pdg), 0.0)))
+    ng = float(np.sqrt(max(_vd_energy(form, idx, spec.g, spec.g), 0.0)))
     return {
         "identity": d_id,
         "norm_bound": nu - (npdg + mu_dual),

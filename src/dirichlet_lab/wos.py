@@ -12,8 +12,6 @@ instead of discretizing time, so they stay unbiased up to quadrature error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import betainc, betaincinv
 
@@ -21,11 +19,9 @@ from .frac1d import FracKernels, _graded_panels
 from .rng import chisquare, substream
 
 __all__ = [
-    "WosPath",
     "ball_green_rule",
     "exit_cdf_ball",
     "wos_estimate",
-    "wos_exit",
     "wos_exit_batch",
     "wos_exit_chi2",
 ]
@@ -55,40 +51,6 @@ def _sample_exit_positions(alpha: float, rng, size: int) -> np.ndarray:
     return np.where(u < 0.5, -mag, mag)
 
 
-@dataclass
-class WosPath:
-    """Ball chain of one walk: centers, radii, exit point, occupation weights.
-
-    ``occupation_scale[k]`` is radius_k^alpha, the factor multiplying any
-    per-ball Green mass accumulated at step k.
-    """
-
-    centers: np.ndarray
-    radii: np.ndarray
-    exit_point: float
-    steps: int
-    occupation_scale: np.ndarray
-
-
-def wos_exit(kernels: FracKernels, x: float, seed: int, max_steps: int = 10 ** 6) -> WosPath:
-    """One walk from x until it leaves (-1, 1); deterministic per seed."""
-    if not abs(x) < 1.0:
-        raise ValueError("start point must be interior")
-    rng = substream(seed, 0)
-    centers, radii = [], []
-    cur = float(x)
-    for step in range(max_steps):
-        r = 1.0 - abs(cur)
-        centers.append(cur)
-        radii.append(r)
-        cur = cur + r * float(_sample_exit_positions(kernels.alpha, rng, 1)[0])
-        if abs(cur) >= 1.0:
-            rad = np.asarray(radii)
-            return WosPath(centers=np.asarray(centers), radii=rad, exit_point=cur,
-                           steps=step + 1, occupation_scale=rad ** kernels.alpha)
-    raise RuntimeError(f"walk exceeded {max_steps} steps without exiting")
-
-
 def ball_green_rule(kernels: FracKernels, order: int = 12, levels: int = 22):
     """Nodes w_i in (-1, 1) and masses v_i with sum v_i h(w_i) ~ expected
     occupation of h under the unit-ball walk started at the center."""
@@ -116,6 +78,8 @@ def wos_exit_batch(kernels: FracKernels, x: float, n_paths: int, seed: int,
     ball is shared: its source term is evaluated once per call, with the
     same expression as the later balls.
     """
+    if not abs(x) < 1.0:
+        raise ValueError("start point must be interior")
     alpha = kernels.alpha
     exits = np.empty(n_paths)
     occ = None

@@ -46,6 +46,21 @@ def test_run_demo_graph_mc_suite(tmp_path):
     assert set(mc["results"]) == {"mc_PDg", "mc_RD1", "mc_FK_residual"}
 
 
+def test_run_kappa_free_graph_writes_vd_results(tmp_path):
+    # kappa = 0 and zero absorption add the vd_* checks to the verify suite;
+    # their pass flags must be JSON booleans
+    obj = json.loads(_demo_graph_spec(tmp_path).read_text())
+    obj["form"]["kappa"] = [0.0, 0.0, 0.0]
+    del obj["f"]
+    spec = tmp_path / "vd.json"
+    spec.write_text(json.dumps(obj))
+    cfg = cli.RunConfig(spec_path=spec, out_dir=tmp_path / "out", seed=1, suites=("verify",))
+    assert cli.run(cfg) == 0
+    res = json.loads((tmp_path / "out" / "residuals.json").read_text())["results"]
+    assert {"vd_identity", "vd_norm_bound", "vd_kernel_contraction"} <= set(res)
+    assert all(type(entry["pass"]) is bool for entry in res.values())
+
+
 def test_injected_violator_fails(tmp_path):
     spec = _demo_graph_spec(tmp_path)
     obj = json.loads(spec.read_text())

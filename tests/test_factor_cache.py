@@ -1,5 +1,8 @@
-"""One Cholesky factorization per (form, subset), and the kernel-free exit paths."""
+"""One Cholesky factorization per (form, subset), one P_D g and R_D mu per
+problem, and the kernel-free exit paths."""
 
+import dataclasses
+import json
 import threading
 import time
 
@@ -9,8 +12,9 @@ from scipy.linalg import LinAlgError
 
 from dirichlet_lab import (DiscreteForm, NonTransientError, apriori_report,
                            exit_second_moment, green_apply, harmonic_boundary,
-                           poisson_kernel, residual_probabilistic, solve, verify_projective)
-from dirichlet_lab import projection, semilinear
+                           harmonic_extension, poisson_kernel, residual_probabilistic, solve,
+                           verify_projective)
+from dirichlet_lab import cli, projection, semilinear
 from dirichlet_lab.forms import complement
 from dirichlet_lab.semilinear import ProblemSpec, power_nonlinearity
 from dirichlet_lab.suite import random_domain, random_form
@@ -61,6 +65,61 @@ def test_one_factorization_per_subset(monkeypatch, seed):
     assert len(factorizations) == 3
     # verify_projective reuses the last level's projection for D
     assert len(projections) == len(spec.nest)
+
+
+def test_cli_run_extends_exterior_data_once(monkeypatch, tmp_path):
+    # kappa = 0 and zero absorption, so the verify suite runs vd_check too
+    g = [-1.0, 0.25, 0.0, 0.5]
+    obj = {"backend": "graph", "D": [1, 2], "g": g, "mu": [0.0, 0.2, 0.1, 0.0],
+           "form": {"m": [1.0, 1.0, 1.0, 1.0], "kappa": [0.0, 0.0, 0.0, 0.0],
+                    "J": [[0.0, 0.5, 0.0, 0.0], [0.5, 0.0, 0.5, 0.0],
+                          [0.0, 0.5, 0.0, 0.5], [0.0, 0.0, 0.5, 0.0]]}}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(obj))
+    calls = []
+    original = projection.harmonic_extension
+
+    def counted(form, V, h):
+        calls.append(np.array_equal(V, [1, 2]) and np.array_equal(h, g))
+        return original(form, V, h)
+
+    for module in (projection, semilinear):
+        monkeypatch.setattr(module, "harmonic_extension", counted)
+    cfg = cli.RunConfig(spec_path=path, out_dir=tmp_path / "out", seed=1,
+                        suites=("verify", "estimates", "trace", "mc"),
+                        tolerances={"mc_paths": 1000})
+    cli.run(cfg)
+    assert "vd_identity" in json.loads((tmp_path / "out" / "residuals.json").read_text())["results"]
+    assert sum(calls) == 1
+
+
+def test_problem_data_read_only_and_exact():
+    spec = _three_level_problem(0)
+    assert spec.pdg.tobytes() == harmonic_extension(spec.form, spec.D, spec.g).tobytes()
+    assert spec.rdm.tobytes() == green_apply(spec.form, spec.D, spec.mu).tobytes()
+    assert spec.pdg is spec.pdg and spec.rdm is spec.rdm
+    for arr in (spec.pdg, spec.rdm, spec.D, spec.g, spec.mu, *spec.nest):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+    for name in ("pdg", "rdm"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(spec, name, np.zeros(spec.form.n))
+
+
+def test_caller_mutation_leaves_problem_data():
+    spec0 = _three_level_problem(1)
+    g, mu, D = spec0.g.copy(), spec0.mu.copy(), spec0.D.copy()
+    spec = ProblemSpec(form=spec0.form, D=D, g=g, mu=mu, f=spec0.f, nest=spec0.nest)
+    g += 1.0
+    mu *= 2.0
+    D[0] = D[-1]
+    assert spec.g.tobytes() == spec0.g.tobytes()
+    assert spec.mu.tobytes() == spec0.mu.tobytes()
+    assert spec.D.tobytes() == spec0.D.tobytes()
+    assert spec.pdg.tobytes() == spec0.pdg.tobytes()
+    assert spec.rdm.tobytes() == spec0.rdm.tobytes()
+    g += 1.0
+    assert spec.pdg.tobytes() == spec0.pdg.tobytes()
 
 
 def test_concurrent_callers_share_one_factorization(monkeypatch):

@@ -15,19 +15,23 @@ def pack():
 
 def test_same_seed_same_walk(pack):
     k, _ = pack
-    p1 = wos.wos_exit(k, 0.3, seed=5)
-    p2 = wos.wos_exit(k, 0.3, seed=5)
-    assert np.array_equal(p1.centers, p2.centers)
-    assert p1.exit_point == p2.exit_point
-    assert np.array_equal(p1.occupation_scale, p1.radii ** k.alpha)
-    assert abs(p1.exit_point) > 1.0
-    assert np.allclose(p1.radii, 1.0 - np.abs(p1.centers))
+    exits1, mean1, _ = wos.wos_exit_batch(k, 0.3, 200, seed=5)
+    exits2, mean2, _ = wos.wos_exit_batch(k, 0.3, 200, seed=5)
+    assert np.array_equal(exits1, exits2)
+    assert np.array_equal(mean1, mean2)
+    assert np.all(np.abs(exits1) > 1.0)
 
 
-def test_exit_requires_interior(pack):
-    k, _ = pack
-    with pytest.raises(ValueError):
-        wos.wos_exit(k, 1.2, seed=0)
+def test_exit_requires_interior():
+    # outside, on the boundary and NaN: a walk would return a negative or NaN
+    # exit time, a zero one, or run to the step cap
+    for alpha in (0.5, 1.0):
+        k = f1.build_kernels(alpha, validate=False)
+        for x in (1.2, 1.0, -1.0, np.nan):
+            with pytest.raises(ValueError, match="interior"):
+                wos.wos_exit_batch(k, x, 200, seed=0)
+            with pytest.raises(ValueError, match="interior"):
+                wos.wos_estimate("mean_exit_time", k, x, n_paths=200, seed=0)
 
 
 def test_exit_cdf_matches_quadrature():
@@ -66,9 +70,8 @@ def test_one_step_exit_probability(pack):
     # from x = 0.3 the one-step exit mass has a closed distribution-function
     # form, cross-checked against the sampled frequency
     k, _ = pack
-    exits, _, _ = wos.wos_exit_batch(k, 0.0, 5000, seed=3)
-    steps_one = np.mean([wos.wos_exit(k, 0.0, seed=s).steps for s in range(200)])
-    assert steps_one == 1.0
+    _, mean_exit, _ = wos.wos_exit_batch(k, 0.0, 5000, seed=3)
+    assert np.all(mean_exit == k.mean_exit_ball(1.0))
     x, r = 0.3, 0.7
     thresh = (1.0 + x) / r
     p_exit = 0.5 + 0.5 * (1.0 - float(wos.exit_cdf_ball(k.alpha, np.array([thresh]))[0]))
