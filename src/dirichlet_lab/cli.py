@@ -230,7 +230,7 @@ def _mc_entry(est, se, exact):
 
 def _suite_verify_frac(cfg, prob, sol, results):
     tol = cfg.tol("fixed_point", 1e-6)
-    res = sol.residuals["fixed_point"]
+    res = frac1d.fixed_point_residual(sol)
     results["fixed_point"] = {"value": res, "contract": tol, "pass": res < tol}
     defects = frac1d.projective_exhaustion_defects(prob, sol)
     last = float(np.max(defects[-1]))

@@ -30,7 +30,6 @@ __all__ = [
     "generator",
     "is_transient",
     "read_form",
-    "write_form",
 ]
 
 
@@ -182,8 +181,3 @@ def form_from_dict(obj: dict) -> DiscreteForm:
 def read_form(path) -> DiscreteForm:
     with open(path) as fh:
         return form_from_dict(json.load(fh))
-
-
-def write_form(form: DiscreteForm, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(form_to_dict(form), fh, sort_keys=True)

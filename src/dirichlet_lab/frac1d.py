@@ -38,6 +38,7 @@ __all__ = [
     "continuum_callable",
     "default_nest",
     "example77_report",
+    "fixed_point_residual",
     "green_matrix",
     "indicator_exterior",
     "levy_symbol",
@@ -67,25 +68,34 @@ def _gj(order: int, a: float, b: float):
     return x, w
 
 
-def _panel_rule(a: float, b: float, order: int, jacobi: float = 0.0, side: str = ""):
-    """Nodes/weights on [a, b]; optional product weights for a power weight.
+def _panel_rule(a: float, b: float, order: int, left=None, right=None):
+    """Nodes/weights on [a, b]; optional product weights for end powers.
 
-    With ``jacobi`` = gamma and ``side`` = "left", the returned weights
-    integrate (y - a)^gamma * smooth(y) exactly when applied to values of the
-    full integrand; likewise for "right" with (b - y)^gamma.
+    With ``left`` = gamma the returned weights integrate
+    (y - a)^gamma * smooth(y) exactly when applied to values of the full
+    integrand; likewise ``right`` with (b - y)^gamma, and both together.
+    None or 0.0 at both ends gives the plain Gauss rule.
     """
     h = b - a
-    if jacobi == 0.0 or not side:
+    if not (left or right):
         t, w = _gl(order)
         y = a + 0.5 * h * (t + 1.0)
         return y, 0.5 * h * w
-    if side == "left":
-        t, w = _gj(order, 0.0, jacobi)
-        y = a + 0.5 * h * (t + 1.0)
-        return y, (0.5 * h) ** (jacobi + 1.0) * w * (y - a) ** (-jacobi)
-    t, w = _gj(order, jacobi, 0.0)
-    y = b - 0.5 * h * (1.0 - t)
-    return y, (0.5 * h) ** (jacobi + 1.0) * w * (b - y) ** (-jacobi)
+    left, right = left or 0.0, right or 0.0
+    t, w = _gj(order, right, left)
+    y = a + 0.5 * h * (t + 1.0) if left else b - 0.5 * h * (1.0 - t)
+    return y, ((0.5 * h) ** (left + right + 1.0) * w
+               * (y - a) ** (-left) * (b - y) ** (-right))
+
+
+def _composite(breaks, order: int, left=None, right=None):
+    """One panel rule per pair of breaks; ``left`` goes to the first panel
+    and ``right`` to the last."""
+    last = len(breaks) - 2
+    rules = [_panel_rule(breaks[k], breaks[k + 1], order,
+                         left if k == 0 else None, right if k == last else None)
+             for k in range(last + 1)]
+    return np.concatenate([y for y, _ in rules]), np.concatenate([w for _, w in rules])
 
 
 def _graded_breaks(a: float, b: float, levels: int, toward_left: bool):
@@ -95,33 +105,27 @@ def _graded_breaks(a: float, b: float, levels: int, toward_left: bool):
         else np.concatenate([[a], b - steps[::-1], [b]])
 
 
-def _graded_panels(a: float, b: float, *, order: int, levels: int,
-                   grade_left: bool, grade_right: bool,
-                   jacobi_left: float = 0.0, jacobi_right: float = 0.0,
+def _graded_panels(a: float, b: float, order: int, levels: int, left=None, right=None,
                    n_base: int = 4):
-    """Composite rule on [a, b] graded geometrically toward marked endpoints."""
-    if grade_left and grade_right:
+    """Composite rule on [a, b] graded geometrically toward each end that
+    carries a power (0.0: graded, no power; None: not graded)."""
+    if left is not None and right is not None:
         mid = 0.5 * (a + b)
         breaks = np.concatenate([_graded_breaks(a, mid, levels, True)[:-1],
                                  _graded_breaks(mid, b, levels, False)])
-    elif grade_left:
-        breaks = _graded_breaks(a, b, levels, True)
-    elif grade_right:
-        breaks = _graded_breaks(a, b, levels, False)
+    elif left is not None or right is not None:
+        breaks = _graded_breaks(a, b, levels, left is not None)
     else:
         breaks = np.linspace(a, b, n_base + 1)
-    xs, ws = [], []
-    last = len(breaks) - 2
-    for k in range(last + 1):
-        jac, side = 0.0, ""
-        if k == 0 and grade_left and jacobi_left != 0.0:
-            jac, side = jacobi_left, "left"
-        elif k == last and grade_right and jacobi_right != 0.0:
-            jac, side = jacobi_right, "right"
-        y, w = _panel_rule(breaks[k], breaks[k + 1], order, jac, side)
-        xs.append(y)
-        ws.append(w)
-    return np.concatenate(xs), np.concatenate(ws)
+    return _composite(breaks, order, left, right)
+
+
+def _split_rule(lo: float, x: float, hi: float, order: int, levels: int,
+                edge: float, diag: float):
+    """The two halves [lo, x] and [x, hi] of a rule with the power ``edge``
+    at lo and hi and the power ``diag`` at the interior point x."""
+    return (_graded_panels(lo, x, order, levels, left=edge, right=diag),
+            _graded_panels(x, hi, order, levels, left=diag, right=edge))
 
 
 # ---------------------------------------------------------------------------
@@ -221,16 +225,12 @@ def levy_symbol(kernels: FracKernels, xi: float, order: int = 12, levels: int = 
     def body(r):
         return (1.0 - np.cos(r * xi)) * 2.0 * kernels.j(r)
 
-    y, w = _graded_panels(0.0, 1.0, order=order, levels=levels,
-                          grade_left=True, grade_right=False, jacobi_left=1.0 - a)
+    y, w = _graded_panels(0.0, 1.0, order, levels, left=1.0 - a)
     head = float(np.sum(w * body(y)))
     # integral over [1, inf) of cos(r xi) r^(-1-alpha), two integrations by parts
     n_panels = max(8, int(np.ceil(cutoff * xi / np.pi)))
-    breaks = np.linspace(1.0, cutoff, n_panels + 1)
-    t_int = 0.0
-    for k in range(n_panels):
-        yk, wk = _panel_rule(breaks[k], breaks[k + 1], order)
-        t_int += float(np.sum(wk * np.cos(yk * xi) * yk ** (-3.0 - a)))
+    y, w = _composite(np.linspace(1.0, cutoff, n_panels + 1), order)
+    t_int = float(np.sum(w * np.cos(y * xi) * y ** (-3.0 - a)))
     s_int = np.cos(xi) / xi - (2.0 + a) / xi * t_int
     c_int = -np.sin(xi) / xi + (1.0 + a) / xi * s_int
     return head + 2.0 * A * (1.0 / a - c_int)
@@ -321,37 +321,20 @@ def _exterior_rule(alpha: float, order: int, edge_levels: int, out_levels: int,
     gamma = -alpha / 2.0 if edge_gamma is None else edge_gamma
     if gamma <= -1.0:
         raise ValueError("exterior edge power is not integrable")
-    xs, ws = [], []
-    steps = 2.0 ** (-np.arange(edge_levels, 0, -1, dtype=float))
-    breaks_in = np.concatenate([[1.0], 1.0 + steps, [2.0]])
-    for k in range(len(breaks_in) - 1):
-        jac, side = (gamma, "left") if k == 0 else (0.0, "")
-        y, w = _panel_rule(breaks_in[k], breaks_in[k + 1], order, jac, side)
-        xs.append(y)
-        ws.append(w)
-    lo = 2.0
-    for _ in range(out_levels):
-        y, w = _panel_rule(lo, 2.0 * lo, order)
-        xs.append(y)
-        ws.append(w)
-        lo *= 2.0
-    x = np.concatenate(xs)
-    w = np.concatenate(ws)
-    return np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w]), lo
+    breaks = np.concatenate([_graded_breaks(1.0, 2.0, edge_levels, True)[:-1],
+                             2.0 ** np.arange(1, out_levels + 2, dtype=float)])
+    x, w = _composite(breaks, order, left=gamma)
+    return np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w]), float(breaks[-1])
 
 
 def build_grid(alpha: float, order: int = 10, n_base: int = 8, edge_levels: int = 22,
                out_levels: int = 10) -> QuadGrid:
     breaks = _interior_breaks(n_base, edge_levels)
-    xs, ws = [], []
-    for k in range(len(breaks) - 1):
-        y, w = _panel_rule(breaks[k], breaks[k + 1], order)
-        xs.append(y)
-        ws.append(w)
+    xs, ws = _composite(breaks, order)
     ext_x, ext_w, radius = _exterior_rule(alpha, order, edge_levels, out_levels)
     return QuadGrid(alpha=alpha, order=order, edge_levels=edge_levels, n_base=n_base,
                     out_levels=out_levels,
-                    interior_x=np.concatenate(xs), interior_w=np.concatenate(ws),
+                    interior_x=xs, interior_w=ws,
                     interior_breaks=breaks, exterior_x=ext_x, exterior_w=ext_w,
                     radius=radius)
 
@@ -474,11 +457,7 @@ def apply_RD(kernels: FracKernels, grid: QuadGrid, h=None, atoms=(), x=None,
     if h is not None:
         for i, xi in enumerate(x):
             acc = 0.0
-            for (lo, hi, jl, jr) in ((-1.0, xi, edge_gamma, diag_gamma),
-                                     (xi, 1.0, diag_gamma, edge_gamma)):
-                y, w = _graded_panels(lo, hi, order=order, levels=edge_levels,
-                                      grade_left=True, grade_right=True,
-                                      jacobi_left=jl, jacobi_right=jr)
+            for y, w in _split_rule(-1.0, xi, 1.0, order, edge_levels, edge_gamma, diag_gamma):
                 acc += float(np.sum(w * kernels.green(xi, y) * h(y)))
             out[i] = acc
     for (pos, weight) in atoms:
@@ -493,10 +472,9 @@ def apply_PV_interval(kernels: FracKernels, radius: float, fn, x: float,
     a = kernels.alpha
     acc = 0.0
     for (lo, hi, inner_left) in ((radius, y_hi, True), (-y_hi, -radius, False)):
-        y, w = _graded_panels(lo, hi, order=order, levels=levels,
-                              grade_left=True, grade_right=True,
-                              jacobi_left=(-a / 2.0) if inner_left else edge_exponent,
-                              jacobi_right=edge_exponent if inner_left else (-a / 2.0))
+        y, w = _graded_panels(lo, hi, order, levels,
+                              left=(-a / 2.0) if inner_left else edge_exponent,
+                              right=edge_exponent if inner_left else (-a / 2.0))
         acc += float(np.sum(w * kernels.poisson_interval(radius, x, y) * fn(y)))
     return acc
 
@@ -546,8 +524,7 @@ def _graded_ref(order: int, levels: int, gamma: float):
     """Rule on [0, 1] graded toward 0 with s^gamma baked into the innermost
     panel, whose ``order`` nodes come first.  A piece of length H graded
     toward its end e uses the nodes e +- H * s and the weights H * w."""
-    return _frozen(*_graded_panels(0.0, 1.0, order=order, levels=levels, grade_left=True,
-                                   grade_right=False, jacobi_left=gamma))
+    return _frozen(*_graded_panels(0.0, 1.0, order, levels, left=gamma))
 
 
 @lru_cache(maxsize=16)
@@ -778,21 +755,29 @@ def solve_continuum(prob: ContinuumProblem, ladder: LadderConfig | None = None) 
     if prob.mu_atoms:
         base = base + apply_RD(kern, grid, atoms=prob.mu_atoms, x=nodes)
     if prob.f.is_zero:
-        u = base
+        u, W = base, None
         trace, meta = [], {"converged": True, "monotone_up_slack": 0.0,
                            "monotone_down_slack": 0.0, "final_inner_residual": 0.0}
     else:
         prob.f.check_monotone(nodes)
         W = green_matrix(kern, grid)
         u, trace, meta = solve_ladder(base, W, prob.f, nodes, ladder)
-        meta["green_matrix"] = W
-    res = float(np.max(np.abs(u - base - (meta.get("green_matrix", 0.0) @ prob.f(nodes, u)
-                                          if not prob.f.is_zero else 0.0))))
-    return Solution(u=u, residuals={"fixed_point": res}, ladder_trace=trace,
-                    converged=meta["converged"],
-                    meta={"x": nodes, "grid": grid, "problem": prob,
-                          "monotone_up_slack": meta["monotone_up_slack"],
-                          "monotone_down_slack": meta["monotone_down_slack"]})
+    sol = Solution(u=u, residuals={}, ladder_trace=trace, converged=meta["converged"],
+                   meta={"x": nodes, "grid": grid, "problem": prob, "base": base,
+                         "green_matrix": W,
+                         "monotone_up_slack": meta["monotone_up_slack"],
+                         "monotone_down_slack": meta["monotone_down_slack"]})
+    sol.residuals["fixed_point"] = fixed_point_residual(sol)
+    return sol
+
+
+def fixed_point_residual(sol: Solution) -> float:
+    """max |u - base - W f(u)| over the nodes for the u that ``sol`` holds now,
+    from the base and Green matrix its solve built."""
+    meta = sol.meta
+    f = meta["problem"].f
+    wf = 0.0 if f.is_zero else meta["green_matrix"] @ f(meta["x"], sol.u)
+    return float(np.max(np.abs(sol.u - meta["base"] - wf)))
 
 
 def continuum_callable(prob: ContinuumProblem, sol: Solution):

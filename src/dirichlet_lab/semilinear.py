@@ -368,7 +368,10 @@ def solve_shifted(spec: ProblemSpec, h, ladder: LadderConfig | None = None) -> S
         return spec.f(pts, h[pts] + y)
 
     fh = Nonlinearity(fn=fn, name=f"{spec.f.name}+shift")
-    sol = solve(replace(spec, f=fh), ladder)
+    shifted = replace(spec, f=fh)
+    # same form, D, g and mu: hand over P_D g and R_D mu instead of recomputing
+    vars(shifted).update(pdg=spec.pdg, rdm=spec.rdm)
+    sol = solve(shifted, ladder)
     u = sol.u.copy()
     u[idx] += h[idx]
     res = float(np.max(np.abs(

@@ -77,12 +77,7 @@ def aitken_iterated(seq) -> float:
     for _ in range(2):
         if seq.size < 3:
             break
-        out = []
-        for k in range(seq.size - 2):
-            s0, s1, s2 = seq[k:k + 3]
-            denom = s2 - 2.0 * s1 + s0
-            out.append(s2 if abs(denom) < 1e-300 else s2 - (s2 - s1) ** 2 / denom)
-        seq = np.asarray(out)
+        seq = np.array([aitken(seq[k:k + 3]) for k in range(seq.size - 2)])
     return float(seq[-1])
 
 
@@ -91,15 +86,12 @@ class TraceSequence:
     """Exit-average values per nest level and probe, with extrapolated tails.
 
     ``values[k, j]`` is the level-k value at probe j; the extrapolated limit
-    is reported alongside the raw sequence, plus a flag telling whether the
-    tail was monotone (so the limit claim is backed by the raw data).
+    is reported alongside the raw sequence.
     """
 
     probes: np.ndarray
-    levels: list
     values: np.ndarray
     extrapolated: np.ndarray
-    monotone_tail: np.ndarray
 
 
 def trace_sequence_graph(u, form: DiscreteForm, D, nest, probes=None) -> TraceSequence:
@@ -127,10 +119,7 @@ def trace_sequence_graph(u, form: DiscreteForm, D, nest, probes=None) -> TraceSe
         rows.append(vals[probes])
     values = np.asarray(rows)
     extrap = np.array([aitken_iterated(values[:, j]) for j in range(probes.size)])
-    tail = values[-3:] if values.shape[0] >= 3 else values
-    monotone = np.all(np.diff(np.abs(tail), axis=0) <= 1e-12, axis=0)
-    return TraceSequence(probes=probes, levels=[list(map(int, V)) for V in nest],
-                         values=values, extrapolated=extrap, monotone_tail=monotone)
+    return TraceSequence(probes=probes, values=values, extrapolated=extrap)
 
 
 def trace_sequence_frac(kernels, u_fn, radii, probes=(0.0, 0.5, -0.5, 0.9, -0.9),
@@ -167,22 +156,18 @@ def trace_sequence_frac(kernels, u_fn, radii, probes=(0.0, 0.5, -0.5, 0.9, -0.9)
     inside = np.asarray(inside)
     extrap = np.array([aitken_iterated(values[inside[:, j], j])
                        for j in range(probes.size)])
-    tail = values[-3:] if values.shape[0] >= 3 else values
-    monotone = np.all(np.diff(tail, axis=0) <= 1e-12, axis=0)
-    return TraceSequence(probes=probes, levels=[float(a) for a in radii],
-                         values=values, extrapolated=extrap, monotone_tail=monotone)
+    return TraceSequence(probes=probes, values=values, extrapolated=extrap)
 
 
 def eta_measure(kernels, u_fn, a: float, x0: float = 0.0, order: int = 12,
-                outer_levels: int = 22, inner_levels: int = 36,
-                edge_exponent: float = 0.0) -> float:
+                outer_levels: int = 22, inner_levels: int = 36) -> float:
     """Total mass of the exit-flux measure of u across (-a, a) inside (-1, 1).
 
     Double integral of G_V(x0, z) j(|z - y|) u(y) over z in V and y in the
     annulus a < |y| < 1; equals the exit average of u restricted to D started
     at x0, which callers can cross-check through the interval kernel route.
     """
-    from .frac1d import _graded_panels
+    from .frac1d import _graded_panels, _split_rule
 
     alpha = kernels.alpha
     # outer rule in z: graded toward +-a, where the Green factor vanishes
@@ -190,25 +175,17 @@ def eta_measure(kernels, u_fn, a: float, x0: float = 0.0, order: int = 12,
     # dist^(-alpha), and toward the base point, where the Green factor has
     # its diagonal singularity
     diag_gamma = alpha - 1.0 if alpha < 1.0 else 0.0
-    zx_parts, zw_parts = [], []
-    for (lo, hi, jl, jr) in ((-a, x0, -alpha / 2.0, diag_gamma),
-                             (x0, a, diag_gamma, -alpha / 2.0)):
-        zxp, zwp = _graded_panels(lo, hi, order=order, levels=outer_levels,
-                                  grade_left=True, grade_right=True,
-                                  jacobi_left=jl, jacobi_right=jr)
-        zx_parts.append(zxp)
-        zw_parts.append(zwp)
-    zx = np.concatenate(zx_parts)
-    zw = np.concatenate(zw_parts)
+    (z0, w0), (z1, w1) = _split_rule(-a, x0, a, order, outer_levels, -alpha / 2.0, diag_gamma)
+    zx = np.concatenate([z0, z1])
+    zw = np.concatenate([w0, w1])
+    # inner rule in y: graded toward +-a, where j(|z - y|) peaks as z nears +-a
+    annulus = (_graded_panels(a, 1.0, order, inner_levels, left=0.0),
+               _graded_panels(-1.0, -a, order, inner_levels, right=0.0))
     total = 0.0
     for z, wz in zip(zx, zw):
         gv = kernels.green_interval(a, x0, z)
         inner = 0.0
-        for (lo, hi, toward_lo) in ((a, 1.0, True), (-1.0, -a, False)):
-            yx, yw = _graded_panels(lo, hi, order=order, levels=inner_levels,
-                                    grade_left=toward_lo, grade_right=not toward_lo,
-                                    jacobi_left=edge_exponent if not toward_lo else 0.0,
-                                    jacobi_right=edge_exponent if toward_lo else 0.0)
+        for yx, yw in annulus:
             inner += float(np.sum(yw * kernels.j(np.abs(z - yx)) * u_fn(yx)))
         total += wz * gv * inner
     return float(total)

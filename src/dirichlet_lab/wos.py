@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import betainc, betaincinv
 
-from .frac1d import FracKernels, _graded_panels
+from .frac1d import FracKernels, _graded_panels, _split_rule
 from .rng import chisquare, substream
 
 __all__ = [
@@ -56,16 +56,9 @@ def ball_green_rule(kernels: FracKernels, order: int = 12, levels: int = 22):
     occupation of h under the unit-ball walk started at the center."""
     a = kernels.alpha
     diag_gamma = a - 1.0 if a < 1.0 else 0.0
-    xs, ws = [], []
-    for (lo, hi, gl_, gr_) in ((-1.0, 0.0, True, True), (0.0, 1.0, True, True)):
-        y, w = _graded_panels(lo, hi, order=order, levels=levels,
-                              grade_left=gl_, grade_right=gr_,
-                              jacobi_left=(a / 2.0) if lo == -1.0 else diag_gamma,
-                              jacobi_right=diag_gamma if hi == 0.0 else (a / 2.0))
-        xs.append(y)
-        ws.append(w)
-    y = np.concatenate(xs)
-    return y, np.concatenate(ws) * kernels.green(0.0, y)
+    (y0, w0), (y1, w1) = _split_rule(-1.0, 0.0, 1.0, order, levels, a / 2.0, diag_gamma)
+    y = np.concatenate([y0, y1])
+    return y, np.concatenate([w0, w1]) * kernels.green(0.0, y)
 
 
 def wos_exit_batch(kernels: FracKernels, x: float, n_paths: int, seed: int,
@@ -183,15 +176,9 @@ def wos_exit_chi2(kernels: FracKernels, x: float, n_paths: int = 100_000,
 
 def _bin_mass(kernels: FracKernels, x: float, lo: float, hi: float) -> float:
     """Exit mass of one finite cell [lo, hi) on either side of the boundary."""
-    alpha = kernels.alpha
-    if lo < 0:  # negative-side cell: boundary singularity sits at -1, i.e. at hi
-        grade = hi == -1.0
-        y, w = _graded_panels(lo, hi, order=14, levels=28, grade_left=False,
-                              grade_right=grade, jacobi_right=(-alpha / 2.0) if grade else 0.0)
-    else:
-        grade = lo == 1.0
-        y, w = _graded_panels(lo, hi, order=14, levels=28, grade_left=grade,
-                              grade_right=False, jacobi_left=(-alpha / 2.0) if grade else 0.0)
+    edge = -kernels.alpha / 2.0
+    y, w = _graded_panels(lo, hi, 14, 28, left=edge if lo == 1.0 else None,
+                          right=edge if hi == -1.0 else None)
     return float(np.sum(w * kernels.poisson(x, y)))
 
 
@@ -199,8 +186,7 @@ def _tail_mass(kernels: FracKernels, x: float, cut: float, negative: bool = Fals
     """Exit mass beyond |y| >= cut > 1 on one side of the boundary."""
     alpha = kernels.alpha
     top = cut * 2.0 ** 24
-    y, w = _graded_panels(cut, top, order=12, levels=70,
-                          grade_left=True, grade_right=False)
+    y, w = _graded_panels(cut, top, 12, 70, left=0.0)
     sign = -1.0 if negative else 1.0
     main = float(np.sum(w * kernels.poisson(x, sign * y)))
     remainder = kernels.poisson_coef * (1.0 - x * x) ** (alpha / 2.0) * top ** (-alpha) / alpha

@@ -61,15 +61,29 @@ def test_run_kappa_free_graph_writes_vd_results(tmp_path):
     assert all(type(entry["pass"]) is bool for entry in res.values())
 
 
-def test_injected_violator_fails(tmp_path):
-    spec = _demo_graph_spec(tmp_path)
+def _demo_frac_spec(tmp_path):
+    obj = {"schema": 1, "backend": "frac1d", "alpha": 1.0,
+           "g": {"kind": "const", "value": 1.0},
+           "f": {"kind": "power", "b": 1.0, "p": 3.0}}
+    path = tmp_path / "frac.json"
+    path.write_text(json.dumps(obj))
+    return path
+
+
+@pytest.mark.parametrize("make_spec, index", [(_demo_graph_spec, 1), (_demo_frac_spec, 200)],
+                         ids=["graph", "frac1d"])
+def test_injected_violator_fails(tmp_path, make_spec, index):
+    # the verify suite must check the u written to solution.csv, not the solve's u
+    spec = make_spec(tmp_path)
     obj = json.loads(spec.read_text())
-    obj["inject"] = {"index": 1, "eps": 0.2}
+    obj["inject"] = {"index": index, "eps": 0.2}
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(obj))
     cfg = cli.RunConfig(spec_path=bad, out_dir=tmp_path / "out", seed=1,
                         suites=("verify",))
     assert cli.run(cfg) == 1
+    res = json.loads((tmp_path / "out" / "residuals.json").read_text())["results"]
+    assert not res["fixed_point"]["pass"]
 
 
 def test_run_deterministic_bytes(tmp_path):

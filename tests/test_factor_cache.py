@@ -17,7 +17,7 @@ from dirichlet_lab import (DiscreteForm, NonTransientError, apriori_report,
 from dirichlet_lab import cli, projection, semilinear
 from dirichlet_lab.forms import complement
 from dirichlet_lab.semilinear import ProblemSpec, power_nonlinearity
-from dirichlet_lab.suite import random_domain, random_form
+from dirichlet_lab.suite import random_domain, random_form, random_problem
 from dirichlet_lab.trace import killing_part, trace_sequence_graph
 
 
@@ -91,6 +91,15 @@ def test_cli_run_extends_exterior_data_once(monkeypatch, tmp_path):
     cli.run(cfg)
     assert "vd_identity" in json.loads((tmp_path / "out" / "residuals.json").read_text())["results"]
     assert sum(calls) == 1
+
+
+def test_solve_shifted_extends_exterior_data_once(monkeypatch):
+    spec = random_problem(np.random.default_rng(3))
+    h = np.linspace(-0.3, 0.3, spec.form.n)
+    calls = _counting(monkeypatch, semilinear, "harmonic_extension")
+    sol = semilinear.solve_shifted(spec, h)
+    assert len(calls) == 1
+    assert sol.residuals["shifted_fixed_point"] < 1e-8
 
 
 def test_problem_data_read_only_and_exact():

@@ -3,6 +3,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from scipy.special import beta as beta_fn
 
 from dirichlet_lab import frac1d as f1
 from dirichlet_lab.semilinear import power_nonlinearity, zero_nonlinearity
@@ -157,6 +158,32 @@ def test_lagrange_matrix_reproduces_polynomials():
             coef = rng.normal(size=deg + 1)
             assert np.max(np.abs(B @ np.polyval(coef, t) - np.polyval(coef, pts))) < 1e-12
         assert np.array_equal(B[50:50 + t[::3].size], np.eye(order)[::3])
+
+
+@pytest.mark.parametrize("gamma", [-0.5, 0.3])
+def test_rule_builder_integrates_end_powers(gamma):
+    # (y - a)^l (b - y)^r p(y), p a cubic in y - a, against its Beta-function
+    # closed form: graded composite rules and a single panel with both powers
+    a, b = 0.3, 1.7
+    coef = [0.7, -1.2, 0.5, 2.0]
+    for left, right in ((gamma, None), (None, gamma), (gamma, gamma)):
+        lp, rp = left or 0.0, right or 0.0
+        exact = sum(c * (b - a) ** (k + lp + rp + 1.0) * beta_fn(k + lp + 1.0, rp + 1.0)
+                    for k, c in enumerate(coef))
+        for y, w in (f1._graded_panels(a, b, 12, 20, left=left, right=right),
+                     f1._panel_rule(a, b, 12, left, right)):
+            p = sum(c * (y - a) ** k for k, c in enumerate(coef))
+            quad = float(np.sum(w * (y - a) ** lp * (b - y) ** rp * p))
+            assert quad == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("gamma", [-0.5, 0.3])
+def test_split_rule_integrates_interior_power(gamma):
+    lo, x, hi = -1.0, 0.35, 1.0
+    halves = f1._split_rule(lo, x, hi, 12, 20, 0.0, gamma)
+    for (y, w), length in zip(halves, (x - lo, hi - x)):
+        quad = float(np.sum(w * np.abs(y - x) ** gamma))
+        assert quad == pytest.approx(length ** (gamma + 1.0) / (gamma + 1.0), rel=1e-13, abs=0.0)
 
 
 @dataclass(frozen=True)

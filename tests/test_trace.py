@@ -66,8 +66,7 @@ def test_frac_killing_part_two_routes():
             closed = killing_part_frac(k, np.array([x]))[0]
             total = 0.0
             for (lo, hi) in ((1.0 - x, 1e9), (1.0 + x, 1e9)):
-                y, w = f1._graded_panels(lo, hi, order=14, levels=64,
-                                         grade_left=True, grade_right=False)
+                y, w = f1._graded_panels(lo, hi, 14, 64, left=0.0)
                 total += float(np.sum(w * k.j(y)))
                 total += k.jump_coef * 1e9 ** (-alpha) / alpha
             assert total == pytest.approx(closed, rel=1e-8)

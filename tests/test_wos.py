@@ -40,8 +40,7 @@ def test_exit_cdf_matches_quadrature():
     for alpha in (0.5, 1.0, 1.5):
         k = f1.build_kernels(alpha, validate=False)
         for t in (1.2, 2.0, 5.0):
-            y, w = f1._graded_panels(1.0, t, order=14, levels=40, grade_left=True,
-                                     grade_right=False, jacobi_left=-alpha / 2.0)
+            y, w = f1._graded_panels(1.0, t, 14, 40, left=-alpha / 2.0)
             quad = float(np.sum(w * 2.0 * k.poisson_coef * (y ** 2 - 1.0) ** (-alpha / 2.0) / y))
             assert wos.exit_cdf_ball(alpha, np.array([t]))[0] == pytest.approx(quad, abs=1e-8)
 
