@@ -8,7 +8,8 @@ output directory, and exits nonzero iff any contract fails.
 ``dirichlet-lab gen --seed N --count K [--out DIR]`` writes reproducible
 random graph problem pairs (ordered for comparison runs).
 
-The number of parallel suite workers is capped by DIRICHLET_LAB_THREADS.
+DIRICHLET_LAB_THREADS caps the parallel suite workers and the walk-on-spheres
+chunk workers (``rng.worker_count``); the outputs do not depend on it.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import numpy as np
 from . import chain_sim, frac1d, trace, wos
 from .forms import form_from_dict, form_to_dict
 from .potential import exit_second_moment, green_apply
+from .rng import worker_count
 from .semilinear import (LadderConfig, ProblemSpec, apriori_report, exp_nonlinearity,
                          power_nonlinearity, residual_probabilistic, solve,
                          table_nonlinearity, vd_check, verify_projective,
@@ -351,9 +353,8 @@ def run(config: RunConfig) -> int:
         if "estimates" in config.suites:
             tasks.append(lambda: _suite_estimates_frac(config, problem, sol, results))
 
-    workers = int(os.environ.get("DIRICHLET_LAB_THREADS", "0")) or min(4, max(1, len(tasks)))
     if tasks:
-        with ThreadPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+        with ThreadPoolExecutor(max_workers=worker_count(len(tasks))) as pool:
             futures = [pool.submit(t) for t in tasks]
             for fut in futures:
                 fut.result()

@@ -465,17 +465,25 @@ def apply_RD(kernels: FracKernels, grid: QuadGrid, h=None, atoms=(), x=None,
     return out
 
 
-def apply_PV_interval(kernels: FracKernels, radius: float, fn, x: float,
+def apply_PV_interval(kernels: FracKernels, radius: float, fn, x,
                       y_hi: float = 1.0, edge_exponent: float = 0.0,
-                      order: int = 12, levels: int = 24) -> float:
-    """Exit average over (-radius, radius) of fn restricted to radius < |y| < y_hi."""
+                      order: int = 12, levels: int = 24) -> np.ndarray:
+    """Exit averages over (-radius, radius) of fn restricted to radius < |y| < y_hi,
+    one per start point in x (an array shaped like x).
+
+    The two annulus rules and the values of fn on them are built once and
+    shared by every start point.
+    """
     a = kernels.alpha
-    acc = 0.0
+    x = np.asarray(x, dtype=float)
+    acc = np.zeros(x.shape)
     for (lo, hi, inner_left) in ((radius, y_hi, True), (-y_hi, -radius, False)):
         y, w = _graded_panels(lo, hi, order, levels,
                               left=(-a / 2.0) if inner_left else edge_exponent,
                               right=edge_exponent if inner_left else (-a / 2.0))
-        acc += float(np.sum(w * kernels.poisson_interval(radius, x, y) * fn(y)))
+        fy = fn(y)
+        for i, xi in np.ndenumerate(x):
+            acc[i] += float(np.sum(w * kernels.poisson_interval(radius, xi, y) * fy))
     return acc
 
 
@@ -799,15 +807,13 @@ def projective_exhaustion_defects(prob: ContinuumProblem, sol: Solution,
     """Gap |P_V(u) - exit average of g| at probes, one row per nest level."""
     kern, grid = prob.kernels, prob.grid
     u_fn = continuum_callable(prob, sol)
-    pdg = apply_PD(kern, grid, prob.g, x=np.asarray(probes, dtype=float))
+    probes = np.asarray(probes, dtype=float)
+    pdg = apply_PD(kern, grid, prob.g, x=probes)
     rows = []
     for radius in prob.nest_radii():
-        vals = []
-        for j, x in enumerate(np.asarray(probes, dtype=float)):
-            pv = apply_PV_interval(kern, radius, u_fn, x, y_hi=1.0)
-            pv += _pv_exterior(kern, radius, prob.g, x, grid)
-            vals.append(abs(pv - pdg[j]))
-        rows.append(vals)
+        pv = apply_PV_interval(kern, radius, u_fn, probes, y_hi=1.0)
+        rows.append([abs(pv[j] + _pv_exterior(kern, radius, prob.g, x, grid) - pdg[j])
+                     for j, x in enumerate(probes)])
     return np.asarray(rows)
 
 

@@ -7,10 +7,12 @@ and accumulators can be merged deterministically in stream order.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 from scipy.special import chdtrc
 
-__all__ = ["chisquare", "substream"]
+__all__ = ["chisquare", "substream", "worker_count"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -19,6 +21,13 @@ def substream(seed: int, stream: int) -> np.random.Generator:
     """Generator for the given (seed, stream) pair."""
     key = np.array([int(seed) & _MASK64, int(stream) & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def worker_count(tasks: int) -> int:
+    """Threads for ``tasks`` independent tasks: at most DIRICHLET_LAB_THREADS
+    (4 when it is unset or 0), at most ``tasks``, at least one."""
+    cap = int(os.environ.get("DIRICHLET_LAB_THREADS", "0")) or 4
+    return max(1, min(cap, tasks))
 
 
 def chisquare(observed, expected) -> tuple[float, float]:

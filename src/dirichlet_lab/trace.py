@@ -139,19 +139,18 @@ def trace_sequence_frac(kernels, u_fn, radii, probes=(0.0, 0.5, -0.5, 0.9, -0.9)
     rows = []
     inside = []
     for a in radii:
+        entered = np.abs(probes) < a
         vals = np.empty(probes.size)
-        for j, x in enumerate(probes):
-            xs = x * 1.0
-            if abs(xs) >= a:
-                # the probe has not entered the level yet: the exit kernel is
-                # the identity there, so the value is just |u| at the probe
-                vals[j] = abs(u_fn(np.array([xs]))[0])
-                continue
-            vals[j] = apply_PV_interval(
-                kernels, a, lambda y: np.abs(u_fn(y)), xs,
+        if entered.any():
+            vals[entered] = apply_PV_interval(
+                kernels, a, lambda y: np.abs(u_fn(y)), probes[entered],
                 y_hi=1.0, edge_exponent=edge_exponent, order=order, levels=levels)
+        # a probe that has not entered the level yet sees the identity exit
+        # kernel, so its value is just |u| at the probe
+        for j in np.flatnonzero(~entered):
+            vals[j] = abs(u_fn(probes[j:j + 1])[0])
         rows.append(vals)
-        inside.append(np.abs(probes) < a)
+        inside.append(entered)
     values = np.asarray(rows)
     inside = np.asarray(inside)
     extrap = np.array([aitken_iterated(values[inside[:, j], j])

@@ -12,11 +12,13 @@ instead of discretizing time, so they stay unbiased up to quadrature error.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 from scipy.special import betainc, betaincinv
 
 from .frac1d import FracKernels, _graded_panels, _split_rule
-from .rng import chisquare, substream
+from .rng import chisquare, substream, worker_count
 
 __all__ = [
     "ball_green_rule",
@@ -27,10 +29,9 @@ __all__ = [
 ]
 
 _CHUNK = 4096
-# The shared first-ball quadrature runs on this many identical rows, not one:
-# numpy hands a one-row product to a dot kernel, which sums in another order
-# than the blocked matrix-vector kernel that a whole chunk of paths goes through.
-_SHARED_ROWS = 4
+# Balls per block of the source quadrature: 64 rows of 1,104 points stay in
+# cache, where a whole chunk's block is a memory-bound array of tens of MB.
+_SOURCE_ROWS = 64
 
 
 def exit_cdf_ball(alpha: float, t) -> np.ndarray:
@@ -61,6 +62,23 @@ def ball_green_rule(kernels: FracKernels, order: int = 12, levels: int = 22):
     return y, np.concatenate([w0, w1]) * kernels.green(0.0, y)
 
 
+def _ball_source(h, rule, xs: np.ndarray, r: np.ndarray, alpha: float) -> np.ndarray:
+    """r^alpha times the per-ball Green mass of y -> h(x + r * y), one value
+    per ball with center x and radius r.
+
+    Each row is reduced by einsum, which sums it in one fixed order; a BLAS
+    matrix-vector product sums some rows in another order depending on how
+    many rows share the call.  So a ball's value does not depend on the block,
+    chunk or thread it is evaluated in.
+    """
+    gy, gw = rule
+    out = np.empty(xs.size)
+    for b0 in range(0, xs.size, _SOURCE_ROWS):
+        b = slice(b0, b0 + _SOURCE_ROWS)
+        out[b] = np.einsum("ij,j->i", h(xs[b, None] + r[b, None] * gy[None, :]), gw)
+    return (r ** alpha) * out
+
+
 def wos_exit_batch(kernels: FracKernels, x: float, n_paths: int, seed: int,
                    h=None, max_steps: int = 10 ** 6):
     """Exit points and (optionally) per-path occupation functionals.
@@ -70,6 +88,10 @@ def wos_exit_batch(kernels: FracKernels, x: float, n_paths: int, seed: int,
     of y -> h(center + radius * y).  Every path starts at x, so the first
     ball is shared: its source term is evaluated once per call, with the
     same expression as the later balls.
+
+    Chunks of 4,096 paths run on up to ``worker_count`` threads; each chunk
+    draws from its own substream and writes only its own paths, so the
+    results do not depend on the number of threads.
     """
     if not abs(x) < 1.0:
         raise ValueError("start point must be interior")
@@ -78,15 +100,13 @@ def wos_exit_batch(kernels: FracKernels, x: float, n_paths: int, seed: int,
     occ = None
     mean_exit = np.zeros(n_paths)
     if h is not None:
-        gy, gw = ball_green_rule(kernels)
-        x0 = np.full(_SHARED_ROWS, float(x))
-        r0 = 1.0 - np.abs(x0)
-        pts = x0[:, None] + r0[:, None] * gy[None, :]
-        occ = np.full(n_paths, ((r0 ** alpha) * (h(pts) @ gw))[0])
-    for c0 in range(0, n_paths, _CHUNK):
-        c1 = min(c0 + _CHUNK, n_paths)
+        rule = ball_green_rule(kernels)
+        x0 = np.array([float(x)])
+        occ = np.full(n_paths, _ball_source(h, rule, x0, 1.0 - np.abs(x0), alpha)[0])
+
+    def walk(c0: int) -> None:
         rng = substream(seed, c0 // _CHUNK)
-        active = np.arange(c0, c1)
+        active = np.arange(c0, min(c0 + _CHUNK, n_paths))
         xs = np.full(active.size, float(x))
         for step in range(max_steps):
             if active.size == 0:
@@ -94,8 +114,7 @@ def wos_exit_batch(kernels: FracKernels, x: float, n_paths: int, seed: int,
             r = 1.0 - np.abs(xs)
             mean_exit[active] += kernels.mean_exit_ball(1.0) * r ** alpha
             if h is not None and step > 0:
-                pts = xs[:, None] + r[:, None] * gy[None, :]
-                occ[active] += (r ** alpha) * (h(pts) @ gw)
+                occ[active] += _ball_source(h, rule, xs, r, alpha)
             xs = xs + r * _sample_exit_positions(alpha, rng, active.size)
             done = np.abs(xs) >= 1.0
             exits[active[done]] = xs[done]
@@ -103,6 +122,10 @@ def wos_exit_batch(kernels: FracKernels, x: float, n_paths: int, seed: int,
             xs = xs[~done]
         else:
             raise RuntimeError(f"batch exceeded {max_steps} steps without exiting")
+
+    starts = range(0, n_paths, _CHUNK)
+    with ThreadPoolExecutor(max_workers=worker_count(len(starts))) as pool:
+        list(pool.map(walk, starts))
     return exits, mean_exit, occ
 
 

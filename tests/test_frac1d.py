@@ -221,7 +221,7 @@ def test_interval_dynkin_identity(packs):
         xs = np.array([0.0, 0.3, -0.45])
         rd = lambda y: k.green(np.asarray(y), pos)
         rv = k.green_interval(radius, xs, pos)
-        pv = np.array([f1.apply_PV_interval(k, radius, rd, x, y_hi=1.0) for x in xs])
+        pv = f1.apply_PV_interval(k, radius, rd, xs, y_hi=1.0)
         assert np.max(np.abs(rd(xs) - pv - rv)) < 1e-8
 
 

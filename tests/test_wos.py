@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,15 @@ from dirichlet_lab.semilinear import power_nonlinearity
 def pack():
     alpha = 1.0
     return f1.build_kernels(alpha), f1.build_grid(alpha)
+
+
+# a smooth solved-function stand-in and its cubic absorption source
+_FK = dict(u_fn=lambda y: 0.5 + 0.25 * np.cos(y),
+           f=power_nonlinearity(lambda y: np.ones_like(y), 3.0))
+
+
+def _fk_source(y):
+    return _FK["f"](y, _FK["u_fn"](y))
 
 
 def test_same_seed_same_walk(pack):
@@ -144,8 +155,7 @@ def test_estimates_bitwise_reproducible(pack):
     a = wos.wos_estimate("mean_exit_time", k, 0.3, n_paths=10_000, seed=77)
     b = wos.wos_estimate("mean_exit_time", k, 0.3, n_paths=10_000, seed=77)
     assert a == b
-    fk = dict(g=f1.const_exterior(1.0), u_fn=lambda y: 0.5 + 0.25 * np.cos(y),
-              f=power_nonlinearity(lambda y: np.ones_like(y), 3.0))
+    fk = dict(g=f1.const_exterior(1.0), **_FK)
     a = wos.wos_estimate("FK_residual", k, 0.3, n_paths=10_000, seed=77, **fk)
     b = wos.wos_estimate("FK_residual", k, 0.3, n_paths=10_000, seed=77, **fk)
     assert a == b
@@ -162,7 +172,7 @@ def test_shared_first_ball_evaluated_once(pack):
         return np.cos(pts)
 
     exits, _, occ = wos.wos_exit_batch(k, 0.0, 10_000, seed=4, h=h)
-    assert sum(rows) == wos._SHARED_ROWS
+    assert sum(rows) == 1
     assert np.all(np.abs(exits) >= 1.0)
     assert np.all(occ == occ[0])
 
@@ -170,7 +180,7 @@ def test_shared_first_ball_evaluated_once(pack):
 def _per_path_occupation(k, x, n_paths, seed, h):
     # reference: the ball quadrature on every ball of every path, the first
     # ball included, with the substreams and chunks of wos_exit_batch
-    gy, gw = wos.ball_green_rule(k)
+    rule = wos.ball_green_rule(k)
     occ = np.zeros(n_paths)
     for c0 in range(0, n_paths, wos._CHUNK):
         rng = substream(seed, c0 // wos._CHUNK)
@@ -178,7 +188,7 @@ def _per_path_occupation(k, x, n_paths, seed, h):
         xs = np.full(active.size, float(x))
         while active.size:
             r = 1.0 - np.abs(xs)
-            occ[active] += (r ** k.alpha) * (h(xs[:, None] + r[:, None] * gy[None, :]) @ gw)
+            occ[active] += wos._ball_source(h, rule, xs, r, k.alpha)
             xs = xs + r * wos._sample_exit_positions(k.alpha, rng, active.size)
             keep = np.abs(xs) < 1.0
             active, xs = active[keep], xs[keep]
@@ -192,10 +202,61 @@ def test_shared_first_ball_matches_per_path():
     for alpha in (0.5, 1.0, 1.5):
         k = f1.build_kernels(alpha, validate=False)
         _, _, occ = wos.wos_exit_batch(k, 0.2, 2_000, seed=6, h=h)
-        # a few ulp, not bit for bit: the two sides run differently shaped
-        # BLAS products, whose summation order depends on the BLAS build
-        np.testing.assert_allclose(occ, _per_path_occupation(k, 0.2, 2_000, 6, h),
-                                   rtol=4 * np.finfo(float).eps, atol=0)
+        np.testing.assert_array_equal(occ, _per_path_occupation(k, 0.2, 2_000, 6, h))
+
+
+def test_ball_source_independent_of_block_rows():
+    # one ball repeated on 1-9 rows, and across block boundaries, gets the
+    # same value in every row: a BLAS matrix-vector product sums the last
+    # rows of some row counts in another order
+    k = f1.build_kernels(1.3, validate=False)
+    rule = wos.ball_green_rule(k)
+
+    def h(y):
+        return np.cos(3.0 * y) - y ** 3
+
+    x = np.array([0.37])
+    ref = wos._ball_source(h, rule, x, 1.0 - np.abs(x), k.alpha)[0]
+    for n in (*range(1, 10), 2 * wos._SOURCE_ROWS + 3):
+        xs = np.full(n, x[0])
+        vals = wos._ball_source(h, rule, xs, 1.0 - np.abs(xs), k.alpha)
+        assert np.all(vals == ref), n
+
+
+def test_batch_independent_of_thread_count(pack, monkeypatch):
+    # chunks on one thread or on three, with a partial last chunk
+    k, _ = pack
+    n = 3 * wos._CHUNK + 77
+    outs = []
+    for threads in ("1", "3"):
+        monkeypatch.setenv("DIRICHLET_LAB_THREADS", threads)
+        outs.append(wos.wos_exit_batch(k, 0.3, n, seed=12, h=_fk_source))
+    for a, b in zip(*outs):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_step_cap_error_reaches_caller(pack, monkeypatch):
+    k, _ = pack
+    monkeypatch.setenv("DIRICHLET_LAB_THREADS", "2")
+    with pytest.raises(RuntimeError, match="without exiting"):
+        wos.wos_exit_batch(k, 0.3, 3 * wos._CHUNK, seed=0, max_steps=1)
+
+
+def test_fk_walk_memory_bound(pack, monkeypatch):
+    # the source quadrature runs on blocks of 64 balls per worker, about
+    # 3.5 MB of temporaries each; one block of a whole 4,096-path chunk
+    # (1,104 points per ball) is 36 MB for the points alone
+    k, _ = pack
+    monkeypatch.setenv("DIRICHLET_LAB_THREADS", "2")
+    tracemalloc.start()
+    try:
+        est, _ = wos.wos_estimate("FK_residual", k, 0.3, n_paths=20_000, seed=3,
+                                  g=f1.const_exterior(1.0), **_FK)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(est)
+    assert peak < 12e6
 
 
 def test_unit_source_occupation_is_mean_exit():
