@@ -4,8 +4,11 @@ Simulates the continuous-time killed jump chain whose rates match the
 generator exactly: jump rate 2 J[x,y] / m[x] from x to y and death rate
 kappa[x] / m[x].  Holding times are sampled by exponential inversion, so the
 simulated law is exact and every estimator below is unbiased.  Paths are
-split across counter-based substream chunks; the chunk merge order is fixed,
-which makes estimates reproducible regardless of parallel scheduling.
+split into chunks of 4,096, each drawing from its own counter-based
+substream, so every path's draws depend only on (seed, chunk) and not on how
+the paths are stepped.  One loop steps the live paths of all chunks
+together, and the estimators' linear functionals of the occupation times
+are summed hold by hold, so no path-by-state matrix is ever formed.
 """
 
 from __future__ import annotations
@@ -45,94 +48,97 @@ def _rates(form: DiscreteForm, idx: np.ndarray):
     return total, cum
 
 
-def _padded_table(cum: np.ndarray):
-    """Rows of ``cum`` padded with 2.0 to a power-of-two width W > cum.shape[1], flattened.
+def _rise_table(cum: np.ndarray):
+    """Search table of the rises of each row of ``cum``, with their categories.
 
-    The padding exceeds every uniform draw, so it never counts as below one.
+    Row r keeps position 0 and every position i where cum[r, i] > cum[r, i - 1],
+    padded with 2.0 (category ``cum.shape[1]``) to a power-of-two width W greater
+    than the longest kept row; returns (table, cats, W) with table and cats flattened.
+    The first entry of a row that is >= u is always kept, so the category found
+    in the table is the dense count of entries below u.
     """
-    width = 1 << cum.shape[1].bit_length()
-    table = np.full((cum.shape[0], width), 2.0)
-    table[:, :cum.shape[1]] = cum
-    return table.ravel(), width
+    rows, n_cat = cum.shape
+    rises = np.ones(cum.shape, dtype=bool)
+    rises[:, 1:] = cum[:, 1:] > cum[:, :-1]
+    width = 1 << int(rises.sum(axis=1).max()).bit_length()
+    r, c = np.nonzero(rises)
+    slot = r * width + np.cumsum(rises, axis=1)[r, c] - 1
+    table = np.full(rows * width, 2.0)
+    cats = np.full(rows * width, n_cat)
+    table[slot] = cum[r, c]
+    cats[slot] = c
+    return table, cats, width
 
 
-def _category(table: np.ndarray, width: int, state: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Number of entries of row ``state`` below ``u``: ``(u[:, None] > cum[state]).sum(1)``.
+def _category(table: np.ndarray, cats: np.ndarray, width: int, state: np.ndarray,
+              u: np.ndarray) -> np.ndarray:
+    """Category of each draw: ``(u[:, None] > cum[state]).sum(1)``.
 
-    Rows must be non-decreasing.  A branchless lower bound of log2(width)
-    halving steps; ties and repeated entries count exactly as in the dense
-    comparison.
+    A branchless lower bound of log2(width) halving steps finds the first entry
+    of row ``state`` that is >= u; the kept entries of a row are strictly
+    increasing, and ties count exactly as in the dense comparison.
     """
-    base = state * width
-    lo = base.copy()
+    lo = state * width
     step = width // 2
     while step:
         lo += step * (table[lo + (step - 1)] < u)
         step //= 2
-    return lo - base
+    return cats[lo]
 
 
 def simulate_batch(form: DiscreteForm, D, x: int, n_paths: int, seed: int,
-                   max_steps: int = 10 ** 6, functionals=None):
-    """Exit states (-1 for death) and occupation times for n_paths paths.
+                   max_steps: int = 10 ** 6, functionals=()):
+    """Exit states (-1 for death) and occupation functionals for n_paths paths.
 
-    Without ``functionals``, returns (exits, occupations) with occupations of
-    shape (n_paths, |D|), columns ordered like the sorted D index array.
-    With ``functionals``, a sequence of |D|-vectors v_j in that order, returns
-    (exits, F) with ``F[j] = occupations @ v_j`` of shape (len(functionals),
-    n_paths); occupation is then kept for one chunk of paths at a time only.
+    ``functionals`` is a (k, |D|) array V (or k vectors of length |D|), columns
+    ordered like the sorted D index array; returns (exits, F) with F of shape
+    (k, n_paths) and ``F[j, p] = sum over the steps of path p of hold *
+    V[j, state]``, summed hold by hold.  ``np.eye(|D|)`` gives the occupation
+    times per state.
     """
     idx = as_subset(form.n, D)
     if x not in idx:
         raise ValueError("start state must lie in D")
     if not is_transient(form, idx):
         raise ValueError("D must be transient")
-    if functionals is not None:
-        functionals = [np.asarray(v, dtype=float) for v in functionals]
-        if any(v.shape != (idx.size,) for v in functionals):
-            raise ValueError(f"each functional must be a vector of length |D| = {idx.size}")
+    V = np.asarray(functionals, dtype=float)
+    if V.size == 0:
+        V = V.reshape(0, idx.size)
+    if V.ndim != 2 or V.shape[1] != idx.size:
+        raise ValueError(f"each functional must be a vector of length |D| = {idx.size}")
     total, cum = _rates(form, idx)
-    table, width = _padded_table(cum)
+    table, cats, width = _rise_table(cum)
     local = -np.ones(form.n + 1, dtype=int)  # per category; -1 outside D and for death
     local[idx] = np.arange(idx.size)
     exits = np.empty(n_paths, dtype=int)
-    if functionals is None:
-        occ = np.zeros((n_paths, idx.size))
+    F = np.zeros((V.shape[0], n_paths))
+    # each chunk of paths draws from its own substream into its slice of the
+    # draw buffers; active stays sorted, so a chunk's live paths are contiguous
+    rngs = [substream(seed, c) for c in range(-(-n_paths // _CHUNK))]
+    starts = np.arange(0, n_paths, _CHUNK)
+    expo = np.empty(n_paths)
+    unif = np.empty(n_paths)
+    active = np.arange(n_paths)
+    state = np.full(n_paths, local[x], dtype=int)
+    for _ in range(max_steps):
+        seg = np.append(np.searchsorted(active, starts), active.size)
+        for c in np.flatnonzero(seg[1:] > seg[:-1]):
+            rngs[c].standard_exponential(out=expo[seg[c]:seg[c + 1]])
+            rngs[c].random(out=unif[seg[c]:seg[c + 1]])
+        hold = expo[:active.size] / total[state]
+        # F[:, active] += hold * V[:, state] row by row: 1-D indexing is ~3x faster at k = 2
+        for Fj, vj in zip(F, V):
+            Fj[active] += hold * vj[state]  # each path occurs once per step
+        cat = _category(table, cats, width, state, unif[:active.size])
+        exits[active] = cat  # final for the paths that leave D at this step
+        nxt = local[cat]
+        keep = np.flatnonzero(nxt >= 0)
+        active, state = active[keep], nxt[keep]
+        if active.size == 0:
+            break
     else:
-        F = np.empty((len(functionals), n_paths))
-        occ = np.empty((min(_CHUNK, n_paths), idx.size))  # reused by every chunk
-    for c0 in range(0, n_paths, _CHUNK):
-        c1 = min(c0 + _CHUNK, n_paths)
-        rng = substream(seed, c0 // _CHUNK)
-        if functionals is None:
-            buf = occ[c0:c1]
-        else:
-            buf = occ[:c1 - c0]
-            buf.fill(0.0)
-        out = exits[c0:c1]
-        active = np.arange(c1 - c0)
-        state = np.full(active.size, local[x], dtype=int)
-        for _ in range(max_steps):
-            hold = rng.exponential(1.0, size=active.size) / total[state]
-            buf[active, state] += hold  # each (path, state) pair occurs once per step
-            u = rng.random(active.size)
-            cat = _category(table, width, state, u)
-            nxt = local[cat]
-            gone = nxt < 0
-            out[active[gone]] = cat[gone]
-            stay = ~gone
-            active, state = active[stay], nxt[stay]
-            if active.size == 0:
-                break
-        else:
-            raise RuntimeError(f"batch exceeded {max_steps} steps without absorbing")
-        if functionals is not None:
-            # one product per vector: a stacked buf @ V sums in another order than occ @ v
-            for j, v in enumerate(functionals):
-                F[j, c0:c1] = buf @ v
+        raise RuntimeError(f"batch exceeded {max_steps} steps without absorbing")
     exits[exits == form.n] = -1  # category n is death
-    if functionals is None:
-        return exits, occ
     return exits, F
 
 
@@ -181,7 +187,7 @@ def mc_estimate(kind: str, form: DiscreteForm, D, x: int, *, n_paths: int = 100_
 
 def exit_law_counts(form: DiscreteForm, D, x: int, n_paths: int, seed: int):
     """Observed exit counts per category (states outside D, then death)."""
-    exits, _ = simulate_batch(form, D, x, n_paths, seed, functionals=())
+    exits, _ = simulate_batch(form, D, x, n_paths, seed)
     comp = np.setdiff1d(np.arange(form.n), as_subset(form.n, D))
     per_state = np.bincount(exits + 1, minlength=form.n + 1)  # slot 0 is death
     counts = np.append(per_state[comp + 1], per_state[0]).astype(float)

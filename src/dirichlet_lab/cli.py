@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -56,11 +57,13 @@ class RunConfig:
         if not self.spec_path.exists():
             raise FileNotFoundError(self.spec_path)
         for key, val in self.tolerances.items():
-            if val <= 0:
-                raise ValueError(f"tolerance {key} must be positive")
+            if not val > 0:  # NaN fails too
+                raise ValueError(f"tolerance {key} must be positive, got {val}")
         for key in ("mc_paths", "wos_paths"):
-            if int(self.tolerances.get(key, 100)) < 100:
-                raise ValueError(f"tolerance {key} must be at least 100 (n_paths >= 100)")
+            paths = self.tolerances.get(key, 100)
+            if not (math.isfinite(paths) and int(paths) >= 100):
+                raise ValueError(f"tolerance {key} must be finite and at least 100 "
+                                 "(n_paths >= 100)")
         bad = set(self.suites) - set(_SUITES)
         if bad:
             raise ValueError(f"unknown suites: {sorted(bad)}")
@@ -400,6 +403,21 @@ def _nonlinearity_to_dict(f) -> dict:
     return {k: (list(v) if isinstance(v, tuple) else v) for k, v in f.params}
 
 
+def _parse_tols(items) -> dict:
+    """``KEY=VAL`` arguments of ``--tol`` as a dict of floats."""
+    tols = {}
+    for item in items:
+        key, sep, val = item.partition("=")
+        try:
+            number = float(val)
+        except ValueError:
+            number = None
+        if not (key and sep) or number is None:
+            raise ValueError(f"--tol expects KEY=NUMBER, got {item!r}")
+        tols[key] = number
+    return tols
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="dirichlet-lab",
                                      description="Nonlocal Dirichlet-problem laboratory")
@@ -422,14 +440,10 @@ def main(argv=None) -> int:
         paths = generate_random_suite(args.seed, args.count, args.out)
         print("\n".join(str(p) for p in paths))
         return 0
-    tols = {}
-    for item in args.tol:
-        key, _, val = item.partition("=")
-        tols[key] = float(val)
     try:
         config = RunConfig(spec_path=args.spec, out_dir=args.out,
                            suites=tuple(args.suite) if args.suite else _SUITES,
-                           seed=args.seed, tolerances=tols,
+                           seed=args.seed, tolerances=_parse_tols(args.tol),
                            dump_kernels=args.dump_kernels)
         status = run(config)
     except (OSError, ValueError, KeyError) as exc:

@@ -7,20 +7,105 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirichlet_lab import DiscreteForm, chain_sim, exit_second_moment
-from dirichlet_lab.chain_sim import (_category, _padded_table, exit_law_chi2, exit_law_counts,
-                                     mc_estimate, simulate_batch)
+from dirichlet_lab.chain_sim import (_category, _rates, _rise_table, exit_law_chi2,
+                                     exit_law_counts, mc_estimate, simulate_batch)
+from dirichlet_lab.forms import as_subset
 from dirichlet_lab.potential import green_operator
-from dirichlet_lab.rng import chisquare
+from dirichlet_lab.rng import chisquare, substream
 from dirichlet_lab.semilinear import ProblemSpec, power_nonlinearity, solve
 from dirichlet_lab.suite import random_form, random_problem
 
 
+def _occupation(form, D, x, n_paths, seed, **kwargs):
+    """Exit states and the (n_paths, |D|) occupation times, read through
+    the identity functionals."""
+    size = as_subset(form.n, D).size
+    exits, F = simulate_batch(form, D, x, n_paths, seed, functionals=np.eye(size), **kwargs)
+    return exits, F.T
+
+
+def _chunk_reference(form, D, x, n_paths, seed, V, max_steps=10 ** 6):
+    """Chunk-by-chunk stepper: each 4,096-path chunk runs until its last path
+    ends, drawing ``exponential(1.0, size)`` and then ``random(size)`` from its
+    own substream per step, with categories by the dense count.
+
+    Returns exits, the dense occupation, F summed hold by hold, and the
+    number of steps each chunk took.
+    """
+    idx = as_subset(form.n, D)
+    total, cum = _rates(form, idx)
+    local = -np.ones(form.n + 1, dtype=int)
+    local[idx] = np.arange(idx.size)
+    exits = np.empty(n_paths, dtype=int)
+    occ = np.zeros((n_paths, idx.size))
+    F = np.zeros((V.shape[0], n_paths))
+    steps = []
+    for c0 in range(0, n_paths, 4096):
+        rng = substream(seed, c0 // 4096)
+        active = np.arange(c0, min(c0 + 4096, n_paths))
+        state = np.full(active.size, local[x])
+        for step in range(1, max_steps + 1):
+            hold = rng.exponential(1.0, size=active.size) / total[state]
+            occ[active, state] += hold
+            F[:, active] += hold * V[:, state]
+            u = rng.random(active.size)
+            cat = (u[:, None] > cum[state]).sum(axis=1)
+            nxt = local[cat]
+            gone = nxt < 0
+            exits[active[gone]] = cat[gone]
+            active, state = active[~gone], nxt[~gone]
+            if active.size == 0:
+                break
+        else:
+            raise RuntimeError("reference chunk did not absorb")
+        steps.append(step)
+    exits[exits == form.n] = -1
+    return exits, occ, F, steps
+
+
+@pytest.fixture(scope="module")
+def random_chain():
+    rng = np.random.default_rng(41)
+    form = random_form(rng, 30, 40)
+    D = random_problem(rng, form).D
+    return form, D, int(D[0]), rng.uniform(0.0, 1.0, size=(3, D.size))
+
+
+def test_global_stepper_matches_chunk_reference(random_chain):
+    # two full chunks and a partial one, all stepped together
+    form, D, x, V = random_chain
+    n = 2 * 4096 + 77
+    exits_ref, occ_ref, F_ref, _ = _chunk_reference(form, D, x, n, 12, V)
+    exits, F = simulate_batch(form, D, x, n, seed=12, functionals=V)
+    np.testing.assert_array_equal(exits, exits_ref)
+    np.testing.assert_array_equal(F, F_ref)
+    exits_i, occ = _occupation(form, D, x, n, seed=12)
+    np.testing.assert_array_equal(exits_i, exits_ref)
+    np.testing.assert_array_equal(occ, occ_ref)  # the identity functionals are exact
+
+
+def test_step_cap_with_live_paths_in_several_chunks(random_chain):
+    form, D, x, V = random_chain
+    n = 2 * 4096 + 77
+    exits_ref, _, F_ref, steps = _chunk_reference(form, D, x, n, 13, V)
+    assert len(steps) == 3
+    # enough steps for the slowest chunk: same answer as with the default cap
+    exits, F = simulate_batch(form, D, x, n, seed=13, max_steps=max(steps), functionals=V)
+    np.testing.assert_array_equal(exits, exits_ref)
+    np.testing.assert_array_equal(F, F_ref)
+    # two chunks, at least, still have live paths after this many steps
+    with pytest.raises(RuntimeError, match="exceeded"):
+        simulate_batch(form, D, x, n, seed=13, max_steps=sorted(steps)[-2] - 1, functionals=V)
+    with pytest.raises(RuntimeError, match="exceeded"):
+        simulate_batch(form, D, x, n, seed=13, max_steps=max(steps) - 1)
+
+
 def test_same_seed_same_path(k3):
-    exits1, occ1 = simulate_batch(k3, [1, 2], 1, 200, seed=7)
-    exits2, occ2 = simulate_batch(k3, [1, 2], 1, 200, seed=7)
+    exits1, occ1 = _occupation(k3, [1, 2], 1, 200, seed=7)
+    exits2, occ2 = _occupation(k3, [1, 2], 1, 200, seed=7)
     assert np.array_equal(occ1, occ2)  # holding time per path and state
     assert np.array_equal(exits1, exits2)  # exit state, -1 for death
-    exits3, occ3 = simulate_batch(k3, [1, 2], 1, 200, seed=8)
+    exits3, occ3 = _occupation(k3, [1, 2], 1, 200, seed=8)
     assert not np.array_equal(exits1, exits3) or not np.array_equal(occ1, occ3)
 
 
@@ -32,7 +117,7 @@ def test_single_state_holding_time_law():
     J[1, 2] = J[2, 1] = 0.9
     form = DiscreteForm(m=np.array([1.0, 2.0, 1.0]), J=J, kappa=np.zeros(3))
     rate = (2 * 0.6 + 2 * 0.9) / 2.0  # jump rates out of state 1
-    _, occ = simulate_batch(form, [1], 1, 100_000, seed=1)
+    _, occ = _occupation(form, [1], 1, 100_000, seed=1)
     hold = occ[:, 0]
     mean, se = hold.mean(), hold.std(ddof=1) / np.sqrt(hold.size)
     assert abs(mean - 1.0 / rate) < 3 * se
@@ -62,7 +147,7 @@ def test_exit_law_chi2_random_form():
 
 def test_occupation_matches_green_row(k3):
     D = np.array([1, 2])
-    _, occ = simulate_batch(k3, D, 1, 100_000, seed=4)
+    _, occ = _occupation(k3, D, 1, 100_000, seed=4)
     G = green_operator(k3, D).G
     for j in range(2):
         se = occ[:, j].std(ddof=1) / np.sqrt(occ.shape[0])
@@ -185,8 +270,10 @@ def test_category_search_matches_dense_count(data):
     w = np.array(rows, dtype=float)
     cum = np.cumsum(w / w.sum(axis=1, keepdims=True), axis=1)
     cum /= cum[:, -1:]
-    table, width = _padded_table(cum)
-    assert width > n_cat and width & (width - 1) == 0
+    table, cats, width = _rise_table(cum)
+    # the table keeps position 0 and every rise of a row
+    longest = 1 + int((np.diff(cum, axis=1) > 0).sum(axis=1).max())
+    assert width & (width - 1) == 0 and width // 2 <= longest < width
     entries = np.unique(cum)
     near = np.concatenate([entries, np.nextafter(entries, 0.0), np.nextafter(entries, 1.0)])
     u = np.array(data.draw(st.lists(st.one_of(st.sampled_from(sorted(near.tolist())),
@@ -194,18 +281,14 @@ def test_category_search_matches_dense_count(data):
                                     min_size=1, max_size=30)))
     state = np.array(data.draw(st.lists(st.integers(0, len(rows) - 1),
                                         min_size=u.size, max_size=u.size)))
-    assert np.array_equal(_category(table, width, state, u),
+    assert np.array_equal(_category(table, cats, width, state, u),
                           (u[:, None] > cum[state]).sum(axis=1))
 
 
-def test_streamed_functionals_match_full_occupation():
-    rng = np.random.default_rng(41)
-    form = random_form(rng, 30, 40)
-    D = random_problem(rng, form).D
-    x = int(D[0])
-    vecs = rng.uniform(0.0, 1.0, size=(3, D.size))
+def test_streamed_functionals_match_full_occupation(random_chain):
+    form, D, x, vecs = random_chain
     n = 2 * 4096 + 1000  # two full chunks and a partial one
-    exits, occ = simulate_batch(form, D, x, n, seed=12)
+    exits, occ = _occupation(form, D, x, n, seed=12)
     exits_s, F = simulate_batch(form, D, x, n, seed=12, functionals=tuple(vecs))
     assert np.array_equal(exits, exits_s)
     assert F.shape == (3, n)
@@ -221,8 +304,9 @@ def test_streamed_functionals_match_full_occupation():
 
 def test_streamed_functionals_memory_bound():
     # 1e5 paths on a sparse graph with |D| = 270: the dense occupation matrix
-    # would take 216 MB; streamed, one 8.8 MB chunk buffer is reused, and a
-    # second one alive at the same time would already pass the bound
+    # would take 216 MB; summed hold by hold, the functionals need O(n_paths)
+    # memory (11.1 MB measured), and a 4,096 x |D| chunk buffer on top of
+    # that would pass the bound
     rng = np.random.default_rng(43)
     n, nD = 300, 270
     J = np.zeros((n, n))

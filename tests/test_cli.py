@@ -174,6 +174,16 @@ def test_too_few_mc_paths_rejected_before_solving(tmp_path, capsys):
     _assert_too_few_paths_rejected_before_solving("mc_paths", tmp_path, capsys)
 
 
+@pytest.mark.parametrize("item", ["fixed_point=abc", "fixed_point", "=1e-6",
+                                  "mc_paths=inf", "fixed_point=nan", "fixed_point=-nan"])
+def test_malformed_tol_is_a_config_error(tmp_path, capsys, item):
+    spec = _demo_graph_spec(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main(["run", str(spec), "--out", str(out), "--tol", item]) == 2
+    assert "error:" in capsys.readouterr().out
+    assert not out.exists()  # rejected before the spec is solved
+
+
 def test_config_validation(tmp_path):
     spec = _demo_graph_spec(tmp_path)
     with pytest.raises(FileNotFoundError):
