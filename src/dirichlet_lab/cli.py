@@ -38,6 +38,11 @@ from .suite import random_ordered_pair
 
 SCHEMA = 1
 _SUITES = ("verify", "trace", "mc", "wos", "estimates")
+# Every --tol key a suite reads: the contracts, then the oracles' path counts.
+_TOL_KEYS = ("fixed_point", "projective_variational", "projective_boundary",
+             "projective_exhaustion", "very_weak", "vd_identity", "vd_norm_bound",
+             "vd_kernel_contraction", "apriori", "second_moment", "trace",
+             "mc_paths", "wos_paths")
 
 
 @dataclass
@@ -56,6 +61,9 @@ class RunConfig:
         self.out_dir = Path(self.out_dir)
         if not self.spec_path.exists():
             raise FileNotFoundError(self.spec_path)
+        unknown = set(self.tolerances) - set(_TOL_KEYS)
+        if unknown:
+            raise ValueError(f"unknown tolerance keys: {sorted(unknown)}")
         for key, val in self.tolerances.items():
             if not val > 0:  # NaN fails too
                 raise ValueError(f"tolerance {key} must be positive, got {val}")
@@ -69,6 +77,8 @@ class RunConfig:
             raise ValueError(f"unknown suites: {sorted(bad)}")
 
     def tol(self, key: str, default: float) -> float:
+        if key not in _TOL_KEYS:
+            raise KeyError(f"tolerance key {key!r} is missing from _TOL_KEYS")
         return float(self.tolerances.get(key, default))
 
 

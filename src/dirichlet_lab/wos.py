@@ -3,11 +3,14 @@
 Each step draws the exact exit position of the process from the largest
 centered subinterval around the current point; the chain of such jumps
 reaches the exterior of (-1, 1) after a geometrically bounded number of
-steps, and the final position has exactly the law of the exit point.  The
-per-step exit law from a centered ball has an explicit regularized
-incomplete-beta distribution function, so sampling is by direct inversion;
-mean-exit and occupation estimators accumulate closed-form per-ball masses
-instead of discretizing time, so they stay unbiased up to quadrature error.
+steps, and the final position has exactly the law of the exit point.  From
+the center of a ball, S = 1 - 1/|Y|^2 is Beta(1 - alpha/2, alpha/2), so the
+exit magnitude is drawn from a ratio of two gamma variates.  The mean exit
+time adds the closed-form per-ball mass.  The occupation of a source adds,
+per ball, its Green-weighted mass: by quadrature on the first ball, which
+every path shares, and by one node of the same rule drawn in proportion to
+its weight on every later ball, so the estimate keeps the expectation of the
+quadrature.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy.special import betainc, betaincinv
+from scipy.special import betainc
 
 from .frac1d import FracKernels, _graded_panels, _split_rule
 from .rng import chisquare, substream, worker_count
@@ -29,9 +32,8 @@ __all__ = [
 ]
 
 _CHUNK = 4096
-# Balls per block of the source quadrature: 64 rows of 1,104 points stay in
-# cache, where a whole chunk's block is a memory-bound array of tens of MB.
-_SOURCE_ROWS = 64
+# Floor of 1 - S = 1/|Y|^2, so |Y| <= 2^26.5 (about 9.5e7).
+_EXIT_FLOOR = 2.0 ** -53
 
 
 def exit_cdf_ball(alpha: float, t) -> np.ndarray:
@@ -44,11 +46,16 @@ def exit_cdf_ball(alpha: float, t) -> np.ndarray:
 
 
 def _sample_exit_positions(alpha: float, rng, size: int) -> np.ndarray:
-    """Exact inverse-CDF draw of the unit-ball exit position from the center."""
+    """Exact draw of the unit-ball exit position from the center.
+
+    1 - S = 1/|Y|^2 is Beta(alpha/2, 1 - alpha/2), drawn as G_b / (G_a + G_b)
+    with G_a ~ Gamma(1 - alpha/2) and G_b ~ Gamma(alpha/2); the ratio has no
+    cancellation however close S is to 1.
+    """
     u = rng.random(size)
-    s = np.minimum(betaincinv(1.0 - alpha / 2.0, alpha / 2.0, rng.random(size)),
-                   1.0 - 1e-16)
-    mag = 1.0 / np.sqrt(1.0 - s)
+    ga = rng.standard_gamma(1.0 - alpha / 2.0, size)
+    gb = rng.standard_gamma(alpha / 2.0, size)
+    mag = 1.0 / np.sqrt(np.maximum(gb / (ga + gb), _EXIT_FLOOR))
     return np.where(u < 0.5, -mag, mag)
 
 
@@ -62,36 +69,49 @@ def ball_green_rule(kernels: FracKernels, order: int = 12, levels: int = 22):
     return y, np.concatenate([w0, w1]) * kernels.green(0.0, y)
 
 
-def _ball_source(h, rule, xs: np.ndarray, r: np.ndarray, alpha: float) -> np.ndarray:
-    """r^alpha times the per-ball Green mass of y -> h(x + r * y), one value
-    per ball with center x and radius r.
+def _ball_source(h, rule, x: float, alpha: float) -> float:
+    """r^alpha times the Green mass of y -> h(x + r * y) on the ball with
+    center x and radius r = 1 - |x|, by the full ball rule.
 
-    Each row is reduced by einsum, which sums it in one fixed order; a BLAS
-    matrix-vector product sums some rows in another order depending on how
-    many rows share the call.  So a ball's value does not depend on the block,
-    chunk or thread it is evaluated in.
+    The first axis of every array passed to h runs over balls, so h gets one
+    row here; einsum sums the row in one fixed order, on any BLAS.
     """
     gy, gw = rule
-    out = np.empty(xs.size)
-    for b0 in range(0, xs.size, _SOURCE_ROWS):
-        b = slice(b0, b0 + _SOURCE_ROWS)
-        out[b] = np.einsum("ij,j->i", h(xs[b, None] + r[b, None] * gy[None, :]), gw)
-    return (r ** alpha) * out
+    r = 1.0 - abs(x)
+    return r ** alpha * float(np.einsum("ij,j->", h(x + r * gy[None, :]), gw))
+
+
+def _node_sampler(rule):
+    """``(draw, M)`` for the ball rule (y, w), M = sum w: ``draw(u)`` maps
+    uniforms on [0, 1) to nodes, y_j with probability w_j / M (every w_j is
+    positive), so M * h(y_J) has the mean sum_j w_j h(y_j)."""
+    gy, gw = rule
+    cum = np.cumsum(gw)
+    cdf = cum / cum[-1]  # ends at exactly 1.0, above every uniform
+
+    def draw(u: np.ndarray) -> np.ndarray:
+        return gy[np.searchsorted(cdf, u, side="right")]
+
+    return draw, cum[-1]
 
 
 def wos_exit_batch(kernels: FracKernels, x: float, n_paths: int, seed: int,
                    h=None, max_steps: int = 10 ** 6):
     """Exit points and (optionally) per-path occupation functionals.
 
-    With ``h`` given, the third return value accumulates the expected
-    occupation of h ball-by-ball: radius^alpha times the per-ball Green mass
-    of y -> h(center + radius * y).  Every path starts at x, so the first
-    ball is shared: its source term is evaluated once per call, with the
-    same expression as the later balls.
+    With ``h`` given, the third return value accumulates the occupation of h
+    ball by ball, with the expectation radius^alpha times the per-ball Green
+    mass of y -> h(center + radius * y) under ``ball_green_rule``.  Every
+    path starts at x, so the first ball is shared: its mass is the full rule,
+    evaluated once per call.  On every later ball the path draws one node
+    y_j of the rule with probability w_j / M, M = sum w, and adds
+    radius^alpha * M * h(center + radius * y_j).
 
-    Chunks of 4,096 paths run on up to ``worker_count`` threads; each chunk
-    draws from its own substream and writes only its own paths, so the
-    results do not depend on the number of threads.
+    Chunks of 4,096 paths run on up to ``worker_count`` threads; chunk c
+    draws its walk from ``substream(seed, c)`` and its nodes from
+    ``substream(seed, ~c)``, and writes only its own paths, so the results
+    do not depend on the number of threads, and the exits and mean exit
+    times do not depend on ``h``.
     """
     if not abs(x) < 1.0:
         raise ValueError("start point must be interior")
@@ -101,12 +121,13 @@ def wos_exit_batch(kernels: FracKernels, x: float, n_paths: int, seed: int,
     mean_exit = np.zeros(n_paths)
     if h is not None:
         rule = ball_green_rule(kernels)
-        x0 = np.array([float(x)])
-        occ = np.full(n_paths, _ball_source(h, rule, x0, 1.0 - np.abs(x0), alpha)[0])
+        occ = np.full(n_paths, _ball_source(h, rule, float(x), alpha))
+        draw_node, mass = _node_sampler(rule)
 
-    def walk(c0: int) -> None:
-        rng = substream(seed, c0 // _CHUNK)
-        active = np.arange(c0, min(c0 + _CHUNK, n_paths))
+    def walk(c: int) -> None:
+        rng = substream(seed, c)
+        pick = substream(seed, ~c)
+        active = np.arange(c * _CHUNK, min((c + 1) * _CHUNK, n_paths))
         xs = np.full(active.size, float(x))
         for step in range(max_steps):
             if active.size == 0:
@@ -114,7 +135,8 @@ def wos_exit_batch(kernels: FracKernels, x: float, n_paths: int, seed: int,
             r = 1.0 - np.abs(xs)
             mean_exit[active] += kernels.mean_exit_ball(1.0) * r ** alpha
             if h is not None and step > 0:
-                occ[active] += _ball_source(h, rule, xs, r, alpha)
+                node = draw_node(pick.random(active.size))
+                occ[active] += mass * r ** alpha * h(xs + r * node)
             xs = xs + r * _sample_exit_positions(alpha, rng, active.size)
             done = np.abs(xs) >= 1.0
             exits[active[done]] = xs[done]
@@ -123,9 +145,9 @@ def wos_exit_batch(kernels: FracKernels, x: float, n_paths: int, seed: int,
         else:
             raise RuntimeError(f"batch exceeded {max_steps} steps without exiting")
 
-    starts = range(0, n_paths, _CHUNK)
-    with ThreadPoolExecutor(max_workers=worker_count(len(starts))) as pool:
-        list(pool.map(walk, starts))
+    chunks = range(-(-n_paths // _CHUNK))
+    with ThreadPoolExecutor(max_workers=worker_count(len(chunks))) as pool:
+        list(pool.map(walk, chunks))
     return exits, mean_exit, occ
 
 

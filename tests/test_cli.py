@@ -184,6 +184,19 @@ def test_malformed_tol_is_a_config_error(tmp_path, capsys, item):
     assert not out.exists()  # rejected before the spec is solved
 
 
+def test_unknown_tol_key_is_a_config_error(tmp_path, capsys):
+    # a misspelt key would otherwise leave the default contract in force
+    spec = _demo_graph_spec(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main(["run", str(spec), "--out", str(out), "--suite", "verify",
+                     "--tol", "fixed_pont=1e-30"]) == 2
+    printed = capsys.readouterr().out
+    assert "error:" in printed and "fixed_pont" in printed
+    assert not out.exists()
+    for key in cli._TOL_KEYS:
+        cli.RunConfig(spec_path=spec, out_dir=out, tolerances={key: 1000.0})
+
+
 def test_config_validation(tmp_path):
     spec = _demo_graph_spec(tmp_path)
     with pytest.raises(FileNotFoundError):

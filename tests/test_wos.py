@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import betainc
 
 from dirichlet_lab import frac1d as f1
 from dirichlet_lab import wos
@@ -66,6 +67,28 @@ def test_sampler_matches_cdf(pack):
         se = np.sqrt(cdf * (1 - cdf) / z.size)
         assert abs(emp - cdf) < 3 * se
     assert abs(np.mean(z > 0) - 0.5) < 3 * np.sqrt(0.25 / z.size)
+
+
+def test_sampler_upper_tail():
+    # far tail at alpha = 0.5: P(|Y| > t) = P(1 - S < 1/t^2), with 1 - S
+    # Beta(alpha/2, 1 - alpha/2)
+    alpha = 0.5
+    z = np.abs(wos._sample_exit_positions(alpha, substream(19, 0), 200_000))
+    for t in (1e2, 1e4):
+        emp = np.mean(z > t)
+        tail = float(betainc(alpha / 2.0, 1.0 - alpha / 2.0, 1.0 / t ** 2))
+        assert abs(emp - tail) < 3 * np.sqrt(tail * (1 - tail) / z.size)
+
+
+def test_sampler_respects_cap():
+    # 1 - S is kept at or above 1.0 - (1.0 - 1e-16) = 2^-53; at alpha = 0.1
+    # about one draw in seven reaches that floor
+    cap = 1.0 / np.sqrt(1.0 - (1.0 - 1e-16))
+    for alpha in (0.1, 0.5, 1.0, 1.5):
+        z = np.abs(wos._sample_exit_positions(alpha, substream(29, 0), 200_000))
+        assert np.all((z >= 1.0) & (z <= cap))
+        if alpha == 0.1:
+            assert np.mean(z == cap) > 0.1
 
 
 def test_exit_law_chi2_three_probes(pack):
@@ -178,17 +201,27 @@ def test_shared_first_ball_evaluated_once(pack):
 
 
 def _per_path_occupation(k, x, n_paths, seed, h):
-    # reference: the ball quadrature on every ball of every path, the first
-    # ball included, with the substreams and chunks of wos_exit_batch
-    rule = wos.ball_green_rule(k)
+    # reference with the substreams and chunks of wos_exit_batch: the ball
+    # quadrature on each path's first ball, then on every later ball one node
+    # of the rule, the count of normalized cumulative weights at or below the
+    # path's uniform from the chunk's second substream
+    gy, gw = rule = wos.ball_green_rule(k)
+    cum = np.cumsum(gw)
     occ = np.zeros(n_paths)
-    for c0 in range(0, n_paths, wos._CHUNK):
-        rng = substream(seed, c0 // wos._CHUNK)
-        active = np.arange(c0, min(c0 + wos._CHUNK, n_paths))
+    for c in range(-(-n_paths // wos._CHUNK)):
+        rng, pick = substream(seed, c), substream(seed, ~c)
+        active = np.arange(c * wos._CHUNK, min((c + 1) * wos._CHUNK, n_paths))
         xs = np.full(active.size, float(x))
+        first = True
         while active.size:
             r = 1.0 - np.abs(xs)
-            occ[active] += wos._ball_source(h, rule, xs, r, k.alpha)
+            if first:
+                occ[active] += [wos._ball_source(h, rule, xi, k.alpha) for xi in xs]
+            else:
+                u = pick.random(active.size)
+                j = [int(np.sum(cum / cum[-1] <= ui)) for ui in u]
+                occ[active] += cum[-1] * r ** k.alpha * h(xs + r * gy[j])
+            first = False
             xs = xs + r * wos._sample_exit_positions(k.alpha, rng, active.size)
             keep = np.abs(xs) < 1.0
             active, xs = active[keep], xs[keep]
@@ -205,22 +238,34 @@ def test_shared_first_ball_matches_per_path():
         np.testing.assert_array_equal(occ, _per_path_occupation(k, 0.2, 2_000, 6, h))
 
 
-def test_ball_source_independent_of_block_rows():
-    # one ball repeated on 1-9 rows, and across block boundaries, gets the
-    # same value in every row: a BLAS matrix-vector product sums the last
-    # rows of some row counts in another order
-    k = f1.build_kernels(1.3, validate=False)
-    rule = wos.ball_green_rule(k)
+def test_walk_independent_of_source():
+    # the nodes come from a second substream per chunk, so passing h moves
+    # neither the exits nor the mean exit times
+    for alpha in (0.5, 1.5):
+        k = f1.build_kernels(alpha, validate=False)
+        n = 2 * wos._CHUNK + 5
+        exits, mean_exit, _ = wos.wos_exit_batch(k, 0.2, n, seed=14)
+        exits_h, mean_exit_h, occ = wos.wos_exit_batch(k, 0.2, n, seed=14, h=_fk_source)
+        np.testing.assert_array_equal(exits, exits_h)
+        np.testing.assert_array_equal(mean_exit, mean_exit_h)
+        assert np.all(np.isfinite(occ))
 
+
+def test_sampled_node_matches_ball_quadrature():
+    # one fixed ball: the mean of the one-node terms r^alpha M h(x + r y_J)
+    # is the quadrature term of the full rule
     def h(y):
         return np.cos(3.0 * y) - y ** 3
 
-    x = np.array([0.37])
-    ref = wos._ball_source(h, rule, x, 1.0 - np.abs(x), k.alpha)[0]
-    for n in (*range(1, 10), 2 * wos._SOURCE_ROWS + 3):
-        xs = np.full(n, x[0])
-        vals = wos._ball_source(h, rule, xs, 1.0 - np.abs(xs), k.alpha)
-        assert np.all(vals == ref), n
+    x = 0.37
+    r = 1.0 - x
+    for alpha in (0.5, 1.0, 1.5):
+        k = f1.build_kernels(alpha, validate=False)
+        rule = wos.ball_green_rule(k)
+        draw, mass = wos._node_sampler(rule)
+        terms = r ** alpha * mass * h(x + r * draw(substream(23, 0).random(200_000)))
+        quad = wos._ball_source(h, rule, x, alpha)
+        assert abs(terms.mean() - quad) < 3 * terms.std(ddof=1) / np.sqrt(terms.size)
 
 
 def test_batch_independent_of_thread_count(pack, monkeypatch):
@@ -243,9 +288,10 @@ def test_step_cap_error_reaches_caller(pack, monkeypatch):
 
 
 def test_fk_walk_memory_bound(pack, monkeypatch):
-    # the source quadrature runs on blocks of 64 balls per worker, about
-    # 3.5 MB of temporaries each; one block of a whole 4,096-path chunk
-    # (1,104 points per ball) is 36 MB for the points alone
+    # the full ball rule runs once per call, on one row of 1,104 points, and
+    # every later ball takes one point, so a worker's temporaries are a few
+    # arrays of one 4,096-path chunk; one quadrature row per ball of a whole
+    # chunk would be 36 MB for the points alone
     k, _ = pack
     monkeypatch.setenv("DIRICHLET_LAB_THREADS", "2")
     tracemalloc.start()
