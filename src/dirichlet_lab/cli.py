@@ -1,9 +1,13 @@
 """Experiment runner: load a problem from JSON, solve, verify, emit tables.
 
-``dirichlet-lab run spec.json [--out DIR] [--seed N] [--suite NAME ...]``
-solves the problem, runs the requested verification suites, writes
-``solution.csv``, ``residuals.json``, ``trace.csv`` and ``mc.json`` into the
-output directory, and exits nonzero iff any contract fails.
+``dirichlet-lab run spec.json [--out DIR] [--seed N] [--suite NAME ...]
+[--tol KEY=VAL ...] [--paths N]`` solves the problem, runs the requested
+verification suites (default: all that ``SUITES`` registers for the backend),
+writes ``solution.csv``, ``residuals.json``, ``trace.csv`` and ``mc.json``
+into the output directory, and exits nonzero iff any contract fails.
+``--tol`` overrides a default of ``CONTRACTS`` (``wos_exit_chi2`` is a floor,
+the rest are ceilings); ``--paths`` sets each Monte Carlo oracle's path count.
+A suite or ``--tol`` key that does not apply to the backend exits 2 unsolved.
 
 ``dirichlet-lab gen --seed N --count K [--out DIR]`` writes reproducible
 random graph problem pairs (ordered for comparison runs).
@@ -17,11 +21,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import os
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -37,23 +42,44 @@ from .semilinear import (LadderConfig, ProblemSpec, apriori_report, exp_nonlinea
 from .suite import random_ordered_pair
 
 SCHEMA = 1
-_SUITES = ("verify", "trace", "mc", "wos", "estimates")
-# Every --tol key a suite reads: the contracts, then the oracles' path counts.
-_TOL_KEYS = ("fixed_point", "projective_variational", "projective_boundary",
-             "projective_exhaustion", "very_weak", "vd_identity", "vd_norm_bound",
-             "vd_kernel_contraction", "apriori", "second_moment", "trace",
-             "mc_paths", "wos_paths")
+# (backend, --tol key) -> (default contract, direction). A checked value
+# passes when it lies strictly below, or strictly above, its contract.
+CONTRACTS = {
+    ("graph", "fixed_point"): (1e-8, "below"),
+    ("graph", "projective_variational"): (1e-8, "below"),
+    ("graph", "projective_boundary"): (1e-8, "below"),
+    ("graph", "projective_exhaustion"): (1e-8, "below"),
+    ("graph", "very_weak"): (1e-9, "below"),
+    ("graph", "vd_identity"): (1e-9, "below"),
+    ("graph", "vd_norm_bound"): (1e-9, "below"),
+    ("graph", "vd_kernel_contraction"): (1e-9, "below"),
+    ("graph", "apriori"): (1e-9, "below"),
+    ("graph", "second_moment"): (1e-10, "below"),
+    ("graph", "trace"): (1e-10, "below"),
+    ("frac1d", "fixed_point"): (1e-6, "below"),
+    ("frac1d", "projective_exhaustion"): (1e-2, "below"),
+    ("frac1d", "trace"): (1e-3, "below"),
+    ("frac1d", "wos_exit_chi2"): (1e-3, "above"),
+}
+# backend -> the suites that apply, in submission order. Suite ``s`` of a
+# backend is the module function ``_suite_<s>_<graph|frac>``.
+SUITES = {"graph": ("verify", "estimates", "trace", "mc"),
+          "frac1d": ("verify", "trace", "wos", "estimates")}
+_SUFFIX = {"graph": "graph", "frac1d": "frac"}
+# how a value meets its contract: the table directions, and Monte Carlo bands
+_PASSES = {"below": operator.lt, "above": operator.gt, "band": operator.le}
 
 
 @dataclass
 class RunConfig:
-    """One experiment: spec file, suites, output directory, seeds, tolerances."""
+    """One experiment; ``suites=None`` runs every suite of the spec's backend."""
 
     spec_path: Path
     out_dir: Path
-    suites: tuple = _SUITES
+    suites: tuple | None = None
     seed: int = 0
     tolerances: dict = field(default_factory=dict)
+    paths: float = 100000
     dump_kernels: bool = False
 
     def __post_init__(self):
@@ -61,25 +87,18 @@ class RunConfig:
         self.out_dir = Path(self.out_dir)
         if not self.spec_path.exists():
             raise FileNotFoundError(self.spec_path)
-        unknown = set(self.tolerances) - set(_TOL_KEYS)
+        unknown = set(self.tolerances) - {key for _, key in CONTRACTS}
         if unknown:
             raise ValueError(f"unknown tolerance keys: {sorted(unknown)}")
         for key, val in self.tolerances.items():
             if not val > 0:  # NaN fails too
                 raise ValueError(f"tolerance {key} must be positive, got {val}")
-        for key in ("mc_paths", "wos_paths"):
-            paths = self.tolerances.get(key, 100)
-            if not (math.isfinite(paths) and int(paths) >= 100):
-                raise ValueError(f"tolerance {key} must be finite and at least 100 "
-                                 "(n_paths >= 100)")
-        bad = set(self.suites) - set(_SUITES)
+        if not (math.isfinite(self.paths) and int(self.paths) >= 100):
+            raise ValueError(f"paths must be finite and at least 100 (n_paths >= 100), "
+                             f"got {self.paths}")
+        bad = set(self.suites or ()) - {s for names in SUITES.values() for s in names}
         if bad:
             raise ValueError(f"unknown suites: {sorted(bad)}")
-
-    def tol(self, key: str, default: float) -> float:
-        if key not in _TOL_KEYS:
-            raise KeyError(f"tolerance key {key!r} is missing from _TOL_KEYS")
-        return float(self.tolerances.get(key, default))
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -103,20 +122,21 @@ def _write_csv(path: Path, header: str, rows) -> None:
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
+def _coefficient(b):
+    """A spec's ``b``: a scalar becomes a constant callable, a list an array."""
+    if np.isscalar(b):
+        return lambda y, c=float(b): np.full_like(np.asarray(y, dtype=float), c)
+    return np.asarray(b, dtype=float)
+
+
 def _nonlinearity_from_dict(obj: dict | None):
     if not obj or obj.get("kind") in (None, "zero"):
         return zero_nonlinearity()
     kind = obj["kind"]
     if kind == "power":
-        b = obj.get("b", 1.0)
-        b_arr = (lambda y, c=float(b): np.full_like(np.asarray(y, dtype=float), c)) \
-            if np.isscalar(b) else np.asarray(b, dtype=float)
-        return power_nonlinearity(b_arr, float(obj.get("p", 1.0)))
+        return power_nonlinearity(_coefficient(obj.get("b", 1.0)), float(obj.get("p", 1.0)))
     if kind == "exp":
-        b = obj.get("b", 1.0)
-        b_arr = (lambda y, c=float(b): np.full_like(np.asarray(y, dtype=float), c)) \
-            if np.isscalar(b) else np.asarray(b, dtype=float)
-        return exp_nonlinearity(b_arr)
+        return exp_nonlinearity(_coefficient(obj.get("b", 1.0)))
     if kind == "custom-table":
         return table_nonlinearity(obj["y"], obj["values"])
     raise ValueError(f"unknown nonlinearity kind {kind!r}")
@@ -171,89 +191,84 @@ def load_problem(path):
 def _ladder_from_dict(obj: dict | None) -> LadderConfig | None:
     if not obj:
         return None
-    return LadderConfig(**{k: obj[k] for k in obj
-                           if k in ("base", "max_level", "outer_tol", "inner_tol",
-                                    "max_inner", "theta0", "start")})
+    unknown = set(obj) - {f.name for f in fields(LadderConfig)}
+    if unknown:
+        raise ValueError(f"unknown ladder keys: {sorted(unknown)}")
+    return LadderConfig(**obj)
 
 
-def _suite_verify_graph(cfg, spec, sol, results):
-    tol = cfg.tol("fixed_point", 1e-8)
-    res = residual_probabilistic(sol.u, spec)
-    results["fixed_point"] = {"value": res, "contract": tol, "pass": res < tol}
-    rep = verify_projective(sol.u, spec)
-    for key, val in rep.items():
-        t = cfg.tol(f"projective_{key}", 1e-8)
-        results[f"projective_{key}"] = {"value": val, "contract": t, "pass": val < t}
-    vw = very_weak_defect(sol.u, spec)
-    t = cfg.tol("very_weak", 1e-9)
-    for key, val in vw.items():
-        results[f"very_weak_{key}"] = {"value": val, "contract": t, "pass": val < t}
+def _entry(value, contract, direction="below") -> dict:
+    return {"value": value, "contract": contract,
+            "pass": bool(_PASSES[direction](value, contract))}
+
+
+def _checked(cfg, backend, key, value) -> dict:
+    """Entry of ``value`` against contract-table row ``(backend, key)`` or its ``--tol``."""
+    default, direction = CONTRACTS[backend, key]
+    return _entry(value, float(cfg.tolerances.get(key, default)), direction)
+
+
+def _band(est, se, exact) -> dict:
+    """Monte Carlo agreement: ``|est - exact|`` within three standard errors."""
+    return _entry(abs(est - exact), max(3.0 * se, 1e-9), "band")
+
+
+def _suite_verify_graph(cfg, spec, sol, outdir):
+    out = {"fixed_point": _checked(cfg, "graph", "fixed_point",
+                                   residual_probabilistic(sol.u, spec))}
+    for key, val in verify_projective(sol.u, spec).items():
+        out[f"projective_{key}"] = _checked(cfg, "graph", f"projective_{key}", val)
+    for key, val in very_weak_defect(sol.u, spec).items():
+        out[f"very_weak_{key}"] = _checked(cfg, "graph", "very_weak", val)
     if not np.any(spec.form.kappa != 0) and spec.f.is_zero:
-        vd = vd_check(sol.u, spec)
-        for key, val in vd.items():
-            t = cfg.tol(f"vd_{key}", 1e-9)
-            results[f"vd_{key}"] = {"value": val, "contract": t, "pass": val < t}
+        for key, val in vd_check(sol.u, spec).items():
+            out[f"vd_{key}"] = _checked(cfg, "graph", f"vd_{key}", val)
+    return out
 
 
-def _suite_estimates_graph(cfg, spec, sol, results):
-    rep = apriori_report(sol.u, spec)
-    t = cfg.tol("apriori", 1e-9)
-    for key, val in rep.items():
-        results[f"apriori_{key}"] = {"value": val, "contract": t, "pass": val < t}
-    hi = float(np.max(np.abs(sol.u)))
-    t2 = cfg.tol("second_moment", 1e-10)
-    mu_pos = np.abs(spec.mu)
-    exact, bound = exit_second_moment(spec.form, spec.D, mu_pos)
+def _suite_estimates_graph(cfg, spec, sol, outdir):
+    out = {f"apriori_{key}": _checked(cfg, "graph", "apriori", val)
+           for key, val in apriori_report(sol.u, spec).items()}
+    exact, bound = exit_second_moment(spec.form, spec.D, np.abs(spec.mu))
     slack = float(np.max(exact[spec.D] - bound, initial=-np.inf)) if spec.D.size else 0.0
-    results["second_moment_bound"] = {"value": slack, "contract": t2, "pass": slack < t2}
-    results["solution_sup"] = {"value": hi, "contract": float("inf"), "pass": True}
+    out["second_moment_bound"] = _checked(cfg, "graph", "second_moment", slack)
+    # a record, not a --tol check: it fails only on a non-finite solution
+    out["solution_sup"] = _entry(float(np.max(np.abs(sol.u))), float("inf"))
+    return out
 
 
-def _suite_trace_graph(cfg, spec, sol, outdir, results):
+def _suite_trace_graph(cfg, spec, sol, outdir):
     seq = trace.trace_sequence_graph(sol.u, spec.form, spec.D, spec.nest)
     _write_csv(outdir / "trace.csv", "probe,level,value,extrapolated",
                trace.trace_csv_rows(seq))
     worst = float(np.max(np.abs(seq.values[-1])))
-    t = cfg.tol("trace", 1e-10)
-    results["trace_terminal"] = {"value": worst, "contract": t, "pass": worst < t}
+    return {"trace_terminal": _checked(cfg, "graph", "trace", worst)}
 
 
-def _suite_mc_graph(cfg, spec, sol, results):
-    form, D = spec.form, spec.D
+def _suite_mc_graph(cfg, spec, sol, outdir):
+    form, D, n_paths = spec.form, spec.D, int(cfg.paths)
     x = int(D[0])
-    n_paths = int(cfg.tol("mc_paths", 100000))
-    out = {}
     est, se = chain_sim.mc_estimate("PDg", form, D, x, n_paths=n_paths, seed=cfg.seed, g=spec.g)
-    out["PDg"] = _mc_entry(est, se, float(spec.pdg[x]))
+    out = {"mc_PDg": _band(est, se, float(spec.pdg[x]))}
     h = np.ones(form.n)
     rd_exact = float(green_apply(form, D, h * form.m)[x])
     est, se = chain_sim.mc_estimate("RDf", form, D, x, n_paths=n_paths, seed=cfg.seed + 1, h=h)
-    out["RD1"] = _mc_entry(est, se, rd_exact)
+    out["mc_RD1"] = _band(est, se, rd_exact)
     est, se = chain_sim.mc_estimate("FK_residual", form, D, x, n_paths=n_paths,
                                     seed=cfg.seed + 2, g=spec.g, mu=spec.mu, u=sol.u, f=spec.f)
-    out["FK_residual"] = _mc_entry(est, se, 0.0)
-    for key, entry in out.items():
-        results[f"mc_{key}"] = {"value": abs(entry["estimate"] - entry["exact"]),
-                                "contract": entry["band"], "pass": entry["pass"]}
+    out["mc_FK_residual"] = _band(est, se, 0.0)
+    return out
 
 
-def _mc_entry(est, se, exact):
-    band = max(3.0 * se, 1e-9)
-    return {"estimate": est, "stderr": se, "exact": exact, "band": band,
-            "pass": bool(abs(est - exact) <= band)}
+def _suite_verify_frac(cfg, prob, sol, outdir):
+    out = {"fixed_point": _checked(cfg, "frac1d", "fixed_point",
+                                   frac1d.fixed_point_residual(sol))}
+    last = float(np.max(frac1d.projective_exhaustion_defects(prob, sol)[-1]))
+    out["projective_exhaustion"] = _checked(cfg, "frac1d", "projective_exhaustion", last)
+    return out
 
 
-def _suite_verify_frac(cfg, prob, sol, results):
-    tol = cfg.tol("fixed_point", 1e-6)
-    res = frac1d.fixed_point_residual(sol)
-    results["fixed_point"] = {"value": res, "contract": tol, "pass": res < tol}
-    defects = frac1d.projective_exhaustion_defects(prob, sol)
-    last = float(np.max(defects[-1]))
-    t = cfg.tol("projective_exhaustion", 1e-2)
-    results["projective_exhaustion"] = {"value": last, "contract": t, "pass": last < t}
-
-
-def _suite_trace_frac(cfg, prob, sol, outdir, results):
+def _suite_trace_frac(cfg, prob, sol, outdir):
     u_fn = frac1d.continuum_callable(prob, sol)
     # probes near the boundary only enter the exhaustion after a few levels,
     # so the trace suite extends the same nest construction to 16 levels
@@ -264,36 +279,31 @@ def _suite_trace_frac(cfg, prob, sol, outdir, results):
     _write_csv(outdir / "trace.csv", "probe,level,value,extrapolated",
                trace.trace_csv_rows(seq))
     worst = float(np.max(np.abs(seq.extrapolated)))
-    t = cfg.tol("trace", 1e-3)
-    results["trace_extrapolated"] = {"value": worst, "contract": t, "pass": worst < t}
+    return {"trace_extrapolated": _checked(cfg, "frac1d", "trace", worst)}
 
 
-def _suite_wos_frac(cfg, prob, sol, results):
-    k = prob.kernels
-    n_paths = int(cfg.tol("wos_paths", 100000))
+def _suite_wos_frac(cfg, prob, sol, outdir):
+    k, n_paths = prob.kernels, int(cfg.paths)
     pmin = 1.0
     for j, x in enumerate((0.0, 0.4, -0.7)):
         _, p = wos.wos_exit_chi2(k, x, n_paths=n_paths, seed=cfg.seed + j)
         pmin = min(pmin, p)
-    results["wos_exit_chi2_pmin"] = {"value": pmin, "contract": 0.001, "pass": pmin > 0.001}
+    out = {"wos_exit_chi2_pmin": _checked(cfg, "frac1d", "wos_exit_chi2", pmin)}
     est, se = wos.wos_estimate("mean_exit_time", k, 0.3, n_paths=n_paths, seed=cfg.seed + 7)
     exact = float(frac1d.apply_RD(k, prob.grid, h=lambda y: np.ones_like(y), x=[0.3])[0])
-    entry = _mc_entry(est, se, exact)
-    results["wos_mean_exit"] = {"value": abs(est - exact), "contract": entry["band"],
-                                "pass": entry["pass"]}
+    out["wos_mean_exit"] = _band(est, se, exact)
     if not prob.f.is_zero and not prob.mu_atoms:
         u_fn = frac1d.continuum_callable(prob, sol)
         est, se = wos.wos_estimate("FK_residual", k, 0.2, n_paths=n_paths,
                                    seed=cfg.seed + 8, g=prob.g, u_fn=u_fn, f=prob.f)
-        entry = _mc_entry(est, se, 0.0)
-        results["wos_fk_residual"] = {"value": abs(est), "contract": entry["band"],
-                                      "pass": entry["pass"]}
+        out["wos_fk_residual"] = _band(est, se, 0.0)
+    return out
 
 
-def _suite_estimates_frac(cfg, prob, sol, results):
-    rep = frac1d.example77_report(prob, sol)
-    results["weighted_ratio"] = {"value": rep["ratio"], "contract": float("inf"),
-                                 "pass": bool(np.isfinite(rep["ratio"]))}
+def _suite_estimates_frac(cfg, prob, sol, outdir):
+    # a record, not a --tol check: the ratio is >= 0, so it fails only when not finite
+    return {"weighted_ratio": _entry(frac1d.example77_report(prob, sol)["ratio"],
+                                     float("inf"))}
 
 
 def _dump_kernels(problem, outdir: Path) -> None:
@@ -327,6 +337,12 @@ def _dump_kernels(problem, outdir: Path) -> None:
 def run(config: RunConfig) -> int:
     """Execute one configuration; returns the process exit status."""
     problem, raw = load_problem(config.spec_path)
+    backend = raw.get("backend", "graph")
+    stray = sorted(set(config.suites or ()) - set(SUITES[backend]))
+    stray += sorted(set(config.tolerances) - {key for b, key in CONTRACTS if b == backend})
+    if stray:
+        raise ValueError(f"suites or --tol keys {stray} do not apply to backend {backend!r}")
+    suites = [s for s in SUITES[backend] if config.suites is None or s in config.suites]
     ladder = _ladder_from_dict(raw.get("ladder"))
     sol = solve(problem, ladder)
     inject = raw.get("inject")
@@ -335,42 +351,22 @@ def run(config: RunConfig) -> int:
         u[int(inject["index"])] += float(inject.get("eps", 0.1))
         sol.u = u
     outdir = config.out_dir
-    results: dict = {}
     if config.dump_kernels:
         _dump_kernels(problem, outdir)
-    graph = isinstance(problem, ProblemSpec)
-    if graph:
+    if backend == "graph":
         rows = [(int(i), float(v)) for i, v in enumerate(sol.u)]
         _write_csv(outdir / "solution.csv", "state,u", rows)
     else:
         rows = [(float(x), float(v)) for x, v in zip(sol.meta["x"], sol.u)]
         _write_csv(outdir / "solution.csv", "x,u", rows)
 
-    tasks = []
-    if graph:
-        if "verify" in config.suites:
-            tasks.append(lambda: _suite_verify_graph(config, problem, sol, results))
-        if "estimates" in config.suites:
-            tasks.append(lambda: _suite_estimates_graph(config, problem, sol, results))
-        if "trace" in config.suites:
-            tasks.append(lambda: _suite_trace_graph(config, problem, sol, outdir, results))
-        if "mc" in config.suites:
-            tasks.append(lambda: _suite_mc_graph(config, problem, sol, results))
-    else:
-        if "verify" in config.suites:
-            tasks.append(lambda: _suite_verify_frac(config, problem, sol, results))
-        if "trace" in config.suites:
-            tasks.append(lambda: _suite_trace_frac(config, problem, sol, outdir, results))
-        if "wos" in config.suites:
-            tasks.append(lambda: _suite_wos_frac(config, problem, sol, results))
-        if "estimates" in config.suites:
-            tasks.append(lambda: _suite_estimates_frac(config, problem, sol, results))
-
-    if tasks:
-        with ThreadPoolExecutor(max_workers=worker_count(len(tasks))) as pool:
-            futures = [pool.submit(t) for t in tasks]
-            for fut in futures:
-                fut.result()
+    results: dict = {}
+    # looked up at call time, so a wrapper set on this module is the one run
+    fns = [globals()[f"_suite_{s}_{_SUFFIX[backend]}"] for s in suites]
+    with ThreadPoolExecutor(max_workers=worker_count(len(fns))) as pool:
+        futures = [pool.submit(fn, config, problem, sol, outdir) for fn in fns]
+        for fut in futures:
+            results.update(fut.result())
 
     ok = all(entry["pass"] for entry in results.values())
     payload = {"schema": SCHEMA, "pass": ok,
@@ -438,7 +434,10 @@ def main(argv=None) -> int:
     runp.add_argument("--seed", type=int, default=0)
     runp.add_argument("--suite", action="append", default=None,
                       help="suite name (repeatable); default: all applicable")
-    runp.add_argument("--tol", action="append", default=[], metavar="KEY=VAL")
+    runp.add_argument("--tol", action="append", default=[], metavar="KEY=VAL",
+                      help="contract override; keys: the rows of cli.CONTRACTS")
+    runp.add_argument("--paths", type=float, default=100000, metavar="N",
+                      help="paths per Monte Carlo oracle (finite, >= 100)")
     runp.add_argument("--dump-kernels", action="store_true",
                       help="export kernel matrices / grid samples as CSV")
     genp = sub.add_parser("gen", help="generate random graph problem pairs")
@@ -452,9 +451,9 @@ def main(argv=None) -> int:
         return 0
     try:
         config = RunConfig(spec_path=args.spec, out_dir=args.out,
-                           suites=tuple(args.suite) if args.suite else _SUITES,
+                           suites=tuple(args.suite) if args.suite else None,
                            seed=args.seed, tolerances=_parse_tols(args.tol),
-                           dump_kernels=args.dump_kernels)
+                           paths=args.paths, dump_kernels=args.dump_kernels)
         status = run(config)
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {args.spec}: {exc}")

@@ -40,7 +40,7 @@ def test_run_demo_graph_all_pass(tmp_path):
 def test_run_demo_graph_mc_suite(tmp_path):
     spec = _demo_graph_spec(tmp_path)
     cfg = cli.RunConfig(spec_path=spec, out_dir=tmp_path / "out", seed=1,
-                        suites=("mc",), tolerances={"mc_paths": 20000})
+                        suites=("mc",), paths=20000)
     assert cli.run(cfg) == 0
     mc = json.loads((tmp_path / "out" / "mc.json").read_text())
     assert set(mc["results"]) == {"mc_PDg", "mc_RD1", "mc_FK_residual"}
@@ -66,6 +66,16 @@ def _demo_frac_spec(tmp_path):
            "g": {"kind": "const", "value": 1.0},
            "f": {"kind": "power", "b": 1.0, "p": 3.0}}
     path = tmp_path / "frac.json"
+    path.write_text(json.dumps(obj))
+    return path
+
+
+def _small_frac_spec(tmp_path):
+    obj = {"schema": 1, "backend": "frac1d", "alpha": 1.0,
+           "g": {"kind": "const", "value": 1.0},
+           "f": {"kind": "power", "b": 1.0, "p": 3.0},
+           "grid": {"order": 6, "n_base": 4, "edge_levels": 10, "out_levels": 6}}
+    path = tmp_path / "small_frac.json"
     path.write_text(json.dumps(obj))
     return path
 
@@ -142,40 +152,28 @@ def test_main_reports_config_errors(tmp_path, capsys):
 
 
 def test_wos_suite_rejects_too_few_paths(tmp_path, capsys):
-    obj = {"schema": 1, "backend": "frac1d", "alpha": 1.0,
-           "g": {"kind": "const", "value": 1.0},
-           "f": {"kind": "power", "b": 1.0, "p": 3.0},
-           "grid": {"order": 6, "n_base": 4, "edge_levels": 10, "out_levels": 6}}
-    path = tmp_path / "frac.json"
-    path.write_text(json.dumps(obj))
+    path = _small_frac_spec(tmp_path)
     status = cli.main(["run", str(path), "--out", str(tmp_path / "out"),
-                       "--suite", "wos", "--tol", "wos_paths=50"])
+                       "--suite", "wos", "--paths", "50"])
     assert status == 2
     assert "n_paths" in capsys.readouterr().out
 
 
-def _assert_too_few_paths_rejected_before_solving(key, tmp_path, capsys):
+def test_too_few_paths_rejected_before_solving(tmp_path, capsys):
     spec = _demo_graph_spec(tmp_path)
     for paths in (50, 0.5):
-        with pytest.raises(ValueError, match=key):
-            cli.RunConfig(spec_path=spec, out_dir=tmp_path, tolerances={key: paths})
+        with pytest.raises(ValueError, match="paths"):
+            cli.RunConfig(spec_path=spec, out_dir=tmp_path, paths=paths)
     out = tmp_path / "out"
-    status = cli.main(["run", str(spec), "--out", str(out), "--tol", f"{key}=0.5"])
-    assert status == 2
-    assert key in capsys.readouterr().out
-    assert not out.exists()
-
-
-def test_too_few_wos_paths_rejected_before_solving(tmp_path, capsys):
-    _assert_too_few_paths_rejected_before_solving("wos_paths", tmp_path, capsys)
-
-
-def test_too_few_mc_paths_rejected_before_solving(tmp_path, capsys):
-    _assert_too_few_paths_rejected_before_solving("mc_paths", tmp_path, capsys)
+    for paths in ("50", "0.5", "inf"):
+        assert cli.main(["run", str(spec), "--out", str(out), "--paths", paths]) == 2
+        printed = capsys.readouterr().out
+        assert printed.startswith("error:") and "paths" in printed
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("item", ["fixed_point=abc", "fixed_point", "=1e-6",
-                                  "mc_paths=inf", "fixed_point=nan", "fixed_point=-nan"])
+                                  "fixed_point=nan", "fixed_point=-nan"])
 def test_malformed_tol_is_a_config_error(tmp_path, capsys, item):
     spec = _demo_graph_spec(tmp_path)
     out = tmp_path / "out"
@@ -193,8 +191,66 @@ def test_unknown_tol_key_is_a_config_error(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "error:" in printed and "fixed_pont" in printed
     assert not out.exists()
-    for key in cli._TOL_KEYS:
-        cli.RunConfig(spec_path=spec, out_dir=out, tolerances={key: 1000.0})
+
+
+@pytest.mark.parametrize("backend", ["graph", "frac1d"])
+def test_each_contract_row_reaches_a_check(tmp_path, backend):
+    # a sentinel on every --tol key of the backend must show up as the contract
+    # of at least one results entry
+    if backend == "graph":
+        obj = json.loads(_demo_graph_spec(tmp_path).read_text())
+        obj["form"]["kappa"] = [0.0, 0.0, 0.0]  # kappa = 0 and f = 0 add the vd_* checks
+        del obj["f"]
+    else:
+        obj = json.loads(_small_frac_spec(tmp_path).read_text())
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(obj))
+    keys = [key for b, key in cli.CONTRACTS if b == backend]
+    for k, key in enumerate(keys):
+        sentinel = 1000.0 + k
+        cfg = cli.RunConfig(spec_path=spec, out_dir=tmp_path / key, seed=1, paths=1000,
+                            tolerances={key: sentinel})
+        cli.run(cfg)
+        res = json.loads((tmp_path / key / "residuals.json").read_text())["results"]
+        assert any(entry["contract"] == sentinel for entry in res.values()), key
+
+
+def test_suite_or_tol_of_another_backend_is_a_config_error(tmp_path, capsys):
+    frac = _small_frac_spec(tmp_path)
+    graph = _demo_graph_spec(tmp_path)
+    for spec, args, name in ((frac, ["--suite", "mc"], "mc"),
+                             (frac, ["--tol", "second_moment=1"], "second_moment"),
+                             (graph, ["--suite", "wos"], "wos"),
+                             (graph, ["--tol", "wos_exit_chi2=0.01"], "wos_exit_chi2")):
+        out = tmp_path / "out"
+        assert cli.main(["run", str(spec), "--out", str(out), *args]) == 2
+        printed = capsys.readouterr().out
+        assert printed.startswith("error:") and repr(name) in printed
+        assert not out.exists()
+
+
+def test_unknown_ladder_key_is_a_config_error(tmp_path, capsys):
+    obj = json.loads(_demo_graph_spec(tmp_path).read_text())
+    obj["ladder"] = {"max_levle": 3}
+    spec = tmp_path / "ladder.json"
+    spec.write_text(json.dumps(obj))
+    out = tmp_path / "out"
+    assert cli.main(["run", str(spec), "--out", str(out), "--suite", "verify"]) == 2
+    printed = capsys.readouterr().out
+    assert printed.startswith("error:") and "max_levle" in printed
+    assert not out.exists()
+
+
+def test_non_finite_solution_fails_solution_sup(tmp_path):
+    obj = json.loads(_demo_graph_spec(tmp_path).read_text())
+    obj["inject"] = {"index": 0, "eps": float("nan")}  # state 0 lies outside D
+    spec = tmp_path / "nan.json"
+    spec.write_text(json.dumps(obj))
+    cfg = cli.RunConfig(spec_path=spec, out_dir=tmp_path / "out", seed=1,
+                        suites=("estimates",))
+    assert cli.run(cfg) == 1
+    res = json.loads((tmp_path / "out" / "residuals.json").read_text())["results"]
+    assert not res["solution_sup"]["pass"]
 
 
 def test_config_validation(tmp_path):

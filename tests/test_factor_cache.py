@@ -87,7 +87,7 @@ def test_cli_run_extends_exterior_data_once(monkeypatch, tmp_path):
         monkeypatch.setattr(module, "harmonic_extension", counted)
     cfg = cli.RunConfig(spec_path=path, out_dir=tmp_path / "out", seed=1,
                         suites=("verify", "estimates", "trace", "mc"),
-                        tolerances={"mc_paths": 1000})
+                        paths=1000)
     cli.run(cfg)
     assert "vd_identity" in json.loads((tmp_path / "out" / "residuals.json").read_text())["results"]
     assert sum(calls) == 1
