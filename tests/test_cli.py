@@ -159,21 +159,32 @@ def test_wos_suite_rejects_too_few_paths(tmp_path, capsys):
     assert "n_paths" in capsys.readouterr().out
 
 
-def test_too_few_paths_rejected_before_solving(tmp_path, capsys):
-    spec = _demo_graph_spec(tmp_path)
+def _assert_too_few_paths_rejected_before_solving(spec, suite, tmp_path, capsys):
     for paths in (50, 0.5):
         with pytest.raises(ValueError, match="paths"):
-            cli.RunConfig(spec_path=spec, out_dir=tmp_path, paths=paths)
+            cli.RunConfig(spec_path=spec, out_dir=tmp_path, suites=(suite,), paths=paths)
     out = tmp_path / "out"
     for paths in ("50", "0.5", "inf"):
-        assert cli.main(["run", str(spec), "--out", str(out), "--paths", paths]) == 2
+        assert cli.main(["run", str(spec), "--out", str(out), "--suite", suite,
+                         "--paths", paths]) == 2
         printed = capsys.readouterr().out
         assert printed.startswith("error:") and "paths" in printed
         assert not out.exists()
 
 
+def test_too_few_wos_paths_rejected_before_solving(tmp_path, capsys):
+    _assert_too_few_paths_rejected_before_solving(_small_frac_spec(tmp_path), "wos",
+                                                  tmp_path, capsys)
+
+
+def test_too_few_mc_paths_rejected_before_solving(tmp_path, capsys):
+    _assert_too_few_paths_rejected_before_solving(_demo_graph_spec(tmp_path), "mc",
+                                                  tmp_path, capsys)
+
+
+# mc_paths=inf: a retired key (path counts are --paths now) is still refused
 @pytest.mark.parametrize("item", ["fixed_point=abc", "fixed_point", "=1e-6",
-                                  "fixed_point=nan", "fixed_point=-nan"])
+                                  "mc_paths=inf", "fixed_point=nan", "fixed_point=-nan"])
 def test_malformed_tol_is_a_config_error(tmp_path, capsys, item):
     spec = _demo_graph_spec(tmp_path)
     out = tmp_path / "out"
