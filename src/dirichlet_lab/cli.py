@@ -155,11 +155,51 @@ def _exterior_from_dict(obj: dict | None) -> frac1d.ExteriorData:
     raise ValueError(f"unknown exterior kind {kind!r}")
 
 
+# The keys a spec may carry: per backend at the top level, in the continuum
+# objects, and per kind in ``f`` and (continuum) ``g``.
+SPEC_KEYS = {"graph": {"schema", "backend", "form", "D", "g", "mu", "f", "nest",
+                       "ladder", "inject"},
+             "frac1d": {"schema", "backend", "alpha", "grid", "g", "mu", "nu", "f",
+                        "nest", "nest_levels", "ladder", "inject"}}
+_OBJECT_KEYS = {"grid": {"order", "n_base", "edge_levels", "out_levels"},
+                "nu": {"plus", "minus"}, "mu": {"atoms"}}
+_KIND_KEYS = {"f": {None: (), "zero": (), "power": ("b", "p"), "exp": ("b",),
+                    "custom-table": ("y", "values")},
+              "g": {None: (), "zero": (), "const": ("value",), "indicator": ("a", "b"),
+                    "power_singular": ("p", "coef")}}
+
+
+def _unknown_spec_keys(obj: dict, backend: str) -> list:
+    """Dotted names of the keys of a spec that its backend does not read.
+
+    An object of an unknown kind is left to its parser, which names the kind.
+    """
+    unknown = [key for key in obj if key not in SPEC_KEYS[backend]]
+    allowed = dict(_OBJECT_KEYS) if backend == "frac1d" else {}
+    for name in ("f", "g") if backend == "frac1d" else ("f",):
+        sub = obj.get(name)
+        kind = sub.get("kind") if isinstance(sub, dict) else ()
+        if isinstance(kind, (str, type(None))) and kind in _KIND_KEYS[name]:
+            allowed[name] = {"kind", *_KIND_KEYS[name][kind]}
+    for name, keys in allowed.items():
+        sub = obj.get(name)
+        if isinstance(sub, dict):
+            unknown += [f"{name}.{key}" for key in sub if key not in keys]
+    return unknown
+
+
 def load_problem(path):
-    """Problem object (graph or continuum) from a spec JSON file."""
+    """Problem object (graph or continuum) from a spec JSON file.
+
+    A key that the spec's backend does not read is a ValueError naming it.
+    """
     with open(path) as fh:
         obj = json.load(fh)
     backend = obj.get("backend", "graph")
+    if backend in SPEC_KEYS:
+        unknown = _unknown_spec_keys(obj, backend)
+        if unknown:
+            raise ValueError(f"unknown spec keys: {unknown}")
     if backend == "graph":
         form = form_from_dict(obj["form"])
         f = _nonlinearity_from_dict(obj.get("f"))

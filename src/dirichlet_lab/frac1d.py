@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.special import gamma as gamma_fn
-from scipy.special import hyp2f1, roots_jacobi, roots_legendre
+from scipy.special import exprel, roots_jacobi, roots_legendre
 
 from .semilinear import LadderConfig, Nonlinearity, Solution, solve_ladder
 
@@ -55,6 +55,13 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # quadrature primitives
+
+def _frozen(*arrays):
+    """The arrays, made read-only: cached rules are shared by every caller."""
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
 
 @lru_cache(maxsize=64)
 def _gl(order: int):
@@ -129,11 +136,119 @@ def _split_rule(lo: float, x: float, hi: float, order: int, levels: int,
 
 
 # ---------------------------------------------------------------------------
+# radial table of the Green function
+#
+# The interval Green function is green_coef * d^(alpha-1) * B(r), with
+# B(r) = int_0^r s^(alpha/2-1) (1+s)^(-1/2) ds.  In x = log r the function
+# phi(x) = B(e^x) e^(-alpha x/2) is smooth and bounded, so it is tabulated as
+# one polynomial per piece of the window below, fitted to the defining
+# integral.  The grids see log r in [-47.6, 48.1]; beyond the window the
+# two-term expansions at each end are exact to rounding.
+
+_RADIAL_LO, _RADIAL_HI = -50.0, 50.0
+_RADIAL_PIECES = 512
+_RADIAL_DEGREE = 7
+_RADIAL_GAUSS = 8  # Gauss-Legendre nodes per integral in x
+_RADIAL_KNOTS = _frozen(np.linspace(_RADIAL_LO, _RADIAL_HI, _RADIAL_PIECES + 1))[0]
+# fit nodes of a piece: Chebyshev-Lobatto points of s in [0, 1]
+_RADIAL_FIT = _frozen(0.5 - 0.5 * np.cos(np.pi * np.arange(_RADIAL_DEGREE + 1) / _RADIAL_DEGREE))[0]
+
+
+def _radial_steps(alpha: float, x0, x1):
+    """Integrals over [x0, x1] (elementwise, one Gauss panel each) of the
+    integrand of B in x = log s, e^(alpha x/2) (1 + e^x)^(-1/2)."""
+    t, w = _gl(_RADIAL_GAUSS)
+    half = 0.5 * (x1 - x0)[..., None]
+    x = x0[..., None] + half * (t + 1.0)
+    return np.sum(half * w * np.exp(0.5 * alpha * x) / np.sqrt(1.0 + np.exp(x)), axis=-1)
+
+
+@lru_cache(maxsize=16)
+def _radial_knots(alpha: float) -> np.ndarray:
+    """B(e^x) at the knots of the window: the head int_0^(e^lo) from a
+    product rule for the s^(alpha/2-1) end power, the rest as cumulative
+    Gauss sums in x."""
+    y, w = _panel_rule(0.0, math.exp(_RADIAL_LO), _RADIAL_GAUSS, left=alpha / 2.0 - 1.0)
+    head = float(np.sum(w * y ** (alpha / 2.0 - 1.0) / np.sqrt(1.0 + y)))
+    steps = _radial_steps(alpha, _RADIAL_KNOTS[:-1], _RADIAL_KNOTS[1:])
+    return _frozen(head + np.concatenate([[0.0], np.cumsum(steps)]))[0]
+
+
+def _radial_integral(alpha: float, x) -> np.ndarray:
+    """B(e^x) for x in the window, by quadrature from the knot at or below x."""
+    k = np.clip(np.searchsorted(_RADIAL_KNOTS, x, side="right") - 1, 0, _RADIAL_PIECES - 1)
+    return _radial_knots(alpha)[k] + _radial_steps(alpha, _RADIAL_KNOTS[k], x)
+
+
+def _radial_points(s) -> np.ndarray:
+    """The points s in [0, 1] mapped to every piece of the window, one row per piece."""
+    return _RADIAL_KNOTS[:-1, None] + (_RADIAL_KNOTS[1] - _RADIAL_KNOTS[0]) * np.asarray(s)
+
+
+def _radial_table_gap(alpha: float) -> float:
+    """Largest relative gap between the table and the defining integral at
+    the midpoints between fit nodes."""
+    x = _radial_points(0.5 * (_RADIAL_FIT[:-1] + _RADIAL_FIT[1:])).ravel()
+    exact = _radial_integral(alpha, x) * np.exp(-0.5 * alpha * x)
+    return float(np.max(np.abs(_radial_phi(alpha, x) / exact - 1.0)))
+
+
+@lru_cache(maxsize=16)
+def _radial_table(alpha: float):
+    """Read-only table of phi(x) = B(e^x) e^(-alpha x/2) on the window.
+
+    Returns (coef, tail): coef[j, k] is the coefficient of s^j on piece k,
+    s in [0, 1) from its left end, fitted at its Chebyshev-Lobatto points;
+    tail is the constant K of the large-r expansion
+    B(r) = K + log(r) exprel(c log r) + r^(c-1)/(3-alpha), c = (alpha-1)/2,
+    whose second term is (r^c - 1)/c, and log r at alpha = 1.
+    """
+    x = _radial_points(_RADIAL_FIT)
+    phi = _radial_integral(alpha, x) * np.exp(-0.5 * alpha * x)
+    coef = np.ascontiguousarray(np.linalg.solve(np.vander(_RADIAL_FIT, increasing=True), phi.T))
+    c, hi = 0.5 * (alpha - 1.0), _RADIAL_HI
+    tail = (_radial_integral(alpha, np.array([hi]))[0] - hi * exprel(c * hi)
+            - math.exp((c - 1.0) * hi) / (3.0 - alpha))
+    return _frozen(coef)[0], tail
+
+
+def _radial_phi(alpha: float, x) -> np.ndarray:
+    """phi(x) = B(e^x) e^(-alpha x/2) from the table, and from the two-term
+    expansions at each end beyond its window (a new array shaped like x)."""
+    coef, tail = _radial_table(alpha)
+    s = x - _RADIAL_LO
+    s *= _RADIAL_PIECES / (_RADIAL_HI - _RADIAL_LO)
+    piece = np.floor(s.clip(0.0, _RADIAL_PIECES - 1))
+    s -= piece
+    k = piece.astype(np.intp)
+    out = np.asarray(coef[_RADIAL_DEGREE].take(k))
+    for j in range(_RADIAL_DEGREE - 1, -1, -1):
+        out *= s
+        out += coef[j].take(k)
+    low = x < _RADIAL_LO
+    if low.any():
+        out[low] = 2.0 / alpha - np.exp(x[low]) / (alpha + 2.0)
+    high = x > _RADIAL_HI
+    if high.any():
+        xh, c = x[high], 0.5 * (alpha - 1.0)
+        out[high] = np.exp(-0.5 * alpha * xh) * (tail + xh * exprel(c * xh)
+                                                + np.exp((c - 1.0) * xh) / (3.0 - alpha))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # kernels
 
 @dataclass(frozen=True)
 class FracKernels:
-    """Closed-form kernels of the stable process on the unit interval."""
+    """Closed-form kernels of the stable process on the unit interval.
+
+    The Green function's radial body B(r) has no elementary form except at
+    alpha = 1; it is read from a per-alpha table of phi(log r) =
+    B(r) r^(-alpha/2) (``_radial_table``, cached per alpha and built from
+    the defining integral on first use), so a directly constructed pack
+    works as one from ``build_kernels``.
+    """
 
     alpha: float
     jump_coef: float
@@ -148,15 +263,14 @@ class FracKernels:
         return self.jump_coef * r ** (-1.0 - self.alpha)
 
     def _radial_body(self, r: np.ndarray) -> np.ndarray:
-        """Integral of s^(alpha/2-1) (1+s)^(-1/2) over (0, r).
+        """B(r), the integral of s^(alpha/2-1) (1+s)^(-1/2) over (0, r).
 
-        The hypergeometric form degenerates at alpha = 1, where the closed
-        arcsinh expression is used instead.
+        Read from the per-alpha table of phi(log r) = B(r) r^(-alpha/2)
+        (``_radial_phi``), one formula for every alpha in (0, 2).
         """
-        a = self.alpha
-        if abs(a - 1.0) < 1e-12:
-            return 2.0 * np.arcsinh(np.sqrt(r))
-        return (2.0 / a) * r ** (a / 2.0) * hyp2f1(0.5, a / 2.0, a / 2.0 + 1.0, -r)
+        r = np.asarray(r, dtype=float)
+        phi = _radial_phi(self.alpha, np.log(r).reshape(-1)).reshape(r.shape)
+        return phi * r ** (self.alpha / 2.0)
 
     def green(self, x, y) -> np.ndarray:
         """Green function of (-1, 1); zero off the interval, +inf allowed on
@@ -164,34 +278,43 @@ class FracKernels:
         a = self.alpha
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        x, y = np.broadcast_arrays(x, y)
-        inside = (np.abs(x) < 1.0) & (np.abs(y) < 1.0)
+        qx, qy = 1.0 - x * x, 1.0 - y * y
         d = np.abs(x - y)
-        out = np.zeros(d.shape)
-        on_diag = inside & (d == 0.0)
-        off = inside & ~on_diag
-        if np.any(off):
-            dv = d[off]
-            r = (1.0 - x[off] ** 2) * (1.0 - y[off] ** 2) / dv ** 2
-            out[off] = self.green_coef * dv ** (a - 1.0) * self._radial_body(r)
+        inside = (qx > 0.0) & (qy > 0.0)
+        off = inside & (d > 0.0)
+        # d^(alpha-1) B(r) with r = p / d^2, B(r) = phi(log r) r^(alpha/2);
+        # points off the computed set get p = d = 1 and a zero at the end
+        dv = np.where(off, d, 1.0)
+        p = np.where(off, qx * qy, 1.0)
+        out = _radial_phi(a, np.log(p / (dv * dv)))
+        out *= p ** (a / 2.0)
+        out /= dv
+        out *= self.green_coef * off
+        on_diag = inside ^ off
         if np.any(on_diag):
             if a > 1.0:
-                q = ((1.0 - x[on_diag] ** 2) ** 2) ** ((a - 1.0) / 2.0)
+                q = np.broadcast_to(qx, d.shape)[on_diag] ** (a - 1.0)
                 out[on_diag] = self.green_coef * (2.0 / (a - 1.0)) * q
             else:
                 out[on_diag] = np.inf
         return out if out.shape else float(out)
 
-    def poisson(self, x, y) -> np.ndarray:
-        """Exit density from (-1, 1) at interior x toward exterior y."""
+    def poisson(self, x, y, gap=None) -> np.ndarray:
+        """Exit density from (-1, 1) at interior x toward exterior y.
+
+        ``gap``, when given, is |y| - 1 as the caller's rule built it, and
+        y^2 - 1 is taken as gap * (2 + gap): within a few ulps of |y| = 1,
+        where the edge power lives, y^2 - 1 itself keeps few digits.
+        """
         a = self.alpha
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        x, y = np.broadcast_arrays(x, y)
+        sq = y ** 2 - 1.0 if gap is None else gap * (2.0 + gap)
+        x, y, sq = np.broadcast_arrays(x, y, sq)
         ok = (np.abs(x) < 1.0) & (np.abs(y) > 1.0)
         out = np.zeros(x.shape)
         if np.any(ok):
-            out[ok] = self.poisson_coef * ((1.0 - x[ok] ** 2) / (y[ok] ** 2 - 1.0)) ** (a / 2.0) \
+            out[ok] = self.poisson_coef * ((1.0 - x[ok] ** 2) / sq[ok]) ** (a / 2.0) \
                 / np.abs(x[ok] - y[ok])
         return out if out.shape else float(out)
 
@@ -200,9 +323,11 @@ class FracKernels:
         return radius ** (self.alpha - 1.0) * self.green(np.asarray(x) / radius,
                                                          np.asarray(y) / radius)
 
-    def poisson_interval(self, radius: float, x, y) -> np.ndarray:
-        """Exit density of (-radius, radius) by stable scaling."""
-        return self.poisson(np.asarray(x) / radius, np.asarray(y) / radius) / radius
+    def poisson_interval(self, radius: float, x, y, gap=None) -> np.ndarray:
+        """Exit density of (-radius, radius) by stable scaling; ``gap`` is
+        |y| - radius, as in ``poisson``."""
+        return self.poisson(np.asarray(x) / radius, np.asarray(y) / radius,
+                            None if gap is None else np.asarray(gap) / radius) / radius
 
     def mean_exit_ball(self, radius: float) -> float:
         """Expected exit time from a centered interval of given radius,
@@ -250,10 +375,14 @@ def _validate_kernels(k: FracKernels) -> dict:
     sym_defect = 0.0
     for xi in (1.0, 2.0, 4.0):
         sym_defect = max(sym_defect, abs(levy_symbol(k, xi) - xi ** k.alpha) / xi ** k.alpha)
+    table_gap = _radial_table_gap(k.alpha)
     diag = {"green_symmetry": gsym, "green_min": gpos,
-            "poisson_normalization": norm_defect, "symbol_relative": sym_defect}
+            "poisson_normalization": norm_defect, "symbol_relative": sym_defect,
+            "radial_table": table_gap}
     if gsym > 1e-8 or gpos < -1e-14:
         raise ValueError(f"Green-function invariants failed: {diag}")
+    if not table_gap <= 1e-12:
+        raise ValueError(f"Green-function radial table off its integral: {diag}")
     if norm_defect > 1e-6:
         raise ValueError(f"exit-density normalization failed: {diag}")
     if sym_defect > 1e-4:
@@ -284,7 +413,9 @@ def build_kernels(alpha: float, validate: bool = True) -> FracKernels:
 class QuadGrid:
     """Shared quadrature carrier: interior panels and a truncated exterior.
 
-    Interior panels are geometrically graded toward the endpoints; the
+    Interior panels are geometrically graded toward the endpoints, and the
+    interior rule is an exact mirror image about 0 (``interior_x[n-1-i] ==
+    -interior_x[i]``, the same for the breaks, equal weights); the
     exterior rule is graded toward the boundary (with the exit-density edge
     power baked into the innermost panels) and doubled outward to the
     truncation radius, beyond which tails are handled analytically.
@@ -308,10 +439,23 @@ class QuadGrid:
                           edge_levels=self.edge_levels + 4, out_levels=self.out_levels + 1)
 
 
+def _mirror_points(x: np.ndarray) -> np.ndarray:
+    """x with its right half replaced by the negated left half (a middle
+    point becomes 0.0), so that x[n-1-i] == -x[i] exactly."""
+    h = x.size // 2
+    return np.concatenate([x[:h], np.zeros(x.size - 2 * h), -x[:h][::-1]])
+
+
+def _mirror_weights(w: np.ndarray) -> np.ndarray:
+    """w with its right half replaced by the reversed left half."""
+    h = w.size // 2
+    return np.concatenate([w[:w.size - h], w[:h][::-1]])
+
+
 def _interior_breaks(n_base: int, edge_levels: int) -> np.ndarray:
     left = -1.0 + 0.5 * 2.0 ** (-np.arange(edge_levels, 0, -1, dtype=float))
     mid = np.linspace(-0.5, 0.5, n_base + 1)
-    return np.concatenate([[-1.0], left, mid[1:-1], -left[::-1], [1.0]])
+    return _mirror_points(np.concatenate([[-1.0], left, mid[1:-1], -left[::-1], [1.0]]))
 
 
 def _exterior_rule(alpha: float, order: int, edge_levels: int, out_levels: int,
@@ -331,6 +475,7 @@ def build_grid(alpha: float, order: int = 10, n_base: int = 8, edge_levels: int 
                out_levels: int = 10) -> QuadGrid:
     breaks = _interior_breaks(n_base, edge_levels)
     xs, ws = _composite(breaks, order)
+    xs, ws = _mirror_points(xs), _mirror_weights(ws)
     ext_x, ext_w, radius = _exterior_rule(alpha, order, edge_levels, out_levels)
     return QuadGrid(alpha=alpha, order=order, edge_levels=edge_levels, n_base=n_base,
                     out_levels=out_levels,
@@ -465,26 +610,32 @@ def apply_RD(kernels: FracKernels, grid: QuadGrid, h=None, atoms=(), x=None,
     return out
 
 
+@lru_cache(maxsize=16)
+def _annulus_ref(order: int, levels: int, left: float, right: float):
+    """Rule on [0, 1] graded toward both ends, with s^left and (1-s)^right
+    baked in; on [lo, hi] it is lo + (hi - lo) * s with weights (hi - lo) * w."""
+    return _frozen(*_graded_panels(0.0, 1.0, order, levels, left=left, right=right))
+
+
 def apply_PV_interval(kernels: FracKernels, radius: float, fn, x,
                       y_hi: float = 1.0, edge_exponent: float = 0.0,
                       order: int = 12, levels: int = 24) -> np.ndarray:
     """Exit averages over (-radius, radius) of fn restricted to radius < |y| < y_hi,
     one per start point in x (an array shaped like x).
 
-    The two annulus rules and the values of fn on them are built once and
-    shared by every start point.
+    The annulus rule is the cached [0, 1] rule scaled to (radius, y_hi) and
+    mirrored to (-y_hi, -radius); fn is evaluated once on it, and the exit
+    density once on every (start point, node) pair, from each node's
+    distance beyond the radius as the rule built it.
     """
-    a = kernels.alpha
     x = np.asarray(x, dtype=float)
-    acc = np.zeros(x.shape)
-    for (lo, hi, inner_left) in ((radius, y_hi, True), (-y_hi, -radius, False)):
-        y, w = _graded_panels(lo, hi, order, levels,
-                              left=(-a / 2.0) if inner_left else edge_exponent,
-                              right=edge_exponent if inner_left else (-a / 2.0))
-        fy = fn(y)
-        for i, xi in np.ndenumerate(x):
-            acc[i] += float(np.sum(w * kernels.poisson_interval(radius, xi, y) * fy))
-    return acc
+    s, ws = _annulus_ref(order, levels, -kernels.alpha / 2.0, edge_exponent)
+    span = y_hi - radius
+    gap = span * s  # |y| - radius, free of the rounding of y
+    y = np.concatenate([radius + gap, -(radius + gap)])
+    wf = np.tile(span * ws, 2) * fn(y)
+    return np.sum(kernels.poisson_interval(radius, x[..., None], y, np.tile(gap, 2)) * wf,
+                  axis=-1)
 
 
 def _pv_exterior(kernels: FracKernels, radius: float, g: ExteriorData, x: float,
@@ -499,13 +650,6 @@ def _pv_exterior(kernels: FracKernels, radius: float, g: ExteriorData, x: float,
 
 # ---------------------------------------------------------------------------
 # product-integration matrix for the Green operator
-
-def _frozen(*arrays):
-    """The arrays, made read-only: cached rules are shared by every caller."""
-    for arr in arrays:
-        arr.flags.writeable = False
-    return arrays
-
 
 @lru_cache(maxsize=16)
 def _bary_weights(order: int) -> np.ndarray:
@@ -580,7 +724,10 @@ def green_matrix(kernels: FracKernels, grid: QuadGrid, diag_levels: int = 16) ->
     toward the target (diagonal power baked in below alpha = 1).  W is built
     one source panel (column block) at a time, from reference rules cached
     per order, in four kernel calls: far targets, left and right neighbours,
-    own nodes.  Raises ValueError naming the first non-finite entry.
+    own nodes.  The grid is a mirror image about 0 and the Green function
+    is even under (x, y) -> (-x, -y), so only the panels of the left half
+    are assembled and the rest is W[n-1-i, n-1-j] = W[i, j].  Raises
+    ValueError naming the first non-finite entry.
     """
     a = kernels.alpha
     nodes = grid.interior_x
@@ -593,7 +740,8 @@ def green_matrix(kernels: FracKernels, grid: QuadGrid, diag_levels: int = 16) ->
     own_off, own_w, own_B = _own_rule(order, diag_levels, diag_gamma)
     inner = slice(0, 2 * order)
     W = np.zeros((n, n))
-    for p in range(len(breaks) - 1):
+    half_panels = len(breaks) // 2  # with a middle panel when the count is odd
+    for p in range(half_panels):
         lo, hi = breaks[p], breaks[p + 1]
         half = 0.5 * (hi - lo)
         c0, c1 = p * order, (p + 1) * order
@@ -611,11 +759,14 @@ def green_matrix(kernels: FracKernels, grid: QuadGrid, diag_levels: int = 16) ->
         xs = nodes[cols, None]
         y = xs + half * own_off
         ww = half * own_w
-        # Bake the diagonal power with the distance the kernel sees: near
-        # +-1 rounding y moves it off the reference distance.
-        d_ref = half * np.abs(own_off[:, inner])
-        ww[:, inner] *= (d_ref / np.abs(y[:, inner] - xs)) ** diag_gamma
+        if diag_gamma:
+            # Bake the diagonal power with the distance the kernel sees:
+            # near +-1 rounding y moves it off the reference distance.
+            d_ref = half * np.abs(own_off[:, inner])
+            ww[:, inner] *= (d_ref / np.abs(y[:, inner] - xs)) ** diag_gamma
         W[cols, cols] = np.einsum("km,kmn->kn", kernels.green(xs, y) * ww, own_B)
+    done = half_panels * order
+    W[:, done:] = W[::-1, :n - done][:, ::-1]
     bad = np.argwhere(~np.isfinite(W))
     if bad.size:
         j, c = bad[0]

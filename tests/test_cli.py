@@ -252,6 +252,53 @@ def test_unknown_ladder_key_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("backend", ["graph", "frac1d"])
+def test_unknown_spec_keys_are_a_config_error(tmp_path, capsys, backend):
+    # one run names every misspelt key: top level, continuum objects, and
+    # the kind-specific keys of f and g
+    if backend == "graph":
+        obj = json.loads(_demo_graph_spec(tmp_path).read_text())
+        obj["nest_levles"] = 3
+        obj["f"]["pp"] = 5
+        names = ["nest_levles", "f.pp"]
+    else:
+        obj = json.loads(_small_frac_spec(tmp_path).read_text())
+        obj["nest_levles"] = 3
+        obj["f"]["pp"] = 5
+        obj["grid"]["out_level"] = 6
+        obj["g"]["valeu"] = 2.0
+        obj["nu"] = {"plus": 0.0, "minsu": 1.0}
+        obj["mu"] = {"atom": [[0.0, 1.0]]}
+        names = ["nest_levles", "f.pp", "grid.out_level", "g.valeu", "nu.minsu", "mu.atom"]
+    spec = tmp_path / "typo.json"
+    spec.write_text(json.dumps(obj))
+    out = tmp_path / "out"
+    assert cli.main(["run", str(spec), "--out", str(out), "--suite", "verify"]) == 2
+    printed = capsys.readouterr().out
+    assert printed.startswith("error:")
+    assert all(repr(name) in printed for name in names)
+    assert not out.exists()
+
+
+def test_every_spec_key_is_read(tmp_path):
+    # specs that carry every key the loader knows, and those written by gen, load
+    frac = {"schema": 1, "backend": "frac1d", "alpha": 1.0,
+            "g": {"kind": "power_singular", "p": 0.2, "coef": 1.0},
+            "mu": {"atoms": [[0.0, 1.0]]}, "nu": {"plus": 1.0, "minus": 0.0},
+            "f": {"kind": "exp", "b": 1.0}, "nest": [0.5, 0.75], "nest_levels": 2,
+            "grid": {"order": 6, "n_base": 4, "edge_levels": 10, "out_levels": 6},
+            "ladder": {"max_level": 8}, "inject": {"index": 0}}
+    graph = json.loads(_demo_graph_spec(tmp_path).read_text())
+    graph.update(nest=[[1], [1, 2]], ladder={"max_level": 8}, inject={"index": 0},
+                 f={"kind": "custom-table", "y": [-1.0, 1.0], "values": [1.0, -1.0]})
+    paths = cli.generate_random_suite(3, 1, tmp_path / "gen")
+    for obj in (frac, graph, *(json.loads(p.read_text()) for p in paths)):
+        assert cli._unknown_spec_keys(obj, obj["backend"]) == []
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(obj))
+        cli.load_problem(spec)
+
+
 def test_non_finite_solution_fails_solution_sup(tmp_path):
     obj = json.loads(_demo_graph_spec(tmp_path).read_text())
     obj["inject"] = {"index": 0, "eps": float("nan")}  # state 0 lies outside D

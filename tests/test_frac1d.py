@@ -24,6 +24,7 @@ def test_build_kernels_validates(packs):
         assert d["poisson_normalization"] < 1e-6
         assert d["symbol_relative"] < 1e-4
         assert d["green_min"] >= 0.0
+        assert d["radial_table"] < 1e-12
     with pytest.raises(ValueError):
         f1.build_kernels(2.5)
 
@@ -39,6 +40,33 @@ def test_green_alpha1_log_closed_form(packs):
         r = (1 - x * x) * (1 - y * y) / (x - y) ** 2
         exact = math.log(math.sqrt(r) + math.sqrt(1 + r)) / math.pi
         assert k.green(x, y) == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.5, 1.99])
+def test_radial_table_matches_hypergeometric_form(alpha):
+    # B(r) = (2/alpha) r^(alpha/2) 2F1(1/2, alpha/2; alpha/2 + 1; -r), in
+    # 40-digit arithmetic; 1.99 is refused by the symbol check
+    mpmath = pytest.importorskip("mpmath")
+    k = f1.build_kernels(alpha, validate=False)
+    rs = np.logspace(-20.0, 20.0, 81)
+    with mpmath.workdps(40):
+        a = mpmath.mpf(alpha)
+        exact = np.array([float(2 / a * mpmath.mpf(r) ** (a / 2)
+                                * mpmath.hyp2f1(0.5, a / 2, a / 2 + 1, -mpmath.mpf(r)))
+                          for r in rs])
+    assert np.max(np.abs(k._radial_body(rs) / exact - 1.0)) < 1e-13
+
+
+def test_green_matrix_continuous_across_alpha_one():
+    # W moves with alpha at a rate of order one, so the steps to 1 -+ 1e-9
+    # are about 2e-9 of W and must match to second order
+    grid = f1.build_grid(1.0)
+    W = {a: f1.green_matrix(f1.build_kernels(a), grid) for a in (1.0 - 1e-9, 1.0, 1.0 + 1e-9)}
+    mid, scale = W[1.0], np.max(np.abs(W[1.0]))
+    for a in (1.0 - 1e-9, 1.0 + 1e-9):
+        assert np.max(np.abs(W[a] - mid)) / scale < 1e-8
+    second = W[1.0 - 1e-9] - 2.0 * mid + W[1.0 + 1e-9]
+    assert np.max(np.abs(second)) / scale < 1e-12
 
 
 def test_cauchy_exit_time_constant(packs):
@@ -148,6 +176,24 @@ def test_green_matrix_matches_direct_quadrature(packs):
         assert np.max(np.abs(via_w / direct - 1.0)) < 1e-6
 
 
+def test_grid_mirrors_and_green_matrix_is_centrosymmetric(packs):
+    for a in ALPHAS:
+        k, grid = packs[a]
+        assert np.array_equal(grid.interior_x[::-1], -grid.interior_x)
+        assert np.array_equal(grid.interior_w[::-1], grid.interior_w)
+        assert np.array_equal(grid.interior_breaks[::-1], -grid.interior_breaks)
+        W = f1.green_matrix(k, grid)
+        assert np.array_equal(W, W[::-1, ::-1])
+
+
+@pytest.mark.parametrize("alpha", [1.2, 1.5])
+def test_green_matrix_on_refined_grid_is_finite_without_warnings(alpha):
+    # above alpha = 1 no diagonal power is baked in, so a source node that
+    # rounds onto its target must not divide by a zero distance
+    W = f1.green_matrix(f1.build_kernels(alpha), f1.build_grid(alpha).refine())
+    assert np.all(np.isfinite(W))
+
+
 def test_lagrange_matrix_reproduces_polynomials():
     rng = np.random.default_rng(4)
     for order in (4, 10, 16):
@@ -202,12 +248,15 @@ class _NaNGreen(f1.FracKernels):
 
 
 def test_green_matrix_reports_nonfinite_entry(packs):
+    # W is assembled from the left-half panels and mirrored, so the NaN goes
+    # into the mirror image (target n-1-j, panel P-1-p) of the entry reported
     k, grid = packs[0.5]
     j, p = 100, 40
+    n, P = grid.interior_x.size, grid.interior_breaks.size - 1
     bad = _NaNGreen(alpha=k.alpha, jump_coef=k.jump_coef, green_coef=k.green_coef,
                     poisson_coef=k.poisson_coef, exit_coef=k.exit_coef,
-                    target=float(grid.interior_x[j]),
-                    panel=(grid.interior_breaks[p], grid.interior_breaks[p + 1]))
+                    target=float(grid.interior_x[n - 1 - j]),
+                    panel=(grid.interior_breaks[P - 1 - p], grid.interior_breaks[P - p]))
     with pytest.raises(ValueError, match=rf"W\[{j}, {p * grid.order}\].*alpha = 0\.5"):
         f1.green_matrix(bad, grid)
 
@@ -223,6 +272,31 @@ def test_interval_dynkin_identity(packs):
         rv = k.green_interval(radius, xs, pos)
         pv = f1.apply_PV_interval(k, radius, rd, xs, y_hi=1.0)
         assert np.max(np.abs(rd(xs) - pv - rv)) < 1e-8
+
+
+def test_apply_pv_interval_accurate_near_the_boundary():
+    # at radius 1 - 2^-16 the innermost annulus nodes lie a few ulps beyond
+    # the radius; the exit density must see their distance as the rule
+    # built it, not as y^2 - radius^2 of the rounded node
+    mpmath = pytest.importorskip("mpmath")
+    a, radius = 1.3, 1.0 - 2.0 ** -16
+    xs = np.array([0.0, -0.9])
+    got = f1.apply_PV_interval(f1.build_kernels(a), radius, lambda y: 1.0 + y * y, xs)
+    exact = []
+    with mpmath.workdps(20):
+        R, A = mpmath.mpf(radius), mpmath.mpf(a)
+        c = mpmath.sin(mpmath.pi * A / 2) / mpmath.pi
+        splits = [0, (1 - R) * mpmath.mpf(2) ** -30, (1 - R) * mpmath.mpf(2) ** -10, 1 - R]
+        for x in xs:
+            total = 0
+            for side in (1, -1):
+                def density(t):  # toward y = side * (R + t)
+                    y = side * (R + t)
+                    return (c * ((R * R - x * x) / (t * (2 * R + t))) ** (A / 2)
+                            / abs(x - y) * (1 + y * y))
+                total += mpmath.quad(density, splits)
+            exact.append(float(total))
+    assert np.max(np.abs(got / np.array(exact) - 1.0)) < 1e-10
 
 
 def test_martin_kernel_basic(packs):
