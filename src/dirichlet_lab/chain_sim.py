@@ -2,13 +2,17 @@
 
 Simulates the continuous-time killed jump chain whose rates match the
 generator exactly: jump rate 2 J[x,y] / m[x] from x to y and death rate
-kappa[x] / m[x].  Holding times are sampled by exponential inversion, so the
-simulated law is exact and every estimator below is unbiased.  Paths are
-split into chunks of 4,096, each drawing from its own counter-based
-substream, so every path's draws depend only on (seed, chunk) and not on how
-the paths are stepped.  One loop steps the live paths of all chunks
-together, and the estimators' linear functionals of the occupation times
-are summed hold by hold, so no path-by-state matrix is ever formed.
+kappa[x] / m[x].  The jump chain is sampled exactly, one uniform per step.
+No holding time is drawn: each visit to a state contributes its conditional
+mean 1/q to the occupation times, q being the state's total rate.  Given the
+jump chain, the occupation functionals are then their conditional means, so
+every estimator below stays unbiased and its variance cannot rise
+(conditional Monte Carlo).  Paths are split into chunks of 4,096, each
+drawing from its own counter-based substream, so every path's draws depend
+only on (seed, chunk) and not on how the paths are stepped.  One loop steps
+the live paths of all chunks together, and the estimators' linear
+functionals of the occupation times are summed visit by visit, so no
+path-by-state matrix is ever formed.
 """
 
 from __future__ import annotations
@@ -92,9 +96,11 @@ def simulate_batch(form: DiscreteForm, D, x: int, n_paths: int, seed: int,
 
     ``functionals`` is a (k, |D|) array V (or k vectors of length |D|), columns
     ordered like the sorted D index array; returns (exits, F) with F of shape
-    (k, n_paths) and ``F[j, p] = sum over the steps of path p of hold *
-    V[j, state]``, summed hold by hold.  ``np.eye(|D|)`` gives the occupation
-    times per state.
+    (k, n_paths) and ``F[j, p] = sum over the steps of path p of
+    V[j, state] / q[state]``, summed visit by visit, q being the total rate:
+    the conditional mean, given the jump chain, of the functional of the
+    holding times.  ``np.eye(|D|)`` gives the expected occupation times per
+    state, each a visit count times 1/q.
     """
     idx = as_subset(form.n, D)
     if x not in idx:
@@ -108,27 +114,25 @@ def simulate_batch(form: DiscreteForm, D, x: int, n_paths: int, seed: int,
         raise ValueError(f"each functional must be a vector of length |D| = {idx.size}")
     total, cum = _rates(form, idx)
     table, cats, width = _rise_table(cum)
+    Vq = V * (1.0 / total)  # the mean holding time 1/q folded into the functionals
     local = -np.ones(form.n + 1, dtype=int)  # per category; -1 outside D and for death
     local[idx] = np.arange(idx.size)
     exits = np.empty(n_paths, dtype=int)
     F = np.zeros((V.shape[0], n_paths))
     # each chunk of paths draws from its own substream into its slice of the
-    # draw buffers; active stays sorted, so a chunk's live paths are contiguous
+    # draw buffer; active stays sorted, so a chunk's live paths are contiguous
     rngs = [substream(seed, c) for c in range(-(-n_paths // _CHUNK))]
     starts = np.arange(0, n_paths, _CHUNK)
-    expo = np.empty(n_paths)
     unif = np.empty(n_paths)
     active = np.arange(n_paths)
     state = np.full(n_paths, local[x], dtype=int)
     for _ in range(max_steps):
         seg = np.append(np.searchsorted(active, starts), active.size)
         for c in np.flatnonzero(seg[1:] > seg[:-1]):
-            rngs[c].standard_exponential(out=expo[seg[c]:seg[c + 1]])
             rngs[c].random(out=unif[seg[c]:seg[c + 1]])
-        hold = expo[:active.size] / total[state]
-        # F[:, active] += hold * V[:, state] row by row: 1-D indexing is ~3x faster at k = 2
-        for Fj, vj in zip(F, V):
-            Fj[active] += hold * vj[state]  # each path occurs once per step
+        # F[:, active] += Vq[:, state] row by row: 1-D indexing is ~3x faster at k = 2
+        for Fj, vj in zip(F, Vq):
+            Fj[active] += vj[state]  # each path occurs once per step
         cat = _category(table, cats, width, state, unif[:active.size])
         exits[active] = cat  # final for the paths that leave D at this step
         nxt = local[cat]
@@ -150,6 +154,13 @@ def mc_estimate(kind: str, form: DiscreteForm, D, x: int, *, n_paths: int = 100_
     integral of the density h), ``RDmu`` (additive functional of atoms mu),
     ``second_moment`` (its square), ``FK_residual`` (full path functional
     minus u at the start point; needs g, mu, u and the absorption f).
+
+    The time integrals are read at their conditional means given the jump
+    chain (``simulate_batch``), which are unbiased for every kind but the
+    square.  Given the chain the holding times H_k are independent
+    exponentials of rates q_k, so for weights w_k
+    E[(sum H_k w_k)^2 | chain] = (sum w_k / q_k)^2 + sum w_k^2 / q_k^2;
+    ``second_moment`` carries the last sum as a second functional.
     """
     if n_paths < 100:
         raise ValueError("n_paths must be at least 100")
@@ -168,18 +179,20 @@ def mc_estimate(kind: str, form: DiscreteForm, D, x: int, *, n_paths: int = 100_
         weights = np.asarray(mu, dtype=float)[idx] / form.m[idx]
         if kind == "FK_residual":
             uvec = np.asarray(u, dtype=float)
-            functionals = (f(idx, uvec[idx]), weights)
+            functionals = (f(idx, uvec[idx]) + weights,)
+        elif kind == "second_moment":
+            functionals = (weights, weights * weights / _rates(form, idx)[0])
         else:
             functionals = (weights,)
     exits, F = simulate_batch(form, D, x, n_paths, seed, functionals=functionals)
     if kind in ("RDf", "RDmu"):
         vals = F[0]
     elif kind == "second_moment":
-        vals = F[0] * F[0]
+        vals = F[0] * F[0] + F[1]
     else:
         vals = np.append(np.asarray(g, dtype=float), 0.0)[exits]  # g = 0 on death
         if kind == "FK_residual":
-            vals = vals + F[0] + F[1] - uvec[x]
+            vals = vals + F[0] - uvec[x]
     est = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / np.sqrt(n_paths))
     return est, stderr

@@ -146,17 +146,18 @@ def is_transient(form: DiscreteForm, V) -> bool:
         return True
     in_V = np.zeros(form.n, dtype=bool)
     in_V[idx] = True
+    # J is finite and nonnegative, so a product with a 0/1 mask is positive
+    # exactly where a row has an edge into the mask (no column gather)
     J = form.J
     escape = np.zeros(form.n, dtype=bool)
-    out_mass = J[:, ~in_V].sum(axis=1) if (~in_V).any() else np.zeros(form.n)
+    out_mass = J @ (~in_V).astype(float)
     escape[idx] = (form.kappa[idx] > 0) | (out_mass[idx] > 0)
     # breadth-first sweep backwards along edges inside V
     reached = escape & in_V
-    frontier = np.nonzero(reached)[0]
-    while frontier.size:
-        nxt = (J[:, frontier].sum(axis=1) > 0) & in_V & ~reached
-        frontier = np.nonzero(nxt)[0]
-        reached |= nxt
+    frontier = reached
+    while frontier.any():
+        frontier = (J @ frontier.astype(float) > 0) & in_V & ~reached
+        reached |= frontier
     return bool(np.all(reached[idx]))
 
 

@@ -156,6 +156,8 @@ class ProblemSpec:
 
     def __post_init__(self):
         idx = as_subset(self.form.n, self.D)
+        if idx.size == 0:
+            raise ValueError("D must be nonempty")
         g = np.array(self.g, dtype=float)
         mu = np.array(self.mu, dtype=float)
         if g.shape != (self.form.n,) or mu.shape != (self.form.n,):

@@ -26,10 +26,10 @@ def _occupation(form, D, x, n_paths, seed, **kwargs):
 
 def _chunk_reference(form, D, x, n_paths, seed, V, max_steps=10 ** 6):
     """Chunk-by-chunk stepper: each 4,096-path chunk runs until its last path
-    ends, drawing ``exponential(1.0, size)`` and then ``random(size)`` from its
-    own substream per step, with categories by the dense count.
+    ends, drawing only ``random(size)`` from its own substream per step, with
+    categories by the dense count; each visit holds the mean time 1/q.
 
-    Returns exits, the dense occupation, F summed hold by hold, and the
+    Returns exits, the dense occupation, F summed visit by visit, and the
     number of steps each chunk took.
     """
     idx = as_subset(form.n, D)
@@ -45,7 +45,7 @@ def _chunk_reference(form, D, x, n_paths, seed, V, max_steps=10 ** 6):
         active = np.arange(c0, min(c0 + 4096, n_paths))
         state = np.full(active.size, local[x])
         for step in range(1, max_steps + 1):
-            hold = rng.exponential(1.0, size=active.size) / total[state]
+            hold = 1.0 / total[state]
             occ[active, state] += hold
             F[:, active] += hold * V[:, state]
             u = rng.random(active.size)
@@ -100,6 +100,33 @@ def test_step_cap_with_live_paths_in_several_chunks(random_chain):
         simulate_batch(form, D, x, n, seed=13, max_steps=max(steps) - 1)
 
 
+def test_only_uniforms_are_drawn(random_chain, monkeypatch):
+    # the holding times enter at their conditional means: no exponential draw
+    calls = []
+
+    class Recorder:
+        def __init__(self, rng):
+            self._rng = rng
+
+        def __getattr__(self, name):
+            calls.append(name)
+            return getattr(self._rng, name)
+
+    form, D, x, V = random_chain
+    monkeypatch.setattr(chain_sim, "substream", lambda seed, c: Recorder(substream(seed, c)))
+    simulate_batch(form, D, x, 4096 + 77, seed=14, functionals=V)
+    assert calls and set(calls) == {"random"}
+
+
+def test_occupation_is_visit_count_over_rate(random_chain):
+    form, D, x, _ = random_chain
+    total, _ = _rates(form, as_subset(form.n, D))
+    _, occ = _occupation(form, D, x, 2000, seed=15)
+    visits = occ * total
+    assert np.all(visits[:, D == x] >= 1)  # the start state is visited
+    np.testing.assert_allclose(visits, np.round(visits), rtol=0, atol=1e-9)
+
+
 def test_same_seed_same_path(k3):
     exits1, occ1 = _occupation(k3, [1, 2], 1, 200, seed=7)
     exits2, occ2 = _occupation(k3, [1, 2], 1, 200, seed=7)
@@ -110,22 +137,20 @@ def test_same_seed_same_path(k3):
 
 
 def test_single_state_holding_time_law():
-    # lone state with exit edges only: one exponential holding time whose
-    # rate is the total outgoing rate
+    # lone state with exit edges only: one visit, whose holding time is
+    # exponential with the total outgoing rate (4, so every value is exact)
     J = np.zeros((3, 3))
-    J[0, 1] = J[1, 0] = 0.6
-    J[1, 2] = J[2, 1] = 0.9
-    form = DiscreteForm(m=np.array([1.0, 2.0, 1.0]), J=J, kappa=np.zeros(3))
-    rate = (2 * 0.6 + 2 * 0.9) / 2.0  # jump rates out of state 1
-    _, occ = _occupation(form, [1], 1, 100_000, seed=1)
-    hold = occ[:, 0]
-    mean, se = hold.mean(), hold.std(ddof=1) / np.sqrt(hold.size)
-    assert abs(mean - 1.0 / rate) < 3 * se
-    # exponential law: variance equals the squared mean (moment-based band)
-    v = hold.var(ddof=1)
-    m4 = np.mean((hold - mean) ** 4)
-    se_var = np.sqrt(max(m4 - v ** 2, 0.0) / hold.size)
-    assert abs(v - 1.0 / rate ** 2) < 3 * se_var
+    J[0, 1] = J[1, 0] = 0.5
+    J[1, 2] = J[2, 1] = 1.5
+    form = DiscreteForm(m=np.ones(3), J=J, kappa=np.zeros(3))
+    rate = 2 * 0.5 + 2 * 1.5  # jump rates out of state 1
+    # the occupation is the conditional mean of the hold: 1/rate on every path
+    _, occ = _occupation(form, [1], 1, 10_000, seed=1)
+    assert np.all(occ[:, 0] == 1.0 / rate)
+    # its square: E[H^2] = 2 / rate^2 for the exponential law, on every path
+    mu = np.array([0.0, 1.0, 0.0])
+    est, se = mc_estimate("second_moment", form, [1], 1, n_paths=10_000, seed=1, mu=mu)
+    assert est == 2.0 / rate ** 2 and se == 0.0
 
 
 def test_death_frequency_matches_rate_split(two_state):
@@ -304,8 +329,8 @@ def test_streamed_functionals_match_full_occupation(random_chain):
 
 def test_streamed_functionals_memory_bound():
     # 1e5 paths on a sparse graph with |D| = 270: the dense occupation matrix
-    # would take 216 MB; summed hold by hold, the functionals need O(n_paths)
-    # memory (11.1 MB measured), and a 4,096 x |D| chunk buffer on top of
+    # would take 216 MB; summed visit by visit, the functionals need O(n_paths)
+    # memory (9.5 MB measured), and a 4,096 x |D| chunk buffer on top of
     # that would pass the bound
     rng = np.random.default_rng(43)
     n, nD = 300, 270

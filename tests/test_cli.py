@@ -252,6 +252,20 @@ def test_unknown_ladder_key_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("suite", ["verify", "mc"])
+def test_empty_domain_is_a_config_error(tmp_path, capsys, suite):
+    obj = json.loads(_demo_graph_spec(tmp_path).read_text())
+    obj["D"] = []
+    obj["mu"] = [0.0, 0.0, 0.0]
+    spec = tmp_path / "empty.json"
+    spec.write_text(json.dumps(obj))
+    out = tmp_path / "out"
+    assert cli.main(["run", str(spec), "--out", str(out), "--suite", suite]) == 2
+    printed = capsys.readouterr().out
+    assert printed.startswith("error:") and "D must be nonempty" in printed
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("backend", ["graph", "frac1d"])
 def test_unknown_spec_keys_are_a_config_error(tmp_path, capsys, backend):
     # one run names every misspelt key: top level, continuum objects, and
