@@ -207,11 +207,10 @@ def exit_law_counts(form: DiscreteForm, D, x: int, n_paths: int, seed: int):
     return comp, counts
 
 
-def exit_law_chi2(form: DiscreteForm, D, x: int, n_paths: int = 100_000,
-                  seed: int = 0, min_expected: float = 5.0):
+def exit_law_chi2(form: DiscreteForm, D, x: int, n_paths: int = 100_000, seed: int = 0):
     """Chi-square test of the empirical exit distribution against the kernel.
 
-    Cells with tiny expected counts are pooled into one before testing.
+    Cells with expected counts below 5 are pooled into one before testing.
     """
     from .projection import poisson_kernel
 
@@ -221,7 +220,7 @@ def exit_law_chi2(form: DiscreteForm, D, x: int, n_paths: int = 100_000,
     comp, counts = exit_law_counts(form, idx, x, n_paths, seed)
     P = poisson_kernel(form, idx).P
     expected = np.append(P[x, comp], max(1.0 - P[x, comp].sum(), 0.0)) * n_paths
-    keep = expected >= min_expected
+    keep = expected >= 5.0
     if (~keep).any():
         counts = np.append(counts[keep], counts[~keep].sum())
         expected = np.append(expected[keep], expected[~keep].sum())

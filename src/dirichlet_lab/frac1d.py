@@ -97,12 +97,19 @@ def _panel_rule(a: float, b: float, order: int, left=None, right=None):
 
 def _composite(breaks, order: int, left=None, right=None):
     """One panel rule per pair of breaks; ``left`` goes to the first panel
-    and ``right`` to the last."""
+    and ``right`` to the last.  Plain panels are one broadcast of the plain
+    ``_panel_rule``; an end panel that carries a power is its own call."""
+    breaks = np.asarray(breaks, dtype=float)
+    t, w = _gl(order)
+    a = breaks[:-1, None]
+    h = breaks[1:, None] - a
+    y, wy = a + 0.5 * h * (t + 1.0), 0.5 * h * w
     last = len(breaks) - 2
-    rules = [_panel_rule(breaks[k], breaks[k + 1], order,
-                         left if k == 0 else None, right if k == last else None)
-             for k in range(last + 1)]
-    return np.concatenate([y for y, _ in rules]), np.concatenate([w for _, w in rules])
+    ends = {0: (left, None), last: (None, right)} if last else {0: (left, right)}
+    for k, powers in ends.items():
+        if any(powers):
+            y[k], wy[k] = _panel_rule(breaks[k], breaks[k + 1], order, *powers)
+    return y.ravel(), wy.ravel()
 
 
 def _graded_breaks(a: float, b: float, levels: int, toward_left: bool):
@@ -112,10 +119,9 @@ def _graded_breaks(a: float, b: float, levels: int, toward_left: bool):
         else np.concatenate([[a], b - steps[::-1], [b]])
 
 
-def _graded_panels(a: float, b: float, order: int, levels: int, left=None, right=None,
-                   n_base: int = 4):
+def _graded_panels(a: float, b: float, order: int, levels: int, left=None, right=None):
     """Composite rule on [a, b] graded geometrically toward each end that
-    carries a power (0.0: graded, no power; None: not graded)."""
+    carries a power (0.0: graded, no power; None: not graded; four panels if neither)."""
     if left is not None and right is not None:
         mid = 0.5 * (a + b)
         breaks = np.concatenate([_graded_breaks(a, mid, levels, True)[:-1],
@@ -123,7 +129,7 @@ def _graded_panels(a: float, b: float, order: int, levels: int, left=None, right
     elif left is not None or right is not None:
         breaks = _graded_breaks(a, b, levels, left is not None)
     else:
-        breaks = np.linspace(a, b, n_base + 1)
+        breaks = np.linspace(a, b, 5)
     return _composite(breaks, order, left, right)
 
 
@@ -335,8 +341,7 @@ class FracKernels:
         return self.exit_coef * radius ** self.alpha
 
 
-def levy_symbol(kernels: FracKernels, xi: float, order: int = 12, levels: int = 40,
-                cutoff: float = 256.0) -> float:
+def levy_symbol(kernels: FracKernels, xi: float) -> float:
     """Numerical symbol integral of 2*j: must reproduce |xi|^alpha.
 
     The [0, 1] part is a graded quadrature with the r^(1-alpha) factor baked
@@ -350,11 +355,11 @@ def levy_symbol(kernels: FracKernels, xi: float, order: int = 12, levels: int = 
     def body(r):
         return (1.0 - np.cos(r * xi)) * 2.0 * kernels.j(r)
 
-    y, w = _graded_panels(0.0, 1.0, order, levels, left=1.0 - a)
+    y, w = _graded_panels(0.0, 1.0, 12, 40, left=1.0 - a)
     head = float(np.sum(w * body(y)))
-    # integral over [1, inf) of cos(r xi) r^(-1-alpha), two integrations by parts
-    n_panels = max(8, int(np.ceil(cutoff * xi / np.pi)))
-    y, w = _composite(np.linspace(1.0, cutoff, n_panels + 1), order)
+    # integral over [1, inf) of cos(r xi) r^(-1-alpha), by parts twice, cut at r = 256
+    n_panels = max(8, int(np.ceil(256.0 * xi / np.pi)))
+    y, w = _composite(np.linspace(1.0, 256.0, n_panels + 1), 12)
     t_int = float(np.sum(w * np.cos(y * xi) * y ** (-3.0 - a)))
     s_int = np.cos(xi) / xi - (2.0 + a) / xi * t_int
     c_int = -np.sin(xi) / xi + (1.0 + a) / xi * s_int
@@ -367,11 +372,8 @@ def _validate_kernels(k: FracKernels) -> dict:
     ys = rng.uniform(-0.98, 0.98, size=40)
     gsym = float(np.max(np.abs(k.green(xs, ys) - k.green(ys, xs))))
     gpos = float(np.min(k.green(xs, ys)))
-    probes = np.array([0.0, 0.5, -0.5, 0.9])
-    norm_defect = 0.0
-    for x in probes:
-        total = _poisson_total_mass(k, x)
-        norm_defect = max(norm_defect, abs(total - 1.0))
+    totals = _poisson_total_mass(k, np.array([0.0, 0.5, -0.5, 0.9]))
+    norm_defect = float(np.max(np.abs(totals - 1.0)))
     sym_defect = 0.0
     for xi in (1.0, 2.0, 4.0):
         sym_defect = max(sym_defect, abs(levy_symbol(k, xi) - xi ** k.alpha) / xi ** k.alpha)
@@ -522,11 +524,11 @@ def power_singular_exterior(p: float, coef: float = 1.0) -> ExteriorData:
                         tail_exponent=-p, edge_exponent=-p, name=f"power_singular[{p}]")
 
 
-def _poisson_total_mass(kernels: FracKernels, x: float, order: int = 14,
-                        edge_levels: int = 30, out_levels: int = 10) -> float:
-    ext_x, ext_w, radius = _exterior_rule(kernels.alpha, order, edge_levels, out_levels)
-    main = float(np.sum(ext_w * kernels.poisson(x, ext_x)))
-    return main + _poisson_tail(kernels, np.asarray([x]), const_exterior(1.0), radius)[0]
+def _poisson_total_mass(kernels: FracKernels, x: np.ndarray) -> np.ndarray:
+    """Exit mass from each interior point of x, by one order-14 exterior rule."""
+    ext_x, ext_w, radius = _exterior_rule(kernels.alpha, 14, 30, 10)
+    main = np.sum(ext_w * kernels.poisson(x[:, None], ext_x), axis=1)
+    return main + _poisson_tail(kernels, x, const_exterior(1.0), radius)
 
 
 def _poisson_tail(kernels: FracKernels, x: np.ndarray, g: ExteriorData, radius: float) -> np.ndarray:
@@ -551,15 +553,13 @@ def _poisson_tail(kernels: FracKernels, x: np.ndarray, g: ExteriorData, radius: 
     return out
 
 
-def apply_PD(kernels: FracKernels, grid: QuadGrid, g, x=None) -> np.ndarray:
+def apply_PD(kernels: FracKernels, grid: QuadGrid, g: ExteriorData, x=None) -> np.ndarray:
     """Exit average of the exterior datum g at interior points.
 
     Divergence of the exit average (the finiteness hypothesis on g failing)
     is detected through the declared tail power and through non-decaying
     outward panel contributions, and reported as an error.
     """
-    if not isinstance(g, ExteriorData):
-        g = ExteriorData(fn=g)
     x = grid.interior_x if x is None else np.atleast_1d(np.asarray(x, dtype=float))
     if g.edge_exponent != 0.0:
         ext_x, ext_w, radius = _exterior_rule(
@@ -583,26 +583,23 @@ def _check_outward_decay(kernels: FracKernels, g: ExteriorData, radius: float) -
 
 
 def apply_RD(kernels: FracKernels, grid: QuadGrid, h=None, atoms=(), x=None,
-             edge_exponent: float = 0.0, order: int | None = None,
-             edge_levels: int | None = None) -> np.ndarray:
+             order: int | None = None, edge_levels: int | None = None) -> np.ndarray:
     """Green potential of a density h plus point atoms, at interior points.
 
     Direct per-point quadrature: panels graded toward both endpoints and the
     evaluation point, with the known diagonal and edge powers baked into the
-    innermost panels.  ``edge_exponent`` declares an extra boundary power of
-    h itself.
+    innermost panels.
     """
     x = grid.interior_x if x is None else np.atleast_1d(np.asarray(x, dtype=float))
     order = order or grid.order + 2
     edge_levels = edge_levels or grid.edge_levels + 6
     a = kernels.alpha
     diag_gamma = a - 1.0 if a < 1.0 else 0.0
-    edge_gamma = a / 2.0 + edge_exponent
     out = np.zeros_like(x)
     if h is not None:
         for i, xi in enumerate(x):
             acc = 0.0
-            for y, w in _split_rule(-1.0, xi, 1.0, order, edge_levels, edge_gamma, diag_gamma):
+            for y, w in _split_rule(-1.0, xi, 1.0, order, edge_levels, a / 2.0, diag_gamma):
                 acc += float(np.sum(w * kernels.green(xi, y) * h(y)))
             out[i] = acc
     for (pos, weight) in atoms:
@@ -611,26 +608,25 @@ def apply_RD(kernels: FracKernels, grid: QuadGrid, h=None, atoms=(), x=None,
 
 
 @lru_cache(maxsize=16)
-def _annulus_ref(order: int, levels: int, left: float, right: float):
+def _annulus_ref(left: float, right: float):
     """Rule on [0, 1] graded toward both ends, with s^left and (1-s)^right
     baked in; on [lo, hi] it is lo + (hi - lo) * s with weights (hi - lo) * w."""
-    return _frozen(*_graded_panels(0.0, 1.0, order, levels, left=left, right=right))
+    return _frozen(*_graded_panels(0.0, 1.0, 12, 24, left=left, right=right))
 
 
 def apply_PV_interval(kernels: FracKernels, radius: float, fn, x,
-                      y_hi: float = 1.0, edge_exponent: float = 0.0,
-                      order: int = 12, levels: int = 24) -> np.ndarray:
-    """Exit averages over (-radius, radius) of fn restricted to radius < |y| < y_hi,
+                      edge_exponent: float = 0.0) -> np.ndarray:
+    """Exit averages over (-radius, radius) of fn restricted to radius < |y| < 1,
     one per start point in x (an array shaped like x).
 
-    The annulus rule is the cached [0, 1] rule scaled to (radius, y_hi) and
-    mirrored to (-y_hi, -radius); fn is evaluated once on it, and the exit
+    The annulus rule is the cached [0, 1] rule scaled to (radius, 1) and
+    mirrored to (-1, -radius); fn is evaluated once on it, and the exit
     density once on every (start point, node) pair, from each node's
     distance beyond the radius as the rule built it.
     """
     x = np.asarray(x, dtype=float)
-    s, ws = _annulus_ref(order, levels, -kernels.alpha / 2.0, edge_exponent)
-    span = y_hi - radius
+    s, ws = _annulus_ref(-kernels.alpha / 2.0, edge_exponent)
+    span = 1.0 - radius
     gap = span * s  # |y| - radius, free of the rounding of y
     y = np.concatenate([radius + gap, -(radius + gap)])
     wf = np.tile(span * ws, 2) * fn(y)
@@ -672,31 +668,31 @@ def _lagrange_matrix(order: int, pts: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _graded_ref(order: int, levels: int, gamma: float):
-    """Rule on [0, 1] graded toward 0 with s^gamma baked into the innermost
-    panel, whose ``order`` nodes come first.  A piece of length H graded
-    toward its end e uses the nodes e +- H * s and the weights H * w."""
-    return _frozen(*_graded_panels(0.0, 1.0, order, levels, left=gamma))
+def _graded_ref(order: int, gamma: float):
+    """Rule on [0, 1] graded toward 0 in 16 levels, with s^gamma baked into
+    the innermost panel, whose ``order`` nodes come first.  A piece of length
+    H graded toward its end e uses the nodes e +- H * s and the weights H * w."""
+    return _frozen(*_graded_panels(0.0, 1.0, order, 16, left=gamma))
 
 
 @lru_cache(maxsize=16)
-def _neighbour_rule(order: int, levels: int, gamma: float):
+def _neighbour_rule(order: int, gamma: float):
     """Near-field rule of a panel [lo, hi] of half-width h for targets outside
     it: a target left of the panel sees the nodes lo + h * off, one right of
     it hi - h * off, both with weights h * w; B_left / B_right are the
     Lagrange matrices of the panel basis at those nodes."""
-    s, ws = _graded_ref(order, levels, gamma)
+    s, ws = _graded_ref(order, gamma)
     return _frozen(2.0 * s, 2.0 * ws, _lagrange_matrix(order, 2.0 * s - 1.0),
                    _lagrange_matrix(order, 1.0 - 2.0 * s))
 
 
 @lru_cache(maxsize=16)
-def _own_rule(order: int, levels: int, gamma: float):
+def _own_rule(order: int, gamma: float):
     """Near-field rule of a panel of half-width h for its own k-th node x_k:
     the panel splits at x_k into two pieces graded toward it, with nodes
     x_k + h * off[k], weights h * w[k] and Lagrange matrix B[k].  The first
     2 * order columns are the two innermost panels, which carry the power."""
-    s, ws = _graded_ref(order, levels, gamma)
+    s, ws = _graded_ref(order, gamma)
     t, _ = _gl(order)
     left, right = (t + 1.0)[:, None], (1.0 - t)[:, None]
     inner, rest = slice(0, order), slice(order, None)
@@ -715,7 +711,7 @@ def _far_rule(order: int):
     return _frozen(t_fine, _lagrange_matrix(order, t_fine) * w_fine[:, None])
 
 
-def green_matrix(kernels: FracKernels, grid: QuadGrid, diag_levels: int = 16) -> np.ndarray:
+def green_matrix(kernels: FracKernels, grid: QuadGrid) -> np.ndarray:
     """Product-integration matrix W: (W @ f_at_nodes)[j] ~ R_D f at node j.
 
     Sources are represented panelwise by their Lagrange interpolants on the
@@ -736,8 +732,8 @@ def green_matrix(kernels: FracKernels, grid: QuadGrid, diag_levels: int = 16) ->
     n = nodes.size
     diag_gamma = a - 1.0 if a < 1.0 else 0.0
     t_fine, B_fine = _far_rule(order)
-    off, w, B_left, B_right = _neighbour_rule(order, diag_levels, diag_gamma)
-    own_off, own_w, own_B = _own_rule(order, diag_levels, diag_gamma)
+    off, w, B_left, B_right = _neighbour_rule(order, diag_gamma)
+    own_off, own_w, own_B = _own_rule(order, diag_gamma)
     inner = slice(0, 2 * order)
     W = np.zeros((n, n))
     half_panels = len(breaks) // 2  # with a middle panel when the count is odd
@@ -796,10 +792,9 @@ def martin_vector(kernels: FracKernels, xs, endpoint: int, k_lo: int = 6,
     return rich[:, -1], tail
 
 
-def martin_kernel(kernels: FracKernels, x: float, endpoint: int,
-                  tail_tol: float = 1e-4) -> float:
+def martin_kernel(kernels: FracKernels, x: float, endpoint: int) -> float:
     vals, tail = martin_vector(kernels, [x], endpoint)
-    if tail[0] > tail_tol:
+    if tail[0] > 1e-4:
         raise ValueError(f"Martin-ratio extrapolation not converged: tail variation {tail[0]:.3e}")
     return float(vals[0])
 
@@ -962,7 +957,7 @@ def projective_exhaustion_defects(prob: ContinuumProblem, sol: Solution,
     pdg = apply_PD(kern, grid, prob.g, x=probes)
     rows = []
     for radius in prob.nest_radii():
-        pv = apply_PV_interval(kern, radius, u_fn, probes, y_hi=1.0)
+        pv = apply_PV_interval(kern, radius, u_fn, probes)
         rows.append([abs(pv[j] + _pv_exterior(kern, radius, prob.g, x, grid) - pdg[j])
                      for j, x in enumerate(probes)])
     return np.asarray(rows)

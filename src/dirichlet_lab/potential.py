@@ -25,6 +25,8 @@ __all__ = [
     "is_excessive",
 ]
 
+_EXCESSIVE_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class GreenOperator:
@@ -77,11 +79,11 @@ def dynkin_defect(form: DiscreteForm, V, W, mu) -> float:
     return float(np.max(np.abs(project(form, idxV, rw) - rv), initial=0.0))
 
 
-def is_excessive(form: DiscreteForm, V, rho, tol: float = 1e-12) -> bool:
+def is_excessive(form: DiscreteForm, V, rho) -> bool:
     """Whether rho is excessive for the semigroup killed outside V.
 
     Finite-state criterion: rho >= 0 on V and the restricted negative
-    generator applied to rho on V is nonnegative up to ``tol``.
+    generator applied to rho on V is nonnegative, both up to 1e-12.
     """
     rho = np.asarray(rho, dtype=float)
     if rho.shape != (form.n,):
@@ -89,11 +91,11 @@ def is_excessive(form: DiscreteForm, V, rho, tol: float = 1e-12) -> bool:
     idx = as_subset(form.n, V)
     if idx.size == 0:
         return True
-    if np.min(rho[idx]) < -tol:
+    if np.min(rho[idx]) < -_EXCESSIVE_TOL:
         return False
     A = form.energy_matrix()[np.ix_(idx, idx)]
     neg_gen = (A @ rho[idx]) / form.m[idx]
-    return bool(np.min(neg_gen) >= -tol)
+    return bool(np.min(neg_gen) >= -_EXCESSIVE_TOL)
 
 
 def exit_second_moment(form: DiscreteForm, D, mu) -> tuple[np.ndarray, float]:

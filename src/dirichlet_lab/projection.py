@@ -114,12 +114,12 @@ def poisson_kernel(form: DiscreteForm, V) -> PoissonKernel:
     return PoissonKernel(V=idx, P=P)
 
 
-def harmonic_boundary(form: DiscreteForm, D, weights=None, guard: float = 1e-14) -> np.ndarray:
+def harmonic_boundary(form: DiscreteForm, D, weights=None) -> np.ndarray:
     """States outside D carrying positive aggregated exit-kernel mass.
 
     The aggregated measure gives state y the mass sum_{x in D} w[x] P_D[x, y]
     with w defaulting to the reference measure.  Strict positivity up to a
-    small rounding guard selects the minimal atomically-supported carrier.
+    rounding guard of 1e-14 selects the minimal atomically-supported carrier.
     Since A_DD is symmetric, w @ P_D[D, Dc] = -(A_DD^{-1} w) @ A[D, Dc]:
     one solve, and the kernel itself is never formed.
     """
@@ -130,4 +130,4 @@ def harmonic_boundary(form: DiscreteForm, D, weights=None, guard: float = 1e-14)
     comp = complement(form.n, idx)
     w = form.m[idx] if weights is None else np.asarray(weights, dtype=float)[idx]
     mass = -(cho_solve(cho, w) @ form.energy_matrix()[np.ix_(idx, comp)])
-    return comp[mass > guard]
+    return comp[mass > 1e-14]

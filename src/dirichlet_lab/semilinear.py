@@ -62,20 +62,19 @@ class Nonlinearity:
     def __call__(self, points, y) -> np.ndarray:
         return np.asarray(self.fn(np.asarray(points), np.asarray(y, dtype=float)), dtype=float)
 
-    def derivative(self, points, y, h: float = 1e-6) -> np.ndarray:
-        """Central-difference slope in y, clipped to be nonpositive."""
-        d = (self(points, np.asarray(y) + h) - self(points, np.asarray(y) - h)) / (2.0 * h)
+    def derivative(self, points, y) -> np.ndarray:
+        """Central-difference slope in y (step 1e-6), clipped to be nonpositive."""
+        d = (self(points, np.asarray(y) + 1e-6) - self(points, np.asarray(y) - 1e-6)) / 2e-6
         return np.minimum(d, 0.0)
 
-    def check_monotone(self, points, y_lo: float = -20.0, y_hi: float = 20.0,
-                       n_grid: int = 17, tol: float = 1e-12) -> None:
+    def check_monotone(self, points) -> None:
         """Spot-check that y -> f(x, y) is nonincreasing; raise on violation."""
         points = np.asarray(points)
-        ys = np.linspace(y_lo, y_hi, n_grid)
+        ys = np.linspace(-20.0, 20.0, 17)
         prev = self(points, np.full(points.shape, ys[0]))
         for yv in ys[1:]:
             cur = self(points, np.full(points.shape, yv))
-            if np.any(cur > prev + tol):
+            if np.any(cur > prev + 1e-12):
                 raise ValueError(f"nonlinearity '{self.name}' is not nonincreasing in y near y={yv}")
             prev = cur
 
@@ -426,7 +425,7 @@ def verify_projective(u, spec: ProblemSpec) -> dict:
     return {"variational": d_var, "boundary": d_bnd, "exhaustion": d_exh}
 
 
-def compare(spec1: ProblemSpec, spec2: ProblemSpec, tol: float = 1e-9,
+def compare(spec1: ProblemSpec, spec2: ProblemSpec,
             ladder: LadderConfig | None = None) -> dict:
     """Order the two solutions after checking the comparison hypotheses.
 
@@ -462,7 +461,7 @@ def compare(spec1: ProblemSpec, spec2: ProblemSpec, tol: float = 1e-9,
     report["checked"] = True
     viol = float(np.max((u1 - u2)[idx], initial=0.0))
     report["max_violation"] = max(viol, 0.0)
-    report["ordered"] = bool(np.all(u1[idx] <= u2[idx] + tol))
+    report["ordered"] = bool(np.all(u1[idx] <= u2[idx] + 1e-9))
     return report
 
 

@@ -83,10 +83,10 @@ def aitken_iterated(seq) -> float:
 
 @dataclass
 class TraceSequence:
-    """Exit-average values per nest level and probe, with extrapolated tails.
+    """Exit-average values per nest level and probe, with their limits.
 
-    ``values[k, j]`` is the level-k value at probe j; the extrapolated limit
-    is reported alongside the raw sequence.
+    ``values[k, j]`` is the level-k value at probe j; the limit is reported
+    alongside the raw sequence as ``extrapolated``.
     """
 
     probes: np.ndarray
@@ -99,6 +99,8 @@ def trace_sequence_graph(u, form: DiscreteForm, D, nest, probes=None) -> TraceSe
 
     P_V h is applied without forming the exit kernel: it is h outside V and
     -A_VV^{-1} A[V, Vc] h[Vc] on V, so only the values of h outside V enter.
+    A finite exhaustion has no tail to extrapolate: its last level is its
+    limit, and is reported as ``extrapolated``.
     """
     if not nest:
         raise ValueError("nest must be nonempty")
@@ -118,20 +120,19 @@ def trace_sequence_graph(u, form: DiscreteForm, D, nest, probes=None) -> TraceSe
             vals[V] = 0.0 - cho_solve(_restricted_cho(form, V), flux)
         rows.append(vals[probes])
     values = np.asarray(rows)
-    extrap = np.array([aitken_iterated(values[:, j]) for j in range(probes.size)])
-    return TraceSequence(probes=probes, values=values, extrapolated=extrap)
+    return TraceSequence(probes=probes, values=values, extrapolated=values[-1].copy())
 
 
 def trace_sequence_frac(kernels, u_fn, radii, probes=(0.0, 0.5, -0.5, 0.9, -0.9),
-                        edge_exponent: float = 0.0, order: int = 12,
-                        levels: int = 24) -> TraceSequence:
+                        edge_exponent: float = 0.0) -> TraceSequence:
     """Continuum trace values along the interval exhaustion (-a, a) -> (-1, 1).
 
     The alpha-stable chain leaves any interval by a jump from the interior,
     so the potential of the killing part is one on D and the level value is
     the exit average of |u| restricted to D.  ``edge_exponent`` declares a
     known blow-up power of u at the boundary (e.g. for Martin inputs) so the
-    quadrature can bake it into the edge panels.
+    quadrature can bake it into the edge panels.  Each probe's limit is the
+    iterated Aitken value of its levels.
     """
     from .frac1d import apply_PV_interval
 
@@ -142,9 +143,8 @@ def trace_sequence_frac(kernels, u_fn, radii, probes=(0.0, 0.5, -0.5, 0.9, -0.9)
         entered = np.abs(probes) < a
         vals = np.empty(probes.size)
         if entered.any():
-            vals[entered] = apply_PV_interval(
-                kernels, a, lambda y: np.abs(u_fn(y)), probes[entered],
-                y_hi=1.0, edge_exponent=edge_exponent, order=order, levels=levels)
+            vals[entered] = apply_PV_interval(kernels, a, lambda y: np.abs(u_fn(y)),
+                                              probes[entered], edge_exponent=edge_exponent)
         # a probe that has not entered the level yet sees the identity exit
         # kernel, so its value is just |u| at the probe
         for j in np.flatnonzero(~entered):
@@ -158,13 +158,12 @@ def trace_sequence_frac(kernels, u_fn, radii, probes=(0.0, 0.5, -0.5, 0.9, -0.9)
     return TraceSequence(probes=probes, values=values, extrapolated=extrap)
 
 
-def eta_measure(kernels, u_fn, a: float, x0: float = 0.0, order: int = 12,
-                outer_levels: int = 22, inner_levels: int = 36) -> float:
+def eta_measure(kernels, u_fn, a: float) -> float:
     """Total mass of the exit-flux measure of u across (-a, a) inside (-1, 1).
 
-    Double integral of G_V(x0, z) j(|z - y|) u(y) over z in V and y in the
+    Double integral of G_V(0, z) j(|z - y|) u(y) over z in V and y in the
     annulus a < |y| < 1; equals the exit average of u restricted to D started
-    at x0, which callers can cross-check through the interval kernel route.
+    at 0, which callers can cross-check through the interval kernel route.
     """
     from .frac1d import _graded_panels, _split_rule
 
@@ -174,15 +173,15 @@ def eta_measure(kernels, u_fn, a: float, x0: float = 0.0, order: int = 12,
     # dist^(-alpha), and toward the base point, where the Green factor has
     # its diagonal singularity
     diag_gamma = alpha - 1.0 if alpha < 1.0 else 0.0
-    (z0, w0), (z1, w1) = _split_rule(-a, x0, a, order, outer_levels, -alpha / 2.0, diag_gamma)
+    (z0, w0), (z1, w1) = _split_rule(-a, 0.0, a, 12, 22, -alpha / 2.0, diag_gamma)
     zx = np.concatenate([z0, z1])
     zw = np.concatenate([w0, w1])
     # inner rule in y: graded toward +-a, where j(|z - y|) peaks as z nears +-a
-    annulus = (_graded_panels(a, 1.0, order, inner_levels, left=0.0),
-               _graded_panels(-1.0, -a, order, inner_levels, right=0.0))
+    annulus = (_graded_panels(a, 1.0, 12, 36, left=0.0),
+               _graded_panels(-1.0, -a, 12, 36, right=0.0))
     total = 0.0
     for z, wz in zip(zx, zw):
-        gv = kernels.green_interval(a, x0, z)
+        gv = kernels.green_interval(a, 0.0, z)
         inner = 0.0
         for yx, yw in annulus:
             inner += float(np.sum(yw * kernels.j(np.abs(z - yx)) * u_fn(yx)))

@@ -59,12 +59,12 @@ def _sample_exit_positions(alpha: float, rng, size: int) -> np.ndarray:
     return np.where(u < 0.5, -mag, mag)
 
 
-def ball_green_rule(kernels: FracKernels, order: int = 12, levels: int = 22):
+def ball_green_rule(kernels: FracKernels):
     """Nodes w_i in (-1, 1) and masses v_i with sum v_i h(w_i) ~ expected
     occupation of h under the unit-ball walk started at the center."""
     a = kernels.alpha
     diag_gamma = a - 1.0 if a < 1.0 else 0.0
-    (y0, w0), (y1, w1) = _split_rule(-1.0, 0.0, 1.0, order, levels, a / 2.0, diag_gamma)
+    (y0, w0), (y1, w1) = _split_rule(-1.0, 0.0, 1.0, 12, 22, a / 2.0, diag_gamma)
     y = np.concatenate([y0, y1])
     return y, np.concatenate([w0, w1]) * kernels.green(0.0, y)
 
@@ -185,8 +185,7 @@ def wos_estimate(kind: str, kernels: FracKernels, x: float, *, n_paths: int = 10
     return est, stderr
 
 
-def wos_exit_chi2(kernels: FracKernels, x: float, n_paths: int = 100_000,
-                  seed: int = 0, edges=(1.0, 1.05, 1.15, 1.3, 1.6, 2.5, 6.0)):
+def wos_exit_chi2(kernels: FracKernels, x: float, n_paths: int = 100_000, seed: int = 0):
     """Chi-square comparison of sampled exit points with the exit density.
 
     Bin masses come from quadrature of the exit density over each cell (the
@@ -195,7 +194,7 @@ def wos_exit_chi2(kernels: FracKernels, x: float, n_paths: int = 100_000,
     if n_paths < 100:
         raise ValueError("n_paths must be at least 100")
     exits, _, _ = wos_exit_batch(kernels, x, n_paths, seed)
-    edges = np.asarray(edges, dtype=float)
+    edges = np.array([1.0, 1.05, 1.15, 1.3, 1.6, 2.5, 6.0])
     cells = []
     for s in (1.0, -1.0):
         for k in range(len(edges) - 1):

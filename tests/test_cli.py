@@ -46,6 +46,22 @@ def test_run_demo_graph_mc_suite(tmp_path):
     assert set(mc["results"]) == {"mc_PDg", "mc_RD1", "mc_FK_residual"}
 
 
+def test_spec_ladder_reaches_the_solver(tmp_path):
+    # one ladder level cannot meet the convergence test, so run returns 1
+    # and reports the solver unconverged; without the key the spec passes
+    obj = json.loads(_demo_graph_spec(tmp_path).read_text())
+    for ladder, status in ((None, 0), ({"max_level": 1}, 1)):
+        if ladder:
+            obj["ladder"] = ladder
+        spec = tmp_path / "ladder.json"
+        spec.write_text(json.dumps(obj))
+        out = tmp_path / f"out{status}"
+        cfg = cli.RunConfig(spec_path=spec, out_dir=out, seed=1, suites=("verify",))
+        assert cli.run(cfg) == status
+        res = json.loads((out / "residuals.json").read_text())
+        assert res["solver_converged"] is (status == 0)
+
+
 def test_run_kappa_free_graph_writes_vd_results(tmp_path):
     # kappa = 0 and zero absorption add the vd_* checks to the verify suite;
     # their pass flags must be JSON booleans

@@ -45,10 +45,12 @@ def test_green_alpha1_log_closed_form(packs):
 @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.5, 1.99])
 def test_radial_table_matches_hypergeometric_form(alpha):
     # B(r) = (2/alpha) r^(alpha/2) 2F1(1/2, alpha/2; alpha/2 + 1; -r), in
-    # 40-digit arithmetic; 1.99 is refused by the symbol check
+    # 40-digit arithmetic; 1.99 is refused by the symbol check.  The table's
+    # window is log r in [-50, 50]; 17 points at each end lie beyond it, on
+    # the two-term expansions
     mpmath = pytest.importorskip("mpmath")
     k = f1.build_kernels(alpha, validate=False)
-    rs = np.logspace(-20.0, 20.0, 81)
+    rs = np.logspace(-30.0, 30.0, 121)
     with mpmath.workdps(40):
         a = mpmath.mpf(alpha)
         exact = np.array([float(2 / a * mpmath.mpf(r) ** (a / 2)
@@ -223,6 +225,20 @@ def test_rule_builder_integrates_end_powers(gamma):
             assert quad == pytest.approx(exact, rel=1e-13, abs=0.0)
 
 
+@pytest.mark.parametrize("left, right", [(None, None), (0.0, 0.0), (-0.5, None), (None, 0.3),
+                                         (-0.5, 0.3)])
+def test_composite_matches_panel_loop(left, right):
+    # the broadcast panels carry the same bits as one _panel_rule per panel
+    for breaks in (np.array([0.3, 1.7]), np.linspace(1.0, 256.0, 327),
+                   f1._graded_breaks(-1.0, 0.2, 20, True)):
+        last = len(breaks) - 2
+        rules = [f1._panel_rule(breaks[k], breaks[k + 1], 12, left if k == 0 else None,
+                                right if k == last else None) for k in range(last + 1)]
+        y, w = f1._composite(breaks, 12, left, right)
+        assert np.array_equal(y, np.concatenate([r[0] for r in rules]))
+        assert np.array_equal(w, np.concatenate([r[1] for r in rules]))
+
+
 @pytest.mark.parametrize("gamma", [-0.5, 0.3])
 def test_split_rule_integrates_interior_power(gamma):
     lo, x, hi = -1.0, 0.35, 1.0
@@ -270,7 +286,7 @@ def test_interval_dynkin_identity(packs):
         xs = np.array([0.0, 0.3, -0.45])
         rd = lambda y: k.green(np.asarray(y), pos)
         rv = k.green_interval(radius, xs, pos)
-        pv = f1.apply_PV_interval(k, radius, rd, xs, y_hi=1.0)
+        pv = f1.apply_PV_interval(k, radius, rd, xs)
         assert np.max(np.abs(rd(xs) - pv - rv)) < 1e-8
 
 

@@ -4,7 +4,7 @@ import pytest
 from dirichlet_lab import frac1d as f1
 from dirichlet_lab.potential import green_apply
 from dirichlet_lab.semilinear import ProblemSpec, power_nonlinearity, solve
-from dirichlet_lab.suite import random_form, random_nested_subsets
+from dirichlet_lab.suite import random_form, random_nested_subsets, random_problem
 from dirichlet_lab.trace import (aitken, eta_measure, killing_part, killing_part_frac,
                                  trace_csv_rows, trace_sequence_frac, trace_sequence_graph)
 
@@ -45,6 +45,20 @@ def test_graph_trace_terminal_level_exactly_zero(k3):
     assert np.max(np.abs(seq.values[-1])) == 0.0
     rows = trace_csv_rows(seq)
     assert len(rows) == seq.values.shape[0] * seq.probes.size
+
+
+def test_graph_trace_reports_terminal_level_as_limit():
+    # a finite nest ending at D has no tail to extrapolate: its limit is the
+    # last level (exactly 0 at D), not an Aitken value of the three levels
+    rng = np.random.default_rng(4)
+    spec = random_problem(rng)
+    order = rng.permutation(spec.D)
+    nest = tuple(np.sort(order[:k]) for k in (spec.D.size // 3, 2 * spec.D.size // 3))
+    spec = ProblemSpec(form=spec.form, D=spec.D, g=spec.g, mu=spec.mu, f=spec.f,
+                       nest=nest + (spec.D,))
+    seq = trace_sequence_graph(solve(spec).u, spec.form, spec.D, spec.nest)
+    assert seq.values.shape[0] == 3
+    assert np.array_equal(seq.extrapolated, seq.values[-1])
 
 
 def test_graph_trace_needs_nest(k3):
