@@ -129,112 +129,103 @@ def _coefficient(b):
     return np.asarray(b, dtype=float)
 
 
-def _nonlinearity_from_dict(obj: dict | None):
-    if not obj or obj.get("kind") in (None, "zero"):
+def _atoms(atoms) -> tuple:
+    """``mu.atoms``: a list of ``[position, weight]`` pairs of numbers."""
+    try:
+        if isinstance(atoms, list) and all(isinstance(a, list) for a in atoms):
+            return tuple((float(p), float(w)) for p, w in atoms)
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"spec key 'mu.atoms' must be a list of [position, weight] pairs, "
+                     f"got {atoms!r}")
+
+
+def _nonlinearity_from_dict(obj: dict):
+    """Absorption from a spec's ``f``; pops the keys it reads."""
+    kind = obj.pop("kind", None)
+    if kind in (None, "zero"):
         return zero_nonlinearity()
-    kind = obj["kind"]
     if kind == "power":
-        return power_nonlinearity(_coefficient(obj.get("b", 1.0)), float(obj.get("p", 1.0)))
+        return power_nonlinearity(_coefficient(obj.pop("b", 1.0)), float(obj.pop("p", 1.0)))
     if kind == "exp":
-        return exp_nonlinearity(_coefficient(obj.get("b", 1.0)))
+        return exp_nonlinearity(_coefficient(obj.pop("b", 1.0)))
     if kind == "custom-table":
-        return table_nonlinearity(obj["y"], obj["values"])
+        return table_nonlinearity(obj.pop("y"), obj.pop("values"))
     raise ValueError(f"unknown nonlinearity kind {kind!r}")
 
 
-def _exterior_from_dict(obj: dict | None) -> frac1d.ExteriorData:
-    if not obj or obj.get("kind") in (None, "zero"):
+def _exterior_from_dict(obj: dict) -> frac1d.ExteriorData:
+    """Exterior data from a continuum spec's ``g``; pops the keys it reads."""
+    kind = obj.pop("kind", None)
+    if kind in (None, "zero"):
         return frac1d.zero_exterior()
-    kind = obj["kind"]
     if kind == "const":
-        return frac1d.const_exterior(float(obj.get("value", 1.0)))
+        return frac1d.const_exterior(float(obj.pop("value", 1.0)))
     if kind == "indicator":
-        return frac1d.indicator_exterior(float(obj["a"]), float(obj["b"]))
+        return frac1d.indicator_exterior(float(obj.pop("a")), float(obj.pop("b")))
     if kind == "power_singular":
-        return frac1d.power_singular_exterior(float(obj["p"]), float(obj.get("coef", 1.0)))
+        return frac1d.power_singular_exterior(float(obj.pop("p")), float(obj.pop("coef", 1.0)))
     raise ValueError(f"unknown exterior kind {kind!r}")
 
 
-# The keys a spec may carry: per backend at the top level, in the continuum
-# objects, and per kind in ``f`` and (continuum) ``g``.
-SPEC_KEYS = {"graph": {"schema", "backend", "form", "D", "g", "mu", "f", "nest",
-                       "ladder", "inject"},
-             "frac1d": {"schema", "backend", "alpha", "grid", "g", "mu", "nu", "f",
-                        "nest", "nest_levels", "ladder", "inject"}}
-_OBJECT_KEYS = {"grid": {"order", "n_base", "edge_levels", "out_levels"},
-                "nu": {"plus", "minus"}, "mu": {"atoms"}}
-_KIND_KEYS = {"f": {None: (), "zero": (), "power": ("b", "p"), "exp": ("b",),
-                    "custom-table": ("y", "values")},
-              "g": {None: (), "zero": (), "const": ("value",), "indicator": ("a", "b"),
-                    "power_singular": ("p", "coef")}}
-
-
-def _unknown_spec_keys(obj: dict, backend: str) -> list:
-    """Dotted names of the keys of a spec that its backend does not read.
-
-    An object of an unknown kind is left to its parser, which names the kind.
-    """
-    unknown = [key for key in obj if key not in SPEC_KEYS[backend]]
-    allowed = dict(_OBJECT_KEYS) if backend == "frac1d" else {}
-    for name in ("f", "g") if backend == "frac1d" else ("f",):
-        sub = obj.get(name)
-        kind = sub.get("kind") if isinstance(sub, dict) else ()
-        if isinstance(kind, (str, type(None))) and kind in _KIND_KEYS[name]:
-            allowed[name] = {"kind", *_KIND_KEYS[name][kind]}
-    for name, keys in allowed.items():
-        sub = obj.get(name)
-        if isinstance(sub, dict):
-            unknown += [f"{name}.{key}" for key in sub if key not in keys]
-    return unknown
-
-
 def load_problem(path):
-    """Problem object (graph or continuum) from a spec JSON file.
+    """``(problem, ladder)`` from a spec JSON file: a graph or continuum problem
+    and the ``LadderConfig`` of its solve.
 
-    A key that the spec's backend does not read is a ValueError naming it.
+    Each reader pops the keys it reads.  A key left over, a sub-object that
+    is not a JSON object, or a malformed ``mu.atoms`` is a ValueError naming it.
     """
     with open(path) as fh:
         obj = json.load(fh)
-    backend = obj.get("backend", "graph")
-    if backend in SPEC_KEYS:
-        unknown = _unknown_spec_keys(obj, backend)
-        if unknown:
-            raise ValueError(f"unknown spec keys: {unknown}")
+    if not isinstance(obj, dict):
+        raise ValueError(f"a spec must be a JSON object, got {type(obj).__name__}")
+    rest = {}
+
+    def popped(key: str) -> dict:
+        """Sub-object ``key`` ({} when absent or null), kept to name its unread keys."""
+        sub = obj.pop(key, None)
+        if not isinstance(sub, (dict, type(None))):
+            raise ValueError(f"spec key {key!r} must be a JSON object, got {type(sub).__name__}")
+        rest[key] = sub or {}
+        return rest[key]
+
+    obj.pop("schema", None)
+    backend = obj.pop("backend", "graph")
+    if backend not in tuple(SUITES):  # a tuple: an unhashable value is unknown too
+        raise ValueError(f"unknown backend {backend!r}")
+    ladder = popped("ladder")
+    ladder = LadderConfig(**{fd.name: ladder.pop(fd.name)
+                             for fd in fields(LadderConfig) if fd.name in ladder})
+    f = _nonlinearity_from_dict(popped("f"))
     if backend == "graph":
-        form = form_from_dict(obj["form"])
-        f = _nonlinearity_from_dict(obj.get("f"))
-        mu = np.asarray(obj.get("mu", np.zeros(form.n)), dtype=float)
-        g = np.asarray(obj.get("g", np.zeros(form.n)), dtype=float)
-        nest = tuple(tuple(v) for v in obj.get("nest", []))
-        return ProblemSpec(form=form, D=obj["D"], g=g, mu=mu, f=f, nest=nest), obj
-    if backend == "frac1d":
-        alpha = float(obj["alpha"])
-        gobj = obj.get("grid", {})
-        kernels = frac1d.build_kernels(alpha)
-        grid = frac1d.build_grid(alpha, order=int(gobj.get("order", 10)),
-                                 n_base=int(gobj.get("n_base", 8)),
-                                 edge_levels=int(gobj.get("edge_levels", 22)),
-                                 out_levels=int(gobj.get("out_levels", 10)))
-        nu = obj.get("nu", {})
-        nest = tuple(obj["nest"]) if "nest" in obj else frac1d.default_nest(
-            int(obj.get("nest_levels", 12)))
-        prob = frac1d.ContinuumProblem(
-            kernels=kernels, grid=grid, g=_exterior_from_dict(obj.get("g")),
-            f=_nonlinearity_from_dict(obj.get("f")),
-            mu_atoms=tuple((float(p), float(w)) for p, w in obj.get("mu", {}).get("atoms", [])),
-            nu_plus=float(nu.get("plus", 0.0)), nu_minus=float(nu.get("minus", 0.0)),
-            nest=nest)
-        return prob, obj
-    raise ValueError(f"unknown backend {backend!r}")
-
-
-def _ladder_from_dict(obj: dict | None) -> LadderConfig | None:
-    if not obj:
-        return None
-    unknown = set(obj) - {f.name for f in fields(LadderConfig)}
+        form = popped("form")
+        arrays = {key: form.pop(key) for key in ("m", "J", "kappa") if key in form}
+        D, g, mu = obj.pop("D"), obj.pop("g", None), obj.pop("mu", None)
+        nest = tuple(tuple(v) for v in obj.pop("nest", []))
+    else:
+        alpha = float(obj.pop("alpha"))
+        g = _exterior_from_dict(popped("g"))
+        atoms = _atoms(popped("mu").pop("atoms", []))
+        nu = popped("nu")
+        nu = float(nu.pop("plus", 0.0)), float(nu.pop("minus", 0.0))
+        grid = popped("grid")
+        grid = {"order": int(grid.pop("order", 10)), "n_base": int(grid.pop("n_base", 8)),
+                "edge_levels": int(grid.pop("edge_levels", 22)),
+                "out_levels": int(grid.pop("out_levels", 10))}
+        nest, levels = obj.pop("nest", None), int(obj.pop("nest_levels", 12))
+        nest = frac1d.default_nest(levels) if nest is None else tuple(nest)
+    unknown = list(obj) + [f"{name}.{key}" for name, sub in rest.items() for key in sub]
     if unknown:
-        raise ValueError(f"unknown ladder keys: {sorted(unknown)}")
-    return LadderConfig(**obj)
+        raise ValueError(f"unknown spec keys: {unknown}")
+    if backend == "graph":
+        form = form_from_dict(arrays)
+        g = np.zeros(form.n) if g is None else np.asarray(g, dtype=float)
+        mu = np.zeros(form.n) if mu is None else np.asarray(mu, dtype=float)
+        return ProblemSpec(form=form, D=D, g=g, mu=mu, f=f, nest=nest), ladder
+    prob = frac1d.ContinuumProblem(
+        kernels=frac1d.build_kernels(alpha), grid=frac1d.build_grid(alpha, **grid),
+        g=g, f=f, mu_atoms=atoms, nu_plus=nu[0], nu_minus=nu[1], nest=nest)
+    return prob, ladder
 
 
 def _entry(value, contract, direction="below") -> dict:
@@ -376,20 +367,14 @@ def _dump_kernels(problem, outdir: Path) -> None:
 
 def run(config: RunConfig) -> int:
     """Execute one configuration; returns the process exit status."""
-    problem, raw = load_problem(config.spec_path)
-    backend = raw.get("backend", "graph")
+    problem, ladder = load_problem(config.spec_path)
+    backend = "graph" if isinstance(problem, ProblemSpec) else "frac1d"
     stray = sorted(set(config.suites or ()) - set(SUITES[backend]))
     stray += sorted(set(config.tolerances) - {key for b, key in CONTRACTS if b == backend})
     if stray:
         raise ValueError(f"suites or --tol keys {stray} do not apply to backend {backend!r}")
     suites = [s for s in SUITES[backend] if config.suites is None or s in config.suites]
-    ladder = _ladder_from_dict(raw.get("ladder"))
     sol = solve(problem, ladder)
-    inject = raw.get("inject")
-    if inject:
-        u = sol.u.copy()
-        u[int(inject["index"])] += float(inject.get("eps", 0.1))
-        sol.u = u
     outdir = config.out_dir
     if config.dump_kernels:
         _dump_kernels(problem, outdir)

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .forms import DiscreteForm, as_subset, complement
-from .potential import green_apply, green_operator, is_excessive
+from .potential import green_apply, green_operator
 from .projection import harmonic_boundary, harmonic_extension, project
 
 __all__ = [
@@ -195,15 +195,19 @@ class ProblemSpec:
         return out
 
 
+# ladder stop on successive outer iterates, inner stop relative to the data
+# scale, and the inner iteration cap
+_OUTER_TOL = 1e-10
+_INNER_TOL = 1e-12
+_MAX_INNER = 300
+
+
 @dataclass(frozen=True)
 class LadderConfig:
-    """Truncation schedule and inner-solver tolerances."""
+    """Truncation schedule, first inner step and starting iterate."""
 
     base: int = 2
     max_level: int = 16
-    outer_tol: float = 1e-10
-    inner_tol: float = 1e-12
-    max_inner: int = 300
     theta0: float = 1.0
     start: str = "base"  # or "zero"
 
@@ -230,7 +234,7 @@ def _inner_solve(u0, base, gmat, fappl, fder, cfg: LadderConfig, scale: float):
     limit is unique, so only robustness matters here.
     """
     u = u0.copy()
-    tol = cfg.inner_tol * scale
+    tol = _INNER_TOL * scale
 
     def residual(v):
         return base + gmat @ fappl(v) - v
@@ -243,7 +247,7 @@ def _inner_solve(u0, base, gmat, fappl, fder, cfg: LadderConfig, scale: float):
     newton = False
     n = u.size
     eye = np.eye(n)
-    while rn > tol and iters < cfg.max_inner:
+    while rn > tol and iters < _MAX_INNER:
         iters += 1
         if not newton:
             u_try = u + theta * r
@@ -316,7 +320,7 @@ def solve_ladder(base: np.ndarray, gmat: np.ndarray, f: Nonlinearity, points,
             final_res = res
             if prev_unm is not None:
                 mono_up = min(mono_up, float(np.min(u - prev_unm, initial=0.0)))
-                if float(np.max(np.abs(u - prev_unm))) < cfg.outer_tol:
+                if float(np.max(np.abs(u - prev_unm))) < _OUTER_TOL:
                     u_m = u
                     break
             prev_unm = u.copy()
@@ -324,7 +328,7 @@ def solve_ladder(base: np.ndarray, gmat: np.ndarray, f: Nonlinearity, points,
             u_m = u
         if prev_um is not None:
             mono_down = min(mono_down, float(np.min(prev_um - u_m, initial=0.0)))
-            if float(np.max(np.abs(u_m - prev_um))) < cfg.outer_tol:
+            if float(np.max(np.abs(u_m - prev_um))) < _OUTER_TOL:
                 converged = True
                 break
         prev_um = u_m.copy()
@@ -465,13 +469,12 @@ def compare(spec1: ProblemSpec, spec2: ProblemSpec,
     return report
 
 
-def apriori_report(u, spec: ProblemSpec, rho=None) -> dict:
+def apriori_report(u, spec: ProblemSpec) -> dict:
     """Defects of the three a-priori bounds for a solved instance.
 
     Each entry is max(LHS - RHS); the contract is that all stay below 1e-9.
-    The weight for the norm bound may be any excessive function; the default
-    is the constant one (always excessive for pure-jump forms) with the
-    normalized potential of one as fallback.
+    The weighted norm bound uses the constant one as its excessive weight:
+    A_DD 1 = 2 sum_{y not in D} J[., y] + kappa >= 0 for every form.
     """
     u = np.asarray(u, dtype=float)
     form, idx, pdg = spec.form, spec.D, spec.pdg
@@ -490,17 +493,8 @@ def apriori_report(u, spec: ProblemSpec, rho=None) -> dict:
     rhs2 = 2.0 * rd_abs_fpdg + rd_abs_mu
     d2 = float(np.max((lhs2 - rhs2)[idx], initial=0.0))
 
-    if rho is None:
-        ones = np.ones(form.n)
-        if is_excessive(form, idx, ones):
-            rho = ones
-        else:
-            pot = green_apply(form, idx, form.m)
-            rho = pot / max(float(np.max(pot[idx], initial=1.0)), 1e-300)
-    rho = np.asarray(rho, dtype=float)
-    lhs3 = float(np.sum(fu[idx] * rho[idx] * form.m[idx]))
-    rhs3 = 2.0 * float(np.sum(fpdg[idx] * rho[idx] * form.m[idx])) \
-        + float(np.sum(rho[idx] * np.abs(spec.mu)[idx]))
+    lhs3 = float(np.sum(fu[idx] * form.m[idx]))
+    rhs3 = 2.0 * float(np.sum(fpdg[idx] * form.m[idx])) + float(np.sum(np.abs(spec.mu)[idx]))
     return {"zero_order": d1, "harmonic_shift": d2, "weighted_norm": lhs3 - rhs3}
 
 
@@ -523,7 +517,8 @@ def stability_gap(spec1: ProblemSpec, spec2: ProblemSpec,
     pd_dg = harmonic_extension(form, idx, np.abs(spec1.g - spec2.g))
     gap = float(np.max((np.abs(u1 - u2) - rd_df - rd_dmu - pd_dg)[idx], initial=0.0))
     out = {"stability": gap}
-    same_f = spec1.f is spec2.f or spec1.f.name == spec2.f.name
+    # names do not tell absorptions apart: power[3.0] with two different b
+    same_f = spec1.f is spec2.f or bool(spec1.f.params) and spec1.f.params == spec2.f.params
     if same_f:
         dff = np.zeros(form.n)
         dff[idx] = np.abs(spec1.f(idx, u1[idx]) - spec1.f(idx, u2[idx]))

@@ -94,7 +94,7 @@ class TraceSequence:
     extrapolated: np.ndarray
 
 
-def trace_sequence_graph(u, form: DiscreteForm, D, nest, probes=None) -> TraceSequence:
+def trace_sequence_graph(u, form: DiscreteForm, D, nest) -> TraceSequence:
     """Discrete trace values P_V(|u| * potential-of-killing) along the nest.
 
     P_V h is applied without forming the exit kernel: it is h outside V and
@@ -105,7 +105,6 @@ def trace_sequence_graph(u, form: DiscreteForm, D, nest, probes=None) -> TraceSe
     if not nest:
         raise ValueError("nest must be nonempty")
     idx = as_subset(form.n, D)
-    probes = idx if probes is None else as_subset(form.n, probes)
     u = np.asarray(u, dtype=float)
     integrand = np.abs(u) * green_apply(form, idx, killing_part(form, idx))
     A = form.energy_matrix()
@@ -118,9 +117,9 @@ def trace_sequence_graph(u, form: DiscreteForm, D, nest, probes=None) -> TraceSe
             flux = A[np.ix_(V, comp)] @ integrand[comp]
             # 0.0 - x, not -x: a zero flux gives +0.0, as the kernel product did
             vals[V] = 0.0 - cho_solve(_restricted_cho(form, V), flux)
-        rows.append(vals[probes])
+        rows.append(vals[idx])
     values = np.asarray(rows)
-    return TraceSequence(probes=probes, values=values, extrapolated=values[-1].copy())
+    return TraceSequence(probes=idx, values=values, extrapolated=values[-1].copy())
 
 
 def trace_sequence_frac(kernels, u_fn, radii, probes=(0.0, 0.5, -0.5, 0.9, -0.9),

@@ -152,7 +152,7 @@ def wos_exit_batch(kernels: FracKernels, x: float, n_paths: int, seed: int,
 
 
 def wos_estimate(kind: str, kernels: FracKernels, x: float, *, n_paths: int = 100_000,
-                 seed: int = 0, g=None, u_fn=None, f=None, mu_atoms=()) -> tuple[float, float]:
+                 seed: int = 0, g=None, u_fn=None, f=None) -> tuple[float, float]:
     """Sample mean and standard error of an exit functional of the walk.
 
     Kinds: ``PDg`` (exterior datum at the exit point), ``mean_exit_time``
@@ -169,10 +169,6 @@ def wos_estimate(kind: str, kernels: FracKernels, x: float, *, n_paths: int = 10
         _, mean_exit, _ = wos_exit_batch(kernels, x, n_paths, seed)
         vals = mean_exit
     elif kind == "FK_residual":
-        if mu_atoms:
-            raise ValueError("FK_residual via ball walks supports only absolutely "
-                             "continuous forcing")
-
         def h(pts):
             return f(pts, u_fn(pts))
 

@@ -96,16 +96,26 @@ def _small_frac_spec(tmp_path):
     return path
 
 
+def _perturb_solution(monkeypatch, index, eps):
+    """Make ``cli.run`` see the real solve's u with ``eps`` added at ``index``."""
+    real_solve = cli.solve
+
+    def solve(problem, ladder):
+        sol = real_solve(problem, ladder)
+        u = sol.u.copy()
+        u[index] += eps
+        sol.u = u
+        return sol
+
+    monkeypatch.setattr(cli, "solve", solve)
+
+
 @pytest.mark.parametrize("make_spec, index", [(_demo_graph_spec, 1), (_demo_frac_spec, 200)],
                          ids=["graph", "frac1d"])
-def test_injected_violator_fails(tmp_path, make_spec, index):
+def test_injected_violator_fails(tmp_path, monkeypatch, make_spec, index):
     # the verify suite must check the u written to solution.csv, not the solve's u
-    spec = make_spec(tmp_path)
-    obj = json.loads(spec.read_text())
-    obj["inject"] = {"index": index, "eps": 0.2}
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(obj))
-    cfg = cli.RunConfig(spec_path=bad, out_dir=tmp_path / "out", seed=1,
+    _perturb_solution(monkeypatch, index, 0.2)
+    cfg = cli.RunConfig(spec_path=make_spec(tmp_path), out_dir=tmp_path / "out", seed=1,
                         suites=("verify",))
     assert cli.run(cfg) == 1
     res = json.loads((tmp_path / "out" / "residuals.json").read_text())["results"]
@@ -311,31 +321,69 @@ def test_unknown_spec_keys_are_a_config_error(tmp_path, capsys, backend):
 
 
 def test_every_spec_key_is_read(tmp_path):
-    # specs that carry every key the loader knows, and those written by gen, load
+    # specs that carry every key the loader knows, and those written by gen,
+    # load, and the keys reach the problem and the ladder
     frac = {"schema": 1, "backend": "frac1d", "alpha": 1.0,
             "g": {"kind": "power_singular", "p": 0.2, "coef": 1.0},
             "mu": {"atoms": [[0.0, 1.0]]}, "nu": {"plus": 1.0, "minus": 0.0},
             "f": {"kind": "exp", "b": 1.0}, "nest": [0.5, 0.75], "nest_levels": 2,
             "grid": {"order": 6, "n_base": 4, "edge_levels": 10, "out_levels": 6},
-            "ladder": {"max_level": 8}, "inject": {"index": 0}}
+            "ladder": {"base": 3, "max_level": 8, "theta0": 0.5, "start": "zero"}}
     graph = json.loads(_demo_graph_spec(tmp_path).read_text())
-    graph.update(nest=[[1], [1, 2]], ladder={"max_level": 8}, inject={"index": 0},
+    graph.update(nest=[[1], [1, 2]], ladder={"max_level": 8},
                  f={"kind": "custom-table", "y": [-1.0, 1.0], "values": [1.0, -1.0]})
     paths = cli.generate_random_suite(3, 1, tmp_path / "gen")
+    loaded = []
     for obj in (frac, graph, *(json.loads(p.read_text()) for p in paths)):
-        assert cli._unknown_spec_keys(obj, obj["backend"]) == []
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(obj))
-        cli.load_problem(spec)
+        loaded.append(cli.load_problem(spec))
+    (prob, ladder), (graph_prob, graph_ladder) = loaded[:2]
+    assert ladder == cli.LadderConfig(base=3, max_level=8, theta0=0.5, start="zero")
+    assert prob.mu_atoms == ((0.0, 1.0),) and prob.nu_plus == 1.0
+    assert prob.nest == (0.5, 0.75) and prob.grid.order == 6
+    assert graph_ladder.max_level == 8 and graph_prob.f.name == "table"
+    assert all(ladder == cli.LadderConfig() for _, ladder in loaded[2:])
 
 
-def test_non_finite_solution_fails_solution_sup(tmp_path):
-    obj = json.loads(_demo_graph_spec(tmp_path).read_text())
-    obj["inject"] = {"index": 0, "eps": float("nan")}  # state 0 lies outside D
-    spec = tmp_path / "nan.json"
+# (backend, dotted key, value): a misspelt form key, sub-objects that are not
+# JSON objects, atoms that are not pairs, a retired key, and a list (key None)
+# in place of the whole spec
+@pytest.mark.parametrize("backend, key, value, name", [
+    ("graph", "form.kapa", [1.0, 0.0, 0.0], "'form.kapa'"),
+    ("graph", "f", 3, "'f'"),
+    ("graph", "inject", {"index": 9}, "'inject'"),
+    ("frac1d", "grid", [1], "'grid'"),
+    ("frac1d", "nu", 2, "'nu'"),
+    ("frac1d", "g", 1.0, "'g'"),
+    ("frac1d", "mu", [[0.0, 1.0]], "'mu'"),
+    ("frac1d", "mu.atoms", [1, 2], "'mu.atoms'"),
+    ("graph", None, None, "JSON object"),
+], ids=["form.kapa", "f", "inject", "grid", "nu", "g", "mu", "mu.atoms", "list"])
+def test_malformed_spec_is_a_config_error(tmp_path, capsys, backend, key, value, name):
+    make_spec = _demo_graph_spec if backend == "graph" else _small_frac_spec
+    obj = json.loads(make_spec(tmp_path).read_text())
+    if key is None:
+        obj = [obj]
+    else:
+        *parents, leaf = key.split(".")
+        target = obj
+        for part in parents:
+            target = target.setdefault(part, {})
+        target[leaf] = value
+    spec = tmp_path / "malformed.json"
     spec.write_text(json.dumps(obj))
-    cfg = cli.RunConfig(spec_path=spec, out_dir=tmp_path / "out", seed=1,
-                        suites=("estimates",))
+    out = tmp_path / "out"
+    assert cli.main(["run", str(spec), "--out", str(out), "--suite", "verify"]) == 2
+    printed = capsys.readouterr().out
+    assert printed.startswith("error:") and name in printed
+    assert not out.exists()
+
+
+def test_non_finite_solution_fails_solution_sup(tmp_path, monkeypatch):
+    _perturb_solution(monkeypatch, 0, float("nan"))  # state 0 lies outside D
+    cfg = cli.RunConfig(spec_path=_demo_graph_spec(tmp_path), out_dir=tmp_path / "out",
+                        seed=1, suites=("estimates",))
     assert cli.run(cfg) == 1
     res = json.loads((tmp_path / "out" / "residuals.json").read_text())["results"]
     assert not res["solution_sup"]["pass"]

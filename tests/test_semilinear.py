@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from dirichlet_lab import (LadderConfig, ProblemSpec, apriori_report, compare, energy,
-                           exp_nonlinearity, harmonic_extension, power_nonlinearity,
+from dirichlet_lab import (DiscreteForm, LadderConfig, ProblemSpec, apriori_report, compare,
+                           energy, exp_nonlinearity, harmonic_extension, is_excessive,
+                           power_nonlinearity,
                            project, residual_probabilistic, solve, solve_shifted,
                            stability_gap, table_nonlinearity, vd_check, verify_projective,
                            very_weak_defect, zero_nonlinearity)
@@ -187,6 +188,51 @@ def test_apriori_random():
         sol = solve(spec)
         rep = apriori_report(sol.u, spec)
         assert max(rep.values()) < 1e-9
+
+
+def test_apriori_weight_is_one_on_large_jump_weights():
+    # 40-state cycles with jumps near 1e4 and no killing: A_DD 1 >= 0 holds
+    # exactly, but its rounding dips below is_excessive's cut on most of them;
+    # the weighted bound must still use the constant one
+    rounded_away = 0
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        n = 40
+        J = np.zeros((n, n))
+        for i, w in enumerate(rng.uniform(0.5, 1.5, n) * 1e4):
+            J[i, (i + 1) % n] = J[(i + 1) % n, i] = w
+        form = DiscreteForm(m=rng.uniform(0.5, 2.0, n), J=J, kappa=np.zeros(n))
+        D = np.arange(1, n)
+        mu = np.zeros(n)
+        mu[D] = rng.uniform(-0.5, 0.5, n - 1)
+        spec = ProblemSpec(form=form, D=D, g=rng.uniform(-1.0, 1.0, n), mu=mu,
+                           f=power_nonlinearity(np.ones(n), 3.0))
+        rounded_away += not is_excessive(form, D, np.ones(n))
+        u = solve(spec).u
+        rep = apriori_report(u, spec)
+        fu, fpdg = np.abs(spec.f(D, u[D])), np.abs(spec.f(D, spec.pdg[D]))
+        ones_bound = (np.sum(fu * form.m[D]) - 2.0 * np.sum(fpdg * form.m[D])
+                      - np.sum(np.abs(mu[D])))
+        assert rep["weighted_norm"] == pytest.approx(ones_bound, rel=1e-12, abs=1e-12)
+        assert max(rep.values()) < 1e-9
+    assert rounded_away > 0
+
+
+def test_stability_strong_needs_the_same_absorption(k3):
+    # power[3.0] names both absorptions; with different b the strong bound
+    # does not apply, and evaluating it with spec1.f at both solutions
+    # reports a violation that is not there
+    s1 = _cubic_spec(k3)
+    s2 = ProblemSpec(form=k3, D=s1.D, g=s1.g, mu=s1.mu,
+                     f=power_nonlinearity(np.array([1.0, 5.0, 5.0]), 3.0))
+    assert s1.f.name == s2.f.name
+    rep = stability_gap(s1, s2)
+    assert set(rep) == {"stability"} and rep["stability"] < 1e-9
+    # equal parameters in separate objects are the same absorption
+    s3 = ProblemSpec(form=k3, D=s1.D, g=s1.g, mu=s1.mu + np.array([0.0, 0.3, 0.0]),
+                     f=power_nonlinearity(np.ones(3), 3.0))
+    rep = stability_gap(s1, s3)
+    assert set(rep) == {"stability", "stability_strong"} and max(rep.values()) < 1e-9
 
 
 def test_stability_identical_and_perturbed(k3):

@@ -161,9 +161,6 @@ def test_fk_residual_cubic(pack):
     est, se = wos.wos_estimate("FK_residual", k, 0.2, n_paths=100_000, seed=13,
                                g=prob.g, u_fn=u_fn, f=prob.f)
     assert abs(est) < 3 * se
-    with pytest.raises(ValueError):
-        wos.wos_estimate("FK_residual", k, 0.2, n_paths=200, seed=0, g=prob.g,
-                         u_fn=u_fn, f=prob.f, mu_atoms=((0.0, 1.0),))
 
 
 def test_unknown_kind_rejected(pack):
