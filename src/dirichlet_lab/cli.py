@@ -140,6 +140,23 @@ def _atoms(atoms) -> tuple:
                      f"got {atoms!r}")
 
 
+def _indices(key: str, value) -> list:
+    """A spec's list of integer state indices (``D``, a graph nest level)."""
+    if not (isinstance(value, list) and all(type(v) is int for v in value)):
+        raise ValueError(f"spec key {key!r} must be a list of integer state indices, "
+                         f"got {value!r}")
+    return value
+
+
+def _vector(key: str, value) -> np.ndarray:
+    """A spec's per-state list of numbers (graph ``g`` and ``mu``)."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"spec key {key!r} must be a list of numbers, "
+                         f"got {type(value).__name__}") from None
+
+
 def _nonlinearity_from_dict(obj: dict):
     """Absorption from a spec's ``f``; pops the keys it reads."""
     kind = obj.pop("kind", None)
@@ -200,8 +217,11 @@ def load_problem(path):
     if backend == "graph":
         form = popped("form")
         arrays = {key: form.pop(key) for key in ("m", "J", "kappa") if key in form}
-        D, g, mu = obj.pop("D"), obj.pop("g", None), obj.pop("mu", None)
-        nest = tuple(tuple(v) for v in obj.pop("nest", []))
+        D, g, mu = _indices("D", obj.pop("D")), obj.pop("g", None), obj.pop("mu", None)
+        nest = obj.pop("nest", [])
+        if not isinstance(nest, list):
+            raise ValueError(f"spec key 'nest' must be a list of levels, got {nest!r}")
+        nest = tuple(_indices(f"nest[{k}]", v) for k, v in enumerate(nest))
     else:
         alpha = float(obj.pop("alpha"))
         g = _exterior_from_dict(popped("g"))
@@ -213,14 +233,14 @@ def load_problem(path):
                 "edge_levels": int(grid.pop("edge_levels", 22)),
                 "out_levels": int(grid.pop("out_levels", 10))}
         nest, levels = obj.pop("nest", None), int(obj.pop("nest_levels", 12))
-        nest = frac1d.default_nest(levels) if nest is None else tuple(nest)
+        nest = frac1d.default_nest(levels) if nest is None else nest
     unknown = list(obj) + [f"{name}.{key}" for name, sub in rest.items() for key in sub]
     if unknown:
         raise ValueError(f"unknown spec keys: {unknown}")
     if backend == "graph":
         form = form_from_dict(arrays)
-        g = np.zeros(form.n) if g is None else np.asarray(g, dtype=float)
-        mu = np.zeros(form.n) if mu is None else np.asarray(mu, dtype=float)
+        g = np.zeros(form.n) if g is None else _vector("g", g)
+        mu = np.zeros(form.n) if mu is None else _vector("mu", mu)
         return ProblemSpec(form=form, D=D, g=g, mu=mu, f=f, nest=nest), ladder
     prob = frac1d.ContinuumProblem(
         kernels=frac1d.build_kernels(alpha), grid=frac1d.build_grid(alpha, **grid),
@@ -303,7 +323,7 @@ def _suite_trace_frac(cfg, prob, sol, outdir):
     u_fn = frac1d.continuum_callable(prob, sol)
     # probes near the boundary only enter the exhaustion after a few levels,
     # so the trace suite extends the same nest construction to 16 levels
-    radii = prob.nest_radii()
+    radii = prob.nest
     if len(radii) < 16:
         radii = frac1d.default_nest(16)
     seq = trace.trace_sequence_frac(prob.kernels, u_fn, radii)
@@ -327,7 +347,8 @@ def _suite_wos_frac(cfg, prob, sol, outdir):
         u_fn = frac1d.continuum_callable(prob, sol)
         est, se = wos.wos_estimate("FK_residual", k, 0.2, n_paths=n_paths,
                                    seed=cfg.seed + 8, g=prob.g, u_fn=u_fn, f=prob.f)
-        out["wos_fk_residual"] = _band(est, se, 0.0)
+        # E g(exit) + R_D f(u) - u at the start is -(M nu), zero without nu
+        out["wos_fk_residual"] = _band(est, se, -float(prob.martin_part([0.2])[0]))
     return out
 
 

@@ -42,9 +42,7 @@ __all__ = [
     "green_matrix",
     "indicator_exterior",
     "levy_symbol",
-    "martin_boundary_fn",
     "martin_kernel",
-    "martin_vector",
     "nest_from_potential",
     "power_singular_exterior",
     "projective_exhaustion_defects",
@@ -772,82 +770,45 @@ def green_matrix(kernels: FracKernels, grid: QuadGrid) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Martin kernel
+# closed forms of the interval
 
-def martin_vector(kernels: FracKernels, xs, endpoint: int, k_lo: int = 6,
-                  k_hi: int = 18):
-    """Boundary limit of the normalized Green ratio toward an endpoint.
-
-    Returns (values, tail_variation) from a geometric approach sequence with
-    one Richardson step; the base point of the normalization is the origin.
-    """
+def martin_kernel(kernels: FracKernels, x, endpoint: int) -> np.ndarray:
+    """Martin kernel M(x, +-1) = (1 - x^2)^(alpha/2) / |1 -+ x| of (-1, 1),
+    normalized to 1 at the base point 0 (Bogdan et al., LNM 1980, 2009), and
+    zero for |x| >= 1 as ``FracKernels.green``.  Evaluated as
+    (1 +- x)^(alpha/2) (1 -+ x)^(alpha/2 - 1): no 1 - x^2 near an endpoint."""
     if endpoint not in (1, -1):
         raise ValueError("endpoint must be +1 or -1")
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    ks = np.arange(k_lo, k_hi + 1)
-    ys = endpoint * (1.0 - 2.0 ** (-ks.astype(float)))
-    ratios = kernels.green(xs[:, None], ys[None, :]) / kernels.green(0.0, ys)[None, :]
-    rich = 2.0 * ratios[:, 1:] - ratios[:, :-1]
-    tail = np.abs(rich[:, -1] - rich[:, -2])
-    return rich[:, -1], tail
+    a, x = kernels.alpha, np.asarray(x, dtype=float)
+    inside = np.abs(x) < 1.0
+    near = np.where(inside, 1.0 - endpoint * x, 1.0)
+    out = (2.0 - near) ** (a / 2.0) * near ** (a / 2.0 - 1.0) * inside
+    return out if out.shape else float(out)
 
-
-def martin_kernel(kernels: FracKernels, x: float, endpoint: int) -> float:
-    vals, tail = martin_vector(kernels, [x], endpoint)
-    if tail[0] > 1e-4:
-        raise ValueError(f"Martin-ratio extrapolation not converged: tail variation {tail[0]:.3e}")
-    return float(vals[0])
-
-
-def martin_boundary_fn(kernels: FracKernels, endpoint: int):
-    """Martin limit as a callable on all of (-1, 1), plus its calibration spread.
-
-    The Green-ratio extrapolation is only valid at points well inside the
-    interval, so the boundary-pole profile is continued by the local power
-    shape of the ratio, calibrated against the extrapolated values at a
-    spread of interior probes.  The returned spread measures how consistent
-    that calibration is; it doubles as a kernel cross-check.
-    """
-    a = kernels.alpha
-
-    def shape(y):
-        y = np.asarray(y, dtype=float)
-        return (1.0 - y ** 2) ** (a / 2.0) / np.abs(endpoint - y)
-
-    probes = np.array([0.0, 0.25, -0.25, 0.5, -0.5])
-    vals, _ = martin_vector(kernels, probes, endpoint)
-    ratios = vals / shape(probes)
-    c = float(np.mean(ratios))
-    spread = float(np.max(np.abs(ratios - c)))
-
-    def fn(y):
-        return c * shape(y)
-
-    return fn, spread
-
-
-# ---------------------------------------------------------------------------
-# continuum problems
 
 def default_nest(levels: int = 12) -> tuple:
     """Interval exhaustion radii 1 - 2^-n, n = 1..levels."""
     return tuple(1.0 - 2.0 ** (-n) for n in range(1, levels + 1))
 
 
-def nest_from_potential(kernels: FracKernels, grid: QuadGrid, levels: int = 8) -> tuple:
-    """Exhaustion by level sets of the mean exit time (its profile is
-    symmetric and decreasing toward the boundary)."""
-    xs = np.linspace(0.0, 1.0 - 2.0 ** (-levels - 4), 200)
-    phi = apply_RD(kernels, grid, h=lambda y: np.ones_like(y), x=xs,
-                   order=8, edge_levels=14)
-    top = phi[0]
-    radii = []
-    for nlev in range(1, levels + 1):
-        t = top / 2.0 ** nlev
-        k = int(np.searchsorted(-phi, -t))
-        radii.append(float(xs[min(k, xs.size - 1)]))
-    return tuple(sorted(set(radii)))
+def nest_from_potential(kernels: FracKernels, levels: int = 8) -> tuple:
+    """Exhaustion by the level sets {E_x tau > 2^-n E_0 tau}, n = 1..levels.
 
+    The mean exit time is proportional to (1 - x^2)^(alpha/2), so level n is
+    the interval of radius sqrt(1 - 2^(-2n/alpha)).  A level whose radius
+    rounds to 1 is a ValueError naming it.
+    """
+    n = np.arange(1, levels + 1)
+    radii = np.sqrt(1.0 - 2.0 ** (-2.0 * n / kernels.alpha))
+    full = np.flatnonzero(radii >= 1.0)
+    if full.size:
+        raise ValueError(f"nest_from_potential: level {n[full[0]]} of {levels} rounds to "
+                         f"radius 1 at alpha = {kernels.alpha}")
+    return tuple(float(r) for r in radii)
+
+
+# ---------------------------------------------------------------------------
+# continuum problems
 
 @dataclass(frozen=True)
 class ContinuumProblem:
@@ -864,20 +825,25 @@ class ContinuumProblem:
     mu_atoms: tuple = ()
     nu_plus: float = 0.0
     nu_minus: float = 0.0
-    nest: tuple = ()
+    nest: tuple = default_nest()
 
-    def nest_radii(self) -> tuple:
-        return self.nest or default_nest()
+    def __post_init__(self):
+        try:
+            radii = tuple(float(r) for r in self.nest)
+        except (TypeError, ValueError):
+            radii = ()
+        if not (radii and all(0.0 < r < 1.0 for r in radii)
+                and all(b > a for a, b in zip(radii, radii[1:]))):
+            raise ValueError("continuum nest must be at least one strictly increasing radius "
+                             f"in (0, 1), got {self.nest!r}")
+        object.__setattr__(self, "nest", radii)
 
-
-def _martin_part(prob: ContinuumProblem, x) -> np.ndarray:
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.zeros_like(x)
-    if prob.nu_plus:
-        out += prob.nu_plus * martin_vector(prob.kernels, x, +1)[0]
-    if prob.nu_minus:
-        out += prob.nu_minus * martin_vector(prob.kernels, x, -1)[0]
-    return out
+    def martin_part(self, x) -> np.ndarray:
+        """The part of the solution carried by the boundary measure,
+        nu_plus M(x, +1) + nu_minus M(x, -1), at the points x."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        return (self.nu_plus * martin_kernel(self.kernels, x, +1)
+                + self.nu_minus * martin_kernel(self.kernels, x, -1))
 
 
 def _check_absorption_integrable(prob: ContinuumProblem) -> None:
@@ -886,7 +852,7 @@ def _check_absorption_integrable(prob: ContinuumProblem) -> None:
     kern, grid = prob.kernels, prob.grid
 
     def h(y):
-        return np.abs(prob.f(y, _martin_part(prob, y)))
+        return np.abs(prob.f(y, prob.martin_part(y)))
 
     probes = np.array([0.0, 0.5])
     v1 = apply_RD(kern, grid, h=h, x=probes, order=8, edge_levels=16)
@@ -903,7 +869,7 @@ def solve_continuum(prob: ContinuumProblem, ladder: LadderConfig | None = None) 
     nodes = grid.interior_x
     base = apply_PD(kern, grid, prob.g, x=nodes)
     if prob.nu_plus or prob.nu_minus:
-        base = base + _martin_part(prob, nodes)
+        base = base + prob.martin_part(nodes)
         if not prob.f.is_zero:
             _check_absorption_integrable(prob)
     if prob.mu_atoms:
@@ -950,15 +916,17 @@ def continuum_callable(prob: ContinuumProblem, sol: Solution):
 
 def projective_exhaustion_defects(prob: ContinuumProblem, sol: Solution,
                                   probes=(0.0, 0.25, -0.25)) -> np.ndarray:
-    """Gap |P_V(u) - exit average of g| at probes, one row per nest level."""
+    """Gap |P_V(u) - P_D g - M nu| at probes, one row per nest level: the
+    exit averages of u over the nest tend to the exit average of g plus the
+    Martin part of the boundary measure."""
     kern, grid = prob.kernels, prob.grid
     u_fn = continuum_callable(prob, sol)
     probes = np.asarray(probes, dtype=float)
-    pdg = apply_PD(kern, grid, prob.g, x=probes)
+    limit = apply_PD(kern, grid, prob.g, x=probes) + prob.martin_part(probes)
     rows = []
-    for radius in prob.nest_radii():
+    for radius in prob.nest:
         pv = apply_PV_interval(kern, radius, u_fn, probes)
-        rows.append([abs(pv[j] + _pv_exterior(kern, radius, prob.g, x, grid) - pdg[j])
+        rows.append([abs(pv[j] + _pv_exterior(kern, radius, prob.g, x, grid) - limit[j])
                      for j, x in enumerate(probes)])
     return np.asarray(rows)
 

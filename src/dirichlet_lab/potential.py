@@ -11,10 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .forms import DiscreteForm, as_subset
-from .projection import _restricted_cho, project
+from .projection import _solve, project
 
 __all__ = [
     "GreenOperator",
@@ -45,9 +44,7 @@ def green_operator(form: DiscreteForm, V) -> GreenOperator:
     idx = as_subset(form.n, V)
     if idx.size == 0:
         return GreenOperator(V=idx, G=np.zeros((0, 0)))
-    cho = _restricted_cho(form, idx)
-    G = cho_solve(cho, np.diag(form.m[idx]))
-    return GreenOperator(V=idx, G=G)
+    return GreenOperator(V=idx, G=_solve(form, idx, np.diag(form.m[idx])))
 
 
 def green_apply(form: DiscreteForm, V, mu) -> np.ndarray:
@@ -63,8 +60,7 @@ def green_apply(form: DiscreteForm, V, mu) -> np.ndarray:
     out = np.zeros(form.n)
     if idx.size == 0:
         return out
-    cho = _restricted_cho(form, idx)
-    out[idx] = cho_solve(cho, mu[idx])
+    out[idx] = _solve(form, idx, mu[idx])
     return out
 
 

@@ -58,6 +58,11 @@ def _restricted_cho(form: DiscreteForm, idx: np.ndarray):
     return slot[1]
 
 
+def _solve(form: DiscreteForm, idx: np.ndarray, rhs) -> np.ndarray:
+    """A[idx, idx]^-1 rhs from the cached Cholesky factor of the block."""
+    return cho_solve(_restricted_cho(form, idx), rhs)
+
+
 def project(form: DiscreteForm, V, u) -> np.ndarray:
     """Energy-orthogonal projection of ``u`` onto F(V).
 
@@ -70,9 +75,7 @@ def project(form: DiscreteForm, V, u) -> np.ndarray:
     w = np.zeros(form.n)
     if idx.size == 0:
         return w
-    cho = _restricted_cho(form, idx)
-    rhs = form.energy_matrix()[idx] @ u
-    w[idx] = cho_solve(cho, rhs)
+    w[idx] = _solve(form, idx, form.energy_matrix()[idx] @ u)
     return w
 
 
@@ -105,9 +108,7 @@ def poisson_kernel(form: DiscreteForm, V) -> PoissonKernel:
     P = np.zeros((form.n, form.n))
     P[comp, comp] = 1.0
     if idx.size and comp.size:
-        cho = _restricted_cho(form, idx)
-        block = form.energy_matrix()[np.ix_(idx, comp)]
-        P[np.ix_(idx, comp)] = -cho_solve(cho, block)
+        P[np.ix_(idx, comp)] = -_solve(form, idx, form.energy_matrix()[np.ix_(idx, comp)])
     elif idx.size:
         # no exterior states: kernel vanishes, all mass dies inside
         _restricted_cho(form, idx)
@@ -126,8 +127,7 @@ def harmonic_boundary(form: DiscreteForm, D, weights=None) -> np.ndarray:
     idx = as_subset(form.n, D)
     if idx.size == 0:
         return np.array([], dtype=int)
-    cho = _restricted_cho(form, idx)
     comp = complement(form.n, idx)
     w = form.m[idx] if weights is None else np.asarray(weights, dtype=float)[idx]
-    mass = -(cho_solve(cho, w) @ form.energy_matrix()[np.ix_(idx, comp)])
+    mass = -(_solve(form, idx, w) @ form.energy_matrix()[np.ix_(idx, comp)])
     return comp[mass > 1e-14]

@@ -15,6 +15,8 @@ double-sum energy layer, and the comparison / a-priori / stability bounds.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable
@@ -210,6 +212,18 @@ class LadderConfig:
     max_level: int = 16
     theta0: float = 1.0
     start: str = "base"  # or "zero"
+
+    def __post_init__(self):
+        for name, low in (("base", 2), ("max_level", 1)):
+            val = getattr(self, name)
+            if isinstance(val, bool) or not isinstance(val, numbers.Integral) or val < low:
+                raise ValueError(f"ladder {name} must be an integer >= {low}, got {val!r}")
+        theta0 = self.theta0
+        if isinstance(theta0, bool) or not isinstance(theta0, numbers.Real) \
+                or not (math.isfinite(theta0) and theta0 > 0):
+            raise ValueError(f"ladder theta0 must be finite and positive, got {theta0!r}")
+        if self.start not in ("base", "zero"):
+            raise ValueError(f"ladder start must be 'base' or 'zero', got {self.start!r}")
 
     def schedule(self) -> list[int]:
         return [self.base ** k for k in range(self.max_level)]

@@ -13,11 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .forms import DiscreteForm, as_subset, complement
 from .potential import green_apply
-from .projection import _restricted_cho
+from .projection import _solve
 
 __all__ = [
     "TraceSequence",
@@ -116,7 +115,7 @@ def trace_sequence_graph(u, form: DiscreteForm, D, nest) -> TraceSequence:
             comp = complement(form.n, V)
             flux = A[np.ix_(V, comp)] @ integrand[comp]
             # 0.0 - x, not -x: a zero flux gives +0.0, as the kernel product did
-            vals[V] = 0.0 - cho_solve(_restricted_cho(form, V), flux)
+            vals[V] = 0.0 - _solve(form, V, flux)
         rows.append(vals[idx])
     values = np.asarray(rows)
     return TraceSequence(probes=idx, values=values, extrapolated=values[-1].copy())

@@ -233,7 +233,8 @@ def test_criterion_09_boundary_trace():
     mass_err = 0.0
     for alpha in (0.5, 1.5):
         ka = f1.build_kernels(alpha, validate=False)
-        u_fn, _ = f1.martin_boundary_fn(ka, +1)
+        def u_fn(y):
+            return f1.martin_kernel(ka, y, +1)
         seq = trace_sequence_frac(ka, u_fn, f1.default_nest(12), probes=(0.0,),
                                   edge_exponent=alpha / 2.0 - 1.0)
         mass_err = max(mass_err, abs(float(seq.extrapolated[0]) - 1.0))

@@ -347,8 +347,10 @@ def test_every_spec_key_is_read(tmp_path):
 
 
 # (backend, dotted key, value): a misspelt form key, sub-objects that are not
-# JSON objects, atoms that are not pairs, a retired key, and a list (key None)
-# in place of the whole spec
+# JSON objects, atoms that are not pairs, a retired key, a list (key None) in
+# place of the whole spec, ladder settings out of range, state indices that
+# are not integers, graph data that are not numbers, and continuum nests
+# that are not radii in (0, 1) or have no level
 @pytest.mark.parametrize("backend, key, value, name", [
     ("graph", "form.kapa", [1.0, 0.0, 0.0], "'form.kapa'"),
     ("graph", "f", 3, "'f'"),
@@ -359,7 +361,22 @@ def test_every_spec_key_is_read(tmp_path):
     ("frac1d", "mu", [[0.0, 1.0]], "'mu'"),
     ("frac1d", "mu.atoms", [1, 2], "'mu.atoms'"),
     ("graph", None, None, "JSON object"),
-], ids=["form.kapa", "f", "inject", "grid", "nu", "g", "mu", "mu.atoms", "list"])
+    ("graph", "ladder.max_level", "x", "max_level"),
+    ("graph", "ladder.base", 0, "base"),
+    ("graph", "ladder.theta0", 0, "theta0"),
+    ("graph", "ladder.start", "foo", "start"),
+    ("graph", "g", {"kind": "const"}, "'g'"),
+    ("graph", "D", 1.5, "'D'"),
+    ("graph", "D", [1.7, 2.2], "'D'"),
+    ("graph", "nest", 3, "'nest'"),
+    ("graph", "nest", [[1.0], [1, 2]], "'nest[0]'"),
+    ("frac1d", "nest", 3, "nest"),
+    ("frac1d", "nest", [0.5, 1.5], "nest"),
+    ("frac1d", "nest_levels", 0, "nest"),
+], ids=["form.kapa", "f", "inject", "grid", "nu", "g", "mu", "mu.atoms", "list",
+        "ladder.max_level", "ladder.base", "ladder.theta0", "ladder.start", "graph-g",
+        "D-scalar", "D-floats", "graph-nest", "graph-nest-floats", "frac-nest",
+        "frac-nest-radius", "nest_levels"])
 def test_malformed_spec_is_a_config_error(tmp_path, capsys, backend, key, value, name):
     make_spec = _demo_graph_spec if backend == "graph" else _small_frac_spec
     obj = json.loads(make_spec(tmp_path).read_text())
@@ -378,6 +395,20 @@ def test_malformed_spec_is_a_config_error(tmp_path, capsys, backend, key, value,
     printed = capsys.readouterr().out
     assert printed.startswith("error:") and name in printed
     assert not out.exists()
+
+
+def test_boundary_measure_spec_checks_its_martin_part(tmp_path):
+    # with nu data the exit averages of u tend to P_D g + M nu, and the
+    # walk's FK residual estimates -(M nu) at its start
+    obj = {"schema": 1, "backend": "frac1d", "alpha": 1.5, "nu": {"plus": 0.2, "minus": 0.3},
+           "f": {"kind": "power", "b": 1.0, "p": 1.0}}
+    path = tmp_path / "nu.json"
+    path.write_text(json.dumps(obj))
+    cfg = cli.RunConfig(spec_path=path, out_dir=tmp_path / "out", seed=1,
+                        suites=("verify", "wos"))
+    assert cli.run(cfg) == 0
+    res = json.loads((tmp_path / "out" / "residuals.json").read_text())["results"]
+    assert res["projective_exhaustion"]["pass"] and res["wos_fk_residual"]["pass"]
 
 
 def test_non_finite_solution_fails_solution_sup(tmp_path, monkeypatch):

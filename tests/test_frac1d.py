@@ -315,30 +315,44 @@ def test_apply_pv_interval_accurate_near_the_boundary():
     assert np.max(np.abs(got / np.array(exact) - 1.0)) < 1e-10
 
 
+def _green_ratio_limit(k, xs, endpoint):
+    """The Martin kernel as the boundary limit of G(x, y) / G(0, y), y -> endpoint:
+    a geometric approach sequence y = endpoint (1 - 2^-j), j = 6..18, and one
+    Richardson step on its last two terms."""
+    ys = endpoint * (1.0 - 2.0 ** -np.arange(6.0, 19.0))
+    ratios = k.green(np.asarray(xs)[:, None], ys) / k.green(0.0, ys)
+    return 2.0 * ratios[:, -1] - ratios[:, -2]
+
+
+def _martin_closed_form(a, x, endpoint):
+    """(1 - x^2)^(alpha/2) / |1 - endpoint x|, with 1 - x^2 as (1 - x)(1 + x)."""
+    return ((1.0 - x) * (1.0 + x)) ** (a / 2.0) / np.abs(1.0 - endpoint * x)
+
+
 def test_martin_kernel_basic(packs):
     for a in ALPHAS:
         k, _ = packs[a]
-        assert f1.martin_kernel(k, 0.0, +1) == pytest.approx(1.0, abs=1e-10)
-        m_plus, tail = f1.martin_vector(k, [0.5, -0.5], +1)
-        m_minus, _ = f1.martin_vector(k, [-0.5, 0.5], -1)
-        assert np.max(tail) < 1e-4
-        # reflection symmetry of the interval
-        assert m_plus[0] / m_plus[1] == pytest.approx(m_minus[0] / m_minus[1], abs=1e-6)
+        assert f1.martin_kernel(k, 0.0, +1) == 1.0
+        assert f1.martin_kernel(k, 0.0, -1) == 1.0
+        # zero off the interval, as the Green function
+        assert np.all(f1.martin_kernel(k, np.array([-1.5, -1.0, 1.0, 2.0]), +1) == 0.0)
+        xs = np.array([0.5, -0.5, 0.9, -1.0 + 2.0 ** -30])
+        m_plus, m_minus = f1.martin_kernel(k, xs, +1), f1.martin_kernel(k, -xs, -1)
+        # reflection symmetry of the interval, bit for bit
+        assert np.array_equal(m_plus, m_minus)
+        assert np.max(np.abs(m_plus / _martin_closed_form(a, xs, +1) - 1.0)) < 1e-14
+    with pytest.raises(ValueError):
+        f1.martin_kernel(packs[1.0][0], 0.0, 0)
 
 
-def test_martin_two_approach_sequences(packs):
-    k, _ = packs[1.0]
-    v1, _ = f1.martin_vector(k, [0.5], +1, k_lo=6, k_hi=18)
-    v2, _ = f1.martin_vector(k, [0.5], +1, k_lo=8, k_hi=20)
-    assert abs(v1[0] - v2[0]) < 1e-4
-
-
-def test_martin_calibrated_shape(packs):
+def test_martin_kernel_is_the_green_ratio_limit(packs):
+    # cross-check of the Green table against the Martin closed form
+    xs = np.array([0.0, 0.25, -0.25, 0.5, -0.5])
     for a in ALPHAS:
         k, _ = packs[a]
-        fn, spread = f1.martin_boundary_fn(k, +1)
-        assert spread < 1e-8
-        assert fn(np.array([0.0]))[0] == pytest.approx(1.0, abs=1e-8)
+        for endpoint in (+1, -1):
+            ratio = _green_ratio_limit(k, xs, endpoint)
+            assert np.max(np.abs(ratio - f1.martin_kernel(k, xs, endpoint))) < 1e-8
 
 
 def test_solve_continuum_zero_data(packs):
@@ -350,12 +364,15 @@ def test_solve_continuum_zero_data(packs):
 
 
 def test_solve_continuum_pure_martin(packs):
-    k, grid = packs[1.5]
-    prob = f1.ContinuumProblem(kernels=k, grid=grid, g=f1.zero_exterior(),
-                               f=zero_nonlinearity(), nu_plus=1.0)
-    sol = f1.solve_continuum(prob)
-    vals, _ = f1.martin_vector(k, sol.meta["x"][::40], +1)
-    assert np.max(np.abs(sol.u[::40] - vals)) < 1e-8
+    # boundary-measure data only: the solution is nu+ M(., +1) + nu- M(., -1)
+    for a in ALPHAS:
+        k, grid = packs[a]
+        prob = f1.ContinuumProblem(kernels=k, grid=grid, g=f1.zero_exterior(),
+                                   f=zero_nonlinearity(), nu_plus=0.7, nu_minus=0.3)
+        sol = f1.solve_continuum(prob)
+        x = sol.meta["x"]
+        exact = 0.7 * _martin_closed_form(a, x, +1) + 0.3 * _martin_closed_form(a, x, -1)
+        assert np.max(np.abs(sol.u / exact - 1.0)) < 1e-12
 
 
 def test_solve_continuum_cubic(packs):
@@ -447,7 +464,12 @@ def test_example77_batch_max_ratio_stable(packs):
 
 
 def test_nest_from_potential(packs):
-    k, grid = packs[1.0]
-    radii = f1.nest_from_potential(k, grid, levels=6)
-    assert all(0.0 < r < 1.0 for r in radii)
-    assert all(b > a for a, b in zip(radii, radii[1:]))
+    # exact level sets of the mean exit time, proportional to (1 - x^2)^(alpha/2)
+    for a in ALPHAS:
+        radii = f1.nest_from_potential(packs[a][0], levels=8)
+        assert len(radii) == 8
+        assert all(b > r for r, b in zip(radii, radii[1:]))
+        n = np.arange(1, 9)
+        assert np.array_equal(radii, np.sqrt(1.0 - 2.0 ** (-2.0 * n / a)))
+    with pytest.raises(ValueError, match="level 6 of 8"):
+        f1.nest_from_potential(f1.build_kernels(0.2, validate=False), levels=8)

@@ -103,8 +103,9 @@ def test_frac_trace_decreases_for_solution():
 def test_frac_trace_martin_recovers_mass():
     for alpha in (0.5, 1.5):
         k = f1.build_kernels(alpha, validate=False)
-        u_fn, spread = f1.martin_boundary_fn(k, +1)
-        assert spread < 1e-8
+        def u_fn(y):
+            return f1.martin_kernel(k, y, +1)
+
         seq = trace_sequence_frac(k, u_fn, f1.default_nest(12), probes=(0.0,),
                                   edge_exponent=alpha / 2.0 - 1.0)
         assert seq.extrapolated[0] == pytest.approx(1.0, abs=0.05)
