@@ -33,6 +33,10 @@ _CHUNK = 4096
 # arguments each estimator kind reads, checked before any path is simulated
 _NEEDS = {"PDg": ("g",), "RDf": ("h",), "RDmu": ("mu",), "second_moment": ("mu",),
           "FK_residual": ("g", "mu", "u", "f")}
+# functional rows of the walk each kind reads: h, the atoms' weights mu/m, their
+# squares over the rates, and the FK integrand f(u) + mu/m
+_ROWS = {"PDg": (), "RDf": ("h",), "RDmu": ("mu",), "second_moment": ("mu", "mu2"),
+         "FK_residual": ("fk",)}
 
 
 def _rates(form: DiscreteForm, idx: np.ndarray):
@@ -146,14 +150,20 @@ def simulate_batch(form: DiscreteForm, D, x: int, n_paths: int, seed: int,
     return exits, F
 
 
-def mc_estimate(kind: str, form: DiscreteForm, D, x: int, *, n_paths: int = 100_000,
-                seed: int = 0, g=None, h=None, mu=None, u=None, f=None) -> tuple[float, float]:
-    """Sample mean and standard error of the requested exit functional.
+def mc_estimate(kinds: tuple, form: DiscreteForm, D, x: int, *, n_paths: int = 100_000,
+                seed: int = 0, g=None, h=None, mu=None, u=None,
+                f=None) -> list[tuple[float, float]]:
+    """Sample mean and standard error of each requested exit functional, in
+    the order of ``kinds``, all read from one ``simulate_batch`` walk.
 
     Kinds: ``PDg`` (value of g at the exit, 0 on death), ``RDf`` (time
     integral of the density h), ``RDmu`` (additive functional of atoms mu),
     ``second_moment`` (its square), ``FK_residual`` (full path functional
-    minus u at the start point; needs g, mu, u and the absorption f).
+    minus u at the start point; needs g, mu, u and the absorption f).  The
+    walk carries the union of the functional rows the kinds read (``PDg``
+    reads only the exits, which do not depend on the rows), so each estimate
+    has the bits of a one-kind call at the same seed; estimates of one call
+    are correlated, each at its own standard error.
 
     The time integrals are read at their conditional means given the jump
     chain (``simulate_batch``), which are unbiased for every kind but the
@@ -162,40 +172,41 @@ def mc_estimate(kind: str, form: DiscreteForm, D, x: int, *, n_paths: int = 100_
     E[(sum H_k w_k)^2 | chain] = (sum w_k / q_k)^2 + sum w_k^2 / q_k^2;
     ``second_moment`` carries the last sum as a second functional.
     """
+    if isinstance(kinds, str):
+        raise ValueError(f"kinds must be a tuple of estimator kinds, got the string {kinds!r}")
     if n_paths < 100:
         raise ValueError("n_paths must be at least 100")
-    if kind not in _NEEDS:
-        raise ValueError(f"unknown estimator kind: {kind!r}")
     given = {"g": g, "h": h, "mu": mu, "u": u, "f": f}
-    missing = [name for name in _NEEDS[kind] if given[name] is None]
-    if missing:
-        raise ValueError(f"estimator {kind} needs {', '.join(missing)}")
+    for kind in kinds:
+        if kind not in _NEEDS:
+            raise ValueError(f"unknown estimator kind: {kind!r}")
+        missing = [name for name in _NEEDS[kind] if given[name] is None]
+        if missing:
+            raise ValueError(f"estimator {kind} needs {', '.join(missing)}")
     idx = as_subset(form.n, D)
-    if kind == "PDg":
-        functionals = ()
-    elif kind == "RDf":
-        functionals = (np.asarray(h, dtype=float)[idx],)
-    else:
-        weights = np.asarray(mu, dtype=float)[idx] / form.m[idx]
-        if kind == "FK_residual":
-            uvec = np.asarray(u, dtype=float)
-            functionals = (f(idx, uvec[idx]) + weights,)
+    names = list(dict.fromkeys(row for kind in kinds for row in _ROWS[kind]))
+    weights = None if mu is None else np.asarray(mu, dtype=float)[idx] / form.m[idx]
+    make = {"h": lambda: np.asarray(h, dtype=float)[idx],
+            "mu": lambda: weights,
+            "mu2": lambda: weights * weights / _rates(form, idx)[0],
+            "fk": lambda: f(idx, np.asarray(u, dtype=float)[idx]) + weights}
+    exits, F = simulate_batch(form, D, x, n_paths, seed,
+                              functionals=[make[name]() for name in names])
+    occ = dict(zip(names, F))
+    out = []
+    for kind in kinds:
+        if kind == "RDf":
+            vals = occ["h"]
+        elif kind == "RDmu":
+            vals = occ["mu"]
         elif kind == "second_moment":
-            functionals = (weights, weights * weights / _rates(form, idx)[0])
+            vals = occ["mu"] * occ["mu"] + occ["mu2"]
         else:
-            functionals = (weights,)
-    exits, F = simulate_batch(form, D, x, n_paths, seed, functionals=functionals)
-    if kind in ("RDf", "RDmu"):
-        vals = F[0]
-    elif kind == "second_moment":
-        vals = F[0] * F[0] + F[1]
-    else:
-        vals = np.append(np.asarray(g, dtype=float), 0.0)[exits]  # g = 0 on death
-        if kind == "FK_residual":
-            vals = vals + F[0] - uvec[x]
-    est = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / np.sqrt(n_paths))
-    return est, stderr
+            vals = np.append(np.asarray(g, dtype=float), 0.0)[exits]  # g = 0 on death
+            if kind == "FK_residual":
+                vals = vals + occ["fk"] - np.asarray(u, dtype=float)[x]
+        out.append((float(np.mean(vals)), float(np.std(vals, ddof=1) / np.sqrt(n_paths))))
+    return out
 
 
 def exit_law_counts(form: DiscreteForm, D, x: int, n_paths: int, seed: int):

@@ -18,14 +18,12 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy.special import betainc
 
 from .frac1d import FracKernels, _graded_panels, _split_rule
 from .rng import chisquare, substream, worker_count
 
 __all__ = [
     "ball_green_rule",
-    "exit_cdf_ball",
     "wos_estimate",
     "wos_exit_batch",
     "wos_exit_chi2",
@@ -34,15 +32,6 @@ __all__ = [
 _CHUNK = 4096
 # Floor of 1 - S = 1/|Y|^2, so |Y| <= 2^26.5 (about 9.5e7).
 _EXIT_FLOOR = 2.0 ** -53
-
-
-def exit_cdf_ball(alpha: float, t) -> np.ndarray:
-    """P(|exit position| <= t) for the unit centered ball, started at 0."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    ok = t > 1.0
-    out[ok] = betainc(1.0 - alpha / 2.0, alpha / 2.0, 1.0 - 1.0 / t[ok] ** 2)
-    return out
 
 
 def _sample_exit_positions(alpha: float, rng, size: int) -> np.ndarray:
@@ -151,45 +140,60 @@ def wos_exit_batch(kernels: FracKernels, x: float, n_paths: int, seed: int,
     return exits, mean_exit, occ
 
 
-def wos_estimate(kind: str, kernels: FracKernels, x: float, *, n_paths: int = 100_000,
-                 seed: int = 0, g=None, u_fn=None, f=None) -> tuple[float, float]:
-    """Sample mean and standard error of an exit functional of the walk.
+def wos_estimate(kinds: tuple, kernels: FracKernels, x: float, *, n_paths: int = 100_000,
+                 seed: int = 0, g=None, u_fn=None, f=None) -> list[tuple[float, float]]:
+    """One result per requested kind, in the order of ``kinds``, all read
+    from one ``wos_exit_batch`` walk.
 
     Kinds: ``PDg`` (exterior datum at the exit point), ``mean_exit_time``
     (sum of per-ball expected exit times), ``FK_residual`` (exterior value
     plus occupation of the absorption along the solved function, minus the
-    solved value at the start; measure atoms are not supported here).
+    solved value at the start; measure atoms are not supported here) give
+    ``(estimate, stderr)``; ``exit_chi2`` gives ``(statistic, p)`` of the
+    walk's exit points against the exit density.  The walk carries the
+    source only when ``FK_residual`` is asked for, and its exits and mean
+    exit times do not depend on it, so each result has the bits of a
+    one-kind call at the same seed.
     """
+    if isinstance(kinds, str):
+        raise ValueError(f"kinds must be a tuple of estimator kinds, got the string {kinds!r}")
     if n_paths < 100:
         raise ValueError("n_paths must be at least 100")
-    if kind == "PDg":
-        exits, _, _ = wos_exit_batch(kernels, x, n_paths, seed)
-        vals = np.asarray(g(exits), dtype=float)
-    elif kind == "mean_exit_time":
-        _, mean_exit, _ = wos_exit_batch(kernels, x, n_paths, seed)
-        vals = mean_exit
-    elif kind == "FK_residual":
+    for kind in kinds:
+        if kind not in ("PDg", "mean_exit_time", "FK_residual", "exit_chi2"):
+            raise ValueError(f"unknown estimator kind: {kind!r}")
+    h = None
+    if "FK_residual" in kinds:
         def h(pts):
             return f(pts, u_fn(pts))
 
-        exits, _, occ = wos_exit_batch(kernels, x, n_paths, seed, h=h)
-        vals = np.asarray(g(exits), dtype=float) + occ - float(u_fn(np.asarray([x]))[0])
-    else:
-        raise ValueError(f"unknown estimator kind: {kind!r}")
-    est = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / np.sqrt(n_paths))
-    return est, stderr
+    exits, mean_exit, occ = wos_exit_batch(kernels, x, n_paths, seed, h=h)
+    out = []
+    for kind in kinds:
+        if kind == "exit_chi2":
+            out.append(_exit_chi2(kernels, x, exits))
+            continue
+        if kind == "PDg":
+            vals = np.asarray(g(exits), dtype=float)
+        elif kind == "mean_exit_time":
+            vals = mean_exit
+        else:
+            vals = np.asarray(g(exits), dtype=float) + occ - float(u_fn(np.asarray([x]))[0])
+        out.append((float(np.mean(vals)), float(np.std(vals, ddof=1) / np.sqrt(n_paths))))
+    return out
 
 
 def wos_exit_chi2(kernels: FracKernels, x: float, n_paths: int = 100_000, seed: int = 0):
+    """``(statistic, p)`` of one walk's exit points against the exit density."""
+    return wos_estimate(("exit_chi2",), kernels, x, n_paths=n_paths, seed=seed)[0]
+
+
+def _exit_chi2(kernels: FracKernels, x: float, exits: np.ndarray):
     """Chi-square comparison of sampled exit points with the exit density.
 
     Bin masses come from quadrature of the exit density over each cell (the
     overflow cells use the indicator route through the same machinery).
     """
-    if n_paths < 100:
-        raise ValueError("n_paths must be at least 100")
-    exits, _, _ = wos_exit_batch(kernels, x, n_paths, seed)
     edges = np.array([1.0, 1.05, 1.15, 1.3, 1.6, 2.5, 6.0])
     cells = []
     for s in (1.0, -1.0):
@@ -207,7 +211,7 @@ def wos_exit_chi2(kernels: FracKernels, x: float, n_paths: int = 100_000, seed: 
             mass = _tail_mass(kernels, x, abs(hi), negative=True)
         else:
             mass = _bin_mass(kernels, x, lo, hi)
-        expect.append(mass * n_paths)
+        expect.append(mass * exits.size)
     counts = np.asarray(counts, dtype=float)
     expect = np.asarray(expect, dtype=float)
     expect *= counts.sum() / expect.sum()

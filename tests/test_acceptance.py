@@ -149,8 +149,8 @@ def test_criterion_06_second_moment():
         mu = np.abs(spec.mu)
         exact, _ = exit_second_moment(form, spec.D, mu)
         x = int(spec.D[0])
-        est, se = mc_estimate("second_moment", form, spec.D, x,
-                              n_paths=100_000, seed=seed, mu=mu)
+        [(est, se)] = mc_estimate(("second_moment",), form, spec.D, x,
+                                  n_paths=100_000, seed=seed, mu=mu)
         mc_ok &= abs(est - exact[x]) <= 3 * max(se, 1e-12)
     _verdict(6, worst <= 1e-10 and mc_ok,
              f"second-moment identity: worst bound defect {worst:.2e}, "
@@ -167,16 +167,16 @@ def test_criterion_07_mc_oracles():
         x = int(spec.D[0])
         ok = True
         pd_exact = float(harmonic_extension(form, spec.D, spec.g)[x])
-        est, se = mc_estimate("PDg", form, spec.D, x, n_paths=100_000,
-                              seed=3 * run, g=spec.g)
+        [(est, se)] = mc_estimate(("PDg",), form, spec.D, x, n_paths=100_000,
+                                  seed=3 * run, g=spec.g)
         ok &= abs(est - pd_exact) <= 3 * max(se, 1e-9)
         h = rng.uniform(0.0, 1.0, size=form.n)
         rd_exact = float(green_apply(form, spec.D, h * form.m)[x])
-        est, se = mc_estimate("RDf", form, spec.D, x, n_paths=100_000,
-                              seed=3 * run + 1, h=h)
+        [(est, se)] = mc_estimate(("RDf",), form, spec.D, x, n_paths=100_000,
+                                  seed=3 * run + 1, h=h)
         ok &= abs(est - rd_exact) <= 3 * max(se, 1e-9)
-        est, se = mc_estimate("FK_residual", form, spec.D, x, n_paths=100_000,
-                              seed=3 * run + 2, g=spec.g, mu=spec.mu, u=sol.u, f=spec.f)
+        [(est, se)] = mc_estimate(("FK_residual",), form, spec.D, x, n_paths=100_000,
+                                  seed=3 * run + 2, g=spec.g, mu=spec.mu, u=sol.u, f=spec.f)
         ok &= abs(est) <= 3 * max(se, 1e-9)
         failures += not ok
     kern = f1.build_kernels(1.0, validate=False)

@@ -10,7 +10,7 @@ from dirichlet_lab import DiscreteForm, chain_sim, exit_second_moment
 from dirichlet_lab.chain_sim import (_category, _rates, _rise_table, exit_law_chi2,
                                      exit_law_counts, mc_estimate, simulate_batch)
 from dirichlet_lab.forms import as_subset
-from dirichlet_lab.potential import green_operator
+from dirichlet_lab.potential import green_apply, green_operator
 from dirichlet_lab.rng import chisquare, substream
 from dirichlet_lab.semilinear import ProblemSpec, power_nonlinearity, solve
 from dirichlet_lab.suite import random_form, random_problem
@@ -149,7 +149,7 @@ def test_single_state_holding_time_law():
     assert np.all(occ[:, 0] == 1.0 / rate)
     # its square: E[H^2] = 2 / rate^2 for the exponential law, on every path
     mu = np.array([0.0, 1.0, 0.0])
-    est, se = mc_estimate("second_moment", form, [1], 1, n_paths=10_000, seed=1, mu=mu)
+    [(est, se)] = mc_estimate(("second_moment",), form, [1], 1, n_paths=10_000, seed=1, mu=mu)
     assert est == 2.0 / rate ** 2 and se == 0.0
 
 
@@ -181,15 +181,15 @@ def test_occupation_matches_green_row(k3):
 
 def test_pdg_estimate_certain_exit(k3):
     # no killing inside D and g = 1 at the only exit: estimate is exactly one
-    est, se = mc_estimate("PDg", k3, [1, 2], 1, n_paths=1000, seed=5,
-                          g=np.array([1.0, 0.0, 0.0]))
+    [(est, se)] = mc_estimate(("PDg",), k3, [1, 2], 1, n_paths=1000, seed=5,
+                              g=np.array([1.0, 0.0, 0.0]))
     assert est == 1.0 and se == 0.0
 
 
 def test_rdf_estimate_vs_green(k3):
     D = [1, 2]
     h = np.array([0.0, 1.0, 2.0])
-    est, se = mc_estimate("RDf", k3, D, 1, n_paths=100_000, seed=6, h=h)
+    [(est, se)] = mc_estimate(("RDf",), k3, D, 1, n_paths=100_000, seed=6, h=h)
     G = green_operator(k3, np.array(D)).G
     exact = float(G[0] @ h[1:])
     assert abs(est - exact) < 3 * se
@@ -198,7 +198,7 @@ def test_rdf_estimate_vs_green(k3):
 def test_second_moment_estimate(k3):
     mu = np.array([0.0, 0.0, 1.0])
     exact, bound = exit_second_moment(k3, [1, 2], mu)
-    est, se = mc_estimate("second_moment", k3, [1, 2], 2, n_paths=100_000, seed=7, mu=mu)
+    [(est, se)] = mc_estimate(("second_moment",), k3, [1, 2], 2, n_paths=100_000, seed=7, mu=mu)
     assert abs(est - exact[2]) < 3 * se
     assert est <= bound + 3 * se
 
@@ -207,16 +207,61 @@ def test_fk_residual_on_solution(k3):
     spec = ProblemSpec(form=k3, D=[1, 2], g=np.array([1.0, 0.0, 0.0]),
                        mu=np.array([0.0, 0.3, 0.0]), f=power_nonlinearity(np.ones(3), 3.0))
     sol = solve(spec)
-    est, se = mc_estimate("FK_residual", k3, spec.D, 1, n_paths=100_000, seed=8,
-                          g=spec.g, mu=spec.mu, u=sol.u, f=spec.f)
+    [(est, se)] = mc_estimate(("FK_residual",), k3, spec.D, 1, n_paths=100_000, seed=8,
+                              g=spec.g, mu=spec.mu, u=sol.u, f=spec.f)
     assert abs(est) < 3 * max(se, 1e-12)
+
+
+def test_kinds_of_one_walk_match_one_kind_calls(k3, monkeypatch):
+    # one walk carries the union of the rows the kinds read (RDmu and the
+    # second moment share the weights, PDg reads none); the exits do not
+    # depend on the rows, nor a row on the others, so every estimate has the
+    # bits of its one-kind call at the same seed
+    spec = ProblemSpec(form=k3, D=[1, 2], g=np.array([1.0, -0.5, 0.0]),
+                       mu=np.array([0.0, 0.3, 0.1]), f=power_nonlinearity(np.ones(3), 3.0))
+    sol = solve(spec)
+    given_args = dict(g=spec.g, h=np.array([0.0, 1.0, 2.0]), mu=spec.mu, u=sol.u, f=spec.f)
+    kinds = ("PDg", "RDf", "RDmu", "second_moment", "FK_residual")
+    rows = []
+    real = chain_sim.simulate_batch
+
+    def simulate(*args, functionals, **kwargs):
+        rows.append(len(functionals))
+        return real(*args, functionals=functionals, **kwargs)
+
+    monkeypatch.setattr(chain_sim, "simulate_batch", simulate)
+    together = mc_estimate(kinds, k3, spec.D, 1, n_paths=10_000, seed=21, **given_args)
+    assert rows == [4]
+    alone = [mc_estimate((kind,), k3, spec.D, 1, n_paths=10_000, seed=21, **given_args)[0]
+             for kind in kinds]
+    assert together == alone
+    assert mc_estimate(("PDg",), k3, spec.D, 1, n_paths=10_000, seed=21, g=spec.g) == [alone[0]]
+    with pytest.raises(ValueError, match="tuple"):
+        mc_estimate("PDg", k3, spec.D, 1, n_paths=200, g=spec.g)
+
+
+def test_shared_walk_calibration():
+    # the mc suite's three estimates read from one walk keep their 3-sigma
+    # coverage: over 200 seeds at 1e4 paths each band misses at most 4 times
+    spec = random_problem(np.random.default_rng(5))
+    sol = solve(spec)
+    assert sol.converged
+    form, D = spec.form, spec.D
+    x, h = int(D[0]), np.ones(form.n)
+    exact = (float(spec.pdg[x]), float(green_apply(form, D, h * form.m)[x]), 0.0)
+    misses = np.zeros(3, dtype=int)
+    for seed in range(200):
+        got = mc_estimate(("PDg", "RDf", "FK_residual"), form, D, x, n_paths=10_000,
+                          seed=seed, g=spec.g, h=h, mu=spec.mu, u=sol.u, f=spec.f)
+        misses += [abs(est - ex) > 3 * max(se, 1e-9) for (est, se), ex in zip(got, exact)]
+    assert np.all(misses <= 4), misses
 
 
 def test_mc_estimate_validation(k3):
     with pytest.raises(ValueError):
-        mc_estimate("PDg", k3, [1, 2], 1, n_paths=50, seed=0, g=np.zeros(3))
+        mc_estimate(("PDg",), k3, [1, 2], 1, n_paths=50, seed=0, g=np.zeros(3))
     with pytest.raises(ValueError):
-        mc_estimate("nope", k3, [1, 2], 1, n_paths=200, seed=0)
+        mc_estimate(("nope",), k3, [1, 2], 1, n_paths=200, seed=0)
 
 
 def test_mc_estimate_checks_arguments_before_simulating(k3, monkeypatch):
@@ -225,13 +270,13 @@ def test_mc_estimate_checks_arguments_before_simulating(k3, monkeypatch):
 
     monkeypatch.setattr(chain_sim, "simulate_batch", simulate)
     with pytest.raises(ValueError, match="nope"):
-        mc_estimate("nope", k3, [1, 2], 1, n_paths=200)
+        mc_estimate(("nope",), k3, [1, 2], 1, n_paths=200)
     vec = np.zeros(3)
     cases = {"PDg": ({}, "g"), "RDf": ({}, "h"), "RDmu": ({}, "mu"),
              "second_moment": ({}, "mu"), "FK_residual": ({"g": vec, "mu": vec, "u": vec}, "f")}
     for kind, (given_args, missing) in cases.items():
         with pytest.raises(ValueError, match=f"needs {missing}$"):
-            mc_estimate(kind, k3, [1, 2], 1, n_paths=200, **given_args)
+            mc_estimate((kind,), k3, [1, 2], 1, n_paths=200, **given_args)
 
 
 def test_exit_law_chi2_too_few_paths(k3):
@@ -249,8 +294,8 @@ def test_start_state_validation(k3):
 
 
 def test_estimates_bitwise_reproducible(k3):
-    a = mc_estimate("RDf", k3, [1, 2], 1, n_paths=10_000, seed=33, h=np.ones(3))
-    b = mc_estimate("RDf", k3, [1, 2], 1, n_paths=10_000, seed=33, h=np.ones(3))
+    a = mc_estimate(("RDf",), k3, [1, 2], 1, n_paths=10_000, seed=33, h=np.ones(3))
+    b = mc_estimate(("RDf",), k3, [1, 2], 1, n_paths=10_000, seed=33, h=np.ones(3))
     assert a == b
 
 
@@ -271,7 +316,7 @@ def test_conservative_interior_exits_with_probability_one():
     form = DiscreteForm(m=np.ones(4), J=J, kappa=np.zeros(4))
     exits, _ = simulate_batch(form, [1, 2], 1, 20_000, seed=9)
     assert np.all(exits >= 0)
-    est, se = mc_estimate("PDg", form, [1, 2], 1, n_paths=20_000, seed=10, g=np.ones(4))
+    [(est, se)] = mc_estimate(("PDg",), form, [1, 2], 1, n_paths=20_000, seed=10, g=np.ones(4))
     assert est == 1.0 and se == 0.0
 
 

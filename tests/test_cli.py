@@ -46,6 +46,68 @@ def test_run_demo_graph_mc_suite(tmp_path):
     assert set(mc["results"]) == {"mc_PDg", "mc_RD1", "mc_FK_residual"}
 
 
+def test_mc_suite_walks_once(tmp_path, monkeypatch):
+    # one simulate_batch walk gives the three estimates, and PD g has the
+    # bits of a one-kind call at the run's seed
+    batches = []
+    real = cli.chain_sim.simulate_batch
+
+    def simulate(*args, **kwargs):
+        batches.append(args[3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli.chain_sim, "simulate_batch", simulate)
+    path = cli.generate_random_suite(3, 1, tmp_path / "gen")[0]
+    cfg = cli.RunConfig(spec_path=path, out_dir=tmp_path / "out", seed=5,
+                        suites=("mc",), paths=20000)
+    cli.run(cfg)
+    assert batches == [20000]
+    res = json.loads((tmp_path / "out" / "mc.json").read_text())["results"]
+    spec, _ = cli.load_problem(path)
+    x = int(spec.D[0])
+    [(est, se)] = cli.chain_sim.mc_estimate(("PDg",), spec.form, spec.D, x, n_paths=20000,
+                                            seed=5, g=spec.g)
+    assert se > 0 and res["mc_PDg"] == cli._band(est, se, float(spec.pdg[x]))
+
+
+@pytest.mark.parametrize("absorbing", [True, False])
+def test_wos_suite_walks_three_times(tmp_path, monkeypatch, absorbing):
+    # one walk per start point, 0.3, 0.2 and -0.7; the mean exit time and the
+    # FK residual have the bits of one-kind calls at 0.3 / seed + 7 and
+    # 0.2 / seed + 8, and without absorption the FK check is skipped
+    walks = []
+    real = cli.wos.wos_exit_batch
+
+    def walk(kernels, x, n_paths, seed, **kwargs):
+        walks.append((x, seed))
+        return real(kernels, x, n_paths, seed, **kwargs)
+
+    monkeypatch.setattr(cli.wos, "wos_exit_batch", walk)
+    obj = json.loads(_small_frac_spec(tmp_path).read_text())
+    if not absorbing:
+        del obj["f"]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(obj))
+    cfg = cli.RunConfig(spec_path=path, out_dir=tmp_path / "out", seed=3,
+                        suites=("wos",), paths=20000)
+    cli.run(cfg)
+    assert sorted(walks) == [(-0.7, 5), (0.2, 11), (0.3, 10)]
+    res = json.loads((tmp_path / "out" / "mc.json").read_text())["results"]
+    assert set(res) == {"wos_exit_chi2_pmin", "wos_mean_exit"} | (
+        {"wos_fk_residual"} if absorbing else set())
+    prob, ladder = cli.load_problem(path)
+    k = prob.kernels
+    exact = float(cli.frac1d.apply_RD(k, prob.grid, h=np.ones_like, x=[0.3])[0])
+    [mean] = cli.wos.wos_estimate(("mean_exit_time",), k, 0.3, n_paths=20000, seed=10)
+    assert res["wos_mean_exit"] == cli._band(*mean, exact)
+    if absorbing:
+        sol = cli.solve(prob, ladder)
+        [fk] = cli.wos.wos_estimate(("FK_residual",), k, 0.2, n_paths=20000, seed=11,
+                                    g=prob.g, u_fn=cli.frac1d.continuum_callable(prob, sol),
+                                    f=prob.f)
+        assert res["wos_fk_residual"] == cli._band(*fk, 0.0)
+
+
 def test_spec_ladder_reaches_the_solver(tmp_path):
     # one ladder level cannot meet the convergence test, so run returns 1
     # and reports the solver unconverged; without the key the spec passes
@@ -350,7 +412,8 @@ def test_every_spec_key_is_read(tmp_path):
 # JSON objects, atoms that are not pairs, a retired key, a list (key None) in
 # place of the whole spec, ladder settings out of range, state indices that
 # are not integers, graph data that are not numbers, and continuum nests
-# that are not radii in (0, 1) or have no level
+# that are not radii in (0, 1) or have no level, continuum numbers that are
+# not finite numbers and counts that are not integers >= 1 (bools are neither)
 @pytest.mark.parametrize("backend, key, value, name", [
     ("graph", "form.kapa", [1.0, 0.0, 0.0], "'form.kapa'"),
     ("graph", "f", 3, "'f'"),
@@ -373,10 +436,22 @@ def test_every_spec_key_is_read(tmp_path):
     ("frac1d", "nest", 3, "nest"),
     ("frac1d", "nest", [0.5, 1.5], "nest"),
     ("frac1d", "nest_levels", 0, "nest"),
+    ("frac1d", "nest_levels", "x", "'nest_levels'"),
+    ("frac1d", "nest_levels", 2.7, "'nest_levels'"),
+    ("frac1d", "grid.order", 0, "'grid.order'"),
+    ("frac1d", "grid.order", 1.5, "'grid.order'"),
+    ("frac1d", "grid.edge_levels", True, "'grid.edge_levels'"),
+    ("frac1d", "alpha", "x", "'alpha'"),
+    ("frac1d", "alpha", True, "'alpha'"),
+    ("frac1d", "alpha", float("nan"), "'alpha'"),
+    ("frac1d", "nu.plus", "x", "'nu.plus'"),
+    ("frac1d", "g.value", "x", "'g.value'"),
 ], ids=["form.kapa", "f", "inject", "grid", "nu", "g", "mu", "mu.atoms", "list",
         "ladder.max_level", "ladder.base", "ladder.theta0", "ladder.start", "graph-g",
         "D-scalar", "D-floats", "graph-nest", "graph-nest-floats", "frac-nest",
-        "frac-nest-radius", "nest_levels"])
+        "frac-nest-radius", "nest_levels", "nest_levels-str", "nest_levels-float",
+        "grid.order-0", "grid.order-float", "grid.edge_levels-bool", "alpha-str",
+        "alpha-bool", "alpha-nan", "nu.plus", "g.value"])
 def test_malformed_spec_is_a_config_error(tmp_path, capsys, backend, key, value, name):
     make_spec = _demo_graph_spec if backend == "graph" else _small_frac_spec
     obj = json.loads(make_spec(tmp_path).read_text())

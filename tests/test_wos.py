@@ -25,6 +25,16 @@ def _fk_source(y):
     return _FK["f"](y, _FK["u_fn"](y))
 
 
+def exit_cdf_ball(alpha: float, t) -> np.ndarray:
+    """P(|exit position| <= t) for the unit centered ball, started at 0:
+    S = 1 - 1/|Y|^2 is Beta(1 - alpha/2, alpha/2)."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros_like(t)
+    ok = t > 1.0
+    out[ok] = betainc(1.0 - alpha / 2.0, alpha / 2.0, 1.0 - 1.0 / t[ok] ** 2)
+    return out
+
+
 def test_same_seed_same_walk(pack):
     k, _ = pack
     exits1, mean1, _ = wos.wos_exit_batch(k, 0.3, 200, seed=5)
@@ -43,7 +53,7 @@ def test_exit_requires_interior():
             with pytest.raises(ValueError, match="interior"):
                 wos.wos_exit_batch(k, x, 200, seed=0)
             with pytest.raises(ValueError, match="interior"):
-                wos.wos_estimate("mean_exit_time", k, x, n_paths=200, seed=0)
+                wos.wos_estimate(("mean_exit_time",), k, x, n_paths=200, seed=0)
 
 
 def test_exit_cdf_matches_quadrature():
@@ -54,7 +64,7 @@ def test_exit_cdf_matches_quadrature():
         for t in (1.2, 2.0, 5.0):
             y, w = f1._graded_panels(1.0, t, 14, 40, left=-alpha / 2.0)
             quad = float(np.sum(w * 2.0 * k.poisson_coef * (y ** 2 - 1.0) ** (-alpha / 2.0) / y))
-            assert wos.exit_cdf_ball(alpha, np.array([t]))[0] == pytest.approx(quad, abs=1e-8)
+            assert exit_cdf_ball(alpha, np.array([t]))[0] == pytest.approx(quad, abs=1e-8)
 
 
 def test_sampler_matches_cdf(pack):
@@ -63,7 +73,7 @@ def test_sampler_matches_cdf(pack):
     z = wos._sample_exit_positions(k.alpha, rng, 200_000)
     for t in (1.3, 2.0, 4.0):
         emp = np.mean(np.abs(z) <= t)
-        cdf = float(wos.exit_cdf_ball(k.alpha, np.array([t]))[0])
+        cdf = float(exit_cdf_ball(k.alpha, np.array([t]))[0])
         se = np.sqrt(cdf * (1 - cdf) / z.size)
         assert abs(emp - cdf) < 3 * se
     assert abs(np.mean(z > 0) - 0.5) < 3 * np.sqrt(0.25 / z.size)
@@ -107,7 +117,7 @@ def test_one_step_exit_probability(pack):
     assert np.all(mean_exit == k.mean_exit_ball(1.0))
     x, r = 0.3, 0.7
     thresh = (1.0 + x) / r
-    p_exit = 0.5 + 0.5 * (1.0 - float(wos.exit_cdf_ball(k.alpha, np.array([thresh]))[0]))
+    p_exit = 0.5 + 0.5 * (1.0 - float(exit_cdf_ball(k.alpha, np.array([thresh]))[0]))
     counts = 0
     n = 40_000
     for c0 in range(0, n, 4096):
@@ -121,15 +131,15 @@ def test_one_step_exit_probability(pack):
 
 def test_pdg_constant_is_exact(pack):
     k, _ = pack
-    est, se = wos.wos_estimate("PDg", k, 0.2, n_paths=500, seed=1,
-                               g=lambda y: np.ones_like(y))
+    [(est, se)] = wos.wos_estimate(("PDg",), k, 0.2, n_paths=500, seed=1,
+                                   g=lambda y: np.ones_like(y))
     assert est == 1.0 and se == 0.0
 
 
 def test_pdg_indicator_vs_quadrature(pack):
     k, grid = pack
     g = f1.indicator_exterior(1.0, 2.0)
-    est, se = wos.wos_estimate("PDg", k, 0.3, n_paths=100_000, seed=2, g=g)
+    [(est, se)] = wos.wos_estimate(("PDg",), k, 0.3, n_paths=100_000, seed=2, g=g)
     exact = float(f1.apply_PD(k, grid, g, x=[0.3])[0])
     assert abs(est - exact) < 3 * se
 
@@ -138,7 +148,7 @@ def test_mean_exit_time_vs_quadrature():
     for alpha in (0.5, 1.0, 1.5):
         k = f1.build_kernels(alpha, validate=False)
         grid = f1.build_grid(alpha)
-        est, se = wos.wos_estimate("mean_exit_time", k, 0.3, n_paths=100_000, seed=21)
+        [(est, se)] = wos.wos_estimate(("mean_exit_time",), k, 0.3, n_paths=100_000, seed=21)
         exact = float(f1.apply_RD(k, grid, h=lambda y: np.ones_like(y), x=[0.3])[0])
         assert abs(est - exact) < 3 * se
 
@@ -158,26 +168,42 @@ def test_fk_residual_cubic(pack):
                                f=power_nonlinearity(lambda y: np.ones_like(y), 3.0))
     sol = f1.solve_continuum(prob)
     u_fn = f1.continuum_callable(prob, sol)
-    est, se = wos.wos_estimate("FK_residual", k, 0.2, n_paths=100_000, seed=13,
-                               g=prob.g, u_fn=u_fn, f=prob.f)
+    [(est, se)] = wos.wos_estimate(("FK_residual",), k, 0.2, n_paths=100_000, seed=13,
+                                   g=prob.g, u_fn=u_fn, f=prob.f)
     assert abs(est) < 3 * se
+
+
+def test_kinds_of_one_walk_match_one_kind_calls(pack):
+    # the exits and mean exit times do not depend on the source, so every
+    # result of one walk has the bits of its one-kind call at the same seed
+    k, _ = pack
+    fk = dict(g=f1.const_exterior(1.0), **_FK)
+    kinds = ("exit_chi2", "PDg", "mean_exit_time", "FK_residual")
+    together = wos.wos_estimate(kinds, k, 0.3, n_paths=10_000, seed=41, **fk)
+    alone = [wos.wos_estimate((kind,), k, 0.3, n_paths=10_000, seed=41, **fk)[0]
+             for kind in kinds]
+    assert together == alone
+    assert together[0] == wos.wos_exit_chi2(k, 0.3, n_paths=10_000, seed=41)
+    assert wos.wos_estimate(("mean_exit_time",), k, 0.3, n_paths=10_000, seed=41) == [alone[2]]
+    with pytest.raises(ValueError, match="tuple"):
+        wos.wos_estimate("PDg", k, 0.3, n_paths=200, g=fk["g"])
 
 
 def test_unknown_kind_rejected(pack):
     k, _ = pack
     with pytest.raises(ValueError):
-        wos.wos_estimate("nope", k, 0.0, n_paths=100, seed=0)
+        wos.wos_estimate(("nope",), k, 0.0, n_paths=100, seed=0)
 
 
 def test_estimates_bitwise_reproducible(pack):
     # chunked substreams: merged accumulators do not depend on scheduling
     k, _ = pack
-    a = wos.wos_estimate("mean_exit_time", k, 0.3, n_paths=10_000, seed=77)
-    b = wos.wos_estimate("mean_exit_time", k, 0.3, n_paths=10_000, seed=77)
+    a = wos.wos_estimate(("mean_exit_time",), k, 0.3, n_paths=10_000, seed=77)
+    b = wos.wos_estimate(("mean_exit_time",), k, 0.3, n_paths=10_000, seed=77)
     assert a == b
     fk = dict(g=f1.const_exterior(1.0), **_FK)
-    a = wos.wos_estimate("FK_residual", k, 0.3, n_paths=10_000, seed=77, **fk)
-    b = wos.wos_estimate("FK_residual", k, 0.3, n_paths=10_000, seed=77, **fk)
+    a = wos.wos_estimate(("FK_residual",), k, 0.3, n_paths=10_000, seed=77, **fk)
+    b = wos.wos_estimate(("FK_residual",), k, 0.3, n_paths=10_000, seed=77, **fk)
     assert a == b
 
 
@@ -293,8 +319,8 @@ def test_fk_walk_memory_bound(pack, monkeypatch):
     monkeypatch.setenv("DIRICHLET_LAB_THREADS", "2")
     tracemalloc.start()
     try:
-        est, _ = wos.wos_estimate("FK_residual", k, 0.3, n_paths=20_000, seed=3,
-                                  g=f1.const_exterior(1.0), **_FK)
+        [(est, _)] = wos.wos_estimate(("FK_residual",), k, 0.3, n_paths=20_000, seed=3,
+                                      g=f1.const_exterior(1.0), **_FK)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -316,6 +342,6 @@ def test_too_few_paths_rejected(pack):
     k, _ = pack
     for n in (0, 99):
         with pytest.raises(ValueError, match="n_paths"):
-            wos.wos_estimate("mean_exit_time", k, 0.3, n_paths=n, seed=0)
+            wos.wos_estimate(("mean_exit_time",), k, 0.3, n_paths=n, seed=0)
         with pytest.raises(ValueError, match="n_paths"):
             wos.wos_exit_chi2(k, 0.3, n_paths=n, seed=0)
