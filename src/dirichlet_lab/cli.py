@@ -122,13 +122,6 @@ def _write_csv(path: Path, header: str, rows) -> None:
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _coefficient(b):
-    """A spec's ``b``: a scalar becomes a constant callable, a list an array."""
-    if np.isscalar(b):
-        return lambda y, c=float(b): np.full_like(np.asarray(y, dtype=float), c)
-    return np.asarray(b, dtype=float)
-
-
 def _atoms(atoms) -> tuple:
     """``mu.atoms``: a list of ``[position, weight]`` pairs of numbers."""
     try:
@@ -169,6 +162,15 @@ def _number(key: str, value) -> float:
     raise ValueError(f"spec key {key!r} must be a finite number, got {value!r}")
 
 
+def _absorption_coefficient(value):
+    """A spec's ``f.b``: a number becomes a constant callable, a list a
+    per-state array."""
+    if isinstance(value, list):
+        return _vector("f.b", value)
+    b = _number("f.b", value)
+    return lambda y: np.full_like(np.asarray(y, dtype=float), b)
+
+
 def _count(key: str, value) -> int:
     """A spec's count: an integer >= 1, and not a bool."""
     if type(value) is not int or value < 1:
@@ -182,9 +184,10 @@ def _nonlinearity_from_dict(obj: dict):
     if kind in (None, "zero"):
         return zero_nonlinearity()
     if kind == "power":
-        return power_nonlinearity(_coefficient(obj.pop("b", 1.0)), float(obj.pop("p", 1.0)))
+        return power_nonlinearity(_absorption_coefficient(obj.pop("b", 1.0)),
+                                  _number("f.p", obj.pop("p", 1.0)))
     if kind == "exp":
-        return exp_nonlinearity(_coefficient(obj.pop("b", 1.0)))
+        return exp_nonlinearity(_absorption_coefficient(obj.pop("b", 1.0)))
     if kind == "custom-table":
         return table_nonlinearity(obj.pop("y"), obj.pop("values"))
     raise ValueError(f"unknown nonlinearity kind {kind!r}")

@@ -19,8 +19,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
-from scipy.special import exprel, roots_jacobi, roots_legendre
 
 from .semilinear import LadderConfig, Nonlinearity, Solution, solve_ladder
 
@@ -61,16 +59,65 @@ def _frozen(*arrays):
     return arrays
 
 
-@lru_cache(maxsize=64)
 def _gl(order: int):
-    x, w = roots_legendre(order)
-    return x, w
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only."""
+    return _gj(order, 0.0, 0.0)
+
+
+def _jacobi_coefficients(order: int, a: float, b: float):
+    """Diagonal and squared off-diagonal of the monic three-term recurrence
+    for the weight (1-x)^a (1+x)^b; off[k] couples degrees k-1 and k, and
+    off[0] = 0."""
+    k = np.arange(order, dtype=float)
+    s = 2.0 * k + a + b
+    diag = np.empty(order)
+    diag[0] = (b - a) / (a + b + 2.0)
+    diag[1:] = (b * b - a * a) / (s[1:] * (s[1:] + 2.0))
+    off = np.zeros(order)
+    if order > 1:  # k = 1 with the factor k + a + b cancelled, which a + b = -1 zeroes
+        off[1] = 4.0 * (1.0 + a) * (1.0 + b) / ((2.0 + a + b) ** 2 * (3.0 + a + b))
+        k, s = k[2:], s[2:]
+        off[2:] = 4.0 * k * (k + a) * (k + b) * (k + a + b) / (s * s * (s + 1.0) * (s - 1.0))
+    return diag, off
+
+
+def _monic(diag: np.ndarray, off: np.ndarray, x: np.ndarray):
+    """The monic polynomial of the recurrence, of degree len(diag), and its
+    derivative at x."""
+    p0, p1 = np.zeros_like(x), np.ones_like(x)
+    d0, d1 = np.zeros_like(x), np.zeros_like(x)
+    for c, e in zip(diag, off):
+        p0, p1, d0, d1 = p1, (x - c) * p1 - e * p0, d1, p1 + (x - c) * d1 - e * d0
+    return p1, d1
 
 
 @lru_cache(maxsize=256)
 def _gj(order: int, a: float, b: float):
-    x, w = roots_jacobi(order, a, b)
-    return x, w
+    """Gauss-Jacobi nodes and weights on [-1, 1] for the weight
+    (1-x)^a (1+x)^b, read-only (Golub and Welsch, Math. Comp. 23, 1969).
+
+    The nodes are the eigenvalues of the Jacobi matrix, polished by one
+    Newton step on the recurrence.  The weights are proportional to
+    1 / ((1-x)(1+x) p'(x)^2) and scaled to the weight's total mass; both
+    are symmetrized when a == b.
+    """
+    diag, off = _jacobi_coefficients(order, a, b)
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(np.sqrt(off[1:]), -1))
+    p, dp = _monic(diag, off, x)
+    x = x - p / dp
+    dp = _monic(diag, off, x)[1]
+    w = 1.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+    if a == b:
+        x, w = 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
+    mass = math.exp((a + b + 1.0) * math.log(2.0) + math.lgamma(a + 1.0)
+                    + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0))
+    return _frozen(x, w * (mass / w.sum()))
+
+
+def _exprel(z):
+    """(e^z - 1) / z elementwise, exactly 1 at z = 0."""
+    z = np.asarray(z, dtype=float)
+    return np.divide(np.expm1(z), z, out=np.ones_like(z), where=z != 0.0)
 
 
 def _panel_rule(a: float, b: float, order: int, left=None, right=None):
@@ -211,7 +258,7 @@ def _radial_table(alpha: float):
     phi = _radial_integral(alpha, x) * np.exp(-0.5 * alpha * x)
     coef = np.ascontiguousarray(np.linalg.solve(np.vander(_RADIAL_FIT, increasing=True), phi.T))
     c, hi = 0.5 * (alpha - 1.0), _RADIAL_HI
-    tail = (_radial_integral(alpha, np.array([hi]))[0] - hi * exprel(c * hi)
+    tail = (_radial_integral(alpha, np.array([hi]))[0] - hi * _exprel(c * hi)
             - math.exp((c - 1.0) * hi) / (3.0 - alpha))
     return _frozen(coef)[0], tail
 
@@ -235,7 +282,7 @@ def _radial_phi(alpha: float, x) -> np.ndarray:
     high = x > _RADIAL_HI
     if high.any():
         xh, c = x[high], 0.5 * (alpha - 1.0)
-        out[high] = np.exp(-0.5 * alpha * xh) * (tail + xh * exprel(c * xh)
+        out[high] = np.exp(-0.5 * alpha * xh) * (tail + xh * _exprel(c * xh)
                                                 + np.exp((c - 1.0) * xh) / (3.0 - alpha))
     return out
 
@@ -395,10 +442,10 @@ def build_kernels(alpha: float, validate: bool = True) -> FracKernels:
     if not 0.0 < alpha < 2.0:
         raise ValueError("alpha must lie in (0, 2)")
     a = alpha
-    jump = a * 2.0 ** (a - 1.0) * gamma_fn((1.0 + a) / 2.0) / (math.sqrt(math.pi) * gamma_fn(1.0 - a / 2.0))
-    green = 2.0 ** (-a) / gamma_fn(a / 2.0) ** 2
+    jump = a * 2.0 ** (a - 1.0) * math.gamma((1.0 + a) / 2.0) / (math.sqrt(math.pi) * math.gamma(1.0 - a / 2.0))
+    green = 2.0 ** (-a) / math.gamma(a / 2.0) ** 2
     poisson = math.sin(math.pi * a / 2.0) / math.pi
-    exit_c = math.sqrt(math.pi) / (2.0 ** a * gamma_fn(1.0 + a / 2.0) * gamma_fn((1.0 + a) / 2.0))
+    exit_c = math.sqrt(math.pi) / (2.0 ** a * math.gamma(1.0 + a / 2.0) * math.gamma((1.0 + a) / 2.0))
     k = FracKernels(alpha=a, jump_coef=jump, green_coef=green,
                     poisson_coef=poisson, exit_coef=exit_c)
     if validate:

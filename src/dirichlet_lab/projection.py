@@ -13,7 +13,7 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
+from numpy.linalg import LinAlgError
 
 from .forms import DiscreteForm, NonTransientError, as_subset, complement, is_transient
 
@@ -26,6 +26,67 @@ __all__ = [
 ]
 
 
+_BLOCK = 64
+
+
+def _finite(a: np.ndarray) -> np.ndarray:
+    """``a``, or a ValueError if it has a NaN or an infinity."""
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return a
+
+
+def _lower_inverse(d: np.ndarray) -> np.ndarray:
+    """Inverse of the lower-triangular block d from the inverses of its two
+    diagonal halves, half the work of one general inverse."""
+    h = d.shape[0] // 2
+    if h < 16:  # the last, narrow block: two calls would cost more than they save
+        return np.linalg.inv(d)
+    out = np.zeros_like(d)
+    out[:h, :h], out[h:, h:] = np.linalg.inv(d[:h, :h]), np.linalg.inv(d[h:, h:])
+    out[h:, :h] = -(out[h:, h:] @ d[h:, :h]) @ out[:h, :h]
+    return out
+
+
+def cho_factor(a):
+    """Blocked left-looking Cholesky factor of the SPD matrix ``a``.
+
+    Returns ``(L, inv)``: the lower factor, ``a = L @ L.T``, and the inverse
+    of each of its 64-wide diagonal blocks.  Each diagonal block is factored
+    by ``np.linalg.cholesky`` after the columns to its left are subtracted,
+    and the panel below it is a product with the block's inverse.  Raises
+    ValueError on a non-finite entry and LinAlgError when a block is not
+    positive definite.
+    """
+    L = _finite(np.array(a, dtype=float))
+    n = L.shape[0]
+    inv = []
+    for j0 in range(0, n, _BLOCK):
+        j1 = min(j0 + _BLOCK, n)
+        panel = L[j0:, j0:j1]
+        if j0:
+            panel -= L[j0:, :j0] @ L[j0:j1, :j0].T
+        diag = np.linalg.cholesky(panel[:j1 - j0])
+        inv.append(_lower_inverse(diag))
+        panel[:j1 - j0] = diag
+        panel[j1 - j0:] = panel[j1 - j0:] @ inv[-1].T
+        L[j0:j1, j1:] = 0.0
+    return L, tuple(inv)
+
+
+def cho_solve(factor, b) -> np.ndarray:
+    """a^-1 b from ``cho_factor(a)``, for a vector or a matrix b: forward and
+    backward sweeps over the blocks, matrix products only."""
+    L, inv = factor
+    x = _finite(np.array(b, dtype=float))
+    bounds = [(j0, min(j0 + _BLOCK, L.shape[0])) for j0 in range(0, L.shape[0], _BLOCK)]
+    for (j0, j1), di in zip(bounds, inv):
+        x[j0:j1] = di @ (x[j0:j1] - L[j0:j1, :j0] @ x[:j0])
+    for (j0, j1), di in zip(bounds[::-1], inv[::-1]):
+        x[j0:j1] = di.T @ (x[j0:j1] - L[j1:, j0:j1].T @ x[j1:])
+    return x
+
+
 def _factor(form: DiscreteForm, idx: np.ndarray):
     """Transience check and read-only Cholesky factor of A[idx, idx].
 
@@ -34,11 +95,12 @@ def _factor(form: DiscreteForm, idx: np.ndarray):
     if not is_transient(form, idx):
         return f"subset of size {idx.size} is not transient: restricted system singular"
     try:
-        c, lower = cho_factor(form.energy_matrix()[np.ix_(idx, idx)])
+        factor = cho_factor(form.energy_matrix()[np.ix_(idx, idx)])
     except LinAlgError as exc:  # numerically singular despite graph escape
         return f"restricted system numerically singular: {exc}"
-    c.setflags(write=False)
-    return c, lower
+    for arr in (factor[0], *factor[1]):
+        arr.setflags(write=False)
+    return factor
 
 
 def _restricted_cho(form: DiscreteForm, idx: np.ndarray):
@@ -59,7 +121,8 @@ def _restricted_cho(form: DiscreteForm, idx: np.ndarray):
 
 
 def _solve(form: DiscreteForm, idx: np.ndarray, rhs) -> np.ndarray:
-    """A[idx, idx]^-1 rhs from the cached Cholesky factor of the block."""
+    """A[idx, idx]^-1 rhs from the cached Cholesky factor of the block;
+    a non-finite rhs is a ValueError."""
     return cho_solve(_restricted_cho(form, idx), rhs)
 
 

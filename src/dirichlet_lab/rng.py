@@ -7,10 +7,10 @@ and accumulators can be merged deterministically in stream order.
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
-from scipy.special import chdtrc
 
 __all__ = ["chisquare", "substream", "worker_count"]
 
@@ -30,6 +30,22 @@ def worker_count(tasks: int) -> int:
     return max(1, min(cap, tasks))
 
 
+def _chi2_tail(k: int, x: float) -> float:
+    """P(chi^2_k > x) for an integer number k >= 1 of degrees of freedom, in
+    closed form (Abramowitz and Stegun 26.4.4-26.4.5): exp(-x/2) times a
+    Poisson sum for even k; erfc(sqrt(x/2)) plus a half-integer sum for odd k."""
+    h = 0.5 * x
+    if k % 2:
+        total, term, j = math.erfc(math.sqrt(h)), math.exp(-h) * math.sqrt(h / math.pi) * 2.0, 1.5
+    else:
+        total, term, j = 0.0, math.exp(-h), 1.0
+    for _ in range(k // 2):
+        total += term
+        term *= h / j
+        j += 1.0
+    return total
+
+
 def chisquare(observed, expected) -> tuple[float, float]:
     """Pearson chi-square statistic and upper-tail p-value of observed counts
     against expected counts with the same total (to sqrt(eps) relative)."""
@@ -41,4 +57,4 @@ def chisquare(observed, expected) -> tuple[float, float]:
         raise ValueError(f"observed total {obs_sum} and expected total {exp_sum} differ "
                          f"by more than {rtol:.3g} relative")
     stat = float(np.sum((observed - expected) ** 2 / expected))
-    return stat, float(chdtrc(observed.size - 1, stat))
+    return stat, _chi2_tail(observed.size - 1, stat)

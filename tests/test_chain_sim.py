@@ -11,7 +11,7 @@ from dirichlet_lab.chain_sim import (_category, _rates, _rise_table, exit_law_ch
                                      exit_law_counts, mc_estimate, simulate_batch)
 from dirichlet_lab.forms import as_subset
 from dirichlet_lab.potential import green_apply, green_operator
-from dirichlet_lab.rng import chisquare, substream
+from dirichlet_lab.rng import _chi2_tail, chisquare, substream
 from dirichlet_lab.semilinear import ProblemSpec, power_nonlinearity, solve
 from dirichlet_lab.suite import random_form, random_problem
 
@@ -327,6 +327,14 @@ def test_chisquare_closed_form():
     assert p == pytest.approx(math.erfc(math.sqrt(stat / 2.0)), rel=1e-12)
     with pytest.raises(ValueError, match="total"):
         chisquare([30.0, 70.0], [40.0, 61.0])
+
+
+def test_chi2_tail_matches_scipy():
+    special = pytest.importorskip("scipy.special")
+    stats = np.concatenate([[0.0], np.geomspace(1e-8, 1.0, 40), np.linspace(1.0, 200.0, 400)])
+    for k in range(1, 40):
+        ours = np.array([_chi2_tail(k, x) for x in stats])
+        assert np.max(np.abs(ours / special.chdtrc(k, stats) - 1.0)) < 1e-13, k
 
 
 @settings(max_examples=200, deadline=None)

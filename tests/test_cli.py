@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -446,12 +450,20 @@ def test_every_spec_key_is_read(tmp_path):
     ("frac1d", "alpha", float("nan"), "'alpha'"),
     ("frac1d", "nu.plus", "x", "'nu.plus'"),
     ("frac1d", "g.value", "x", "'g.value'"),
+    ("frac1d", "f.p", "x", "'f.p'"),
+    ("frac1d", "f.p", True, "'f.p'"),
+    ("frac1d", "f.p", float("nan"), "'f.p'"),
+    ("frac1d", "f.b", "x", "'f.b'"),
+    ("frac1d", "f.b", True, "'f.b'"),
+    ("frac1d", "f.b", float("nan"), "'f.b'"),
+    ("graph", "f.b", ["x", 1.0, 1.0], "'f.b'"),
 ], ids=["form.kapa", "f", "inject", "grid", "nu", "g", "mu", "mu.atoms", "list",
         "ladder.max_level", "ladder.base", "ladder.theta0", "ladder.start", "graph-g",
         "D-scalar", "D-floats", "graph-nest", "graph-nest-floats", "frac-nest",
         "frac-nest-radius", "nest_levels", "nest_levels-str", "nest_levels-float",
         "grid.order-0", "grid.order-float", "grid.edge_levels-bool", "alpha-str",
-        "alpha-bool", "alpha-nan", "nu.plus", "g.value"])
+        "alpha-bool", "alpha-nan", "nu.plus", "g.value", "f.p-str", "f.p-bool", "f.p-nan",
+        "f.b-str", "f.b-bool", "f.b-nan", "f.b-list-str"])
 def test_malformed_spec_is_a_config_error(tmp_path, capsys, backend, key, value, name):
     make_spec = _demo_graph_spec if backend == "graph" else _small_frac_spec
     obj = json.loads(make_spec(tmp_path).read_text())
@@ -541,3 +553,25 @@ def test_frac1d_config_runs(tmp_path):
     assert cli.run(cfg) == 0
     res = json.loads((tmp_path / "out" / "residuals.json").read_text())
     assert res["results"]["trace_extrapolated"]["pass"]
+
+
+@pytest.mark.parametrize("backend", ["graph", "frac1d"])
+def test_run_does_not_import_scipy(tmp_path, backend):
+    # scipy is an oracle of the tests only: a run of every default suite of
+    # each backend, in a fresh interpreter, leaves no scipy module loaded
+    spec = (_demo_graph_spec if backend == "graph" else _small_frac_spec)(tmp_path)
+    argv = ["run", str(spec), "--out", str(tmp_path / "out"), "--paths", "20000"]
+    code = ("import json, sys; from dirichlet_lab import cli; "
+            f"status = cli.main({argv!r}); "
+            "print(json.dumps([status, sorted(m for m in sys.modules if m.startswith('scipy'))]))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    status, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
+    # 1: the small continuum grid misses the trace contract (0.00107 against
+    # 1e-3); every suite still ran
+    assert status in (0, 1) and (tmp_path / "out" / "residuals.json").is_file()
+    assert scipy_modules == []

@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgError
+from numpy.linalg import LinAlgError
 
 from dirichlet_lab import (DiscreteForm, NonTransientError, apriori_report,
                            exit_second_moment, green_apply, harmonic_boundary,
@@ -176,9 +176,10 @@ def test_numerically_singular_subset_raises_every_time(monkeypatch, k3):
 
 
 def test_cached_factor_is_read_only(k3):
-    c, _ = projection._restricted_cho(k3, np.array([1, 2]))
-    with pytest.raises(ValueError):
-        c[0, 0] = 1.0
+    c, inv = projection._restricted_cho(k3, np.array([1, 2]))
+    for arr in (c, *inv):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
     assert projection._restricted_cho(k3, np.array([1, 2]))[0] is c
 
 

@@ -225,6 +225,77 @@ def test_rule_builder_integrates_end_powers(gamma):
             assert quad == pytest.approx(exact, rel=1e-13, abs=0.0)
 
 
+# end powers the rules use, as (right, left) Jacobi parameters: a/2 - 1,
+# 1 - a, 0 and +-0.5 for a in {0.5, 1, 1.5}
+_RULE_POWERS = sorted({p for a in (0.5, 1.0, 1.5) for p in (a / 2 - 1, 1 - a, 0.0, 0.5, -0.5)})
+
+
+def test_gauss_jacobi_nodes_match_scipy():
+    special = pytest.importorskip("scipy.special")
+    for a in _RULE_POWERS:
+        for b in _RULE_POWERS:
+            for order in range(1, 23):
+                x, _ = f1._gj(order, a, b)
+                with np.errstate(invalid="ignore"):  # scipy's recurrence at a + b = -1
+                    expected, _ = special.roots_jacobi(order, a, b)
+                assert np.max(np.abs(x - expected)) < 1e-14
+
+
+def _mp_gauss_jacobi_weights(order, a, b, x0):
+    """Gauss-Jacobi weights in 40-digit arithmetic: each node refined by
+    Newton on the explicit sum of P_n^(a,b), then the closed-form weight
+    2^(a+b+1) G(n+a+1) G(n+b+1) / (G(n+a+b+1) n! (1-x^2) P_n'(x)^2)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+
+        def jacobi(n, p, q):
+            c = [mpmath.binomial(n + p, n - s) * mpmath.binomial(n + q, s) for s in range(n + 1)]
+            return lambda t: mpmath.fsum(c[s] * ((t - 1) / 2) ** s * ((t + 1) / 2) ** (n - s)
+                                         for s in range(n + 1))
+
+        p, dp_low = jacobi(order, a, b), jacobi(order - 1, a + 1, b + 1)
+
+        def dp(t):
+            return (order + a + b + 1) / 2 * dp_low(t)
+
+        const = (2 ** (a + b + 1) * mpmath.gamma(order + a + 1) * mpmath.gamma(order + b + 1)
+                 / (mpmath.gamma(order + a + b + 1) * mpmath.factorial(order)))
+        weights = []
+        for t in x0:
+            t = mpmath.mpf(float(t))
+            for _ in range(3):
+                t -= p(t) / dp(t)
+            weights.append(float(const / ((1 - t) * (1 + t) * dp(t) ** 2)))
+    return np.array(weights)
+
+
+def test_gauss_jacobi_weights_match_40_digits():
+    # scipy's own weights are off by 1.2e-11 at (0.6, -0.95), order 22, so
+    # the reference is computed here
+    pairs = [(0.6, -0.95)] + [(a, b) for a in _RULE_POWERS for b in _RULE_POWERS]
+    for a, b in pairs:
+        for order in (1, 2, 3, 5, 8, 13, 22):
+            x, w = f1._gj(order, a, b)
+            exact = _mp_gauss_jacobi_weights(order, a, b, x)
+            assert np.max(np.abs(w / exact - 1.0)) < 1e-13, (order, a, b)
+
+
+def test_gauss_rules_are_read_only_and_legendre_is_symmetric():
+    assert f1._gl(11) is f1._gj(11, 0.0, 0.0)
+    x, w = f1._gl(11)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1]) and x[5] == 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        w[0] = 1.0
+
+
+def test_exprel_matches_scipy_and_is_one_at_zero():
+    special = pytest.importorskip("scipy.special")
+    z = np.concatenate([-np.geomspace(1e-300, 30.0, 200), [0.0], np.geomspace(1e-300, 30.0, 200)])
+    assert np.max(np.abs(f1._exprel(z) / special.exprel(z) - 1.0)) < 4e-16
+    assert f1._exprel(0.0) == 1.0 and f1._exprel(np.zeros(3)).tolist() == [1.0, 1.0, 1.0]
+
+
 @pytest.mark.parametrize("left, right", [(None, None), (0.0, 0.0), (-0.5, None), (None, 0.3),
                                          (-0.5, 0.3)])
 def test_composite_matches_panel_loop(left, right):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dirichlet_lab import (DiscreteForm, NonTransientError, energy, harmonic_boundary,
-                           harmonic_extension, poisson_kernel, project)
+                           harmonic_extension, poisson_kernel, project, projection)
 from dirichlet_lab.suite import random_form, random_nested_subsets
 
 
@@ -150,3 +150,60 @@ def test_harmonic_boundary_excludes_unreachable():
     form = DiscreteForm(m=np.ones(4), J=J, kappa=np.zeros(4))
     assert harmonic_boundary(form, [1]).tolist() == [0, 2]
     assert harmonic_boundary(form, [1, 2]).tolist() == [0, 3]
+
+
+def _spd(rng, n, cond):
+    """Random SPD matrix with eigenvalues spread geometrically over ``cond``."""
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    a = (q * np.geomspace(1.0, 1.0 / cond, n)) @ q.T
+    return 0.5 * (a + a.T)
+
+
+def _graph_block(rng, n=1600, n_domain=960):
+    """Energy block on D of a dense graph like the benchmark's graph_exact specs."""
+    codes = np.triu(rng.integers(200, 1001, size=(n, n)) * (rng.random((n, n)) < 0.5), 1)
+    kappa = np.where(rng.random(n) < 0.4, rng.uniform(0.3, 1.2, size=n), 0.0)
+    form = DiscreteForm(m=rng.uniform(0.5, 2.0, size=n), J=(codes + codes.T) / n, kappa=kappa)
+    D = np.sort(rng.choice(n, size=n_domain, replace=False))
+    return form.energy_matrix()[np.ix_(D, D)]
+
+
+def _residual(a, x, b):
+    return np.linalg.norm(a @ x - b) / (np.linalg.norm(a) * np.linalg.norm(x))
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+def test_blocked_cholesky_factor(n):
+    a = _spd(np.random.default_rng(n), n, 1e6)
+    L, inv = projection.cho_factor(a)
+    assert np.array_equal(L, np.tril(L))
+    assert np.max(np.abs(L @ L.T - a)) < 1e-14
+    assert len(inv) == -(-n // 64)
+    for k, block in enumerate(inv):
+        diag = L[64 * k:64 * (k + 1), 64 * k:64 * (k + 1)]
+        assert np.max(np.abs(block @ diag - np.eye(diag.shape[0]))) < 1e-12
+
+
+@pytest.mark.parametrize("case", ["spd200", "graph960"])
+def test_blocked_solve_residual_matches_scipy(case):
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(20)
+    a = _spd(rng, 200, 1e8) if case == "spd200" else _graph_block(rng)
+    ours, theirs = projection.cho_factor(a), scipy_linalg.cho_factor(a)
+    for b in (rng.normal(size=a.shape[0]), rng.normal(size=(a.shape[0], 5))):
+        x = projection.cho_solve(ours, b)
+        assert x.shape == b.shape
+        assert _residual(a, x, b) <= 10.0 * _residual(a, scipy_linalg.cho_solve(theirs, b), b)
+
+
+def test_non_finite_input_is_a_value_error(k3):
+    # a NaN at a state of D reaches the solve through the right-hand side
+    for u in (np.array([0.0, np.nan, 0.0]), np.array([0.0, 0.0, np.inf])):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            project(k3, [1, 2], u)
+    idx = np.array([1, 2])
+    for rhs in (np.array([1.0, np.nan]), np.array([[np.nan], [1.0]])):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            projection._solve(k3, idx, rhs)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        projection.cho_factor(np.array([[2.0, np.nan], [np.nan, 2.0]]))
