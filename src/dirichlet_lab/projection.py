@@ -36,27 +36,15 @@ def _finite(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _lower_inverse(d: np.ndarray) -> np.ndarray:
-    """Inverse of the lower-triangular block d from the inverses of its two
-    diagonal halves, half the work of one general inverse."""
-    h = d.shape[0] // 2
-    if h < 16:  # the last, narrow block: two calls would cost more than they save
-        return np.linalg.inv(d)
-    out = np.zeros_like(d)
-    out[:h, :h], out[h:, h:] = np.linalg.inv(d[:h, :h]), np.linalg.inv(d[h:, h:])
-    out[h:, :h] = -(out[h:, h:] @ d[h:, :h]) @ out[:h, :h]
-    return out
-
-
 def cho_factor(a):
     """Blocked left-looking Cholesky factor of the SPD matrix ``a``.
 
     Returns ``(L, inv)``: the lower factor, ``a = L @ L.T``, and the inverse
     of each of its 64-wide diagonal blocks.  Each diagonal block is factored
-    by ``np.linalg.cholesky`` after the columns to its left are subtracted,
-    and the panel below it is a product with the block's inverse.  Raises
-    ValueError on a non-finite entry and LinAlgError when a block is not
-    positive definite.
+    by ``np.linalg.cholesky`` after the columns to its left are subtracted
+    and inverted once by ``np.linalg.inv``; the panel below it is a product
+    with that inverse.  Raises ValueError on a non-finite entry and
+    LinAlgError when a block is not positive definite.
     """
     L = _finite(np.array(a, dtype=float))
     n = L.shape[0]
@@ -67,7 +55,7 @@ def cho_factor(a):
         if j0:
             panel -= L[j0:, :j0] @ L[j0:j1, :j0].T
         diag = np.linalg.cholesky(panel[:j1 - j0])
-        inv.append(_lower_inverse(diag))
+        inv.append(np.linalg.inv(diag))
         panel[:j1 - j0] = diag
         panel[j1 - j0:] = panel[j1 - j0:] @ inv[-1].T
         L[j0:j1, j1:] = 0.0

@@ -32,16 +32,19 @@ def worker_count(tasks: int) -> int:
 
 def _chi2_tail(k: int, x: float) -> float:
     """P(chi^2_k > x) for an integer number k >= 1 of degrees of freedom, in
-    closed form (Abramowitz and Stegun 26.4.4-26.4.5): exp(-x/2) times a
-    Poisson sum for even k; erfc(sqrt(x/2)) plus a half-integer sum for odd k."""
+    closed form (Abramowitz and Stegun 26.4.4-26.4.5): a sum of Poisson terms
+    h^j exp(-h) / j! with h = x/2 for even k; erfc(sqrt(h)) plus the terms at
+    half-integer j for odd k.  Each term is taken from its logarithm, so none
+    underflows where the tail is not negligible (large k with x near k)."""
+    if x <= 0.0:
+        return 1.0
+    if x == math.inf:
+        return 0.0
     h = 0.5 * x
-    if k % 2:
-        total, term, j = math.erfc(math.sqrt(h)), math.exp(-h) * math.sqrt(h / math.pi) * 2.0, 1.5
-    else:
-        total, term, j = 0.0, math.exp(-h), 1.0
+    log_h = math.log(h)
+    total, j = (math.erfc(math.sqrt(h)), 0.5) if k % 2 else (0.0, 0.0)
     for _ in range(k // 2):
-        total += term
-        term *= h / j
+        total += math.exp(j * log_h - h - math.lgamma(j + 1.0))
         j += 1.0
     return total
 

@@ -335,6 +335,13 @@ def test_chi2_tail_matches_scipy():
     for k in range(1, 40):
         ours = np.array([_chi2_tail(k, x) for x in stats])
         assert np.max(np.abs(ours / special.chdtrc(k, stats) - 1.0)) < 1e-13, k
+    # x near k: exp(-x/2) underflows past x ~ 1490 while the tail is O(1)
+    for k in (1000, 1001, 2000, 2001):
+        stats = np.linspace(0.8 * k, 1.3 * k, 60)
+        ours = np.array([_chi2_tail(k, x) for x in stats])
+        assert np.max(np.abs(ours / special.chdtrc(k, stats) - 1.0)) < 1e-11, k
+    assert _chi2_tail(2000, 2000.0) == pytest.approx(0.4958, abs=1e-4)
+    assert _chi2_tail(5, 0.0) == 1.0 and _chi2_tail(5, math.inf) == 0.0
 
 
 @settings(max_examples=200, deadline=None)
