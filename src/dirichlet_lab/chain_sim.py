@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .forms import DiscreteForm, as_subset, is_transient
-from .rng import chisquare, substream
+from .rng import chisquare, live_segments, substream
 
 __all__ = [
     "exit_law_counts",
@@ -123,17 +123,14 @@ def simulate_batch(form: DiscreteForm, D, x: int, n_paths: int, seed: int,
     local[idx] = np.arange(idx.size)
     exits = np.empty(n_paths, dtype=int)
     F = np.zeros((V.shape[0], n_paths))
-    # each chunk of paths draws from its own substream into its slice of the
-    # draw buffer; active stays sorted, so a chunk's live paths are contiguous
     rngs = [substream(seed, c) for c in range(-(-n_paths // _CHUNK))]
     starts = np.arange(0, n_paths, _CHUNK)
     unif = np.empty(n_paths)
     active = np.arange(n_paths)
     state = np.full(n_paths, local[x], dtype=int)
     for _ in range(max_steps):
-        seg = np.append(np.searchsorted(active, starts), active.size)
-        for c in np.flatnonzero(seg[1:] > seg[:-1]):
-            rngs[c].random(out=unif[seg[c]:seg[c + 1]])
+        for c, seg in live_segments(active, starts):
+            rngs[c].random(out=unif[seg])
         # F[:, active] += Vq[:, state] row by row: 1-D indexing is ~3x faster at k = 2
         for Fj, vj in zip(F, Vq):
             Fj[active] += vj[state]  # each path occurs once per step

@@ -12,8 +12,7 @@ A suite or ``--tol`` key that does not apply to the backend exits 2 unsolved.
 ``dirichlet-lab gen --seed N --count K [--out DIR]`` writes reproducible
 random graph problem pairs (ordered for comparison runs).
 
-DIRICHLET_LAB_THREADS caps the parallel suite workers and the walk-on-spheres
-chunk workers (``rng.worker_count``); the outputs do not depend on it.
+The suites run one after another, in ``SUITES`` order, on the calling thread.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ import operator
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -34,7 +32,6 @@ import numpy as np
 from . import chain_sim, frac1d, trace, wos
 from .forms import form_from_dict, form_to_dict
 from .potential import exit_second_moment, green_apply
-from .rng import worker_count
 from .semilinear import (LadderConfig, ProblemSpec, apriori_report, exp_nonlinearity,
                          power_nonlinearity, residual_probabilistic, solve,
                          table_nonlinearity, vd_check, verify_projective,
@@ -430,12 +427,9 @@ def run(config: RunConfig) -> int:
         _write_csv(outdir / "solution.csv", "x,u", rows)
 
     results: dict = {}
-    # looked up at call time, so a wrapper set on this module is the one run
-    fns = [globals()[f"_suite_{s}_{_SUFFIX[backend]}"] for s in suites]
-    with ThreadPoolExecutor(max_workers=worker_count(len(fns))) as pool:
-        futures = [pool.submit(fn, config, problem, sol, outdir) for fn in fns]
-        for fut in futures:
-            results.update(fut.result())
+    for s in suites:
+        # looked up at call time, so a wrapper set on this module is the one run
+        results.update(globals()[f"_suite_{s}_{_SUFFIX[backend]}"](config, problem, sol, outdir))
 
     ok = all(entry["pass"] for entry in results.values())
     payload = {"schema": SCHEMA, "pass": ok,

@@ -95,7 +95,10 @@ class DiscreteForm:
     def energy_matrix(self) -> np.ndarray:
         """Symmetric matrix A with E(u, v) = u @ A @ v (cached)."""
         if not self._amat:
-            A = 2.0 * (np.diag(self.J.sum(axis=1)) - self.J) + np.diag(self.kappa)
+            # the bytes of 2 (diag(J 1) - J) + diag(kappa), with no dense diagonal matrix
+            A = np.subtract(0.0, self.J)
+            A *= 2.0
+            A[np.diag_indices(self.n)] += 2.0 * self.J.sum(axis=1) + self.kappa
             A.setflags(write=False)
             self._amat.append(A)
         return self._amat[0]

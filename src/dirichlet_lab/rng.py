@@ -1,18 +1,16 @@
 """Counter-based random substreams and the oracles' goodness-of-fit test.
 
-Every consumer keys a Philox generator by (seed, stream); results are then
-reproducible independently of how the streams are scheduled across threads,
-and accumulators can be merged deterministically in stream order.
+Every consumer keys a Philox generator by (seed, stream); a path's draws then
+depend only on its stream, not on how many paths are stepped together.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-__all__ = ["chisquare", "substream", "worker_count"]
+__all__ = ["chisquare", "live_segments", "substream"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -23,11 +21,13 @@ def substream(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def worker_count(tasks: int) -> int:
-    """Threads for ``tasks`` independent tasks: at most DIRICHLET_LAB_THREADS
-    (4 when it is unset or 0), at most ``tasks``, at least one."""
-    cap = int(os.environ.get("DIRICHLET_LAB_THREADS", "0")) or 4
-    return max(1, min(cap, tasks))
+def live_segments(active: np.ndarray, starts: np.ndarray):
+    """``(c, s)`` for each chunk c with live paths: chunk c owns the paths from
+    ``starts[c]`` on, and ``active`` is sorted, so slice s of it holds them all;
+    a stepper fills segment s of its draws from chunk c's own substreams."""
+    seg = np.append(np.searchsorted(active, starts), active.size)
+    for c in np.flatnonzero(seg[1:] > seg[:-1]):
+        yield c, slice(seg[c], seg[c + 1])
 
 
 def _chi2_tail(k: int, x: float) -> float:

@@ -145,7 +145,6 @@ class ProblemSpec:
     ``D``, ``g``, ``mu`` and the nest levels are read-only copies of the
     caller's data.  ``pdg`` (P_D g) and ``rdm`` (R_D mu) are fixed data of
     the problem: each is computed once, on first use, and is read-only.
-    ``solve`` reads both, so the CLI's suite threads only read the cache.
     """
 
     form: DiscreteForm

@@ -15,12 +15,10 @@ quadrature.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from .frac1d import FracKernels, _graded_panels, _split_rule
-from .rng import chisquare, substream, worker_count
+from .rng import chisquare, live_segments, substream
 
 __all__ = [
     "ball_green_rule",
@@ -30,6 +28,9 @@ __all__ = [
 ]
 
 _CHUNK = 4096
+# arguments each estimator kind reads, checked before any path is walked
+_NEEDS = {"PDg": ("g",), "mean_exit_time": (), "FK_residual": ("g", "u_fn", "f"),
+          "exit_chi2": ()}
 # Floor of 1 - S = 1/|Y|^2, so |Y| <= 2^26.5 (about 9.5e7).
 _EXIT_FLOOR = 2.0 ** -53
 
@@ -96,10 +97,11 @@ def wos_exit_batch(kernels: FracKernels, x: float, n_paths: int, seed: int,
     y_j of the rule with probability w_j / M, M = sum w, and adds
     radius^alpha * M * h(center + radius * y_j).
 
-    Chunks of 4,096 paths run on up to ``worker_count`` threads; chunk c
-    draws its walk from ``substream(seed, c)`` and its nodes from
-    ``substream(seed, ~c)``, and writes only its own paths, so the results
-    do not depend on the number of threads, and the exits and mean exit
+    Paths are split into chunks of 4,096; chunk c draws its walk from
+    ``substream(seed, c)`` and its nodes from ``substream(seed, ~c)``.  One
+    loop steps the live paths of all chunks together, each chunk filling its
+    own segment of the step's draws (``rng.live_segments``), so every path's
+    bits are those of a chunk-by-chunk walk, and the exits and mean exit
     times do not depend on ``h``.
     """
     if not abs(x) < 1.0:
@@ -112,31 +114,32 @@ def wos_exit_batch(kernels: FracKernels, x: float, n_paths: int, seed: int,
         rule = ball_green_rule(kernels)
         occ = np.full(n_paths, _ball_source(h, rule, float(x), alpha))
         draw_node, mass = _node_sampler(rule)
-
-    def walk(c: int) -> None:
-        rng = substream(seed, c)
-        pick = substream(seed, ~c)
-        active = np.arange(c * _CHUNK, min((c + 1) * _CHUNK, n_paths))
-        xs = np.full(active.size, float(x))
-        for step in range(max_steps):
-            if active.size == 0:
-                break
-            r = 1.0 - np.abs(xs)
-            mean_exit[active] += kernels.mean_exit_ball(1.0) * r ** alpha
-            if h is not None and step > 0:
-                node = draw_node(pick.random(active.size))
-                occ[active] += mass * r ** alpha * h(xs + r * node)
-            xs = xs + r * _sample_exit_positions(alpha, rng, active.size)
-            done = np.abs(xs) >= 1.0
-            exits[active[done]] = xs[done]
-            active = active[~done]
-            xs = xs[~done]
-        else:
-            raise RuntimeError(f"batch exceeded {max_steps} steps without exiting")
-
-    chunks = range(-(-n_paths // _CHUNK))
-    with ThreadPoolExecutor(max_workers=worker_count(len(chunks))) as pool:
-        list(pool.map(walk, chunks))
+    starts = np.arange(0, n_paths, _CHUNK)
+    walks = [substream(seed, c) for c in range(starts.size)]
+    picks = [substream(seed, ~c) for c in range(starts.size)]
+    jump = np.empty(n_paths)
+    unif = np.empty(n_paths)
+    active = np.arange(n_paths)
+    xs = np.full(n_paths, float(x))
+    for step in range(max_steps):
+        if active.size == 0:
+            break
+        sample = h is not None and step > 0
+        for c, seg in live_segments(active, starts):
+            if sample:
+                picks[c].random(out=unif[seg])
+            jump[seg] = _sample_exit_positions(alpha, walks[c], seg.stop - seg.start)
+        r = 1.0 - np.abs(xs)
+        ra = r ** alpha
+        mean_exit[active] += kernels.mean_exit_ball(1.0) * ra
+        if sample:
+            occ[active] += mass * ra * h(xs + r * draw_node(unif[:active.size]))
+        xs = xs + r * jump[:active.size]
+        done = np.abs(xs) >= 1.0
+        exits[active[done]] = xs[done]
+        active, xs = active[~done], xs[~done]
+    else:
+        raise RuntimeError(f"batch exceeded {max_steps} steps without exiting")
     return exits, mean_exit, occ
 
 
@@ -159,9 +162,13 @@ def wos_estimate(kinds: tuple, kernels: FracKernels, x: float, *, n_paths: int =
         raise ValueError(f"kinds must be a tuple of estimator kinds, got the string {kinds!r}")
     if n_paths < 100:
         raise ValueError("n_paths must be at least 100")
+    given = {"g": g, "u_fn": u_fn, "f": f}
     for kind in kinds:
-        if kind not in ("PDg", "mean_exit_time", "FK_residual", "exit_chi2"):
+        if kind not in _NEEDS:
             raise ValueError(f"unknown estimator kind: {kind!r}")
+        missing = [name for name in _NEEDS[kind] if given[name] is None]
+        if missing:
+            raise ValueError(f"estimator {kind} needs {', '.join(missing)}")
     h = None
     if "FK_residual" in kinds:
         def h(pts):

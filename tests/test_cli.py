@@ -557,21 +557,23 @@ def test_frac1d_config_runs(tmp_path):
 
 @pytest.mark.parametrize("backend", ["graph", "frac1d"])
 def test_run_does_not_import_scipy(tmp_path, backend):
-    # scipy is an oracle of the tests only: a run of every default suite of
-    # each backend, in a fresh interpreter, leaves no scipy module loaded
+    # scipy is an oracle of the tests only, and the run uses no thread pool:
+    # a run of every default suite of each backend, in a fresh interpreter,
+    # leaves no scipy or concurrent module loaded
     spec = (_demo_graph_spec if backend == "graph" else _small_frac_spec)(tmp_path)
     argv = ["run", str(spec), "--out", str(tmp_path / "out"), "--paths", "20000"]
     code = ("import json, sys; from dirichlet_lab import cli; "
             f"status = cli.main({argv!r}); "
-            "print(json.dumps([status, sorted(m for m in sys.modules if m.startswith('scipy'))]))")
+            "print(json.dumps([status, sorted(m for m in sys.modules "
+            "if m.startswith(('scipy', 'concurrent')))]))")
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    status, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
+    status, banned = json.loads(proc.stdout.splitlines()[-1])
     # 1: the small continuum grid misses the trace contract (0.00107 against
     # 1e-3); every suite still ran
     assert status in (0, 1) and (tmp_path / "out" / "residuals.json").is_file()
-    assert scipy_modules == []
+    assert banned == []

@@ -37,6 +37,22 @@ def test_energy_nonnegative_random():
         assert energy(form, u, u) >= -1e-12
 
 
+def test_energy_matrix_bytes_match_dense_formula():
+    # zero-weight pairs (signed zeros too), killing on some states only, and
+    # an isolated state whose row is all zeros: every byte, signs of zeros
+    # included, equals 2 (diag(J 1) - J) + diag(kappa)
+    rng = np.random.default_rng(5)
+    J = np.triu(rng.random((9, 9)) * (rng.random((9, 9)) < 0.4), 1)
+    J = J + J.T
+    J[4, :] = J[:, 4] = -0.0
+    kappa = np.where(np.arange(9) % 3 == 0, rng.random(9), 0.0)
+    kappa[4] = -0.0
+    form = DiscreteForm(np.ones(9), J, kappa)
+    dense = 2.0 * (np.diag(form.J.sum(axis=1)) - form.J) + np.diag(form.kappa)
+    assert (form.J == 0).sum() > 20 and np.signbit(form.J).any()
+    assert form.energy_matrix().tobytes() == dense.tobytes()
+
+
 def test_energy_dimension_mismatch(two_state):
     with pytest.raises(ValueError):
         energy(two_state, np.zeros(3), np.zeros(2))

@@ -195,8 +195,23 @@ def test_unknown_kind_rejected(pack):
         wos.wos_estimate(("nope",), k, 0.0, n_paths=100, seed=0)
 
 
+def test_estimate_checks_arguments_before_walking(pack, monkeypatch):
+    def walk(*args, **kwargs):
+        raise AssertionError("paths walked before the arguments were checked")
+
+    k, _ = pack
+    monkeypatch.setattr(wos, "wos_exit_batch", walk)
+    g = f1.const_exterior(1.0)
+    cases = [("PDg", {}, "g"), ("FK_residual", {}, "g, u_fn, f"),
+             ("FK_residual", {"g": g, "f": _FK["f"]}, "u_fn"),
+             ("FK_residual", {"g": g, "u_fn": _FK["u_fn"]}, "f")]
+    for kind, given, missing in cases:
+        with pytest.raises(ValueError, match=f"estimator {kind} needs {missing}$"):
+            wos.wos_estimate(("mean_exit_time", kind), k, 0.3, n_paths=100, seed=0, **given)
+
+
 def test_estimates_bitwise_reproducible(pack):
-    # chunked substreams: merged accumulators do not depend on scheduling
+    # counter-based substreams: the same seed walks the same paths
     k, _ = pack
     a = wos.wos_estimate(("mean_exit_time",), k, 0.3, n_paths=10_000, seed=77)
     b = wos.wos_estimate(("mean_exit_time",), k, 0.3, n_paths=10_000, seed=77)
@@ -223,14 +238,14 @@ def test_shared_first_ball_evaluated_once(pack):
     assert np.all(occ == occ[0])
 
 
-def _per_path_occupation(k, x, n_paths, seed, h):
-    # reference with the substreams and chunks of wos_exit_batch: the ball
-    # quadrature on each path's first ball, then on every later ball one node
-    # of the rule, the count of normalized cumulative weights at or below the
-    # path's uniform from the chunk's second substream
+def _per_path_walk(k, x, n_paths, seed, h):
+    # chunk-by-chunk reference with the substreams of wos_exit_batch: the
+    # ball quadrature on each path's first ball, then on every later ball one
+    # node of the rule, the count of normalized cumulative weights at or below
+    # the path's uniform from the chunk's second substream
     gy, gw = rule = wos.ball_green_rule(k)
     cum = np.cumsum(gw)
-    occ = np.zeros(n_paths)
+    exits, mean_exit, occ = np.empty(n_paths), np.zeros(n_paths), np.zeros(n_paths)
     for c in range(-(-n_paths // wos._CHUNK)):
         rng, pick = substream(seed, c), substream(seed, ~c)
         active = np.arange(c * wos._CHUNK, min((c + 1) * wos._CHUNK, n_paths))
@@ -238,6 +253,7 @@ def _per_path_occupation(k, x, n_paths, seed, h):
         first = True
         while active.size:
             r = 1.0 - np.abs(xs)
+            mean_exit[active] += k.mean_exit_ball(1.0) * r ** k.alpha
             if first:
                 occ[active] += [wos._ball_source(h, rule, xi, k.alpha) for xi in xs]
             else:
@@ -246,19 +262,23 @@ def _per_path_occupation(k, x, n_paths, seed, h):
                 occ[active] += cum[-1] * r ** k.alpha * h(xs + r * gy[j])
             first = False
             xs = xs + r * wos._sample_exit_positions(k.alpha, rng, active.size)
-            keep = np.abs(xs) < 1.0
-            active, xs = active[keep], xs[keep]
-    return occ
+            done = np.abs(xs) >= 1.0
+            exits[active[done]] = xs[done]
+            active, xs = active[~done], xs[~done]
+    return exits, mean_exit, occ
 
 
 def test_shared_first_ball_matches_per_path():
+    # two full chunks and a partial one, stepped together by the batch
     def h(y):
         return np.cos(3.0 * y) - y ** 3
 
+    n = 2 * wos._CHUNK + 77
     for alpha in (0.5, 1.0, 1.5):
         k = f1.build_kernels(alpha, validate=False)
-        _, _, occ = wos.wos_exit_batch(k, 0.2, 2_000, seed=6, h=h)
-        np.testing.assert_array_equal(occ, _per_path_occupation(k, 0.2, 2_000, 6, h))
+        got = wos.wos_exit_batch(k, 0.2, n, seed=6, h=h)
+        for a, b in zip(got, _per_path_walk(k, 0.2, n, 6, h)):
+            np.testing.assert_array_equal(a, b)
 
 
 def test_walk_independent_of_source():
@@ -291,32 +311,18 @@ def test_sampled_node_matches_ball_quadrature():
         assert abs(terms.mean() - quad) < 3 * terms.std(ddof=1) / np.sqrt(terms.size)
 
 
-def test_batch_independent_of_thread_count(pack, monkeypatch):
-    # chunks on one thread or on three, with a partial last chunk
+def test_step_cap_error_reaches_caller(pack):
     k, _ = pack
-    n = 3 * wos._CHUNK + 77
-    outs = []
-    for threads in ("1", "3"):
-        monkeypatch.setenv("DIRICHLET_LAB_THREADS", threads)
-        outs.append(wos.wos_exit_batch(k, 0.3, n, seed=12, h=_fk_source))
-    for a, b in zip(*outs):
-        np.testing.assert_array_equal(a, b)
-
-
-def test_step_cap_error_reaches_caller(pack, monkeypatch):
-    k, _ = pack
-    monkeypatch.setenv("DIRICHLET_LAB_THREADS", "2")
     with pytest.raises(RuntimeError, match="without exiting"):
         wos.wos_exit_batch(k, 0.3, 3 * wos._CHUNK, seed=0, max_steps=1)
 
 
-def test_fk_walk_memory_bound(pack, monkeypatch):
+def test_fk_walk_memory_bound(pack):
     # the full ball rule runs once per call, on one row of 1,104 points, and
-    # every later ball takes one point, so a worker's temporaries are a few
-    # arrays of one 4,096-path chunk; one quadrature row per ball of a whole
-    # chunk would be 36 MB for the points alone
+    # every later ball takes one point, so the walk's temporaries are a few
+    # arrays of the 20,000 paths; one quadrature row per ball of a 4,096-path
+    # chunk alone would be 36 MB for the points
     k, _ = pack
-    monkeypatch.setenv("DIRICHLET_LAB_THREADS", "2")
     tracemalloc.start()
     try:
         [(est, _)] = wos.wos_estimate(("FK_residual",), k, 0.3, n_paths=20_000, seed=3,
