@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .forms import DiscreteForm, as_subset, is_transient
-from .rng import chisquare, live_segments, substream
+from .rng import check_estimate_args, chisquare, live_segments, mean_and_stderr, substream
 
 __all__ = [
     "exit_law_counts",
@@ -169,17 +169,7 @@ def mc_estimate(kinds: tuple, form: DiscreteForm, D, x: int, *, n_paths: int = 1
     E[(sum H_k w_k)^2 | chain] = (sum w_k / q_k)^2 + sum w_k^2 / q_k^2;
     ``second_moment`` carries the last sum as a second functional.
     """
-    if isinstance(kinds, str):
-        raise ValueError(f"kinds must be a tuple of estimator kinds, got the string {kinds!r}")
-    if n_paths < 100:
-        raise ValueError("n_paths must be at least 100")
-    given = {"g": g, "h": h, "mu": mu, "u": u, "f": f}
-    for kind in kinds:
-        if kind not in _NEEDS:
-            raise ValueError(f"unknown estimator kind: {kind!r}")
-        missing = [name for name in _NEEDS[kind] if given[name] is None]
-        if missing:
-            raise ValueError(f"estimator {kind} needs {', '.join(missing)}")
+    check_estimate_args(kinds, n_paths, _NEEDS, {"g": g, "h": h, "mu": mu, "u": u, "f": f})
     idx = as_subset(form.n, D)
     names = list(dict.fromkeys(row for kind in kinds for row in _ROWS[kind]))
     weights = None if mu is None else np.asarray(mu, dtype=float)[idx] / form.m[idx]
@@ -202,7 +192,7 @@ def mc_estimate(kinds: tuple, form: DiscreteForm, D, x: int, *, n_paths: int = 1
             vals = np.append(np.asarray(g, dtype=float), 0.0)[exits]  # g = 0 on death
             if kind == "FK_residual":
                 vals = vals + occ["fk"] - np.asarray(u, dtype=float)[x]
-        out.append((float(np.mean(vals)), float(np.std(vals, ddof=1) / np.sqrt(n_paths))))
+        out.append(mean_and_stderr(vals))
     return out
 
 

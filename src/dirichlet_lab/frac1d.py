@@ -313,16 +313,6 @@ class FracKernels:
         r = np.asarray(r, dtype=float)
         return self.jump_coef * r ** (-1.0 - self.alpha)
 
-    def _radial_body(self, r: np.ndarray) -> np.ndarray:
-        """B(r), the integral of s^(alpha/2-1) (1+s)^(-1/2) over (0, r).
-
-        Read from the per-alpha table of phi(log r) = B(r) r^(-alpha/2)
-        (``_radial_phi``), one formula for every alpha in (0, 2).
-        """
-        r = np.asarray(r, dtype=float)
-        phi = _radial_phi(self.alpha, np.log(r).reshape(-1)).reshape(r.shape)
-        return phi * r ** (self.alpha / 2.0)
-
     def green(self, x, y) -> np.ndarray:
         """Green function of (-1, 1); zero off the interval, +inf allowed on
         the diagonal when alpha <= 1."""
@@ -398,7 +388,8 @@ def levy_symbol(kernels: FracKernels, xi: float) -> float:
     A = kernels.jump_coef
 
     def body(r):
-        return (1.0 - np.cos(r * xi)) * 2.0 * kernels.j(r)
+        # 1 - cos(r xi) as 2 sin^2(r xi / 2), which keeps its digits for small r xi
+        return 2.0 * np.sin(0.5 * r * xi) ** 2 * 2.0 * kernels.j(r)
 
     y, w = _graded_panels(0.0, 1.0, 12, 40, left=1.0 - a)
     head = float(np.sum(w * body(y)))
@@ -417,7 +408,8 @@ def _validate_kernels(k: FracKernels) -> dict:
     ys = rng.uniform(-0.98, 0.98, size=40)
     gsym = float(np.max(np.abs(k.green(xs, ys) - k.green(ys, xs))))
     gpos = float(np.min(k.green(xs, ys)))
-    totals = _poisson_total_mass(k, np.array([0.0, 0.5, -0.5, 0.9]))
+    rule = _exterior_rule(_exterior_breaks(30, 10), 14, -k.alpha / 2.0)
+    totals = _exit_average(k, 1.0, const_exterior(1.0), np.array([0.0, 0.5, -0.5, 0.9]), rule)
     norm_defect = float(np.max(np.abs(totals - 1.0)))
     sym_defect = 0.0
     for xi in (1.0, 2.0, 4.0):
@@ -505,15 +497,19 @@ def _interior_breaks(n_base: int, edge_levels: int) -> np.ndarray:
     return _mirror_points(np.concatenate([[-1.0], left, mid[1:-1], -left[::-1], [1.0]]))
 
 
-def _exterior_rule(alpha: float, order: int, edge_levels: int, out_levels: int,
-                   edge_gamma: float | None = None):
-    """Rule on (1, R) mirrored to (-R, -1); innermost panels carry the
-    (y^2-1)^(-alpha/2) edge power (plus any declared data power)."""
-    gamma = -alpha / 2.0 if edge_gamma is None else edge_gamma
+def _exterior_breaks(edge_levels: int, out_levels: int) -> np.ndarray:
+    """Panel breaks on (1, R): graded toward 1 on (1, 2), then doubling to
+    R = 2^(out_levels + 1)."""
+    return np.concatenate([_graded_breaks(1.0, 2.0, edge_levels, True)[:-1],
+                           2.0 ** np.arange(1, out_levels + 2, dtype=float)])
+
+
+def _exterior_rule(breaks: np.ndarray, order: int, gamma: float):
+    """Rule (nodes, weights, R) on (1, R), R = breaks[-1], mirrored to
+    (-R, -1); the innermost panel carries the (|y| - 1)^gamma edge power
+    (the exit density's -alpha/2 plus any declared data power)."""
     if gamma <= -1.0:
         raise ValueError("exterior edge power is not integrable")
-    breaks = np.concatenate([_graded_breaks(1.0, 2.0, edge_levels, True)[:-1],
-                             2.0 ** np.arange(1, out_levels + 2, dtype=float)])
     x, w = _composite(breaks, order, left=gamma)
     return np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w]), float(breaks[-1])
 
@@ -523,7 +519,8 @@ def build_grid(alpha: float, order: int = 10, n_base: int = 8, edge_levels: int 
     breaks = _interior_breaks(n_base, edge_levels)
     xs, ws = _composite(breaks, order)
     xs, ws = _mirror_points(xs), _mirror_weights(ws)
-    ext_x, ext_w, radius = _exterior_rule(alpha, order, edge_levels, out_levels)
+    ext_x, ext_w, radius = _exterior_rule(_exterior_breaks(edge_levels, out_levels), order,
+                                          -alpha / 2.0)
     return QuadGrid(alpha=alpha, order=order, edge_levels=edge_levels, n_base=n_base,
                     out_levels=out_levels,
                     interior_x=xs, interior_w=ws,
@@ -569,33 +566,40 @@ def power_singular_exterior(p: float, coef: float = 1.0) -> ExteriorData:
                         tail_exponent=-p, edge_exponent=-p, name=f"power_singular[{p}]")
 
 
-def _poisson_total_mass(kernels: FracKernels, x: np.ndarray) -> np.ndarray:
-    """Exit mass from each interior point of x, by one order-14 exterior rule."""
-    ext_x, ext_w, radius = _exterior_rule(kernels.alpha, 14, 30, 10)
-    main = np.sum(ext_w * kernels.poisson(x[:, None], ext_x), axis=1)
-    return main + _poisson_tail(kernels, x, const_exterior(1.0), radius)
+def _poisson_tail(kernels: FracKernels, radius: float, x: np.ndarray, g: ExteriorData,
+                  R: float) -> np.ndarray:
+    """Analytic tail of the exit average from (-radius, radius) beyond |y| = R.
 
-
-def _poisson_tail(kernels: FracKernels, x: np.ndarray, g: ExteriorData, radius: float) -> np.ndarray:
-    """Analytic tail of the exit average beyond |y| = radius.
-
-    Uses the power-law decay of the exit density with three expansion terms;
-    the truncation error is O(radius^(s - alpha - 3)).
+    Uses the power-law decay of the exit density with three expansion terms
+    in the scaled point x / radius and cut-off R / radius; the truncation
+    error is O((R / radius)^(s - alpha - 3)).
     """
     a, s = kernels.alpha, g.tail_exponent
     if s >= a:
         raise ValueError("exterior datum grows too fast: exit average diverges")
-    R = radius
+    x, Rs = x / radius, R / radius
     out = np.zeros_like(x)
     for sign in (1.0, -1.0):
-        c = float(g(np.asarray([sign * R]))[0]) * R ** (-s)
+        c = float(g(np.asarray([sign * R]))[0]) * Rs ** (-s)
         if c == 0.0:
             continue
-        terms = (R ** (s - a) / (a - s)
-                 + sign * x * R ** (s - a - 1.0) / (a + 1.0 - s)
-                 + (x ** 2 + a / 2.0) * R ** (s - a - 2.0) / (a + 2.0 - s))
+        terms = (Rs ** (s - a) / (a - s)
+                 + sign * x * Rs ** (s - a - 1.0) / (a + 1.0 - s)
+                 + (x ** 2 + a / 2.0) * Rs ** (s - a - 2.0) / (a + 2.0 - s))
         out += kernels.poisson_coef * (1.0 - x ** 2) ** (a / 2.0) * c * terms
     return out
+
+
+def _exit_average(kernels: FracKernels, radius: float, g: ExteriorData, x: np.ndarray,
+                  rule) -> np.ndarray:
+    """Exit averages over (-radius, radius) of the datum g on |y| > 1, one
+    per point of x: the exterior rule (nodes, weights, R) up to |y| = R, and
+    ``_poisson_tail`` beyond.  The only sum of the exit density against
+    exterior data; one (points, nodes) array of the density is formed."""
+    y, w, R = rule
+    vals = (kernels.poisson(x[:, None] / radius, y[None, :] / radius)
+            * (w * g(y) / radius)).sum(axis=1)
+    return vals + _poisson_tail(kernels, radius, x, g, R)
 
 
 def apply_PD(kernels: FracKernels, grid: QuadGrid, g: ExteriorData, x=None) -> np.ndarray:
@@ -607,15 +611,12 @@ def apply_PD(kernels: FracKernels, grid: QuadGrid, g: ExteriorData, x=None) -> n
     """
     x = grid.interior_x if x is None else np.atleast_1d(np.asarray(x, dtype=float))
     if g.edge_exponent != 0.0:
-        ext_x, ext_w, radius = _exterior_rule(
-            grid.alpha, grid.order, grid.edge_levels, grid.out_levels,
-            edge_gamma=-kernels.alpha / 2.0 + g.edge_exponent)
+        rule = _exterior_rule(_exterior_breaks(grid.edge_levels, grid.out_levels), grid.order,
+                              -kernels.alpha / 2.0 + g.edge_exponent)
     else:
-        ext_x, ext_w, radius = grid.exterior_x, grid.exterior_w, grid.radius
-    gv = g(ext_x)
-    _check_outward_decay(kernels, g, radius)
-    vals = (kernels.poisson(x[:, None], ext_x[None, :]) * (ext_w * gv)[None, :]).sum(axis=1)
-    return vals + _poisson_tail(kernels, x, g, radius)
+        rule = grid.exterior_x, grid.exterior_w, grid.radius
+    _check_outward_decay(kernels, g, rule[2])
+    return _exit_average(kernels, 1.0, g, x, rule)
 
 
 def _check_outward_decay(kernels: FracKernels, g: ExteriorData, radius: float) -> None:
@@ -677,16 +678,6 @@ def apply_PV_interval(kernels: FracKernels, radius: float, fn, x,
     wf = np.tile(span * ws, 2) * fn(y)
     return np.sum(kernels.poisson_interval(radius, x[..., None], y, np.tile(gap, 2)) * wf,
                   axis=-1)
-
-
-def _pv_exterior(kernels: FracKernels, radius: float, g: ExteriorData, x: float,
-                 grid: QuadGrid) -> float:
-    """Exit average over (-radius, radius) of the part of g beyond |y| > 1."""
-    gv = g(grid.exterior_x)
-    val = float(np.sum(grid.exterior_w * kernels.poisson_interval(radius, x, grid.exterior_x) * gv))
-    scaled = ExteriorData(fn=lambda y: g(radius * y), tail_exponent=g.tail_exponent)
-    tail = _poisson_tail(kernels, np.asarray([x / radius]), scaled, grid.radius / radius)[0]
-    return val + float(tail)
 
 
 # ---------------------------------------------------------------------------
@@ -970,12 +961,10 @@ def projective_exhaustion_defects(prob: ContinuumProblem, sol: Solution,
     u_fn = continuum_callable(prob, sol)
     probes = np.asarray(probes, dtype=float)
     limit = apply_PD(kern, grid, prob.g, x=probes) + prob.martin_part(probes)
-    rows = []
-    for radius in prob.nest:
-        pv = apply_PV_interval(kern, radius, u_fn, probes)
-        rows.append([abs(pv[j] + _pv_exterior(kern, radius, prob.g, x, grid) - limit[j])
-                     for j, x in enumerate(probes)])
-    return np.asarray(rows)
+    rule = grid.exterior_x, grid.exterior_w, grid.radius
+    return np.asarray([np.abs(apply_PV_interval(kern, radius, u_fn, probes)
+                              + _exit_average(kern, radius, prob.g, probes, rule) - limit)
+                       for radius in prob.nest])
 
 
 def example77_report(prob: ContinuumProblem, sol: Solution) -> dict:

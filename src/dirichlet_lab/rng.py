@@ -1,4 +1,5 @@
-"""Counter-based random substreams and the oracles' goodness-of-fit test.
+"""Counter-based random substreams, the oracles' goodness-of-fit test, and
+the argument check and reduction shared by the Monte Carlo front ends.
 
 Every consumer keys a Philox generator by (seed, stream); a path's draws then
 depend only on its stream, not on how many paths are stepped together.
@@ -10,7 +11,7 @@ import math
 
 import numpy as np
 
-__all__ = ["chisquare", "live_segments", "substream"]
+__all__ = ["check_estimate_args", "chisquare", "live_segments", "mean_and_stderr", "substream"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -28,6 +29,27 @@ def live_segments(active: np.ndarray, starts: np.ndarray):
     seg = np.append(np.searchsorted(active, starts), active.size)
     for c in np.flatnonzero(seg[1:] > seg[:-1]):
         yield c, slice(seg[c], seg[c + 1])
+
+
+def check_estimate_args(kinds, n_paths: int, needs: dict, given: dict) -> None:
+    """Checks made before any path is walked: ``kinds`` is a tuple of kinds
+    named in ``needs``, ``n_paths`` is at least 100, and no argument that a
+    kind reads (``needs[kind]``, looked up in ``given``) is None."""
+    if isinstance(kinds, str):
+        raise ValueError(f"kinds must be a tuple of estimator kinds, got the string {kinds!r}")
+    if n_paths < 100:
+        raise ValueError("n_paths must be at least 100")
+    for kind in kinds:
+        if kind not in needs:
+            raise ValueError(f"unknown estimator kind: {kind!r}")
+        missing = [name for name in needs[kind] if given[name] is None]
+        if missing:
+            raise ValueError(f"estimator {kind} needs {', '.join(missing)}")
+
+
+def mean_and_stderr(vals: np.ndarray) -> tuple[float, float]:
+    """Sample mean of the per-path values and its standard error."""
+    return float(np.mean(vals)), float(np.std(vals, ddof=1) / np.sqrt(vals.size))
 
 
 def _chi2_tail(k: int, x: float) -> float:

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .frac1d import FracKernels, _graded_panels, _split_rule
-from .rng import chisquare, live_segments, substream
+from .frac1d import (ExteriorData, FracKernels, _exit_average, _exterior_rule, _graded_breaks,
+                     _split_rule)
+from .rng import check_estimate_args, chisquare, live_segments, mean_and_stderr, substream
 
 __all__ = [
     "ball_green_rule",
@@ -31,6 +32,8 @@ _CHUNK = 4096
 # arguments each estimator kind reads, checked before any path is walked
 _NEEDS = {"PDg": ("g",), "mean_exit_time": (), "FK_residual": ("g", "u_fn", "f"),
           "exit_chi2": ()}
+# edges of the exit-law chi-square's cells on |y| > 1, mirrored to y < -1
+_CELL_EDGES = (1.0, 1.05, 1.15, 1.3, 1.6, 2.5, 6.0)
 # Floor of 1 - S = 1/|Y|^2, so |Y| <= 2^26.5 (about 9.5e7).
 _EXIT_FLOOR = 2.0 ** -53
 
@@ -122,8 +125,6 @@ def wos_exit_batch(kernels: FracKernels, x: float, n_paths: int, seed: int,
     active = np.arange(n_paths)
     xs = np.full(n_paths, float(x))
     for step in range(max_steps):
-        if active.size == 0:
-            break
         sample = h is not None and step > 0
         for c, seg in live_segments(active, starts):
             if sample:
@@ -138,6 +139,8 @@ def wos_exit_batch(kernels: FracKernels, x: float, n_paths: int, seed: int,
         done = np.abs(xs) >= 1.0
         exits[active[done]] = xs[done]
         active, xs = active[~done], xs[~done]
+        if active.size == 0:
+            break
     else:
         raise RuntimeError(f"batch exceeded {max_steps} steps without exiting")
     return exits, mean_exit, occ
@@ -158,17 +161,7 @@ def wos_estimate(kinds: tuple, kernels: FracKernels, x: float, *, n_paths: int =
     exit times do not depend on it, so each result has the bits of a
     one-kind call at the same seed.
     """
-    if isinstance(kinds, str):
-        raise ValueError(f"kinds must be a tuple of estimator kinds, got the string {kinds!r}")
-    if n_paths < 100:
-        raise ValueError("n_paths must be at least 100")
-    given = {"g": g, "u_fn": u_fn, "f": f}
-    for kind in kinds:
-        if kind not in _NEEDS:
-            raise ValueError(f"unknown estimator kind: {kind!r}")
-        missing = [name for name in _NEEDS[kind] if given[name] is None]
-        if missing:
-            raise ValueError(f"estimator {kind} needs {', '.join(missing)}")
+    check_estimate_args(kinds, n_paths, _NEEDS, {"g": g, "u_fn": u_fn, "f": f})
     h = None
     if "FK_residual" in kinds:
         def h(pts):
@@ -186,7 +179,7 @@ def wos_estimate(kinds: tuple, kernels: FracKernels, x: float, *, n_paths: int =
             vals = mean_exit
         else:
             vals = np.asarray(g(exits), dtype=float) + occ - float(u_fn(np.asarray([x]))[0])
-        out.append((float(np.mean(vals)), float(np.std(vals, ddof=1) / np.sqrt(n_paths))))
+        out.append(mean_and_stderr(vals))
     return out
 
 
@@ -195,50 +188,37 @@ def wos_exit_chi2(kernels: FracKernels, x: float, n_paths: int = 100_000, seed: 
     return wos_estimate(("exit_chi2",), kernels, x, n_paths=n_paths, seed=seed)[0]
 
 
-def _exit_chi2(kernels: FracKernels, x: float, exits: np.ndarray):
-    """Chi-square comparison of sampled exit points with the exit density.
+def _exit_cells(kernels: FracKernels, x: float):
+    """The chi-square's 14 cells ``(lo, hi)``, each on one side of the boundary
+    and counted as lo <= y < hi, and the exit mass of each from x.
 
-    Bin masses come from quadrature of the exit density over each cell (the
-    overflow cells use the indicator route through the same machinery).
+    A mass is the exit average (``frac1d._exit_average``) of the cell's
+    indicator, all on one exterior rule whose breaks include every cell edge,
+    so each panel lies in one cell.  The indicator of a finite cell is 0 at
+    the rule's end, so it has no tail; that of an outer cell is one-sided,
+    with tail exponent 0, so its tail is the analytic one.
     """
-    edges = np.array([1.0, 1.05, 1.15, 1.3, 1.6, 2.5, 6.0])
-    cells = []
-    for s in (1.0, -1.0):
-        for k in range(len(edges) - 1):
-            cells.append((s * edges[k], s * edges[k + 1]))
-        cells.append((s * edges[-1], s * np.inf))
-    counts = []
-    expect = []
-    for (a, b) in cells:
-        lo, hi = min(a, b), max(a, b)
-        counts.append(np.sum((exits >= lo) & (exits < hi)))
-        if np.isinf(hi):
-            mass = _tail_mass(kernels, x, lo)
-        elif np.isinf(lo):
-            mass = _tail_mass(kernels, x, abs(hi), negative=True)
-        else:
-            mass = _bin_mass(kernels, x, lo, hi)
-        expect.append(mass * exits.size)
-    counts = np.asarray(counts, dtype=float)
-    expect = np.asarray(expect, dtype=float)
+    right = list(zip(_CELL_EDGES, _CELL_EDGES[1:] + (np.inf,)))
+    cells = right + [(-hi, -lo) for lo, hi in right]
+    # graded toward 1 inside the first cell, one panel per finite cell, then
+    # doubling from 8 to 2^11
+    breaks = np.concatenate([_graded_breaks(1.0, _CELL_EDGES[1], 28, True)[:-1],
+                             _CELL_EDGES[1:], 2.0 ** np.arange(3, 12)])
+    rule = _exterior_rule(breaks, 14, -kernels.alpha / 2.0)
+
+    def indicator(lo, hi):
+        return ExteriorData(fn=lambda y: ((y >= lo) & (y < hi)).astype(float))
+
+    xs = np.array([float(x)])
+    masses = [_exit_average(kernels, 1.0, indicator(lo, hi), xs, rule)[0] for lo, hi in cells]
+    return cells, np.asarray(masses)
+
+
+def _exit_chi2(kernels: FracKernels, x: float, exits: np.ndarray):
+    """Chi-square comparison of sampled exit points with the exit density,
+    on the cells of ``_exit_cells``."""
+    cells, masses = _exit_cells(kernels, x)
+    counts = np.asarray([np.sum((exits >= lo) & (exits < hi)) for lo, hi in cells], dtype=float)
+    expect = masses * exits.size
     expect *= counts.sum() / expect.sum()
     return chisquare(counts, expect)
-
-
-def _bin_mass(kernels: FracKernels, x: float, lo: float, hi: float) -> float:
-    """Exit mass of one finite cell [lo, hi) on either side of the boundary."""
-    edge = -kernels.alpha / 2.0
-    y, w = _graded_panels(lo, hi, 14, 28, left=edge if lo == 1.0 else None,
-                          right=edge if hi == -1.0 else None)
-    return float(np.sum(w * kernels.poisson(x, y)))
-
-
-def _tail_mass(kernels: FracKernels, x: float, cut: float, negative: bool = False) -> float:
-    """Exit mass beyond |y| >= cut > 1 on one side of the boundary."""
-    alpha = kernels.alpha
-    top = cut * 2.0 ** 24
-    y, w = _graded_panels(cut, top, 12, 70, left=0.0)
-    sign = -1.0 if negative else 1.0
-    main = float(np.sum(w * kernels.poisson(x, sign * y)))
-    remainder = kernels.poisson_coef * (1.0 - x * x) ** (alpha / 2.0) * top ** (-alpha) / alpha
-    return main + remainder

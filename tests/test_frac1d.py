@@ -45,18 +45,26 @@ def test_green_alpha1_log_closed_form(packs):
 @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.5, 1.99])
 def test_radial_table_matches_hypergeometric_form(alpha):
     # B(r) = (2/alpha) r^(alpha/2) 2F1(1/2, alpha/2; alpha/2 + 1; -r), in
-    # 40-digit arithmetic; 1.99 is refused by the symbol check.  The table's
-    # window is log r in [-50, 50]; 17 points at each end lie beyond it, on
-    # the two-term expansions
+    # 40-digit arithmetic, read from the table as ``FracKernels.green`` reads
+    # it.  The table's window is log r in [-50, 50]; 17 points at each end
+    # lie beyond it, on the two-term expansions
     mpmath = pytest.importorskip("mpmath")
-    k = f1.build_kernels(alpha, validate=False)
     rs = np.logspace(-30.0, 30.0, 121)
     with mpmath.workdps(40):
         a = mpmath.mpf(alpha)
         exact = np.array([float(2 / a * mpmath.mpf(r) ** (a / 2)
                                 * mpmath.hyp2f1(0.5, a / 2, a / 2 + 1, -mpmath.mpf(r)))
                           for r in rs])
-    assert np.max(np.abs(k._radial_body(rs) / exact - 1.0)) < 1e-13
+    body = f1._radial_phi(alpha, np.log(rs)) * rs ** (alpha / 2)
+    assert np.max(np.abs(body / exact - 1.0)) < 1e-13
+
+
+@pytest.mark.parametrize("alpha", [1.6, 1.7, 1.8, 1.9, 1.95])
+def test_build_kernels_accepts_alpha_near_two(alpha):
+    # 1 - cos(r xi) rounds to 0 for r xi below about 1e-8, where the graded
+    # panels of the symbol integral carry most of the mass as alpha nears 2
+    k = f1.build_kernels(alpha)
+    assert k.diagnostics["symbol_relative"] < 1e-6
 
 
 def test_green_matrix_continuous_across_alpha_one():
@@ -121,6 +129,41 @@ def test_apply_pd_singular_data_exponent(packs):
     assert np.all(np.isfinite(vals))
     fit = np.polyfit(np.log(deltas), np.log(vals), 1)[0]
     assert fit == pytest.approx(-p, abs=0.05)
+
+
+def _tail_sum(k, x, g, R):
+    """Three-term tail of the exit average from (-1, 1) beyond |y| = R,
+    written out as before ``_exit_average``."""
+    a, s = k.alpha, g.tail_exponent
+    out = np.zeros_like(x)
+    for sign in (1.0, -1.0):
+        c = float(g(np.asarray([sign * R]))[0]) * R ** (-s)
+        if c == 0.0:
+            continue
+        terms = (R ** (s - a) / (a - s)
+                 + sign * x * R ** (s - a - 1.0) / (a + 1.0 - s)
+                 + (x ** 2 + a / 2.0) * R ** (s - a - 2.0) / (a + 2.0 - s))
+        out += k.poisson_coef * (1.0 - x ** 2) ** (a / 2.0) * c * terms
+    return out
+
+
+def test_apply_pd_is_the_inline_exterior_sum(packs):
+    # the sum apply_PD made before _exit_average, bit for bit at the nodes;
+    # the singular datum gets the rule with its edge power added
+    for a in ALPHAS:
+        k, grid = packs[a]
+        x = grid.interior_x
+        for g in (f1.const_exterior(1.5), f1.power_singular_exterior(0.2)):
+            if g.edge_exponent:
+                breaks = np.concatenate([f1._graded_breaks(1.0, 2.0, grid.edge_levels, True)[:-1],
+                                         2.0 ** np.arange(1, grid.out_levels + 2, dtype=float)])
+                y, w = f1._composite(breaks, grid.order, left=-a / 2.0 + g.edge_exponent)
+                ext_x, ext_w, R = (np.concatenate([-y[::-1], y]), np.concatenate([w[::-1], w]),
+                                   float(breaks[-1]))
+            else:
+                ext_x, ext_w, R = grid.exterior_x, grid.exterior_w, grid.radius
+            vals = (k.poisson(x[:, None], ext_x[None, :]) * (ext_w * g(ext_x))[None, :]).sum(axis=1)
+            assert np.array_equal(f1.apply_PD(k, grid, g), vals + _tail_sum(k, x, g, R))
 
 
 def test_apply_pd_divergent_edge_rejected(packs):
@@ -488,6 +531,28 @@ def test_projective_exhaustion_defects_decrease(packs):
     worst = defects.max(axis=1)
     assert worst[-1] < worst[0]
     assert worst[-1] < 5e-3
+
+
+def test_projective_exhaustion_is_the_per_probe_sum(packs):
+    # the exterior part summed one probe at a time through poisson_interval,
+    # as before _exit_average, with the tail of the datum scaled to the level
+    k, grid = packs[1.0]
+    prob = f1.ContinuumProblem(kernels=k, grid=grid, g=f1.const_exterior(1.5),
+                               f=power_nonlinearity(lambda y: np.ones_like(y), 3.0),
+                               nu_plus=0.1, nest=f1.default_nest(8))
+    sol = f1.solve_continuum(prob)
+    probes = np.array([0.0, 0.25, -0.25])
+    got = f1.projective_exhaustion_defects(prob, sol, probes)
+    u_fn = f1.continuum_callable(prob, sol)
+    limit = f1.apply_PD(k, grid, prob.g, x=probes) + prob.martin_part(probes)
+    gv = prob.g(grid.exterior_x)
+    for i, radius in enumerate(prob.nest):
+        pv = f1.apply_PV_interval(k, radius, u_fn, probes)
+        scaled = f1.ExteriorData(fn=lambda y: prob.g(radius * y))
+        for j, x in enumerate(probes):
+            ext = float(np.sum(grid.exterior_w * k.poisson_interval(radius, x, grid.exterior_x) * gv))
+            ext += _tail_sum(k, np.asarray([x / radius]), scaled, grid.radius / radius)[0]
+            assert abs(got[i, j] - abs(pv[j] + ext - limit[j])) <= 1e-15
 
 
 def test_example77_report_zero_and_atom(packs):

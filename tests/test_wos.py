@@ -35,6 +35,38 @@ def exit_cdf_ball(alpha: float, t) -> np.ndarray:
     return out
 
 
+def _bin_mass(kernels, x, lo, hi):
+    """Exit mass of a finite cell [lo, hi) by its own graded rule: the
+    chi-square's reference before its cells moved onto one exterior rule."""
+    edge = -kernels.alpha / 2.0
+    y, w = f1._graded_panels(lo, hi, 14, 28, left=edge if lo == 1.0 else None,
+                             right=edge if hi == -1.0 else None)
+    return float(np.sum(w * kernels.poisson(x, y)))
+
+
+def _tail_mass(kernels, x, cut, negative):
+    """Exit mass beyond |y| >= cut on one side, by a graded rule to cut * 2^24
+    and the one-term remainder beyond it."""
+    alpha = kernels.alpha
+    top = cut * 2.0 ** 24
+    y, w = f1._graded_panels(cut, top, 12, 70, left=0.0)
+    main = float(np.sum(w * kernels.poisson(x, (-1.0 if negative else 1.0) * y)))
+    return main + kernels.poisson_coef * (1.0 - x * x) ** (alpha / 2.0) * top ** (-alpha) / alpha
+
+
+def test_exit_cell_masses_match_graded_rules():
+    for alpha in (0.5, 1.0, 1.5):
+        k = f1.build_kernels(alpha, validate=False)
+        for x in (-0.7, 0.2, 0.3):
+            cells, masses = wos._exit_cells(k, x)
+            ref = [_tail_mass(k, x, lo, False) if np.isinf(hi)
+                   else _tail_mass(k, x, -hi, True) if np.isinf(lo)
+                   else _bin_mass(k, x, lo, hi) for lo, hi in cells]
+            assert len(cells) == 14
+            np.testing.assert_allclose(masses, ref, rtol=1e-9, atol=0.0)
+            assert abs(masses.sum() - 1.0) < 1e-10
+
+
 def test_same_seed_same_walk(pack):
     k, _ = pack
     exits1, mean1, _ = wos.wos_exit_batch(k, 0.3, 200, seed=5)
@@ -315,6 +347,12 @@ def test_step_cap_error_reaches_caller(pack):
     k, _ = pack
     with pytest.raises(RuntimeError, match="without exiting"):
         wos.wos_exit_batch(k, 0.3, 3 * wos._CHUNK, seed=0, max_steps=1)
+
+
+def test_paths_exiting_at_the_step_cap_are_returned():
+    # from the centre every path leaves the first ball, so one step suffices
+    exits, _, _ = wos.wos_exit_batch(f1.build_kernels(1.0), 0.0, 1000, 0, max_steps=1)
+    assert np.all(np.abs(exits) >= 1.0)
 
 
 def test_fk_walk_memory_bound(pack):
