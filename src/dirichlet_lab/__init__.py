@@ -7,7 +7,7 @@ chains, stable-ball exit walks) cross-checking every deterministic quantity.
 
 from .forms import DiscreteForm, NonTransientError, energy, generator, is_transient
 from .potential import dynkin_defect, exit_second_moment, green_apply, green_operator, is_excessive
-from .projection import PoissonKernel, harmonic_boundary, harmonic_extension, poisson_kernel, project
+from .projection import harmonic_boundary, harmonic_extension, poisson_kernel, project
 from .semilinear import (LadderConfig, Nonlinearity, ProblemSpec, Solution, apriori_report,
                          compare, exp_nonlinearity, power_nonlinearity, residual_probabilistic,
                          solve, solve_shifted, stability_gap, table_nonlinearity, vd_check,
@@ -20,7 +20,6 @@ __all__ = [
     "LadderConfig",
     "NonTransientError",
     "Nonlinearity",
-    "PoissonKernel",
     "ProblemSpec",
     "Solution",
     "apriori_report",

@@ -216,7 +216,7 @@ def exit_law_chi2(form: DiscreteForm, D, x: int, n_paths: int = 100_000, seed: i
         raise ValueError("n_paths must be at least 100")
     idx = as_subset(form.n, D)
     comp, counts = exit_law_counts(form, idx, x, n_paths, seed)
-    P = poisson_kernel(form, idx).P
+    P = poisson_kernel(form, idx)
     expected = np.append(P[x, comp], max(1.0 - P[x, comp].sum(), 0.0)) * n_paths
     keep = expected >= 5.0
     if (~keep).any():

@@ -345,7 +345,10 @@ def _suite_trace_frac(cfg, prob, sol, outdir):
     seq = trace.trace_sequence_frac(prob.kernels, u_fn, radii)
     _write_csv(outdir / "trace.csv", "probe,level,value,extrapolated",
                trace.trace_csv_rows(seq))
-    worst = float(np.max(np.abs(seq.extrapolated)))
+    # the trace of u is its boundary measure: the limits tend to M|nu|, 0 without nu
+    limit = (abs(prob.nu_plus) * frac1d.martin_kernel(prob.kernels, seq.probes, +1)
+             + abs(prob.nu_minus) * frac1d.martin_kernel(prob.kernels, seq.probes, -1))
+    worst = float(np.max(np.abs(seq.extrapolated - limit)))
     return {"trace_extrapolated": _checked(cfg, "frac1d", "trace", worst)}
 
 
@@ -356,7 +359,8 @@ def _suite_wos_frac(cfg, prob, sol, outdir):
     [(_, p_far)] = wos.wos_estimate(("exit_chi2",), k, -0.7, n_paths=n_paths, seed=cfg.seed + 2)
     (_, p_mean), mean = wos.wos_estimate(("exit_chi2", "mean_exit_time"), k, 0.3,
                                          n_paths=n_paths, seed=cfg.seed + 7)
-    exact = float(frac1d.apply_RD(k, prob.grid, h=lambda y: np.ones_like(y), x=[0.3])[0])
+    # E_x tau of (-1, 1) in closed form
+    exact = k.exit_coef * (1.0 - 0.3 ** 2) ** (k.alpha / 2.0)
     out = {"wos_mean_exit": _band(*mean, exact)}
     if not prob.f.is_zero and not prob.mu_atoms:
         (_, p_fk), fk = wos.wos_estimate(("exit_chi2", "FK_residual"), k, 0.2,
@@ -384,10 +388,10 @@ def _dump_kernels(problem, outdir: Path) -> None:
         from .potential import green_operator
         from .projection import poisson_kernel
 
-        P = poisson_kernel(problem.form, problem.D).P
+        P = poisson_kernel(problem.form, problem.D)
         _write_csv(outdir / "poisson_kernel.csv", ",".join(map(str, range(P.shape[1]))),
                    [tuple(float(v) for v in row) for row in P])
-        G = green_operator(problem.form, problem.D).G
+        G = green_operator(problem.form, problem.D)
         _write_csv(outdir / "green_operator.csv", ",".join(str(int(i)) for i in problem.D),
                    [tuple(float(v) for v in row) for row in G])
         return

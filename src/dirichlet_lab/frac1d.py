@@ -359,17 +359,6 @@ class FracKernels:
                 / np.abs(x[ok] - y[ok])
         return out if out.shape else float(out)
 
-    def green_interval(self, radius: float, x, y) -> np.ndarray:
-        """Green function of (-radius, radius) by stable scaling."""
-        return radius ** (self.alpha - 1.0) * self.green(np.asarray(x) / radius,
-                                                         np.asarray(y) / radius)
-
-    def poisson_interval(self, radius: float, x, y, gap=None) -> np.ndarray:
-        """Exit density of (-radius, radius) by stable scaling; ``gap`` is
-        |y| - radius, as in ``poisson``."""
-        return self.poisson(np.asarray(x) / radius, np.asarray(y) / radius,
-                            None if gap is None else np.asarray(gap) / radius) / radius
-
     def mean_exit_ball(self, radius: float) -> float:
         """Expected exit time from a centered interval of given radius,
         started at the center."""
@@ -429,7 +418,7 @@ def _validate_kernels(k: FracKernels) -> dict:
     return diag
 
 
-def build_kernels(alpha: float, validate: bool = True) -> FracKernels:
+def build_kernels(alpha: float) -> FracKernels:
     """Kernel pack for the given stability index, re-validated numerically."""
     if not 0.0 < alpha < 2.0:
         raise ValueError("alpha must lie in (0, 2)")
@@ -440,8 +429,7 @@ def build_kernels(alpha: float, validate: bool = True) -> FracKernels:
     exit_c = math.sqrt(math.pi) / (2.0 ** a * math.gamma(1.0 + a / 2.0) * math.gamma((1.0 + a) / 2.0))
     k = FracKernels(alpha=a, jump_coef=jump, green_coef=green,
                     poisson_coef=poisson, exit_coef=exit_c)
-    if validate:
-        k.diagnostics.update(_validate_kernels(k))
+    k.diagnostics.update(_validate_kernels(k))
     return k
 
 
@@ -667,8 +655,8 @@ def apply_PV_interval(kernels: FracKernels, radius: float, fn, x,
 
     The annulus rule is the cached [0, 1] rule scaled to (radius, 1) and
     mirrored to (-1, -radius); fn is evaluated once on it, and the exit
-    density once on every (start point, node) pair, from each node's
-    distance beyond the radius as the rule built it.
+    density, scaled from (-1, 1), once on every (start point, node) pair,
+    from each node's distance beyond the radius as the rule built it.
     """
     x = np.asarray(x, dtype=float)
     s, ws = _annulus_ref(-kernels.alpha / 2.0, edge_exponent)
@@ -676,8 +664,8 @@ def apply_PV_interval(kernels: FracKernels, radius: float, fn, x,
     gap = span * s  # |y| - radius, free of the rounding of y
     y = np.concatenate([radius + gap, -(radius + gap)])
     wf = np.tile(span * ws, 2) * fn(y)
-    return np.sum(kernels.poisson_interval(radius, x[..., None], y, np.tile(gap, 2)) * wf,
-                  axis=-1)
+    dens = kernels.poisson(x[..., None] / radius, y / radius, np.tile(gap, 2) / radius) / radius
+    return np.sum(dens * wf, axis=-1)
 
 
 # ---------------------------------------------------------------------------

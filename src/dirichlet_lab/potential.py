@@ -8,15 +8,12 @@ to a measure solves E(R u, eta) = <mu, eta> for every eta supported on V.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .forms import DiscreteForm, as_subset
 from .projection import _solve, project
 
 __all__ = [
-    "GreenOperator",
     "dynkin_defect",
     "exit_second_moment",
     "green_apply",
@@ -27,24 +24,17 @@ __all__ = [
 _EXCESSIVE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class GreenOperator:
-    """Inverse of the restricted negative generator on a subset V.
+def green_operator(form: DiscreteForm, V) -> np.ndarray:
+    """Inverse G of the restricted negative generator on a subset V.
 
     ``G @ f`` maps nodal density values f on V to the potential of the
     measure f * m; the column G[:, k] / m[V[k]] is the potential of a unit
     atom at V[k].  The kernel G[i, k] / m[V[k]] is symmetric.
     """
-
-    V: np.ndarray
-    G: np.ndarray
-
-
-def green_operator(form: DiscreteForm, V) -> GreenOperator:
     idx = as_subset(form.n, V)
     if idx.size == 0:
-        return GreenOperator(V=idx, G=np.zeros((0, 0)))
-    return GreenOperator(V=idx, G=_solve(form, idx, np.diag(form.m[idx])))
+        return np.zeros((0, 0))
+    return _solve(form, idx, np.diag(form.m[idx]))
 
 
 def green_apply(form: DiscreteForm, V, mu) -> np.ndarray:

@@ -10,7 +10,6 @@ the harmonic extension as a sub-stochastic matrix acting on boundary data.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -18,7 +17,6 @@ from numpy.linalg import LinAlgError
 from .forms import DiscreteForm, NonTransientError, as_subset, complement, is_transient
 
 __all__ = [
-    "PoissonKernel",
     "harmonic_boundary",
     "harmonic_extension",
     "poisson_kernel",
@@ -136,24 +134,14 @@ def harmonic_extension(form: DiscreteForm, V, g) -> np.ndarray:
     return g - project(form, V, g)
 
 
-@dataclass(frozen=True)
-class PoissonKernel:
-    """Sub-stochastic exit kernel for a subset V.
+def poisson_kernel(form: DiscreteForm, V) -> np.ndarray:
+    """Sub-stochastic exit kernel P of a subset V, assembled column by column
+    as harmonic extensions.
 
     Rows are indexed by all states; columns are supported on the complement
     of V, and rows at states outside V are unit point masses.  The row defect
     1 - sum_y P[x, y] is the probability of dying inside V.
     """
-
-    V: np.ndarray
-    P: np.ndarray
-
-    def apply(self, g) -> np.ndarray:
-        return self.P @ np.asarray(g, dtype=float)
-
-
-def poisson_kernel(form: DiscreteForm, V) -> PoissonKernel:
-    """Assemble the exit kernel column-by-column as harmonic extensions."""
     idx = as_subset(form.n, V)
     comp = complement(form.n, idx)
     P = np.zeros((form.n, form.n))
@@ -163,22 +151,21 @@ def poisson_kernel(form: DiscreteForm, V) -> PoissonKernel:
     elif idx.size:
         # no exterior states: kernel vanishes, all mass dies inside
         _restricted_cho(form, idx)
-    return PoissonKernel(V=idx, P=P)
+    return P
 
 
-def harmonic_boundary(form: DiscreteForm, D, weights=None) -> np.ndarray:
+def harmonic_boundary(form: DiscreteForm, D) -> np.ndarray:
     """States outside D carrying positive aggregated exit-kernel mass.
 
-    The aggregated measure gives state y the mass sum_{x in D} w[x] P_D[x, y]
-    with w defaulting to the reference measure.  Strict positivity up to a
+    The aggregated measure gives state y the mass sum_{x in D} m[x] P_D[x, y],
+    with m the reference measure.  Strict positivity up to a
     rounding guard of 1e-14 selects the minimal atomically-supported carrier.
-    Since A_DD is symmetric, w @ P_D[D, Dc] = -(A_DD^{-1} w) @ A[D, Dc]:
+    Since A_DD is symmetric, m @ P_D[D, Dc] = -(A_DD^{-1} m) @ A[D, Dc]:
     one solve, and the kernel itself is never formed.
     """
     idx = as_subset(form.n, D)
     if idx.size == 0:
         return np.array([], dtype=int)
     comp = complement(form.n, idx)
-    w = form.m[idx] if weights is None else np.asarray(weights, dtype=float)[idx]
-    mass = -(_solve(form, idx, w) @ form.energy_matrix()[np.ix_(idx, comp)])
+    mass = -(_solve(form, idx, form.m[idx]) @ form.energy_matrix()[np.ix_(idx, comp)])
     return comp[mass > 1e-14]

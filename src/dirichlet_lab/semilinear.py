@@ -15,7 +15,6 @@ double-sum energy layer, and the comparison / a-priori / stability bounds.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -205,24 +204,16 @@ _MAX_INNER = 300
 
 @dataclass(frozen=True)
 class LadderConfig:
-    """Truncation schedule, first inner step and starting iterate."""
+    """Truncation schedule: envelope indices base**k for k < max_level."""
 
     base: int = 2
     max_level: int = 16
-    theta0: float = 1.0
-    start: str = "base"  # or "zero"
 
     def __post_init__(self):
         for name, low in (("base", 2), ("max_level", 1)):
             val = getattr(self, name)
             if isinstance(val, bool) or not isinstance(val, numbers.Integral) or val < low:
                 raise ValueError(f"ladder {name} must be an integer >= {low}, got {val!r}")
-        theta0 = self.theta0
-        if isinstance(theta0, bool) or not isinstance(theta0, numbers.Real) \
-                or not (math.isfinite(theta0) and theta0 > 0):
-            raise ValueError(f"ladder theta0 must be finite and positive, got {theta0!r}")
-        if self.start not in ("base", "zero"):
-            raise ValueError(f"ladder start must be 'base' or 'zero', got {self.start!r}")
 
     def schedule(self) -> list[int]:
         return [self.base ** k for k in range(self.max_level)]
@@ -239,12 +230,12 @@ class Solution:
     meta: dict = field(default_factory=dict)
 
 
-def _inner_solve(u0, base, gmat, fappl, fder, cfg: LadderConfig, scale: float):
+def _inner_solve(u0, base, gmat, fappl, fder, scale: float):
     """Solve u = base + gmat f(u) for one bounded truncation level.
 
-    Damped fixed-point sweeps with step adapted to the residual; if progress
-    stalls, switch to a semi-smooth Newton iteration with backtracking.  The
-    limit is unique, so only robustness matters here.
+    Damped fixed-point sweeps from step 1, the step adapted to the residual;
+    if progress stalls, switch to a semi-smooth Newton iteration with
+    backtracking.  The limit is unique, so only robustness matters here.
     """
     u = u0.copy()
     tol = _INNER_TOL * scale
@@ -254,7 +245,7 @@ def _inner_solve(u0, base, gmat, fappl, fder, cfg: LadderConfig, scale: float):
 
     r = residual(u)
     rn = float(np.max(np.abs(r)))
-    theta = cfg.theta0
+    theta = 1.0
     iters = 0
     slow = 0
     newton = False
@@ -309,7 +300,7 @@ def solve_ladder(base: np.ndarray, gmat: np.ndarray, f: Nonlinearity, points,
     trace = []
     mono_up = 0.0
     mono_down = 0.0
-    u = base.copy() if cfg.start == "base" else np.zeros_like(base)
+    u = base.copy()
     prev_um = None
     converged = False
     final_res = np.inf
@@ -328,7 +319,7 @@ def solve_ladder(base: np.ndarray, gmat: np.ndarray, f: Nonlinearity, points,
                 d = f.derivative(points, v)
                 return np.where((raw > lo) & (raw < hi), d, 0.0)
 
-            u, iters, res = _inner_solve(u, base, gmat, fnm, dnm, cfg, scale)
+            u, iters, res = _inner_solve(u, base, gmat, fnm, dnm, scale)
             trace.append({"n": n, "m": m, "inner_iterations": iters, "residual": res})
             final_res = res
             if prev_unm is not None:
@@ -367,7 +358,7 @@ def _solve_graph(spec: ProblemSpec, ladder: LadderConfig | None) -> Solution:
     idx = spec.D
     spec.f.check_monotone(idx)
     base_full = spec.pdg + spec.rdm
-    G = green_operator(spec.form, idx).G
+    G = green_operator(spec.form, idx)
     uD, trace, meta = solve_ladder(base_full[idx], G, spec.f, idx, ladder)
     u = spec.g.copy()
     u[idx] = uD
@@ -377,7 +368,7 @@ def _solve_graph(spec: ProblemSpec, ladder: LadderConfig | None) -> Solution:
     return sol
 
 
-def solve_shifted(spec: ProblemSpec, h, ladder: LadderConfig | None = None) -> Solution:
+def solve_shifted(spec: ProblemSpec, h) -> Solution:
     """Solve u = h + P_D g + R_D f(.,u) + R_D mu by shifting the absorption."""
     h = np.asarray(h, dtype=float)
     idx = spec.D
@@ -389,7 +380,7 @@ def solve_shifted(spec: ProblemSpec, h, ladder: LadderConfig | None = None) -> S
     shifted = replace(spec, f=fh)
     # same form, D, g and mu: hand over P_D g and R_D mu instead of recomputing
     vars(shifted).update(pdg=spec.pdg, rdm=spec.rdm)
-    sol = solve(shifted, ladder)
+    sol = solve(shifted)
     u = sol.u.copy()
     u[idx] += h[idx]
     res = float(np.max(np.abs(
@@ -401,10 +392,7 @@ def solve_shifted(spec: ProblemSpec, h, ladder: LadderConfig | None = None) -> S
 
 def green_density(spec: ProblemSpec, u) -> np.ndarray:
     """R_D applied to the density f(., u) of the current iterate."""
-    form, idx = spec.form, spec.D
-    fvals = np.zeros(form.n)
-    fvals[idx] = spec.f(idx, np.asarray(u, dtype=float)[idx])
-    return green_apply(form, idx, fvals * form.m)
+    return green_apply(spec.form, spec.D, _f_on_D(spec, u) * spec.form.m)
 
 
 def residual_probabilistic(u, spec: ProblemSpec) -> float:
@@ -442,8 +430,7 @@ def verify_projective(u, spec: ProblemSpec) -> dict:
     return {"variational": d_var, "boundary": d_bnd, "exhaustion": d_exh}
 
 
-def compare(spec1: ProblemSpec, spec2: ProblemSpec,
-            ladder: LadderConfig | None = None) -> dict:
+def compare(spec1: ProblemSpec, spec2: ProblemSpec) -> dict:
     """Order the two solutions after checking the comparison hypotheses.
 
     Requires mu1 <= mu2 atomwise, g1 <= g2 on the harmonic boundary, and the
@@ -468,8 +455,8 @@ def compare(spec1: ProblemSpec, spec2: ProblemSpec,
     if np.any(spec1.g[bd] > spec2.g[bd] + 1e-12):
         report["precondition"] = "g ordering violated on harmonic boundary"
         return report
-    u1 = solve(spec1, ladder).u
-    u2 = solve(spec2, ladder).u
+    u1 = solve(spec1).u
+    u2 = solve(spec2).u
     f_le_at_u2 = not np.any(spec1.f(idx, u2[idx]) > spec2.f(idx, u2[idx]) + 1e-12)
     f_le_at_u1 = not np.any(spec1.f(idx, u1[idx]) > spec2.f(idx, u1[idx]) + 1e-12)
     if not (f_le_at_u2 or f_le_at_u1):
@@ -517,12 +504,11 @@ def _f_on_D(spec: ProblemSpec, u) -> np.ndarray:
     return out
 
 
-def stability_gap(spec1: ProblemSpec, spec2: ProblemSpec,
-                  ladder: LadderConfig | None = None) -> dict:
+def stability_gap(spec1: ProblemSpec, spec2: ProblemSpec) -> dict:
     """Defects of the data-continuity bounds between two solved instances."""
     form, idx = spec1.form, spec1.D
-    u1 = solve(spec1, ladder).u
-    u2 = solve(spec2, ladder).u
+    u1 = solve(spec1).u
+    u2 = solve(spec2).u
     df = np.zeros(form.n)
     df[idx] = np.abs(spec1.f(idx, u1[idx]) - spec2.f(idx, u1[idx]))
     rd_df = green_apply(form, idx, df * form.m)

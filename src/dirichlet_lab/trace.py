@@ -4,8 +4,8 @@ The killing part of D collects the jump intensity into the complement plus
 the native killing; its potential over D equals the probability of leaving D
 by an interior jump or interior death, which is identically one on purely
 jumping chains.  The trace functional evaluates exit averages of |u| times
-that potential along an interior exhaustion: it vanishes for solutions and
-recovers the boundary-measure mass for pure Martin-kernel inputs.
+that potential along an interior exhaustion: it vanishes for solutions
+without boundary-measure data and tends to M|nu| for solutions with them.
 """
 
 from __future__ import annotations
@@ -179,7 +179,8 @@ def eta_measure(kernels, u_fn, a: float) -> float:
                _graded_panels(-1.0, -a, 12, 36, right=0.0))
     total = 0.0
     for z, wz in zip(zx, zw):
-        gv = kernels.green_interval(a, 0.0, z)
+        # the Green function of (-a, a) by stable scaling
+        gv = a ** (alpha - 1.0) * kernels.green(0.0, z / a)
         inner = 0.0
         for yx, yw in annulus:
             inner += float(np.sum(yw * kernels.j(np.abs(z - yx)) * u_fn(yx)))

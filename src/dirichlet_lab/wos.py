@@ -188,9 +188,17 @@ def wos_exit_chi2(kernels: FracKernels, x: float, n_paths: int = 100_000, seed: 
     return wos_estimate(("exit_chi2",), kernels, x, n_paths=n_paths, seed=seed)[0]
 
 
+def _in_cell(y, lo: float, hi: float) -> np.ndarray:
+    """y in the cell ``(lo, hi)``: ``[lo, hi)`` right of the interval, and its
+    mirror image ``(lo, hi]`` left of it, so y = -1.0 counts as y = +1.0 does."""
+    if lo >= 1.0:
+        return (y >= lo) & (y < hi)
+    return (y > lo) & (y <= hi)
+
+
 def _exit_cells(kernels: FracKernels, x: float):
     """The chi-square's 14 cells ``(lo, hi)``, each on one side of the boundary
-    and counted as lo <= y < hi, and the exit mass of each from x.
+    with the sides of ``_in_cell``, and the exit mass of each from x.
 
     A mass is the exit average (``frac1d._exit_average``) of the cell's
     indicator, all on one exterior rule whose breaks include every cell edge,
@@ -207,7 +215,7 @@ def _exit_cells(kernels: FracKernels, x: float):
     rule = _exterior_rule(breaks, 14, -kernels.alpha / 2.0)
 
     def indicator(lo, hi):
-        return ExteriorData(fn=lambda y: ((y >= lo) & (y < hi)).astype(float))
+        return ExteriorData(fn=lambda y: _in_cell(y, lo, hi).astype(float))
 
     xs = np.array([float(x)])
     masses = [_exit_average(kernels, 1.0, indicator(lo, hi), xs, rule)[0] for lo, hi in cells]
@@ -218,7 +226,7 @@ def _exit_chi2(kernels: FracKernels, x: float, exits: np.ndarray):
     """Chi-square comparison of sampled exit points with the exit density,
     on the cells of ``_exit_cells``."""
     cells, masses = _exit_cells(kernels, x)
-    counts = np.asarray([np.sum((exits >= lo) & (exits < hi)) for lo, hi in cells], dtype=float)
+    counts = np.asarray([np.sum(_in_cell(exits, lo, hi)) for lo, hi in cells], dtype=float)
     expect = masses * exits.size
     expect *= counts.sum() / expect.sum()
     return chisquare(counts, expect)

@@ -39,8 +39,8 @@ def test_criterion_01_exact_identities():
         mu = np.zeros(form.n)
         mu[W] = rng.normal(size=W.size)
         worst = max(worst, dynkin_defect(form, V, W, mu))
-        PV = poisson_kernel(form, V).P
-        PW = poisson_kernel(form, W).P
+        PV = poisson_kernel(form, V)
+        PW = poisson_kernel(form, W)
         g = rng.normal(size=form.n)
         worst = max(worst, float(np.max(np.abs(PV @ (PW @ g) - PW @ g))))
         worst = max(worst, float(np.max(np.abs(PV @ PW - PW))))
@@ -90,8 +90,8 @@ def test_criterion_03_existence_uniqueness():
         for _ in range(5):
             form = random_form(rng, 5, 25)
             spec = random_problem(rng, form, f=make(rng.uniform(0.1, 1.0, size=form.n)))
-            s1 = solve(spec, LadderConfig(base=2, start="base"))
-            s2 = solve(spec, LadderConfig(base=3, start="zero", theta0=0.5))
+            s1 = solve(spec, LadderConfig(base=2))
+            s2 = solve(spec, LadderConfig(base=3))
             all_converged &= s1.converged and s2.converged
             worst_gap = max(worst_gap, float(np.max(np.abs(s1.u - s2.u))))
             diff = project(spec.form, spec.D, s1.u - s2.u)
@@ -179,7 +179,7 @@ def test_criterion_07_mc_oracles():
                                   seed=3 * run + 2, g=spec.g, mu=spec.mu, u=sol.u, f=spec.f)
         ok &= abs(est) <= 3 * max(se, 1e-9)
         failures += not ok
-    kern = f1.build_kernels(1.0, validate=False)
+    kern = f1.build_kernels(1.0)
     pmin = 1.0
     for j, x in enumerate((0.0, 0.4, -0.7)):
         _, p = wos.wos_exit_chi2(kern, x, n_paths=100_000, seed=71 + j)
@@ -217,7 +217,7 @@ def test_criterion_09_boundary_trace():
         seq = trace_sequence_graph(sol.u, spec.form, spec.D, spec.nest)
         discrete_ok &= float(np.max(np.abs(seq.values[-1]))) == 0.0
     # continuum solver outputs: extrapolated trace below 1e-3
-    k = f1.build_kernels(1.0, validate=False)
+    k = f1.build_kernels(1.0)
     grid = f1.build_grid(1.0)
     worst_cont = 0.0
     for prob in (
@@ -232,7 +232,7 @@ def test_criterion_09_boundary_trace():
     # pure boundary-measure input recovers its mass at the base point
     mass_err = 0.0
     for alpha in (0.5, 1.5):
-        ka = f1.build_kernels(alpha, validate=False)
+        ka = f1.build_kernels(alpha)
         def u_fn(y):
             return f1.martin_kernel(ka, y, +1)
         seq = trace_sequence_frac(ka, u_fn, f1.default_nest(12), probes=(0.0,),

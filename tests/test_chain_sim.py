@@ -170,10 +170,28 @@ def test_exit_law_chi2_random_form():
     assert p > 0.001
 
 
+@pytest.mark.parametrize("weak", [(1e-3, 2e-3), (0.0, 0.0)])
+def test_exit_law_chi2_pools_small_cells(monkeypatch, weak):
+    # D = {1, 2} exits to 0 and 3, to 4 and 5 only through weak bonds, and
+    # never dies: at 2,000 paths the cells of 4, 5 and death expect fewer
+    # than 5 exits and are pooled into one; with no bond at all the pooled
+    # cell expects nothing and is dropped
+    J = np.zeros((6, 6))
+    for a, b, w in ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (2, 4, weak[0]), (1, 5, weak[1])):
+        J[a, b] = J[b, a] = w
+    form = DiscreteForm(m=np.ones(6), J=J, kappa=np.zeros(6))
+    cells = []
+    real = chain_sim.chisquare
+    monkeypatch.setattr(chain_sim, "chisquare", lambda c, e: cells.append(c) or real(c, e))
+    _, p = exit_law_chi2(form, [1, 2], 1, n_paths=2000, seed=0)
+    assert len(cells[0]) == (3 if weak[0] else 2) and cells[0].sum() == 2000
+    assert p >= 1e-3
+
+
 def test_occupation_matches_green_row(k3):
     D = np.array([1, 2])
     _, occ = _occupation(k3, D, 1, 100_000, seed=4)
-    G = green_operator(k3, D).G
+    G = green_operator(k3, D)
     for j in range(2):
         se = occ[:, j].std(ddof=1) / np.sqrt(occ.shape[0])
         assert abs(occ[:, j].mean() - G[0, j]) < 3 * se
@@ -190,7 +208,7 @@ def test_rdf_estimate_vs_green(k3):
     D = [1, 2]
     h = np.array([0.0, 1.0, 2.0])
     [(est, se)] = mc_estimate(("RDf",), k3, D, 1, n_paths=100_000, seed=6, h=h)
-    G = green_operator(k3, np.array(D)).G
+    G = green_operator(k3, np.array(D))
     exact = float(G[0] @ h[1:])
     assert abs(est - exact) < 3 * se
 

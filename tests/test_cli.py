@@ -101,7 +101,7 @@ def test_wos_suite_walks_three_times(tmp_path, monkeypatch, absorbing):
         {"wos_fk_residual"} if absorbing else set())
     prob, ladder = cli.load_problem(path)
     k = prob.kernels
-    exact = float(cli.frac1d.apply_RD(k, prob.grid, h=np.ones_like, x=[0.3])[0])
+    exact = k.exit_coef * (1.0 - 0.3 ** 2) ** (k.alpha / 2.0)
     [mean] = cli.wos.wos_estimate(("mean_exit_time",), k, 0.3, n_paths=20000, seed=10)
     assert res["wos_mean_exit"] == cli._band(*mean, exact)
     if absorbing:
@@ -394,7 +394,7 @@ def test_every_spec_key_is_read(tmp_path):
             "mu": {"atoms": [[0.0, 1.0]]}, "nu": {"plus": 1.0, "minus": 0.0},
             "f": {"kind": "exp", "b": 1.0}, "nest": [0.5, 0.75], "nest_levels": 2,
             "grid": {"order": 6, "n_base": 4, "edge_levels": 10, "out_levels": 6},
-            "ladder": {"base": 3, "max_level": 8, "theta0": 0.5, "start": "zero"}}
+            "ladder": {"base": 3, "max_level": 8}}
     graph = json.loads(_demo_graph_spec(tmp_path).read_text())
     graph.update(nest=[[1], [1, 2]], ladder={"max_level": 8},
                  f={"kind": "custom-table", "y": [-1.0, 1.0], "values": [1.0, -1.0]})
@@ -405,7 +405,7 @@ def test_every_spec_key_is_read(tmp_path):
         spec.write_text(json.dumps(obj))
         loaded.append(cli.load_problem(spec))
     (prob, ladder), (graph_prob, graph_ladder) = loaded[:2]
-    assert ladder == cli.LadderConfig(base=3, max_level=8, theta0=0.5, start="zero")
+    assert ladder == cli.LadderConfig(base=3, max_level=8)
     assert prob.mu_atoms == ((0.0, 1.0),) and prob.nu_plus == 1.0
     assert prob.nest == (0.5, 0.75) and prob.grid.order == 6
     assert graph_ladder.max_level == 8 and graph_prob.f.name == "table"
@@ -413,7 +413,7 @@ def test_every_spec_key_is_read(tmp_path):
 
 
 # (backend, dotted key, value): a misspelt form key, sub-objects that are not
-# JSON objects, atoms that are not pairs, a retired key, a list (key None) in
+# JSON objects, atoms that are not pairs, retired keys, a list (key None) in
 # place of the whole spec, ladder settings out of range, state indices that
 # are not integers, graph data that are not numbers, and continuum nests
 # that are not radii in (0, 1) or have no level, continuum numbers that are
@@ -430,8 +430,8 @@ def test_every_spec_key_is_read(tmp_path):
     ("graph", None, None, "JSON object"),
     ("graph", "ladder.max_level", "x", "max_level"),
     ("graph", "ladder.base", 0, "base"),
-    ("graph", "ladder.theta0", 0, "theta0"),
-    ("graph", "ladder.start", "foo", "start"),
+    ("graph", "ladder.theta0", 0.5, "unknown spec keys: ['ladder.theta0']"),
+    ("graph", "ladder.start", "zero", "unknown spec keys: ['ladder.start']"),
     ("graph", "g", {"kind": "const"}, "'g'"),
     ("graph", "D", 1.5, "'D'"),
     ("graph", "D", [1.7, 2.2], "'D'"),
@@ -482,6 +482,31 @@ def test_malformed_spec_is_a_config_error(tmp_path, capsys, backend, key, value,
     printed = capsys.readouterr().out
     assert printed.startswith("error:") and name in printed
     assert not out.exists()
+
+
+@pytest.mark.parametrize("alpha, nu, g", [
+    (1.5, (0.2, 0.3), None),
+    (1.5, (0.2, -0.3), None),
+    (1.2, (0.2, 0.3), 1.0),
+    (1.0, (0.2, 0.3), None),
+], ids=["alpha1.5", "signed", "alpha1.2-g", "alpha1.0"])
+def test_trace_contract_measures_the_boundary_measure(tmp_path, monkeypatch, alpha, nu, g):
+    # near +-1 the exit averages of |u| tend to M|nu|, the boundary trace of
+    # u; the check reads the distance to it at the 1e-3 contract (9.9e-5 to
+    # 6.1e-4 here), and fails when that reference is 1% off
+    obj = {"backend": "frac1d", "alpha": alpha, "nu": {"plus": nu[0], "minus": nu[1]},
+           "f": {"kind": "power", "b": 1.0, "p": 1.0}}
+    if g is not None:
+        obj["g"] = {"kind": "const", "value": g}
+    path = tmp_path / "nu.json"
+    path.write_text(json.dumps(obj))
+    cfg = cli.RunConfig(spec_path=path, out_dir=tmp_path / "out", suites=("trace",))
+    assert cli.run(cfg) == 0
+    prob, ladder = cli.load_problem(path)
+    sol = cli.solve(prob, ladder)
+    real = cli.frac1d.martin_kernel
+    monkeypatch.setattr(cli.frac1d, "martin_kernel", lambda *args: 1.01 * real(*args))
+    assert not cli._suite_trace_frac(cfg, prob, sol, tmp_path)["trace_extrapolated"]["pass"]
 
 
 def test_boundary_measure_spec_checks_its_martin_part(tmp_path):

@@ -399,7 +399,8 @@ def test_interval_dynkin_identity(packs):
         radius, pos = 0.6, 0.1
         xs = np.array([0.0, 0.3, -0.45])
         rd = lambda y: k.green(np.asarray(y), pos)
-        rv = k.green_interval(radius, xs, pos)
+        # the Green function of (-radius, radius) by stable scaling
+        rv = radius ** (k.alpha - 1.0) * k.green(xs / radius, pos / radius)
         pv = f1.apply_PV_interval(k, radius, rd, xs)
         assert np.max(np.abs(rd(xs) - pv - rv)) < 1e-8
 
@@ -534,8 +535,9 @@ def test_projective_exhaustion_defects_decrease(packs):
 
 
 def test_projective_exhaustion_is_the_per_probe_sum(packs):
-    # the exterior part summed one probe at a time through poisson_interval,
-    # as before _exit_average, with the tail of the datum scaled to the level
+    # the exterior part summed one probe at a time through the exit density of
+    # (-radius, radius) by stable scaling, as before _exit_average, with the
+    # tail of the datum scaled to the level
     k, grid = packs[1.0]
     prob = f1.ContinuumProblem(kernels=k, grid=grid, g=f1.const_exterior(1.5),
                                f=power_nonlinearity(lambda y: np.ones_like(y), 3.0),
@@ -550,7 +552,8 @@ def test_projective_exhaustion_is_the_per_probe_sum(packs):
         pv = f1.apply_PV_interval(k, radius, u_fn, probes)
         scaled = f1.ExteriorData(fn=lambda y: prob.g(radius * y))
         for j, x in enumerate(probes):
-            ext = float(np.sum(grid.exterior_w * k.poisson_interval(radius, x, grid.exterior_x) * gv))
+            dens = k.poisson(x / radius, grid.exterior_x / radius) / radius
+            ext = float(np.sum(grid.exterior_w * dens * gv))
             ext += _tail_sum(k, np.asarray([x / radius]), scaled, grid.radius / radius)[0]
             assert abs(got[i, j] - abs(pv[j] + ext - limit[j])) <= 1e-15
 
@@ -608,4 +611,4 @@ def test_nest_from_potential(packs):
         n = np.arange(1, 9)
         assert np.array_equal(radii, np.sqrt(1.0 - 2.0 ** (-2.0 * n / a)))
     with pytest.raises(ValueError, match="level 6 of 8"):
-        f1.nest_from_potential(f1.build_kernels(0.2, validate=False), levels=8)
+        f1.nest_from_potential(f1.build_kernels(0.2), levels=8)

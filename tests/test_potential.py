@@ -45,7 +45,7 @@ def test_green_operator_kernel_symmetry():
     for _ in range(25):
         form = random_form(rng, 4, 20)
         V, _ = random_nested_subsets(rng, form)
-        G = green_operator(form, V).G
+        G = green_operator(form, V)
         kernel = G / form.m[V][None, :]  # density kernel is symmetric
         assert np.max(np.abs(kernel - kernel.T)) < 1e-12
 

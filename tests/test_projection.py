@@ -69,18 +69,18 @@ def test_harmonic_extension_supported_data_vanishes(k3):
 
 
 def test_poisson_kernel_k3(k3):
-    pk = poisson_kernel(k3, [1])
-    assert pk.P[1, 0] == pytest.approx(0.5, abs=1e-12)
-    assert pk.P[1, 2] == pytest.approx(0.5, abs=1e-12)
-    assert pk.P[1].sum() == pytest.approx(1.0, abs=1e-12)
+    P = poisson_kernel(k3, [1])
+    assert P[1, 0] == pytest.approx(0.5, abs=1e-12)
+    assert P[1, 2] == pytest.approx(0.5, abs=1e-12)
+    assert P[1].sum() == pytest.approx(1.0, abs=1e-12)
     # rows outside V are unit point masses
-    assert np.allclose(pk.P[0], np.eye(3)[0])
-    assert np.allclose(pk.P[2], np.eye(3)[2])
+    assert np.allclose(P[0], np.eye(3)[0])
+    assert np.allclose(P[2], np.eye(3)[2])
 
 
 def test_poisson_kernel_empty_subset(k3):
-    pk = poisson_kernel(k3, [])
-    assert np.array_equal(pk.P, np.eye(3))
+    P = poisson_kernel(k3, [])
+    assert np.array_equal(P, np.eye(3))
 
 
 def test_poisson_kernel_invariants_random():
@@ -88,13 +88,13 @@ def test_poisson_kernel_invariants_random():
     for _ in range(50):
         form = random_form(rng, 4, 25)
         V, _ = random_nested_subsets(rng, form)
-        pk = poisson_kernel(form, V)
-        assert np.all(pk.P >= -1e-14)
-        assert np.max(pk.P.sum(axis=1)) <= 1.0 + 1e-12
-        assert np.max(np.abs(pk.P[:, V])) == 0.0
+        P = poisson_kernel(form, V)
+        assert np.all(P >= -1e-14)
+        assert np.max(P.sum(axis=1)) <= 1.0 + 1e-12
+        assert np.max(np.abs(P[:, V])) == 0.0
         # kernel route equals the harmonic extension
         g = rng.normal(size=form.n)
-        assert np.max(np.abs(pk.apply(g) - harmonic_extension(form, V, g))) < 1e-10
+        assert np.max(np.abs(P @ g - harmonic_extension(form, V, g))) < 1e-10
 
 
 def test_maximum_principle_and_positivity():
@@ -130,8 +130,8 @@ def test_tower_and_composition():
     for _ in range(50):
         form = random_form(rng, 4, 20)
         V, W = random_nested_subsets(rng, form)
-        PV = poisson_kernel(form, V).P
-        PW = poisson_kernel(form, W).P
+        PV = poisson_kernel(form, V)
+        PW = poisson_kernel(form, W)
         g = rng.normal(size=form.n)
         assert np.max(np.abs(PV @ (PW @ g) - PW @ g)) < 1e-10
         assert np.max(np.abs(PV @ PW - PW)) < 1e-10

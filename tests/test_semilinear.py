@@ -36,7 +36,7 @@ def test_linear_absorption_matches_direct_solve(k3):
     spec = ProblemSpec(form=k3, D=D, g=np.zeros(3), mu=mu,
                        f=power_nonlinearity(np.ones(3), 1.0))
     sol = solve(spec)
-    G = green_operator(k3, D).G
+    G = green_operator(k3, D)
     direct = np.linalg.solve(np.eye(2) + G, green_apply(k3, D, mu)[D])
     assert np.max(np.abs(sol.u[D] - direct)) < 1e-10
 
@@ -142,6 +142,27 @@ def test_compare_precondition_violation(k3):
     s2 = ProblemSpec(form=k3, D=s1.D, g=s1.g, mu=mu2, f=s1.f)
     rep = compare(s1, s2)
     assert not rep["checked"] and "mu" in rep["precondition"]
+
+
+@pytest.mark.parametrize("change, precondition", [
+    ("form", "forms differ"),
+    ("D", "domains differ"),
+    ("g", "g ordering violated on harmonic boundary"),
+    ("f", "absorption ordering violated"),
+])
+def test_compare_reports_each_precondition(k3, change, precondition):
+    # spec 2 breaks one hypothesis of the comparison theorem: another form
+    # or domain, smaller data on the harmonic boundary {0} of D = {1, 2}, or
+    # stronger absorption, -2 u^3 < -u^3 along both solutions (u > 0 on D)
+    s1 = _cubic_spec(k3)
+    form2 = DiscreteForm(m=k3.m, J=2.0 * k3.J, kappa=k3.kappa)
+    s2 = ProblemSpec(form=form2 if change == "form" else k3,
+                     D=[1] if change == "D" else s1.D,
+                     g=np.zeros(3) if change == "g" else s1.g, mu=s1.mu,
+                     f=power_nonlinearity(np.full(3, 2.0), 3.0) if change == "f" else s1.f)
+    rep = compare(s1, s2)
+    assert not rep["checked"] and not rep["ordered"]
+    assert rep["precondition"] == precondition
 
 
 def test_compare_random_ordered_pairs():
@@ -326,8 +347,8 @@ def test_uniqueness_shuffled_ladders_and_clamp(k3):
     spec = ProblemSpec(form=k3, D=[1, 2], g=np.array([1.0, 0.0, 0.0]),
                        mu=np.array([0.0, 0.0, 0.5]),
                        f=exp_nonlinearity(np.full(3, 0.8)))
-    u1 = solve(spec, LadderConfig(base=2, start="base")).u
-    u2 = solve(spec, LadderConfig(base=3, start="zero", theta0=0.5)).u
+    u1 = solve(spec, LadderConfig(base=2)).u
+    u2 = solve(spec, LadderConfig(base=3)).u
     assert np.max(np.abs(u1 - u2)) < 1e-8
     diff = project(k3, spec.D, u1 - u2)
     cert = energy(k3, diff, np.clip(diff, -1.0, 1.0))

@@ -75,7 +75,7 @@ def test_aitken_geometric_sequence():
 def test_frac_killing_part_two_routes():
     # quadrature of the jump density over the exterior vs the closed tail form
     for alpha in (0.5, 1.0, 1.5):
-        k = f1.build_kernels(alpha, validate=False)
+        k = f1.build_kernels(alpha)
         for x in (0.0, 0.4, -0.7):
             closed = killing_part_frac(k, np.array([x]))[0]
             total = 0.0
@@ -88,7 +88,7 @@ def test_frac_killing_part_two_routes():
 
 def test_frac_trace_decreases_for_solution():
     alpha = 1.0
-    k = f1.build_kernels(alpha, validate=False)
+    k = f1.build_kernels(alpha)
     grid = f1.build_grid(alpha)
     prob = f1.ContinuumProblem(kernels=k, grid=grid, g=f1.const_exterior(1.0),
                                f=power_nonlinearity(lambda y: np.ones_like(y), 3.0))
@@ -102,7 +102,7 @@ def test_frac_trace_decreases_for_solution():
 
 def test_frac_trace_martin_recovers_mass():
     for alpha in (0.5, 1.5):
-        k = f1.build_kernels(alpha, validate=False)
+        k = f1.build_kernels(alpha)
         def u_fn(y):
             return f1.martin_kernel(k, y, +1)
 
@@ -117,7 +117,7 @@ def test_frac_trace_solved_boundary_measure_input():
     from dirichlet_lab.semilinear import zero_nonlinearity
 
     alpha = 1.5
-    k = f1.build_kernels(alpha, validate=False)
+    k = f1.build_kernels(alpha)
     grid = f1.build_grid(alpha)
     prob = f1.ContinuumProblem(kernels=k, grid=grid, g=f1.zero_exterior(),
                                f=zero_nonlinearity(), nu_plus=1.0)
@@ -130,7 +130,7 @@ def test_frac_trace_solved_boundary_measure_input():
 
 def test_eta_measure_zero_and_constant():
     alpha = 1.0
-    k = f1.build_kernels(alpha, validate=False)
+    k = f1.build_kernels(alpha)
     a = 0.5
     assert eta_measure(k, lambda y: np.zeros_like(y), a) == 0.0
     # two-route check: total flux of 1 equals the exit probability into the annulus
@@ -142,7 +142,7 @@ def test_eta_measure_zero_and_constant():
 
 def test_eta_measure_cross_route_solution():
     alpha = 1.0
-    k = f1.build_kernels(alpha, validate=False)
+    k = f1.build_kernels(alpha)
     grid = f1.build_grid(alpha)
     prob = f1.ContinuumProblem(kernels=k, grid=grid, g=f1.const_exterior(1.0),
                                f=power_nonlinearity(lambda y: np.ones_like(y), 3.0))

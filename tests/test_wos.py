@@ -56,7 +56,7 @@ def _tail_mass(kernels, x, cut, negative):
 
 def test_exit_cell_masses_match_graded_rules():
     for alpha in (0.5, 1.0, 1.5):
-        k = f1.build_kernels(alpha, validate=False)
+        k = f1.build_kernels(alpha)
         for x in (-0.7, 0.2, 0.3):
             cells, masses = wos._exit_cells(k, x)
             ref = [_tail_mass(k, x, lo, False) if np.isinf(hi)
@@ -65,6 +65,19 @@ def test_exit_cell_masses_match_graded_rules():
             assert len(cells) == 14
             np.testing.assert_allclose(masses, ref, rtol=1e-9, atol=0.0)
             assert abs(masses.sum() - 1.0) < 1e-10
+
+
+def test_every_exit_falls_in_one_cell():
+    # near alpha = 2 many exits from 0 round to exactly -1.0 (15,464 of these
+    # 2e5); the left cells are (lo, hi], so they are counted as the exits
+    # that round to +1.0 are, and the test keeps its power
+    k = f1.build_kernels(1.9)
+    exits, _, _ = wos.wos_exit_batch(k, 0.0, 200_000, 1)
+    assert np.any(exits == -1.0) and np.any(exits == 1.0)
+    assert wos._exit_chi2(k, 0.0, exits)[1] > 0.001
+    cells, _ = wos._exit_cells(k, 0.0)
+    hits = sum(wos._in_cell(exits, lo, hi).astype(int) for lo, hi in cells)
+    assert np.all(hits == 1)
 
 
 def test_same_seed_same_walk(pack):
@@ -80,7 +93,7 @@ def test_exit_requires_interior():
     # outside, on the boundary and NaN: a walk would return a negative or NaN
     # exit time, a zero one, or run to the step cap
     for alpha in (0.5, 1.0):
-        k = f1.build_kernels(alpha, validate=False)
+        k = f1.build_kernels(alpha)
         for x in (1.2, 1.0, -1.0, np.nan):
             with pytest.raises(ValueError, match="interior"):
                 wos.wos_exit_batch(k, x, 200, seed=0)
@@ -92,7 +105,7 @@ def test_exit_cdf_matches_quadrature():
     # one-ball law: distribution function of the exit magnitude vs direct
     # integration of the exit density
     for alpha in (0.5, 1.0, 1.5):
-        k = f1.build_kernels(alpha, validate=False)
+        k = f1.build_kernels(alpha)
         for t in (1.2, 2.0, 5.0):
             y, w = f1._graded_panels(1.0, t, 14, 40, left=-alpha / 2.0)
             quad = float(np.sum(w * 2.0 * k.poisson_coef * (y ** 2 - 1.0) ** (-alpha / 2.0) / y))
@@ -178,18 +191,21 @@ def test_pdg_indicator_vs_quadrature(pack):
 
 def test_mean_exit_time_vs_quadrature():
     for alpha in (0.5, 1.0, 1.5):
-        k = f1.build_kernels(alpha, validate=False)
+        k = f1.build_kernels(alpha)
         grid = f1.build_grid(alpha)
         [(est, se)] = wos.wos_estimate(("mean_exit_time",), k, 0.3, n_paths=100_000, seed=21)
         exact = float(f1.apply_RD(k, grid, h=lambda y: np.ones_like(y), x=[0.3])[0])
         assert abs(est - exact) < 3 * se
+        # the wos suite's band centre, E_x tau in closed form
+        closed = k.exit_coef * (1.0 - 0.3 ** 2) ** (alpha / 2.0)
+        assert abs(closed - exact) <= 1e-11 * closed
 
 
 def test_ball_green_rule_total_mass(pack):
     # per-ball occupation rule applied to h = 1 recovers the per-ball mean
     # exit time
     for alpha in (0.5, 1.0, 1.5):
-        k = f1.build_kernels(alpha, validate=False)
+        k = f1.build_kernels(alpha)
         y, v = wos.ball_green_rule(k)
         assert float(v.sum()) == pytest.approx(k.mean_exit_ball(1.0), rel=1e-6)
 
@@ -307,7 +323,7 @@ def test_shared_first_ball_matches_per_path():
 
     n = 2 * wos._CHUNK + 77
     for alpha in (0.5, 1.0, 1.5):
-        k = f1.build_kernels(alpha, validate=False)
+        k = f1.build_kernels(alpha)
         got = wos.wos_exit_batch(k, 0.2, n, seed=6, h=h)
         for a, b in zip(got, _per_path_walk(k, 0.2, n, 6, h)):
             np.testing.assert_array_equal(a, b)
@@ -317,7 +333,7 @@ def test_walk_independent_of_source():
     # the nodes come from a second substream per chunk, so passing h moves
     # neither the exits nor the mean exit times
     for alpha in (0.5, 1.5):
-        k = f1.build_kernels(alpha, validate=False)
+        k = f1.build_kernels(alpha)
         n = 2 * wos._CHUNK + 5
         exits, mean_exit, _ = wos.wos_exit_batch(k, 0.2, n, seed=14)
         exits_h, mean_exit_h, occ = wos.wos_exit_batch(k, 0.2, n, seed=14, h=_fk_source)
@@ -335,7 +351,7 @@ def test_sampled_node_matches_ball_quadrature():
     x = 0.37
     r = 1.0 - x
     for alpha in (0.5, 1.0, 1.5):
-        k = f1.build_kernels(alpha, validate=False)
+        k = f1.build_kernels(alpha)
         rule = wos.ball_green_rule(k)
         draw, mass = wos._node_sampler(rule)
         terms = r ** alpha * mass * h(x + r * draw(substream(23, 0).random(200_000)))
@@ -376,7 +392,7 @@ def test_unit_source_occupation_is_mean_exit():
     # h = 1 turns the per-ball source quadrature into the per-ball mean exit
     # time, on the shared first ball and on every later ball alike
     for alpha in (0.5, 1.0, 1.5):
-        k = f1.build_kernels(alpha, validate=False)
+        k = f1.build_kernels(alpha)
         _, mean_exit, occ = wos.wos_exit_batch(k, 0.2, 20_000, seed=8,
                                                h=lambda y: np.ones_like(y))
         np.testing.assert_allclose(occ, mean_exit, rtol=1e-6, atol=0.0)
