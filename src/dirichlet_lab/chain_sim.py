@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .forms import DiscreteForm, as_subset, is_transient
+from .projection import poisson_kernel
 from .rng import check_estimate_args, chisquare, live_segments, mean_and_stderr, substream
 
 __all__ = [
@@ -210,8 +211,6 @@ def exit_law_chi2(form: DiscreteForm, D, x: int, n_paths: int = 100_000, seed: i
 
     Cells with expected counts below 5 are pooled into one before testing.
     """
-    from .projection import poisson_kernel
-
     if n_paths < 100:
         raise ValueError("n_paths must be at least 100")
     idx = as_subset(form.n, D)

@@ -31,7 +31,8 @@ import numpy as np
 
 from . import chain_sim, frac1d, trace, wos
 from .forms import form_from_dict, form_to_dict
-from .potential import exit_second_moment, green_apply
+from .potential import exit_second_moment, green_apply, green_operator
+from .projection import poisson_kernel
 from .semilinear import (LadderConfig, ProblemSpec, apriori_report, exp_nonlinearity,
                          power_nonlinearity, residual_probabilistic, solve,
                          table_nonlinearity, vd_check, verify_projective,
@@ -385,9 +386,6 @@ def _suite_estimates_frac(cfg, prob, sol, outdir):
 def _dump_kernels(problem, outdir: Path) -> None:
     """Kernel/grid CSV exports for downstream plotting."""
     if isinstance(problem, ProblemSpec):
-        from .potential import green_operator
-        from .projection import poisson_kernel
-
         P = poisson_kernel(problem.form, problem.D)
         _write_csv(outdir / "poisson_kernel.csv", ",".join(map(str, range(P.shape[1]))),
                    [tuple(float(v) for v in row) for row in P])

@@ -343,14 +343,16 @@ class FracKernels:
     def poisson(self, x, y, gap=None) -> np.ndarray:
         """Exit density from (-1, 1) at interior x toward exterior y.
 
-        ``gap``, when given, is |y| - 1 as the caller's rule built it, and
-        y^2 - 1 is taken as gap * (2 + gap): within a few ulps of |y| = 1,
-        where the edge power lives, y^2 - 1 itself keeps few digits.
+        ``gap`` is |y| - 1: from y (exact for |y| <= 2), unless the
+        caller's rule supplies it as it built the node.  y^2 - 1 is formed
+        only as gap * (2 + gap): near |y| = 1, where the edge power lives,
+        y^2 - 1 itself keeps few digits.
         """
         a = self.alpha
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        sq = y ** 2 - 1.0 if gap is None else gap * (2.0 + gap)
+        gap = np.abs(y) - 1.0 if gap is None else gap
+        sq = gap * (2.0 + gap)
         x, y, sq = np.broadcast_arrays(x, y, sq)
         ok = (np.abs(x) < 1.0) & (np.abs(y) > 1.0)
         out = np.zeros(x.shape)
@@ -578,16 +580,19 @@ def _poisson_tail(kernels: FracKernels, radius: float, x: np.ndarray, g: Exterio
     return out
 
 
-def _exit_average(kernels: FracKernels, radius: float, g: ExteriorData, x: np.ndarray,
-                  rule) -> np.ndarray:
-    """Exit averages over (-radius, radius) of the datum g on |y| > 1, one
-    per point of x: the exterior rule (nodes, weights, R) up to |y| = R, and
-    ``_poisson_tail`` beyond.  The only sum of the exit density against
-    exterior data; one (points, nodes) array of the density is formed."""
+def _exit_average(kernels: FracKernels, radius: float, g, x: np.ndarray, rule,
+                  gap=None) -> np.ndarray:
+    """Exit averages over (-radius, radius) of the datum g, one per point of
+    x (an array shaped like x): the rule (nodes, weights, R) up to |y| = R,
+    and ``_poisson_tail`` beyond.  R = None marks a rule with no end (an
+    annulus inside |y| < 1), which has no tail.  ``gap`` is each node's
+    |y| - radius as the rule built it.  The only sum of the exit density
+    against data; one (points, nodes) array of the density is formed."""
     y, w, R = rule
-    vals = (kernels.poisson(x[:, None] / radius, y[None, :] / radius)
-            * (w * g(y) / radius)).sum(axis=1)
-    return vals + _poisson_tail(kernels, radius, x, g, R)
+    vals = (kernels.poisson(x[..., None] / radius, y / radius,
+                            None if gap is None else gap / radius)
+            * (w * g(y) / radius)).sum(axis=-1)
+    return vals if R is None else vals + _poisson_tail(kernels, radius, x, g, R)
 
 
 def apply_PD(kernels: FracKernels, grid: QuadGrid, g: ExteriorData, x=None) -> np.ndarray:
@@ -654,18 +659,15 @@ def apply_PV_interval(kernels: FracKernels, radius: float, fn, x,
     one per start point in x (an array shaped like x).
 
     The annulus rule is the cached [0, 1] rule scaled to (radius, 1) and
-    mirrored to (-1, -radius); fn is evaluated once on it, and the exit
-    density, scaled from (-1, 1), once on every (start point, node) pair,
-    from each node's distance beyond the radius as the rule built it.
+    mirrored to (-1, -radius), a rule with no end; ``_exit_average`` sums
+    the exit density against fn over it, from each node's distance beyond
+    the radius as the rule built it.
     """
-    x = np.asarray(x, dtype=float)
     s, ws = _annulus_ref(-kernels.alpha / 2.0, edge_exponent)
     span = 1.0 - radius
     gap = span * s  # |y| - radius, free of the rounding of y
-    y = np.concatenate([radius + gap, -(radius + gap)])
-    wf = np.tile(span * ws, 2) * fn(y)
-    dens = kernels.poisson(x[..., None] / radius, y / radius, np.tile(gap, 2) / radius) / radius
-    return np.sum(dens * wf, axis=-1)
+    rule = np.concatenate([radius + gap, -(radius + gap)]), np.tile(span * ws, 2), None
+    return _exit_average(kernels, radius, fn, np.asarray(x, dtype=float), rule, np.tile(gap, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -949,7 +951,10 @@ def projective_exhaustion_defects(prob: ContinuumProblem, sol: Solution,
     u_fn = continuum_callable(prob, sol)
     probes = np.asarray(probes, dtype=float)
     limit = apply_PD(kern, grid, prob.g, x=probes) + prob.martin_part(probes)
-    rule = grid.exterior_x, grid.exterior_w, grid.radius
+    # below radius 1 the exit density is smooth at |y| = 1: the first panel
+    # carries only the datum's own edge power
+    rule = _exterior_rule(_exterior_breaks(grid.edge_levels, grid.out_levels), grid.order,
+                          prob.g.edge_exponent)
     return np.asarray([np.abs(apply_PV_interval(kern, radius, u_fn, probes)
                               + _exit_average(kern, radius, prob.g, probes, rule) - limit)
                        for radius in prob.nest])

@@ -1,9 +1,9 @@
 """Orthogonal projection onto subsets, harmonic extension, Poisson kernels.
 
 For a node subset V, F(V) is the subspace of vectors vanishing outside V.
-``project`` returns the energy-orthogonal projection onto F(V);
-``harmonic_extension`` is its complement g - project(g), which matches g
-outside V and is energy-orthogonal to F(V).  The Poisson kernel assembles
+``harmonic_extension`` (P_V g) matches g outside V and is
+energy-orthogonal to F(V); ``project`` returns its complement u - P_V u,
+the energy-orthogonal projection onto F(V).  The Poisson kernel assembles
 the harmonic extension as a sub-stochastic matrix acting on boundary data.
 """
 
@@ -113,25 +113,27 @@ def _solve(form: DiscreteForm, idx: np.ndarray, rhs) -> np.ndarray:
 
 
 def project(form: DiscreteForm, V, u) -> np.ndarray:
-    """Energy-orthogonal projection of ``u`` onto F(V).
-
-    Solves for w supported on V with E(u - w, eta) = 0 for every eta in F(V).
-    """
+    """Energy-orthogonal projection of ``u`` onto F(V): u - P_V u, the w
+    supported on V with E(u - w, eta) = 0 for every eta in F(V)."""
     u = np.asarray(u, dtype=float)
-    if u.shape != (form.n,):
-        raise ValueError("u has wrong length")
-    idx = as_subset(form.n, V)
-    w = np.zeros(form.n)
-    if idx.size == 0:
-        return w
-    w[idx] = _solve(form, idx, form.energy_matrix()[idx] @ u)
-    return w
+    return u - harmonic_extension(form, V, u)
 
 
 def harmonic_extension(form: DiscreteForm, V, g) -> np.ndarray:
-    """g - project(g): equals g outside V, energy-orthogonal to F(V)."""
-    g = np.asarray(g, dtype=float)
-    return g - project(form, V, g)
+    """P_V g: g outside V and -A_VV^{-1} A[V, Vc] g[Vc] on V, energy-orthogonal
+    to F(V).  The one P_V formula of the graph: ``project`` is its complement,
+    ``poisson_kernel`` and ``harmonic_boundary`` its matrix and adjoint forms.
+    It never reads g on V, yet a wrong length or a non-finite entry anywhere
+    in g is a ValueError."""
+    out = _finite(np.array(g, dtype=float))
+    if out.shape != (form.n,):
+        raise ValueError("g has wrong length")
+    idx = as_subset(form.n, V)
+    if idx.size:
+        out[idx] = 0.0
+        # 0.0 - x, not -x: a zero flux gives +0.0, as the kernel product does
+        out[idx] = 0.0 - _solve(form, idx, form.energy_matrix()[idx] @ out)
+    return out
 
 
 def poisson_kernel(form: DiscreteForm, V) -> np.ndarray:

@@ -547,15 +547,16 @@ def very_weak_defect(u, spec: ProblemSpec, probe=None) -> dict:
 
 
 def _vd_energy(form: DiscreteForm, D, u, v) -> float:
-    """Double-sum energy over ordered pairs with at least one index in D."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    in_D = np.zeros(form.n, dtype=bool)
-    in_D[D] = True
-    mask = in_D[:, None] | in_D[None, :]
-    du = u[:, None] - u[None, :]
-    dv = v[:, None] - v[None, :]
-    return float(np.sum(du * dv * form.J * mask))
+    """Double-sum energy over ordered pairs with at least one index in D:
+    the full double sum 2 u (diag(J 1) - J) v less the same sum over the
+    block of J outside D, so no n x n temporary is formed."""
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    comp = complement(form.n, D)
+
+    def double_sum(J, u, v):
+        return 2.0 * float(u @ (J.sum(axis=1) * v) - u @ (J @ v))
+
+    return double_sum(form.J, u, v) - double_sum(form.J[np.ix_(comp, comp)], u[comp], v[comp])
 
 
 def vd_check(u, spec: ProblemSpec) -> dict:

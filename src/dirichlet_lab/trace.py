@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forms import DiscreteForm, as_subset, complement
+from .frac1d import _graded_panels, _split_rule, apply_PV_interval
 from .potential import green_apply
-from .projection import _solve
+from .projection import harmonic_extension
 
 __all__ = [
     "TraceSequence",
@@ -42,7 +43,7 @@ def killing_part(form: DiscreteForm, D) -> np.ndarray:
     comp = complement(form.n, idx)
     out = np.zeros(form.n)
     if idx.size:
-        out[idx] = 2.0 * form.J[np.ix_(idx, comp)].sum(axis=1) + form.kappa[idx]
+        out[idx] = 2.0 * form.J[idx][:, comp].sum(axis=1) + form.kappa[idx]
     return out
 
 
@@ -96,28 +97,17 @@ class TraceSequence:
 def trace_sequence_graph(u, form: DiscreteForm, D, nest) -> TraceSequence:
     """Discrete trace values P_V(|u| * potential-of-killing) along the nest.
 
-    P_V h is applied without forming the exit kernel: it is h outside V and
-    -A_VV^{-1} A[V, Vc] h[Vc] on V, so only the values of h outside V enter.
-    A finite exhaustion has no tail to extrapolate: its last level is its
-    limit, and is reported as ``extrapolated``.
+    Each level is ``harmonic_extension`` of the integrand, so the exit
+    kernel is never formed.  A finite exhaustion has no tail to
+    extrapolate: its last level is its limit, and is reported as
+    ``extrapolated``.
     """
     if not nest:
         raise ValueError("nest must be nonempty")
     idx = as_subset(form.n, D)
     u = np.asarray(u, dtype=float)
     integrand = np.abs(u) * green_apply(form, idx, killing_part(form, idx))
-    A = form.energy_matrix()
-    rows = []
-    for V in nest:
-        V = as_subset(form.n, V)
-        vals = integrand.copy()
-        if V.size:
-            comp = complement(form.n, V)
-            flux = A[np.ix_(V, comp)] @ integrand[comp]
-            # 0.0 - x, not -x: a zero flux gives +0.0, as the kernel product did
-            vals[V] = 0.0 - _solve(form, V, flux)
-        rows.append(vals[idx])
-    values = np.asarray(rows)
+    values = np.asarray([harmonic_extension(form, V, integrand)[idx] for V in nest])
     return TraceSequence(probes=idx, values=values, extrapolated=values[-1].copy())
 
 
@@ -132,8 +122,6 @@ def trace_sequence_frac(kernels, u_fn, radii, probes=(0.0, 0.5, -0.5, 0.9, -0.9)
     quadrature can bake it into the edge panels.  Each probe's limit is the
     iterated Aitken value of its levels.
     """
-    from .frac1d import apply_PV_interval
-
     probes = np.asarray(probes, dtype=float)
     rows = []
     inside = []
@@ -163,8 +151,6 @@ def eta_measure(kernels, u_fn, a: float) -> float:
     annulus a < |y| < 1; equals the exit average of u restricted to D started
     at 0, which callers can cross-check through the interval kernel route.
     """
-    from .frac1d import _graded_panels, _split_rule
-
     alpha = kernels.alpha
     # outer rule in z: graded toward +-a, where the Green factor vanishes
     # like dist^(alpha/2) but the inner y-integral blows up like

@@ -92,6 +92,22 @@ def test_poisson_normalization_interior_points(packs):
         assert np.max(np.abs(vals - 1.0)) < 1e-6
 
 
+def test_poisson_just_outside_the_boundary_keeps_its_digits(packs):
+    # y^2 - 1 by cancellation kept few digits at y = 1 + delta (3.1e-9 relative)
+    mpmath = pytest.importorskip("mpmath")
+    deltas = 10.0 ** np.random.default_rng(12).uniform(-12.0, -3.0, size=12)
+    for a in ALPHAS:
+        k, _ = packs[a]
+        for x in (0.0, 0.5, -0.9):
+            got = k.poisson(x, 1.0 + deltas)
+            with mpmath.workdps(40):
+                X, A = mpmath.mpf(x), mpmath.mpf(a)
+                exact = np.array([float(mpmath.mpf(k.poisson_coef)
+                                        * ((1 - X ** 2) / (mpmath.mpf(y) ** 2 - 1)) ** (A / 2)
+                                        / abs(X - mpmath.mpf(y))) for y in 1.0 + deltas])
+            assert np.max(np.abs(got / exact - 1.0)) <= 1e-13
+
+
 def test_levy_symbol_scaling(packs):
     for a in ALPHAS:
         k, _ = packs[a]
@@ -534,6 +550,26 @@ def test_projective_exhaustion_defects_decrease(packs):
     assert worst[-1] < 5e-3
 
 
+@pytest.mark.parametrize("alpha", [1.0, 1.5])
+def test_projective_exhaustion_integrates_g_with_its_own_edge_power(packs, alpha):
+    # inside radius 1 the exit density is smooth at |y| = 1, so the exterior
+    # rule carries g's edge power alone; the grid's -alpha/2 power missed a
+    # refined rule by 8.9e-7 (alpha 1) and 7.4e-6 (alpha 1.5) on singular data
+    k, grid = packs[alpha]
+    probes = np.array([0.0, 0.25, -0.25])
+    for g, bound in ((f1.power_singular_exterior(0.2), 1e-8), (f1.const_exterior(1.0), 1e-11)):
+        prob = f1.ContinuumProblem(kernels=k, grid=grid, g=g, f=zero_nonlinearity(),
+                                   nest=f1.default_nest(12))
+        sol = f1.solve_continuum(prob)
+        got = f1.projective_exhaustion_defects(prob, sol, probes)
+        u_fn = f1.continuum_callable(prob, sol)
+        limit = f1.apply_PD(k, grid, g, x=probes)
+        fine = f1._exterior_rule(f1._exterior_breaks(40, 14), 20, g.edge_exponent)
+        ref = [np.abs(f1.apply_PV_interval(k, r, u_fn, probes)
+                      + f1._exit_average(k, r, g, probes, fine) - limit) for r in prob.nest]
+        assert np.max(np.abs(got - np.asarray(ref))) <= bound, g.name
+
+
 def test_projective_exhaustion_is_the_per_probe_sum(packs):
     # the exterior part summed one probe at a time through the exit density of
     # (-radius, radius) by stable scaling, as before _exit_average, with the
@@ -547,14 +583,17 @@ def test_projective_exhaustion_is_the_per_probe_sum(packs):
     got = f1.projective_exhaustion_defects(prob, sol, probes)
     u_fn = f1.continuum_callable(prob, sol)
     limit = f1.apply_PD(k, grid, prob.g, x=probes) + prob.martin_part(probes)
-    gv = prob.g(grid.exterior_x)
+    # below radius 1 the exterior rule carries only the datum's edge power
+    ys, ws, R = f1._exterior_rule(f1._exterior_breaks(grid.edge_levels, grid.out_levels),
+                                  grid.order, prob.g.edge_exponent)
+    gv = prob.g(ys)
     for i, radius in enumerate(prob.nest):
         pv = f1.apply_PV_interval(k, radius, u_fn, probes)
         scaled = f1.ExteriorData(fn=lambda y: prob.g(radius * y))
         for j, x in enumerate(probes):
-            dens = k.poisson(x / radius, grid.exterior_x / radius) / radius
-            ext = float(np.sum(grid.exterior_w * dens * gv))
-            ext += _tail_sum(k, np.asarray([x / radius]), scaled, grid.radius / radius)[0]
+            dens = k.poisson(x / radius, ys / radius) / radius
+            ext = float(np.sum(ws * dens * gv))
+            ext += _tail_sum(k, np.asarray([x / radius]), scaled, R / radius)[0]
             assert abs(got[i, j] - abs(pv[j] + ext - limit[j])) <= 1e-15
 
 

@@ -197,13 +197,33 @@ def test_blocked_solve_residual_matches_scipy(case):
 
 
 def test_non_finite_input_is_a_value_error(k3):
-    # a NaN at a state of D reaches the solve through the right-hand side
+    # the exit-flux formula never reads g on V, so the whole input is checked
     for u in (np.array([0.0, np.nan, 0.0]), np.array([0.0, 0.0, np.inf])):
         with pytest.raises(ValueError, match="infs or NaNs"):
             project(k3, [1, 2], u)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            harmonic_extension(k3, [1, 2], u)
     idx = np.array([1, 2])
     for rhs in (np.array([1.0, np.nan]), np.array([[np.nan], [1.0]])):
         with pytest.raises(ValueError, match="infs or NaNs"):
             projection._solve(k3, idx, rhs)
     with pytest.raises(ValueError, match="infs or NaNs"):
         projection.cho_factor(np.array([[2.0, np.nan], [np.nan, 2.0]]))
+
+
+def test_harmonic_extension_is_energy_orthogonal_on_a_dense_graph():
+    # a graph_exact-like form: dense weights 0.2-1.0, killing and measure
+    # scaled by n.  Subtracting a projection left up to 4.5e-13 in (A h)[D]
+    rng = np.random.default_rng(11)
+    n, nD = 400, 240
+    w = rng.uniform(0.2, 1.0, size=(n, n)) * (rng.random((n, n)) < 0.5)
+    J = np.triu(w, 1)
+    kappa = np.where(rng.random(n) < 0.4, rng.uniform(0.3, 1.2, size=n), 0.0)
+    form = DiscreteForm(m=n * rng.uniform(0.5, 2.0, size=n), J=J + J.T, kappa=n * kappa)
+    D = np.sort(rng.choice(n, size=nD, replace=False))
+    A = form.energy_matrix()
+    for g in (rng.uniform(-1.0, 1.0, size=n), np.cos(np.arange(n, dtype=float)),
+              rng.standard_normal(n)):
+        h = harmonic_extension(form, D, g)
+        assert np.array_equal(np.delete(h, D), np.delete(g, D))
+        assert np.max(np.abs((A @ h)[D])) <= 1e-13

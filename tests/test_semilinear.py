@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from dirichlet_lab import (DiscreteForm, LadderConfig, ProblemSpec, apriori_repo
                            project, residual_probabilistic, solve, solve_shifted,
                            stability_gap, table_nonlinearity, vd_check, verify_projective,
                            very_weak_defect, zero_nonlinearity)
+from dirichlet_lab import semilinear
 from dirichlet_lab.potential import green_apply, green_operator
 from dirichlet_lab.suite import random_ordered_pair, random_problem
 
@@ -334,6 +337,38 @@ def test_vd_check_zero_measure_trivial():
     sol = solve(spec)
     rep = vd_check(sol.u, spec)
     assert rep["identity"] < 1e-10
+
+
+def test_vd_check_forms_no_n_by_n_temporary():
+    def dense_energy(J, D, u, v):  # the double sum over pairs touching D, as n x n arrays
+        in_D = np.zeros(J.shape[0], dtype=bool)
+        in_D[D] = True
+        mask = in_D[:, None] | in_D[None, :]
+        return float(np.sum((u[:, None] - u[None, :]) * (v[:, None] - v[None, :]) * J * mask))
+
+    rng = np.random.default_rng(5)
+    n = 800
+    w = rng.uniform(0.2, 1.0, size=(n, n)) * (rng.random((n, n)) < 0.1)
+    J = np.triu(w, 1)
+    form = DiscreteForm(m=rng.uniform(0.5, 2.0, size=n), J=J + J.T, kappa=np.zeros(n))
+    D = np.sort(rng.choice(n, size=480, replace=False))
+    mu = np.zeros(n)
+    mu[D] = rng.uniform(0.0, 1.0, size=D.size)
+    spec = ProblemSpec(form=form, D=D, g=rng.uniform(-1.0, 1.0, size=n), mu=mu,
+                       f=zero_nonlinearity())
+    sol = solve(spec)
+    form.energy_matrix(), spec.pdg, spec.rdm  # prime the caches
+    tracemalloc.start()
+    try:
+        rep = vd_check(sol.u, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n
+    assert rep["identity"] < 1e-9
+    for u in (sol.u, spec.pdg, spec.g):
+        ref = dense_energy(form.J, spec.D, u, u)
+        assert semilinear._vd_energy(form, spec.D, u, u) == pytest.approx(ref, rel=1e-12)
 
 
 def test_shifted_problem(k3):
