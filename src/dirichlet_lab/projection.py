@@ -123,6 +123,8 @@ def harmonic_extension(form: DiscreteForm, V, g) -> np.ndarray:
     """P_V g: g outside V and -A_VV^{-1} A[V, Vc] g[Vc] on V, energy-orthogonal
     to F(V).  The one P_V formula of the graph: ``project`` is its complement,
     ``poisson_kernel`` and ``harmonic_boundary`` its matrix and adjoint forms.
+    The flux is the full product A @ g_out, g_out being g with its V entries
+    zeroed, read on V: a row gather A[V] would copy |V| x n of A per call.
     It never reads g on V, yet a wrong length or a non-finite entry anywhere
     in g is a ValueError."""
     out = _finite(np.array(g, dtype=float))
@@ -132,7 +134,7 @@ def harmonic_extension(form: DiscreteForm, V, g) -> np.ndarray:
     if idx.size:
         out[idx] = 0.0
         # 0.0 - x, not -x: a zero flux gives +0.0, as the kernel product does
-        out[idx] = 0.0 - _solve(form, idx, form.energy_matrix()[idx] @ out)
+        out[idx] = 0.0 - _solve(form, idx, (form.energy_matrix() @ out)[idx])
     return out
 
 

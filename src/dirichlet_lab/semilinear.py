@@ -230,14 +230,14 @@ class Solution:
     meta: dict = field(default_factory=dict)
 
 
-def _inner_solve(u0, base, gmat, fappl, fder, scale: float):
+def _inner_solve(u, base, gmat, fappl, fder, scale: float):
     """Solve u = base + gmat f(u) for one bounded truncation level.
 
     Damped fixed-point sweeps from step 1, the step adapted to the residual;
     if progress stalls, switch to a semi-smooth Newton iteration with
     backtracking.  The limit is unique, so only robustness matters here.
+    No array is written in place: the starting ``u`` may be returned as is.
     """
-    u = u0.copy()
     tol = _INNER_TOL * scale
 
     def residual(v):
@@ -249,8 +249,6 @@ def _inner_solve(u0, base, gmat, fappl, fder, scale: float):
     iters = 0
     slow = 0
     newton = False
-    n = u.size
-    eye = np.eye(n)
     while rn > tol and iters < _MAX_INNER:
         iters += 1
         if not newton:
@@ -267,8 +265,7 @@ def _inner_solve(u0, base, gmat, fappl, fder, scale: float):
             if slow >= 4 or theta < 0.05:
                 newton = True
             continue
-        d = fder(u)
-        jac = eye - gmat * d[None, :]
+        jac = np.eye(u.size) - gmat * fder(u)[None, :]
         step = np.linalg.solve(jac, r)
         lam = 1.0
         while lam > 1e-8:
@@ -285,29 +282,32 @@ def _inner_solve(u0, base, gmat, fappl, fder, scale: float):
     return u, iters, rn
 
 
-def solve_ladder(base: np.ndarray, gmat: np.ndarray, f: Nonlinearity, points,
+def solve_ladder(base: np.ndarray, gmat: np.ndarray | None, f: Nonlinearity, points,
                  cfg: LadderConfig | None = None):
-    """Monotone truncation-ladder fixed point on the interior unknowns.
+    """Monotone truncation-ladder fixed point of u = base + gmat f(points, u).
 
-    Returns (u, trace, meta).  ``meta`` records the worst violations of the
-    expected ladder ordering (nondecreasing in the upper envelope index,
-    nonincreasing in the lower one) and the final residual.
+    The one solver loop of both backends and the one place that checks f is
+    nonincreasing.  Zero absorption returns ``base.copy()`` with an empty
+    trace and never reads ``gmat``, so a caller may pass None for it.
+    Returns (u, trace, meta); ``meta`` holds ``converged`` and the worst
+    violations of the ladder ordering, nondecreasing in the upper envelope
+    index (``monotone_up_slack``) and nonincreasing in the lower one
+    (``monotone_down_slack``).
     """
-    cfg = cfg or LadderConfig()
-    points = np.asarray(points)
+    if f.is_zero:
+        return base.copy(), [], {"converged": True, "monotone_up_slack": 0.0,
+                                 "monotone_down_slack": 0.0}
+    f.check_monotone(points)
     scale = max(1.0, float(np.max(np.abs(base), initial=0.0)))
-    schedule = cfg.schedule()
+    schedule = (cfg or LadderConfig()).schedule()
     trace = []
-    mono_up = 0.0
-    mono_down = 0.0
-    u = base.copy()
-    prev_um = None
+    up = down = 0.0
     converged = False
-    final_res = np.inf
+    u = base
+    prev_m = None
     for m in schedule:
         lo = -(m * m) / (1.0 + m)
-        prev_unm = None
-        u_m = None
+        prev_n = None
         for n in schedule:
             hi = (n * n) / (1.0 + n)
 
@@ -316,34 +316,22 @@ def solve_ladder(base: np.ndarray, gmat: np.ndarray, f: Nonlinearity, points,
 
             def dnm(v, lo=lo, hi=hi):
                 raw = f(points, v)
-                d = f.derivative(points, v)
-                return np.where((raw > lo) & (raw < hi), d, 0.0)
+                return np.where((raw > lo) & (raw < hi), f.derivative(points, v), 0.0)
 
             u, iters, res = _inner_solve(u, base, gmat, fnm, dnm, scale)
             trace.append({"n": n, "m": m, "inner_iterations": iters, "residual": res})
-            final_res = res
-            if prev_unm is not None:
-                mono_up = min(mono_up, float(np.min(u - prev_unm, initial=0.0)))
-                if float(np.max(np.abs(u - prev_unm))) < _OUTER_TOL:
-                    u_m = u
+            if prev_n is not None:
+                up = min(up, float(np.min(u - prev_n, initial=0.0)))
+                if float(np.max(np.abs(u - prev_n))) < _OUTER_TOL:
                     break
-            prev_unm = u.copy()
-        if u_m is None:
-            u_m = u
-        if prev_um is not None:
-            mono_down = min(mono_down, float(np.min(prev_um - u_m, initial=0.0)))
-            if float(np.max(np.abs(u_m - prev_um))) < _OUTER_TOL:
+            prev_n = u
+        if prev_m is not None:
+            down = min(down, float(np.min(prev_m - u, initial=0.0)))
+            if float(np.max(np.abs(u - prev_m))) < _OUTER_TOL:
                 converged = True
                 break
-        prev_um = u_m.copy()
-        u = u_m
-    meta = {
-        "converged": converged,
-        "monotone_up_slack": mono_up,
-        "monotone_down_slack": mono_down,
-        "final_inner_residual": final_res,
-    }
-    return u, trace, meta
+        prev_m = u
+    return u, trace, {"converged": converged, "monotone_up_slack": up, "monotone_down_slack": down}
 
 
 def solve(spec, ladder: LadderConfig | None = None) -> Solution:
@@ -355,17 +343,15 @@ def solve(spec, ladder: LadderConfig | None = None) -> Solution:
 
 
 def _solve_graph(spec: ProblemSpec, ladder: LadderConfig | None) -> Solution:
+    """The ladder on D from base P_D g + R_D mu, with u = g off D; the Green
+    matrix G of D is formed only for nonzero absorption."""
     idx = spec.D
-    spec.f.check_monotone(idx)
-    base_full = spec.pdg + spec.rdm
-    G = green_operator(spec.form, idx)
-    uD, trace, meta = solve_ladder(base_full[idx], G, spec.f, idx, ladder)
+    G = None if spec.f.is_zero else green_operator(spec.form, idx)
+    uD, trace, meta = solve_ladder((spec.pdg + spec.rdm)[idx], G, spec.f, idx, ladder)
     u = spec.g.copy()
     u[idx] = uD
-    res = residual_probabilistic(u, spec)
-    sol = Solution(u=u, residuals={"fixed_point": res}, ladder_trace=trace,
-                   converged=meta["converged"], meta=meta)
-    return sol
+    return Solution(u=u, residuals={"fixed_point": residual_probabilistic(u, spec)},
+                    ladder_trace=trace, converged=meta["converged"], meta=meta)
 
 
 def solve_shifted(spec: ProblemSpec, h) -> Solution:

@@ -457,13 +457,16 @@ def test_every_spec_key_is_read(tmp_path):
     ("frac1d", "f.b", True, "'f.b'"),
     ("frac1d", "f.b", float("nan"), "'f.b'"),
     ("graph", "f.b", ["x", 1.0, 1.0], "'f.b'"),
+    ("frac1d", "g.kind", "wave", "exterior kind 'wave'"),
+    ("graph", "f.kind", "cubic", "nonlinearity kind 'cubic'"),
+    ("graph", "backend", "fem", "backend 'fem'"),
 ], ids=["form.kapa", "f", "inject", "grid", "nu", "g", "mu", "mu.atoms", "list",
         "ladder.max_level", "ladder.base", "ladder.theta0", "ladder.start", "graph-g",
         "D-scalar", "D-floats", "graph-nest", "graph-nest-floats", "frac-nest",
         "frac-nest-radius", "nest_levels", "nest_levels-str", "nest_levels-float",
         "grid.order-0", "grid.order-float", "grid.edge_levels-bool", "alpha-str",
         "alpha-bool", "alpha-nan", "nu.plus", "g.value", "f.p-str", "f.p-bool", "f.p-nan",
-        "f.b-str", "f.b-bool", "f.b-nan", "f.b-list-str"])
+        "f.b-str", "f.b-bool", "f.b-nan", "f.b-list-str", "g.kind", "f.kind", "backend"])
 def test_malformed_spec_is_a_config_error(tmp_path, capsys, backend, key, value, name):
     make_spec = _demo_graph_spec if backend == "graph" else _small_frac_spec
     obj = json.loads(make_spec(tmp_path).read_text())
@@ -521,6 +524,34 @@ def test_boundary_measure_spec_checks_its_martin_part(tmp_path):
     assert cli.run(cfg) == 0
     res = json.loads((tmp_path / "out" / "residuals.json").read_text())["results"]
     assert res["projective_exhaustion"]["pass"] and res["wos_fk_residual"]["pass"]
+
+
+def test_indicator_exterior_spec_runs_every_suite(tmp_path):
+    # g = 1 on [1.5, 3], 0 elsewhere outside (-1, 1), through the four continuum suites
+    obj = {"schema": 1, "backend": "frac1d", "alpha": 1.0,
+           "g": {"kind": "indicator", "a": 1.5, "b": 3.0},
+           "f": {"kind": "power", "b": 1.0, "p": 3.0}}
+    path = tmp_path / "indicator.json"
+    path.write_text(json.dumps(obj))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out"), "--paths", "2000"]) == 0
+    res = json.loads((tmp_path / "out" / "residuals.json").read_text())["results"]
+    assert {"fixed_point", "trace_extrapolated", "wos_fk_residual"} <= set(res)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.5])
+def test_boundary_measure_with_exp_absorption_is_a_config_error(tmp_path, capsys, alpha):
+    # e^(M nu) has no finite Green potential; at alpha = 1 the two refinements
+    # overflow to inf, and their NaN difference must read as divergence too
+    obj = {"schema": 1, "backend": "frac1d", "alpha": alpha, "nu": {"plus": 1.0},
+           "f": {"kind": "exp", "b": 1.0},
+           "grid": {"order": 6, "n_base": 4, "edge_levels": 10, "out_levels": 6}}
+    path = tmp_path / "nu_exp.json"
+    path.write_text(json.dumps(obj))
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--out", str(out), "--suite", "verify"]) == 2
+    printed = capsys.readouterr().out
+    assert "absorption along the boundary part has no finite potential" in printed
+    assert not out.exists()
 
 
 def test_non_finite_solution_fails_solution_sup(tmp_path, monkeypatch):

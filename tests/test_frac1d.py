@@ -609,6 +609,18 @@ def test_example77_report_zero_and_atom(packs):
     assert np.isfinite(rep["ratio"]) and rep["ratio"] > 0.0
 
 
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_example77_exterior_weight_matches_closed_form(packs, alpha):
+    # g = 1 against min(t^(-a/2), t^(-a-1)), t = |y| - 1, on both sides:
+    # 2 [1 / (1 - a/2) + 1 / a], the analytic tail beyond R included
+    k, grid = packs[alpha]
+    prob = f1.ContinuumProblem(kernels=k, grid=grid, g=f1.const_exterior(1.0),
+                               f=zero_nonlinearity())
+    rep = f1.example77_report(prob, f1.solve_continuum(prob))
+    exact = 2.0 * (1.0 / (1.0 - alpha / 2.0) + 1.0 / alpha)
+    assert abs(rep["rhs_exterior"] / exact - 1.0) < 1e-8
+
+
 def test_example77_ratio_stable_under_refinement(packs):
     k, _ = packs[1.0]
     vals = []

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from dirichlet_lab import (DiscreteForm, LadderConfig, ProblemSpec, apriori_repo
                            project, residual_probabilistic, solve, solve_shifted,
                            stability_gap, table_nonlinearity, vd_check, verify_projective,
                            very_weak_defect, zero_nonlinearity)
-from dirichlet_lab import semilinear
+from dirichlet_lab import frac1d, semilinear
 from dirichlet_lab.potential import green_apply, green_operator
 from dirichlet_lab.suite import random_ordered_pair, random_problem
 
@@ -397,7 +398,38 @@ def test_ladder_monotone_ordering():
         sol = solve(spec)
         assert sol.meta["monotone_up_slack"] >= -1e-10
         assert sol.meta["monotone_down_slack"] >= -1e-10
-        assert sol.ladder_trace  # per-level counts recorded
+        assert bool(sol.ladder_trace) == (not spec.f.is_zero)  # per-level counts recorded
+
+
+def test_zero_absorption_forms_no_green_matrix(monkeypatch):
+    # f = 0: the ladder returns its base on either backend without the Green
+    # matrix; the counters see the one matrix each cubic solve builds
+    calls = []
+
+    def counted(build):
+        def wrapper(*args):
+            calls.append(build.__name__)
+            return build(*args)
+        return wrapper
+
+    monkeypatch.setattr(semilinear, "green_operator", counted(green_operator))
+    monkeypatch.setattr(frac1d, "green_matrix", counted(frac1d.green_matrix))
+    spec = random_problem(np.random.default_rng(5), f=zero_nonlinearity())
+    sol = solve(spec)
+    expected = spec.g.copy()
+    expected[spec.D] = spec.pdg[spec.D] + spec.rdm[spec.D]
+    assert sol.u.tobytes() == expected.tobytes()
+    assert sol.ladder_trace == [] and sol.converged
+    grid = frac1d.build_grid(1.0, order=6, n_base=4, edge_levels=10, out_levels=6)
+    prob = frac1d.ContinuumProblem(kernels=frac1d.build_kernels(1.0), grid=grid,
+                                   g=frac1d.const_exterior(1.0), f=zero_nonlinearity())
+    csol = solve(prob)
+    assert csol.u.tobytes() == csol.meta["base"].tobytes() and csol.ladder_trace == []
+    assert calls == []
+    cubic = power_nonlinearity(lambda pts: np.ones(np.shape(pts)), 3.0)
+    solve(replace(spec, f=cubic))
+    solve(replace(prob, f=cubic))
+    assert calls == ["green_operator", "green_matrix"]
 
 
 def test_nonconvergence_returns_best_iterate(k3):
