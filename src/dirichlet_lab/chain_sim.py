@@ -7,37 +7,32 @@ No holding time is drawn: each visit to a state contributes its conditional
 mean 1/q to the occupation times, q being the state's total rate.  Given the
 jump chain, the occupation functionals are then their conditional means, so
 every estimator below stays unbiased and its variance cannot rise
-(conditional Monte Carlo).  Paths are split into chunks of 4,096, each
-drawing from its own counter-based substream, so every path's draws depend
-only on (seed, chunk) and not on how the paths are stepped.  One loop steps
-the live paths of all chunks together, and the estimators' linear
+(conditional Monte Carlo).  Paths are split into chunks of ``rng.CHUNK``,
+each drawing from its own counter-based substream, so every path's draws
+depend only on (seed, chunk) and not on how the paths are stepped.  One loop
+steps the live paths of all chunks together, and the estimators' linear
 functionals of the occupation times are summed visit by visit, so no
-path-by-state matrix is ever formed.
+path-by-state matrix is ever formed.  ``mc_estimate`` reads every check, the
+exit-law chi-square included, from one walk.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .forms import DiscreteForm, as_subset, is_transient
-from .projection import poisson_kernel
-from .rng import check_estimate_args, chisquare, live_segments, mean_and_stderr, substream
+from .forms import DiscreteForm, as_subset, complement, is_transient
+from .projection import _solve
+from .rng import CHUNK, check_estimate_args, chisquare, live_segments, mean_and_stderr, substream
 
-__all__ = [
-    "exit_law_counts",
-    "exit_law_chi2",
-    "mc_estimate",
-    "simulate_batch",
-]
+__all__ = ["mc_estimate", "simulate_batch"]
 
-_CHUNK = 4096
 # arguments each estimator kind reads, checked before any path is simulated
 _NEEDS = {"PDg": ("g",), "RDf": ("h",), "RDmu": ("mu",), "second_moment": ("mu",),
-          "FK_residual": ("g", "mu", "u", "f")}
+          "FK_residual": ("g", "mu", "u", "f"), "exit_chi2": ()}
 # functional rows of the walk each kind reads: h, the atoms' weights mu/m, their
 # squares over the rates, and the FK integrand f(u) + mu/m
 _ROWS = {"PDg": (), "RDf": ("h",), "RDmu": ("mu",), "second_moment": ("mu", "mu2"),
-         "FK_residual": ("fk",)}
+         "FK_residual": ("fk",), "exit_chi2": ()}
 
 
 def _rates(form: DiscreteForm, idx: np.ndarray):
@@ -124,8 +119,8 @@ def simulate_batch(form: DiscreteForm, D, x: int, n_paths: int, seed: int,
     local[idx] = np.arange(idx.size)
     exits = np.empty(n_paths, dtype=int)
     F = np.zeros((V.shape[0], n_paths))
-    rngs = [substream(seed, c) for c in range(-(-n_paths // _CHUNK))]
-    starts = np.arange(0, n_paths, _CHUNK)
+    starts = np.arange(0, n_paths, CHUNK)
+    rngs = [substream(seed, c) for c in range(starts.size)]
     unif = np.empty(n_paths)
     active = np.arange(n_paths)
     state = np.full(n_paths, local[x], dtype=int)
@@ -151,17 +146,19 @@ def simulate_batch(form: DiscreteForm, D, x: int, n_paths: int, seed: int,
 def mc_estimate(kinds: tuple, form: DiscreteForm, D, x: int, *, n_paths: int = 100_000,
                 seed: int = 0, g=None, h=None, mu=None, u=None,
                 f=None) -> list[tuple[float, float]]:
-    """Sample mean and standard error of each requested exit functional, in
-    the order of ``kinds``, all read from one ``simulate_batch`` walk.
+    """One result per requested kind, in the order of ``kinds``, all read
+    from one ``simulate_batch`` walk.
 
     Kinds: ``PDg`` (value of g at the exit, 0 on death), ``RDf`` (time
     integral of the density h), ``RDmu`` (additive functional of atoms mu),
     ``second_moment`` (its square), ``FK_residual`` (full path functional
-    minus u at the start point; needs g, mu, u and the absorption f).  The
+    minus u at the start point; needs g, mu, u and the absorption f) give
+    ``(estimate, stderr)``; ``exit_chi2`` gives ``(statistic, p)`` of the
+    walk's exits against row x of the exit kernel (``_exit_chi2``).  The
     walk carries the union of the functional rows the kinds read (``PDg``
-    reads only the exits, which do not depend on the rows), so each estimate
-    has the bits of a one-kind call at the same seed; estimates of one call
-    are correlated, each at its own standard error.
+    and ``exit_chi2`` read only the exits, which do not depend on the rows),
+    so each result has the bits of a one-kind call at the same seed;
+    estimates of one call are correlated, each at its own standard error.
 
     The time integrals are read at their conditional means given the jump
     chain (``simulate_batch``), which are unbiased for every kind but the
@@ -183,6 +180,9 @@ def mc_estimate(kinds: tuple, form: DiscreteForm, D, x: int, *, n_paths: int = 1
     occ = dict(zip(names, F))
     out = []
     for kind in kinds:
+        if kind == "exit_chi2":
+            out.append(_exit_chi2(form, idx, x, exits))
+            continue
         if kind == "RDf":
             vals = occ["h"]
         elif kind == "RDmu":
@@ -197,26 +197,20 @@ def mc_estimate(kinds: tuple, form: DiscreteForm, D, x: int, *, n_paths: int = 1
     return out
 
 
-def exit_law_counts(form: DiscreteForm, D, x: int, n_paths: int, seed: int):
-    """Observed exit counts per category (states outside D, then death)."""
-    exits, _ = simulate_batch(form, D, x, n_paths, seed)
-    comp = np.setdiff1d(np.arange(form.n), as_subset(form.n, D))
-    per_state = np.bincount(exits + 1, minlength=form.n + 1)  # slot 0 is death
-    counts = np.append(per_state[comp + 1], per_state[0]).astype(float)
-    return comp, counts
+def _exit_chi2(form: DiscreteForm, idx: np.ndarray, x: int, exits: np.ndarray):
+    """Chi-square test of the walk's exits (states outside D, then death)
+    against row x of the exit kernel.
 
-
-def exit_law_chi2(form: DiscreteForm, D, x: int, n_paths: int = 100_000, seed: int = 0):
-    """Chi-square test of the empirical exit distribution against the kernel.
-
+    Since A_DD is symmetric, that row is -(A_DD^{-1} e_x) @ A[D, Dc]: one
+    solve with the cached factor, and the kernel itself is never formed.
     Cells with expected counts below 5 are pooled into one before testing.
     """
-    if n_paths < 100:
-        raise ValueError("n_paths must be at least 100")
-    idx = as_subset(form.n, D)
-    comp, counts = exit_law_counts(form, idx, x, n_paths, seed)
-    P = poisson_kernel(form, idx)
-    expected = np.append(P[x, comp], max(1.0 - P[x, comp].sum(), 0.0)) * n_paths
+    comp = complement(form.n, idx)
+    row = -(_solve(form, idx, (idx == x).astype(float))
+            @ form.energy_matrix()[np.ix_(idx, comp)])
+    per_state = np.bincount(exits + 1, minlength=form.n + 1)  # slot 0 is death
+    counts = np.append(per_state[comp + 1], per_state[0]).astype(float)
+    expected = np.append(row, max(1.0 - row.sum(), 0.0)) * exits.size
     keep = expected >= 5.0
     if (~keep).any():
         counts = np.append(counts[keep], counts[~keep].sum())

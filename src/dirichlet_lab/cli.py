@@ -161,11 +161,14 @@ def _number(key: str, value) -> float:
 
 
 def _absorption_coefficient(value):
-    """A spec's ``f.b``: a number becomes a constant callable, a list a
-    per-state array."""
+    """A spec's ``f.b``, nonnegative: a number becomes a constant callable, a
+    list a per-state array."""
+    b = _vector("f.b", value) if isinstance(value, list) else _number("f.b", value)
+    negative = np.ravel(b)[np.ravel(b) < 0]
+    if negative.size:
+        raise ValueError(f"spec key 'f.b' must be nonnegative, got {float(negative[0])!r}")
     if isinstance(value, list):
-        return _vector("f.b", value)
-    b = _number("f.b", value)
+        return b
     return lambda y: np.full_like(np.asarray(y, dtype=float), b)
 
 

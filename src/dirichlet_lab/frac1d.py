@@ -603,11 +603,8 @@ def apply_PD(kernels: FracKernels, grid: QuadGrid, g: ExteriorData, x=None) -> n
     outward panel contributions, and reported as an error.
     """
     x = grid.interior_x if x is None else np.atleast_1d(np.asarray(x, dtype=float))
-    if g.edge_exponent != 0.0:
-        rule = _exterior_rule(_exterior_breaks(grid.edge_levels, grid.out_levels), grid.order,
-                              -kernels.alpha / 2.0 + g.edge_exponent)
-    else:
-        rule = grid.exterior_x, grid.exterior_w, grid.radius
+    rule = _exterior_rule(_exterior_breaks(grid.edge_levels, grid.out_levels), grid.order,
+                          -kernels.alpha / 2.0 + g.edge_exponent)
     _check_outward_decay(kernels, g, rule[2])
     return _exit_average(kernels, 1.0, g, x, rule)
 
@@ -621,6 +618,15 @@ def _check_outward_decay(kernels: FracKernels, g: ExteriorData, radius: float) -
             f"exit average not converging under tail refinement: panel masses {contrib.tolist()}")
 
 
+def _green_rule(kernels: FracKernels, x: float, order: int, levels: int):
+    """The two halves ``(y, w * G(x, y))`` of the Green rule at x: sum w h(y)
+    over both is the Green potential of h at x.  Split at x, with the edge
+    power alpha/2 at +-1 and, below alpha = 1, the diagonal power alpha - 1."""
+    a = kernels.alpha
+    halves = _split_rule(-1.0, x, 1.0, order, levels, a / 2.0, a - 1.0 if a < 1.0 else 0.0)
+    return [(y, w * kernels.green(x, y)) for y, w in halves]
+
+
 def apply_RD(kernels: FracKernels, grid: QuadGrid, h=None, atoms=(), x=None,
              order: int | None = None, edge_levels: int | None = None) -> np.ndarray:
     """Green potential of a density h plus point atoms, at interior points.
@@ -632,15 +638,11 @@ def apply_RD(kernels: FracKernels, grid: QuadGrid, h=None, atoms=(), x=None,
     x = grid.interior_x if x is None else np.atleast_1d(np.asarray(x, dtype=float))
     order = order or grid.order + 2
     edge_levels = edge_levels or grid.edge_levels + 6
-    a = kernels.alpha
-    diag_gamma = a - 1.0 if a < 1.0 else 0.0
     out = np.zeros_like(x)
     if h is not None:
         for i, xi in enumerate(x):
-            acc = 0.0
-            for y, w in _split_rule(-1.0, xi, 1.0, order, edge_levels, a / 2.0, diag_gamma):
-                acc += float(np.sum(w * kernels.green(xi, y) * h(y)))
-            out[i] = acc
+            out[i] = sum(float(np.sum(w * h(y)))
+                         for y, w in _green_rule(kernels, xi, order, edge_levels))
     for (pos, weight) in atoms:
         out += weight * kernels.green(x, float(pos))
     return out
@@ -865,6 +867,7 @@ class ContinuumProblem:
             raise ValueError("continuum nest must be at least one strictly increasing radius "
                              f"in (0, 1), got {self.nest!r}")
         object.__setattr__(self, "nest", radii)
+        self.f.check_monotone(self.grid.interior_x)
 
     def martin_part(self, x) -> np.ndarray:
         """The part of the solution carried by the boundary measure,

@@ -13,6 +13,8 @@ import numpy as np
 
 __all__ = ["check_estimate_args", "chisquare", "live_segments", "mean_and_stderr", "substream"]
 
+# paths per substream chunk of both walks: chunk c's paths draw from stream c
+CHUNK = 4096
 _MASK64 = (1 << 64) - 1
 
 

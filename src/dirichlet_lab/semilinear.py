@@ -173,6 +173,7 @@ class ProblemSpec:
             prev = V
         if not np.array_equal(nest[-1], idx):
             raise ValueError("nest must exhaust D")
+        self.f.check_monotone(idx)
         for arr in (idx, g, mu, *nest):
             arr.setflags(write=False)
         object.__setattr__(self, "D", idx)
@@ -286,9 +287,10 @@ def solve_ladder(base: np.ndarray, gmat: np.ndarray | None, f: Nonlinearity, poi
                  cfg: LadderConfig | None = None):
     """Monotone truncation-ladder fixed point of u = base + gmat f(points, u).
 
-    The one solver loop of both backends and the one place that checks f is
-    nonincreasing.  Zero absorption returns ``base.copy()`` with an empty
-    trace and never reads ``gmat``, so a caller may pass None for it.
+    The one solver loop of both backends.  f must be nonincreasing in y at
+    ``points``; the problem types check that when they are built, before
+    any ``gmat`` is formed.  Zero absorption returns ``base.copy()`` with an
+    empty trace and never reads ``gmat``, so a caller may pass None for it.
     Returns (u, trace, meta); ``meta`` holds ``converged`` and the worst
     violations of the ladder ordering, nondecreasing in the upper envelope
     index (``monotone_up_slack``) and nonincreasing in the lower one
@@ -297,7 +299,6 @@ def solve_ladder(base: np.ndarray, gmat: np.ndarray | None, f: Nonlinearity, poi
     if f.is_zero:
         return base.copy(), [], {"converged": True, "monotone_up_slack": 0.0,
                                  "monotone_down_slack": 0.0}
-    f.check_monotone(points)
     scale = max(1.0, float(np.max(np.abs(base), initial=0.0)))
     schedule = (cfg or LadderConfig()).schedule()
     trace = []

@@ -18,8 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from .frac1d import (ExteriorData, FracKernels, _exit_average, _exterior_rule, _graded_breaks,
-                     _split_rule)
-from .rng import check_estimate_args, chisquare, live_segments, mean_and_stderr, substream
+                     _green_rule)
+from .rng import CHUNK, check_estimate_args, chisquare, live_segments, mean_and_stderr, substream
 
 __all__ = [
     "ball_green_rule",
@@ -28,7 +28,6 @@ __all__ = [
     "wos_exit_chi2",
 ]
 
-_CHUNK = 4096
 # arguments each estimator kind reads, checked before any path is walked
 _NEEDS = {"PDg": ("g",), "mean_exit_time": (), "FK_residual": ("g", "u_fn", "f"),
           "exit_chi2": ()}
@@ -54,12 +53,9 @@ def _sample_exit_positions(alpha: float, rng, size: int) -> np.ndarray:
 
 def ball_green_rule(kernels: FracKernels):
     """Nodes w_i in (-1, 1) and masses v_i with sum v_i h(w_i) ~ expected
-    occupation of h under the unit-ball walk started at the center."""
-    a = kernels.alpha
-    diag_gamma = a - 1.0 if a < 1.0 else 0.0
-    (y0, w0), (y1, w1) = _split_rule(-1.0, 0.0, 1.0, 12, 22, a / 2.0, diag_gamma)
-    y = np.concatenate([y0, y1])
-    return y, np.concatenate([w0, w1]) * kernels.green(0.0, y)
+    occupation of h under the unit-ball walk started at the center: the two
+    halves of ``frac1d._green_rule`` at 0 (order 12, 22 levels), joined."""
+    return tuple(np.concatenate(part) for part in zip(*_green_rule(kernels, 0.0, 12, 22)))
 
 
 def _ball_source(h, rule, x: float, alpha: float) -> float:
@@ -100,7 +96,7 @@ def wos_exit_batch(kernels: FracKernels, x: float, n_paths: int, seed: int,
     y_j of the rule with probability w_j / M, M = sum w, and adds
     radius^alpha * M * h(center + radius * y_j).
 
-    Paths are split into chunks of 4,096; chunk c draws its walk from
+    Paths are split into chunks of ``rng.CHUNK``; chunk c draws its walk from
     ``substream(seed, c)`` and its nodes from ``substream(seed, ~c)``.  One
     loop steps the live paths of all chunks together, each chunk filling its
     own segment of the step's draws (``rng.live_segments``), so every path's
@@ -117,7 +113,7 @@ def wos_exit_batch(kernels: FracKernels, x: float, n_paths: int, seed: int,
         rule = ball_green_rule(kernels)
         occ = np.full(n_paths, _ball_source(h, rule, float(x), alpha))
         draw_node, mass = _node_sampler(rule)
-    starts = np.arange(0, n_paths, _CHUNK)
+    starts = np.arange(0, n_paths, CHUNK)
     walks = [substream(seed, c) for c in range(starts.size)]
     picks = [substream(seed, ~c) for c in range(starts.size)]
     jump = np.empty(n_paths)

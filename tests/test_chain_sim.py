@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirichlet_lab import DiscreteForm, chain_sim, exit_second_moment
-from dirichlet_lab.chain_sim import (_category, _rates, _rise_table, exit_law_chi2,
-                                     exit_law_counts, mc_estimate, simulate_batch)
-from dirichlet_lab.forms import as_subset
+from dirichlet_lab.chain_sim import _category, _rates, _rise_table, mc_estimate, simulate_batch
+from dirichlet_lab.forms import as_subset, complement
 from dirichlet_lab.potential import green_apply, green_operator
+from dirichlet_lab.projection import poisson_kernel
 from dirichlet_lab.rng import _chi2_tail, chisquare, substream
 from dirichlet_lab.semilinear import ProblemSpec, power_nonlinearity, solve
 from dirichlet_lab.suite import random_form, random_problem
@@ -61,6 +61,30 @@ def _chunk_reference(form, D, x, n_paths, seed, V, max_steps=10 ** 6):
         steps.append(step)
     exits[exits == form.n] = -1
     return exits, occ, F, steps
+
+
+def _exit_cells_reference(form, D, x, exits):
+    """Observed and expected exit counts, states outside D then death, from
+    the full exit kernel, with the cells expecting fewer than 5 pooled."""
+    comp = complement(form.n, as_subset(form.n, D))
+    row = poisson_kernel(form, D)[x, comp]
+    counts = np.array([(exits == s).sum() for s in comp] + [(exits == -1).sum()], dtype=float)
+    expected = np.append(row, max(1.0 - row.sum(), 0.0)) * exits.size
+    keep = expected >= 5.0
+    if (~keep).any():
+        counts = np.append(counts[keep], counts[~keep].sum())
+        expected = np.append(expected[keep], expected[~keep].sum())
+        if expected[-1] == 0:
+            counts, expected = counts[:-1], expected[:-1]
+    return counts, expected
+
+
+def _exit_chi2_cells(monkeypatch, form, D, x, n_paths, seed):
+    """The counts and expected counts that ``exit_chi2`` hands to the test."""
+    cells = []
+    monkeypatch.setattr(chain_sim, "chisquare", lambda c, e: cells.append((c, e)) or (0.0, 1.0))
+    mc_estimate(("exit_chi2",), form, D, x, n_paths=n_paths, seed=seed)
+    return cells[-1]
 
 
 @pytest.fixture(scope="module")
@@ -166,8 +190,23 @@ def test_exit_law_chi2_random_form():
     form = random_form(rng, 12, 18)
     spec = random_problem(rng, form)
     x = int(spec.D[0])
-    stat, p = exit_law_chi2(form, spec.D, x, n_paths=100_000, seed=3)
+    [(stat, p)] = mc_estimate(("exit_chi2",), form, spec.D, x, n_paths=100_000, seed=3)
     assert p > 0.001
+
+
+def test_exit_chi2_row_matches_poisson_kernel(monkeypatch):
+    # one solve with the cached factor gives row x of the kernel that
+    # poisson_kernel assembles column by column
+    rng = np.random.default_rng(26)
+    for _ in range(6):
+        form = random_form(rng, 12, 40)
+        D = random_problem(rng, form).D
+        x = int(rng.choice(D))
+        exits, _ = simulate_batch(form, D, x, 1000, seed=4)
+        counts, expected = _exit_chi2_cells(monkeypatch, form, D, x, 1000, seed=4)
+        ref_counts, ref_expected = _exit_cells_reference(form, D, x, exits)
+        np.testing.assert_array_equal(counts, ref_counts)
+        np.testing.assert_allclose(expected / 1000, ref_expected / 1000, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("weak", [(1e-3, 2e-3), (0.0, 0.0)])
@@ -183,7 +222,7 @@ def test_exit_law_chi2_pools_small_cells(monkeypatch, weak):
     cells = []
     real = chain_sim.chisquare
     monkeypatch.setattr(chain_sim, "chisquare", lambda c, e: cells.append(c) or real(c, e))
-    _, p = exit_law_chi2(form, [1, 2], 1, n_paths=2000, seed=0)
+    [(_, p)] = mc_estimate(("exit_chi2",), form, [1, 2], 1, n_paths=2000, seed=0)
     assert len(cells[0]) == (3 if weak[0] else 2) and cells[0].sum() == 2000
     assert p >= 1e-3
 
@@ -300,7 +339,7 @@ def test_mc_estimate_checks_arguments_before_simulating(k3, monkeypatch):
 def test_exit_law_chi2_too_few_paths(k3):
     for n in (0, 99):
         with pytest.raises(ValueError, match="n_paths"):
-            exit_law_chi2(k3, [1, 2], 1, n_paths=n, seed=0)
+            mc_estimate(("exit_chi2",), k3, [1, 2], 1, n_paths=n, seed=0)
 
 
 def test_start_state_validation(k3):
@@ -388,7 +427,7 @@ def test_category_search_matches_dense_count(data):
                           (u[:, None] > cum[state]).sum(axis=1))
 
 
-def test_streamed_functionals_match_full_occupation(random_chain):
+def test_streamed_functionals_match_full_occupation(random_chain, monkeypatch):
     form, D, x, vecs = random_chain
     n = 2 * 4096 + 1000  # two full chunks and a partial one
     exits, occ = _occupation(form, D, x, n, seed=12)
@@ -399,8 +438,9 @@ def test_streamed_functionals_match_full_occupation(random_chain):
         np.testing.assert_allclose(Fj, occ @ v, rtol=4 * np.finfo(float).eps, atol=0)
     exits_e, F_e = simulate_batch(form, D, x, n, seed=12, functionals=())
     assert np.array_equal(exits, exits_e) and F_e.shape == (0, n)
-    comp, counts = exit_law_counts(form, D, x, n, seed=12)
-    assert np.array_equal(counts, [(exits == s).sum() for s in comp] + [(exits == -1).sum()])
+    # the exit_chi2 cells count the same exits: states outside D, then death
+    counts, _ = _exit_chi2_cells(monkeypatch, form, D, x, n, seed=12)
+    np.testing.assert_array_equal(counts, _exit_cells_reference(form, D, x, exits)[0])
     with pytest.raises(ValueError, match="length"):
         simulate_batch(form, D, x, 100, seed=12, functionals=(np.ones(D.size + 1),))
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dirichlet_lab import cli
+from dirichlet_lab import cli, semilinear
 from dirichlet_lab.forms import form_from_dict
 from dirichlet_lab.forms import is_transient
 
@@ -552,6 +552,33 @@ def test_boundary_measure_with_exp_absorption_is_a_config_error(tmp_path, capsys
     printed = capsys.readouterr().out
     assert "absorption along the boundary part has no finite potential" in printed
     assert not out.exists()
+
+
+def test_negative_absorption_refused_before_any_green_matrix(tmp_path, capsys, monkeypatch):
+    # a negative f.b makes f increasing: the spec is refused as it is read,
+    # before the solve forms W or G, and the message names the key
+    calls = []
+
+    def counted(build):
+        def wrapper(*args):
+            calls.append(build.__name__)
+            return build(*args)
+        return wrapper
+
+    monkeypatch.setattr(cli.frac1d, "green_matrix", counted(cli.frac1d.green_matrix))
+    monkeypatch.setattr(semilinear, "green_operator", counted(semilinear.green_operator))
+    graph = json.loads(_demo_graph_spec(tmp_path).read_text())
+    graph["f"]["b"] = [-b for b in graph["f"]["b"]]
+    frac = json.loads(_small_frac_spec(tmp_path).read_text())
+    frac["f"]["b"] = -1.0
+    for name, obj, suite in (("graph", graph, "mc"), ("frac", frac, "verify")):
+        path = tmp_path / f"{name}_negative_b.json"
+        path.write_text(json.dumps(obj))
+        out = tmp_path / f"out_{name}"
+        assert cli.main(["run", str(path), "--out", str(out), "--suite", suite]) == 2
+        assert "'f.b' must be nonnegative, got -1.0" in capsys.readouterr().out
+        assert not out.exists()
+    assert calls == []
 
 
 def test_non_finite_solution_fails_solution_sup(tmp_path, monkeypatch):

@@ -65,9 +65,12 @@ def test_cubic_against_high_precision_root(k3):
 def test_monotonicity_rejected_up_front(k3):
     bad = power_nonlinearity(np.ones(3), 3.0)
     increasing = type(bad)(fn=lambda pts, y: np.asarray(y) ** 3, name="bad")
-    spec = ProblemSpec(form=k3, D=[1, 2], g=np.zeros(3), mu=np.zeros(3), f=increasing)
     with pytest.raises(ValueError):
-        solve(spec)
+        ProblemSpec(form=k3, D=[1, 2], g=np.zeros(3), mu=np.zeros(3), f=increasing)
+    grid = frac1d.build_grid(1.0, order=6, n_base=4, edge_levels=10, out_levels=6)
+    with pytest.raises(ValueError, match="nonincreasing"):
+        frac1d.ContinuumProblem(kernels=frac1d.build_kernels(1.0), grid=grid,
+                                g=frac1d.const_exterior(1.0), f=increasing)
 
 
 def test_residual_probabilistic_detects_perturbation(k3):

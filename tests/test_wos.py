@@ -6,7 +6,7 @@ from scipy.special import betainc
 
 from dirichlet_lab import frac1d as f1
 from dirichlet_lab import wos
-from dirichlet_lab.rng import substream
+from dirichlet_lab.rng import CHUNK, substream
 from dirichlet_lab.semilinear import power_nonlinearity
 
 
@@ -294,9 +294,9 @@ def _per_path_walk(k, x, n_paths, seed, h):
     gy, gw = rule = wos.ball_green_rule(k)
     cum = np.cumsum(gw)
     exits, mean_exit, occ = np.empty(n_paths), np.zeros(n_paths), np.zeros(n_paths)
-    for c in range(-(-n_paths // wos._CHUNK)):
+    for c in range(-(-n_paths // CHUNK)):
         rng, pick = substream(seed, c), substream(seed, ~c)
-        active = np.arange(c * wos._CHUNK, min((c + 1) * wos._CHUNK, n_paths))
+        active = np.arange(c * CHUNK, min((c + 1) * CHUNK, n_paths))
         xs = np.full(active.size, float(x))
         first = True
         while active.size:
@@ -321,7 +321,7 @@ def test_shared_first_ball_matches_per_path():
     def h(y):
         return np.cos(3.0 * y) - y ** 3
 
-    n = 2 * wos._CHUNK + 77
+    n = 2 * CHUNK + 77
     for alpha in (0.5, 1.0, 1.5):
         k = f1.build_kernels(alpha)
         got = wos.wos_exit_batch(k, 0.2, n, seed=6, h=h)
@@ -334,7 +334,7 @@ def test_walk_independent_of_source():
     # neither the exits nor the mean exit times
     for alpha in (0.5, 1.5):
         k = f1.build_kernels(alpha)
-        n = 2 * wos._CHUNK + 5
+        n = 2 * CHUNK + 5
         exits, mean_exit, _ = wos.wos_exit_batch(k, 0.2, n, seed=14)
         exits_h, mean_exit_h, occ = wos.wos_exit_batch(k, 0.2, n, seed=14, h=_fk_source)
         np.testing.assert_array_equal(exits, exits_h)
@@ -362,7 +362,7 @@ def test_sampled_node_matches_ball_quadrature():
 def test_step_cap_error_reaches_caller(pack):
     k, _ = pack
     with pytest.raises(RuntimeError, match="without exiting"):
-        wos.wos_exit_batch(k, 0.3, 3 * wos._CHUNK, seed=0, max_steps=1)
+        wos.wos_exit_batch(k, 0.3, 3 * CHUNK, seed=0, max_steps=1)
 
 
 def test_paths_exiting_at_the_step_cap_are_returned():
