@@ -139,15 +139,6 @@ def _indices(key: str, value) -> list:
     return value
 
 
-def _vector(key: str, value) -> np.ndarray:
-    """A spec's per-state list of numbers (graph ``g`` and ``mu``)."""
-    try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ValueError(f"spec key {key!r} must be a list of numbers, "
-                         f"got {type(value).__name__}") from None
-
-
 def _number(key: str, value) -> float:
     """A spec's real number: finite, and not a bool."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -160,16 +151,28 @@ def _number(key: str, value) -> float:
     raise ValueError(f"spec key {key!r} must be a finite number, got {value!r}")
 
 
+def _vector(key: str, value) -> np.ndarray:
+    """A spec's flat list of finite numbers (``g``, ``mu``, ``f.b``, ``f.y``,
+    ``f.values``); an error names the key and its first bad entry."""
+    if not isinstance(value, list):
+        raise ValueError(f"spec key {key!r} must be a list of finite numbers, "
+                         f"got {type(value).__name__}")
+    for k, v in enumerate(value):
+        try:
+            _number(key, v)
+        except ValueError:
+            raise ValueError(f"spec key {key!r} must be a list of finite numbers, "
+                             f"got {v!r} at entry {k}") from None
+    return np.array(value, dtype=float)
+
+
 def _absorption_coefficient(value):
-    """A spec's ``f.b``, nonnegative: a number becomes a constant callable, a
-    list a per-state array."""
+    """A spec's ``f.b``, nonnegative: a number, or a list as an array."""
     b = _vector("f.b", value) if isinstance(value, list) else _number("f.b", value)
     negative = np.ravel(b)[np.ravel(b) < 0]
     if negative.size:
         raise ValueError(f"spec key 'f.b' must be nonnegative, got {float(negative[0])!r}")
-    if isinstance(value, list):
-        return b
-    return lambda y: np.full_like(np.asarray(y, dtype=float), b)
+    return b
 
 
 def _count(key: str, value) -> int:
@@ -190,7 +193,8 @@ def _nonlinearity_from_dict(obj: dict):
     if kind == "exp":
         return exp_nonlinearity(_absorption_coefficient(obj.pop("b", 1.0)))
     if kind == "custom-table":
-        return table_nonlinearity(obj.pop("y"), obj.pop("values"))
+        return table_nonlinearity(_vector("f.y", obj.pop("y", None)),
+                                  _vector("f.values", obj.pop("values", None)))
     raise ValueError(f"unknown nonlinearity kind {kind!r}")
 
 
@@ -202,11 +206,11 @@ def _exterior_from_dict(obj: dict) -> frac1d.ExteriorData:
     if kind == "const":
         return frac1d.const_exterior(_number("g.value", obj.pop("value", 1.0)))
     if kind == "indicator":
-        return frac1d.indicator_exterior(_number("g.a", obj.pop("a")),
-                                         _number("g.b", obj.pop("b")))
+        return frac1d.indicator_exterior(_number("g.a", obj.pop("a", None)),
+                                         _number("g.b", obj.pop("b", None)))
     if kind == "power_singular":
-        return frac1d.power_singular_exterior(_number("g.p", obj.pop("p")),
-                                              _number("g.coef", obj.pop("coef", 1.0)))
+        coef = {"coef": _number("g.coef", obj.pop("coef"))} if "coef" in obj else {}
+        return frac1d.power_singular_exterior(_number("g.p", obj.pop("p", None)), **coef)
     raise ValueError(f"unknown exterior kind {kind!r}")
 
 
@@ -214,8 +218,10 @@ def load_problem(path):
     """``(problem, ladder)`` from a spec JSON file: a graph or continuum problem
     and the ``LadderConfig`` of its solve.
 
-    Each reader pops the keys it reads.  A key left over, a sub-object that
-    is not a JSON object, or a malformed ``mu.atoms`` is a ValueError naming it.
+    Each reader pops the keys it reads.  A key left over, a required key
+    missing, a sub-object that is not a JSON object, or a malformed value is a
+    ValueError naming it.  Keys left out of ``grid`` and the nest take the
+    defaults of ``frac1d.build_grid`` and ``frac1d.default_nest``.
     """
     with open(path) as fh:
         obj = json.load(fh)
@@ -242,33 +248,42 @@ def load_problem(path):
     if backend == "graph":
         form = popped("form")
         arrays = {key: form.pop(key) for key in ("m", "J", "kappa") if key in form}
-        D, g, mu = _indices("D", obj.pop("D")), obj.pop("g", None), obj.pop("mu", None)
+        D, g, mu = _indices("D", obj.pop("D", None)), obj.pop("g", None), obj.pop("mu", None)
         nest = obj.pop("nest", [])
         if not isinstance(nest, list):
             raise ValueError(f"spec key 'nest' must be a list of levels, got {nest!r}")
         nest = tuple(_indices(f"nest[{k}]", v) for k, v in enumerate(nest))
     else:
-        alpha = _number("alpha", obj.pop("alpha"))
+        alpha = _number("alpha", obj.pop("alpha", None))
         g = _exterior_from_dict(popped("g"))
         atoms = _atoms(popped("mu").pop("atoms", []))
         nu = popped("nu")
         nu = tuple(_number(f"nu.{side}", nu.pop(side, 0.0)) for side in ("plus", "minus"))
         grid = popped("grid")
-        grid = {key: _count(f"grid.{key}", grid.pop(key, default)) for key, default in
-                (("order", 10), ("n_base", 8), ("edge_levels", 22), ("out_levels", 10))}
-        nest, levels = obj.pop("nest", None), _count("nest_levels", obj.pop("nest_levels", 12))
-        nest = frac1d.default_nest(levels) if nest is None else nest
+        grid = {key: _count(f"grid.{key}", grid.pop(key))
+                for key in ("order", "n_base", "edge_levels", "out_levels") if key in grid}
+        nest = {key: obj.pop(key) for key in ("nest", "nest_levels") if key in obj}
+        if len(nest) == 2:
+            raise ValueError("spec keys 'nest' and 'nest_levels' exclude each other")
+        if "nest_levels" in nest:
+            nest = {"nest": frac1d.default_nest(_count("nest_levels", nest["nest_levels"]))}
     unknown = list(obj) + [f"{name}.{key}" for name, sub in rest.items() for key in sub]
     if unknown:
         raise ValueError(f"unknown spec keys: {unknown}")
+    b = dict(f.params).get("b")
     if backend == "graph":
         form = form_from_dict(arrays)
+        if isinstance(b, tuple) and len(b) != form.n:
+            raise ValueError(f"spec key 'f.b' must be one number or {form.n}, one per state, "
+                             f"got {len(b)} numbers")
         g = np.zeros(form.n) if g is None else _vector("g", g)
         mu = np.zeros(form.n) if mu is None else _vector("mu", mu)
         return ProblemSpec(form=form, D=D, g=g, mu=mu, f=f, nest=nest), ladder
+    if isinstance(b, tuple):
+        raise ValueError("spec key 'f.b' must be one number on the continuum, got a list")
     prob = frac1d.ContinuumProblem(
         kernels=frac1d.build_kernels(alpha), grid=frac1d.build_grid(alpha, **grid),
-        g=g, f=f, mu_atoms=atoms, nu_plus=nu[0], nu_minus=nu[1], nest=nest)
+        g=g, f=f, mu_atoms=atoms, nu_plus=nu[0], nu_minus=nu[1], **nest)
     return prob, ladder
 
 
@@ -523,7 +538,7 @@ def main(argv=None) -> int:
                            seed=args.seed, tolerances=_parse_tols(args.tol),
                            paths=args.paths, dump_kernels=args.dump_kernels)
         status = run(config)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {args.spec}: {exc}")
         return 2
     print(f"{'PASS' if status == 0 else 'FAIL'}: results in {config.out_dir}")

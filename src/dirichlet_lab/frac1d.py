@@ -846,6 +846,7 @@ class ContinuumProblem:
 
     ``nu_plus`` / ``nu_minus`` are atom weights of the boundary measure at
     the endpoints, realized through the Martin kernel; ``g`` acts on |y| > 1.
+    ``kernels`` and ``grid`` are built for one alpha.
     """
 
     kernels: FracKernels
@@ -858,6 +859,9 @@ class ContinuumProblem:
     nest: tuple = default_nest()
 
     def __post_init__(self):
+        if self.grid.alpha != self.kernels.alpha:
+            raise ValueError(f"grid alpha {self.grid.alpha} differs from kernel alpha "
+                             f"{self.kernels.alpha}")
         try:
             radii = tuple(float(r) for r in self.nest)
         except (TypeError, ValueError):

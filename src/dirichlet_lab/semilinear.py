@@ -90,28 +90,28 @@ def zero_nonlinearity() -> Nonlinearity:
 
 
 def power_nonlinearity(b, p: float) -> Nonlinearity:
-    """f(x, y) = -b(x) * y * |y|^(p-1) with b >= 0 and p >= 1."""
+    """f(x, y) = -b(x) * y * |y|^(p-1) with b >= 0 and p >= 1; b is one number
+    (either backend) or one per state (graph)."""
     if p < 1:
         raise ValueError("power exponent must be >= 1")
+    b = np.array(b, dtype=float)
 
     def fn(pts, y):
-        bb = b(pts) if callable(b) else np.asarray(b, dtype=float)[pts]
-        return -bb * y * np.abs(y) ** (p - 1.0)
+        return -(b[pts] if b.ndim else b) * y * np.abs(y) ** (p - 1.0)
 
-    params = () if callable(b) else (("kind", "power"), ("p", float(p)),
-                                     ("b", tuple(np.asarray(b, dtype=float))))
-    return Nonlinearity(fn=fn, name=f"power[{p}]", params=params)
+    return Nonlinearity(fn=fn, name=f"power[{p}]", params=(
+        ("kind", "power"), ("p", float(p)), ("b", tuple(b) if b.ndim else float(b))))
 
 
 def exp_nonlinearity(b) -> Nonlinearity:
-    """f(x, y) = b(x) * (1 - e^y) with b >= 0."""
+    """f(x, y) = b(x) * (1 - e^y) with b >= 0, b as for ``power_nonlinearity``."""
+    b = np.array(b, dtype=float)
 
     def fn(pts, y):
-        bb = b(pts) if callable(b) else np.asarray(b, dtype=float)[pts]
-        return bb * (1.0 - np.exp(y))
+        return (b[pts] if b.ndim else b) * (1.0 - np.exp(y))
 
-    params = () if callable(b) else (("kind", "exp"), ("b", tuple(np.asarray(b, dtype=float))))
-    return Nonlinearity(fn=fn, name="exp", params=params)
+    return Nonlinearity(fn=fn, name="exp",
+                        params=(("kind", "exp"), ("b", tuple(b) if b.ndim else float(b))))
 
 
 def table_nonlinearity(ys, values) -> Nonlinearity:

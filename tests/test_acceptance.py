@@ -222,7 +222,7 @@ def test_criterion_09_boundary_trace():
     worst_cont = 0.0
     for prob in (
             f1.ContinuumProblem(kernels=k, grid=grid, g=f1.const_exterior(1.0),
-                                f=power_nonlinearity(lambda y: np.ones_like(y), 3.0)),
+                                f=power_nonlinearity(1.0, 3.0)),
             f1.ContinuumProblem(kernels=k, grid=grid, g=f1.indicator_exterior(1.0, 3.0),
                                 f=zero_nonlinearity())):
         sol = f1.solve_continuum(prob)

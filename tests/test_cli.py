@@ -387,37 +387,42 @@ def test_unknown_spec_keys_are_a_config_error(tmp_path, capsys, backend):
 
 
 def test_every_spec_key_is_read(tmp_path):
-    # specs that carry every key the loader knows, and those written by gen,
-    # load, and the keys reach the problem and the ladder
+    # specs that carry every key the loader knows (nest and nest_levels in
+    # two specs: they exclude each other), and those written by gen, load,
+    # and the keys reach the problem and the ladder
     frac = {"schema": 1, "backend": "frac1d", "alpha": 1.0,
             "g": {"kind": "power_singular", "p": 0.2, "coef": 1.0},
             "mu": {"atoms": [[0.0, 1.0]]}, "nu": {"plus": 1.0, "minus": 0.0},
-            "f": {"kind": "exp", "b": 1.0}, "nest": [0.5, 0.75], "nest_levels": 2,
+            "f": {"kind": "exp", "b": 1.0}, "nest": [0.5, 0.75],
             "grid": {"order": 6, "n_base": 4, "edge_levels": 10, "out_levels": 6},
             "ladder": {"base": 3, "max_level": 8}}
+    frac_levels = {key: value for key, value in frac.items() if key != "nest"}
+    frac_levels["nest_levels"] = 2
     graph = json.loads(_demo_graph_spec(tmp_path).read_text())
     graph.update(nest=[[1], [1, 2]], ladder={"max_level": 8},
                  f={"kind": "custom-table", "y": [-1.0, 1.0], "values": [1.0, -1.0]})
     paths = cli.generate_random_suite(3, 1, tmp_path / "gen")
     loaded = []
-    for obj in (frac, graph, *(json.loads(p.read_text()) for p in paths)):
+    for obj in (frac, graph, frac_levels, *(json.loads(p.read_text()) for p in paths)):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(obj))
         loaded.append(cli.load_problem(spec))
-    (prob, ladder), (graph_prob, graph_ladder) = loaded[:2]
+    (prob, ladder), (graph_prob, graph_ladder), (levels_prob, _) = loaded[:3]
     assert ladder == cli.LadderConfig(base=3, max_level=8)
     assert prob.mu_atoms == ((0.0, 1.0),) and prob.nu_plus == 1.0
     assert prob.nest == (0.5, 0.75) and prob.grid.order == 6
+    assert levels_prob.nest == cli.frac1d.default_nest(2)
     assert graph_ladder.max_level == 8 and graph_prob.f.name == "table"
-    assert all(ladder == cli.LadderConfig() for _, ladder in loaded[2:])
+    assert all(ladder == cli.LadderConfig() for _, ladder in loaded[3:])
 
 
 # (backend, dotted key, value): a misspelt form key, sub-objects that are not
 # JSON objects, atoms that are not pairs, retired keys, a list (key None) in
 # place of the whole spec, ladder settings out of range, state indices that
-# are not integers, graph data that are not numbers, and continuum nests
+# are not integers, graph data that are not finite numbers, and continuum nests
 # that are not radii in (0, 1) or have no level, continuum numbers that are
-# not finite numbers and counts that are not integers >= 1 (bools are neither)
+# not finite numbers and counts that are not integers >= 1 (bools are neither),
+# a table that is not numbers, and keys left out
 @pytest.mark.parametrize("backend, key, value, name", [
     ("graph", "form.kapa", [1.0, 0.0, 0.0], "'form.kapa'"),
     ("graph", "f", 3, "'f'"),
@@ -457,6 +462,12 @@ def test_every_spec_key_is_read(tmp_path):
     ("frac1d", "f.b", True, "'f.b'"),
     ("frac1d", "f.b", float("nan"), "'f.b'"),
     ("graph", "f.b", ["x", 1.0, 1.0], "'f.b'"),
+    ("graph", "f.b", [1.0, float("nan"), 1.0], "'f.b'"),
+    ("graph", "g", [1.0, float("nan"), 0.0], "'g'"),
+    ("graph", "mu", [0.0, float("nan"), 0.0], "'mu'"),
+    ("graph", "f", {"kind": "custom-table", "y": [-1.0, 1.0]}, "'f.values'"),
+    ("graph", "f", {"kind": "custom-table", "y": "ab", "values": [1.0, -1.0]}, "'f.y'"),
+    ("frac1d", "g", {"kind": "indicator", "a": 1.5}, "'g.b'"),
     ("frac1d", "g.kind", "wave", "exterior kind 'wave'"),
     ("graph", "f.kind", "cubic", "nonlinearity kind 'cubic'"),
     ("graph", "backend", "fem", "backend 'fem'"),
@@ -466,7 +477,8 @@ def test_every_spec_key_is_read(tmp_path):
         "frac-nest-radius", "nest_levels", "nest_levels-str", "nest_levels-float",
         "grid.order-0", "grid.order-float", "grid.edge_levels-bool", "alpha-str",
         "alpha-bool", "alpha-nan", "nu.plus", "g.value", "f.p-str", "f.p-bool", "f.p-nan",
-        "f.b-str", "f.b-bool", "f.b-nan", "f.b-list-str", "g.kind", "f.kind", "backend"])
+        "f.b-str", "f.b-bool", "f.b-nan", "f.b-list-str", "f.b-list-nan", "g-nan", "mu-nan",
+        "f.values-missing", "f.y-str", "g.b-missing", "g.kind", "f.kind", "backend"])
 def test_malformed_spec_is_a_config_error(tmp_path, capsys, backend, key, value, name):
     make_spec = _demo_graph_spec if backend == "graph" else _small_frac_spec
     obj = json.loads(make_spec(tmp_path).read_text())
@@ -554,9 +566,8 @@ def test_boundary_measure_with_exp_absorption_is_a_config_error(tmp_path, capsys
     assert not out.exists()
 
 
-def test_negative_absorption_refused_before_any_green_matrix(tmp_path, capsys, monkeypatch):
-    # a negative f.b makes f increasing: the spec is refused as it is read,
-    # before the solve forms W or G, and the message names the key
+def _counted_green_builds(monkeypatch) -> list:
+    """The names of the Green matrices (W of frac1d, G of the graph) built from now on."""
     calls = []
 
     def counted(build):
@@ -567,6 +578,13 @@ def test_negative_absorption_refused_before_any_green_matrix(tmp_path, capsys, m
 
     monkeypatch.setattr(cli.frac1d, "green_matrix", counted(cli.frac1d.green_matrix))
     monkeypatch.setattr(semilinear, "green_operator", counted(semilinear.green_operator))
+    return calls
+
+
+def test_negative_absorption_refused_before_any_green_matrix(tmp_path, capsys, monkeypatch):
+    # a negative f.b makes f increasing: the spec is refused as it is read,
+    # before the solve forms W or G, and the message names the key
+    calls = _counted_green_builds(monkeypatch)
     graph = json.loads(_demo_graph_spec(tmp_path).read_text())
     graph["f"]["b"] = [-b for b in graph["f"]["b"]]
     frac = json.loads(_small_frac_spec(tmp_path).read_text())
@@ -579,6 +597,78 @@ def test_negative_absorption_refused_before_any_green_matrix(tmp_path, capsys, m
         assert "'f.b' must be nonnegative, got -1.0" in capsys.readouterr().out
         assert not out.exists()
     assert calls == []
+
+
+def test_non_finite_spec_data_refused_before_any_green_matrix(tmp_path, capsys, monkeypatch):
+    # a NaN in g, mu or f.b is refused as the spec is read, with the key and
+    # the entry named, not by the first factorization that meets it
+    calls = _counted_green_builds(monkeypatch)
+    for key in ("g", "mu", "f.b"):
+        obj = json.loads(_demo_graph_spec(tmp_path).read_text())
+        (obj["f"]["b"] if key == "f.b" else obj[key])[1] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(obj))
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out", str(out), "--suite", "verify"]) == 2
+        assert f"{key!r} must be a list of finite numbers, got nan at entry 1" \
+            in capsys.readouterr().out
+        assert not out.exists()
+    assert calls == []
+
+
+@pytest.mark.parametrize("backend, b", [
+    ("frac1d", [1.0, 1.0]),
+    ("graph", [1.0]),
+    ("graph", [1.0] * 6),
+    ("graph", [[1.0], [1.0], [1.0]]),
+], ids=["frac-list", "graph-short", "graph-long", "graph-nested"])
+def test_absorption_coefficient_must_fit_the_backend(tmp_path, capsys, monkeypatch, backend, b):
+    # f.b is one number, or on a graph one number per state: any other list
+    # is refused before a Green matrix is formed, naming the key
+    calls = _counted_green_builds(monkeypatch)
+    make_spec = _demo_graph_spec if backend == "graph" else _small_frac_spec
+    obj = json.loads(make_spec(tmp_path).read_text())
+    obj["f"]["b"] = b
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps(obj))
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--out", str(out), "--suite", "verify"]) == 2
+    printed = capsys.readouterr().out
+    assert printed.startswith("error:") and "'f.b'" in printed
+    assert calls == [] and not out.exists()
+
+
+def test_number_absorption_is_plain_data(tmp_path):
+    # a number f.b is recorded in the absorption's params: a loaded problem
+    # serializes its f back, and two loaded graph problems with the same b
+    # have the same absorption, so stability_gap reports the strong bound
+    frac = json.loads(_small_frac_spec(tmp_path).read_text())
+    frac["f"] = {"kind": "power", "b": 1.5, "p": 3}
+    path = tmp_path / "frac.json"
+    path.write_text(json.dumps(frac))
+    prob, _ = cli.load_problem(path)
+    assert cli._nonlinearity_to_dict(prob.f) == frac["f"]
+    specs = []
+    for g0 in (0.5, 1.0):
+        obj = json.loads(_demo_graph_spec(tmp_path).read_text())
+        obj["f"]["b"], obj["g"][0] = 1.0, g0
+        path = tmp_path / f"graph_{g0}.json"
+        path.write_text(json.dumps(obj))
+        specs.append(cli.load_problem(path)[0])
+    rep = semilinear.stability_gap(*specs)
+    assert set(rep) == {"stability", "stability_strong"} and max(rep.values()) < 1e-9
+
+
+def test_nest_and_nest_levels_exclude_each_other(tmp_path, capsys):
+    obj = json.loads(_small_frac_spec(tmp_path).read_text())
+    obj.update(nest=[0.5, 0.75], nest_levels=2)
+    spec = tmp_path / "both.json"
+    spec.write_text(json.dumps(obj))
+    out = tmp_path / "out"
+    assert cli.main(["run", str(spec), "--out", str(out), "--suite", "verify"]) == 2
+    printed = capsys.readouterr().out
+    assert printed.startswith("error:") and "'nest'" in printed and "'nest_levels'" in printed
+    assert not out.exists()
 
 
 def test_non_finite_solution_fails_solution_sup(tmp_path, monkeypatch):

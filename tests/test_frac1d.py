@@ -509,13 +509,21 @@ def test_solve_continuum_pure_martin(packs):
 def test_solve_continuum_cubic(packs):
     k, grid = packs[1.0]
     prob = f1.ContinuumProblem(kernels=k, grid=grid, g=f1.const_exterior(1.0),
-                               f=power_nonlinearity(lambda y: np.ones_like(y), 3.0))
+                               f=power_nonlinearity(1.0, 3.0))
     sol = f1.solve_continuum(prob)
     assert sol.converged
     assert sol.residuals["fixed_point"] < 1e-6
     assert np.all(sol.u > 0.0) and np.all(sol.u < 1.0)
     # symmetric data give a symmetric solution on the symmetric grid
     assert np.max(np.abs(sol.u - sol.u[::-1])) < 1e-9
+
+
+def test_continuum_problem_refuses_kernels_of_another_alpha(packs):
+    # the grid's exterior rule carries its own alpha's edge power: alpha = 1
+    # kernels on an alpha = 1.5 grid would read a wrong exit average of g
+    with pytest.raises(ValueError, match="alpha"):
+        f1.ContinuumProblem(kernels=packs[1.0][0], grid=packs[1.5][1],
+                            g=f1.const_exterior(1.0), f=zero_nonlinearity())
 
 
 def test_solve_continuum_with_atom(packs):
@@ -532,7 +540,7 @@ def test_martin_absorption_hypothesis_check(packs):
     # for the strong-index kernel; the check must accept it
     k, grid = packs[1.5]
     prob = f1.ContinuumProblem(kernels=k, grid=grid, g=f1.zero_exterior(),
-                               f=power_nonlinearity(lambda y: np.ones_like(y), 3.0),
+                               f=power_nonlinearity(1.0, 3.0),
                                nu_plus=0.2)
     sol = f1.solve_continuum(prob)
     assert sol.residuals["fixed_point"] < 1e-6
@@ -541,7 +549,7 @@ def test_martin_absorption_hypothesis_check(packs):
 def test_projective_exhaustion_defects_decrease(packs):
     k, grid = packs[1.0]
     prob = f1.ContinuumProblem(kernels=k, grid=grid, g=f1.const_exterior(1.0),
-                               f=power_nonlinearity(lambda y: np.ones_like(y), 3.0),
+                               f=power_nonlinearity(1.0, 3.0),
                                nest=f1.default_nest(8))
     sol = f1.solve_continuum(prob)
     defects = f1.projective_exhaustion_defects(prob, sol, probes=(0.0, 0.25))
@@ -576,7 +584,7 @@ def test_projective_exhaustion_is_the_per_probe_sum(packs):
     # tail of the datum scaled to the level
     k, grid = packs[1.0]
     prob = f1.ContinuumProblem(kernels=k, grid=grid, g=f1.const_exterior(1.5),
-                               f=power_nonlinearity(lambda y: np.ones_like(y), 3.0),
+                               f=power_nonlinearity(1.0, 3.0),
                                nu_plus=0.1, nest=f1.default_nest(8))
     sol = f1.solve_continuum(prob)
     probes = np.array([0.0, 0.25, -0.25])
@@ -627,7 +635,7 @@ def test_example77_ratio_stable_under_refinement(packs):
     for grid in (f1.build_grid(1.0, order=8, n_base=6, edge_levels=16, out_levels=8),
                  f1.build_grid(1.0, order=10, n_base=12, edge_levels=22, out_levels=10)):
         prob = f1.ContinuumProblem(kernels=k, grid=grid, g=f1.const_exterior(0.5),
-                                   f=power_nonlinearity(lambda y: np.ones_like(y), 3.0),
+                                   f=power_nonlinearity(1.0, 3.0),
                                    mu_atoms=((0.2, 0.7),))
         rep = f1.example77_report(prob, f1.solve_continuum(prob))
         vals.append(rep["ratio"])

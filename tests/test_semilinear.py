@@ -429,7 +429,7 @@ def test_zero_absorption_forms_no_green_matrix(monkeypatch):
     csol = solve(prob)
     assert csol.u.tobytes() == csol.meta["base"].tobytes() and csol.ladder_trace == []
     assert calls == []
-    cubic = power_nonlinearity(lambda pts: np.ones(np.shape(pts)), 3.0)
+    cubic = power_nonlinearity(1.0, 3.0)
     solve(replace(spec, f=cubic))
     solve(replace(prob, f=cubic))
     assert calls == ["green_operator", "green_matrix"]

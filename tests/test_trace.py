@@ -91,7 +91,7 @@ def test_frac_trace_decreases_for_solution():
     k = f1.build_kernels(alpha)
     grid = f1.build_grid(alpha)
     prob = f1.ContinuumProblem(kernels=k, grid=grid, g=f1.const_exterior(1.0),
-                               f=power_nonlinearity(lambda y: np.ones_like(y), 3.0))
+                               f=power_nonlinearity(1.0, 3.0))
     sol = f1.solve_continuum(prob)
     u_fn = f1.continuum_callable(prob, sol)
     seq = trace_sequence_frac(k, u_fn, f1.default_nest(16))
@@ -145,7 +145,7 @@ def test_eta_measure_cross_route_solution():
     k = f1.build_kernels(alpha)
     grid = f1.build_grid(alpha)
     prob = f1.ContinuumProblem(kernels=k, grid=grid, g=f1.const_exterior(1.0),
-                               f=power_nonlinearity(lambda y: np.ones_like(y), 3.0))
+                               f=power_nonlinearity(1.0, 3.0))
     sol = f1.solve_continuum(prob)
     u_fn = f1.continuum_callable(prob, sol)
     def u_abs(y):

@@ -18,7 +18,7 @@ def pack():
 
 # a smooth solved-function stand-in and its cubic absorption source
 _FK = dict(u_fn=lambda y: 0.5 + 0.25 * np.cos(y),
-           f=power_nonlinearity(lambda y: np.ones_like(y), 3.0))
+           f=power_nonlinearity(1.0, 3.0))
 
 
 def _fk_source(y):
@@ -213,7 +213,7 @@ def test_ball_green_rule_total_mass(pack):
 def test_fk_residual_cubic(pack):
     k, grid = pack
     prob = f1.ContinuumProblem(kernels=k, grid=grid, g=f1.const_exterior(1.0),
-                               f=power_nonlinearity(lambda y: np.ones_like(y), 3.0))
+                               f=power_nonlinearity(1.0, 3.0))
     sol = f1.solve_continuum(prob)
     u_fn = f1.continuum_callable(prob, sol)
     [(est, se)] = wos.wos_estimate(("FK_residual",), k, 0.2, n_paths=100_000, seed=13,
