@@ -157,6 +157,10 @@ def _vector(key: str, value) -> np.ndarray:
     if not isinstance(value, list):
         raise ValueError(f"spec key {key!r} must be a list of finite numbers, "
                          f"got {type(value).__name__}")
+    if all(type(v) is float for v in value):  # json's floats: only NaN and inf to refuse
+        arr = np.array(value, dtype=float)
+        if np.isfinite(arr).all():
+            return arr
     for k, v in enumerate(value):
         try:
             _number(key, v)
@@ -182,9 +186,260 @@ def _count(key: str, value) -> int:
     return value
 
 
+def _matrix(key: str, value) -> np.ndarray:
+    """A spec's square matrix of finite numbers (``form.J``), from the array
+    ``_json_matrix`` decoded or from json's nested lists; an error names the
+    key and its first bad entry or row."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # not numbers, or ragged
+        arr = None
+    if arr is not None and arr.ndim == 2 and arr.shape[0] == arr.shape[1] \
+            and np.isfinite(arr).all():
+        return arr
+    raise ValueError(f"spec key {key!r} must be a square matrix of finite numbers, "
+                     f"got {_first_bad_entry(key, value)}")
+
+
+def _first_bad_entry(key: str, value) -> str:
+    """Where ``value`` first fails to be a square matrix of finite numbers."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if not isinstance(value, list):
+        return type(value).__name__
+    for i, row in enumerate(value):
+        if not isinstance(row, list):
+            return f"{type(row).__name__} as row {i}"
+        for j, v in enumerate(row):
+            try:
+                _number(key, v)
+            except ValueError:
+                return f"{v!r} at entry [{i}, {j}]"
+        if len(row) != len(value):
+            return f"{len(row)} entries in row {i} of {len(value)}"
+    return repr(value)
+
+
+# The spec's JSON text.  Every value is json's, and comes from json's scanner,
+# except the jump matrix at key path form.J: a compact matrix
+# [[t,...,t],...,[t,...,t]] whose entries t are at most 8 bytes long (the
+# benchmark's graph specs write J in units of 1e-3) is decoded block by block
+# into a float array.  Each entry is packed into one uint64 key, and each
+# distinct key is parsed once by json's scanner, so the array holds the bits
+# that np.asarray makes of json's lists.  Any other text of form.J, valid or
+# not, goes to json's scanner whole.
+_SCAN = json.JSONDecoder().scan_once
+_WS = json.decoder.WHITESPACE.match
+_BLOCK_CHARS = 1 << 20  # text per block: 2**18 entries of up to 3 characters
+_VOCAB_MAX = 1 << 12  # distinct entries; beyond them json's scanner is faster
+_HASH_BITS = 20  # a hash table has at most 2**20 slots
+_MULTIPLIERS = tuple(np.uint64(a) for a in (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9,
+                                            0x94D049BB133111EB, 0xC2B2AE3D27D4EB4F))
+_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+_OPEN, _CLOSE, _COMMA = b"[],"
+
+
+def _hash(keys: np.ndarray, multiplier: np.uint64, bits: int) -> np.ndarray:
+    """Slots in a table of ``2**bits``: the top bits of ``keys * multiplier``."""
+    return ((keys * multiplier) >> np.uint64(64 - bits)).view(np.intp)
+
+
+class _NotCompact(Exception):
+    """The text of ``form.J`` is not a compact matrix of short entries."""
+
+
+def _scan(text: str, pos: int):
+    """The JSON value at ``text[pos]`` and the index after it, by json's scanner."""
+    try:
+        return _SCAN(text, pos)
+    except StopIteration as exc:
+        raise json.JSONDecodeError("Expecting value", text, exc.value) from None
+
+
+def _json_spec(text: str):
+    """The JSON document ``text``, as ``json.loads`` reads it, but for ``form.J``."""
+    obj, end = _json_value(text, _WS(text, 0).end())
+    if _WS(text, end).end() != len(text):
+        raise json.JSONDecodeError("Extra data", text, end)
+    return obj
+
+
+def _json_value(text: str, pos: int, path: tuple = ()):
+    """The JSON value at ``text[pos]`` and the index after it.  The objects on
+    the key path to ``form.J`` are read member by member, the matrix there by
+    ``_json_matrix``, and every other value by json's scanner."""
+    if path == ("form", "J"):
+        return _json_matrix(text, pos)
+    if path not in ((), ("form",)) or not text.startswith("{", pos):
+        return _scan(text, pos)
+    obj, pos = {}, _WS(text, pos + 1).end()
+    if text.startswith("}", pos):
+        return obj, pos + 1
+    while True:
+        if not text.startswith('"', pos):
+            raise json.JSONDecodeError("Expecting property name enclosed in double quotes",
+                                       text, pos)
+        key, pos = json.decoder.scanstring(text, pos + 1)
+        pos = _WS(text, pos).end()
+        if not text.startswith(":", pos):
+            raise json.JSONDecodeError("Expecting ':' delimiter", text, pos)
+        obj[key], pos = _json_value(text, _WS(text, pos + 1).end(), path + (key,))
+        pos = _WS(text, pos).end()
+        if text.startswith("}", pos):
+            return obj, pos + 1
+        if not text.startswith(",", pos):
+            raise json.JSONDecodeError("Expecting ',' delimiter", text, pos)
+        pos = _WS(text, pos + 1).end()
+
+
+def _json_matrix(text: str, pos: int):
+    """The JSON value at ``text[pos]`` and the index after it: a float array
+    for a compact matrix of short entries, else whatever json's scanner reads."""
+    try:
+        return _compact_matrix(text, pos)
+    except _NotCompact:
+        return _scan(text, pos)
+
+
+def _compact_matrix(text: str, pos: int):
+    """``_json_matrix`` of a compact matrix; raises ``_NotCompact`` on other text."""
+    if not text.startswith("[[", pos):
+        raise _NotCompact
+    vocab, blocks = _Vocabulary(), []
+    start, size = pos + 1, _BLOCK_CHARS
+    while True:
+        # the block runs from a row's "[" to the last "]" of a row whose next
+        # character it holds: "," before another row, "]" at the matrix's end
+        raw = text[start:start + size].encode("ascii", "replace") + bytes(8)
+        chars = np.frombuffer(raw, dtype=np.uint8)[:-8]
+        ends = np.flatnonzero(chars[:-1] == _CLOSE)
+        last = ends[chars[ends + 1] == _CLOSE][:1]
+        if not (last.size or ends.size):
+            if start + size >= len(text):
+                raise _NotCompact
+            size *= 2  # a row longer than the block
+            continue
+        cut = int(last[0] if last.size else ends[-1])
+        values = _compact_rows(chars[:cut + 1], raw, vocab)
+        if blocks and values.shape[1] != blocks[0].shape[1]:
+            raise _NotCompact
+        blocks.append(values)
+        if last.size:
+            return np.concatenate(blocks), start + cut + 2
+        if chars[cut + 1] != _COMMA:
+            raise _NotCompact
+        start += cut + 2
+
+
+def _compact_rows(chars: np.ndarray, raw: bytes, vocab) -> np.ndarray:
+    """The rows ``[t,...,t],...,[t,...,t]`` of ``chars`` (padded to ``raw``) as
+    a float array; raises ``_NotCompact`` on any other layout or entry."""
+    seps = np.flatnonzero((chars == _COMMA) | (chars == _OPEN) | (chars == _CLOSE))
+    kinds = chars[seps]
+    opens, closes = seps[kinds == _OPEN], seps[kinds == _CLOSE]
+    lengths = np.diff(seps) - 1  # of the entries between separators
+    entry = lengths > 0
+    # rows open at 0 and two after each earlier row's "]", past a ","; the
+    # separators of those "],[" are the only adjacent ones, so no entry is empty
+    if not (opens.size == closes.size and opens[0] == 0
+            and np.array_equal(opens[1:], closes[:-1] + 2)
+            and np.all(chars[closes[:-1] + 1] == _COMMA)
+            and lengths.size - np.count_nonzero(entry) == 2 * (opens.size - 1)):
+        raise _NotCompact
+    starts, lengths = seps[:-1][entry] + 1, lengths[entry]
+    per_row = np.diff(np.searchsorted(starts, closes), prepend=0)
+    # a NUL byte would pack like the end of a shorter entry
+    if (lengths.max() > 8 or np.any(per_row != per_row[0])
+            or raw.find(b"\0", 0, chars.size) >= 0):
+        raise _NotCompact
+    # entry k is the bytes raw[starts[k]:][:lengths[k]], read as one integer
+    window = np.ndarray((chars.size,), dtype="<u8", buffer=raw, strides=(1,))
+    keys = window[starts] & _MASKS[lengths]
+    return vocab.values(keys).reshape(opens.size, per_row[0])
+
+
+class _Vocabulary:
+    """The distinct entries of a compact matrix: sorted keys and their values,
+    found through a multiplicative hash that is collision-free on the keys
+    (``np.searchsorted`` when none of ``_MULTIPLIERS`` is)."""
+
+    def __init__(self):
+        self.keys, self.vals = np.zeros(0, dtype=np.uint64), np.zeros(0)
+        self.multiplier, self.bits = None, 0
+        self.table_keys, self.table_vals = self.keys, self.vals
+
+    def _slots(self, keys: np.ndarray) -> np.ndarray:
+        if self.multiplier is None:
+            return np.minimum(np.searchsorted(self.keys, keys), self.keys.size - 1)
+        return _hash(keys, self.multiplier, self.bits)
+
+    def values(self, keys: np.ndarray) -> np.ndarray:
+        if self.keys.size:
+            slots = self._slots(keys)
+            new = keys[self.table_keys.take(slots) != keys]
+        else:
+            new = keys
+        if new.size:
+            self._add(new)
+            slots = self._slots(keys)
+        return self.table_vals.take(slots)
+
+    def _add(self, new: np.ndarray) -> None:
+        # distinct keys without sorting all of them: one per slot of a table
+        # of twice their number, and the few that lost their slot to another
+        bits = min(_HASH_BITS, (2 * new.size).bit_length())
+        slots = _hash(new, _MULTIPLIERS[0], bits)
+        table = np.zeros(1 << bits, dtype=np.uint64)
+        table[slots] = new
+        kept = table[np.flatnonzero(table)]
+        if kept.size + self.keys.size > _VOCAB_MAX:
+            raise _NotCompact
+        new = np.union1d(kept, new[table.take(slots) != new])
+        if new.size + self.keys.size > _VOCAB_MAX:
+            raise _NotCompact
+        keys = np.concatenate([self.keys, new])
+        vals = np.concatenate([self.vals, [self._parse(int(k)) for k in new]])
+        order = np.argsort(keys)
+        self.keys, self.vals = keys[order], vals[order]
+        self.multiplier, self.table_keys, self.table_vals = None, self.keys, self.vals
+        # about keys**2 slots, so that a random multiplier is collision-free
+        # with odds of at least 7 in 8 (up to 2**20 slots)
+        self.bits = min(_HASH_BITS, 2 * self.keys.size.bit_length() + 1)
+        for a in _MULTIPLIERS:
+            slots = _hash(self.keys, a, self.bits)
+            if np.unique(slots).size == slots.size:
+                self.multiplier = a
+                self.table_keys = np.zeros(1 << self.bits, dtype=np.uint64)
+                self.table_vals = np.zeros(1 << self.bits)
+                self.table_keys[slots], self.table_vals[slots] = self.keys, self.vals
+                return
+
+    @staticmethod
+    def _parse(key: int) -> float:
+        """The entry packed into ``key``, read by json's scanner as one number."""
+        token = key.to_bytes(8, "little").rstrip(b"\0").decode("ascii")
+        try:
+            value, end = _SCAN(token, 0)
+        except (StopIteration, ValueError):
+            raise _NotCompact from None
+        if end != len(token) or type(value) not in (int, float):
+            raise _NotCompact
+        return float(value)
+
+
+def _kind(name: str, obj: dict):
+    """The popped ``kind`` of a spec's ``f`` or ``g``; it may be absent or
+    null only when the object has no other keys."""
+    kind = obj.pop("kind", None)
+    if kind is None and obj:
+        raise ValueError(f"spec key '{name}.kind' is missing or null, but {name} has keys "
+                         f"{sorted(obj)}")
+    return kind
+
+
 def _nonlinearity_from_dict(obj: dict):
     """Absorption from a spec's ``f``; pops the keys it reads."""
-    kind = obj.pop("kind", None)
+    kind = _kind("f", obj)
     if kind in (None, "zero"):
         return zero_nonlinearity()
     if kind == "power":
@@ -200,7 +455,7 @@ def _nonlinearity_from_dict(obj: dict):
 
 def _exterior_from_dict(obj: dict) -> frac1d.ExteriorData:
     """Exterior data from a continuum spec's ``g``; pops the keys it reads."""
-    kind = obj.pop("kind", None)
+    kind = _kind("g", obj)
     if kind in (None, "zero"):
         return frac1d.zero_exterior()
     if kind == "const":
@@ -221,10 +476,12 @@ def load_problem(path):
     Each reader pops the keys it reads.  A key left over, a required key
     missing, a sub-object that is not a JSON object, or a malformed value is a
     ValueError naming it.  Keys left out of ``grid`` and the nest take the
-    defaults of ``frac1d.build_grid`` and ``frac1d.default_nest``.
+    defaults of ``frac1d.build_grid`` and ``frac1d.default_nest``.  The text
+    is read as ``json.load`` reads it, but a compact ``form.J`` comes as an
+    array (``_json_spec``).
     """
     with open(path) as fh:
-        obj = json.load(fh)
+        obj = _json_spec(fh.read())
     if not isinstance(obj, dict):
         raise ValueError(f"a spec must be a JSON object, got {type(obj).__name__}")
     rest = {}
@@ -247,7 +504,9 @@ def load_problem(path):
     f = _nonlinearity_from_dict(popped("f"))
     if backend == "graph":
         form = popped("form")
-        arrays = {key: form.pop(key) for key in ("m", "J", "kappa") if key in form}
+        arrays = {"m": _vector("form.m", form.pop("m", None)),
+                  "J": _matrix("form.J", form.pop("J", None)),
+                  "kappa": _vector("form.kappa", form.pop("kappa", None))}
         D, g, mu = _indices("D", obj.pop("D", None)), obj.pop("g", None), obj.pop("mu", None)
         nest = obj.pop("nest", [])
         if not isinstance(nest, list):
@@ -272,6 +531,13 @@ def load_problem(path):
         raise ValueError(f"unknown spec keys: {unknown}")
     b = dict(f.params).get("b")
     if backend == "graph":
+        n = arrays["m"].size
+        if arrays["J"].shape != (n, n):
+            raise ValueError(f"spec key 'form.J' must be {n}x{n}, one row per entry of "
+                             f"'form.m', got {'x'.join(map(str, arrays['J'].shape))}")
+        if arrays["kappa"].size != n:
+            raise ValueError(f"spec key 'form.kappa' must have {n} entries, one per entry of "
+                             f"'form.m', got {arrays['kappa'].size}")
         form = form_from_dict(arrays)
         if isinstance(b, tuple) and len(b) != form.n:
             raise ValueError(f"spec key 'f.b' must be one number or {form.n}, one per state, "

@@ -13,7 +13,6 @@ operators, chain rates) are fixed by this convention.
 
 from __future__ import annotations
 
-import json
 import threading
 from dataclasses import dataclass, field
 
@@ -29,7 +28,6 @@ __all__ = [
     "form_to_dict",
     "generator",
     "is_transient",
-    "read_form",
 ]
 
 
@@ -70,6 +68,8 @@ class DiscreteForm:
         n = m.size
         if J.shape != (n, n):
             raise ValueError(f"J must be {n}x{n}, got {J.shape}")
+        if kappa.shape != (n,):
+            raise ValueError(f"kappa must have {n} entries, got {kappa.size}")
         if not np.all(np.isfinite(J)):
             raise ValueError("J has non-finite entries")
         if np.any(m <= 0):
@@ -180,8 +180,3 @@ def form_from_dict(obj: dict) -> DiscreteForm:
     return DiscreteForm(m=np.asarray(obj["m"], dtype=float),
                         J=np.asarray(obj["J"], dtype=float),
                         kappa=np.asarray(obj["kappa"], dtype=float))
-
-
-def read_form(path) -> DiscreteForm:
-    with open(path) as fh:
-        return form_from_dict(json.load(fh))

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirichlet_lab import cli, semilinear
 from dirichlet_lab.forms import form_from_dict
@@ -471,6 +473,25 @@ def test_every_spec_key_is_read(tmp_path):
     ("frac1d", "g.kind", "wave", "exterior kind 'wave'"),
     ("graph", "f.kind", "cubic", "nonlinearity kind 'cubic'"),
     ("graph", "backend", "fem", "backend 'fem'"),
+    ("graph", "form.m", ["a", 1.0, 1.0], "'form.m' must be a list of finite numbers, got 'a'"),
+    ("graph", "form.m", None, "'form.m'"),
+    ("graph", "form.kappa", [1.0, float("nan"), 0.0], "'form.kappa'"),
+    ("graph", "form.J", [[0.0, "x", 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.0]],
+     "'form.J' must be a square matrix of finite numbers, got 'x' at entry [0, 1]"),
+    ("graph", "form.J", [[0.0, 0.5, 0.0], [0.5, 0.0, None], [0.0, 0.5, 0.0]],
+     "got None at entry [1, 2]"),
+    ("graph", "form.J", [[0.0, 0.5, 0.0], [0.5, 0.0, 0.5], [0.0, float("nan"), 0.0]],
+     "got nan at entry [2, 1]"),
+    ("graph", "form.J", [[0.0, [0.5], 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.0]],
+     "got [0.5] at entry [0, 1]"),
+    ("graph", "form.J", [[0.0, 0.5], [0.5, 0.0]], "'form.J' must be 3x3"),
+    ("graph", "form.kappa", [1.0, 0.0], "'form.kappa' must have 3 entries"),
+    ("graph", "form.J", [[0.0, 0.5, 0.0], [0.5, 0.0], [0.0, 0.5, 0.0]],
+     "got 2 entries in row 1 of 3"),
+    ("graph", "f", {"b": 1.0, "p": 3.0}, "'f.kind' is missing or null, but f has keys ['b', 'p']"),
+    ("graph", "f.kind", None, "'f.kind'"),
+    ("frac1d", "g", {"value": 2.0}, "'g.kind' is missing or null, but g has keys ['value']"),
+    ("frac1d", "g.kind", None, "'g.kind'"),
 ], ids=["form.kapa", "f", "inject", "grid", "nu", "g", "mu", "mu.atoms", "list",
         "ladder.max_level", "ladder.base", "ladder.theta0", "ladder.start", "graph-g",
         "D-scalar", "D-floats", "graph-nest", "graph-nest-floats", "frac-nest",
@@ -478,7 +499,10 @@ def test_every_spec_key_is_read(tmp_path):
         "grid.order-0", "grid.order-float", "grid.edge_levels-bool", "alpha-str",
         "alpha-bool", "alpha-nan", "nu.plus", "g.value", "f.p-str", "f.p-bool", "f.p-nan",
         "f.b-str", "f.b-bool", "f.b-nan", "f.b-list-str", "f.b-list-nan", "g-nan", "mu-nan",
-        "f.values-missing", "f.y-str", "g.b-missing", "g.kind", "f.kind", "backend"])
+        "f.values-missing", "f.y-str", "g.b-missing", "g.kind", "f.kind", "backend",
+        "form.m-str", "form.m-missing", "form.kappa-nan", "form.J-str", "form.J-null",
+        "form.J-nan", "form.J-nested", "form.J-size", "form.kappa-size", "form.J-ragged", "f.kind-missing",
+        "f.kind-null", "g.kind-missing", "g.kind-null"])
 def test_malformed_spec_is_a_config_error(tmp_path, capsys, backend, key, value, name):
     make_spec = _demo_graph_spec if backend == "graph" else _small_frac_spec
     obj = json.loads(make_spec(tmp_path).read_text())
@@ -497,6 +521,163 @@ def test_malformed_spec_is_a_config_error(tmp_path, capsys, backend, key, value,
     printed = capsys.readouterr().out
     assert printed.startswith("error:") and name in printed
     assert not out.exists()
+
+
+def _read_J(text):
+    """``form.J`` of a spec whose J is ``text``: cli's reading must raise
+    exactly when json's does, and agree with it through ``np.asarray``, bit
+    for bit or in the class of the error; returns cli's reading."""
+    doc = '{"form": {"J": %s}}' % text
+    try:
+        want = json.loads(doc)["form"]["J"]
+    except json.JSONDecodeError:
+        with pytest.raises(json.JSONDecodeError):
+            cli._json_spec(doc)
+        return None
+    got = cli._json_spec(doc)["form"]["J"]
+    arrays = []
+    for value in (got, want):
+        try:
+            arrays.append(np.asarray(value, dtype=float))
+        except (TypeError, ValueError) as exc:
+            arrays.append(type(exc))
+    if isinstance(arrays[1], type):
+        assert arrays[0] is arrays[1]
+    else:
+        assert arrays[0].shape == arrays[1].shape
+        assert arrays[0].tobytes() == arrays[1].tobytes()
+    return got
+
+
+# (J text, whether it is read as an array without json's lists): the compact
+# layout [[t,...,t],...,[t,...,t]] with entries of at most 8 bytes is read
+# by dictionary decoding; whitespace, longer entries and every refusal or
+# other shape go through json's scanner
+@pytest.mark.parametrize("text, compact", [
+    (" [ [ 1 , 2 ] , [ 3 , 4 ] ] ", False),
+    ("\n[\n[1,\n2],\t[3,\r\n4]\n]\n", False),
+    ("[[1, 2], [3, 4]]", False),
+    ("[[-0,-0.0,1e5,1E-3,2.5e+2]]", True),
+    ("[[0,1,2],[-3,12345678,-1234567]]", True),
+    ("[[9007199254740993,1],[1,0]]", False),
+    ("[[0.12345678901234568,0.5],[0.5,1.0000000000000002]]", False),
+    ("[[NaN,Infinity],[1,-1]]", True),
+    ("[[NaN,-Infinity]]", False),
+    ("[[1e999,-1e999]]", True),
+    ("[[5]]", True),
+    ("[[1,2,3]]", True),
+    ("[[1],[2],[3]]", True),
+    ("[[1 2]]", False),
+    ("[[1,,2]]", False),
+    ("[[1,2,]]", False),
+    ("[[,1]]", False),
+    ("[[01]]", False),
+    ("[[1.]]", False),
+    ("[[.5]]", False),
+    ("[[+1]]", False),
+    ("[[1e]]", False),
+    ("[[-]]", False),
+    ("[[1,2],[3]]", False),
+    ("[[1],[2,3]]", False),
+    ("[[1,2],[3],[4,5,6]]", False),
+    ("[[1,,,2]5[3]]", False),
+    ("[[]]", False),
+    ("[[],[]]", False),
+    ("[]", False),
+    ("[1,2]", False),
+    ("[[[1]]]", False),
+    ("[[1],[[2]]]", False),
+    ("[[1]],[[2]]", False),
+    ("[[1]]]", False),
+    ("[[1],2]", False),
+    ("[[1][2]]", False),
+    ("[[1,2]x[3,4]]", False),
+    ("[[1,2] ,[3,4]]", False),
+    ("[[1\u00e9]]", False),
+    ('[["\u00e9"]]', False),
+    ("[[1\u0000]]", False),
+    ("[[1\u0000,1]]", False),
+    ('[["1"]]', False),
+    ("[[true,false]]", False),
+    ("[[null]]", False),
+    ("[[1,{}]]", False),
+    ("[[Infinity1]]", False),
+    ("[[inf]]", False),
+    ("[[1_0]]", False),
+    ("[[NaN]", False),
+    ("[[1]", False),
+], ids=lambda v: repr(v) if isinstance(v, str) else None)
+def test_jump_matrix_reads_as_json_does(text, compact):
+    for block in (1 << 20, 3, 1):  # rows within one block, and cut across blocks
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_BLOCK_CHARS", block)
+            assert isinstance(_read_J(text), np.ndarray) == compact
+
+
+_ENTRIES = st.one_of(
+    st.integers(-10 ** 9, 10 ** 9).map(str),
+    st.integers(0, 1000).map(lambda k: repr(k / 1000)),
+    st.floats(allow_nan=True).map(lambda x: json.dumps(x)),
+    st.sampled_from(["-0", "-0.0", "1e5", "1E-3", "2.5e+2", "1e-400", "NaN", "Infinity",
+                     "-Infinity", "0.0", "1.0"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_jump_matrix_reading_property(data):
+    # random matrices, some with a ragged row, in random layouts, read with
+    # small blocks (rows cut across blocks, rows longer than a block), with
+    # no collision-free hash, and with a small vocabulary limit, read as
+    # json reads them
+    rows, cols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    vocabulary = data.draw(st.lists(_ENTRIES, min_size=1, max_size=12))
+    entries = [[data.draw(st.sampled_from(vocabulary)) for _ in range(cols)]
+               for _ in range(rows)]
+    if data.draw(st.integers(0, 9)) == 0:  # a ragged row
+        entries[data.draw(st.integers(0, rows - 1))].pop()
+    spaces = st.sampled_from(["", "", "", " ", "\n", "\t", "\r\n"])
+    compact = data.draw(st.booleans())
+    gap = (lambda: "") if compact else (lambda: data.draw(spaces))
+    text = gap() + "[" + ",".join(
+        gap() + "[" + ",".join(gap() + t + gap() for t in row) + "]" + gap()
+        for row in entries) + "]" + gap()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_BLOCK_CHARS", data.draw(st.sampled_from([1, 2, 7, 32, 1 << 20])))
+        if data.draw(st.booleans()):  # a hash under which every two keys collide
+            mp.setattr(cli, "_MULTIPLIERS", (np.uint64(0),))
+        mp.setattr(cli, "_VOCAB_MAX", data.draw(st.sampled_from([1, 3, 1 << 12])))
+        _read_J(text)
+
+
+def test_only_form_J_is_read_as_an_array():
+    # the key path selects the reading: lists of lists elsewhere, before or
+    # after form.J, stay json's lists
+    obj = cli._json_spec('{"J": [[1,2],[2,1]], "form": {"m": [[1]], "J": [[0,1],[1,0]], '
+                         '"kappa": [[1]]}, "nest": [[1],[1,2]], "mu": {"atoms": [[0,1]]}}')
+    assert isinstance(obj["form"]["J"], np.ndarray)
+    assert obj["J"] == [[1, 2], [2, 1]] and obj["nest"] == [[1], [1, 2]]
+    assert obj["form"]["m"] == [[1]] and obj["mu"] == {"atoms": [[0, 1]]}
+
+
+def test_compact_jump_matrix_errors_name_the_entry(tmp_path, capsys):
+    # the compact layout is read without json's lists, and its bad entries
+    # are still named with the key
+    obj = json.loads(_demo_graph_spec(tmp_path).read_text())
+    obj["nest"] = [[1], [1, 2]]
+    path = tmp_path / "compact.json"
+    path.write_text(json.dumps(obj, separators=(",", ":")))
+    assert isinstance(cli._json_spec(path.read_text())["form"]["J"], np.ndarray)
+    compact, _ = cli.load_problem(path)
+    spaced, _ = cli.load_problem(_demo_graph_spec(tmp_path))
+    assert compact.form.J.tobytes() == spaced.form.J.tobytes()
+    for bad, name in (("NaN", "nan at entry [0, 1]"), ("Infinity", "inf at entry [0, 1]")):
+        path.write_text(path.read_text().replace('"J":[[0.0,0.5', f'"J":[[0.0,{bad}', 1))
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out", str(out), "--suite", "verify"]) == 2
+        printed = capsys.readouterr().out
+        assert f"'form.J' must be a square matrix of finite numbers, got {name}" in printed
+        assert not out.exists()
+        path.write_text(json.dumps(obj, separators=(",", ":")))
 
 
 @pytest.mark.parametrize("alpha, nu, g", [

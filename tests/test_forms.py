@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirichlet_lab import DiscreteForm, energy, generator, is_transient
-from dirichlet_lab.forms import form_from_dict, form_to_dict, read_form
+from dirichlet_lab.forms import form_from_dict, form_to_dict
 from dirichlet_lab.suite import random_form
 
 
@@ -151,13 +151,12 @@ def test_validation_errors():
         DiscreteForm(m=np.ones(2), J=np.array([[1.0, 0.0], [0.0, 0.0]]), kappa=np.zeros(2))
     with pytest.raises(ValueError):
         DiscreteForm(m=np.ones(2), J=np.zeros((2, 2)), kappa=np.array([-1.0, 0.0]))
+    with pytest.raises(ValueError, match="kappa must have 2 entries"):
+        DiscreteForm(m=np.ones(2), J=np.zeros((2, 2)), kappa=np.zeros(3))
 
 
-def test_json_roundtrip(tmp_path, k3):
-    path = tmp_path / "form.json"
-    with open(path, "w") as fh:
-        json.dump(form_to_dict(k3), fh)
-    back = read_form(path)
+def test_json_roundtrip(k3):
+    back = form_from_dict(json.loads(json.dumps(form_to_dict(k3))))
     assert np.array_equal(back.J, k3.J)
     assert np.array_equal(back.m, k3.m)
     assert np.array_equal(back.kappa, k3.kappa)
