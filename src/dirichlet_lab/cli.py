@@ -157,10 +157,6 @@ def _vector(key: str, value) -> np.ndarray:
     if not isinstance(value, list):
         raise ValueError(f"spec key {key!r} must be a list of finite numbers, "
                          f"got {type(value).__name__}")
-    if all(type(v) is float for v in value):  # json's floats: only NaN and inf to refuse
-        arr = np.array(value, dtype=float)
-        if np.isfinite(arr).all():
-            return arr
     for k, v in enumerate(value):
         try:
             _number(key, v)
@@ -231,7 +227,9 @@ def _first_bad_entry(key: str, value) -> str:
 _SCAN = json.JSONDecoder().scan_once
 _WS = json.decoder.WHITESPACE.match
 _BLOCK_CHARS = 1 << 20  # text per block: 2**18 entries of up to 3 characters
-_VOCAB_MAX = 1 << 12  # distinct entries; beyond them json's scanner is faster
+# distinct entries, each parsed alone (about 1.3 us): 4,096 of them take
+# about 5 ms, a bound on the time lost to a matrix that json reads faster
+_VOCAB_MAX = 1 << 12
 _HASH_BITS = 20  # a hash table has at most 2**20 slots
 _MULTIPLIERS = tuple(np.uint64(a) for a in (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9,
                                             0x94D049BB133111EB, 0xC2B2AE3D27D4EB4F))
@@ -359,29 +357,24 @@ def _compact_rows(chars: np.ndarray, raw: bytes, vocab) -> np.ndarray:
 
 
 class _Vocabulary:
-    """The distinct entries of a compact matrix: sorted keys and their values,
-    found through a multiplicative hash that is collision-free on the keys
-    (``np.searchsorted`` when none of ``_MULTIPLIERS`` is)."""
+    """The distinct entries of a compact matrix and their values, found through
+    a multiplicative hash that is collision-free on the entries; ``_add``
+    raises ``_NotCompact`` when none of ``_MULTIPLIERS`` is."""
 
     def __init__(self):
         self.keys, self.vals = np.zeros(0, dtype=np.uint64), np.zeros(0)
         self.multiplier, self.bits = None, 0
-        self.table_keys, self.table_vals = self.keys, self.vals
-
-    def _slots(self, keys: np.ndarray) -> np.ndarray:
-        if self.multiplier is None:
-            return np.minimum(np.searchsorted(self.keys, keys), self.keys.size - 1)
-        return _hash(keys, self.multiplier, self.bits)
+        self.table_keys = self.table_vals = None
 
     def values(self, keys: np.ndarray) -> np.ndarray:
         if self.keys.size:
-            slots = self._slots(keys)
+            slots = _hash(keys, self.multiplier, self.bits)
             new = keys[self.table_keys.take(slots) != keys]
         else:
             new = keys
         if new.size:
             self._add(new)
-            slots = self._slots(keys)
+            slots = _hash(keys, self.multiplier, self.bits)
         return self.table_vals.take(slots)
 
     def _add(self, new: np.ndarray) -> None:
@@ -391,28 +384,25 @@ class _Vocabulary:
         slots = _hash(new, _MULTIPLIERS[0], bits)
         table = np.zeros(1 << bits, dtype=np.uint64)
         table[slots] = new
-        kept = table[np.flatnonzero(table)]
-        if kept.size + self.keys.size > _VOCAB_MAX:
+        kept = table[np.flatnonzero(table)]  # most of the distinct keys
+        if self.keys.size + kept.size > _VOCAB_MAX:  # checked before sorting them
             raise _NotCompact
         new = np.union1d(kept, new[table.take(slots) != new])
-        if new.size + self.keys.size > _VOCAB_MAX:
-            raise _NotCompact
         keys = np.concatenate([self.keys, new])
-        vals = np.concatenate([self.vals, [self._parse(int(k)) for k in new]])
-        order = np.argsort(keys)
-        self.keys, self.vals = keys[order], vals[order]
-        self.multiplier, self.table_keys, self.table_vals = None, self.keys, self.vals
-        # about keys**2 slots, so that a random multiplier is collision-free
-        # with odds of at least 7 in 8 (up to 2**20 slots)
-        self.bits = min(_HASH_BITS, 2 * self.keys.size.bit_length() + 1)
+        # 2 * keys**2 slots or more (up to 2**20), so that a random hash
+        # would be collision-free with odds of at least 3 in 4
+        bits = min(_HASH_BITS, 2 * keys.size.bit_length() + 1)
         for a in _MULTIPLIERS:
-            slots = _hash(self.keys, a, self.bits)
+            slots = _hash(keys, a, bits)
             if np.unique(slots).size == slots.size:
-                self.multiplier = a
-                self.table_keys = np.zeros(1 << self.bits, dtype=np.uint64)
-                self.table_vals = np.zeros(1 << self.bits)
-                self.table_keys[slots], self.table_vals[slots] = self.keys, self.vals
-                return
+                break
+        else:
+            raise _NotCompact
+        vals = np.concatenate([self.vals, [self._parse(int(k)) for k in new]])
+        self.keys, self.vals, self.multiplier, self.bits = keys, vals, a, bits
+        self.table_keys = np.zeros(1 << bits, dtype=np.uint64)
+        self.table_vals = np.zeros(1 << bits)
+        self.table_keys[slots], self.table_vals[slots] = keys, self.vals
 
     @staticmethod
     def _parse(key: int) -> float:

@@ -626,9 +626,8 @@ _ENTRIES = st.one_of(
 @given(st.data())
 def test_jump_matrix_reading_property(data):
     # random matrices, some with a ragged row, in random layouts, read with
-    # small blocks (rows cut across blocks, rows longer than a block), with
-    # no collision-free hash, and with a small vocabulary limit, read as
-    # json reads them
+    # small blocks (rows cut across blocks, rows longer than a block) and
+    # with no collision-free hash, read as json reads them
     rows, cols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
     vocabulary = data.draw(st.lists(_ENTRIES, min_size=1, max_size=12))
     entries = [[data.draw(st.sampled_from(vocabulary)) for _ in range(cols)]
@@ -645,8 +644,24 @@ def test_jump_matrix_reading_property(data):
         mp.setattr(cli, "_BLOCK_CHARS", data.draw(st.sampled_from([1, 2, 7, 32, 1 << 20])))
         if data.draw(st.booleans()):  # a hash under which every two keys collide
             mp.setattr(cli, "_MULTIPLIERS", (np.uint64(0),))
-        mp.setattr(cli, "_VOCAB_MAX", data.draw(st.sampled_from([1, 3, 1 << 12])))
         _read_J(text)
+
+
+def test_jump_matrix_beyond_the_vocabulary_reads_as_json_does():
+    # two distinct entries that collide under every multiplier, in the first
+    # block or only once a later block brings the second entry, and too many
+    # distinct entries are read by json's scanner
+    text = "[[1,1],[1,2]]"
+    for block in (1 << 20, 6):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_BLOCK_CHARS", block)
+            assert isinstance(_read_J(text), np.ndarray)
+            mp.setattr(cli, "_MULTIPLIERS", (np.uint64(0),))
+            assert isinstance(_read_J(text), list)
+    # more distinct entries than are parsed one by one
+    text = "[%s]" % ",".join("[%s]" % ",".join(str(100 * i + j) for j in range(100))
+                             for i in range(100))
+    assert isinstance(_read_J(text), list)
 
 
 def test_only_form_J_is_read_as_an_array():
