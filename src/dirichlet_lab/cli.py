@@ -18,6 +18,7 @@ The suites run one after another, in ``SUITES`` order, on the calling thread.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import operator
@@ -45,15 +46,12 @@ SCHEMA = 1
 CONTRACTS = {
     ("graph", "fixed_point"): (1e-8, "below"),
     ("graph", "projective_variational"): (1e-8, "below"),
-    ("graph", "projective_boundary"): (1e-8, "below"),
-    ("graph", "projective_exhaustion"): (1e-8, "below"),
     ("graph", "very_weak"): (1e-9, "below"),
     ("graph", "vd_identity"): (1e-9, "below"),
     ("graph", "vd_norm_bound"): (1e-9, "below"),
     ("graph", "vd_kernel_contraction"): (1e-9, "below"),
     ("graph", "apriori"): (1e-9, "below"),
     ("graph", "second_moment"): (1e-10, "below"),
-    ("graph", "trace"): (1e-10, "below"),
     ("frac1d", "fixed_point"): (1e-6, "below"),
     ("frac1d", "projective_exhaustion"): (1e-2, "below"),
     ("frac1d", "trace"): (1e-3, "below"),
@@ -186,10 +184,15 @@ def _matrix(key: str, value) -> np.ndarray:
     """A spec's square matrix of finite numbers (``form.J``), from the array
     ``_json_matrix`` decoded or from json's nested lists; an error names the
     key and its first bad entry or row."""
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError):  # not numbers, or ragged
-        arr = None
+    arr = None
+    # json's lists hold only ints and floats (np.asarray reads "0.5" and true too)
+    if isinstance(value, np.ndarray) or (
+            isinstance(value, list) and all(isinstance(row, list) for row in value)
+            and set(map(type, itertools.chain.from_iterable(value))) <= {int, float}):
+        try:
+            arr = np.asarray(value, dtype=float)
+        except (ValueError, OverflowError):  # ragged, or an int beyond the float range
+            pass
     if arr is not None and arr.ndim == 2 and arr.shape[0] == arr.shape[1] \
             and np.isfinite(arr).all():
         return arr
@@ -562,8 +565,8 @@ def _band(est, se, exact) -> dict:
 def _suite_verify_graph(cfg, spec, sol, outdir):
     out = {"fixed_point": _checked(cfg, "graph", "fixed_point",
                                    residual_probabilistic(sol.u, spec))}
-    for key, val in verify_projective(sol.u, spec).items():
-        out[f"projective_{key}"] = _checked(cfg, "graph", f"projective_{key}", val)
+    out["projective_variational"] = _checked(cfg, "graph", "projective_variational",
+                                             verify_projective(sol.u, spec)["variational"])
     for key, val in very_weak_defect(sol.u, spec).items():
         out[f"very_weak_{key}"] = _checked(cfg, "graph", "very_weak", val)
     if not np.any(spec.form.kappa != 0) and spec.f.is_zero:
@@ -584,11 +587,11 @@ def _suite_estimates_graph(cfg, spec, sol, outdir):
 
 
 def _suite_trace_graph(cfg, spec, sol, outdir):
+    # no check: the last level is D, where the exit flux is zero whatever u is
     seq = trace.trace_sequence_graph(sol.u, spec.form, spec.D, spec.nest)
     _write_csv(outdir / "trace.csv", "probe,level,value,extrapolated",
                trace.trace_csv_rows(seq))
-    worst = float(np.max(np.abs(seq.values[-1])))
-    return {"trace_terminal": _checked(cfg, "graph", "trace", worst)}
+    return {}
 
 
 def _suite_mc_graph(cfg, spec, sol, outdir):

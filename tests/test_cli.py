@@ -320,6 +320,18 @@ def test_each_contract_row_reaches_a_check(tmp_path, backend):
         assert any(entry["contract"] == sentinel for entry in res.values()), key
 
 
+@pytest.mark.parametrize("item", ["projective_boundary=1e-8", "projective_exhaustion=1e-8",
+                                  "trace=1e-10"])
+def test_retired_graph_tol_keys_are_config_errors(tmp_path, capsys, item):
+    # the graph contracts of P_D u on D, u off D and the terminal trace level
+    # are gone; the continuum keeps projective_exhaustion and trace
+    spec = _demo_graph_spec(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main(["run", str(spec), "--out", str(out), "--tol", item]) == 2
+    assert capsys.readouterr().out.startswith("error:")
+    assert not out.exists()
+
+
 def test_suite_or_tol_of_another_backend_is_a_config_error(tmp_path, capsys):
     frac = _small_frac_spec(tmp_path)
     graph = _demo_graph_spec(tmp_path)
@@ -421,7 +433,8 @@ def test_every_spec_key_is_read(tmp_path):
 # (backend, dotted key, value): a misspelt form key, sub-objects that are not
 # JSON objects, atoms that are not pairs, retired keys, a list (key None) in
 # place of the whole spec, ladder settings out of range, state indices that
-# are not integers, graph data that are not finite numbers, and continuum nests
+# are not integers or not states, graph data that are not finite numbers (a
+# numeric string or a bool in form.J included), and continuum nests
 # that are not radii in (0, 1) or have no level, continuum numbers that are
 # not finite numbers and counts that are not integers >= 1 (bools are neither),
 # a table that is not numbers, and keys left out
@@ -492,6 +505,13 @@ def test_every_spec_key_is_read(tmp_path):
     ("graph", "f.kind", None, "'f.kind'"),
     ("frac1d", "g", {"value": 2.0}, "'g.kind' is missing or null, but g has keys ['value']"),
     ("frac1d", "g.kind", None, "'g.kind'"),
+    ("graph", "D", [5], "subset indices out of range [0, 3)"),
+    ("graph", "form.J", 5, "'form.J' must be a square matrix of finite numbers, got int"),
+    ("graph", "form.J", [[0.0, 0.5, 0.0], 5, [0.0, 0.5, 0.0]], "got int as row 1"),
+    ("graph", "form.J", [[0.0, "0.5", 0.0], ["0.5", 0.0, 0.5], [0.0, 0.5, 0.0]],
+     "got '0.5' at entry [0, 1]"),
+    ("graph", "form.J", [[0.0, 0.5, 0.0], [0.5, 0.0, True], [0.0, True, 0.0]],
+     "got True at entry [1, 2]"),
 ], ids=["form.kapa", "f", "inject", "grid", "nu", "g", "mu", "mu.atoms", "list",
         "ladder.max_level", "ladder.base", "ladder.theta0", "ladder.start", "graph-g",
         "D-scalar", "D-floats", "graph-nest", "graph-nest-floats", "frac-nest",
@@ -502,7 +522,8 @@ def test_every_spec_key_is_read(tmp_path):
         "f.values-missing", "f.y-str", "g.b-missing", "g.kind", "f.kind", "backend",
         "form.m-str", "form.m-missing", "form.kappa-nan", "form.J-str", "form.J-null",
         "form.J-nan", "form.J-nested", "form.J-size", "form.kappa-size", "form.J-ragged", "f.kind-missing",
-        "f.kind-null", "g.kind-missing", "g.kind-null"])
+        "f.kind-null", "g.kind-missing", "g.kind-null", "D-out-of-range", "form.J-int",
+        "form.J-int-row", "form.J-numeric-str", "form.J-bool"])
 def test_malformed_spec_is_a_config_error(tmp_path, capsys, backend, key, value, name):
     make_spec = _demo_graph_spec if backend == "graph" else _small_frac_spec
     obj = json.loads(make_spec(tmp_path).read_text())

@@ -153,6 +153,10 @@ def test_validation_errors():
         DiscreteForm(m=np.ones(2), J=np.zeros((2, 2)), kappa=np.array([-1.0, 0.0]))
     with pytest.raises(ValueError, match="kappa must have 2 entries"):
         DiscreteForm(m=np.ones(2), J=np.zeros((2, 2)), kappa=np.zeros(3))
+    with pytest.raises(ValueError, match="J must be nonnegative"):
+        DiscreteForm(m=np.ones(2), J=np.array([[0.0, -1.0], [-1.0, 0.0]]), kappa=np.ones(2))
+    with pytest.raises(ValueError, match=r"J must be 2x2, got \(2, 3\)"):
+        DiscreteForm(m=np.ones(2), J=np.zeros((2, 3)), kappa=np.ones(2))
 
 
 def test_json_roundtrip(k3):

@@ -195,6 +195,16 @@ def test_apply_pd_divergent_tail_rejected(packs):
         f1.apply_PD(k, grid, grow, x=[0.0])
 
 
+def test_apply_pd_declared_tail_too_steep_rejected(packs):
+    # a datum that is zero up to the rule's end passes the outward-decay
+    # probe, so only its declared tail exponent (0.8 >= alpha) shows the divergence
+    k, grid = packs[0.5]
+    late = f1.ExteriorData(fn=lambda y: np.where(np.abs(y) > grid.radius, np.abs(y) ** 0.8, 0.0),
+                           tail_exponent=0.8)
+    with pytest.raises(ValueError, match="grows too fast"):
+        f1.apply_PD(k, grid, late, x=[0.0])
+
+
 def test_grid_weights_positive(packs):
     for a in ALPHAS:
         _, grid = packs[a]

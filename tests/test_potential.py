@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dirichlet_lab import (dynkin_defect, exit_second_moment, green_apply, green_operator,
-                           is_excessive, project)
+                           harmonic_extension, is_excessive, project)
 from dirichlet_lab.forms import NonTransientError, DiscreteForm
 from dirichlet_lab.suite import random_form, random_nested_subsets
 
@@ -161,3 +161,14 @@ def test_projection_consistency_with_green(k3):
     pv = project(k3, [1], rw)
     rv = green_apply(k3, [1], mu)
     assert np.max(np.abs(pv - rv)) < 1e-12
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda form: green_apply(form, [1, 2], np.zeros(2)), "mu has wrong length"),
+    (lambda form: exit_second_moment(form, [1, 2], np.zeros(4)), "mu has wrong length"),
+    (lambda form: harmonic_extension(form, [1, 2], np.zeros(2)), "g has wrong length"),
+    (lambda form: is_excessive(form, [1, 2], np.ones(4)), "rho has wrong length"),
+], ids=["green_apply", "exit_second_moment", "harmonic_extension", "is_excessive"])
+def test_vector_of_wrong_length_refused(k3, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(k3)

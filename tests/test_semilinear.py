@@ -4,8 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dirichlet_lab import (DiscreteForm, LadderConfig, ProblemSpec, apriori_report, compare,
-                           energy, exp_nonlinearity, harmonic_extension, is_excessive,
+from dirichlet_lab import (DiscreteForm, LadderConfig, Nonlinearity, ProblemSpec,
+                           apriori_report, compare, energy, exp_nonlinearity,
+                           harmonic_extension, is_excessive,
                            power_nonlinearity,
                            project, residual_probabilistic, solve, solve_shifted,
                            stability_gap, table_nonlinearity, vd_check, verify_projective,
@@ -469,3 +470,41 @@ def test_mu_support_validation(k3):
     with pytest.raises(ValueError):
         ProblemSpec(form=k3, D=[1], g=np.zeros(3), mu=np.array([0.0, 0.0, 1.0]),
                     f=zero_nonlinearity())
+
+
+def test_absorption_named_zero_is_still_solved(k3):
+    # zero-ness comes from zero_nonlinearity's params, not from the name: a
+    # linear absorption named "zero" must not be dropped from the solve
+    u = {}
+    for name in ("zero", "linear"):
+        f = Nonlinearity(fn=lambda pts, y: -y, name=name)
+        spec = ProblemSpec(form=k3, D=[1], g=np.array([1.0, 0.0, 0.0]), mu=np.zeros(3), f=f)
+        assert not f.is_zero
+        sol = solve(spec)
+        assert residual_probabilistic(sol.u, spec) < 1e-10
+        u[name] = sol.u[1]
+    # E(u, e_1) = 2 u1 - g0 = f(u1) = -u1 on the chain, so u1 = 1/3 (1/2 without f)
+    assert u["zero"] == u["linear"] and abs(u["linear"] - 1.0 / 3.0) < 1e-12
+    assert zero_nonlinearity().is_zero
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: power_nonlinearity(1.0, 0.5), "power exponent must be >= 1"),
+    (lambda: table_nonlinearity([0.0, 1.0], [1.0, 0.0, -1.0]), "1-d and matching"),
+    (lambda: table_nonlinearity([[0.0, 1.0]], [[1.0, 0.0]]), "1-d and matching"),
+    (lambda: table_nonlinearity([0.0, 0.0, 1.0], [1.0, 0.0, -1.0]), "strictly increasing"),
+], ids=["power-p", "table-lengths", "table-2d", "table-breakpoints"])
+def test_nonlinearity_refuses(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"g": np.zeros(2)}, "g and mu must have one entry per state"),
+    ({"mu": np.zeros(4)}, "g and mu must have one entry per state"),
+    ({"nest": ([1],)}, "nest must exhaust D"),
+], ids=["g-length", "mu-length", "nest-short-of-D"])
+def test_problem_spec_refuses(k3, change, message):
+    data = dict(form=k3, D=[1, 2], g=np.zeros(3), mu=np.zeros(3), f=zero_nonlinearity())
+    with pytest.raises(ValueError, match=message):
+        ProblemSpec(**{**data, **change})
