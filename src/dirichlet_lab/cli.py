@@ -464,7 +464,9 @@ def _exterior_from_dict(obj: dict) -> frac1d.ExteriorData:
 
 def load_problem(path):
     """``(problem, ladder)`` from a spec JSON file: a graph or continuum problem
-    and the ``LadderConfig`` of its solve.
+    and the ``LadderConfig`` of its ``ladder`` object, None when the spec has
+    none (or null): the graph is then solved by Newton, the continuum by
+    the default ladder.
 
     Each reader pops the keys it reads.  A key left over, a required key
     missing, a sub-object that is not a JSON object, or a malformed value is a
@@ -491,9 +493,10 @@ def load_problem(path):
     backend = obj.pop("backend", "graph")
     if backend not in tuple(SUITES):  # a tuple: an unhashable value is unknown too
         raise ValueError(f"unknown backend {backend!r}")
+    has_ladder = obj.get("ladder") is not None
     ladder = popped("ladder")
-    ladder = LadderConfig(**{fd.name: ladder.pop(fd.name)
-                             for fd in fields(LadderConfig) if fd.name in ladder})
+    ladder = LadderConfig(**{fd.name: ladder.pop(fd.name) for fd in fields(LadderConfig)
+                             if fd.name in ladder}) if has_ladder else None
     f = _nonlinearity_from_dict(popped("f"))
     if backend == "graph":
         form = popped("form")

@@ -17,6 +17,7 @@ from numpy.linalg import LinAlgError
 from .forms import DiscreteForm, NonTransientError, as_subset, complement, is_transient
 
 __all__ = [
+    "factor_nest",
     "harmonic_boundary",
     "harmonic_extension",
     "poisson_kernel",
@@ -34,21 +35,30 @@ def _finite(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def cho_factor(a):
+def _blocks(n: int, ends=()) -> list:
+    """Column blocks of an n x n factor: at most 64 wide, and each of ``ends``
+    ends a block."""
+    cuts = sorted({0, n, *ends})
+    return [(j0, min(j0 + _BLOCK, hi)) for lo, hi in zip(cuts, cuts[1:])
+            for j0 in range(lo, hi, _BLOCK)]
+
+
+def cho_factor(a, ends=()):
     """Blocked left-looking Cholesky factor of the SPD matrix ``a``.
 
     Returns ``(L, inv)``: the lower factor, ``a = L @ L.T``, and the inverse
-    of each of its 64-wide diagonal blocks.  Each diagonal block is factored
-    by ``np.linalg.cholesky`` after the columns to its left are subtracted
-    and inverted once by ``np.linalg.inv``; the panel below it is a product
-    with that inverse.  Raises ValueError on a non-finite entry and
-    LinAlgError when a block is not positive definite.
+    of each of its diagonal blocks, 64 wide but cut at each of ``ends``, so
+    the leading k x k block of the factor with the inverses of the blocks
+    ending by k is the factor of ``a[:k, :k]`` when k is one of ``ends``.
+    Each diagonal block is factored by ``np.linalg.cholesky`` after the
+    columns to its left are subtracted and inverted once by
+    ``np.linalg.inv``; the panel below it is a product with that inverse.
+    Raises ValueError on a non-finite entry and LinAlgError when a block is
+    not positive definite.
     """
     L = _finite(np.array(a, dtype=float))
-    n = L.shape[0]
     inv = []
-    for j0 in range(0, n, _BLOCK):
-        j1 = min(j0 + _BLOCK, n)
+    for j0, j1 in _blocks(L.shape[0], ends):
         panel = L[j0:, j0:j1]
         if j0:
             panel -= L[j0:, :j0] @ L[j0:j1, :j0].T
@@ -65,7 +75,8 @@ def cho_solve(factor, b) -> np.ndarray:
     backward sweeps over the blocks, matrix products only."""
     L, inv = factor
     x = _finite(np.array(b, dtype=float))
-    bounds = [(j0, min(j0 + _BLOCK, L.shape[0])) for j0 in range(0, L.shape[0], _BLOCK)]
+    ends = np.cumsum([di.shape[0] for di in inv]).tolist()
+    bounds = list(zip([0] + ends[:-1], ends))
     for (j0, j1), di in zip(bounds, inv):
         x[j0:j1] = di @ (x[j0:j1] - L[j0:j1, :j0] @ x[:j0])
     for (j0, j1), di in zip(bounds[::-1], inv[::-1]):
@@ -73,15 +84,15 @@ def cho_solve(factor, b) -> np.ndarray:
     return x
 
 
-def _factor(form: DiscreteForm, idx: np.ndarray):
-    """Transience check and read-only Cholesky factor of A[idx, idx].
+def _factor(form: DiscreteForm, order: np.ndarray, ends=()):
+    """Transience check and read-only Cholesky factor of A[order, order].
 
     Returns the ``cho_factor`` pair, or the message of the error to raise.
     """
-    if not is_transient(form, idx):
-        return f"subset of size {idx.size} is not transient: restricted system singular"
+    if not is_transient(form, order):
+        return f"subset of size {order.size} is not transient: restricted system singular"
     try:
-        factor = cho_factor(form.energy_matrix()[np.ix_(idx, idx)])
+        factor = cho_factor(form.energy_matrix()[np.ix_(order, order)], ends)
     except LinAlgError as exc:  # numerically singular despite graph escape
         return f"restricted system numerically singular: {exc}"
     for arr in (factor[0], *factor[1]):
@@ -89,27 +100,83 @@ def _factor(form: DiscreteForm, idx: np.ndarray):
     return factor
 
 
-def _restricted_cho(form: DiscreteForm, idx: np.ndarray):
-    """Cholesky factor of the energy matrix block on idx, or raise.
+def _slots(form: DiscreteForm, subsets) -> list:
+    """The cache slots ``[lock, entry]`` of the subsets, made empty if new."""
+    with form._cho_lock:
+        return [form._cho.setdefault(idx.tobytes(), [threading.Lock(), None])
+                for idx in subsets]
 
-    ``idx`` is a sorted index array from ``as_subset``.  The factor is
-    computed once per (form, subset) and cached on the form; concurrent
+
+def _restricted_cho(form: DiscreteForm, idx: np.ndarray):
+    """Cholesky factor of the energy matrix block on idx, with its order, or raise.
+
+    ``idx`` is a sorted index array from ``as_subset``.  Returns
+    ``(factor, order)``: ``factor`` is that of A[idx[order], idx[order]],
+    ``order`` None when it is the sorted order itself.  The factor is
+    computed once per (form, subset) and cached on the form, unless
+    ``factor_nest`` served it from the factor of a larger subset; concurrent
     callers asking for the same subset wait for the one factorization.
     """
-    with form._cho_lock:
-        slot = form._cho.setdefault(idx.tobytes(), [threading.Lock(), None])
-    with slot[0]:
-        if slot[1] is None:
-            slot[1] = _factor(form, idx)
-    if isinstance(slot[1], str):
-        raise NonTransientError(slot[1])
-    return slot[1]
+    return factor_nest(form, (idx,))
+
+
+def factor_nest(form: DiscreteForm, nest):
+    """Factor A on the last level of ``nest`` once, in nest order, for every level.
+
+    ``nest`` is an increasing tuple of sorted index arrays whose last level
+    is not empty, as ``ProblemSpec`` makes it.  The order is the first
+    level, then the states each later level adds, and the factor's blocks
+    end at every level's size, so the leading block of the one factor is the
+    factor of each level in that order.  Each level whose cache slot is
+    still empty gets that block; a subset factored before keeps its factor,
+    and when the last level is cached already nothing is factored.  Returns
+    the last level's ``(factor, order)``, as ``_restricted_cho`` does, and
+    raises NonTransientError, on every call, when it has no factor.
+    """
+    levels = list(nest)
+    slots = _slots(form, levels)
+    entries = []
+    with slots[-1][0]:
+        if slots[-1][1] is None:
+            order = np.concatenate([levels[0]] + [np.setdiff1d(V, prev, assume_unique=True)
+                                                  for prev, V in zip(levels, levels[1:])])
+            sizes = [V.size for V in levels]
+            factor = _factor(form, order, sizes)
+            if isinstance(factor, str):
+                slots[-1][1] = factor
+            else:
+                L, inv = factor
+                ends = [j1 for _, j1 in _blocks(order.size, sizes)]
+                for V, k in zip(levels, sizes):
+                    pos = np.searchsorted(V, order[:k])
+                    pos.setflags(write=False)
+                    entries.append(((L[:k, :k], inv[:sum(j1 <= k for j1 in ends)]),
+                                    None if np.array_equal(pos, np.arange(k)) else pos))
+                slots[-1][1] = entries[-1]
+    for slot, entry in zip(slots[:-1], entries[:-1]):
+        with slot[0]:
+            if slot[1] is None:
+                slot[1] = entry
+    if isinstance(slots[-1][1], str):
+        raise NonTransientError(slots[-1][1])
+    return slots[-1][1]
 
 
 def _solve(form: DiscreteForm, idx: np.ndarray, rhs) -> np.ndarray:
     """A[idx, idx]^-1 rhs from the cached Cholesky factor of the block;
     a non-finite rhs is a ValueError."""
-    return cho_solve(_restricted_cho(form, idx), rhs)
+    return _cho_apply(_restricted_cho(form, idx), rhs)
+
+
+def _cho_apply(entry, rhs) -> np.ndarray:
+    """A_VV^-1 rhs from an entry ``(factor, order)`` of ``_restricted_cho``."""
+    factor, order = entry
+    if order is None:
+        return cho_solve(factor, rhs)
+    rhs = np.asarray(rhs, dtype=float)
+    out = np.empty_like(rhs)
+    out[order] = cho_solve(factor, rhs[order])
+    return out
 
 
 def project(form: DiscreteForm, V, u) -> np.ndarray:

@@ -1,11 +1,17 @@
 """Semilinear Dirichlet solver and its verification layers.
 
-Solves u = P_D g + R_D f(.,u) + R_D mu by a monotone truncation ladder: the
-absorption term is clipped between growing envelopes -m*rho_m and n*rho_n
-(rho_k = k/(1+k)), each bounded problem is solved by damped fixed-point
-iteration with a semi-smooth Newton fallback, and the ladder is terminated
-once successive outer iterates stabilize.  The exterior condition is imposed
-exactly at every step: u is overwritten by g outside D.
+On the graph, u = P_D g + R_D f(.,u) + R_D mu is the minimizer over D of the
+strictly convex energy 1/2 u A_DD u - <A_DD base, u> - sum_x m_x F_x(u_x)
+(base = P_D g + R_D mu, F_x' = f(x, .)), whose gradient is the residual of
+the very-weak identity.  The default solve is damped Newton on it, each step
+a conjugate-gradient solve preconditioned by the cached Cholesky factor of
+A_DD.  The monotone truncation ladder is the paper's construction and the
+certificate: the absorption term is clipped between growing envelopes
+-m*rho_m and n*rho_n (rho_k = k/(1+k)), each bounded problem is solved by
+damped fixed-point iteration with a damped Newton fallback, and the ladder is
+terminated once successive outer iterates stabilize.  It runs on the graph
+when a ``LadderConfig`` is given, and always on the continuum.  The exterior
+condition is imposed exactly: u is g outside D.
 
 Verification operations check the solved function against every equivalent
 characterization: the probabilistic fixed point, the projective variational
@@ -24,7 +30,8 @@ import numpy as np
 
 from .forms import DiscreteForm, as_subset, complement
 from .potential import green_apply, green_operator
-from .projection import harmonic_boundary, harmonic_extension, project
+from .projection import (_cho_apply, _restricted_cho, cho_factor, cho_solve, factor_nest,
+                         harmonic_boundary, harmonic_extension, project)
 
 __all__ = [
     "LadderConfig",
@@ -145,6 +152,8 @@ class ProblemSpec:
     ``D``, ``g``, ``mu`` and the nest levels are read-only copies of the
     caller's data.  ``pdg`` (P_D g) and ``rdm`` (R_D mu) are fixed data of
     the problem: each is computed once, on first use, and is read-only.
+    The first of them factors A on D in nest order, once for every nest
+    level (``projection.factor_nest``).
     """
 
     form: DiscreteForm
@@ -185,6 +194,7 @@ class ProblemSpec:
     @cached_property
     def pdg(self) -> np.ndarray:
         """P_D g: the harmonic extension of the exterior data."""
+        factor_nest(self.form, self.nest)
         out = harmonic_extension(self.form, self.D, self.g)
         out.setflags(write=False)
         return out
@@ -192,6 +202,7 @@ class ProblemSpec:
     @cached_property
     def rdm(self) -> np.ndarray:
         """R_D mu: the Green potential of the measure."""
+        factor_nest(self.form, self.nest)
         out = green_apply(self.form, self.D, self.mu)
         out.setflags(write=False)
         return out
@@ -202,6 +213,11 @@ class ProblemSpec:
 _OUTER_TOL = 1e-10
 _INNER_TOL = 1e-12
 _MAX_INNER = 300
+# graph Newton: step cap, CG iterations of a step before the preconditioner
+# is replaced, and the round-off stop in units of eps times the scale of r
+_MAX_NEWTON = 100
+_MAX_CG = 30
+_ROUNDOFF = 64.0
 
 
 @dataclass(frozen=True)
@@ -232,13 +248,63 @@ class Solution:
     meta: dict = field(default_factory=dict)
 
 
+def _max_abs(r) -> float:
+    return float(np.max(np.abs(r)))
+
+
+def _damped_newton(u, r, residual, direction, done, max_steps: int, norm,
+                   expand: bool = False):
+    """Damped Newton from ``u``, whose residual is ``r = residual(u)``.
+
+    ``direction(u, r)`` returns a step and its trace row; it is called only
+    after ``done(u, r)`` came back False.  The step is halved until
+    ``norm`` of the residual decreases, down to a length of 1e-8.  With
+    ``expand``, a full step that cut the norm by less than 4 is doubled
+    while doubling cuts it further: far from the solution an exponential
+    absorption moves u by about one per full step.  The loop stops when
+    ``done(u, r)``, when ``r`` is not finite, after ``max_steps`` steps, or
+    after a step that no halving made decrease, which keeps ``u``.  Each row
+    gets the accepted length (``damping``, 0 for none) and the max norm of
+    the residual after the step.  Returns (u, r, rows, done).
+    """
+    rn = norm(r)
+    rows = []
+    while np.isfinite(rn) and len(rows) < max_steps:
+        if done(u, r):
+            return u, r, rows, True
+        step, row = direction(u, r)
+        rows.append(row)
+        u0, rn0 = u, rn
+        lam = 1.0
+        while lam > 1e-8:
+            u_try = u0 + lam * step
+            r_try = residual(u_try)
+            rn_try = norm(r_try)
+            if rn_try < rn:
+                u, r, rn = u_try, r_try, rn_try
+                break
+            lam *= 0.5
+        else:
+            row.update(damping=0.0, residual=_max_abs(r))
+            break
+        while expand and lam >= 1.0 and rn > 0.25 * rn0:
+            u_try = u0 + 2.0 * lam * step
+            r_try = residual(u_try)
+            rn_try = norm(r_try)
+            if not rn_try < rn:
+                break
+            u, r, rn, lam = u_try, r_try, rn_try, 2.0 * lam
+        row.update(damping=lam, residual=_max_abs(r))
+    return u, r, rows, bool(np.isfinite(rn)) and done(u, r)
+
+
 def _inner_solve(u, base, gmat, fappl, fder, scale: float):
     """Solve u = base + gmat f(u) for one bounded truncation level.
 
     Damped fixed-point sweeps from step 1, the step adapted to the residual;
-    if progress stalls, switch to a semi-smooth Newton iteration with
-    backtracking.  The limit is unique, so only robustness matters here.
-    No array is written in place: the starting ``u`` may be returned as is.
+    if progress stalls, switch to ``_damped_newton`` in the max norm.  The
+    limit is unique, so only robustness matters here.  No array is written
+    in place: the starting ``u`` may be returned as is.
     """
     tol = _INNER_TOL * scale
 
@@ -246,49 +312,129 @@ def _inner_solve(u, base, gmat, fappl, fder, scale: float):
         return base + gmat @ fappl(v) - v
 
     r = residual(u)
-    rn = float(np.max(np.abs(r)))
+    rn = _max_abs(r)
     theta = 1.0
     iters = 0
     slow = 0
-    newton = False
-    while rn > tol and iters < _MAX_INNER:
+    while rn > tol and iters < _MAX_INNER and slow < 4 and theta >= 0.05:
         iters += 1
-        if not newton:
-            u_try = u + theta * r
-            r_try = residual(u_try)
-            rn_try = float(np.max(np.abs(r_try)))
-            if rn_try < rn:
-                slow = slow + 1 if rn_try > 0.5 * rn else 0
-                u, r, rn = u_try, r_try, rn_try
-                theta = min(1.0, theta * 1.4)
-            else:
-                theta *= 0.5
-                slow += 1
-            if slow >= 4 or theta < 0.05:
-                newton = True
-            continue
-        jac = np.eye(u.size) - gmat * fder(u)[None, :]
-        step = np.linalg.solve(jac, r)
-        lam = 1.0
-        while lam > 1e-8:
-            u_try = u + lam * step
-            r_try = residual(u_try)
-            rn_try = float(np.max(np.abs(r_try)))
-            if rn_try < rn:
-                u, r, rn = u_try, r_try, rn_try
-                break
-            lam *= 0.5
+        u_try = u + theta * r
+        r_try = residual(u_try)
+        rn_try = _max_abs(r_try)
+        if rn_try < rn:
+            slow = slow + 1 if rn_try > 0.5 * rn else 0
+            u, r, rn = u_try, r_try, rn_try
+            theta = min(1.0, theta * 1.4)
         else:
-            # no descent direction left at this level; keep best iterate
-            break
+            theta *= 0.5
+            slow += 1
+    if rn > tol and iters < _MAX_INNER:
+
+        def direction(v, res):
+            jac = np.eye(v.size) - gmat * fder(v)[None, :]
+            return np.linalg.solve(jac, res), {}
+
+        u, r, rows, _ = _damped_newton(u, r, residual, direction,
+                                       lambda v, res: _max_abs(res) <= tol,
+                                       _MAX_INNER - iters, _max_abs)
+        iters += len(rows)
+        rn = _max_abs(r)
     return u, iters, rn
+
+
+def _pcg(hess, b, precond, tol: float, cap: int):
+    """Preconditioned conjugate gradients for hess(x) = b from x = 0, until
+    ||b - hess(x)||_2 <= tol or ``cap`` iterations.  Returns (x, iterations,
+    whether tol was met)."""
+    x = np.zeros_like(b)
+    r = b.copy()
+    p = z = precond(r)
+    rz = float(r @ z)
+    for k in range(1, cap + 1):
+        hp = hess(p)
+        alpha = rz / float(p @ hp)
+        x += alpha * p
+        r -= alpha * hp
+        if np.linalg.norm(r) <= tol:
+            return x, k, True
+        z = precond(r)
+        rz, rz_old = float(r @ z), rz
+        p = z + (rz / rz_old) * p
+    return x, cap, False
+
+
+def _solve_newton(spec: ProblemSpec):
+    """u on D by damped Newton on the energy, from base = (P_D g + R_D mu) on D.
+
+    The gradient at u is r = A_DD (u - base) - m f(u).  A step solves
+    (A_DD - diag(m f'(u))) s = -r by conjugate gradients to the forcing
+    tolerance of Eisenstat and Walker ("Choosing the forcing terms in an
+    inexact Newton method", SIAM J. Sci. Comput. 17, 1996, choice 2),
+    preconditioned by the cached factor of A_DD.  A step whose CG misses that
+    tolerance in ``_MAX_CG`` iterations replaces the preconditioner by the
+    factor of the Newton matrix at its u and is solved again.  Steps are
+    halved until ||r||_2 decreases, and the loop stops when ||r||_inf is at
+    round-off for the scale |A_DD||u| + |m f(u)| + |A_DD base|.  Zero
+    absorption returns base with an empty trace.  Returns (u on D, trace
+    rows, converged).
+    """
+    form, idx, f = spec.form, spec.D, spec.f
+    base = (spec.pdg + spec.rdm)[idx]
+    if f.is_zero:
+        return base.copy(), [], True
+    A = form.energy_matrix()[np.ix_(idx, idx)]
+    m = form.m[idx]
+    a_base = A @ base
+    # |A| = 2 diag(A) - A, since the off-diagonal entries of A are -2 J <= 0
+    diag2 = 2.0 * A.diagonal()
+    entry = _restricted_cho(form, idx)
+    state = {"precond": lambda x: _cho_apply(entry, x), "eta": 0.5, "norm": None, "tol": 0.0}
+
+    def residual(v):
+        return A @ v - a_base - m * f(idx, v)
+
+    def done(v, r):
+        av = np.abs(v)
+        scale = diag2 * av - A @ av + np.abs(m * f(idx, v)) + np.abs(a_base)
+        state["tol"] = _ROUNDOFF * np.finfo(float).eps * float(np.max(scale))
+        return _max_abs(r) <= state["tol"]
+
+    def direction(v, r):
+        rn = float(np.linalg.norm(r))
+        eta = 0.5
+        if state["norm"] is not None:
+            eta = 0.9 * (rn / state["norm"]) ** 2
+            if 0.9 * state["eta"] ** 2 > 0.1:
+                eta = max(eta, 0.9 * state["eta"] ** 2)
+            eta = min(eta, 0.5)
+        # no tighter than the round-off stop needs
+        eta = max(eta, 0.5 * state["tol"] / rn)
+        state.update(eta=eta, norm=rn)
+        d = m * f.derivative(idx, v)
+
+        def hess(p):
+            return A @ p - d * p
+
+        s, its, met = _pcg(hess, -r, state["precond"], eta * rn, _MAX_CG)
+        if not met:
+            factor = cho_factor(A - np.diag(d))
+            state["precond"] = lambda x: cho_solve(factor, x)
+            s, more, _ = _pcg(hess, -r, state["precond"], eta * rn, _MAX_CG)
+            its += more
+        return s, {"inner_iterations": its, "factored": float(not met)}
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        u, _, rows, converged = _damped_newton(base, residual(base), residual, direction, done,
+                                               _MAX_NEWTON, np.linalg.norm, expand=True)
+    return u, rows, converged
 
 
 def solve_ladder(base: np.ndarray, gmat: np.ndarray | None, f: Nonlinearity, points,
                  cfg: LadderConfig | None = None):
     """Monotone truncation-ladder fixed point of u = base + gmat f(points, u).
 
-    The one solver loop of both backends.  f must be nonincreasing in y at
+    The continuum's solve and the graph's certificate (``solve`` with a
+    ``LadderConfig``).  f must be nonincreasing in y at
     ``points``; the problem types check that when they are built, before
     any ``gmat`` is formed.  Zero absorption returns ``base.copy()`` with an
     empty trace and never reads ``gmat``, so a caller may pass None for it.
@@ -337,7 +483,11 @@ def solve_ladder(base: np.ndarray, gmat: np.ndarray | None, f: Nonlinearity, poi
 
 
 def solve(spec, ladder: LadderConfig | None = None) -> Solution:
-    """Solve the Dirichlet problem for the given spec (graph or continuum)."""
+    """Solve the Dirichlet problem for the given spec (graph or continuum).
+
+    The graph is solved by Newton on its energy unless ``ladder`` is given;
+    the continuum always by the ladder, by default ``LadderConfig()``.
+    """
     if not isinstance(spec, ProblemSpec):
         from .frac1d import solve_continuum
         return solve_continuum(spec, ladder=ladder)
@@ -345,11 +495,16 @@ def solve(spec, ladder: LadderConfig | None = None) -> Solution:
 
 
 def _solve_graph(spec: ProblemSpec, ladder: LadderConfig | None) -> Solution:
-    """The ladder on D from base P_D g + R_D mu, with u = g off D; the Green
-    matrix G of D is formed only for nonzero absorption."""
+    """u = g off D.  On D: Newton on the energy (``_solve_newton``), or with
+    a ``LadderConfig`` the ladder from base P_D g + R_D mu, for which the
+    Green matrix G of D is formed when the absorption is nonzero."""
     idx = spec.D
-    G = None if spec.f.is_zero else green_operator(spec.form, idx)
-    uD, trace, meta = solve_ladder((spec.pdg + spec.rdm)[idx], G, spec.f, idx, ladder)
+    if ladder is None:
+        uD, trace, converged = _solve_newton(spec)
+        meta = {"converged": converged}
+    else:
+        G = None if spec.f.is_zero else green_operator(spec.form, idx)
+        uD, trace, meta = solve_ladder((spec.pdg + spec.rdm)[idx], G, spec.f, idx, ladder)
     u = spec.g.copy()
     u[idx] = uD
     return Solution(u=u, residuals={"fixed_point": residual_probabilistic(u, spec)},
@@ -384,10 +539,14 @@ def green_density(spec: ProblemSpec, u) -> np.ndarray:
 
 
 def residual_probabilistic(u, spec: ProblemSpec) -> float:
-    """Max defect of the fixed-point identity on D plus |u - g| outside D."""
+    """Max defect of the fixed-point identity on D plus |u - g| outside D;
+    infinite when f(u) is not finite on D, since R_D takes no such density."""
     u = np.asarray(u, dtype=float)
     comp = complement(spec.form.n, spec.D)
-    rdf = green_density(spec, u)
+    density = _f_on_D(spec, u) * spec.form.m
+    if not np.isfinite(density).all():
+        return float("inf")
+    rdf = green_apply(spec.form, spec.D, density)
     inner = float(np.max(np.abs(u - spec.pdg - rdf - spec.rdm)[spec.D], initial=0.0))
     outer = float(np.max(np.abs(u - spec.g)[comp], initial=0.0))
     return inner + outer
@@ -395,8 +554,11 @@ def residual_probabilistic(u, spec: ProblemSpec) -> float:
 
 def verify_projective(u, spec: ProblemSpec) -> dict:
     """Defect of the projective variational characterization: the worst
-    Galerkin defect across the nest levels, as ``{"variational": ...}``."""
+    Galerkin defect across the nest levels, as ``{"variational": ...}``;
+    infinite for a u that is not finite, which P_V does not take."""
     u = np.asarray(u, dtype=float)
+    if not np.isfinite(u).all():
+        return {"variational": float("inf")}
     form = spec.form
     A = form.energy_matrix()
     d_var = 0.0
@@ -454,11 +616,14 @@ def apriori_report(u, spec: ProblemSpec) -> dict:
 
     Each entry is max(LHS - RHS); the contract is that all stay below 1e-9.
     The weighted norm bound uses the constant one as its excessive weight:
-    A_DD 1 = 2 sum_{y not in D} J[., y] + kappa >= 0 for every form.
+    A_DD 1 = 2 sum_{y not in D} J[., y] + kappa >= 0 for every form.  All
+    three are infinite when f(u) is not finite on D.
     """
     u = np.asarray(u, dtype=float)
     form, idx, pdg = spec.form, spec.D, spec.pdg
     fu = np.abs(_f_on_D(spec, u))
+    if not np.isfinite(fu).all():
+        return dict.fromkeys(("zero_order", "harmonic_shift", "weighted_norm"), float("inf"))
     fpdg = np.abs(_f_on_D(spec, pdg))
     pd_abs_g = harmonic_extension(form, idx, np.abs(spec.g))
     rd_abs_mu = green_apply(form, idx, np.abs(spec.mu))
@@ -511,14 +676,17 @@ def very_weak_defect(u, spec: ProblemSpec, probe=None) -> dict:
 
     Also checks that harmonic extensions pair to zero against the interior
     basis (``probe`` supplies the bounded exterior data; a deterministic
-    default is used otherwise).
+    default is used otherwise).  The identity's defect is infinite for a u
+    that is not finite.
     """
     u = np.asarray(u, dtype=float)
     form, idx = spec.form, spec.D
     A = form.energy_matrix()
-    lhs = (A @ u)[idx]
-    rhs = spec.f(idx, u[idx]) * form.m[idx] + spec.mu[idx]
-    d_id = float(np.max(np.abs(lhs - rhs), initial=0.0))
+    d_id = float("inf")
+    if np.isfinite(u).all():
+        lhs = (A @ u)[idx]
+        rhs = spec.f(idx, u[idx]) * form.m[idx] + spec.mu[idx]
+        d_id = float(np.max(np.abs(lhs - rhs), initial=0.0))
     if probe is None:
         probe = np.cos(np.arange(form.n, dtype=float))
     h = harmonic_extension(form, idx, np.asarray(probe, dtype=float))

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -128,6 +129,44 @@ def test_spec_ladder_reaches_the_solver(tmp_path):
         assert cli.run(cfg) == status
         res = json.loads((out / "residuals.json").read_text())
         assert res["solver_converged"] is (status == 0)
+
+
+def _bench_gen():
+    path = Path(__file__).resolve().parents[1] / "benchmark" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_very_weak_identity_of_a_dense_graph(tmp_path):
+    # the ladder stopped this spec at a very-weak defect of 1.07e-9, above its 1e-9
+    gen = _bench_gen()
+    spec = tmp_path / "spec.json"
+    spec.write_text(gen._dumps(gen.graph_exact(15, 1)))
+    cfg = cli.RunConfig(spec_path=spec, out_dir=tmp_path / "out", seed=1, suites=("verify",))
+    assert cli.run(cfg) == 0
+    res = json.loads((tmp_path / "out" / "residuals.json").read_text())["results"]
+    assert res["very_weak_identity"]["pass"]
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_overflowing_solve_is_reported_unconverged(tmp_path):
+    # e^y overflows at P_D g: no Newton step is finite, and the checks that
+    # need a finite f(u) report an infinite defect instead of raising
+    obj = json.loads(_demo_graph_spec(tmp_path).read_text())
+    obj.update(g=[1e4, 0.0, 0.0], f={"kind": "exp", "b": 1.0})
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(obj))
+    out = tmp_path / "out"
+    cfg = cli.RunConfig(spec_path=spec, out_dir=out, seed=1, suites=("verify", "estimates"))
+    assert cli.run(cfg) == 1
+    res = json.loads((out / "residuals.json").read_text())
+    assert res["solver_converged"] is False and not res["pass"]
+    for key in ("fixed_point", "projective_variational", "very_weak_identity",
+                "apriori_zero_order"):
+        assert res["results"][key]["value"] == float("inf")
+    assert np.isfinite(np.loadtxt(out / "solution.csv", delimiter=",", skiprows=1)).all()
 
 
 def test_run_kappa_free_graph_writes_vd_results(tmp_path):
@@ -427,7 +466,8 @@ def test_every_spec_key_is_read(tmp_path):
     assert prob.nest == (0.5, 0.75) and prob.grid.order == 6
     assert levels_prob.nest == cli.frac1d.default_nest(2)
     assert graph_ladder.max_level == 8 and graph_prob.f.name == "table"
-    assert all(ladder == cli.LadderConfig() for _, ladder in loaded[3:])
+    # no ladder object: the graph is solved by Newton, the continuum by the default ladder
+    assert all(ladder is None for _, ladder in loaded[3:])
 
 
 # (backend, dotted key, value): a misspelt form key, sub-objects that are not

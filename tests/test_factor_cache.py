@@ -62,9 +62,28 @@ def test_one_factorization_per_subset(monkeypatch, seed):
     exit_second_moment(spec.form, spec.D, np.abs(spec.mu))
     trace_sequence_graph(sol.u, spec.form, spec.D, spec.nest)
     assert len({V.tobytes() for V in spec.nest}) == 3
-    assert len(factorizations) == 3
+    # one factor of A on D, in nest order, serves all three levels
+    assert len(factorizations) == 1
     # verify_projective reuses the last level's projection for D
     assert len(projections) == len(spec.nest)
+
+
+def test_nest_factor_serves_every_level():
+    # levels of 70, 150 and 200 states: blocks of 64 cut at each level's size
+    rng = np.random.default_rng(7)
+    form = random_form(rng, 260, 260)
+    order = rng.permutation(form.n)[:200]
+    nest = tuple(np.sort(order[:k]) for k in (70, 150, 200))
+    projection.factor_nest(form, nest)
+    fresh = DiscreteForm(m=form.m, J=form.J, kappa=form.kappa)
+    rhs = rng.normal(size=(200, 3))
+    for V in nest:
+        _, level_order = projection._restricted_cho(form, V)
+        assert (level_order is None) == (V is nest[0])
+        ours = projection._solve(form, V, rhs[:V.size])
+        np.testing.assert_allclose(ours, projection._solve(fresh, V, rhs[:V.size]),
+                                   rtol=1e-10, atol=1e-12)
+    assert len(form._cho) == 3 and len(fresh._cho) == 3
 
 
 def test_cli_run_extends_exterior_data_once(monkeypatch, tmp_path):
@@ -164,7 +183,7 @@ def test_non_transient_subset_raises_every_time(monkeypatch):
 def test_numerically_singular_subset_raises_every_time(monkeypatch, k3):
     calls = []
 
-    def singular(a):
+    def singular(a, ends=()):
         calls.append(1)
         raise LinAlgError("not positive definite")
 
@@ -176,11 +195,12 @@ def test_numerically_singular_subset_raises_every_time(monkeypatch, k3):
 
 
 def test_cached_factor_is_read_only(k3):
-    c, inv = projection._restricted_cho(k3, np.array([1, 2]))
+    (c, inv), order = projection._restricted_cho(k3, np.array([1, 2]))
     for arr in (c, *inv):
         with pytest.raises(ValueError):
             arr[0, 0] = 1.0
-    assert projection._restricted_cho(k3, np.array([1, 2]))[0] is c
+    assert order is None
+    assert projection._restricted_cho(k3, np.array([1, 2]))[0][0] is c
 
 
 def _forms_and_domains():

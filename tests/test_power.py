@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from dirichlet_lab import cli, frac1d, potential, projection, semilinear, trace, wos
-from dirichlet_lab.forms import as_subset
+from dirichlet_lab.forms import DiscreteForm, as_subset
 from dirichlet_lab.semilinear import ProblemSpec, power_nonlinearity, zero_nonlinearity
 
 PATHS = 20000
@@ -56,12 +56,13 @@ def _graph_spec(absorbing: bool) -> dict:
 
 SPECS = {
     "graph": _graph_spec(True),
+    "graph_ladder": {**_graph_spec(True), "ladder": {"base": 2}},
     "graph_vd": _graph_spec(False),
     "frac": {"backend": "frac1d", "alpha": 1.0, "g": {"kind": "const", "value": 1.0},
              "f": {"kind": "power", "b": 1.0, "p": 3.0},
              "grid": {"order": 8, "n_base": 6, "edge_levels": 16, "out_levels": 8}},
 }
-D = np.array(SPECS["graph"]["D"])  # of both graph specs
+D = np.array(SPECS["graph"]["D"])  # of every graph spec
 
 
 # --- how a mutation reaches the pipeline -------------------------------------
@@ -124,8 +125,12 @@ def _u_off_D_shifted(mp):
 
 
 def _u_non_finite_off_D(mp):
-    # a non-finite u on D is refused by the Green solves of the checks
+    # P_V, and so the verify suite, takes no non-finite u
     _after_solve(mp, lambda p, u: u.__setitem__(0, np.inf))
+
+
+def _u_non_finite_on_D(mp):
+    _after_solve(mp, lambda p, u: u.__setitem__(D[0], np.inf))
 
 
 def _pdg_in_solve(change):
@@ -143,6 +148,25 @@ def _b_in_solve(factor):
 
         _inside_solve(mp, mutate)
     return apply
+
+
+def _energy_column_in_solve(mp):
+    # the Newton solve reads A_DD from the energy matrix; P_D g and R_D mu
+    # are made first, so that read alone sees column D[0] x1.001
+    real, original = cli.solve, DiscreteForm.energy_matrix
+
+    def energy_matrix(form):
+        A = original(form).copy()
+        A[:, D[0]] *= 1.001
+        return A
+
+    def solve(problem, ladder):
+        problem.pdg, problem.rdm
+        with pytest.MonkeyPatch.context() as inner:
+            inner.setattr(DiscreteForm, "energy_matrix", energy_matrix)
+            return real(problem, ladder)
+
+    mp.setattr(cli, "solve", solve)
 
 
 def _green_column_in_solve(mp):
@@ -250,10 +274,13 @@ MUTATIONS = {
     "u on D x1.05": Mutation("graph", _u_on_D_scaled(1.05)),
     "u off D +1e-6": Mutation("graph", _u_off_D_shifted),
     "u off D inf": Mutation("graph", _u_non_finite_off_D, ("estimates",)),
+    "u on D inf": Mutation("graph", _u_non_finite_on_D, ("verify", "estimates")),
     "PDg x(1+1e-6) in solve": Mutation("graph", _pdg_in_solve(lambda v: v * (1 + 1e-6))),
     "b x1.01 in solve": Mutation("graph", _b_in_solve(1.01)),
     "b x0 in solve": Mutation("graph", _b_in_solve(0.0)),
-    "G column 0 x1.001 in solve": Mutation("graph", _green_column_in_solve),
+    "A_DD column 0 x1.001 in solve": Mutation("graph", _energy_column_in_solve),
+    "graph_ladder": Mutation("graph_ladder"),
+    "ladder: G column 0 x1.001 in solve": Mutation("graph_ladder", _green_column_in_solve),
     "R_D x(1+1e-6)": Mutation("graph", _green_of_D_scaled(1 + 1e-6)),
     "R_D x1.1": Mutation("graph", _green_of_D_scaled(1.1)),
     "P_V +1e-6 at a proper level": Mutation("graph", _PV_shifted_at_level),
@@ -278,24 +305,27 @@ UNMUTATED = tuple(SPECS)  # each unmutated run is named after its spec
 # key of residuals.json -> the mutations it must fail on
 CATCHES = {
     "fixed_point": (
-        "u on D x(1+1e-6)", "u on D x1.05", "u off D +1e-6", "PDg x(1+1e-6) in solve",
-        "b x1.01 in solve", "b x0 in solve", "G column 0 x1.001 in solve",
+        "u on D x(1+1e-6)", "u on D x1.05", "u off D +1e-6", "u on D inf",
+        "PDg x(1+1e-6) in solve", "b x1.01 in solve", "b x0 in solve",
+        "A_DD column 0 x1.001 in solve", "ladder: G column 0 x1.001 in solve",
         "vd: u on D x(1+1e-6)", "vd: PDg +1e-6 on D in solve",
         "frac: u x(1+1e-4)", "frac: u +0.04", "frac: u +0.05 M(., +1)"),
     "projective_variational": (
-        "u on D x(1+1e-6)", "u on D x1.05", "u off D +1e-6", "PDg x(1+1e-6) in solve",
-        "b x1.01 in solve", "b x0 in solve", "G column 0 x1.001 in solve", "R_D x(1+1e-6)",
+        "u on D x(1+1e-6)", "u on D x1.05", "u off D +1e-6", "u on D inf",
+        "PDg x(1+1e-6) in solve", "b x1.01 in solve", "b x0 in solve",
+        "A_DD column 0 x1.001 in solve", "ladder: G column 0 x1.001 in solve", "R_D x(1+1e-6)",
         "R_D x1.1", "P_V +1e-6 at a proper level", "P_D +1e-6", "P_D +0.05",
         "vd: u on D x(1+1e-6)", "vd: PDg +1e-6 on D in solve", "vd: PDg +0.5 on D"),
     "very_weak_identity": (
-        "u on D x(1+1e-6)", "u on D x1.05", "u off D +1e-6", "PDg x(1+1e-6) in solve",
-        "b x1.01 in solve", "b x0 in solve", "G column 0 x1.001 in solve", "R_D x(1+1e-6)",
+        "u on D x(1+1e-6)", "u on D x1.05", "u off D +1e-6", "u on D inf",
+        "PDg x(1+1e-6) in solve", "b x1.01 in solve", "b x0 in solve",
+        "A_DD column 0 x1.001 in solve", "ladder: G column 0 x1.001 in solve", "R_D x(1+1e-6)",
         "R_D x1.1", "P_D +1e-6", "P_D +0.05", "vd: u on D x(1+1e-6)",
         "vd: PDg +1e-6 on D in solve", "vd: PDg +0.5 on D"),
     "very_weak_harmonic_pairing": ("P_D +1e-6", "P_D +0.05"),
     "vd_identity": ("vd: u on D x(1+1e-6)", "vd: PDg +1e-6 on D in solve"),
-    "apriori_zero_order": ("u on D x1.05", "b x0 in solve", "vd: PDg +0.5 on D"),
-    "solution_sup": ("u off D inf",),
+    "apriori_zero_order": ("u on D x1.05", "u on D inf", "b x0 in solve", "vd: PDg +0.5 on D"),
+    "solution_sup": ("u off D inf", "u on D inf"),
     "mc_PDg": ("P_D +0.05", "vd: PDg +0.5 on D"),
     "mc_RD1": ("R_D x1.1",),
     "mc_FK_residual": ("u on D x1.05", "b x0 in solve", "P_D +0.05", "vd: PDg +0.5 on D"),
@@ -358,3 +388,12 @@ def test_table_covers_every_key(tmp_path, monkeypatch):
     named = {name for names in CATCHES.values() for name in names}
     assert named == set(MUTATIONS) - set(UNMUTATED)
     assert all(CATCHES[key] for key in keys if key.startswith(("mc_", "wos_")))
+
+
+def test_graph_spec_newton_matches_its_ladder(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(SPECS["graph"]))
+    problem, ladder = cli.load_problem(spec)
+    assert ladder is None
+    sol, ref = semilinear.solve(problem), semilinear.solve(problem, semilinear.LadderConfig())
+    assert np.max(np.abs(sol.u - ref.u)) <= 1e-10 * np.max(np.abs(ref.u))

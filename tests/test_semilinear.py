@@ -13,7 +13,7 @@ from dirichlet_lab import (DiscreteForm, LadderConfig, Nonlinearity, ProblemSpec
                            very_weak_defect, zero_nonlinearity)
 from dirichlet_lab import frac1d, semilinear
 from dirichlet_lab.potential import green_apply, green_operator
-from dirichlet_lab.suite import random_ordered_pair, random_problem
+from dirichlet_lab.suite import random_form, random_ordered_pair, random_problem
 
 # independent 50-digit root of the 2-unknown cubic system on the killed chain
 # (u1 = 1 - u1^3 - u2^3, u2 = 1 - u1^3 - 2 u2^3), recomputed below at test time
@@ -399,15 +399,16 @@ def test_ladder_monotone_ordering():
     rng = np.random.default_rng(23)
     for _ in range(10):
         spec = random_problem(rng)
-        sol = solve(spec)
+        sol = solve(spec, LadderConfig())
         assert sol.meta["monotone_up_slack"] >= -1e-10
         assert sol.meta["monotone_down_slack"] >= -1e-10
         assert bool(sol.ladder_trace) == (not spec.f.is_zero)  # per-level counts recorded
 
 
 def test_zero_absorption_forms_no_green_matrix(monkeypatch):
-    # f = 0: the ladder returns its base on either backend without the Green
-    # matrix; the counters see the one matrix each cubic solve builds
+    # f = 0: the solve returns its base on either backend without the Green
+    # matrix; the counters see the one matrix each cubic ladder builds, and
+    # none for the graph's default Newton solve
     calls = []
 
     def counted(build):
@@ -431,7 +432,8 @@ def test_zero_absorption_forms_no_green_matrix(monkeypatch):
     assert csol.u.tobytes() == csol.meta["base"].tobytes() and csol.ladder_trace == []
     assert calls == []
     cubic = power_nonlinearity(1.0, 3.0)
-    solve(replace(spec, f=cubic))
+    assert solve(replace(spec, f=cubic)).converged and calls == []
+    solve(replace(spec, f=cubic), LadderConfig())
     solve(replace(prob, f=cubic))
     assert calls == ["green_operator", "green_matrix"]
 
@@ -508,3 +510,43 @@ def test_problem_spec_refuses(k3, change, message):
     data = dict(form=k3, D=[1, 2], g=np.zeros(3), mu=np.zeros(3), f=zero_nonlinearity())
     with pytest.raises(ValueError, match=message):
         ProblemSpec(**{**data, **change})
+
+
+@pytest.mark.parametrize("g", [1e2, 1e4, 1e6])
+def test_newton_converges_at_large_exterior_data(g):
+    # the ladder's stop on successive iterates ends g = 1e4 and 1e6 unconverged,
+    # at fixed-point defects of 9.3e8 and 1.8e18
+    form = random_form(np.random.default_rng(0), 40, 40)
+    spec = ProblemSpec(form=form, D=np.arange(20), g=np.full(form.n, g), mu=np.zeros(form.n),
+                       f=power_nonlinearity(1.0, 3.0))
+    sol = solve(spec)
+    assert sol.converged
+    assert sol.residuals["fixed_point"] <= 1e-10 * np.max(np.abs(sol.u))
+
+
+def test_newton_agrees_with_the_ladder():
+    # the ladder is the reference: same u to 1e-10 relative, for each kind of f
+    rng = np.random.default_rng(29)
+    for _ in range(4):
+        form = random_form(rng)
+        b = rng.uniform(0.0, 2.0, size=form.n)
+        for f in (power_nonlinearity(b, 3.0), power_nonlinearity(b, 1.0), exp_nonlinearity(b),
+                  table_nonlinearity([-2.0, -0.5, 0.0, 1.0], [3.0, 1.0, 0.0, -4.0])):
+            spec = random_problem(rng, form=form, f=f)
+            sol, ref = solve(spec), solve(spec, LadderConfig())
+            assert sol.converged and ref.converged
+            assert np.max(np.abs(sol.u - ref.u)) <= 1e-10 * np.max(np.abs(ref.u))
+            assert all(row["residual"] >= 0 and row["inner_iterations"] >= 1
+                       for row in sol.ladder_trace)
+
+
+def test_newton_replaces_its_preconditioner_when_cg_stalls():
+    # |D| = 80 > the CG cap, and b y^3 at y ~ 1e4 dwarfs A_DD: CG preconditioned
+    # by A_DD misses, so a step factors the Newton matrix once and goes on
+    form = random_form(np.random.default_rng(1), 120, 120)
+    spec = ProblemSpec(form=form, D=np.arange(80), g=np.full(form.n, 1e4), mu=np.zeros(form.n),
+                       f=power_nonlinearity(1.0, 3.0))
+    sol = solve(spec)
+    assert sol.converged
+    assert any(row["factored"] for row in sol.ladder_trace)
+    assert sol.residuals["fixed_point"] <= 1e-10 * np.max(np.abs(sol.u))
