@@ -540,13 +540,27 @@ def test_newton_agrees_with_the_ladder():
                        for row in sol.ladder_trace)
 
 
-def test_newton_replaces_its_preconditioner_when_cg_stalls():
+def test_newton_replaces_its_preconditioner_when_cg_stalls(monkeypatch):
     # |D| = 80 > the CG cap, and b y^3 at y ~ 1e4 dwarfs A_DD: CG preconditioned
-    # by A_DD misses, so a step factors the Newton matrix once and goes on
+    # by A_DD misses, so a step factors the Newton matrix and goes on
     form = random_form(np.random.default_rng(1), 120, 120)
     spec = ProblemSpec(form=form, D=np.arange(80), g=np.full(form.n, 1e4), mu=np.zeros(form.n),
                        f=power_nonlinearity(1.0, 3.0))
+    spec.pdg, spec.rdm
+    factors, real = [], semilinear.cho_factor
+    monkeypatch.setattr(semilinear, "cho_factor", lambda a: factors.append(1) or real(a))
     sol = solve(spec)
     assert sol.converged
-    assert any(row["factored"] for row in sol.ladder_trace)
+    assert len(factors) == sum(row["factored"] for row in sol.ladder_trace) >= 1
+    assert sol.residuals["fixed_point"] <= 1e-10 * np.max(np.abs(sol.u))
+
+
+def test_newton_converges_for_exponential_absorption_far_from_the_solution():
+    # a full step moves u by about one where e^u dominates: from u ~ 1e2 it
+    # takes the step doubling to converge within the step cap
+    form = random_form(np.random.default_rng(1), 120, 120)
+    spec = ProblemSpec(form=form, D=np.arange(80), g=np.full(form.n, 1e2), mu=np.zeros(form.n),
+                       f=exp_nonlinearity(1.0))
+    sol = solve(spec)
+    assert sol.converged
     assert sol.residuals["fixed_point"] <= 1e-10 * np.max(np.abs(sol.u))
