@@ -424,7 +424,14 @@ def _solve_newton(spec: ProblemSpec):
         return s, {"inner_iterations": its, "factored": float(not met)}
 
     with np.errstate(over="ignore", invalid="ignore"):
-        u, _, rows, converged = _damped_newton(base, residual(base), residual, direction, done,
+        u = base
+        r = residual(u)
+        if not np.all(np.isfinite(r)):
+            # f overflows at base (e^y at a large datum); it is finite at 0
+            # for every built-in kind, and halving keeps later steps finite
+            u = np.zeros_like(base)
+            r = residual(u)
+        u, _, rows, converged = _damped_newton(u, r, residual, direction, done,
                                                _MAX_NEWTON, np.linalg.norm, expand=True)
     return u, rows, converged
 
@@ -617,7 +624,8 @@ def apriori_report(u, spec: ProblemSpec) -> dict:
     Each entry is max(LHS - RHS); the contract is that all stay below 1e-9.
     The weighted norm bound uses the constant one as its excessive weight:
     A_DD 1 = 2 sum_{y not in D} J[., y] + kappa >= 0 for every form.  All
-    three are infinite when f(u) is not finite on D.
+    three are infinite when f(u) is not finite on D.  Where f(P_D g)
+    overflows, the two bounds that read it hold with an infinite right side.
     """
     u = np.asarray(u, dtype=float)
     form, idx, pdg = spec.form, spec.D, spec.pdg
@@ -633,7 +641,12 @@ def apriori_report(u, spec: ProblemSpec) -> dict:
     rhs1 = 2.0 * rd_abs_f0 + rd_abs_mu + pd_abs_g
     d1 = float(np.max((lhs1 - rhs1)[idx], initial=0.0))
 
-    rd_abs_fpdg = green_apply(form, idx, fpdg * form.m)
+    # an overflowing |f(P_D g)| makes R_D of it infinite wherever the chain
+    # reaches it in D, and the two bounds that read it hold there
+    big = ~np.isfinite(fpdg)
+    rd_abs_fpdg = green_apply(form, idx, np.where(big, 0.0, fpdg) * form.m)
+    if big.any():
+        rd_abs_fpdg[green_apply(form, idx, big * form.m) > 0.0] = np.inf
     lhs2 = np.abs(u - pdg) + rd_abs_fu
     rhs2 = 2.0 * rd_abs_fpdg + rd_abs_mu
     d2 = float(np.max((lhs2 - rhs2)[idx], initial=0.0))

@@ -151,22 +151,23 @@ def test_very_weak_identity_of_a_dense_graph(tmp_path):
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-def test_overflowing_solve_is_reported_unconverged(tmp_path):
-    # e^y overflows at P_D g: no Newton step is finite, and the checks that
-    # need a finite f(u) report an infinite defect instead of raising
+def test_overflowing_datum_still_solves(tmp_path):
+    # e^y overflows at P_D g = 1e4, so Newton starts from 0; the solution is
+    # finite (u_1 ~ 9.2), and the a priori bounds that read f(P_D g) hold
     obj = json.loads(_demo_graph_spec(tmp_path).read_text())
     obj.update(g=[1e4, 0.0, 0.0], f={"kind": "exp", "b": 1.0})
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(obj))
     out = tmp_path / "out"
     cfg = cli.RunConfig(spec_path=spec, out_dir=out, seed=1, suites=("verify", "estimates"))
-    assert cli.run(cfg) == 1
+    assert cli.run(cfg) == 0
     res = json.loads((out / "residuals.json").read_text())
-    assert res["solver_converged"] is False and not res["pass"]
-    for key in ("fixed_point", "projective_variational", "very_weak_identity",
-                "apriori_zero_order"):
-        assert res["results"][key]["value"] == float("inf")
-    assert np.isfinite(np.loadtxt(out / "solution.csv", delimiter=",", skiprows=1)).all()
+    assert res["solver_converged"] is True and res["pass"]
+    assert res["results"]["fixed_point"]["value"] <= 1e-10 * 1e4
+    u = np.loadtxt(out / "solution.csv", delimiter=",", skiprows=1)[:, -1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = semilinear.solve(cli.load_problem(spec)[0], semilinear.LadderConfig())
+    assert ref.converged and np.max(np.abs(u - ref.u)) <= 1e-10 * 1e4
 
 
 def test_run_kappa_free_graph_writes_vd_results(tmp_path):

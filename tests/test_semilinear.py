@@ -555,11 +555,13 @@ def test_newton_replaces_its_preconditioner_when_cg_stalls(monkeypatch):
     assert sol.residuals["fixed_point"] <= 1e-10 * np.max(np.abs(sol.u))
 
 
-def test_newton_converges_for_exponential_absorption_far_from_the_solution():
+@pytest.mark.parametrize("g", [1e2, 1e4])
+def test_newton_converges_for_exponential_absorption_far_from_the_solution(g):
     # a full step moves u by about one where e^u dominates: from u ~ 1e2 it
-    # takes the step doubling to converge within the step cap
+    # takes the step doubling to converge within the step cap; at 1e4 e^u
+    # overflows at P_D g, and Newton starts from 0
     form = random_form(np.random.default_rng(1), 120, 120)
-    spec = ProblemSpec(form=form, D=np.arange(80), g=np.full(form.n, 1e2), mu=np.zeros(form.n),
+    spec = ProblemSpec(form=form, D=np.arange(80), g=np.full(form.n, g), mu=np.zeros(form.n),
                        f=exp_nonlinearity(1.0))
     sol = solve(spec)
     assert sol.converged
