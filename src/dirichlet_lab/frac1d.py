@@ -187,6 +187,40 @@ def _split_rule(lo: float, x: float, hi: float, order: int, levels: int,
 
 
 # ---------------------------------------------------------------------------
+# piecewise-polynomial tables
+#
+# A table holds one polynomial of degree _TABLE_DEGREE per piece of a window,
+# fitted at the Chebyshev-Lobatto points of the piece.  The radial table of
+# the Green function below and the exit table of ``wos`` are built this way.
+
+_TABLE_DEGREE = 7
+# fit nodes of a piece: Chebyshev-Lobatto points of s in [0, 1]
+_TABLE_FIT = _frozen(0.5 - 0.5 * np.cos(np.pi * np.arange(_TABLE_DEGREE + 1) / _TABLE_DEGREE))[0]
+
+
+def _table_fit(values: np.ndarray) -> np.ndarray:
+    """Read-only coefficients of the table through values[k, i], the value at
+    fit node i of piece k: coef[j, k] is the coefficient of s^j on piece k,
+    s in [0, 1) from its left end."""
+    return _frozen(np.ascontiguousarray(
+        np.linalg.solve(np.vander(_TABLE_FIT, increasing=True), values.T)))[0]
+
+
+def _table_eval(coef: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The table at s, counted in pieces from the window's left end (a new
+    array; s is overwritten).  Points off the window take the polynomial of
+    the end piece."""
+    piece = np.floor(s.clip(0.0, coef.shape[1] - 1))
+    s -= piece
+    k = piece.astype(np.intp)
+    out = np.asarray(coef[-1].take(k))
+    for j in range(coef.shape[0] - 2, -1, -1):
+        out *= s
+        out += coef[j].take(k)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # radial table of the Green function
 #
 # The interval Green function is green_coef * d^(alpha-1) * B(r), with
@@ -198,11 +232,8 @@ def _split_rule(lo: float, x: float, hi: float, order: int, levels: int,
 
 _RADIAL_LO, _RADIAL_HI = -50.0, 50.0
 _RADIAL_PIECES = 512
-_RADIAL_DEGREE = 7
 _RADIAL_GAUSS = 8  # Gauss-Legendre nodes per integral in x
 _RADIAL_KNOTS = _frozen(np.linspace(_RADIAL_LO, _RADIAL_HI, _RADIAL_PIECES + 1))[0]
-# fit nodes of a piece: Chebyshev-Lobatto points of s in [0, 1]
-_RADIAL_FIT = _frozen(0.5 - 0.5 * np.cos(np.pi * np.arange(_RADIAL_DEGREE + 1) / _RADIAL_DEGREE))[0]
 
 
 def _radial_steps(alpha: float, x0, x1):
@@ -239,7 +270,7 @@ def _radial_points(s) -> np.ndarray:
 def _radial_table_gap(alpha: float) -> float:
     """Largest relative gap between the table and the defining integral at
     the midpoints between fit nodes."""
-    x = _radial_points(0.5 * (_RADIAL_FIT[:-1] + _RADIAL_FIT[1:])).ravel()
+    x = _radial_points(0.5 * (_TABLE_FIT[:-1] + _TABLE_FIT[1:])).ravel()
     exact = _radial_integral(alpha, x) * np.exp(-0.5 * alpha * x)
     return float(np.max(np.abs(_radial_phi(alpha, x) / exact - 1.0)))
 
@@ -248,19 +279,17 @@ def _radial_table_gap(alpha: float) -> float:
 def _radial_table(alpha: float):
     """Read-only table of phi(x) = B(e^x) e^(-alpha x/2) on the window.
 
-    Returns (coef, tail): coef[j, k] is the coefficient of s^j on piece k,
-    s in [0, 1) from its left end, fitted at its Chebyshev-Lobatto points;
-    tail is the constant K of the large-r expansion
+    Returns (coef, tail): coef is the ``_table_fit`` of phi on the pieces
+    of the window; tail is the constant K of the large-r expansion
     B(r) = K + log(r) exprel(c log r) + r^(c-1)/(3-alpha), c = (alpha-1)/2,
     whose second term is (r^c - 1)/c, and log r at alpha = 1.
     """
-    x = _radial_points(_RADIAL_FIT)
-    phi = _radial_integral(alpha, x) * np.exp(-0.5 * alpha * x)
-    coef = np.ascontiguousarray(np.linalg.solve(np.vander(_RADIAL_FIT, increasing=True), phi.T))
+    x = _radial_points(_TABLE_FIT)
+    coef = _table_fit(_radial_integral(alpha, x) * np.exp(-0.5 * alpha * x))
     c, hi = 0.5 * (alpha - 1.0), _RADIAL_HI
     tail = (_radial_integral(alpha, np.array([hi]))[0] - hi * _exprel(c * hi)
             - math.exp((c - 1.0) * hi) / (3.0 - alpha))
-    return _frozen(coef)[0], tail
+    return coef, tail
 
 
 def _radial_phi(alpha: float, x) -> np.ndarray:
@@ -269,13 +298,7 @@ def _radial_phi(alpha: float, x) -> np.ndarray:
     coef, tail = _radial_table(alpha)
     s = x - _RADIAL_LO
     s *= _RADIAL_PIECES / (_RADIAL_HI - _RADIAL_LO)
-    piece = np.floor(s.clip(0.0, _RADIAL_PIECES - 1))
-    s -= piece
-    k = piece.astype(np.intp)
-    out = np.asarray(coef[_RADIAL_DEGREE].take(k))
-    for j in range(_RADIAL_DEGREE - 1, -1, -1):
-        out *= s
-        out += coef[j].take(k)
+    out = _table_eval(coef, s)
     low = x < _RADIAL_LO
     if low.any():
         out[low] = 2.0 / alpha - np.exp(x[low]) / (alpha + 2.0)

@@ -250,9 +250,8 @@ def _frac_in_solve(name, factor):
 
 def _frac_exit_law_off(mp):
     # each ball exit drawn from the law of alpha + 0.1
-    original = wos._sample_exit_positions
-    mp.setattr(wos, "_sample_exit_positions",
-               lambda alpha, rng, size: original(alpha + 0.1, rng, size))
+    original = wos._exit_jumps
+    mp.setattr(wos, "_exit_jumps", lambda alpha, w: original(alpha + 0.1, w))
 
 
 def _frac_ball_mass_off(mp):

@@ -2,7 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import betainc
+from scipy.special import betainc, betaincinv
+from scipy.stats import kstest
 
 from dirichlet_lab import frac1d as f1
 from dirichlet_lab import wos
@@ -80,6 +81,32 @@ def test_every_exit_falls_in_one_cell():
     assert np.all(hits == 1)
 
 
+def test_cell_masses_and_counts_match_per_cell_forms():
+    # the density is formed once and summed per cell, and the exits counted
+    # per side by tail counts: both carry the bits of one exit average and one
+    # _in_cell count per cell, cell edges and both ends of the interval included
+    right = list(zip(wos._CELL_EDGES, wos._CELL_EDGES[1:] + (np.inf,)))
+    cells = right + [(-hi, -lo) for lo, hi in right]
+    breaks = np.concatenate([f1._graded_breaks(1.0, wos._CELL_EDGES[1], 28, True)[:-1],
+                             wos._CELL_EDGES[1:], 2.0 ** np.arange(3, 12)])
+    edges = np.array(wos._CELL_EDGES)
+    for alpha in (0.6, 1.0, 1.4):
+        k = f1.build_kernels(alpha)
+        rule = f1._exterior_rule(breaks, 14, -alpha / 2.0)
+        for x in (-0.7, 0.3):
+            got_cells, masses = wos._exit_cells(k, x)
+            assert got_cells == cells
+            per_cell = [f1._exit_average(k, 1.0, f1.ExteriorData(
+                fn=lambda y, lo=lo, hi=hi: wos._in_cell(y, lo, hi).astype(float)),
+                np.array([x]), rule)[0] for lo, hi in cells]
+            np.testing.assert_array_equal(masses, per_cell)
+            exits, _, _ = wos.wos_exit_batch(k, x, 20_000, seed=43)
+            exits = np.concatenate([exits, edges, -edges, np.nextafter(edges, np.inf),
+                                    -np.nextafter(edges, np.inf), [1e8, -1e8]])
+            np.testing.assert_array_equal(
+                wos._cell_counts(exits), [np.sum(wos._in_cell(exits, lo, hi)) for lo, hi in cells])
+
+
 def test_same_seed_same_walk(pack):
     k, _ = pack
     exits1, mean1, _ = wos.wos_exit_batch(k, 0.3, 200, seed=5)
@@ -115,7 +142,7 @@ def test_exit_cdf_matches_quadrature():
 def test_sampler_matches_cdf(pack):
     k, _ = pack
     rng = substream(17, 0)
-    z = wos._sample_exit_positions(k.alpha, rng, 200_000)
+    z = wos._exit_jumps(k.alpha, rng.random(200_000))
     for t in (1.3, 2.0, 4.0):
         emp = np.mean(np.abs(z) <= t)
         cdf = float(exit_cdf_ball(k.alpha, np.array([t]))[0])
@@ -128,7 +155,7 @@ def test_sampler_upper_tail():
     # far tail at alpha = 0.5: P(|Y| > t) = P(1 - S < 1/t^2), with 1 - S
     # Beta(alpha/2, 1 - alpha/2)
     alpha = 0.5
-    z = np.abs(wos._sample_exit_positions(alpha, substream(19, 0), 200_000))
+    z = np.abs(wos._exit_jumps(alpha, substream(19, 0).random(200_000)))
     for t in (1e2, 1e4):
         emp = np.mean(z > t)
         tail = float(betainc(alpha / 2.0, 1.0 - alpha / 2.0, 1.0 / t ** 2))
@@ -140,10 +167,73 @@ def test_sampler_respects_cap():
     # about one draw in seven reaches that floor
     cap = 1.0 / np.sqrt(1.0 - (1.0 - 1e-16))
     for alpha in (0.1, 0.5, 1.0, 1.5):
-        z = np.abs(wos._sample_exit_positions(alpha, substream(29, 0), 200_000))
+        z = np.abs(wos._exit_jumps(alpha, substream(29, 0).random(200_000)))
         assert np.all((z >= 1.0) & (z <= cap))
         if alpha == 0.1:
             assert np.mean(z == cap) > 0.1
+
+
+_EXACT_ALPHAS = (0.1, 0.3, 0.5, 0.7, 0.9, 1.1, 1.3, 1.5, 1.7, 1.9, 1.99)
+
+
+def _exact_magnitude(alpha, w):
+    """|Y| at the uniforms w by scipy's inverse of the incomplete beta
+    integral, at the level 2 min(w, 1 - w), with 1 - S floored at 2^-53."""
+    v = 2.0 * np.minimum(w, 1.0 - w)
+    return 1.0 / np.sqrt(np.maximum(betaincinv(alpha / 2.0, 1.0 - alpha / 2.0, v), 2.0 ** -53))
+
+
+def test_exit_table_matches_betaincinv():
+    # uniforms on the 2^-53 grid next to 0, 1/2 and 1, across the levels in
+    # between, and on both sides of the uniform at which 1 - S meets its floor
+    ulp = 2.0 ** -53
+    near = np.arange(2000) * ulp
+    spread = np.logspace(-15.5, np.log10(0.5), 4000)
+    steps = np.arange(-50, 51)
+    for alpha in _EXACT_ALPHAS:
+        # w below floor_w (and above 1 - floor_w) puts 1 - S under the floor
+        floor_w = 0.5 * betainc(alpha / 2.0, 1.0 - alpha / 2.0, ulp)
+        at_floor = floor_w * (1.0 + 1e-9 * steps) if floor_w > 1e3 * ulp else np.empty(0)
+        w = np.concatenate([near, 0.5 - near[1:], 0.5 + near, 1.0 - near[1:], spread,
+                            1.0 - spread, at_floor, 1.0 - at_floor,
+                            substream(37, 0).random(20_000)])
+        y = wos._exit_jumps(alpha, w)
+        np.testing.assert_array_equal(y < 0.0, w < 0.5)
+        np.testing.assert_allclose(np.abs(y), _exact_magnitude(alpha, w), rtol=1e-12, atol=0.0)
+        assert np.all(np.abs(y) <= wos._EXIT_CAP)
+        if at_floor.size:
+            capped = np.abs(wos._exit_jumps(alpha, at_floor)) == wos._EXIT_CAP
+            np.testing.assert_array_equal(capped[steps != 0], steps[steps != 0] < 0)
+    # the end levels: v = 0 is 1 - S = 0, floored; v = 1 is S = 0
+    y = wos._exit_jumps(1.0, np.array([0.0, 0.5]))
+    np.testing.assert_array_equal(y, [-wos._EXIT_CAP, 1.0])
+
+
+def test_exit_table_checks_its_gap(monkeypatch):
+    # the build compares the table with the integral at the piece midpoints
+    # and names alpha and the gap when the table misses its bound
+    build = wos._exit_table.__wrapped__
+    assert wos._exit_table_gap(0.77, build(0.77)) <= 1e-13
+    monkeypatch.setattr(wos, "_EXIT_GAP", 1e-18)
+    with pytest.raises(ValueError, match=r"alpha = 0\.77 off its integral by \d\.\d+e-1\d"):
+        build(0.77)
+
+
+def test_exit_table_is_lazy_and_read_only():
+    # a kernel pack and a continuum solve build no exit table; the first walk
+    # at an alpha builds it once, read-only
+    alpha = 0.83
+    k = f1.build_kernels(alpha)
+    wos._exit_table.cache_clear()
+    f1.solve_continuum(f1.ContinuumProblem(kernels=k, grid=f1.build_grid(alpha),
+                                           g=f1.const_exterior(1.0),
+                                           f=power_nonlinearity(1.0, 3.0)))
+    assert wos._exit_table.cache_info().currsize == 0
+    wos.wos_exit_batch(k, 0.3, 1000, seed=1)
+    wos.wos_exit_batch(k, -0.3, 1000, seed=2)
+    info = wos._exit_table.cache_info()
+    assert (info.currsize, info.misses) == (1, 1)
+    assert not wos._exit_table(alpha).flags.writeable
 
 
 def test_exit_law_chi2_three_probes(pack):
@@ -151,6 +241,26 @@ def test_exit_law_chi2_three_probes(pack):
     for j, x in enumerate((0.0, 0.4, -0.7)):
         _, p = wos.wos_exit_chi2(k, x, n_paths=100_000, seed=31 + j)
         assert p > 0.001
+
+
+def test_wos_suite_oracles_are_calibrated():
+    # the wos suite's probes over 100 seeds at 1e4 paths: the exit-law
+    # chi-square p-values of the walks from -0.7, 0.3 and 0.2 are uniform, and
+    # the mean exit time's z-scores against its closed form are N(0, 1), each
+    # by a KS test at 1%
+    for alpha in (0.5, 1.0, 1.5):
+        k = f1.build_kernels(alpha)
+        closed = k.exit_coef * (1.0 - 0.3 ** 2) ** (alpha / 2.0)
+        p_values, z = [], []
+        for seed in range(100):
+            p_values.append(wos.wos_exit_chi2(k, -0.7, n_paths=10_000, seed=seed + 2)[1])
+            (_, p), (est, se) = wos.wos_estimate(("exit_chi2", "mean_exit_time"), k, 0.3,
+                                                 n_paths=10_000, seed=seed + 7)
+            p_values.append(p)
+            z.append((est - closed) / se)
+            p_values.append(wos.wos_exit_chi2(k, 0.2, n_paths=10_000, seed=seed + 8)[1])
+        assert kstest(p_values, "uniform").pvalue > 0.01, alpha
+        assert kstest(z, "norm").pvalue > 0.01, alpha
 
 
 def test_one_step_exit_probability(pack):
@@ -168,7 +278,7 @@ def test_one_step_exit_probability(pack):
     for c0 in range(0, n, 4096):
         rng = substream(9, c0 // 4096)
         size = min(4096, n - c0)
-        z = wos._sample_exit_positions(k.alpha, rng, size)
+        z = wos._exit_jumps(k.alpha, rng.random(size))
         counts += np.sum(np.abs(x + r * z) >= 1.0)
     emp = counts / n
     assert abs(emp - p_exit) < 3 * np.sqrt(p_exit * (1 - p_exit) / n)
@@ -287,10 +397,11 @@ def test_shared_first_ball_evaluated_once(pack):
 
 
 def _per_path_walk(k, x, n_paths, seed, h):
-    # chunk-by-chunk reference with the substreams of wos_exit_batch: the
-    # ball quadrature on each path's first ball, then on every later ball one
-    # node of the rule, the count of normalized cumulative weights at or below
-    # the path's uniform from the chunk's second substream
+    # chunk-by-chunk reference with the substreams of wos_exit_batch: one
+    # uniform per live path and ball from the chunk's first substream for the
+    # jump; the ball quadrature on each path's first ball, then on every later
+    # ball one node of the rule, the count of normalized cumulative weights at
+    # or below the path's uniform from the chunk's second substream
     gy, gw = rule = wos.ball_green_rule(k)
     cum = np.cumsum(gw)
     exits, mean_exit, occ = np.empty(n_paths), np.zeros(n_paths), np.zeros(n_paths)
@@ -309,7 +420,7 @@ def _per_path_walk(k, x, n_paths, seed, h):
                 j = [int(np.sum(cum / cum[-1] <= ui)) for ui in u]
                 occ[active] += cum[-1] * r ** k.alpha * h(xs + r * gy[j])
             first = False
-            xs = xs + r * wos._sample_exit_positions(k.alpha, rng, active.size)
+            xs = xs + r * wos._exit_jumps(k.alpha, rng.random(active.size))
             done = np.abs(xs) >= 1.0
             exits[active[done]] = xs[done]
             active, xs = active[~done], xs[~done]
