@@ -10,8 +10,8 @@ from .potential import dynkin_defect, exit_second_moment, green_apply, green_ope
 from .projection import harmonic_boundary, harmonic_extension, poisson_kernel, project
 from .semilinear import (LadderConfig, Nonlinearity, ProblemSpec, Solution, apriori_report,
                          compare, exp_nonlinearity, power_nonlinearity, residual_probabilistic,
-                         solve, solve_shifted, stability_gap, table_nonlinearity, vd_check,
-                         verify_projective, very_weak_defect, zero_nonlinearity)
+                         solve, stability_gap, table_nonlinearity, vd_check, verify_projective,
+                         very_weak_defect, zero_nonlinearity)
 
 __version__ = "0.1.0"
 
@@ -40,7 +40,6 @@ __all__ = [
     "project",
     "residual_probabilistic",
     "solve",
-    "solve_shifted",
     "stability_gap",
     "table_nonlinearity",
     "vd_check",

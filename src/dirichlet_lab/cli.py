@@ -25,7 +25,7 @@ import operator
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -34,10 +34,9 @@ from . import chain_sim, frac1d, trace, wos
 from .forms import form_from_dict, form_to_dict
 from .potential import exit_second_moment, green_apply, green_operator
 from .projection import poisson_kernel
-from .semilinear import (LadderConfig, ProblemSpec, apriori_report, exp_nonlinearity,
-                         power_nonlinearity, residual_probabilistic, solve,
-                         table_nonlinearity, vd_check, verify_projective,
-                         very_weak_defect, zero_nonlinearity)
+from .semilinear import (ProblemSpec, apriori_report, exp_nonlinearity, power_nonlinearity,
+                         residual_probabilistic, solve, table_nonlinearity, vd_check,
+                         verify_projective, very_weak_defect, zero_nonlinearity)
 from .suite import random_ordered_pair
 
 SCHEMA = 1
@@ -463,10 +462,8 @@ def _exterior_from_dict(obj: dict) -> frac1d.ExteriorData:
 
 
 def load_problem(path):
-    """``(problem, ladder)`` from a spec JSON file: a graph or continuum problem
-    and the ``LadderConfig`` of its ``ladder`` object, None when the spec has
-    none (or null): the graph is then solved by Newton, the continuum by
-    the default ladder.
+    """``(problem, backend)`` from a spec JSON file: a graph or continuum
+    problem and its backend name, ``"graph"`` or ``"frac1d"``.
 
     Each reader pops the keys it reads.  A key left over, a required key
     missing, a sub-object that is not a JSON object, or a malformed value is a
@@ -493,10 +490,6 @@ def load_problem(path):
     backend = obj.pop("backend", "graph")
     if backend not in tuple(SUITES):  # a tuple: an unhashable value is unknown too
         raise ValueError(f"unknown backend {backend!r}")
-    has_ladder = obj.get("ladder") is not None
-    ladder = popped("ladder")
-    ladder = LadderConfig(**{fd.name: ladder.pop(fd.name) for fd in fields(LadderConfig)
-                             if fd.name in ladder}) if has_ladder else None
     f = _nonlinearity_from_dict(popped("f"))
     if backend == "graph":
         form = popped("form")
@@ -540,13 +533,13 @@ def load_problem(path):
                              f"got {len(b)} numbers")
         g = np.zeros(form.n) if g is None else _vector("g", g)
         mu = np.zeros(form.n) if mu is None else _vector("mu", mu)
-        return ProblemSpec(form=form, D=D, g=g, mu=mu, f=f, nest=nest), ladder
+        return ProblemSpec(form=form, D=D, g=g, mu=mu, f=f, nest=nest), backend
     if isinstance(b, tuple):
         raise ValueError("spec key 'f.b' must be one number on the continuum, got a list")
     prob = frac1d.ContinuumProblem(
         kernels=frac1d.build_kernels(alpha), grid=frac1d.build_grid(alpha, **grid),
         g=g, f=f, mu_atoms=atoms, nu_plus=nu[0], nu_minus=nu[1], **nest)
-    return prob, ladder
+    return prob, backend
 
 
 def _entry(value, contract, direction="below") -> dict:
@@ -690,14 +683,13 @@ def _dump_kernels(problem, outdir: Path) -> None:
 
 def run(config: RunConfig) -> int:
     """Execute one configuration; returns the process exit status."""
-    problem, ladder = load_problem(config.spec_path)
-    backend = "graph" if isinstance(problem, ProblemSpec) else "frac1d"
+    problem, backend = load_problem(config.spec_path)
     stray = sorted(set(config.suites or ()) - set(SUITES[backend]))
     stray += sorted(set(config.tolerances) - {key for b, key in CONTRACTS if b == backend})
     if stray:
         raise ValueError(f"suites or --tol keys {stray} do not apply to backend {backend!r}")
     suites = [s for s in SUITES[backend] if config.suites is None or s in config.suites]
-    sol = solve(problem, ladder)
+    sol = solve(problem)
     outdir = config.out_dir
     if config.dump_kernels:
         _dump_kernels(problem, outdir)

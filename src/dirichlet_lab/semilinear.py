@@ -8,9 +8,9 @@ a conjugate-gradient solve preconditioned by the cached Cholesky factor of
 A_DD.  The monotone truncation ladder is the paper's construction and the
 certificate: the absorption term is clipped between growing envelopes
 -m*rho_m and n*rho_n (rho_k = k/(1+k)), each bounded problem is solved by
-damped fixed-point iteration with a damped Newton fallback, and the ladder is
-terminated once successive outer iterates stabilize.  It runs on the graph
-when a ``LadderConfig`` is given, and always on the continuum.  The exterior
+damped fixed-point iteration with a damped Newton fallback, and the envelopes
+grow until successive outer iterates stabilize.  It runs on the graph when a
+``LadderConfig`` is given, and always on the continuum.  The exterior
 condition is imposed exactly: u is g outside D.
 
 Verification operations check the solved function against every equivalent
@@ -21,8 +21,10 @@ double-sum energy layer, and the comparison / a-priori / stability bounds.
 
 from __future__ import annotations
 
+import math
 import numbers
-from dataclasses import dataclass, field, replace
+import sys
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
@@ -45,7 +47,6 @@ __all__ = [
     "residual_probabilistic",
     "solve",
     "solve_ladder",
-    "solve_shifted",
     "stability_gap",
     "table_nonlinearity",
     "vd_check",
@@ -218,23 +219,28 @@ _MAX_INNER = 300
 _MAX_NEWTON = 100
 _MAX_CG = 30
 _ROUNDOFF = 64.0
+# the largest ladder envelope m whose m*m is a finite float: the ladder's only
+# stop other than settling
+_MAX_ENVELOPE = math.sqrt(sys.float_info.max)
 
 
 @dataclass(frozen=True)
 class LadderConfig:
-    """Truncation schedule: envelope indices base**k for k < max_level."""
+    """Truncation schedule: envelope indices base**k for k = 0, 1, 2, ..."""
 
     base: int = 2
-    max_level: int = 16
 
     def __post_init__(self):
-        for name, low in (("base", 2), ("max_level", 1)):
-            val = getattr(self, name)
-            if isinstance(val, bool) or not isinstance(val, numbers.Integral) or val < low:
-                raise ValueError(f"ladder {name} must be an integer >= {low}, got {val!r}")
+        base = self.base
+        if isinstance(base, bool) or not isinstance(base, numbers.Integral) or base < 2:
+            raise ValueError(f"ladder base must be an integer >= 2, got {base!r}")
 
     def schedule(self) -> list[int]:
-        return [self.base ** k for k in range(self.max_level)]
+        """The envelope indices up to ``_MAX_ENVELOPE``."""
+        out = [1]
+        while out[-1] * self.base <= _MAX_ENVELOPE:
+            out.append(out[-1] * self.base)
+        return out
 
 
 @dataclass
@@ -441,7 +447,9 @@ def solve_ladder(base: np.ndarray, gmat: np.ndarray | None, f: Nonlinearity, poi
     """Monotone truncation-ladder fixed point of u = base + gmat f(points, u).
 
     The continuum's solve and the graph's certificate (``solve`` with a
-    ``LadderConfig``).  f must be nonincreasing in y at
+    ``LadderConfig``).  The envelopes grow until successive iterates settle
+    on both loops (``converged``), or up to ``_MAX_ENVELOPE``, where the
+    last iterate is returned unconverged.  f must be nonincreasing in y at
     ``points``; the problem types check that when they are built, before
     any ``gmat`` is formed.  Zero absorption returns ``base.copy()`` with an
     empty trace and never reads ``gmat``, so a caller may pass None for it.
@@ -460,32 +468,35 @@ def solve_ladder(base: np.ndarray, gmat: np.ndarray | None, f: Nonlinearity, poi
     converged = False
     u = base
     prev_m = None
-    for m in schedule:
-        lo = -(m * m) / (1.0 + m)
-        prev_n = None
-        for n in schedule:
-            hi = (n * n) / (1.0 + n)
+    # f may overflow (e^y) where it is clipped, and its slope be inf - inf
+    # where it is masked: neither value is used
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in schedule:
+            lo = -(m * m) / (1.0 + m)
+            prev_n = None
+            for n in schedule:
+                hi = (n * n) / (1.0 + n)
 
-            def fnm(v, lo=lo, hi=hi):
-                return np.clip(f(points, v), lo, hi)
+                def fnm(v, lo=lo, hi=hi):
+                    return np.clip(f(points, v), lo, hi)
 
-            def dnm(v, lo=lo, hi=hi):
-                raw = f(points, v)
-                return np.where((raw > lo) & (raw < hi), f.derivative(points, v), 0.0)
+                def dnm(v, lo=lo, hi=hi):
+                    raw = f(points, v)
+                    return np.where((raw > lo) & (raw < hi), f.derivative(points, v), 0.0)
 
-            u, iters, res = _inner_solve(u, base, gmat, fnm, dnm, scale)
-            trace.append({"n": n, "m": m, "inner_iterations": iters, "residual": res})
-            if prev_n is not None:
-                up = min(up, float(np.min(u - prev_n, initial=0.0)))
-                if float(np.max(np.abs(u - prev_n))) < _OUTER_TOL:
+                u, iters, res = _inner_solve(u, base, gmat, fnm, dnm, scale)
+                trace.append({"n": n, "m": m, "inner_iterations": iters, "residual": res})
+                if prev_n is not None:
+                    up = min(up, float(np.min(u - prev_n, initial=0.0)))
+                    if float(np.max(np.abs(u - prev_n))) < _OUTER_TOL:
+                        break
+                prev_n = u
+            if prev_m is not None:
+                down = min(down, float(np.min(prev_m - u, initial=0.0)))
+                if float(np.max(np.abs(u - prev_m))) < _OUTER_TOL:
+                    converged = True
                     break
-            prev_n = u
-        if prev_m is not None:
-            down = min(down, float(np.min(prev_m - u, initial=0.0)))
-            if float(np.max(np.abs(u - prev_m))) < _OUTER_TOL:
-                converged = True
-                break
-        prev_m = u
+            prev_m = u
     return u, trace, {"converged": converged, "monotone_up_slack": up, "monotone_down_slack": down}
 
 
@@ -516,33 +527,6 @@ def _solve_graph(spec: ProblemSpec, ladder: LadderConfig | None) -> Solution:
     u[idx] = uD
     return Solution(u=u, residuals={"fixed_point": residual_probabilistic(u, spec)},
                     ladder_trace=trace, converged=meta["converged"], meta=meta)
-
-
-def solve_shifted(spec: ProblemSpec, h) -> Solution:
-    """Solve u = h + P_D g + R_D f(.,u) + R_D mu by shifting the absorption."""
-    h = np.asarray(h, dtype=float)
-    idx = spec.D
-
-    def fn(pts, y):
-        return spec.f(pts, h[pts] + y)
-
-    fh = Nonlinearity(fn=fn, name=f"{spec.f.name}+shift")
-    shifted = replace(spec, f=fh)
-    # same form, D, g and mu: hand over P_D g and R_D mu instead of recomputing
-    vars(shifted).update(pdg=spec.pdg, rdm=spec.rdm)
-    sol = solve(shifted)
-    u = sol.u.copy()
-    u[idx] += h[idx]
-    res = float(np.max(np.abs(
-        u[idx] - h[idx] - spec.pdg[idx] - green_density(spec, u)[idx] - spec.rdm[idx])))
-    sol.u = u
-    sol.residuals["shifted_fixed_point"] = res
-    return sol
-
-
-def green_density(spec: ProblemSpec, u) -> np.ndarray:
-    """R_D applied to the density f(., u) of the current iterate."""
-    return green_apply(spec.form, spec.D, _f_on_D(spec, u) * spec.form.m)
 
 
 def residual_probabilistic(u, spec: ProblemSpec) -> float:

@@ -102,33 +102,52 @@ def test_wos_suite_walks_three_times(tmp_path, monkeypatch, absorbing):
     res = json.loads((tmp_path / "out" / "mc.json").read_text())["results"]
     assert set(res) == {"wos_exit_chi2_pmin", "wos_mean_exit"} | (
         {"wos_fk_residual"} if absorbing else set())
-    prob, ladder = cli.load_problem(path)
+    prob, _ = cli.load_problem(path)
     k = prob.kernels
     exact = k.exit_coef * (1.0 - 0.3 ** 2) ** (k.alpha / 2.0)
     [mean] = cli.wos.wos_estimate(("mean_exit_time",), k, 0.3, n_paths=20000, seed=10)
     assert res["wos_mean_exit"] == cli._band(*mean, exact)
     if absorbing:
-        sol = cli.solve(prob, ladder)
+        sol = cli.solve(prob)
         [fk] = cli.wos.wos_estimate(("FK_residual",), k, 0.2, n_paths=20000, seed=11,
                                     g=prob.g, u_fn=cli.frac1d.continuum_callable(prob, sol),
                                     f=prob.f)
         assert res["wos_fk_residual"] == cli._band(*fk, 0.0)
 
 
-def test_spec_ladder_reaches_the_solver(tmp_path):
-    # one ladder level cannot meet the convergence test, so run returns 1
-    # and reports the solver unconverged; without the key the spec passes
-    obj = json.loads(_demo_graph_spec(tmp_path).read_text())
-    for ladder, status in ((None, 0), ({"max_level": 1}, 1)):
-        if ladder:
-            obj["ladder"] = ladder
-        spec = tmp_path / "ladder.json"
-        spec.write_text(json.dumps(obj))
+def test_spec_ladder_reaches_the_solver(tmp_path, monkeypatch):
+    # a run reports the solver's convergence: the continuum ladder settles,
+    # and when its largest envelope is 1, one level cannot meet the
+    # convergence test, so run returns 1 and reports the solver unconverged
+    spec = _small_frac_spec(tmp_path)
+    for status in (0, 1):
+        if status:
+            monkeypatch.setattr(semilinear, "_MAX_ENVELOPE", 1)
         out = tmp_path / f"out{status}"
         cfg = cli.RunConfig(spec_path=spec, out_dir=out, seed=1, suites=("verify",))
         assert cli.run(cfg) == status
         res = json.loads((out / "residuals.json").read_text())
         assert res["solver_converged"] is (status == 0)
+
+
+@pytest.mark.parametrize("alpha, nu, g, atoms", [
+    (1.5, {"plus": 0.2}, None, []),
+    (1.2, {"plus": 0.1}, 1.0, [[0.1, 0.5]]),
+    (1.3, {"plus": 0.1, "minus": 0.05}, 1.0, [[0.1, 0.5]]),
+], ids=["alpha1.5", "alpha1.2-atom", "alpha1.3-atom"])
+def test_boundary_measure_specs_pass(tmp_path, alpha, nu, g, atoms):
+    # |f(u)| exceeds 2**15 near +-1 on these cubic specs: the ladder settles
+    # only on larger envelopes, and a cap at 2**15 left them unconverged
+    obj = {"backend": "frac1d", "alpha": alpha, "nu": nu, "mu": {"atoms": atoms},
+           "f": {"kind": "power", "b": 1.0, "p": 3.0}}
+    if g is not None:
+        obj["g"] = {"kind": "const", "value": g}
+    spec = tmp_path / "nu.json"
+    spec.write_text(json.dumps(obj))
+    out = tmp_path / "out"
+    assert cli.main(["run", str(spec), "--out", str(out), "--suite", "verify",
+                     "--suite", "trace", "--suite", "estimates"]) == 0
+    assert json.loads((out / "residuals.json").read_text())["solver_converged"] is True
 
 
 def _bench_gen():
@@ -208,8 +227,8 @@ def _perturb_solution(monkeypatch, index, eps):
     """Make ``cli.run`` see the real solve's u with ``eps`` added at ``index``."""
     real_solve = cli.solve
 
-    def solve(problem, ladder):
-        sol = real_solve(problem, ladder)
+    def solve(problem):
+        sol = real_solve(problem)
         u = sol.u.copy()
         u[index] += eps
         sol.u = u
@@ -387,15 +406,17 @@ def test_suite_or_tol_of_another_backend_is_a_config_error(tmp_path, capsys):
 
 
 def test_unknown_ladder_key_is_a_config_error(tmp_path, capsys):
-    obj = json.loads(_demo_graph_spec(tmp_path).read_text())
-    obj["ladder"] = {"max_levle": 3}
-    spec = tmp_path / "ladder.json"
-    spec.write_text(json.dumps(obj))
-    out = tmp_path / "out"
-    assert cli.main(["run", str(spec), "--out", str(out), "--suite", "verify"]) == 2
-    printed = capsys.readouterr().out
-    assert printed.startswith("error:") and "max_levle" in printed
-    assert not out.exists()
+    # no spec key selects a solver: the ladder is reached from Python only
+    for backend, make_spec in (("graph", _demo_graph_spec), ("frac1d", _small_frac_spec)):
+        obj = json.loads(make_spec(tmp_path).read_text())
+        obj["ladder"] = {"base": 2}
+        spec = tmp_path / "ladder.json"
+        spec.write_text(json.dumps(obj))
+        out = tmp_path / "out"
+        assert cli.main(["run", str(spec), "--out", str(out), "--suite", "verify"]) == 2, backend
+        printed = capsys.readouterr().out
+        assert printed.startswith("error:") and "unknown spec keys: ['ladder']" in printed
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("suite", ["verify", "mc"])
@@ -443,17 +464,16 @@ def test_unknown_spec_keys_are_a_config_error(tmp_path, capsys, backend):
 def test_every_spec_key_is_read(tmp_path):
     # specs that carry every key the loader knows (nest and nest_levels in
     # two specs: they exclude each other), and those written by gen, load,
-    # and the keys reach the problem and the ladder
+    # and the keys reach the problem; a ladder object is not a spec key
     frac = {"schema": 1, "backend": "frac1d", "alpha": 1.0,
             "g": {"kind": "power_singular", "p": 0.2, "coef": 1.0},
             "mu": {"atoms": [[0.0, 1.0]]}, "nu": {"plus": 1.0, "minus": 0.0},
             "f": {"kind": "exp", "b": 1.0}, "nest": [0.5, 0.75],
-            "grid": {"order": 6, "n_base": 4, "edge_levels": 10, "out_levels": 6},
-            "ladder": {"base": 3, "max_level": 8}}
+            "grid": {"order": 6, "n_base": 4, "edge_levels": 10, "out_levels": 6}}
     frac_levels = {key: value for key, value in frac.items() if key != "nest"}
     frac_levels["nest_levels"] = 2
     graph = json.loads(_demo_graph_spec(tmp_path).read_text())
-    graph.update(nest=[[1], [1, 2]], ladder={"max_level": 8},
+    graph.update(nest=[[1], [1, 2]],
                  f={"kind": "custom-table", "y": [-1.0, 1.0], "values": [1.0, -1.0]})
     paths = cli.generate_random_suite(3, 1, tmp_path / "gen")
     loaded = []
@@ -461,22 +481,26 @@ def test_every_spec_key_is_read(tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(obj))
         loaded.append(cli.load_problem(spec))
-    (prob, ladder), (graph_prob, graph_ladder), (levels_prob, _) = loaded[:3]
-    assert ladder == cli.LadderConfig(base=3, max_level=8)
+    (prob, backend), (graph_prob, graph_backend), (levels_prob, _) = loaded[:3]
+    assert (backend, graph_backend) == ("frac1d", "graph")
     assert prob.mu_atoms == ((0.0, 1.0),) and prob.nu_plus == 1.0
     assert prob.nest == (0.5, 0.75) and prob.grid.order == 6
     assert levels_prob.nest == cli.frac1d.default_nest(2)
-    assert graph_ladder.max_level == 8 and graph_prob.f.name == "table"
-    # no ladder object: the graph is solved by Newton, the continuum by the default ladder
-    assert all(ladder is None for _, ladder in loaded[3:])
+    assert graph_prob.f.name == "table"
+    assert all(backend == "graph" for _, backend in loaded[3:])
+    for obj in (frac, graph):
+        obj["ladder"] = {"base": 3}
+        spec.write_text(json.dumps(obj))
+        with pytest.raises(ValueError, match=r"unknown spec keys: \['ladder'\]"):
+            cli.load_problem(spec)
 
 
 # (backend, dotted key, value): a misspelt form key, sub-objects that are not
 # JSON objects, atoms that are not pairs, retired keys, a list (key None) in
-# place of the whole spec, ladder settings out of range, state indices that
-# are not integers or not states, graph data that are not finite numbers (a
-# numeric string or a bool in form.J included), and continuum nests
-# that are not radii in (0, 1) or have no level, continuum numbers that are
+# place of the whole spec, a ladder object (not a spec key, whatever it holds),
+# state indices that are not integers or not states, graph data that are not
+# finite numbers (a numeric string or a bool in form.J included), and continuum
+# nests that are not radii in (0, 1) or have no level, continuum numbers that are
 # not finite numbers and counts that are not integers >= 1 (bools are neither),
 # a table that is not numbers, and keys left out
 @pytest.mark.parametrize("backend, key, value, name", [
@@ -489,10 +513,10 @@ def test_every_spec_key_is_read(tmp_path):
     ("frac1d", "mu", [[0.0, 1.0]], "'mu'"),
     ("frac1d", "mu.atoms", [1, 2], "'mu.atoms'"),
     ("graph", None, None, "JSON object"),
-    ("graph", "ladder.max_level", "x", "max_level"),
-    ("graph", "ladder.base", 0, "base"),
-    ("graph", "ladder.theta0", 0.5, "unknown spec keys: ['ladder.theta0']"),
-    ("graph", "ladder.start", "zero", "unknown spec keys: ['ladder.start']"),
+    ("graph", "ladder.max_level", "x", "unknown spec keys: ['ladder']"),
+    ("graph", "ladder.base", 0, "unknown spec keys: ['ladder']"),
+    ("graph", "ladder.theta0", 0.5, "unknown spec keys: ['ladder']"),
+    ("graph", "ladder.start", "zero", "unknown spec keys: ['ladder']"),
     ("graph", "g", {"kind": "const"}, "'g'"),
     ("graph", "D", 1.5, "'D'"),
     ("graph", "D", [1.7, 2.2], "'D'"),
@@ -775,8 +799,8 @@ def test_trace_contract_measures_the_boundary_measure(tmp_path, monkeypatch, alp
     path.write_text(json.dumps(obj))
     cfg = cli.RunConfig(spec_path=path, out_dir=tmp_path / "out", suites=("trace",))
     assert cli.run(cfg) == 0
-    prob, ladder = cli.load_problem(path)
-    sol = cli.solve(prob, ladder)
+    prob, _ = cli.load_problem(path)
+    sol = cli.solve(prob)
     real = cli.frac1d.martin_kernel
     monkeypatch.setattr(cli.frac1d, "martin_kernel", lambda *args: 1.01 * real(*args))
     assert not cli._suite_trace_frac(cfg, prob, sol, tmp_path)["trace_extrapolated"]["pass"]

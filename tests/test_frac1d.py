@@ -6,7 +6,7 @@ import pytest
 from scipy.special import beta as beta_fn
 
 from dirichlet_lab import frac1d as f1
-from dirichlet_lab.semilinear import power_nonlinearity, zero_nonlinearity
+from dirichlet_lab.semilinear import exp_nonlinearity, power_nonlinearity, zero_nonlinearity
 
 ALPHAS = (0.5, 1.0, 1.5)
 
@@ -526,6 +526,31 @@ def test_solve_continuum_cubic(packs):
     assert np.all(sol.u > 0.0) and np.all(sol.u < 1.0)
     # symmetric data give a symmetric solution on the symmetric grid
     assert np.max(np.abs(sol.u - sol.u[::-1])) < 1e-9
+
+
+@pytest.mark.parametrize("f, g", [
+    (power_nonlinearity(1.0, 3.0), 30.0),
+    (power_nonlinearity(1.0, 3.0), 100.0),
+    (exp_nonlinearity(1.0), 100.0),
+], ids=["cubic-g30", "cubic-g100", "exp-g100"])
+def test_solve_continuum_at_large_exterior_data(f, g):
+    # alpha = 1.2: the envelopes grow until the iterates settle (2**16 to
+    # 2**41 here); a cap at 2**15 left all three unconverged, at fixed-point
+    # defects of 1.4e-14, 88 and 3.8e36; 1e-6 is the run's contract
+    prob = f1.ContinuumProblem(kernels=f1.build_kernels(1.2), grid=f1.build_grid(1.2),
+                               g=f1.const_exterior(g), f=f)
+    sol = f1.solve_continuum(prob)
+    assert sol.converged and sol.residuals["fixed_point"] < 1e-6
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_ladder_clips_an_overflowing_absorption_without_warnings():
+    # e^y overflows where the envelopes clip it, and its central-difference
+    # slope reads inf - inf where they mask it; neither value is used
+    prob = f1.ContinuumProblem(kernels=f1.build_kernels(1.5), grid=f1.build_grid(1.5),
+                               g=f1.const_exterior(1e4), f=exp_nonlinearity(1.0))
+    sol = f1.solve_continuum(prob)
+    assert sol.converged and sol.residuals["fixed_point"] < 1e-6
 
 
 def test_continuum_problem_refuses_kernels_of_another_alpha(packs):

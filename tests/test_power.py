@@ -56,7 +56,7 @@ def _graph_spec(absorbing: bool) -> dict:
 
 SPECS = {
     "graph": _graph_spec(True),
-    "graph_ladder": {**_graph_spec(True), "ladder": {"base": 2}},
+    "graph_ladder": _graph_spec(True),  # solved by the ladder, from Python (run_mutation)
     "graph_vd": _graph_spec(False),
     "frac": {"backend": "frac1d", "alpha": 1.0, "g": {"kind": "const", "value": 1.0},
              "f": {"kind": "power", "b": 1.0, "p": 3.0},
@@ -71,8 +71,8 @@ def _after_solve(mp, change):
     """``cli.run`` sees the solved u as ``change(problem, u)`` leaves it."""
     real = cli.solve
 
-    def solve(problem, ladder):
-        sol = real(problem, ladder)
+    def solve(problem):
+        sol = real(problem)
         sol.u = sol.u.copy()
         change(problem, sol.u)
         return sol
@@ -83,17 +83,17 @@ def _after_solve(mp, change):
 def _inside_solve(mp, mutate):
     """The solve reads the problem ``mutate(problem)``; the checks read the real one."""
     real = cli.solve
-    mp.setattr(cli, "solve", lambda problem, ladder: real(mutate(problem), ladder))
+    mp.setattr(cli, "solve", lambda problem: real(mutate(problem)))
 
 
 def _during_solve(mp, module, name, wrap):
     """``module.name`` is ``wrap(original)`` while the solve runs, and only then."""
     real, original = cli.solve, getattr(module, name)
 
-    def solve(problem, ladder):
+    def solve(problem):
         with pytest.MonkeyPatch.context() as inner:
             inner.setattr(module, name, wrap(original))
-            return real(problem, ladder)
+            return real(problem)
 
     mp.setattr(cli, "solve", solve)
 
@@ -160,11 +160,11 @@ def _energy_column_in_solve(mp):
         A[:, D[0]] *= 1.001
         return A
 
-    def solve(problem, ladder):
+    def solve(problem):
         problem.pdg, problem.rdm
         with pytest.MonkeyPatch.context() as inner:
             inner.setattr(DiscreteForm, "energy_matrix", energy_matrix)
-            return real(problem, ladder)
+            return real(problem)
 
     mp.setattr(cli, "solve", solve)
 
@@ -356,6 +356,9 @@ def run_mutation(name, tmp_path, monkeypatch) -> dict:
     mutation = MUTATIONS[name]
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(SPECS[mutation.spec]))
+    if mutation.spec == "graph_ladder":
+        real = cli.solve
+        monkeypatch.setattr(cli, "solve", lambda problem: real(problem, semilinear.LadderConfig()))
     mutation.apply(monkeypatch)
     cfg = cli.RunConfig(spec_path=spec, out_dir=tmp_path / "out", suites=mutation.suites,
                         seed=SEED, paths=PATHS)
@@ -392,7 +395,6 @@ def test_table_covers_every_key(tmp_path, monkeypatch):
 def test_graph_spec_newton_matches_its_ladder(tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(SPECS["graph"]))
-    problem, ladder = cli.load_problem(spec)
-    assert ladder is None
+    problem, _ = cli.load_problem(spec)
     sol, ref = semilinear.solve(problem), semilinear.solve(problem, semilinear.LadderConfig())
     assert np.max(np.abs(sol.u - ref.u)) <= 1e-10 * np.max(np.abs(ref.u))

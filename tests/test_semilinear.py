@@ -8,7 +8,7 @@ from dirichlet_lab import (DiscreteForm, LadderConfig, Nonlinearity, ProblemSpec
                            apriori_report, compare, energy, exp_nonlinearity,
                            harmonic_extension, is_excessive,
                            power_nonlinearity,
-                           project, residual_probabilistic, solve, solve_shifted,
+                           project, residual_probabilistic, solve,
                            stability_gap, table_nonlinearity, vd_check, verify_projective,
                            very_weak_defect, zero_nonlinearity)
 from dirichlet_lab import frac1d, semilinear
@@ -376,13 +376,6 @@ def test_vd_check_forms_no_n_by_n_temporary():
         assert semilinear._vd_energy(form, spec.D, u, u) == pytest.approx(ref, rel=1e-12)
 
 
-def test_shifted_problem(k3):
-    spec = _cubic_spec(k3)
-    h = np.array([0.0, 0.4, -0.2])
-    sol = solve_shifted(spec, h)
-    assert sol.residuals["shifted_fixed_point"] < 1e-8
-
-
 def test_uniqueness_shuffled_ladders_and_clamp(k3):
     spec = ProblemSpec(form=k3, D=[1, 2], g=np.array([1.0, 0.0, 0.0]),
                        mu=np.array([0.0, 0.0, 0.5]),
@@ -438,14 +431,27 @@ def test_zero_absorption_forms_no_green_matrix(monkeypatch):
     assert calls == ["green_operator", "green_matrix"]
 
 
-def test_nonconvergence_returns_best_iterate(k3):
-    # a one-level ladder cannot certify stabilization: the solver must come
-    # back with its best iterate and a cleared convergence flag
+def test_nonconvergence_returns_best_iterate(k3, monkeypatch):
+    # a one-level ladder (largest envelope 1) cannot certify stabilization:
+    # the solver must come back with its best iterate and a cleared flag
+    monkeypatch.setattr(semilinear, "_MAX_ENVELOPE", 1)
     spec = _cubic_spec(k3)
-    sol = solve(spec, LadderConfig(max_level=1))
+    sol = solve(spec, LadderConfig())
     assert not sol.converged
     assert np.all(np.isfinite(sol.u))
     assert sol.ladder_trace
+
+
+def test_ladder_schedule_runs_to_the_largest_finite_envelope():
+    # base**k while the envelope m**2 / (1 + m) is a finite float; base is
+    # the only setting, and a base below 2 would never grow
+    for base, last in ((2, 2 ** 511), (3, 3 ** 323)):
+        schedule = LadderConfig(base).schedule()
+        assert schedule == [base ** k for k in range(len(schedule))] and schedule[-1] == last
+        assert np.isfinite(last * last / (1.0 + last))
+    for base in (1, 0, True, 2.0):
+        with pytest.raises(ValueError, match="ladder base must be an integer >= 2"):
+            LadderConfig(base)
 
 
 def test_table_nonlinearity_solves(k3):
@@ -514,14 +520,15 @@ def test_problem_spec_refuses(k3, change, message):
 
 @pytest.mark.parametrize("g", [1e2, 1e4, 1e6])
 def test_newton_converges_at_large_exterior_data(g):
-    # the ladder's stop on successive iterates ends g = 1e4 and 1e6 unconverged,
-    # at fixed-point defects of 9.3e8 and 1.8e18
+    # the ladder settles here too, on envelopes up to 2**60 at g = 1e6; a cap
+    # at 2**15 left g = 1e4 and 1e6 unconverged, at defects of 9.3e8 and 1.8e18
     form = random_form(np.random.default_rng(0), 40, 40)
     spec = ProblemSpec(form=form, D=np.arange(20), g=np.full(form.n, g), mu=np.zeros(form.n),
                        f=power_nonlinearity(1.0, 3.0))
-    sol = solve(spec)
-    assert sol.converged
+    sol, ref = solve(spec), solve(spec, LadderConfig())
+    assert sol.converged and ref.converged
     assert sol.residuals["fixed_point"] <= 1e-10 * np.max(np.abs(sol.u))
+    assert np.max(np.abs(sol.u - ref.u)) <= 1e-10 * np.max(np.abs(ref.u))
 
 
 def test_newton_agrees_with_the_ladder():
