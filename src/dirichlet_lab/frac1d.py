@@ -610,11 +610,22 @@ def _exit_average(kernels: FracKernels, radius: float, g, x: np.ndarray, rule,
     and ``_poisson_tail`` beyond.  R = None marks a rule with no end (an
     annulus inside |y| < 1), which has no tail.  ``gap`` is each node's
     |y| - radius as the rule built it.  The only sum of the exit density
-    against data; one (points, nodes) array of the density is formed."""
+    against data.  In the scaled points the density factors as
+    c (1 - x^2)^(alpha/2) sq^(-alpha/2) / |x - y|, with sq = y^2 - 1 formed
+    as gap * (2 + gap) (``FracKernels.poisson``), so the sum is one product
+    of the 1/|x - y| matrix with a vector over the nodes.  Points with
+    |x| >= radius get 0 from the rule."""
     y, w, R = rule
-    vals = (kernels.poisson(x[..., None] / radius, y / radius,
-                            None if gap is None else gap / radius)
-            * (w * g(y) / radius)).sum(axis=-1)
+    gap = np.abs(y / radius) - 1.0 if gap is None else gap / radius
+    weights = w * g(y) * (gap * (2.0 + gap)) ** (-kernels.alpha / 2.0) / radius
+    xr = x / radius
+    vals = np.zeros(xr.shape)
+    ok = np.abs(xr) < 1.0
+    xo = xr[ok]
+    inv = np.subtract.outer(xo, y / radius)
+    np.abs(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    vals[ok] = kernels.poisson_coef * (1.0 - xo ** 2) ** (kernels.alpha / 2.0) * (inv @ weights)
     return vals if R is None else vals + _poisson_tail(kernels, radius, x, g, R)
 
 

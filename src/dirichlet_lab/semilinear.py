@@ -8,8 +8,9 @@ a conjugate-gradient solve preconditioned by the cached Cholesky factor of
 A_DD.  The monotone truncation ladder is the paper's construction and the
 certificate: the absorption term is clipped between growing envelopes
 -m*rho_m and n*rho_n (rho_k = k/(1+k)), each bounded problem is solved by
-damped fixed-point iteration with a damped Newton fallback, and the envelopes
-grow until successive outer iterates stabilize.  It runs on the graph when a
+damped fixed-point iteration with a damped Newton fallback whose steps are
+GMRES on products with the Green matrix, and the envelopes grow until
+successive outer iterates stabilize.  It runs on the graph when a
 ``LadderConfig`` is given, and always on the continuum.  The exterior
 condition is imposed exactly: u is g outside D.
 
@@ -72,8 +73,20 @@ class Nonlinearity:
         return np.asarray(self.fn(np.asarray(points), np.asarray(y, dtype=float)), dtype=float)
 
     def derivative(self, points, y) -> np.ndarray:
-        """Central-difference slope in y (step 1e-6), clipped to be nonpositive."""
-        d = (self(points, np.asarray(y) + 1e-6) - self(points, np.asarray(y) - 1e-6)) / 2e-6
+        """Slope in y, clipped to be nonpositive: -p b |y|^(p-1) and -b e^y
+        for the power and exp kinds, read from ``params``; a central
+        difference (step 1e-6) for any other f, which above |y| ~ 1e9 is
+        below the spacing of y."""
+        params = dict(self.params)
+        kind = params.get("kind")
+        y = np.asarray(y, dtype=float)
+        if kind in ("power", "exp"):
+            b = np.asarray(params["b"], dtype=float)
+            b = b[np.asarray(points)] if b.ndim else b
+            d = (-params["p"] * b * np.abs(y) ** (params["p"] - 1.0) if kind == "power"
+                 else -b * np.exp(y))
+        else:
+            d = (self(points, y + 1e-6) - self(points, y - 1e-6)) / 2e-6
         return np.minimum(d, 0.0)
 
     def check_monotone(self, points) -> None:
@@ -214,6 +227,10 @@ class ProblemSpec:
 _OUTER_TOL = 1e-10
 _INNER_TOL = 1e-12
 _MAX_INNER = 300
+# a continuum Newton step by GMRES: its tolerance relative to ||r||_2 and its
+# iteration cap, past which the inner solve goes on by dense LU steps
+_KRYLOV_TOL = 1e-10
+_MAX_KRYLOV = 15
 # graph Newton: step cap, CG iterations of a step before the preconditioner
 # is replaced, and the round-off stop in units of eps times the scale of r
 _MAX_NEWTON = 100
@@ -308,9 +325,15 @@ def _inner_solve(u, base, gmat, fappl, fder, scale: float):
     """Solve u = base + gmat f(u) for one bounded truncation level.
 
     Damped fixed-point sweeps from step 1, the step adapted to the residual;
-    if progress stalls, switch to ``_damped_newton`` in the max norm.  The
-    limit is unique, so only robustness matters here.  No array is written
-    in place: the starting ``u`` may be returned as is.
+    if progress stalls, switch to ``_damped_newton`` in the max norm.  Each
+    Newton step solves (I - gmat diag(f'(u))) s = r by ``_gmres``, from
+    products with gmat alone; a step whose GMRES misses its tolerance in
+    ``_MAX_KRYLOV`` iterations is an LU solve of that matrix, and so is
+    every later step of this call.  The limit is unique, so only robustness
+    matters here.  No array is written in place: the starting ``u`` may be
+    returned as is.  Returns (u, row): the row holds ``inner_iterations``
+    (sweeps plus Newton steps), the max-norm ``residual``, and the
+    ``krylov_iterations`` and ``dense_steps`` of the Newton steps.
     """
     tol = _INNER_TOL * scale
 
@@ -334,10 +357,20 @@ def _inner_solve(u, base, gmat, fappl, fder, scale: float):
         else:
             theta *= 0.5
             slow += 1
+    row = {"krylov_iterations": 0, "dense_steps": 0}
     if rn > tol and iters < _MAX_INNER:
 
         def direction(v, res):
-            jac = np.eye(v.size) - gmat * fder(v)[None, :]
+            d = fder(v)
+            if not row["dense_steps"]:
+                s, its, met = _gmres(lambda p: p - gmat @ (d * p), res,
+                                     _KRYLOV_TOL * float(np.linalg.norm(res)), _MAX_KRYLOV)
+                row["krylov_iterations"] += its
+                if met:
+                    return s, {}
+            row["dense_steps"] += 1
+            jac = gmat * -d
+            jac.flat[::v.size + 1] += 1.0
             return np.linalg.solve(jac, res), {}
 
         u, r, rows, _ = _damped_newton(u, r, residual, direction,
@@ -345,7 +378,47 @@ def _inner_solve(u, base, gmat, fappl, fder, scale: float):
                                        _MAX_INNER - iters, _max_abs)
         iters += len(rows)
         rn = _max_abs(r)
-    return u, iters, rn
+    return u, {"inner_iterations": iters, "residual": rn, **row}
+
+
+def _gmres(matvec, b, tol: float, cap: int):
+    """Unrestarted GMRES for matvec(x) = b from x = 0 (Saad and Schultz,
+    SIAM J. Sci. Stat. Comput. 7, 1986), until ||b - matvec(x)||_2 <= tol
+    or ``cap`` iterations.  The Arnoldi basis is orthogonalized by classical
+    Gram-Schmidt done twice, and the Hessenberg matrix is kept triangular by
+    Givens rotations, whose last sine tracks the residual norm.  Returns
+    (x, iterations, whether tol was met)."""
+    beta = float(np.linalg.norm(b))
+    if beta <= tol:
+        return np.zeros_like(b), 0, True
+    V = np.empty((cap + 1, b.size))
+    H = np.zeros((cap, cap))  # the rotated Hessenberg matrix: upper triangular
+    cs, sn = np.zeros(cap), np.zeros(cap)
+    e = np.zeros(cap + 1)
+    e[0] = beta
+    V[0] = b / beta
+    met = False
+    for k in range(1, cap + 1):
+        j = k - 1
+        w = matvec(V[j])
+        for _ in range(2):
+            h = V[:k] @ w
+            w -= h @ V[:k]
+            H[:k, j] += h
+        below = float(np.linalg.norm(w))
+        for i in range(j):
+            H[i, j], H[i + 1, j] = (cs[i] * H[i, j] + sn[i] * H[i + 1, j],
+                                    cs[i] * H[i + 1, j] - sn[i] * H[i, j])
+        rho = math.hypot(H[j, j], below)
+        cs[j], sn[j] = H[j, j] / rho, below / rho
+        H[j, j] = rho
+        e[j], e[k] = cs[j] * e[j], -sn[j] * e[j]
+        met = abs(e[k]) <= tol  # met at a breakdown (below = 0), where x is exact
+        if met:
+            break
+        V[k] = w / below
+    y = np.linalg.solve(H[:k, :k], e[:k])
+    return y @ V[:k], k, met
 
 
 def _pcg(hess, b, precond, tol: float, cap: int):
@@ -448,11 +521,14 @@ def solve_ladder(base: np.ndarray, gmat: np.ndarray | None, f: Nonlinearity, poi
 
     The continuum's solve and the graph's certificate (``solve`` with a
     ``LadderConfig``).  The envelopes grow until successive iterates settle
-    on both loops (``converged``), or up to ``_MAX_ENVELOPE``, where the
-    last iterate is returned unconverged.  f must be nonincreasing in y at
-    ``points``; the problem types check that when they are built, before
-    any ``gmat`` is formed.  Zero absorption returns ``base.copy()`` with an
-    empty trace and never reads ``gmat``, so a caller may pass None for it.
+    on both loops, or up to ``_MAX_ENVELOPE``, where the last iterate is
+    returned unconverged; ``converged`` also needs the settling level's
+    inner solve to have met its tolerance.  Each level's trace row is the
+    row of ``_inner_solve`` with its envelope indices ``n`` and ``m``.  f
+    must be nonincreasing in y at ``points``; the problem types check that
+    when they are built, before any ``gmat`` is formed.  Zero absorption
+    returns ``base.copy()`` with an empty trace and never reads ``gmat``, so
+    a caller may pass None for it.
     Returns (u, trace, meta); ``meta`` holds ``converged`` and the worst
     violations of the ladder ordering, nondecreasing in the upper envelope
     index (``monotone_up_slack``) and nonincreasing in the lower one
@@ -468,8 +544,8 @@ def solve_ladder(base: np.ndarray, gmat: np.ndarray | None, f: Nonlinearity, poi
     converged = False
     u = base
     prev_m = None
-    # f may overflow (e^y) where it is clipped, and its slope be inf - inf
-    # where it is masked: neither value is used
+    # f and its slope may overflow (e^y) where they are clipped or masked, and
+    # a central-difference slope read inf - inf there: no such value is used
     with np.errstate(over="ignore", invalid="ignore"):
         for m in schedule:
             lo = -(m * m) / (1.0 + m)
@@ -484,8 +560,8 @@ def solve_ladder(base: np.ndarray, gmat: np.ndarray | None, f: Nonlinearity, poi
                     raw = f(points, v)
                     return np.where((raw > lo) & (raw < hi), f.derivative(points, v), 0.0)
 
-                u, iters, res = _inner_solve(u, base, gmat, fnm, dnm, scale)
-                trace.append({"n": n, "m": m, "inner_iterations": iters, "residual": res})
+                u, row = _inner_solve(u, base, gmat, fnm, dnm, scale)
+                trace.append({"n": n, "m": m, **row})
                 if prev_n is not None:
                     up = min(up, float(np.min(u - prev_n, initial=0.0)))
                     if float(np.max(np.abs(u - prev_n))) < _OUTER_TOL:
@@ -494,7 +570,8 @@ def solve_ladder(base: np.ndarray, gmat: np.ndarray | None, f: Nonlinearity, poi
             if prev_m is not None:
                 down = min(down, float(np.min(prev_m - u, initial=0.0)))
                 if float(np.max(np.abs(u - prev_m))) < _OUTER_TOL:
-                    converged = True
+                    # settled iterates of a stalled inner solve are no solution
+                    converged = row["residual"] <= _INNER_TOL * scale
                     break
             prev_m = u
     return u, trace, {"converged": converged, "monotone_up_slack": up, "monotone_down_slack": down}

@@ -23,8 +23,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .frac1d import (ExteriorData, FracKernels, _exterior_rule, _gj, _graded_breaks, _green_rule,
-                     _poisson_tail, _TABLE_FIT, _table_eval, _table_fit)
+from .frac1d import (ExteriorData, FracKernels, _exit_average, _exterior_rule, _gj, _graded_breaks,
+                     _green_rule, _TABLE_FIT, _table_eval, _table_fit)
 from .rng import CHUNK, check_estimate_args, chisquare, live_segments, mean_and_stderr, substream
 
 __all__ = [
@@ -347,11 +347,9 @@ def _exit_cells(kernels: FracKernels, x: float):
 
     A mass is the exit average (``frac1d._exit_average``) of the cell's
     indicator, all on one exterior rule whose breaks include every cell edge,
-    so each panel lies in one cell: the density times the weights is formed
-    once, and each cell sums it where its indicator is 1, in the bits of the
-    exit average.  The indicator of a finite cell is 0 at the rule's end, so
-    it has no tail; that of an outer cell is one-sided, with tail exponent 0,
-    so its tail is the analytic one.
+    so each panel lies in one cell.  The indicator of a finite cell is 0 at
+    the rule's end, so it has no tail; that of an outer cell is one-sided,
+    with tail exponent 0, so its tail is the analytic one.
     """
     right = list(zip(_CELL_EDGES, _CELL_EDGES[1:] + (np.inf,)))
     cells = right + [(-hi, -lo) for lo, hi in right]
@@ -359,14 +357,11 @@ def _exit_cells(kernels: FracKernels, x: float):
     # doubling from 8 to 2^11
     breaks = np.concatenate([_graded_breaks(1.0, _CELL_EDGES[1], 28, True)[:-1],
                              _CELL_EDGES[1:], 2.0 ** np.arange(3, 12)])
-    y, w, R = _exterior_rule(breaks, 14, -kernels.alpha / 2.0)
+    rule = _exterior_rule(breaks, 14, -kernels.alpha / 2.0)
     xs = np.array([float(x)])
-    inside = np.array([_in_cell(y, lo, hi) for lo, hi in cells])
-    masses = np.where(inside, kernels.poisson(xs[:, None], y) * w, 0.0).sum(axis=-1)
-    for i, (lo, hi) in enumerate(cells):
-        if np.isinf(lo) or np.isinf(hi):
-            data = ExteriorData(fn=lambda y, lo=lo, hi=hi: _in_cell(y, lo, hi).astype(float))
-            masses[i] += _poisson_tail(kernels, 1.0, xs, data, R)[0]
+    masses = np.array([_exit_average(kernels, 1.0, ExteriorData(
+        fn=lambda y, lo=lo, hi=hi: _in_cell(y, lo, hi).astype(float)), xs, rule)[0]
+        for lo, hi in cells])
     return cells, masses
 
 

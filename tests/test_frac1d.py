@@ -164,8 +164,9 @@ def _tail_sum(k, x, g, R):
 
 
 def test_apply_pd_is_the_inline_exterior_sum(packs):
-    # the sum apply_PD made before _exit_average, bit for bit at the nodes;
-    # the singular datum gets the rule with its edge power added
+    # the sum apply_PD made before _exit_average, at the nodes to 1e-14
+    # relative: the exit density is summed in separable form since, so the
+    # bits differ; the singular datum gets the rule with its edge power added
     for a in ALPHAS:
         k, grid = packs[a]
         x = grid.interior_x
@@ -179,7 +180,39 @@ def test_apply_pd_is_the_inline_exterior_sum(packs):
             else:
                 ext_x, ext_w, R = grid.exterior_x, grid.exterior_w, grid.radius
             vals = (k.poisson(x[:, None], ext_x[None, :]) * (ext_w * g(ext_x))[None, :]).sum(axis=1)
-            assert np.array_equal(f1.apply_PD(k, grid, g), vals + _tail_sum(k, x, g, R))
+            ref = vals + _tail_sum(k, x, g, R)
+            assert np.max(np.abs(f1.apply_PD(k, grid, g) / ref - 1.0)) <= 1e-14
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_exit_average_is_the_pointwise_poisson_sum(packs):
+    # one matrix-vector product of 1/|x - y| with per-node factors against
+    # FracKernels.poisson pair by pair, without the tail: the exterior rules
+    # of const and singular data, and the annulus rule (nodes from their gap)
+    # over the nest's radii; points at or beyond the radius get 0
+    probes = np.array([0.0, 0.3, -0.6, 0.9])
+    for a in ALPHAS:
+        k, grid = packs[a]
+        x = grid.interior_x
+        for g in (f1.const_exterior(1.5), f1.power_singular_exterior(0.2)):
+            y, w, _ = f1._exterior_rule(f1._exterior_breaks(grid.edge_levels, grid.out_levels),
+                                        grid.order, -a / 2.0 + g.edge_exponent)
+            ref = (k.poisson(x[:, None], y) * (w * g(y))).sum(axis=1)
+            got = f1._exit_average(k, 1.0, g, x, (y, w, None))
+            assert np.max(np.abs(got / ref - 1.0)) <= 1e-14
+            edge = f1._exit_average(k, 1.0, g, np.array([1.0, -1.0, 1.5, -1.5]), (y, w, None))
+            assert np.array_equal(edge, np.zeros(4))
+        s, ws = f1._annulus_ref(-a / 2.0, 0.0)
+        for radius in (0.5, 0.9, 1.0 - 2.0 ** -12):
+            gap = (1.0 - radius) * s
+            y, w = np.concatenate([radius + gap, -(radius + gap)]), np.tile((1.0 - radius) * ws, 2)
+            gaps = np.tile(gap, 2)
+            ref = (k.poisson(probes[:, None] / radius, y / radius, gaps / radius)
+                   * (w * np.cos(y) / radius)).sum(axis=1)
+            got = f1.apply_PV_interval(k, radius, np.cos, probes)
+            inside = np.abs(probes) < radius
+            assert np.max(np.abs(got[inside] / ref[inside] - 1.0)) <= 1e-14
+            assert np.array_equal(got[~inside], np.zeros(np.sum(~inside)))
 
 
 def test_apply_pd_divergent_edge_rejected(packs):

@@ -1,9 +1,11 @@
 """Import hygiene of the package: exported names resolve, every module-level
-import is used, and imports inside functions are kept to the one that breaks
-the ``semilinear`` / ``frac1d`` import cycle."""
+import is used, imports inside functions are kept to the one that breaks
+the ``semilinear`` / ``frac1d`` import cycle, and the package needs nothing
+but numpy and the standard library."""
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -54,3 +56,17 @@ def test_the_only_function_level_import_breaks_the_cycle():
                 found += [(path.stem, fn.name, alias.name) for node in ast.walk(fn)
                           if isinstance(node, ast.Import) for alias in node.names]
     assert found == [("semilinear", "solve", "frac1d")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_imports_only_numpy_and_the_standard_library(path):
+    # numpy is the one runtime dependency in pyproject.toml; scipy is for the
+    # tests only, so no module may reach for it, even inside a function
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    found = set()
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+    assert not sorted(found - allowed)

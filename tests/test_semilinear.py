@@ -573,3 +573,104 @@ def test_newton_converges_for_exponential_absorption_far_from_the_solution(g):
     sol = solve(spec)
     assert sol.converged
     assert sol.residuals["fixed_point"] <= 1e-10 * np.max(np.abs(sol.u))
+
+
+def test_analytic_slope_of_power_and_exp():
+    # -p b |y|^(p-1) and -b e^y from params; above |y| ~ 1e9 the old central
+    # difference (step 1e-6) read 0.96x, 1.88x and 0 of the cubic's slope
+    y = np.array([1e9, 1e10, 1e12, -1e12, -2.5, 0.0, 0.7])
+    cubic = power_nonlinearity(1.0, 3.0)
+    exact = -3.0 * y * y
+    np.testing.assert_allclose(cubic.derivative(0.0, y), exact, rtol=1e-15, atol=0.0)
+    central = Nonlinearity(fn=cubic.fn).derivative(0.0, y[:3])
+    assert abs(central[1] / exact[1] - 1.0) > 0.5 and central[2] == 0.0
+    b = np.array([0.5, 2.0, 0.0, 1.5])
+    pts = np.array([3, 1, 0])
+    yy = np.array([-4.0, 0.3, 9.0])
+    np.testing.assert_allclose(power_nonlinearity(b, 1.5).derivative(pts, yy),
+                               -1.5 * b[pts] * np.sqrt(np.abs(yy)), rtol=1e-15)
+    np.testing.assert_allclose(exp_nonlinearity(b).derivative(pts, yy),
+                               -b[pts] * np.exp(yy), rtol=1e-15)
+    np.testing.assert_array_equal(power_nonlinearity(2.0, 1.0).derivative(0.0, y), -2.0)
+    # a table keeps the central difference: its slope between breakpoints
+    table = table_nonlinearity([-1.0, 0.0, 2.0], [1.0, 0.0, -4.0])
+    np.testing.assert_allclose(table.derivative(0, np.array([-0.5, 1.0])), [-1.0, -2.0],
+                               rtol=1e-6)
+
+
+def test_gmres_meets_its_tolerance_on_identity_plus_compact():
+    # I + K with K of rapidly decaying singular values: GMRES converges
+    # superlinearly, well inside the 15 iterations a Newton step may take
+    rng = np.random.default_rng(3)
+    n = 200
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    P, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    A = np.eye(n) + (Q * 2.0 ** -np.arange(n)) @ P.T
+    b = rng.standard_normal(n)
+    for tol in (1e-6, 1e-10, 1e-13):
+        x, its, met = semilinear._gmres(lambda p: A @ p, b, tol * np.linalg.norm(b), 40)
+        assert met and its <= 10
+        assert np.linalg.norm(b - A @ x) <= 1.01 * tol * np.linalg.norm(b)
+    x, its, met = semilinear._gmres(lambda p: A @ p, b, 1e-13 * np.linalg.norm(b), 3)
+    assert its == 3 and not met
+    x, its, met = semilinear._gmres(lambda p: A @ p, np.zeros(n), 0.0, 5)
+    assert met and its == 0 and not x.any()
+
+
+def _continuum_cubic(alpha, g=1.0, b=1.0):
+    return frac1d.ContinuumProblem(kernels=frac1d.build_kernels(alpha),
+                                   grid=frac1d.build_grid(alpha),
+                                   g=frac1d.const_exterior(g), f=power_nonlinearity(b, 3.0))
+
+
+def test_ladder_without_inner_convergence_is_not_converged(monkeypatch):
+    # inner solves that stall above their tolerance leave the iterates equal,
+    # which the settle rule alone took for convergence
+    prob = _continuum_cubic(1.2)
+    assert frac1d.solve_continuum(prob).converged
+    monkeypatch.setattr(semilinear, "_inner_solve", lambda u, *args: (u, {
+        "inner_iterations": 0, "residual": 1.0, "krylov_iterations": 0, "dense_steps": 0}))
+    sol = frac1d.solve_continuum(prob)
+    assert not sol.converged and sol.residuals["fixed_point"] > 0.1
+
+
+@pytest.mark.parametrize("alpha", [0.6, 1.2, 1.4])
+def test_ladder_newton_steps_by_gmres_match_dense_steps(alpha, monkeypatch):
+    # every Newton step of the cubic ladder meets its GMRES tolerance, and the
+    # ladder matches the one whose every step is a dense LU solve; g and b at
+    # the top of the benchmark's ranges, where the sweeps stall into Newton
+    prob = _continuum_cubic(alpha, g=1.5, b=2.0)
+    sol = frac1d.solve_continuum(prob)
+    assert sol.converged
+    assert sum(row["krylov_iterations"] for row in sol.ladder_trace) > 0
+    assert sum(row["dense_steps"] for row in sol.ladder_trace) == 0
+    for row in sol.ladder_trace:
+        assert all(type(v) in (int, float) for v in row.values()), row
+    monkeypatch.setattr(semilinear, "_gmres", lambda matvec, b, tol, cap: (b, 0, False))
+    ref = frac1d.solve_continuum(prob)
+    assert ref.converged and sum(row["dense_steps"] for row in ref.ladder_trace) > 0
+    assert np.max(np.abs(sol.u - ref.u)) <= 1e-12 * np.max(np.abs(ref.u))
+
+
+def test_a_missed_krylov_step_makes_the_inner_solve_dense(monkeypatch):
+    # with the cap at 1 no step meets the GMRES tolerance: each Newton step
+    # is an LU solve, the rest of its inner solve stays dense, and the ladder
+    # lands where GMRES steps take it
+    prob = _continuum_cubic(1.2, g=1.5, b=2.0)
+    sol = frac1d.solve_continuum(prob)
+    calls, real = [], semilinear._gmres
+
+    def counted(*args):
+        out = real(*args)
+        calls.append(out[2])
+        return out
+
+    monkeypatch.setattr(semilinear, "_MAX_KRYLOV", 1)
+    monkeypatch.setattr(semilinear, "_gmres", counted)
+    dense = frac1d.solve_continuum(prob)
+    assert dense.converged and calls and not any(calls)
+    newton_levels = [row for row in dense.ladder_trace if row["dense_steps"]]
+    assert len(calls) == len(newton_levels) == sum(row["krylov_iterations"]
+                                                    for row in dense.ladder_trace)
+    assert sum(row["dense_steps"] for row in dense.ladder_trace) > len(calls)
+    assert np.max(np.abs(sol.u - dense.u)) <= 1e-12 * np.max(np.abs(sol.u))
