@@ -554,8 +554,11 @@ def _checked(cfg, backend, key, value) -> dict:
 
 
 def _band(est, se, exact) -> dict:
-    """Monte Carlo agreement: ``|est - exact|`` within three standard errors."""
-    return _entry(abs(est - exact), max(3.0 * se, 1e-9), "band")
+    """Monte Carlo agreement: ``|est - exact|`` within three standard errors,
+    and at least 1e-9.  A standard error that is not finite leaves the band
+    at 1e-9, so an estimate that is not finite fails against a finite one."""
+    band = 3.0 * se
+    return _entry(abs(est - exact), band if 1e-9 < band < math.inf else 1e-9, "band")
 
 
 def _suite_verify_graph(cfg, spec, sol, outdir):

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
 
-from .semilinear import LadderConfig, Nonlinearity, Solution, solve_ladder
+from .semilinear import LadderConfig, Nonlinearity, Solution, _newton_fixed_point, solve_ladder
 
 __all__ = [
     "ContinuumProblem",
@@ -630,7 +630,8 @@ def _exit_average(kernels: FracKernels, radius: float, g, x: np.ndarray, rule,
 
 
 def apply_PD(kernels: FracKernels, grid: QuadGrid, g: ExteriorData, x=None) -> np.ndarray:
-    """Exit average of the exterior datum g at interior points.
+    """P_D g at the points x: the exit average of the exterior datum g inside
+    (-1, 1), and g itself at |x| >= 1, as ``continuum_callable`` reads u.
 
     Divergence of the exit average (the finiteness hypothesis on g failing)
     is detected through the declared tail power and through non-decaying
@@ -640,7 +641,11 @@ def apply_PD(kernels: FracKernels, grid: QuadGrid, g: ExteriorData, x=None) -> n
     rule = _exterior_rule(_exterior_breaks(grid.edge_levels, grid.out_levels), grid.order,
                           -kernels.alpha / 2.0 + g.edge_exponent)
     _check_outward_decay(kernels, g, rule[2])
-    return _exit_average(kernels, 1.0, g, x, rule)
+    inside = np.abs(x) < 1.0
+    out = np.empty(x.shape)
+    out[inside] = _exit_average(kernels, 1.0, g, x[inside], rule)
+    out[~inside] = g(x[~inside])
+    return out
 
 
 def _check_outward_decay(kernels: FracKernels, g: ExteriorData, radius: float) -> None:
@@ -935,8 +940,9 @@ def _check_absorption_integrable(prob: ContinuumProblem) -> None:
 
 def solve_continuum(prob: ContinuumProblem, ladder: LadderConfig | None = None) -> Solution:
     """Solve u = martin part + exit average of g + Green terms on the grid's
-    interior nodes by ``solve_ladder``; the Green matrix W is formed only for
-    nonzero absorption."""
+    interior nodes: by Newton on the fixed point u = base + W f(u) from the
+    base, or by ``solve_ladder`` when ``ladder`` is given.  The Green matrix
+    W is formed only for nonzero absorption."""
     kern, grid = prob.kernels, prob.grid
     nodes = grid.interior_x
     base = apply_PD(kern, grid, prob.g, x=nodes)
@@ -947,7 +953,12 @@ def solve_continuum(prob: ContinuumProblem, ladder: LadderConfig | None = None) 
     if prob.mu_atoms:
         base = base + apply_RD(kern, grid, atoms=prob.mu_atoms, x=nodes)
     W = None if prob.f.is_zero else green_matrix(kern, grid)
-    u, trace, meta = solve_ladder(base, W, prob.f, nodes, ladder)
+    if ladder is None and W is not None:
+        u, row, met = _newton_fixed_point(base, base, W, partial(prob.f, nodes),
+                                          partial(prob.f.derivative, nodes))
+        trace, meta = [row], {"converged": met}
+    else:  # for zero absorption the ladder returns a copy of the base
+        u, trace, meta = solve_ladder(base, W, prob.f, nodes, ladder)
     sol = Solution(u=u, residuals={}, ladder_trace=trace, converged=meta["converged"],
                    meta={"x": nodes, "problem": prob, "base": base, "green_matrix": W, **meta})
     sol.residuals["fixed_point"] = fixed_point_residual(sol)

@@ -3,16 +3,17 @@
 On the graph, u = P_D g + R_D f(.,u) + R_D mu is the minimizer over D of the
 strictly convex energy 1/2 u A_DD u - <A_DD base, u> - sum_x m_x F_x(u_x)
 (base = P_D g + R_D mu, F_x' = f(x, .)), whose gradient is the residual of
-the very-weak identity.  The default solve is damped Newton on it, each step
-a conjugate-gradient solve preconditioned by the cached Cholesky factor of
-A_DD.  The monotone truncation ladder is the paper's construction and the
-certificate: the absorption term is clipped between growing envelopes
--m*rho_m and n*rho_n (rho_k = k/(1+k)), each bounded problem is solved by
-damped fixed-point iteration with a damped Newton fallback whose steps are
-GMRES on products with the Green matrix, and the envelopes grow until
-successive outer iterates stabilize.  It runs on the graph when a
-``LadderConfig`` is given, and always on the continuum.  The exterior
-condition is imposed exactly: u is g outside D.
+the very-weak identity.  The graph's default solve is damped Newton on it,
+each step a conjugate-gradient solve preconditioned by the cached Cholesky
+factor of A_DD.  The continuum's default solve is damped Newton on the fixed
+point u = base + W f(u) of its Green matrix W, each step GMRES on products
+with W.  The monotone truncation ladder is the paper's construction and the
+reference on both backends, run when a ``LadderConfig`` is given: the
+absorption term is clipped between growing envelopes -m*rho_m and n*rho_n
+(rho_k = k/(1+k)), each bounded problem is solved by the same Newton on the
+fixed point as the continuum's default, and the envelopes grow until
+successive outer iterates stabilize.  The exterior condition is imposed
+exactly: u is g outside D.
 
 Verification operations check the solved function against every equivalent
 characterization: the probabilistic fixed point, the projective variational
@@ -222,19 +223,18 @@ class ProblemSpec:
         return out
 
 
-# ladder stop on successive outer iterates, inner stop relative to the data
-# scale, and the inner iteration cap
+# ladder stop on successive outer iterates, and the stop of the Newton solve of
+# u = base + gmat f(u) relative to the data scale
 _OUTER_TOL = 1e-10
 _INNER_TOL = 1e-12
-_MAX_INNER = 300
-# a continuum Newton step by GMRES: its tolerance relative to ||r||_2 and its
-# iteration cap, past which the inner solve goes on by dense LU steps
-_KRYLOV_TOL = 1e-10
-_MAX_KRYLOV = 15
-# graph Newton: step cap, CG iterations of a step before the preconditioner
-# is replaced, and the round-off stop in units of eps times the scale of r
+# every Newton loop: its step cap, and the iterations of a Krylov step (GMRES
+# on the continuum, CG on the graph) before it goes on by a dense step
+# (continuum) or a factored preconditioner (graph)
 _MAX_NEWTON = 100
-_MAX_CG = 30
+_MAX_KRYLOV = 30
+# a GMRES step's tolerance relative to ||r||_2, and the graph's round-off
+# stop in units of eps times the scale of r
+_KRYLOV_TOL = 1e-10
 _ROUNDOFF = 64.0
 # the largest ladder envelope m whose m*m is a finite float: the ladder's only
 # stop other than settling
@@ -275,18 +275,17 @@ def _max_abs(r) -> float:
     return float(np.max(np.abs(r)))
 
 
-def _damped_newton(u, r, residual, direction, done, max_steps: int, norm,
-                   expand: bool = False):
+def _damped_newton(u, r, residual, direction, done, max_steps: int, norm):
     """Damped Newton from ``u``, whose residual is ``r = residual(u)``.
 
     ``direction(u, r)`` returns a step and its trace row; it is called only
     after ``done(u, r)`` came back False.  The step is halved until
-    ``norm`` of the residual decreases, down to a length of 1e-8.  With
-    ``expand``, a full step that cut the norm by less than 4 is doubled
-    while doubling cuts it further: far from the solution an exponential
-    absorption moves u by about one per full step.  The loop stops when
-    ``done(u, r)``, when ``r`` is not finite, after ``max_steps`` steps, or
-    after a step that no halving made decrease, which keeps ``u``.  Each row
+    ``norm`` of the residual decreases, down to a length of 1e-8.  A full
+    step that cut the norm by less than 4 is doubled while doubling cuts it
+    further: far from the solution an exponential absorption moves u by
+    about one per full step.  The loop stops when ``done(u, r)``, when ``r``
+    is not finite, after ``max_steps`` steps, or after a step that no
+    halving made decrease, which keeps ``u``.  Each row
     gets the accepted length (``damping``, 0 for none) and the max norm of
     the residual after the step.  Returns (u, r, rows, done).
     """
@@ -310,7 +309,7 @@ def _damped_newton(u, r, residual, direction, done, max_steps: int, norm,
         else:
             row.update(damping=0.0, residual=_max_abs(r))
             break
-        while expand and lam >= 1.0 and rn > 0.25 * rn0:
+        while lam >= 1.0 and rn > 0.25 * rn0:
             u_try = u0 + 2.0 * lam * step
             r_try = residual(u_try)
             rn_try = norm(r_try)
@@ -321,64 +320,50 @@ def _damped_newton(u, r, residual, direction, done, max_steps: int, norm,
     return u, r, rows, bool(np.isfinite(rn)) and done(u, r)
 
 
-def _inner_solve(u, base, gmat, fappl, fder, scale: float):
-    """Solve u = base + gmat f(u) for one bounded truncation level.
-
-    Damped fixed-point sweeps from step 1, the step adapted to the residual;
-    if progress stalls, switch to ``_damped_newton`` in the max norm.  Each
-    Newton step solves (I - gmat diag(f'(u))) s = r by ``_gmres``, from
-    products with gmat alone; a step whose GMRES misses its tolerance in
-    ``_MAX_KRYLOV`` iterations is an LU solve of that matrix, and so is
-    every later step of this call.  The limit is unique, so only robustness
-    matters here.  No array is written in place: the starting ``u`` may be
-    returned as is.  Returns (u, row): the row holds ``inner_iterations``
-    (sweeps plus Newton steps), the max-norm ``residual``, and the
-    ``krylov_iterations`` and ``dense_steps`` of the Newton steps.
+def _newton_fixed_point(u, base, gmat, fappl, fder):
+    """Solve u = base + gmat f(u) by ``_damped_newton`` in the max norm from
+    ``u``, or from 0 where the residual at ``u`` is not finite (e^y overflowing
+    at a large datum).  The continuum's default solve, on f itself, and each
+    ladder level, on the clipped f.  Each step solves
+    (I - gmat diag(f'(u))) s = r by ``_gmres``, from products with gmat
+    alone; a step whose GMRES misses its tolerance in ``_MAX_KRYLOV``
+    iterations is an LU solve of that matrix, and so is every later step of
+    this call.  The stop is ||r||_inf <= ``_INNER_TOL`` max(1, |base|).  No
+    array is written in place: the starting ``u`` may be returned as is.  f
+    and its slope may overflow where a trial step is rejected, or where the
+    ladder clips or masks them: no such value is used.  Returns (u, row,
+    met): the row holds the Newton steps (``inner_iterations``), the
+    max-norm ``residual``, and the steps' ``krylov_iterations`` and
+    ``dense_steps``.
     """
-    tol = _INNER_TOL * scale
+    tol = _INNER_TOL * max(1.0, float(np.max(np.abs(base), initial=0.0)))
+    row = {"krylov_iterations": 0, "dense_steps": 0}
 
     def residual(v):
         return base + gmat @ fappl(v) - v
 
-    r = residual(u)
-    rn = _max_abs(r)
-    theta = 1.0
-    iters = 0
-    slow = 0
-    while rn > tol and iters < _MAX_INNER and slow < 4 and theta >= 0.05:
-        iters += 1
-        u_try = u + theta * r
-        r_try = residual(u_try)
-        rn_try = _max_abs(r_try)
-        if rn_try < rn:
-            slow = slow + 1 if rn_try > 0.5 * rn else 0
-            u, r, rn = u_try, r_try, rn_try
-            theta = min(1.0, theta * 1.4)
-        else:
-            theta *= 0.5
-            slow += 1
-    row = {"krylov_iterations": 0, "dense_steps": 0}
-    if rn > tol and iters < _MAX_INNER:
+    def direction(v, res):
+        d = fder(v)
+        if not row["dense_steps"]:
+            s, its, met = _gmres(lambda p: p - gmat @ (d * p), res,
+                                 _KRYLOV_TOL * float(np.linalg.norm(res)), _MAX_KRYLOV)
+            row["krylov_iterations"] += its
+            if met:
+                return s, {}
+        row["dense_steps"] += 1
+        jac = gmat * -d
+        jac.flat[::v.size + 1] += 1.0
+        return np.linalg.solve(jac, res), {}
 
-        def direction(v, res):
-            d = fder(v)
-            if not row["dense_steps"]:
-                s, its, met = _gmres(lambda p: p - gmat @ (d * p), res,
-                                     _KRYLOV_TOL * float(np.linalg.norm(res)), _MAX_KRYLOV)
-                row["krylov_iterations"] += its
-                if met:
-                    return s, {}
-            row["dense_steps"] += 1
-            jac = gmat * -d
-            jac.flat[::v.size + 1] += 1.0
-            return np.linalg.solve(jac, res), {}
-
-        u, r, rows, _ = _damped_newton(u, r, residual, direction,
-                                       lambda v, res: _max_abs(res) <= tol,
-                                       _MAX_INNER - iters, _max_abs)
-        iters += len(rows)
-        rn = _max_abs(r)
-    return u, {"inner_iterations": iters, "residual": rn, **row}
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = residual(u)
+        if not np.all(np.isfinite(r)):
+            u = np.zeros_like(base)
+            r = residual(u)
+        u, r, rows, met = _damped_newton(u, r, residual, direction,
+                                         lambda v, res: _max_abs(res) <= tol,
+                                         _MAX_NEWTON, _max_abs)
+    return u, {"inner_iterations": len(rows), "residual": _max_abs(r), **row}, met
 
 
 def _gmres(matvec, b, tol: float, cap: int):
@@ -450,7 +435,7 @@ def _solve_newton(spec: ProblemSpec):
     tolerance of Eisenstat and Walker ("Choosing the forcing terms in an
     inexact Newton method", SIAM J. Sci. Comput. 17, 1996, choice 2),
     preconditioned by the cached factor of A_DD.  A step whose CG misses that
-    tolerance in ``_MAX_CG`` iterations replaces the preconditioner by the
+    tolerance in ``_MAX_KRYLOV`` iterations replaces the preconditioner by the
     factor of the Newton matrix at its u and is solved again.  Steps are
     halved until ||r||_2 decreases, and the loop stops when ||r||_inf is at
     round-off for the scale |A_DD||u| + |m f(u)| + |A_DD base|.  Zero
@@ -494,11 +479,11 @@ def _solve_newton(spec: ProblemSpec):
         def hess(p):
             return A @ p - d * p
 
-        s, its, met = _pcg(hess, -r, state["precond"], eta * rn, _MAX_CG)
+        s, its, met = _pcg(hess, -r, state["precond"], eta * rn, _MAX_KRYLOV)
         if not met:
             factor = cho_factor(A - np.diag(d))
             state["precond"] = lambda x: cho_solve(factor, x)
-            s, more, _ = _pcg(hess, -r, state["precond"], eta * rn, _MAX_CG)
+            s, more, _ = _pcg(hess, -r, state["precond"], eta * rn, _MAX_KRYLOV)
             its += more
         return s, {"inner_iterations": its, "factored": float(not met)}
 
@@ -511,7 +496,7 @@ def _solve_newton(spec: ProblemSpec):
             u = np.zeros_like(base)
             r = residual(u)
         u, _, rows, converged = _damped_newton(u, r, residual, direction, done,
-                                               _MAX_NEWTON, np.linalg.norm, expand=True)
+                                               _MAX_NEWTON, np.linalg.norm)
     return u, rows, converged
 
 
@@ -519,16 +504,17 @@ def solve_ladder(base: np.ndarray, gmat: np.ndarray | None, f: Nonlinearity, poi
                  cfg: LadderConfig | None = None):
     """Monotone truncation-ladder fixed point of u = base + gmat f(points, u).
 
-    The continuum's solve and the graph's certificate (``solve`` with a
-    ``LadderConfig``).  The envelopes grow until successive iterates settle
-    on both loops, or up to ``_MAX_ENVELOPE``, where the last iterate is
-    returned unconverged; ``converged`` also needs the settling level's
-    inner solve to have met its tolerance.  Each level's trace row is the
-    row of ``_inner_solve`` with its envelope indices ``n`` and ``m``.  f
-    must be nonincreasing in y at ``points``; the problem types check that
-    when they are built, before any ``gmat`` is formed.  Zero absorption
-    returns ``base.copy()`` with an empty trace and never reads ``gmat``, so
-    a caller may pass None for it.
+    The reference solve on either backend (``solve`` with a
+    ``LadderConfig``).  Each level is ``_newton_fixed_point`` on f clipped
+    between the envelopes, from the last level's u.  The envelopes grow
+    until successive iterates settle on both loops, or up to
+    ``_MAX_ENVELOPE``, where the last iterate is returned unconverged;
+    ``converged`` also needs the settling level's solve to have met its
+    tolerance.  Each level's trace row is the row of ``_newton_fixed_point``
+    with its envelope indices ``n`` and ``m``.  f must be nonincreasing in y
+    at ``points``; the problem types check that when they are built, before
+    any ``gmat`` is formed.  Zero absorption returns ``base.copy()`` with an
+    empty trace and never reads ``gmat``, so a caller may pass None for it.
     Returns (u, trace, meta); ``meta`` holds ``converged`` and the worst
     violations of the ladder ordering, nondecreasing in the upper envelope
     index (``monotone_up_slack``) and nonincreasing in the lower one
@@ -537,52 +523,45 @@ def solve_ladder(base: np.ndarray, gmat: np.ndarray | None, f: Nonlinearity, poi
     if f.is_zero:
         return base.copy(), [], {"converged": True, "monotone_up_slack": 0.0,
                                  "monotone_down_slack": 0.0}
-    scale = max(1.0, float(np.max(np.abs(base), initial=0.0)))
     schedule = (cfg or LadderConfig()).schedule()
     trace = []
     up = down = 0.0
     converged = False
     u = base
     prev_m = None
-    # f and its slope may overflow (e^y) where they are clipped or masked, and
-    # a central-difference slope read inf - inf there: no such value is used
-    with np.errstate(over="ignore", invalid="ignore"):
-        for m in schedule:
-            lo = -(m * m) / (1.0 + m)
-            prev_n = None
-            for n in schedule:
-                hi = (n * n) / (1.0 + n)
+    for m in schedule:
+        lo = -(m * m) / (1.0 + m)
+        prev_n = None
+        for n in schedule:
+            hi = (n * n) / (1.0 + n)
 
-                def fnm(v, lo=lo, hi=hi):
-                    return np.clip(f(points, v), lo, hi)
+            def fnm(v, lo=lo, hi=hi):
+                return np.clip(f(points, v), lo, hi)
 
-                def dnm(v, lo=lo, hi=hi):
-                    raw = f(points, v)
-                    return np.where((raw > lo) & (raw < hi), f.derivative(points, v), 0.0)
+            def dnm(v, lo=lo, hi=hi):
+                raw = f(points, v)
+                return np.where((raw > lo) & (raw < hi), f.derivative(points, v), 0.0)
 
-                u, row = _inner_solve(u, base, gmat, fnm, dnm, scale)
-                trace.append({"n": n, "m": m, **row})
-                if prev_n is not None:
-                    up = min(up, float(np.min(u - prev_n, initial=0.0)))
-                    if float(np.max(np.abs(u - prev_n))) < _OUTER_TOL:
-                        break
-                prev_n = u
-            if prev_m is not None:
-                down = min(down, float(np.min(prev_m - u, initial=0.0)))
-                if float(np.max(np.abs(u - prev_m))) < _OUTER_TOL:
-                    # settled iterates of a stalled inner solve are no solution
-                    converged = row["residual"] <= _INNER_TOL * scale
+            u, row, met = _newton_fixed_point(u, base, gmat, fnm, dnm)
+            trace.append({"n": n, "m": m, **row})
+            if prev_n is not None:
+                up = min(up, float(np.min(u - prev_n, initial=0.0)))
+                if float(np.max(np.abs(u - prev_n))) < _OUTER_TOL:
                     break
-            prev_m = u
+            prev_n = u
+        if prev_m is not None:
+            down = min(down, float(np.min(prev_m - u, initial=0.0)))
+            if float(np.max(np.abs(u - prev_m))) < _OUTER_TOL:
+                # settled iterates of a stalled level solve are no solution
+                converged = met
+                break
+        prev_m = u
     return u, trace, {"converged": converged, "monotone_up_slack": up, "monotone_down_slack": down}
 
 
 def solve(spec, ladder: LadderConfig | None = None) -> Solution:
-    """Solve the Dirichlet problem for the given spec (graph or continuum).
-
-    The graph is solved by Newton on its energy unless ``ladder`` is given;
-    the continuum always by the ladder, by default ``LadderConfig()``.
-    """
+    """Solve the Dirichlet problem for the given spec (graph or continuum):
+    by Newton, or by the truncation ladder when ``ladder`` is given."""
     if not isinstance(spec, ProblemSpec):
         from .frac1d import solve_continuum
         return solve_continuum(spec, ladder=ladder)

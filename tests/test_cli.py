@@ -116,18 +116,39 @@ def test_wos_suite_walks_three_times(tmp_path, monkeypatch, absorbing):
 
 
 def test_spec_ladder_reaches_the_solver(tmp_path, monkeypatch):
-    # a run reports the solver's convergence: the continuum ladder settles,
-    # and when its largest envelope is 1, one level cannot meet the
-    # convergence test, so run returns 1 and reports the solver unconverged
+    # a run reports the solver's convergence: the continuum Newton solve
+    # converges, and when it may take one step it cannot meet its tolerance,
+    # so run returns 1 and reports the solver unconverged
     spec = _small_frac_spec(tmp_path)
     for status in (0, 1):
         if status:
-            monkeypatch.setattr(semilinear, "_MAX_ENVELOPE", 1)
+            monkeypatch.setattr(semilinear, "_MAX_NEWTON", 1)
         out = tmp_path / f"out{status}"
         cfg = cli.RunConfig(spec_path=spec, out_dir=out, seed=1, suites=("verify",))
         assert cli.run(cfg) == status
         res = json.loads((out / "residuals.json").read_text())
         assert res["solver_converged"] is (status == 0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_band_of_a_non_finite_estimate_fails_with_a_finite_contract(tmp_path):
+    # walk exits that round onto |y| = 1 read this g as infinite, and the FK
+    # estimate and its standard error as inf and NaN: 3 * NaN made the
+    # contract NaN, where the entry must fail against a finite band
+    spec = tmp_path / "singular.json"
+    spec.write_text(json.dumps({"backend": "frac1d", "alpha": 1.5,
+                                "g": {"kind": "power_singular", "p": 0.2},
+                                "f": {"kind": "power", "b": 1.0, "p": 3.0}}))
+    out = tmp_path / "out"
+    assert cli.run(cli.RunConfig(spec_path=spec, out_dir=out, seed=0, suites=("wos",))) == 1
+    res = json.loads((out / "mc.json").read_text())["results"]
+    assert not np.isfinite(res["wos_fk_residual"]["value"])
+    assert all(np.isfinite(entry["contract"]) for entry in res.values())
+    assert res["wos_fk_residual"]["pass"] is False
+    for est, se in ((np.inf, np.nan), (np.nan, np.nan), (0.5, np.inf), (np.nan, 0.1)):
+        entry = cli._band(est, se, 0.5)
+        assert entry["contract"] == (3.0 * se if np.isfinite(se) else 1e-9)
+        assert entry["pass"] is (est == 0.5)
 
 
 @pytest.mark.parametrize("alpha, nu, g, atoms", [

@@ -6,7 +6,8 @@ import pytest
 from scipy.special import beta as beta_fn
 
 from dirichlet_lab import frac1d as f1
-from dirichlet_lab.semilinear import exp_nonlinearity, power_nonlinearity, zero_nonlinearity
+from dirichlet_lab.semilinear import (LadderConfig, exp_nonlinearity, power_nonlinearity,
+                                      zero_nonlinearity)
 
 ALPHAS = (0.5, 1.0, 1.5)
 
@@ -213,6 +214,19 @@ def test_exit_average_is_the_pointwise_poisson_sum(packs):
             inside = np.abs(probes) < radius
             assert np.max(np.abs(got[inside] / ref[inside] - 1.0)) <= 1e-14
             assert np.array_equal(got[~inside], np.zeros(np.sum(~inside)))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_apply_pd_is_the_datum_outside_the_interval(packs):
+    # P_D g is g at |x| >= 1, as the solution's callable reads it; the exit
+    # average there read NaN (1 - x^2 < 0 to the power alpha/2) or 0
+    x = np.array([1.0, -1.0, 1.5, -2.0])
+    for a in ALPHAS:
+        k, grid = packs[a]
+        for g in (f1.const_exterior(2.5), f1.indicator_exterior(1.2, 2.0)):
+            got = f1.apply_PD(k, grid, g, x=np.concatenate([[0.3], x]))
+            assert np.array_equal(got[1:], g(x))
+            assert got[0] == f1.apply_PD(k, grid, g, x=[0.3])[0]
 
 
 def test_apply_pd_divergent_edge_rejected(packs):
@@ -567,23 +581,41 @@ def test_solve_continuum_cubic(packs):
     (exp_nonlinearity(1.0), 100.0),
 ], ids=["cubic-g30", "cubic-g100", "exp-g100"])
 def test_solve_continuum_at_large_exterior_data(f, g):
-    # alpha = 1.2: the envelopes grow until the iterates settle (2**16 to
-    # 2**41 here); a cap at 2**15 left all three unconverged, at fixed-point
-    # defects of 1.4e-14, 88 and 3.8e36; 1e-6 is the run's contract
+    # alpha = 1.2, where a ladder capped at the envelope 2**15 ended
+    # unconverged, at fixed-point defects of 1.4e-14, 88 and 3.8e36; 1e-6 is
+    # the run's contract
     prob = f1.ContinuumProblem(kernels=f1.build_kernels(1.2), grid=f1.build_grid(1.2),
                                g=f1.const_exterior(g), f=f)
     sol = f1.solve_continuum(prob)
     assert sol.converged and sol.residuals["fixed_point"] < 1e-6
 
 
+def _exp_at_large_data():
+    return f1.ContinuumProblem(kernels=f1.build_kernels(1.5), grid=f1.build_grid(1.5),
+                               g=f1.const_exterior(1e4), f=exp_nonlinearity(1.0))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_newton_starts_from_zero_where_the_absorption_overflows():
+    # e^y overflows at the base, so the default Newton solve starts from 0;
+    # trial steps that overflow are rejected, and no such value is used
+    prob = _exp_at_large_data()
+    sol = f1.solve_continuum(prob)
+    with np.errstate(over="ignore"):
+        assert np.isinf(prob.f(sol.meta["x"], sol.meta["base"])).all()
+    assert sol.converged and sol.residuals["fixed_point"] < 1e-6
+    assert len(sol.ladder_trace) == 1 and sol.ladder_trace[0]["inner_iterations"] <= 20
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_ladder_clips_an_overflowing_absorption_without_warnings():
     # e^y overflows where the envelopes clip it, and its central-difference
     # slope reads inf - inf where they mask it; neither value is used
-    prob = f1.ContinuumProblem(kernels=f1.build_kernels(1.5), grid=f1.build_grid(1.5),
-                               g=f1.const_exterior(1e4), f=exp_nonlinearity(1.0))
-    sol = f1.solve_continuum(prob)
+    prob = _exp_at_large_data()
+    sol = f1.solve_continuum(prob, LadderConfig())
     assert sol.converged and sol.residuals["fixed_point"] < 1e-6
+    newton = f1.solve_continuum(prob)
+    assert np.max(np.abs(newton.u - sol.u)) <= 1e-10 * np.max(np.abs(sol.u))
 
 
 def test_continuum_problem_refuses_kernels_of_another_alpha(packs):

@@ -61,6 +61,9 @@ SPECS = {
     "frac": {"backend": "frac1d", "alpha": 1.0, "g": {"kind": "const", "value": 1.0},
              "f": {"kind": "power", "b": 1.0, "p": 3.0},
              "grid": {"order": 8, "n_base": 6, "edge_levels": 16, "out_levels": 8}},
+    # the default grid: on the small one the unmutated run fails the trace
+    "frac_nu": {"backend": "frac1d", "alpha": 1.3, "nu": {"plus": 0.1, "minus": 0.05},
+                "g": {"kind": "const", "value": 1.0}, "f": {"kind": "power", "b": 1.0, "p": 3.0}},
 }
 D = np.array(SPECS["graph"]["D"])  # of every graph spec
 
@@ -248,6 +251,12 @@ def _frac_in_solve(name, factor):
     return apply
 
 
+def _frac_nu_dropped_in_solve(mp):
+    # the solve sees no boundary measure; u then misses the Martin part
+    # M nu, yet solves the fixed point that the solve built
+    _inside_solve(mp, lambda p: dataclasses.replace(p, nu_plus=0.0, nu_minus=0.0))
+
+
 def _frac_exit_law_off(mp):
     # each ball exit drawn from the law of alpha + 0.1
     original = wos._exit_jumps
@@ -298,6 +307,8 @@ MUTATIONS = {
     "frac: W x1.05 in solve": Mutation("frac", _frac_in_solve("green_matrix", 1.05)),
     "frac: exit law of alpha + 0.1": Mutation("frac", _frac_exit_law_off),
     "frac: ball mean exit x1.05": Mutation("frac", _frac_ball_mass_off),
+    "frac_nu": Mutation("frac_nu"),
+    "frac_nu: nu dropped in solve": Mutation("frac_nu", _frac_nu_dropped_in_solve),
 }
 UNMUTATED = tuple(SPECS)  # each unmutated run is named after its spec
 
@@ -328,13 +339,15 @@ CATCHES = {
     "mc_PDg": ("P_D +0.05", "vd: PDg +0.5 on D"),
     "mc_RD1": ("R_D x1.1",),
     "mc_FK_residual": ("u on D x1.05", "b x0 in solve", "P_D +0.05", "vd: PDg +0.5 on D"),
-    "projective_exhaustion": ("frac: u +0.05 M(., +1)",),
-    "trace_extrapolated": ("frac: u +0.05 M(., +1)",),
+    # fixed_point passes "frac_nu: nu dropped in solve" (1.7e-16): the two
+    # nest checks are the deterministic keys that see a boundary measure
+    "projective_exhaustion": ("frac: u +0.05 M(., +1)", "frac_nu: nu dropped in solve"),
+    "trace_extrapolated": ("frac: u +0.05 M(., +1)", "frac_nu: nu dropped in solve"),
     "weighted_ratio": ("frac: u inf",),
     "wos_mean_exit": ("frac: exit law of alpha + 0.1", "frac: ball mean exit x1.05"),
     "wos_fk_residual": ("frac: u +0.04", "frac: u +0.05 M(., +1)",
                         "frac: P_D g x1.05 in solve", "frac: W x1.05 in solve",
-                        "frac: exit law of alpha + 0.1"),
+                        "frac: exit law of alpha + 0.1", "frac_nu: nu dropped in solve"),
     "wos_exit_chi2_pmin": ("frac: exit law of alpha + 0.1",),
 }
 # key -> why no mutation of the table needs to fail it

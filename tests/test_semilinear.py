@@ -532,19 +532,28 @@ def test_newton_converges_at_large_exterior_data(g):
 
 
 def test_newton_agrees_with_the_ladder():
-    # the ladder is the reference: same u to 1e-10 relative, for each kind of f
+    # the ladder is the reference on both backends: same u to 1e-10
+    # relative, for each kind of f, and on the continuum with measure data
     rng = np.random.default_rng(29)
+    table = table_nonlinearity([-2.0, -0.5, 0.0, 1.0], [3.0, 1.0, 0.0, -4.0])
+    specs = []
     for _ in range(4):
         form = random_form(rng)
         b = rng.uniform(0.0, 2.0, size=form.n)
-        for f in (power_nonlinearity(b, 3.0), power_nonlinearity(b, 1.0), exp_nonlinearity(b),
-                  table_nonlinearity([-2.0, -0.5, 0.0, 1.0], [3.0, 1.0, 0.0, -4.0])):
-            spec = random_problem(rng, form=form, f=f)
-            sol, ref = solve(spec), solve(spec, LadderConfig())
-            assert sol.converged and ref.converged
-            assert np.max(np.abs(sol.u - ref.u)) <= 1e-10 * np.max(np.abs(ref.u))
-            assert all(row["residual"] >= 0 and row["inner_iterations"] >= 1
-                       for row in sol.ladder_trace)
+        specs += [random_problem(rng, form=form, f=f) for f in (
+            power_nonlinearity(b, 3.0), power_nonlinearity(b, 1.0), exp_nonlinearity(b), table)]
+    for alpha in (0.6, 1.0, 1.4):
+        kernels, grid = frac1d.build_kernels(alpha), frac1d.build_grid(alpha)
+        specs += [frac1d.ContinuumProblem(kernels=kernels, grid=grid, g=frac1d.const_exterior(1.0),
+                                          f=f)
+                  for f in (power_nonlinearity(1.0, 3.0), exp_nonlinearity(1.0), table)]
+    specs.append(replace(specs[-3], mu_atoms=((0.1, 0.5),), nu_plus=0.1, nu_minus=0.05))
+    for spec in specs:
+        sol, ref = solve(spec), solve(spec, LadderConfig())
+        assert sol.converged and ref.converged
+        assert np.max(np.abs(sol.u - ref.u)) <= 1e-10 * np.max(np.abs(ref.u))
+        assert all(row["residual"] >= 0 and row["inner_iterations"] >= 1
+                   for row in sol.ladder_trace)
 
 
 def test_newton_replaces_its_preconditioner_when_cg_stalls(monkeypatch):
@@ -624,13 +633,14 @@ def _continuum_cubic(alpha, g=1.0, b=1.0):
 
 
 def test_ladder_without_inner_convergence_is_not_converged(monkeypatch):
-    # inner solves that stall above their tolerance leave the iterates equal,
+    # level solves that stall above their tolerance leave the iterates equal,
     # which the settle rule alone took for convergence
     prob = _continuum_cubic(1.2)
-    assert frac1d.solve_continuum(prob).converged
-    monkeypatch.setattr(semilinear, "_inner_solve", lambda u, *args: (u, {
-        "inner_iterations": 0, "residual": 1.0, "krylov_iterations": 0, "dense_steps": 0}))
-    sol = frac1d.solve_continuum(prob)
+    assert frac1d.solve_continuum(prob, LadderConfig()).converged
+    monkeypatch.setattr(semilinear, "_newton_fixed_point", lambda u, *args: (u, {
+        "inner_iterations": 0, "residual": 1.0, "krylov_iterations": 0, "dense_steps": 0},
+        False))
+    sol = frac1d.solve_continuum(prob, LadderConfig())
     assert not sol.converged and sol.residuals["fixed_point"] > 0.1
 
 
@@ -638,24 +648,26 @@ def test_ladder_without_inner_convergence_is_not_converged(monkeypatch):
 def test_ladder_newton_steps_by_gmres_match_dense_steps(alpha, monkeypatch):
     # every Newton step of the cubic ladder meets its GMRES tolerance, and the
     # ladder matches the one whose every step is a dense LU solve; g and b at
-    # the top of the benchmark's ranges, where the sweeps stall into Newton
+    # the top of the benchmark's ranges
     prob = _continuum_cubic(alpha, g=1.5, b=2.0)
-    sol = frac1d.solve_continuum(prob)
+    sol = frac1d.solve_continuum(prob, LadderConfig())
     assert sol.converged
     assert sum(row["krylov_iterations"] for row in sol.ladder_trace) > 0
     assert sum(row["dense_steps"] for row in sol.ladder_trace) == 0
     for row in sol.ladder_trace:
         assert all(type(v) in (int, float) for v in row.values()), row
     monkeypatch.setattr(semilinear, "_gmres", lambda matvec, b, tol, cap: (b, 0, False))
-    ref = frac1d.solve_continuum(prob)
+    ref = frac1d.solve_continuum(prob, LadderConfig())
     assert ref.converged and sum(row["dense_steps"] for row in ref.ladder_trace) > 0
     assert np.max(np.abs(sol.u - ref.u)) <= 1e-12 * np.max(np.abs(ref.u))
 
 
 def test_a_missed_krylov_step_makes_the_inner_solve_dense(monkeypatch):
     # with the cap at 1 no step meets the GMRES tolerance: each Newton step
-    # is an LU solve, the rest of its inner solve stays dense, and the ladder
-    # lands where GMRES steps take it
+    # is an LU solve, the rest of its solve stays dense, and the solve lands
+    # where GMRES steps take it.  This is the default solve: a ladder level
+    # whose f is clipped at every node has the identity as its Jacobian,
+    # which one GMRES iteration solves exactly
     prob = _continuum_cubic(1.2, g=1.5, b=2.0)
     sol = frac1d.solve_continuum(prob)
     calls, real = [], semilinear._gmres
