@@ -322,9 +322,8 @@ def _damped_newton(u, r, residual, direction, done, max_steps: int, norm):
 
 def _newton_fixed_point(u, base, gmat, fappl, fder):
     """Solve u = base + gmat f(u) by ``_damped_newton`` in the max norm from
-    ``u``, or from 0 where the residual at ``u`` is not finite (e^y overflowing
-    at a large datum).  The continuum's default solve, on f itself, and each
-    ladder level, on the clipped f.  Each step solves
+    ``u``.  The continuum's default solve, on f itself, and each ladder
+    level, on the clipped f.  Each step solves
     (I - gmat diag(f'(u))) s = r by ``_gmres``, from products with gmat
     alone; a step whose GMRES misses its tolerance in ``_MAX_KRYLOV``
     iterations is an LU solve of that matrix, and so is every later step of
@@ -356,11 +355,7 @@ def _newton_fixed_point(u, base, gmat, fappl, fder):
         return np.linalg.solve(jac, res), {}
 
     with np.errstate(over="ignore", invalid="ignore"):
-        r = residual(u)
-        if not np.all(np.isfinite(r)):
-            u = np.zeros_like(base)
-            r = residual(u)
-        u, r, rows, met = _damped_newton(u, r, residual, direction,
+        u, r, rows, met = _damped_newton(u, residual(u), residual, direction,
                                          lambda v, res: _max_abs(res) <= tol,
                                          _MAX_NEWTON, _max_abs)
     return u, {"inner_iterations": len(rows), "residual": _max_abs(r), **row}, met

@@ -607,6 +607,19 @@ def test_newton_starts_from_zero_where_the_absorption_overflows():
     assert len(sol.ladder_trace) == 1 and sol.ladder_trace[0]["inner_iterations"] <= 20
 
 
+@pytest.mark.parametrize("g", [300.0, 600.0])
+def test_newton_starts_from_the_smaller_residual(g):
+    # e^g is finite at the base but far from the solution, where damped steps
+    # move u by about 2 each: from the base, Newton ran out of steps at
+    # g = 300 and stalled after one step at g = 600; from 0 it takes 10
+    prob = f1.ContinuumProblem(kernels=f1.build_kernels(1.2), grid=f1.build_grid(1.2),
+                               g=f1.const_exterior(g), f=exp_nonlinearity(1.0))
+    sol = f1.solve_continuum(prob)
+    assert sol.converged and sol.ladder_trace[0]["inner_iterations"] <= 20
+    ladder = f1.solve_continuum(prob, LadderConfig())
+    assert np.max(np.abs(sol.u - ladder.u)) <= 1e-10 * np.max(np.abs(ladder.u))
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_ladder_clips_an_overflowing_absorption_without_warnings():
     # e^y overflows where the envelopes clip it, and its central-difference

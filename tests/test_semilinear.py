@@ -665,10 +665,10 @@ def test_ladder_newton_steps_by_gmres_match_dense_steps(alpha, monkeypatch):
 def test_a_missed_krylov_step_makes_the_inner_solve_dense(monkeypatch):
     # with the cap at 1 no step meets the GMRES tolerance: each Newton step
     # is an LU solve, the rest of its solve stays dense, and the solve lands
-    # where GMRES steps take it.  This is the default solve: a ladder level
-    # whose f is clipped at every node has the identity as its Jacobian,
-    # which one GMRES iteration solves exactly
-    prob = _continuum_cubic(1.2, g=1.5, b=2.0)
+    # where GMRES steps take it.  This is the default solve from the base:
+    # the cubic's Jacobian at 0, and a ladder level's where f is clipped at
+    # every node, is the identity, which one GMRES iteration solves exactly
+    prob = _continuum_cubic(1.2, g=0.5, b=2.0)
     sol = frac1d.solve_continuum(prob)
     calls, real = [], semilinear._gmres
 
