@@ -20,8 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .semilinear import (LadderConfig, Nonlinearity, Solution, _max_abs, _newton_fixed_point,
-                         solve_ladder)
+from .semilinear import LadderConfig, Nonlinearity, Solution, _newton_fixed_point, solve_ladder
 
 __all__ = [
     "ContinuumProblem",
@@ -942,12 +941,9 @@ def _check_absorption_integrable(prob: ContinuumProblem) -> None:
 def solve_continuum(prob: ContinuumProblem, ladder: LadderConfig | None = None) -> Solution:
     """Solve u = martin part + exit average of g + Green terms on the grid's
     interior nodes: by Newton on the fixed point u = base + W f(u), or by
-    ``solve_ladder`` when ``ladder`` is given.  Newton starts from whichever
-    of the base and 0 has the smaller max-norm residual, one that is not
-    finite counting as infinite: far from the solution an exponential
-    absorption moves u by about 2 per step, and at a large datum e^y may
-    overflow at the base.  The Green matrix W is formed only for nonzero
-    absorption."""
+    ``solve_ladder`` when ``ladder`` is given; Newton starts from the base
+    or 0 (``_damped_newton``).  The Green matrix W is formed only for
+    nonzero absorption."""
     kern, grid = prob.kernels, prob.grid
     nodes = grid.interior_x
     base = apply_PD(kern, grid, prob.g, x=nodes)
@@ -959,13 +955,8 @@ def solve_continuum(prob: ContinuumProblem, ladder: LadderConfig | None = None) 
         base = base + apply_RD(kern, grid, atoms=prob.mu_atoms, x=nodes)
     W = None if prob.f.is_zero else green_matrix(kern, grid)
     if ladder is None and W is not None:
-        fn = partial(prob.f, nodes)
-        zero = np.zeros_like(base)
-        with np.errstate(over="ignore", invalid="ignore"):
-            rb, r0 = (np.nan_to_num(_max_abs(base + W @ fn(v) - v), nan=np.inf)
-                      for v in (base, zero))
-        u, row, met = _newton_fixed_point(base if rb <= r0 else zero, base, W, fn,
-                                          partial(prob.f.derivative, nodes))
+        u, row, met = _newton_fixed_point(base, base, W, partial(prob.f, nodes),
+                                          partial(prob.f.derivative, nodes), np.zeros_like(base))
         trace, meta = [row], {"converged": met}
     else:  # for zero absorption the ladder returns a copy of the base
         u, trace, meta = solve_ladder(base, W, prob.f, nodes, ladder)

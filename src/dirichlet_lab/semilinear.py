@@ -275,21 +275,35 @@ def _max_abs(r) -> float:
     return float(np.max(np.abs(r)))
 
 
-def _damped_newton(u, r, residual, direction, done, max_steps: int, norm):
-    """Damped Newton from ``u``, whose residual is ``r = residual(u)``.
+def _norm2(r) -> float:
+    """||r||_2 where ``np.linalg.norm`` overflows on finite entries: scaled
+    by max|r| there; inf where an entry is not finite."""
+    with np.errstate(over="ignore"):
+        out = float(np.linalg.norm(r))
+    if not np.isfinite(out):
+        top = _max_abs(r)
+        out = top * float(np.linalg.norm(r / top)) if np.isfinite(top) else math.inf
+    return out
+
+
+def _damped_newton(starts, residual, direction, done, max_steps: int, norm):
+    """Damped Newton from the first of ``starts`` whose residual has the
+    smallest ``norm``, a norm that is not finite counting as infinite.
 
     ``direction(u, r)`` returns a step and its trace row; it is called only
     after ``done(u, r)`` came back False.  The step is halved until
     ``norm`` of the residual decreases, down to a length of 1e-8.  A full
     step that cut the norm by less than 4 is doubled while doubling cuts it
     further: far from the solution an exponential absorption moves u by
-    about one per full step.  The loop stops when ``done(u, r)``, when ``r``
-    is not finite, after ``max_steps`` steps, or after a step that no
-    halving made decrease, which keeps ``u``.  Each row
-    gets the accepted length (``damping``, 0 for none) and the max norm of
-    the residual after the step.  Returns (u, r, rows, done).
+    about one per full step, and from 0 rather than a large datum it needs
+    few of them.  The loop stops when ``done(u, r)``, when ``r`` is not
+    finite, after ``max_steps`` steps, or after a step that no halving made
+    decrease, which keeps ``u``.  Each row gets the accepted length
+    (``damping``, 0 for none) and the max norm of the residual after the
+    step.  Returns (u, r, rows, done).
     """
-    rn = norm(r)
+    tried = [(v, r, norm(r)) for v in starts for r in (residual(v),)]
+    u, r, rn = min(tried, key=lambda t: t[2] if np.isfinite(t[2]) else math.inf)
     rows = []
     while np.isfinite(rn) and len(rows) < max_steps:
         if done(u, r):
@@ -320,17 +334,18 @@ def _damped_newton(u, r, residual, direction, done, max_steps: int, norm):
     return u, r, rows, bool(np.isfinite(rn)) and done(u, r)
 
 
-def _newton_fixed_point(u, base, gmat, fappl, fder):
+def _newton_fixed_point(u, base, gmat, fappl, fder, *more):
     """Solve u = base + gmat f(u) by ``_damped_newton`` in the max norm from
-    ``u``.  The continuum's default solve, on f itself, and each ladder
-    level, on the clipped f.  Each step solves
-    (I - gmat diag(f'(u))) s = r by ``_gmres``, from products with gmat
-    alone; a step whose GMRES misses its tolerance in ``_MAX_KRYLOV``
+    the first of ``u`` and the ``more`` starts with the smallest residual.
+    The continuum's default solve, on f itself from the base or 0, and each
+    ladder level, on the clipped f from the last level's u alone.  Each step
+    solves (I - gmat diag(f'(u))) s = r by ``_gmres``, from products with
+    gmat alone; a step whose GMRES misses its tolerance in ``_MAX_KRYLOV``
     iterations is an LU solve of that matrix, and so is every later step of
     this call.  The stop is ||r||_inf <= ``_INNER_TOL`` max(1, |base|).  No
-    array is written in place: the starting ``u`` may be returned as is.  f
-    and its slope may overflow where a trial step is rejected, or where the
-    ladder clips or masks them: no such value is used.  Returns (u, row,
+    array is written in place: a start may be returned as is.  f and its
+    slope may overflow where a trial step is rejected, or where the ladder
+    clips or masks them: no such value is used.  Returns (u, row,
     met): the row holds the Newton steps (``inner_iterations``), the
     max-norm ``residual``, and the steps' ``krylov_iterations`` and
     ``dense_steps``.
@@ -355,7 +370,7 @@ def _newton_fixed_point(u, base, gmat, fappl, fder):
         return np.linalg.solve(jac, res), {}
 
     with np.errstate(over="ignore", invalid="ignore"):
-        u, r, rows, met = _damped_newton(u, residual(u), residual, direction,
+        u, r, rows, met = _damped_newton((u, *more), residual, direction,
                                          lambda v, res: _max_abs(res) <= tol,
                                          _MAX_NEWTON, _max_abs)
     return u, {"inner_iterations": len(rows), "residual": _max_abs(r), **row}, met
@@ -431,11 +446,11 @@ def _solve_newton(spec: ProblemSpec):
     inexact Newton method", SIAM J. Sci. Comput. 17, 1996, choice 2),
     preconditioned by the cached factor of A_DD.  A step whose CG misses that
     tolerance in ``_MAX_KRYLOV`` iterations replaces the preconditioner by the
-    factor of the Newton matrix at its u and is solved again.  Steps are
-    halved until ||r||_2 decreases, and the loop stops when ||r||_inf is at
-    round-off for the scale |A_DD||u| + |m f(u)| + |A_DD base|.  Zero
-    absorption returns base with an empty trace.  Returns (u on D, trace
-    rows, converged).
+    factor of the Newton matrix at its u and is solved again.  Newton starts
+    from the base or 0, and steps are halved until ||r||_2 (``_norm2``)
+    decreases; the loop stops when ||r||_inf is at round-off for the scale
+    |A_DD||u| + |m f(u)| + |A_DD base|.  Zero absorption returns base with
+    an empty trace.  Returns (u on D, trace rows, converged).
     """
     form, idx, f = spec.form, spec.D, spec.f
     base = (spec.pdg + spec.rdm)[idx]
@@ -459,7 +474,7 @@ def _solve_newton(spec: ProblemSpec):
         return _max_abs(r) <= state["tol"]
 
     def direction(v, r):
-        rn = float(np.linalg.norm(r))
+        rn = _norm2(r)
         eta = 0.5
         if state["norm"] is not None:
             eta = 0.9 * (rn / state["norm"]) ** 2
@@ -483,15 +498,8 @@ def _solve_newton(spec: ProblemSpec):
         return s, {"inner_iterations": its, "factored": float(not met)}
 
     with np.errstate(over="ignore", invalid="ignore"):
-        u = base
-        r = residual(u)
-        if not np.all(np.isfinite(r)):
-            # f overflows at base (e^y at a large datum); it is finite at 0
-            # for every built-in kind, and halving keeps later steps finite
-            u = np.zeros_like(base)
-            r = residual(u)
-        u, _, rows, converged = _damped_newton(u, r, residual, direction, done,
-                                               _MAX_NEWTON, np.linalg.norm)
+        u, _, rows, converged = _damped_newton((base, np.zeros_like(base)), residual,
+                                               direction, done, _MAX_NEWTON, _norm2)
     return u, rows, converged
 
 
@@ -667,7 +675,8 @@ def apriori_report(u, spec: ProblemSpec) -> dict:
     fu = np.abs(_f_on_D(spec, u))
     if not np.isfinite(fu).all():
         return dict.fromkeys(("zero_order", "harmonic_shift", "weighted_norm"), float("inf"))
-    fpdg = np.abs(_f_on_D(spec, pdg))
+    with np.errstate(over="ignore"):  # an overflowing f(P_D g) is handled below
+        fpdg = np.abs(_f_on_D(spec, pdg))
     pd_abs_g = harmonic_extension(form, idx, np.abs(spec.g))
     rd_abs_mu = green_apply(form, idx, np.abs(spec.mu))
     rd_abs_fu = green_apply(form, idx, fu * form.m)

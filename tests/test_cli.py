@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from dirichlet_lab import cli, semilinear
 from dirichlet_lab.forms import form_from_dict
 from dirichlet_lab.forms import is_transient
+from dirichlet_lab.suite import random_form
 
 
 def _demo_graph_spec(tmp_path):
@@ -208,6 +209,37 @@ def test_overflowing_datum_still_solves(tmp_path):
     with np.errstate(over="ignore", invalid="ignore"):
         ref = semilinear.solve(cli.load_problem(spec)[0], semilinear.LadderConfig())
     assert ref.converged and np.max(np.abs(u - ref.u)) <= 1e-10 * 1e4
+
+
+def _exp_graph_spec(tmp_path, g):
+    # 120 states, D the first 80, constant exterior datum g and exp b = 1
+    form = random_form(np.random.default_rng(1), 120, 120)
+    obj = {"schema": 1, "backend": "graph",
+           "form": {"m": form.m.tolist(), "J": form.J.tolist(), "kappa": form.kappa.tolist()},
+           "D": list(range(80)), "g": [g] * form.n, "mu": [0.0] * form.n,
+           "f": {"kind": "exp", "b": 1.0}}
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(obj))
+    return path
+
+
+def test_exp_absorption_at_a_large_datum_passes(tmp_path):
+    # Newton from P_D g = 500 read ||r||_2 = inf and took no step: exit 1
+    # with solver_converged false, where Newton from 0 converges
+    spec = _exp_graph_spec(tmp_path, 500.0)
+    out = tmp_path / "out"
+    assert cli.main(["run", str(spec), "--out", str(out), "--suite", "verify",
+                     "--suite", "estimates", "--suite", "trace"]) == 0
+    assert json.loads((out / "residuals.json").read_text())["solver_converged"] is True
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_datum_estimates_without_warnings(tmp_path):
+    # e^(P_D g) overflows at g = 1e4: the a priori bounds that read it hold
+    # with an infinite right side, without numpy's overflow warning
+    spec = _exp_graph_spec(tmp_path, 1e4)
+    assert cli.main(["run", str(spec), "--out", str(tmp_path / "out"),
+                     "--suite", "estimates"]) == 0
 
 
 def test_run_kappa_free_graph_writes_vd_results(tmp_path):

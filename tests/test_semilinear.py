@@ -1,5 +1,6 @@
 import tracemalloc
 from dataclasses import replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -582,6 +583,37 @@ def test_newton_converges_for_exponential_absorption_far_from_the_solution(g):
     sol = solve(spec)
     assert sol.converged
     assert sol.residuals["fixed_point"] <= 1e-10 * np.max(np.abs(sol.u))
+
+
+@pytest.mark.parametrize("g", [100.0, 200.0, 300.0, 500.0, 700.0])
+def test_graph_newton_starts_from_the_smaller_residual(g):
+    # from the base, e^u moves u by about one per step: g = 100 took 55
+    # steps, g = 200 and 300 ran out of steps or stalled, and from g = 500 on
+    # ||r(base)||_2 overflowed while every entry was finite, so no step ran
+    form = random_form(np.random.default_rng(1), 120, 120)
+    spec = ProblemSpec(form=form, D=np.arange(80), g=np.full(form.n, g), mu=np.zeros(form.n),
+                       f=exp_nonlinearity(1.0))
+    sol, ref = solve(spec), solve(spec, LadderConfig())
+    assert sol.converged and ref.converged
+    assert np.max(np.abs(sol.u - ref.u)) <= 1e-10 * np.max(np.abs(ref.u))
+    if g == 100.0:
+        assert len(sol.ladder_trace) <= 12
+
+
+def test_norm2_is_numpys_norm_until_that_overflows():
+    rng = np.random.default_rng(5)
+    for scale in (0.0, 1e-300, 1.0, 1e150):
+        r = scale * rng.standard_normal(50)
+        assert np.isfinite(np.linalg.norm(r)) and semilinear._norm2(r) == np.linalg.norm(r)
+    r = np.array([1e200, -1e200, 3.0])
+    with localcontext() as ctx:
+        ctx.prec = 50
+        exact = float((2 * Decimal(1e200) ** 2 + 9).sqrt())
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.linalg.norm(r))
+    assert abs(semilinear._norm2(r) / exact - 1.0) <= 1e-15
+    assert semilinear._norm2(np.array([np.inf, 1.0])) == np.inf
+    assert semilinear._norm2(np.array([np.nan, 1.0])) == np.inf
 
 
 def test_analytic_slope_of_power_and_exp():
