@@ -118,14 +118,19 @@ def _write_csv(path: Path, header: str, rows) -> None:
 
 
 def _atoms(atoms) -> tuple:
-    """``mu.atoms``: a list of ``[position, weight]`` pairs of numbers."""
-    try:
-        if isinstance(atoms, list) and all(isinstance(a, list) for a in atoms):
-            return tuple((float(p), float(w)) for p, w in atoms)
-    except (TypeError, ValueError):
-        pass
-    raise ValueError(f"spec key 'mu.atoms' must be a list of [position, weight] pairs, "
-                     f"got {atoms!r}")
+    """``mu.atoms``: a list of ``[position, weight]`` pairs of finite numbers,
+    each position in (-1, 1); an error names the bad pair as ``mu.atoms[k]``."""
+    if not (isinstance(atoms, list) and all(isinstance(a, list) and len(a) == 2 for a in atoms)):
+        raise ValueError(f"spec key 'mu.atoms' must be a list of [position, weight] pairs, "
+                         f"got {atoms!r}")
+    pairs = []
+    for k, pair in enumerate(atoms):
+        pos, weight = (_number(f"mu.atoms[{k}]", v) for v in pair)
+        if not abs(pos) < 1.0:
+            raise ValueError(f"spec key 'mu.atoms[{k}]' must place its atom in (-1, 1), "
+                             f"got position {pos!r}")
+        pairs.append((pos, weight))
+    return tuple(pairs)
 
 
 def _indices(key: str, value) -> list:
@@ -515,6 +520,8 @@ def load_problem(path):
             raise ValueError("spec keys 'nest' and 'nest_levels' exclude each other")
         if "nest_levels" in nest:
             nest = {"nest": frac1d.default_nest(_count("nest_levels", nest["nest_levels"]))}
+        elif isinstance(nest.get("nest"), list):  # any other value: ContinuumProblem says why
+            nest = {"nest": tuple(_number(f"nest[{k}]", r) for k, r in enumerate(nest["nest"]))}
     unknown = list(obj) + [f"{name}.{key}" for name, sub in rest.items() for key in sub]
     if unknown:
         raise ValueError(f"unknown spec keys: {unknown}")

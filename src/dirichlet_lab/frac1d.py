@@ -666,24 +666,18 @@ def _green_rule(kernels: FracKernels, x: float, order: int, levels: int):
     return [(y, w * kernels.green(x, y)) for y, w in halves]
 
 
-def apply_RD(kernels: FracKernels, grid: QuadGrid, h=None, atoms=(), x=None,
-             order: int | None = None, edge_levels: int | None = None) -> np.ndarray:
-    """Green potential of a density h plus point atoms, at interior points.
+def apply_RD(kernels: FracKernels, grid: QuadGrid, h, x=None) -> np.ndarray:
+    """Green potential of a density h at interior points (atoms: ``atom_part``).
 
     Direct per-point quadrature: panels graded toward both endpoints and the
     evaluation point, with the known diagonal and edge powers baked into the
-    innermost panels.
+    innermost panels, two orders and six edge levels finer than the grid.
     """
     x = grid.interior_x if x is None else np.atleast_1d(np.asarray(x, dtype=float))
-    order = order or grid.order + 2
-    edge_levels = edge_levels or grid.edge_levels + 6
     out = np.zeros_like(x)
-    if h is not None:
-        for i, xi in enumerate(x):
-            out[i] = sum(float(np.sum(w * h(y)))
-                         for y, w in _green_rule(kernels, xi, order, edge_levels))
-    for (pos, weight) in atoms:
-        out += weight * kernels.green(x, float(pos))
+    for i, xi in enumerate(x):
+        out[i] = sum(float(np.sum(w * h(y)))
+                     for y, w in _green_rule(kernels, xi, grid.order + 2, grid.edge_levels + 6))
     return out
 
 
@@ -910,6 +904,8 @@ class ContinuumProblem:
             raise ValueError("continuum nest must be at least one strictly increasing radius "
                              f"in (0, 1), got {self.nest!r}")
         object.__setattr__(self, "nest", radii)
+        if not all(abs(pos) < 1.0 for pos, _ in self.mu_atoms):  # NaN fails too
+            raise ValueError(f"continuum atoms must lie in (-1, 1), got {self.mu_atoms!r}")
         self.f.check_monotone(self.grid.interior_x)
 
     def martin_part(self, x) -> np.ndarray:
@@ -919,23 +915,28 @@ class ContinuumProblem:
         return (self.nu_plus * martin_kernel(self.kernels, x, +1)
                 + self.nu_minus * martin_kernel(self.kernels, x, -1))
 
+    def atom_part(self, x) -> np.ndarray:
+        """The Green potential of the interior atoms, sum w G(x, a), at the points x."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        return sum((w * self.kernels.green(x, float(pos)) for pos, w in self.mu_atoms),
+                   np.zeros_like(x))
+
 
 def _check_absorption_integrable(prob: ContinuumProblem) -> None:
-    """Hypothesis check for boundary-measure data: the absorption evaluated
-    along the Martin part must have a finite Green potential."""
-    kern, grid = prob.kernels, prob.grid
-
-    def h(y):
-        return np.abs(prob.f(y, prob.martin_part(y)))
-
-    probes = np.array([0.0, 0.5])
-    with np.errstate(over="ignore", invalid="ignore"):  # a divergent potential may read inf
-        v1 = apply_RD(kern, grid, h=h, x=probes, order=8, edge_levels=16)
-        v2 = apply_RD(kern, grid, h=h, x=probes, order=8, edge_levels=24)
-        moved = float(np.max(np.abs(v2 - v1))) / max(1.0, float(np.max(np.abs(v2))))
-    if not moved <= 0.05:  # a NaN, from inf - inf, moved too
-        raise ValueError("absorption along the boundary part has no finite potential "
-                         f"(refinement moved {v1} -> {v2})")
+    """Hypothesis check for boundary-measure data, in closed form: f(M nu) must have
+    a finite Green potential, where M nu ~ delta^(alpha/2 - 1) and G ~ delta^(alpha/2)
+    near an endpoint with mass.  A table f is bounded; an f of no kind has unknown growth."""
+    params, a = dict(prob.f.params), prob.kernels.alpha
+    kind, absorbing = params.get("kind"), bool(np.any(np.asarray(params.get("b", 0.0)) > 0.0))
+    if kind == "power" and absorbing and params["p"] >= (2.0 + a) / (2.0 - a):
+        why = f"power p = {params['p']} needs p < (2 + alpha)/(2 - alpha) at alpha = {a}"
+    elif kind == "exp" and absorbing and max(prob.nu_plus, prob.nu_minus) > 0.0:
+        why = "exp absorption grows like e^(M nu) at an endpoint with positive mass"
+    elif kind not in ("power", "exp", "custom-table"):
+        why = f"the growth of nonlinearity {prob.f.name!r} along M nu is unknown"
+    else:
+        return
+    raise ValueError(f"absorption along the boundary part has no finite potential ({why})")
 
 
 def solve_continuum(prob: ContinuumProblem, ladder: LadderConfig | None = None) -> Solution:
@@ -952,7 +953,7 @@ def solve_continuum(prob: ContinuumProblem, ladder: LadderConfig | None = None) 
         if not prob.f.is_zero:
             _check_absorption_integrable(prob)
     if prob.mu_atoms:
-        base = base + apply_RD(kern, grid, atoms=prob.mu_atoms, x=nodes)
+        base = base + prob.atom_part(nodes)
     W = None if prob.f.is_zero else green_matrix(kern, grid)
     if ladder is None and W is not None:
         u, row, met = _newton_fixed_point(base, base, W, partial(prob.f, nodes),

@@ -1,13 +1,13 @@
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 from scipy.special import beta as beta_fn
 
 from dirichlet_lab import frac1d as f1
-from dirichlet_lab.semilinear import (LadderConfig, exp_nonlinearity, power_nonlinearity,
-                                      zero_nonlinearity)
+from dirichlet_lab.semilinear import (LadderConfig, Nonlinearity, exp_nonlinearity,
+                                      power_nonlinearity, zero_nonlinearity)
 
 ALPHAS = (0.5, 1.0, 1.5)
 
@@ -694,8 +694,9 @@ def test_projective_exhaustion_integrates_g_with_its_own_edge_power(packs, alpha
 def test_projective_exhaustion_is_the_per_probe_sum(packs):
     # the exterior part summed one probe at a time through the exit density of
     # (-radius, radius) by stable scaling, as before _exit_average, with the
-    # tail of the datum scaled to the level
-    k, grid = packs[1.0]
+    # tail of the datum scaled to the level; cubic absorption with nu needs
+    # alpha > 1 (p < (2 + alpha)/(2 - alpha))
+    k, grid = packs[1.5]
     prob = f1.ContinuumProblem(kernels=k, grid=grid, g=f1.const_exterior(1.5),
                                f=power_nonlinearity(1.0, 3.0),
                                nu_plus=0.1, nest=f1.default_nest(8))
@@ -772,6 +773,31 @@ def test_example77_batch_max_ratio_stable(packs):
             ratios.append(f1.example77_report(prob, f1.solve_continuum(prob))["ratio"])
         maxima.append(max(ratios))
     assert abs(maxima[1] - maxima[0]) / maxima[1] < 0.1
+
+
+def test_custom_absorption_with_boundary_measure_is_refused_by_name(packs):
+    # an f built from a function alone has no kind: its growth along M nu is
+    # unknown, so a solve with nu refuses it and names it; without nu it runs
+    k, grid = packs[1.5]
+    f = Nonlinearity(fn=lambda pts, y: -np.arctan(y), name="arctan")
+    prob = f1.ContinuumProblem(kernels=k, grid=grid, g=f1.const_exterior(1.0), f=f,
+                               nu_plus=0.1)
+    with pytest.raises(ValueError, match="no finite potential.*'arctan'"):
+        f1.solve_continuum(prob)
+    assert f1.solve_continuum(replace(prob, nu_plus=0.0)).converged
+
+
+def test_atoms_lie_inside_the_interval(packs):
+    # the atoms' potential is a Green potential: sum w G(x, a), a in (-1, 1)
+    k, grid = packs[1.0]
+    prob = f1.ContinuumProblem(kernels=k, grid=grid, g=f1.zero_exterior(),
+                               f=zero_nonlinearity(), mu_atoms=((0.2, 0.7), (-0.5, 0.3)))
+    x = np.array([-0.3, 0.0, 0.6])
+    want = 0.7 * k.green(x, 0.2) + 0.3 * k.green(x, -0.5)
+    assert np.allclose(prob.atom_part(x), want, rtol=1e-15, atol=0.0)
+    for pos in (1.0, -1.5, float("nan")):
+        with pytest.raises(ValueError, match="atoms must lie in"):
+            replace(prob, mu_atoms=((pos, 1.0),))
 
 
 def test_nest_from_potential(packs):
