@@ -210,9 +210,8 @@ def _table_eval(coef: np.ndarray, s: np.ndarray) -> np.ndarray:
     """The table at s, counted in pieces from the window's left end (a new
     array; s is overwritten).  Points off the window take the polynomial of
     the end piece."""
-    piece = np.floor(s.clip(0.0, coef.shape[1] - 1))
-    s -= piece
-    k = piece.astype(np.intp)
+    k = s.clip(0.0, coef.shape[1] - 1).astype(np.intp)  # the floor: clipped s is >= 0
+    s -= k
     out = np.asarray(coef[-1].take(k))
     for j in range(coef.shape[0] - 2, -1, -1):
         out *= s
@@ -234,6 +233,7 @@ _RADIAL_LO, _RADIAL_HI = -50.0, 50.0
 _RADIAL_PIECES = 512
 _RADIAL_GAUSS = 8  # Gauss-Legendre nodes per integral in x
 _RADIAL_KNOTS = _frozen(np.linspace(_RADIAL_LO, _RADIAL_HI, _RADIAL_PIECES + 1))[0]
+_RADIAL_SCALE = _RADIAL_PIECES / (_RADIAL_HI - _RADIAL_LO)  # pieces per unit of x
 
 
 def _radial_steps(alpha: float, x0, x1):
@@ -295,23 +295,43 @@ def _radial_table(alpha: float):
 def _radial_phi(alpha: float, x) -> np.ndarray:
     """phi(x) = B(e^x) e^(-alpha x/2) from the table, and from the two-term
     expansions at each end beyond its window (a new array shaped like x)."""
-    coef, tail = _radial_table(alpha)
     s = x - _RADIAL_LO
-    s *= _RADIAL_PIECES / (_RADIAL_HI - _RADIAL_LO)
+    s *= _RADIAL_SCALE
+    return _radial_phi_at(alpha, s)
+
+
+def _radial_phi_at(alpha: float, s) -> np.ndarray:
+    """phi at x = _RADIAL_LO + s / _RADIAL_SCALE, s counted in pieces from
+    the window's left end (a new array shaped like s; s is overwritten)."""
+    coef, tail = _radial_table(alpha)
+    low = high = None
+    if s.min(initial=0.0) < 0.0:
+        low = s < 0.0
+        x = _RADIAL_LO + s[low] / _RADIAL_SCALE
+        at_low = 2.0 / alpha - np.exp(x) / (alpha + 2.0)
+    if s.max(initial=0.0) > _RADIAL_PIECES:
+        high = s > _RADIAL_PIECES
+        x, c = _RADIAL_LO + s[high] / _RADIAL_SCALE, 0.5 * (alpha - 1.0)
+        at_high = np.exp(-0.5 * alpha * x) * (tail + x * _exprel(c * x)
+                                              + np.exp((c - 1.0) * x) / (3.0 - alpha))
     out = _table_eval(coef, s)
-    low = x < _RADIAL_LO
-    if low.any():
-        out[low] = 2.0 / alpha - np.exp(x[low]) / (alpha + 2.0)
-    high = x > _RADIAL_HI
-    if high.any():
-        xh, c = x[high], 0.5 * (alpha - 1.0)
-        out[high] = np.exp(-0.5 * alpha * xh) * (tail + xh * _exprel(c * xh)
-                                                + np.exp((c - 1.0) * xh) / (3.0 - alpha))
+    if low is not None:
+        out[low] = at_low
+    if high is not None:
+        out[high] = at_high
     return out
 
 
 # ---------------------------------------------------------------------------
 # kernels
+
+def _edge_factors(alpha: float, x: np.ndarray):
+    """(log q, q^(alpha/2)) at each point, q = 1 - x^2; (0, 0) off the interval."""
+    q = 1.0 - x * x
+    inside = q > 0.0
+    log_q = np.log(np.where(inside, q, 1.0))
+    return log_q, np.where(inside, np.exp((alpha / 2.0) * log_q), 0.0)
+
 
 @dataclass(frozen=True)
 class FracKernels:
@@ -338,29 +358,47 @@ class FracKernels:
 
     def green(self, x, y) -> np.ndarray:
         """Green function of (-1, 1); zero off the interval, +inf allowed on
-        the diagonal when alpha <= 1."""
+        the diagonal when alpha <= 1.
+
+        With q = 1 - x^2 and d = |x - y| the function is green_coef
+        q_x^(alpha/2) q_y^(alpha/2) phi(log r) / d at r = q_x q_y / d^2
+        (d^(alpha-1) B(r), B(r) = phi(log r) r^(alpha/2)).  log q and
+        q^(alpha/2) are formed once per input point, before broadcasting; a
+        pair costs d, log r = log q_x + log q_y - 2 log d, the table and
+        three products.  On the diagonal the value is green_coef
+        2 / (alpha - 1) q^(alpha-1) for alpha > 1 and +inf otherwise.
+        """
         a = self.alpha
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        qx, qy = 1.0 - x * x, 1.0 - y * y
-        d = np.abs(x - y)
-        inside = (qx > 0.0) & (qy > 0.0)
-        off = inside & (d > 0.0)
-        # d^(alpha-1) B(r) with r = p / d^2, B(r) = phi(log r) r^(alpha/2);
-        # points off the computed set get p = d = 1 and a zero at the end
-        dv = np.where(off, d, 1.0)
-        p = np.where(off, qx * qy, 1.0)
-        out = _radial_phi(a, np.log(p / (dv * dv)))
-        out *= p ** (a / 2.0)
-        out /= dv
-        out *= self.green_coef * off
-        on_diag = inside ^ off
-        if np.any(on_diag):
+        log_qx, pow_qx = _edge_factors(a, x)
+        log_qy, pow_qy = _edge_factors(a, y)
+        d = np.asarray(x - y)
+        np.abs(d, out=d)
+        on_diag = not d.all()
+        if on_diag:
+            hit = d == 0.0
+            d[hit] = 1.0  # any finite log r; the diagonal is set below
+        # s: log r in pieces of the radial table from its window's left end,
+        # as -2 _RADIAL_SCALE (log d - (log q_x - _RADIAL_LO) / 2 - log q_y / 2)
+        log_qx -= _RADIAL_LO
+        log_qx *= 0.5
+        log_qy *= 0.5
+        s = np.log(d)
+        s -= log_qx
+        s -= log_qy
+        s *= -2.0 * _RADIAL_SCALE
+        out = _radial_phi_at(a, s)
+        out *= self.green_coef * pow_qx
+        out *= pow_qy
+        out /= d
+        if on_diag:
+            q = np.broadcast_to(1.0 - x * x, out.shape)[hit]  # q_y = q_x where y = x
+            q = np.where(q > 0.0, q, 0.0)
             if a > 1.0:
-                q = np.broadcast_to(qx, d.shape)[on_diag] ** (a - 1.0)
-                out[on_diag] = self.green_coef * (2.0 / (a - 1.0)) * q
+                out[hit] = self.green_coef * (2.0 / (a - 1.0)) * q ** (a - 1.0)
             else:
-                out[on_diag] = np.inf
+                out[hit] = np.where(q > 0.0, np.inf, 0.0)
         return out if out.shape else float(out)
 
     def poisson(self, x, y, gap=None) -> np.ndarray:
@@ -772,19 +810,31 @@ def _far_rule(order: int):
     return _frozen(t_fine, _lagrange_matrix(order, t_fine) * w_fine[:, None])
 
 
+# Kernel values per ``FracKernels.green`` call of ``green_matrix``.  On a
+# 2-vCPU Xeon (numpy 2.4) 16k-value calls ran at 20-30 ns a value; 2k-value
+# calls were about twice as slow from per-call overhead, and 25k-value calls
+# 1.3-1.7x as slow, since glibc's default thresholds hand temporaries of
+# 128 kB and more back to the system between calls.
+_GREEN_BLOCK = 1 << 14
+
+
 def green_matrix(kernels: FracKernels, grid: QuadGrid) -> np.ndarray:
     """Product-integration matrix W: (W @ f_at_nodes)[j] ~ R_D f at node j.
 
     Sources are represented panelwise by their Lagrange interpolants on the
     panel quadrature nodes; far panels are integrated with a finer plain
     rule, panels containing or adjacent to the target with a rule graded
-    toward the target (diagonal power baked in below alpha = 1).  W is built
-    one source panel (column block) at a time, from reference rules cached
-    per order, in four kernel calls: far targets, left and right neighbours,
-    own nodes.  The grid is a mirror image about 0 and the Green function
-    is even under (x, y) -> (-x, -y), so only the panels of the left half
-    are assembled and the rest is W[n-1-i, n-1-j] = W[i, j].  Raises
-    ValueError naming the first non-finite entry.
+    toward the target (diagonal power baked in below alpha = 1).  The grid
+    is a mirror image about 0 and the Green function is even under
+    (x, y) -> (-x, -y), so only the panels of the left half are assembled
+    and the rest is W[n-1-i, n-1-j] = W[i, j].  Those panels are assembled
+    together, in calls of ``FracKernels.green`` of at most
+    ``_GREEN_BLOCK`` values: blocks of target rows against the fine nodes
+    of every panel (which writes the near rows too; they are overwritten
+    next), then groups of panels against their left and right neighbours
+    and against their own nodes.  Batched matmul with Lagrange matrices
+    cached per order maps each block to panel values.  Raises ValueError
+    naming the first non-finite entry.
     """
     a = kernels.alpha
     nodes = grid.interior_x
@@ -796,36 +846,53 @@ def green_matrix(kernels: FracKernels, grid: QuadGrid) -> np.ndarray:
     off, w, B_left, B_right = _neighbour_rule(order, diag_gamma)
     own_off, own_w, own_B = _own_rule(order, diag_gamma)
     inner = slice(0, 2 * order)
+    panels = len(breaks) // 2  # left half, with a middle panel when the count is odd
+    done = panels * order
+    lo, hi = breaks[:panels], breaks[1:panels + 1]
+    h = 0.5 * (hi - lo)[:, None, None]  # half-widths
+    by_panel = nodes.reshape(-1, order, 1)
     W = np.zeros((n, n))
-    half_panels = len(breaks) // 2  # with a middle panel when the count is odd
-    for p in range(half_panels):
-        lo, hi = breaks[p], breaks[p + 1]
-        half = 0.5 * (hi - lo)
-        c0, c1 = p * order, (p + 1) * order
-        cols = slice(c0, c1)
-        near_lo, near_hi = max(c0 - order, 0), min(c1 + order, n)
-        far = np.r_[0:near_lo, near_hi:n]
-        gv = kernels.green(nodes[far, None], lo + half * (t_fine + 1.0))
-        W[far, cols] = gv @ (half * B_fine)
-        if near_lo < c0:
-            gv = kernels.green(nodes[near_lo:c0, None], lo + half * off)
-            W[near_lo:c0, cols] = (gv * (half * w)) @ B_left
-        if c1 < near_hi:
-            gv = kernels.green(nodes[c1:near_hi, None], hi - half * off)
-            W[c1:near_hi, cols] = (gv * (half * w)) @ B_right
-        xs = nodes[cols, None]
-        y = xs + half * own_off
-        ww = half * own_w
+    blocks = W.reshape(n // order, order, n // order, order)  # blocks[t, :, p, :]: panel t by p
+
+    y_far = lo[:, None, None] + h * (t_fine + 1.0)  # panel by 1 by fine node
+    B_far = h * B_fine
+    step = max(1, _GREEN_BLOCK // y_far.size)
+    for r0 in range(0, n, step):
+        rows = slice(r0, r0 + step)
+        gv = kernels.green(nodes[None, rows, None], y_far)  # panel by row by fine node
+        W[rows, :done] = (gv @ B_far).transpose(1, 0, 2).reshape(-1, done)
+
+    # a target in panel p - 1 sees panel p's nodes lo + h * off, one in
+    # panel p + 1 the nodes hi - h * off, both with weights h * w
+    left, right = np.arange(1, panels), np.arange(panels)
+    step = max(1, _GREEN_BLOCK // (order * off.size))
+    for src, tgt, y, B in ((left, left - 1, lo[left, None, None] + h[left] * off, B_left),
+                           (right, right + 1, hi[:, None, None] - h * off, B_right)):
+        for k in range(0, src.size, step):
+            p, t = src[k:k + step], tgt[k:k + step]
+            gv = kernels.green(by_panel[t], y[k:k + step])
+            gv *= h[p] * w
+            blocks[t, :, p, :] = gv @ B
+
+    step = max(1, _GREEN_BLOCK // own_off.size)
+    for k in range(0, panels, step):
+        p = np.arange(k, min(k + step, panels))
+        xs = by_panel[p]
+        y = xs + h[p] * own_off
+        ww = h[p] * own_w
         if diag_gamma:
             # Bake the diagonal power with the distance the kernel sees:
             # near +-1 rounding y moves it off the reference distance.
-            d_ref = half * np.abs(own_off[:, inner])
-            ww[:, inner] *= (d_ref / np.abs(y[:, inner] - xs)) ** diag_gamma
-        W[cols, cols] = np.einsum("km,kmn->kn", kernels.green(xs, y) * ww, own_B)
-    done = half_panels * order
+            d_ref = h[p] * np.abs(own_off[:, inner])
+            ww[..., inner] *= (d_ref / np.abs(y[..., inner] - xs)) ** diag_gamma
+        gv = kernels.green(xs, y)
+        gv *= ww
+        # own_B[i] maps the values at node i of any panel: one matmul per node
+        blocks[p, :, p, :] = (gv.transpose(1, 0, 2) @ own_B).transpose(1, 0, 2)
+
     W[:, done:] = W[::-1, :n - done][:, ::-1]
-    bad = np.argwhere(~np.isfinite(W))
-    if bad.size:
+    if not np.isfinite(W).all():
+        bad = np.argwhere(~np.isfinite(W))
         j, c = bad[0]
         raise ValueError(f"green_matrix: non-finite entry W[{j}, {c}] = {W[j, c]} "
                          f"at alpha = {a} ({len(bad)} non-finite entries)")

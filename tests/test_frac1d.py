@@ -312,6 +312,106 @@ def test_green_matrix_on_refined_grid_is_finite_without_warnings(alpha):
     assert np.all(np.isfinite(W))
 
 
+def _green_matrix_by_panel(kernels, grid):
+    """Reference W: one source panel (column block) at a time over every
+    panel, no mirror, in four kernel calls per panel: far targets, left and
+    right neighbours, own nodes."""
+    a, nodes, breaks, order = kernels.alpha, grid.interior_x, grid.interior_breaks, grid.order
+    n = nodes.size
+    diag_gamma = a - 1.0 if a < 1.0 else 0.0
+    t_fine, B_fine = f1._far_rule(order)
+    off, w, B_left, B_right = f1._neighbour_rule(order, diag_gamma)
+    own_off, own_w, own_B = f1._own_rule(order, diag_gamma)
+    inner = slice(0, 2 * order)
+    W = np.zeros((n, n))
+    for p in range(len(breaks) - 1):
+        lo, hi = breaks[p], breaks[p + 1]
+        half = 0.5 * (hi - lo)
+        c0, c1 = p * order, (p + 1) * order
+        cols = slice(c0, c1)
+        near_lo, near_hi = max(c0 - order, 0), min(c1 + order, n)
+        far = np.r_[0:near_lo, near_hi:n]
+        gv = kernels.green(nodes[far, None], lo + half * (t_fine + 1.0))
+        W[far, cols] = gv @ (half * B_fine)
+        if near_lo < c0:
+            gv = kernels.green(nodes[near_lo:c0, None], lo + half * off)
+            W[near_lo:c0, cols] = (gv * (half * w)) @ B_left
+        if c1 < near_hi:
+            gv = kernels.green(nodes[c1:near_hi, None], hi - half * off)
+            W[c1:near_hi, cols] = (gv * (half * w)) @ B_right
+        xs = nodes[cols, None]
+        y = xs + half * own_off
+        ww = half * own_w
+        if diag_gamma:
+            d_ref = half * np.abs(own_off[:, inner])
+            ww[:, inner] *= (d_ref / np.abs(y[:, inner] - xs)) ** diag_gamma
+        W[cols, cols] = np.einsum("km,kmn->kn", kernels.green(xs, y) * ww, own_B)
+    return W
+
+
+@pytest.mark.parametrize("alpha, refine, n_base", [
+    (0.3, False, 8), (0.5, False, 8), (1.0, False, 8), (1.5, False, 8), (1.9, False, 8),
+    (1.2, True, 8), (1.5, True, 8), (0.7, False, 7), (1.5, False, 7)])
+def test_green_matrix_is_the_per_panel_assembly(alpha, refine, n_base):
+    # the blocked, mirrored assembly against one panel at a time; an odd
+    # n_base gives an odd panel count, whose middle panel is assembled too
+    grid = f1.build_grid(alpha, n_base=n_base)
+    grid = grid.refine() if refine else grid
+    assert (grid.interior_breaks.size - 1) % 2 == n_base % 2
+    k = f1.build_kernels(alpha)
+    W, ref = f1.green_matrix(k, grid), _green_matrix_by_panel(k, grid)
+    assert np.max(np.abs(W - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def _green_by_pair(k, x, y):
+    """Reference Green function with every factor formed per pair:
+    p = (1 - x^2)(1 - y^2), phi(log(p / d^2)) p^(alpha/2) / d."""
+    a = k.alpha
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    qx, qy = 1.0 - x * x, 1.0 - y * y
+    d = np.abs(x - y)
+    inside = (qx > 0.0) & (qy > 0.0)
+    off = inside & (d > 0.0)
+    dv = np.where(off, d, 1.0)
+    p = np.where(off, qx * qy, 1.0)
+    out = np.array(f1._radial_phi(a, np.log(p / (dv * dv))) * p ** (a / 2.0) / dv
+                   * k.green_coef * off)
+    on_diag = inside ^ off
+    if a > 1.0:
+        q = np.broadcast_to(qx, d.shape)[on_diag] ** (a - 1.0)
+        out[on_diag] = k.green_coef * (2.0 / (a - 1.0)) * q
+    else:
+        out[on_diag] = np.inf
+    return out
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("alpha", [0.3, 1.0, 1.5, 1.9])
+def test_green_is_the_per_pair_formula(alpha):
+    k = f1.build_kernels(alpha)
+    gaps = np.geomspace(1e-12, 0.5, 23)
+    pts = np.concatenate([-1.0 + gaps, [-0.3, 0.0, 0.2, 0.4, 0.7], 1.0 - gaps[::-1],
+                          [-2.0, -1.0, 1.0, 1.5]])  # the last four are off the interval
+    near = 0.4 + np.array([1e-14, 1e-12, -1e-10])  # r beyond the window's upper end
+    x, y = pts[:, None], np.concatenate([pts, near])
+    got, want = k.green(x, y), _green_by_pair(k, x, y)
+    off = (np.abs(x) >= 1.0) | (np.abs(y) >= 1.0)
+    pair = ~off & (x != y)
+    log_r = np.log(np.where(pair, (1.0 - x * x) * (1.0 - y * y), 1.0)
+                   / np.where(pair, x - y, 1.0) ** 2)
+    assert log_r.min() < f1._RADIAL_LO and log_r.max() > f1._RADIAL_HI
+    assert np.all(got[np.broadcast_to(off, got.shape)] == 0.0)
+    diag = np.broadcast_to(x == y, got.shape) & ~off
+    assert np.all(got[diag] == want[diag])
+    assert np.all(np.isinf(got[diag])) == (alpha <= 1.0)
+    rest = ~off & ~diag
+    assert np.max(np.abs(got[rest] / want[rest] - 1.0)) <= 1e-13
+    for a, b in ((0.3, -0.45), (0.3, 0.3), (1.0 - 1e-12, 0.2), (1.5, 0.2)):
+        value = k.green(a, b)
+        assert type(value) is float
+        assert value == pytest.approx(float(_green_by_pair(k, a, b)), rel=1e-13)
+
+
 def test_lagrange_matrix_reproduces_polynomials():
     rng = np.random.default_rng(4)
     for order in (4, 10, 16):
