@@ -112,9 +112,24 @@ def _write_json(path: Path, obj) -> None:
     _atomic_write(path, json.dumps(obj, indent=1, sort_keys=True) + "\n")
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
-    lines = [header] + [",".join(repr(v) for v in row) for row in rows]
-    _atomic_write(path, "\n".join(lines) + "\n")
+def _write_csv(path: Path, header: str, *columns) -> None:
+    """A CSV of equal-length columns, formatted column by column: a number as
+    the ``repr`` of its Python value (the shortest text that reads back to
+    it), a string bare."""
+    cells = []
+    for column in map(np.asarray, columns):
+        values = column.tolist()  # a Python float reprs as 0.5, np.float64 as np.float64(0.5)
+        cells.append(values if column.dtype.kind == "U" else map(repr, values))
+    _atomic_write(path, "\n".join([header, *map(",".join, zip(*cells))]) + "\n")
+
+
+def _write_trace(outdir: Path, seq) -> None:
+    """``trace.csv``: one row per probe and level, probe by probe."""
+    levels, probes = seq.values.shape
+    _write_csv(outdir / "trace.csv", "probe,level,value,extrapolated",
+               np.repeat(seq.probes.astype(float), levels),
+               np.tile(np.arange(1, levels + 1), probes),
+               seq.values.T.ravel(), np.repeat(seq.extrapolated, levels))
 
 
 def _atoms(atoms) -> tuple:
@@ -153,24 +168,9 @@ def _number(key: str, value) -> float:
     raise ValueError(f"spec key {key!r} must be a finite number, got {value!r}")
 
 
-def _vector(key: str, value) -> np.ndarray:
-    """A spec's flat list of finite numbers (``g``, ``mu``, ``f.b``, ``f.y``,
-    ``f.values``); an error names the key and its first bad entry."""
-    if not isinstance(value, list):
-        raise ValueError(f"spec key {key!r} must be a list of finite numbers, "
-                         f"got {type(value).__name__}")
-    for k, v in enumerate(value):
-        try:
-            _number(key, v)
-        except ValueError:
-            raise ValueError(f"spec key {key!r} must be a list of finite numbers, "
-                             f"got {v!r} at entry {k}") from None
-    return np.array(value, dtype=float)
-
-
 def _absorption_coefficient(value):
     """A spec's ``f.b``, nonnegative: a number, or a list as an array."""
-    b = _vector("f.b", value) if isinstance(value, list) else _number("f.b", value)
+    b = _array("f.b", value, 1) if isinstance(value, list) else _number("f.b", value)
     negative = np.ravel(b)[np.ravel(b) < 0]
     if negative.size:
         raise ValueError(f"spec key 'f.b' must be nonnegative, got {float(negative[0])!r}")
@@ -184,41 +184,47 @@ def _count(key: str, value) -> int:
     return value
 
 
-def _matrix(key: str, value) -> np.ndarray:
-    """A spec's square matrix of finite numbers (``form.J``), from the array
-    ``_json_matrix`` decoded or from json's nested lists; an error names the
-    key and its first bad entry or row."""
+def _array(key: str, value, ndim: int) -> np.ndarray:
+    """A spec's array of finite numbers: a flat list for ``ndim`` 1 (``g``,
+    ``mu``, ``f.b``, ``f.y``, ``f.values``, ``form.m``, ``form.kappa``), a
+    square matrix for ``ndim`` 2 (``form.J``, as ``_json_matrix`` decoded it,
+    uncopied, or as json's nested lists); an error names the key and its first
+    bad entry or row."""
     arr = None
+    entries = value
+    if ndim == 2 and isinstance(value, list) and all(isinstance(row, list) for row in value):
+        entries = itertools.chain.from_iterable(value)
     # json's lists hold only ints and floats (np.asarray reads "0.5" and true too)
     if isinstance(value, np.ndarray) or (
-            isinstance(value, list) and all(isinstance(row, list) for row in value)
-            and set(map(type, itertools.chain.from_iterable(value))) <= {int, float}):
+            isinstance(value, list) and set(map(type, entries)) <= {int, float}):
         try:
             arr = np.asarray(value, dtype=float)
         except (ValueError, OverflowError):  # ragged, or an int beyond the float range
             pass
-    if arr is not None and arr.ndim == 2 and arr.shape[0] == arr.shape[1] \
+    if arr is not None and arr.ndim == ndim and (ndim == 1 or arr.shape[0] == arr.shape[1]) \
             and np.isfinite(arr).all():
         return arr
-    raise ValueError(f"spec key {key!r} must be a square matrix of finite numbers, "
-                     f"got {_first_bad_entry(key, value)}")
+    what = "a list of finite numbers" if ndim == 1 else "a square matrix of finite numbers"
+    raise ValueError(f"spec key {key!r} must be {what}, got {_first_bad_entry(key, value, ndim)}")
 
 
-def _first_bad_entry(key: str, value) -> str:
-    """Where ``value`` first fails to be a square matrix of finite numbers."""
+def _first_bad_entry(key: str, value, ndim: int) -> str:
+    """Where ``value`` first fails to be ``_array``'s list or square matrix."""
     if isinstance(value, np.ndarray):
         value = value.tolist()
     if not isinstance(value, list):
         return type(value).__name__
     for i, row in enumerate(value):
-        if not isinstance(row, list):
+        if ndim == 1:
+            row = [row]
+        elif not isinstance(row, list):
             return f"{type(row).__name__} as row {i}"
         for j, v in enumerate(row):
             try:
                 _number(key, v)
             except ValueError:
-                return f"{v!r} at entry [{i}, {j}]"
-        if len(row) != len(value):
+                return f"{v!r} at entry {i if ndim == 1 else [i, j]}"
+        if ndim == 2 and len(row) != len(value):
             return f"{len(row)} entries in row {i} of {len(value)}"
     return repr(value)
 
@@ -445,9 +451,9 @@ def _nonlinearity_from_dict(obj: dict):
     if kind == "exp":
         return exp_nonlinearity(_absorption_coefficient(obj.pop("b", 1.0)))
     if kind == "custom-table":
-        return table_nonlinearity(_vector("f.y", obj.pop("y", None)),
-                                  _vector("f.values", obj.pop("values", None)))
-    raise ValueError(f"unknown nonlinearity kind {kind!r}")
+        return table_nonlinearity(_array("f.y", obj.pop("y", None), 1),
+                                  _array("f.values", obj.pop("values", None), 1))
+    raise ValueError(f"spec key 'f.kind' names an unknown nonlinearity kind {kind!r}")
 
 
 def _exterior_from_dict(obj: dict) -> frac1d.ExteriorData:
@@ -463,7 +469,7 @@ def _exterior_from_dict(obj: dict) -> frac1d.ExteriorData:
     if kind == "power_singular":
         coef = {"coef": _number("g.coef", obj.pop("coef"))} if "coef" in obj else {}
         return frac1d.power_singular_exterior(_number("g.p", obj.pop("p", None)), **coef)
-    raise ValueError(f"unknown exterior kind {kind!r}")
+    raise ValueError(f"spec key 'g.kind' names an unknown exterior kind {kind!r}")
 
 
 def load_problem(path):
@@ -491,16 +497,18 @@ def load_problem(path):
         rest[key] = sub or {}
         return rest[key]
 
-    obj.pop("schema", None)
+    schema = obj.pop("schema", SCHEMA)
+    if type(schema) is not int or schema != SCHEMA:
+        raise ValueError(f"spec key 'schema' must be {SCHEMA}, got {schema!r}")
     backend = obj.pop("backend", "graph")
     if backend not in tuple(SUITES):  # a tuple: an unhashable value is unknown too
-        raise ValueError(f"unknown backend {backend!r}")
+        raise ValueError(f"spec key 'backend' names an unknown backend {backend!r}")
     f = _nonlinearity_from_dict(popped("f"))
     if backend == "graph":
         form = popped("form")
-        arrays = {"m": _vector("form.m", form.pop("m", None)),
-                  "J": _matrix("form.J", form.pop("J", None)),
-                  "kappa": _vector("form.kappa", form.pop("kappa", None))}
+        arrays = {"m": _array("form.m", form.pop("m", None), 1),
+                  "J": _array("form.J", form.pop("J", None), 2),
+                  "kappa": _array("form.kappa", form.pop("kappa", None), 1)}
         D, g, mu = _indices("D", obj.pop("D", None)), obj.pop("g", None), obj.pop("mu", None)
         nest = obj.pop("nest", [])
         if not isinstance(nest, list):
@@ -538,8 +546,8 @@ def load_problem(path):
         if isinstance(b, tuple) and len(b) != form.n:
             raise ValueError(f"spec key 'f.b' must be one number or {form.n}, one per state, "
                              f"got {len(b)} numbers")
-        g = np.zeros(form.n) if g is None else _vector("g", g)
-        mu = np.zeros(form.n) if mu is None else _vector("mu", mu)
+        g = np.zeros(form.n) if g is None else _array("g", g, 1)
+        mu = np.zeros(form.n) if mu is None else _array("mu", mu, 1)
         return ProblemSpec(form=form, D=D, g=g, mu=mu, f=f, nest=nest), backend
     if isinstance(b, tuple):
         raise ValueError("spec key 'f.b' must be one number on the continuum, got a list")
@@ -595,8 +603,7 @@ def _suite_estimates_graph(cfg, spec, sol, outdir):
 def _suite_trace_graph(cfg, spec, sol, outdir):
     # no check: the last level is D, where the exit flux is zero whatever u is
     seq = trace.trace_sequence_graph(sol.u, spec.form, spec.D, spec.nest)
-    _write_csv(outdir / "trace.csv", "probe,level,value,extrapolated",
-               trace.trace_csv_rows(seq))
+    _write_trace(outdir, seq)
     return {}
 
 
@@ -627,8 +634,7 @@ def _suite_trace_frac(cfg, prob, sol, outdir):
     if len(radii) < 16:
         radii = frac1d.default_nest(16)
     seq = trace.trace_sequence_frac(prob.kernels, u_fn, radii)
-    _write_csv(outdir / "trace.csv", "probe,level,value,extrapolated",
-               trace.trace_csv_rows(seq))
+    _write_trace(outdir, seq)
     # the trace of u is its boundary measure: the limits tend to M|nu|, 0 without nu
     limit = (abs(prob.nu_plus) * frac1d.martin_kernel(prob.kernels, seq.probes, +1)
              + abs(prob.nu_minus) * frac1d.martin_kernel(prob.kernels, seq.probes, -1))
@@ -670,25 +676,21 @@ def _dump_kernels(problem, outdir: Path) -> None:
     """Kernel/grid CSV exports for downstream plotting."""
     if isinstance(problem, ProblemSpec):
         P = poisson_kernel(problem.form, problem.D)
-        _write_csv(outdir / "poisson_kernel.csv", ",".join(map(str, range(P.shape[1]))),
-                   [tuple(float(v) for v in row) for row in P])
+        _write_csv(outdir / "poisson_kernel.csv", ",".join(map(str, range(P.shape[1]))), *P.T)
         G = green_operator(problem.form, problem.D)
-        _write_csv(outdir / "green_operator.csv", ",".join(str(int(i)) for i in problem.D),
-                   [tuple(float(v) for v in row) for row in G])
+        _write_csv(outdir / "green_operator.csv", ",".join(map(str, problem.D.tolist())), *G.T)
         return
     grid = problem.grid
+    inner, outer = grid.interior_x.size, grid.exterior_x.size
     _write_csv(outdir / "grid.csv", "region,node,weight",
-               [("interior", float(x), float(w)) for x, w in
-                zip(grid.interior_x, grid.interior_w)]
-               + [("exterior", float(x), float(w)) for x, w in
-                  zip(grid.exterior_x, grid.exterior_w)])
-    xs = grid.interior_x[:: max(1, grid.interior_x.size // 64)]
-    rows = []
-    for x in xs:
-        for y in xs:
-            if x != y:
-                rows.append((float(x), float(y), float(problem.kernels.green(x, y))))
-    _write_csv(outdir / "green_samples.csv", "x,y,G", rows)
+               np.repeat(["interior", "exterior"], [inner, outer]),
+               np.concatenate([grid.interior_x, grid.exterior_x]),
+               np.concatenate([grid.interior_w, grid.exterior_w]))
+    xs = grid.interior_x[:: max(1, inner // 64)]
+    x, y = np.meshgrid(xs, xs, indexing="ij")
+    off = x != y
+    x, y = x[off], y[off]
+    _write_csv(outdir / "green_samples.csv", "x,y,G", x, y, problem.kernels.green(x, y))
 
 
 def run(config: RunConfig) -> int:
@@ -704,11 +706,9 @@ def run(config: RunConfig) -> int:
     if config.dump_kernels:
         _dump_kernels(problem, outdir)
     if backend == "graph":
-        rows = [(int(i), float(v)) for i, v in enumerate(sol.u)]
-        _write_csv(outdir / "solution.csv", "state,u", rows)
+        _write_csv(outdir / "solution.csv", "state,u", np.arange(sol.u.size), sol.u)
     else:
-        rows = [(float(x), float(v)) for x, v in zip(sol.meta["x"], sol.u)]
-        _write_csv(outdir / "solution.csv", "x,u", rows)
+        _write_csv(outdir / "solution.csv", "x,u", sol.meta["x"], sol.u)
 
     results: dict = {}
     for s in suites:

@@ -26,7 +26,6 @@ __all__ = [
     "eta_measure",
     "killing_part",
     "killing_part_frac",
-    "trace_csv_rows",
     "trace_sequence_frac",
     "trace_sequence_graph",
 ]
@@ -133,8 +132,8 @@ def trace_sequence_frac(kernels, u_fn, radii, probes=(0.0, 0.5, -0.5, 0.9, -0.9)
                                               probes[entered], edge_exponent=edge_exponent)
         # a probe that has not entered the level yet sees the identity exit
         # kernel, so its value is just |u| at the probe
-        for j in np.flatnonzero(~entered):
-            vals[j] = abs(u_fn(probes[j:j + 1])[0])
+        if not entered.all():
+            vals[~entered] = np.abs(u_fn(probes[~entered]))
         rows.append(vals)
         inside.append(entered)
     values = np.asarray(rows)
@@ -173,11 +172,3 @@ def eta_measure(kernels, u_fn, a: float) -> float:
         total += wz * gv * inner
     return float(total)
 
-
-def trace_csv_rows(seq: TraceSequence):
-    """Rows (probe, level, value, extrapolated) for CSV export."""
-    rows = []
-    for j, p in enumerate(np.asarray(seq.probes, dtype=float)):
-        for k in range(seq.values.shape[0]):
-            rows.append((float(p), k + 1, float(seq.values[k, j]), float(seq.extrapolated[j])))
-    return rows

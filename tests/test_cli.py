@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import importlib.util
 import json
@@ -11,14 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirichlet_lab import cli, semilinear
+from dirichlet_lab import cli, projection, semilinear
 from dirichlet_lab.forms import form_from_dict
 from dirichlet_lab.forms import is_transient
 from dirichlet_lab.suite import random_form
 
 
-def _demo_graph_spec(tmp_path):
-    obj = {
+def _demo_graph_obj() -> dict:
+    return {
         "schema": 1,
         "backend": "graph",
         "form": {"m": [1.0, 1.0, 1.0],
@@ -29,8 +30,11 @@ def _demo_graph_spec(tmp_path):
         "mu": [0.0, 0.2, 0.0],
         "f": {"kind": "power", "b": [1.0, 1.0, 1.0], "p": 3.0},
     }
+
+
+def _demo_graph_spec(tmp_path):
     path = tmp_path / "demo.json"
-    path.write_text(json.dumps(obj))
+    path.write_text(json.dumps(_demo_graph_obj()))
     return path
 
 
@@ -266,13 +270,16 @@ def _demo_frac_spec(tmp_path):
     return path
 
 
+def _small_frac_obj() -> dict:
+    return {"schema": 1, "backend": "frac1d", "alpha": 1.0,
+            "g": {"kind": "const", "value": 1.0},
+            "f": {"kind": "power", "b": 1.0, "p": 3.0},
+            "grid": {"order": 6, "n_base": 4, "edge_levels": 10, "out_levels": 6}}
+
+
 def _small_frac_spec(tmp_path):
-    obj = {"schema": 1, "backend": "frac1d", "alpha": 1.0,
-           "g": {"kind": "const", "value": 1.0},
-           "f": {"kind": "power", "b": 1.0, "p": 3.0},
-           "grid": {"order": 6, "n_base": 4, "edge_levels": 10, "out_levels": 6}}
     path = tmp_path / "small_frac.json"
-    path.write_text(json.dumps(obj))
+    path.write_text(json.dumps(_small_frac_obj()))
     return path
 
 
@@ -556,7 +563,7 @@ def test_every_spec_key_is_read(tmp_path):
 # nests that are not radii in (0, 1) or have no level, continuum numbers that are
 # not finite numbers and counts that are not integers >= 1 (bools are neither),
 # a table that is not numbers, keys left out, and continuum atoms that are not
-# pairs of finite numbers with the position in (-1, 1)
+# pairs of finite numbers with the position in (-1, 1), and a schema other than 1
 @pytest.mark.parametrize("backend, key, value, name", [
     ("graph", "form.kapa", [1.0, 0.0, 0.0], "'form.kapa'"),
     ("graph", "f", 3, "'f'"),
@@ -639,6 +646,9 @@ def test_every_spec_key_is_read(tmp_path):
     ("frac1d", "mu.atoms", [[0.1, float("inf")]], "'mu.atoms[0]' must be a finite number"),
     ("frac1d", "mu.atoms", [[0.1, 1.0, 2.0]], "'mu.atoms' must be a list of [position, weight]"),
     ("frac1d", "nest", ["0.5", 0.75], "'nest[0]' must be a finite number"),
+    ("graph", "schema", 2, "spec key 'schema' must be 1, got 2"),
+    ("frac1d", "schema", 1.0, "spec key 'schema' must be 1, got 1.0"),
+    ("graph", "schema", True, "spec key 'schema' must be 1, got True"),
 ], ids=["form.kapa", "f", "inject", "grid", "nu", "g", "mu", "mu.atoms", "list",
         "ladder.max_level", "ladder.base", "ladder.theta0", "ladder.start", "graph-g",
         "D-scalar", "D-floats", "graph-nest", "graph-nest-floats", "frac-nest",
@@ -652,7 +662,7 @@ def test_every_spec_key_is_read(tmp_path):
         "f.kind-null", "g.kind-missing", "g.kind-null", "D-out-of-range", "form.J-int",
         "form.J-int-row", "form.J-numeric-str", "form.J-bool", "mu.atoms-outside",
         "mu.atoms-endpoint", "mu.atoms-bool", "mu.atoms-nan", "mu.atoms-str", "mu.atoms-inf",
-        "mu.atoms-triple", "frac-nest-str"])
+        "mu.atoms-triple", "frac-nest-str", "schema-2", "schema-float", "schema-bool"])
 def test_malformed_spec_is_a_config_error(tmp_path, capsys, backend, key, value, name):
     make_spec = _demo_graph_spec if backend == "graph" else _small_frac_spec
     obj = json.loads(make_spec(tmp_path).read_text())
@@ -671,6 +681,78 @@ def test_malformed_spec_is_a_config_error(tmp_path, capsys, backend, key, value,
     printed = capsys.readouterr().out
     assert printed.startswith("error:") and name in printed
     assert not out.exists()
+
+
+def _leaves(obj: dict, prefix: str = "") -> list:
+    """The dotted keys of a spec's values that are not JSON objects."""
+    return [leaf for key, value in obj.items()
+            for leaf in (_leaves(value, f"{prefix}{key}.") if isinstance(value, dict)
+                         else [prefix + key])]
+
+
+_SPEC_OBJS = {"graph": _demo_graph_obj, "frac1d": _small_frac_obj}
+# what each leaf is set to; "removed" deletes it
+_LEAF_VALUES = {"nan": float("nan"), "str": "x", "nested": [[0.5]], "null": None, "removed": None}
+# (backend, dotted key, case) -> (the name the error carries, or None when the
+# spec runs, and why the case is not an error naming its own key)
+_LEAF_EXCEPTIONS = {
+    **{(b, "schema", "removed"): (None, "a spec without a schema is read as schema 1")
+       for b in _SPEC_OBJS},
+    ("graph", "backend", "removed"): (None, "the backend defaults to graph"),
+    ("frac1d", "backend", "removed"): (
+        "'form.m'", "the backend defaults to graph, so the continuum spec is read as a "
+                    "graph spec and refused at its first missing graph key"),
+    **{("graph", key, case): (None, f"{key} null or absent is zero data on every state")
+       for key in ("g", "mu") for case in ("null", "removed")},
+    **{(b, f"f.{key}", "removed"): (None, f"f.{key} defaults to 1")
+       for b in _SPEC_OBJS for key in ("b", "p")},
+    ("frac1d", "g.value", "removed"): (None, "a constant datum defaults to 1"),
+    **{("frac1d", f"grid.{key}", "removed"): (None, f"grid.{key} takes build_grid's default")
+       for key in ("order", "n_base", "edge_levels", "out_levels")},
+}
+
+
+@pytest.mark.parametrize("backend, key, case", [
+    (backend, key, case) for backend, make_obj in _SPEC_OBJS.items()
+    for key in _leaves(make_obj()) for case in _LEAF_VALUES],
+    ids=lambda v: v)
+def test_every_spec_leaf_is_read_or_refused(tmp_path, capsys, monkeypatch, backend, key, case):
+    # every leaf of a graph and of a continuum spec, set to NaN, a string, a
+    # nested list or null, or removed: the spec is refused with exit 2,
+    # naming the leaf, before any Green matrix is built or factored, unless
+    # the case is a listed exception
+    calls = []
+
+    def counted(module, name):
+        build = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return build(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(cli.frac1d, "green_matrix")
+    counted(projection, "_factor")
+    obj = _SPEC_OBJS[backend]()
+    *parents, leaf = key.split(".")
+    target = obj
+    for part in parents:
+        target = target[part]
+    if case == "removed":
+        del target[leaf]
+    else:
+        target[leaf] = _LEAF_VALUES[case]
+    spec = tmp_path / "leaf.json"
+    spec.write_text(json.dumps(obj))
+    out = tmp_path / "out"
+    status = cli.main(["run", str(spec), "--out", str(out), "--suite", "verify"])
+    name, _ = _LEAF_EXCEPTIONS.get((backend, key, case), (repr(key), None))
+    if name is None:
+        assert status == 0 and calls
+        return
+    printed = capsys.readouterr().out
+    assert status == 2 and printed.startswith("error:") and name in printed, printed
+    assert calls == [] and not out.exists()
 
 
 def _read_J(text):
@@ -1079,6 +1161,86 @@ def test_dump_kernels_frac(tmp_path):
     assert cli.run(cfg) == 0
     assert (tmp_path / "out" / "grid.csv").exists()
     assert (tmp_path / "out" / "green_samples.csv").exists()
+
+
+
+def _row_csv(header, rows) -> bytes:
+    """The CSV bytes of the row formatter ``cli._write_csv`` replaced: each
+    call site built tuples of Python ints and floats, and each cell was its
+    ``repr``."""
+    return ("\n".join([header] + [",".join(repr(v) for v in row) for row in rows])
+            + "\n").encode()
+
+
+@pytest.mark.parametrize("backend", ["graph", "frac1d"])
+def test_csv_bytes_are_the_row_formatters(tmp_path, monkeypatch, backend):
+    # the column writer writes the bytes of the row formatter it replaced,
+    # for the solution, the trace and the graph kernels
+    seen = {}
+
+    def record(module, name):
+        build = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            seen[name] = build(*args, **kwargs)
+            return seen[name]
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((cli, "solve"), (cli, "poisson_kernel"), (cli, "green_operator"),
+                         (cli.trace, "trace_sequence_graph"), (cli.trace, "trace_sequence_frac")):
+        record(module, name)
+    spec = (_demo_graph_spec if backend == "graph" else _small_frac_spec)(tmp_path)
+    out = tmp_path / "out"
+    cli.run(cli.RunConfig(spec_path=spec, out_dir=out, seed=1, suites=("verify", "trace"),
+                          dump_kernels=True))
+    sol = seen["solve"]
+    if backend == "graph":
+        want = {"solution.csv": _row_csv("state,u", [(int(i), float(v))
+                                                     for i, v in enumerate(sol.u)])}
+        seq = seen["trace_sequence_graph"]
+        P, G = seen["poisson_kernel"], seen["green_operator"]
+        D = cli.load_problem(spec)[0].D
+        want["poisson_kernel.csv"] = _row_csv(",".join(map(str, range(P.shape[1]))),
+                                              [tuple(float(v) for v in row) for row in P])
+        want["green_operator.csv"] = _row_csv(",".join(str(int(i)) for i in D),
+                                              [tuple(float(v) for v in row) for row in G])
+    else:
+        want = {"solution.csv": _row_csv("x,u", [(float(x), float(v))
+                                                 for x, v in zip(sol.meta["x"], sol.u)])}
+        seq = seen["trace_sequence_frac"]
+    trace_rows = [(float(p), k + 1, float(seq.values[k, j]), float(seq.extrapolated[j]))
+                  for j, p in enumerate(np.asarray(seq.probes, dtype=float))
+                  for k in range(seq.values.shape[0])]
+    assert len(trace_rows) == seq.values.shape[0] * seq.probes.size
+    want["trace.csv"] = _row_csv("probe,level,value,extrapolated", trace_rows)
+    for name, text in want.items():
+        assert (out / name).read_bytes() == text, name
+
+
+def test_dump_kernels_frac_cells_read_back(tmp_path):
+    # grid.csv writes its regions bare, and every node, weight and Green
+    # sample reads back bit for bit: the grid's own, and the per-pair
+    # kernel value of the sampled nodes
+    out = tmp_path / "out"
+    spec = _small_frac_spec(tmp_path)
+    assert cli.run(cli.RunConfig(spec_path=spec, out_dir=out, suites=(), dump_kernels=True)) == 0
+    prob, _ = cli.load_problem(spec)
+    grid = prob.grid
+    with open(out / "grid.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["region", "node", "weight"]
+    regions = [row[0] for row in rows[1:]]
+    assert regions == ["interior"] * grid.interior_x.size + ["exterior"] * grid.exterior_x.size
+    for col, (inner, outer) in ((1, (grid.interior_x, grid.exterior_x)),
+                                (2, (grid.interior_w, grid.exterior_w))):
+        got = np.array([float(row[col]) for row in rows[1:]])
+        assert got.tobytes() == np.concatenate([inner, outer]).tobytes()
+    with open(out / "green_samples.csv", newline="") as fh:
+        samples = list(csv.reader(fh))[1:]
+    k = grid.interior_x[:: max(1, grid.interior_x.size // 64)].size
+    assert len(samples) == k * (k - 1)
+    for x, y, G in samples:
+        assert float(G) == float(prob.kernels.green(float(x), float(y))), (x, y)
 
 
 def test_frac1d_config_runs(tmp_path):

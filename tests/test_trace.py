@@ -6,7 +6,7 @@ from dirichlet_lab.potential import green_apply
 from dirichlet_lab.semilinear import ProblemSpec, power_nonlinearity, solve
 from dirichlet_lab.suite import random_form, random_nested_subsets, random_problem
 from dirichlet_lab.trace import (aitken, eta_measure, killing_part, killing_part_frac,
-                                 trace_csv_rows, trace_sequence_frac, trace_sequence_graph)
+                                 trace_sequence_frac, trace_sequence_graph)
 
 
 def test_killing_part_k3(k3):
@@ -43,8 +43,20 @@ def test_graph_trace_terminal_level_exactly_zero(k3):
     sol = solve(spec)
     seq = trace_sequence_graph(sol.u, k3, spec.D, spec.nest)
     assert np.max(np.abs(seq.values[-1])) == 0.0
-    rows = trace_csv_rows(seq)
-    assert len(rows) == seq.values.shape[0] * seq.probes.size
+
+
+
+def test_frac_trace_probes_outside_a_level_read_u():
+    # a probe that has not entered a level reads |u| at itself: one call of
+    # u_fn on all such probes gives each probe's own value bit for bit
+    k = f1.build_kernels(1.2)
+    probes = np.array([0.0, 0.5, -0.5, 0.9, -0.9])
+    u_fn = lambda y: np.cos(3.0 * np.asarray(y)) - 0.5  # noqa: E731
+    radii = (0.3, 0.7, 0.95)
+    seq = trace_sequence_frac(k, u_fn, radii, probes=probes)
+    for level, a in enumerate(radii):
+        for j in np.flatnonzero(np.abs(probes) >= a):
+            assert seq.values[level, j] == abs(u_fn(probes[j:j + 1])[0])
 
 
 def test_graph_trace_reports_terminal_level_as_limit():
