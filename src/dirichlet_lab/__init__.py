@@ -5,13 +5,13 @@ fractional-Laplacian continuum solver, with Monte Carlo oracles (killed jump
 chains, stable-ball exit walks) cross-checking every deterministic quantity.
 """
 
-from .forms import DiscreteForm, NonTransientError, energy, generator, is_transient
-from .potential import dynkin_defect, exit_second_moment, green_apply, green_operator, is_excessive
-from .projection import harmonic_boundary, harmonic_extension, poisson_kernel, project
+from .forms import DiscreteForm, NonTransientError, is_transient
+from .potential import exit_second_moment, green_apply, green_operator
+from .projection import harmonic_extension, poisson_kernel, project
 from .semilinear import (LadderConfig, Nonlinearity, ProblemSpec, Solution, apriori_report,
-                         compare, exp_nonlinearity, power_nonlinearity, residual_probabilistic,
-                         solve, stability_gap, table_nonlinearity, vd_check, verify_projective,
-                         very_weak_defect, zero_nonlinearity)
+                         exp_nonlinearity, power_nonlinearity, residual_probabilistic, solve,
+                         table_nonlinearity, vd_check, verify_projective, very_weak_defect,
+                         zero_nonlinearity)
 
 __version__ = "0.1.0"
 
@@ -23,24 +23,17 @@ __all__ = [
     "ProblemSpec",
     "Solution",
     "apriori_report",
-    "compare",
-    "dynkin_defect",
-    "energy",
     "exit_second_moment",
     "exp_nonlinearity",
-    "generator",
     "green_apply",
     "green_operator",
-    "harmonic_boundary",
     "harmonic_extension",
-    "is_excessive",
     "is_transient",
     "poisson_kernel",
     "power_nonlinearity",
     "project",
     "residual_probabilistic",
     "solve",
-    "stability_gap",
     "table_nonlinearity",
     "vd_check",
     "verify_projective",

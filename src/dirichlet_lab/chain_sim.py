@@ -12,27 +12,26 @@ each drawing from its own counter-based substream, so every path's draws
 depend only on (seed, chunk) and not on how the paths are stepped.  One loop
 steps the live paths of all chunks together, and the estimators' linear
 functionals of the occupation times are summed visit by visit, so no
-path-by-state matrix is ever formed.  ``mc_estimate`` reads every check, the
-exit-law chi-square included, from one walk.
+path-by-state matrix is ever formed.  ``mc_estimate`` reads every check
+from one walk.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .forms import DiscreteForm, as_subset, complement, is_transient
-from .projection import _solve
-from .rng import CHUNK, check_estimate_args, chisquare, live_segments, mean_and_stderr, substream
+from .forms import DiscreteForm, as_subset, is_transient
+from .rng import CHUNK, check_estimate_args, live_segments, mean_and_stderr, substream
 
 __all__ = ["mc_estimate", "simulate_batch"]
 
 # arguments each estimator kind reads, checked before any path is simulated
 _NEEDS = {"PDg": ("g",), "RDf": ("h",), "RDmu": ("mu",), "second_moment": ("mu",),
-          "FK_residual": ("g", "mu", "u", "f"), "exit_chi2": ()}
+          "FK_residual": ("g", "mu", "u", "f")}
 # functional rows of the walk each kind reads: h, the atoms' weights mu/m, their
 # squares over the rates, and the FK integrand f(u) + mu/m
 _ROWS = {"PDg": (), "RDf": ("h",), "RDmu": ("mu",), "second_moment": ("mu", "mu2"),
-         "FK_residual": ("fk",), "exit_chi2": ()}
+         "FK_residual": ("fk",)}
 
 
 def _rates(form: DiscreteForm, idx: np.ndarray):
@@ -153,12 +152,11 @@ def mc_estimate(kinds: tuple, form: DiscreteForm, D, x: int, *, n_paths: int = 1
     integral of the density h), ``RDmu`` (additive functional of atoms mu),
     ``second_moment`` (its square), ``FK_residual`` (full path functional
     minus u at the start point; needs g, mu, u and the absorption f) give
-    ``(estimate, stderr)``; ``exit_chi2`` gives ``(statistic, p)`` of the
-    walk's exits against row x of the exit kernel (``_exit_chi2``).  The
-    walk carries the union of the functional rows the kinds read (``PDg``
-    and ``exit_chi2`` read only the exits, which do not depend on the rows),
-    so each result has the bits of a one-kind call at the same seed;
-    estimates of one call are correlated, each at its own standard error.
+    ``(estimate, stderr)``.  The walk carries the union of the functional
+    rows the kinds read (``PDg`` reads only the exits, which do not depend
+    on the rows), so each result has the bits of a one-kind call at the
+    same seed; estimates of one call are correlated, each at its own
+    standard error.
 
     The time integrals are read at their conditional means given the jump
     chain (``simulate_batch``), which are unbiased for every kind but the
@@ -180,9 +178,6 @@ def mc_estimate(kinds: tuple, form: DiscreteForm, D, x: int, *, n_paths: int = 1
     occ = dict(zip(names, F))
     out = []
     for kind in kinds:
-        if kind == "exit_chi2":
-            out.append(_exit_chi2(form, idx, x, exits))
-            continue
         if kind == "RDf":
             vals = occ["h"]
         elif kind == "RDmu":
@@ -195,27 +190,3 @@ def mc_estimate(kinds: tuple, form: DiscreteForm, D, x: int, *, n_paths: int = 1
                 vals = vals + occ["fk"] - np.asarray(u, dtype=float)[x]
         out.append(mean_and_stderr(vals))
     return out
-
-
-def _exit_chi2(form: DiscreteForm, idx: np.ndarray, x: int, exits: np.ndarray):
-    """Chi-square test of the walk's exits (states outside D, then death)
-    against row x of the exit kernel.
-
-    Since A_DD is symmetric, that row is -(A_DD^{-1} e_x) @ A[D, Dc]: one
-    solve with the cached factor, and the kernel itself is never formed.
-    Cells with expected counts below 5 are pooled into one before testing.
-    """
-    comp = complement(form.n, idx)
-    row = -(_solve(form, idx, (idx == x).astype(float))
-            @ form.energy_matrix()[np.ix_(idx, comp)])
-    per_state = np.bincount(exits + 1, minlength=form.n + 1)  # slot 0 is death
-    counts = np.append(per_state[comp + 1], per_state[0]).astype(float)
-    expected = np.append(row, max(1.0 - row.sum(), 0.0)) * exits.size
-    keep = expected >= 5.0
-    if (~keep).any():
-        counts = np.append(counts[keep], counts[~keep].sum())
-        expected = np.append(expected[keep], expected[~keep].sum())
-        if expected[-1] == 0:
-            counts, expected = counts[:-1], expected[:-1]
-    expected *= counts.sum() / expected.sum()
-    return chisquare(counts, expected)

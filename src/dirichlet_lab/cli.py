@@ -10,7 +10,8 @@ the rest are ceilings); ``--paths`` sets each Monte Carlo oracle's path count.
 A suite or ``--tol`` key that does not apply to the backend exits 2 unsolved.
 
 ``dirichlet-lab gen --seed N --count K [--out DIR]`` writes reproducible
-random graph problem pairs (ordered for comparison runs).
+random graph problem pairs a, b with mu_a <= mu_b and g_a <= g_b, so that
+u_a <= u_b on D by the comparison principle.
 
 The suites run one after another, in ``SUITES`` order, on the calling thread.
 """
@@ -500,6 +501,9 @@ def load_problem(path):
     schema = obj.pop("schema", SCHEMA)
     if type(schema) is not int or schema != SCHEMA:
         raise ValueError(f"spec key 'schema' must be {SCHEMA}, got {schema!r}")
+    if "backend" not in obj and "form" not in obj:
+        raise ValueError("spec key 'backend' is missing; only a graph spec, which has 'form', "
+                         "may leave it out")
     backend = obj.pop("backend", "graph")
     if backend not in tuple(SUITES):  # a tuple: an unhashable value is unknown too
         raise ValueError(f"spec key 'backend' names an unknown backend {backend!r}")
@@ -727,7 +731,9 @@ def run(config: RunConfig) -> int:
 def generate_random_suite(seed: int, count: int, out_dir) -> list:
     """Write ``count`` ordered random graph-problem pairs; returns the paths."""
     if count < 1:
-        raise ValueError("count must be >= 1")
+        raise ValueError(f"count must be >= 1, got {count}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
@@ -787,13 +793,18 @@ def main(argv=None) -> int:
                       help="paths per Monte Carlo oracle (finite, >= 100)")
     runp.add_argument("--dump-kernels", action="store_true",
                       help="export kernel matrices / grid samples as CSV")
-    genp = sub.add_parser("gen", help="generate random graph problem pairs")
+    genp = sub.add_parser("gen", help="generate random graph problem pairs a, b with "
+                                      "mu_a <= mu_b and g_a <= g_b, so u_a <= u_b on D")
     genp.add_argument("--seed", type=int, required=True)
     genp.add_argument("--count", type=int, required=True)
     genp.add_argument("--out", type=Path, default=Path("generated"))
     args = parser.parse_args(argv)
     if args.command == "gen":
-        paths = generate_random_suite(args.seed, args.count, args.out)
+        try:
+            paths = generate_random_suite(args.seed, args.count, args.out)
+        except (OSError, ValueError) as exc:
+            print(f"error: gen: {exc}")
+            return 2
         print("\n".join(str(p) for p in paths))
         return 0
     try:

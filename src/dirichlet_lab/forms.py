@@ -23,10 +23,8 @@ __all__ = [
     "NonTransientError",
     "as_subset",
     "complement",
-    "energy",
     "form_from_dict",
     "form_to_dict",
-    "generator",
     "is_transient",
 ]
 
@@ -93,7 +91,11 @@ class DiscreteForm:
         return self.m.size
 
     def energy_matrix(self) -> np.ndarray:
-        """Symmetric matrix A with E(u, v) = u @ A @ v (cached)."""
+        """Symmetric matrix A with E(u, v) = u @ A @ v (cached).
+
+        The generator is L = -A / m[:, None]: its off-diagonal entries are the
+        jump rates 2 J[x,y] / m[x], and every row sum is -kappa[x] / m[x].
+        """
         if not self._amat:
             # the bytes of 2 (diag(J 1) - J) + diag(kappa), with no dense diagonal matrix
             A = np.subtract(0.0, self.J)
@@ -117,24 +119,6 @@ def complement(n: int, V) -> np.ndarray:
     mask = np.ones(n, dtype=bool)
     mask[idx] = False
     return np.nonzero(mask)[0]
-
-
-def energy(form: DiscreteForm, u, v) -> float:
-    """Bilinear energy E(u, v); symmetric in its arguments."""
-    u = _as_1d(u, "u")
-    v = _as_1d(v, "v")
-    if u.size != form.n or v.size != form.n:
-        raise ValueError("dimension mismatch between form and vectors")
-    return float(u @ form.energy_matrix() @ v)
-
-
-def generator(form: DiscreteForm) -> np.ndarray:
-    """Matrix L with E(u, v) = sum_x (-L u)(x) v(x) m[x].
-
-    Off-diagonal entries are the jump rates 2 J[x,y] / m[x]; the diagonal
-    absorbs total jump and killing rates, so every row sum is -kappa[x]/m[x].
-    """
-    return -(form.energy_matrix() / form.m[:, None])
 
 
 def is_transient(form: DiscreteForm, V) -> bool:

@@ -41,7 +41,6 @@ __all__ = [
     "indicator_exterior",
     "levy_symbol",
     "martin_kernel",
-    "nest_from_potential",
     "power_singular_exterior",
     "projective_exhaustion_defects",
     "solve_continuum",
@@ -919,22 +918,6 @@ def martin_kernel(kernels: FracKernels, x, endpoint: int) -> np.ndarray:
 def default_nest(levels: int = 12) -> tuple:
     """Interval exhaustion radii 1 - 2^-n, n = 1..levels."""
     return tuple(1.0 - 2.0 ** (-n) for n in range(1, levels + 1))
-
-
-def nest_from_potential(kernels: FracKernels, levels: int = 8) -> tuple:
-    """Exhaustion by the level sets {E_x tau > 2^-n E_0 tau}, n = 1..levels.
-
-    The mean exit time is proportional to (1 - x^2)^(alpha/2), so level n is
-    the interval of radius sqrt(1 - 2^(-2n/alpha)).  A level whose radius
-    rounds to 1 is a ValueError naming it.
-    """
-    n = np.arange(1, levels + 1)
-    radii = np.sqrt(1.0 - 2.0 ** (-2.0 * n / kernels.alpha))
-    full = np.flatnonzero(radii >= 1.0)
-    if full.size:
-        raise ValueError(f"nest_from_potential: level {n[full[0]]} of {levels} rounds to "
-                         f"radius 1 at alpha = {kernels.alpha}")
-    return tuple(float(r) for r in radii)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Green operators on subsets, composition identities, excessive functions.
+"""Green operators on subsets and the second moment of the exit functional.
 
 Measures are stored as atom-weight vectors; the density of a measure with
 respect to the reference measure is atoms / m.  The Green operator of a
@@ -11,17 +11,13 @@ from __future__ import annotations
 import numpy as np
 
 from .forms import DiscreteForm, as_subset
-from .projection import _solve, project
+from .projection import _solve
 
 __all__ = [
-    "dynkin_defect",
     "exit_second_moment",
     "green_apply",
     "green_operator",
-    "is_excessive",
 ]
-
-_EXCESSIVE_TOL = 1e-12
 
 
 def green_operator(form: DiscreteForm, V) -> np.ndarray:
@@ -52,36 +48,6 @@ def green_apply(form: DiscreteForm, V, mu) -> np.ndarray:
         return out
     out[idx] = _solve(form, idx, mu[idx])
     return out
-
-
-def dynkin_defect(form: DiscreteForm, V, W, mu) -> float:
-    """Max-norm gap between project_V(R_W mu) and R_V mu for nested V in W."""
-    idxV = as_subset(form.n, V)
-    idxW = as_subset(form.n, W)
-    if not np.isin(idxV, idxW).all():
-        raise ValueError("V must be contained in W")
-    rw = green_apply(form, idxW, mu)
-    rv = green_apply(form, idxV, mu)
-    return float(np.max(np.abs(project(form, idxV, rw) - rv), initial=0.0))
-
-
-def is_excessive(form: DiscreteForm, V, rho) -> bool:
-    """Whether rho is excessive for the semigroup killed outside V.
-
-    Finite-state criterion: rho >= 0 on V and the restricted negative
-    generator applied to rho on V is nonnegative, both up to 1e-12.
-    """
-    rho = np.asarray(rho, dtype=float)
-    if rho.shape != (form.n,):
-        raise ValueError("rho has wrong length")
-    idx = as_subset(form.n, V)
-    if idx.size == 0:
-        return True
-    if np.min(rho[idx]) < -_EXCESSIVE_TOL:
-        return False
-    A = form.energy_matrix()[np.ix_(idx, idx)]
-    neg_gen = (A @ rho[idx]) / form.m[idx]
-    return bool(np.min(neg_gen) >= -_EXCESSIVE_TOL)
 
 
 def exit_second_moment(form: DiscreteForm, D, mu) -> tuple[np.ndarray, float]:

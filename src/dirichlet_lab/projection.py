@@ -18,7 +18,6 @@ from .forms import DiscreteForm, NonTransientError, as_subset, complement, is_tr
 
 __all__ = [
     "factor_nest",
-    "harmonic_boundary",
     "harmonic_extension",
     "poisson_kernel",
     "project",
@@ -188,8 +187,8 @@ def project(form: DiscreteForm, V, u) -> np.ndarray:
 
 def harmonic_extension(form: DiscreteForm, V, g) -> np.ndarray:
     """P_V g: g outside V and -A_VV^{-1} A[V, Vc] g[Vc] on V, energy-orthogonal
-    to F(V).  The one P_V formula of the graph: ``project`` is its complement,
-    ``poisson_kernel`` and ``harmonic_boundary`` its matrix and adjoint forms.
+    to F(V).  The one P_V formula of the graph: ``project`` is its complement
+    and ``poisson_kernel`` its matrix form.
     The flux is the full product A @ g_out, g_out being g with its V entries
     zeroed, read on V: a row gather A[V] would copy |V| x n of A per call.
     It never reads g on V, yet a wrong length or a non-finite entry anywhere
@@ -223,20 +222,3 @@ def poisson_kernel(form: DiscreteForm, V) -> np.ndarray:
         # no exterior states: kernel vanishes, all mass dies inside
         _restricted_cho(form, idx)
     return P
-
-
-def harmonic_boundary(form: DiscreteForm, D) -> np.ndarray:
-    """States outside D carrying positive aggregated exit-kernel mass.
-
-    The aggregated measure gives state y the mass sum_{x in D} m[x] P_D[x, y],
-    with m the reference measure.  Strict positivity up to a
-    rounding guard of 1e-14 selects the minimal atomically-supported carrier.
-    Since A_DD is symmetric, m @ P_D[D, Dc] = -(A_DD^{-1} m) @ A[D, Dc]:
-    one solve, and the kernel itself is never formed.
-    """
-    idx = as_subset(form.n, D)
-    if idx.size == 0:
-        return np.array([], dtype=int)
-    comp = complement(form.n, idx)
-    mass = -(_solve(form, idx, form.m[idx]) @ form.energy_matrix()[np.ix_(idx, comp)])
-    return comp[mass > 1e-14]

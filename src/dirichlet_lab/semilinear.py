@@ -18,7 +18,7 @@ exactly: u is g outside D.
 Verification operations check the solved function against every equivalent
 characterization: the probabilistic fixed point, the projective variational
 identities on a nested family, the very-weak dual pairing, the kappa-free
-double-sum energy layer, and the comparison / a-priori / stability bounds.
+double-sum energy layer, and the a-priori bounds.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 from .forms import DiscreteForm, as_subset, complement
 from .potential import green_apply, green_operator
 from .projection import (_cho_apply, _restricted_cho, cho_factor, cho_solve, factor_nest,
-                         harmonic_boundary, harmonic_extension, project)
+                         harmonic_extension, project)
 
 __all__ = [
     "LadderConfig",
@@ -43,13 +43,11 @@ __all__ = [
     "ProblemSpec",
     "Solution",
     "apriori_report",
-    "compare",
     "exp_nonlinearity",
     "power_nonlinearity",
     "residual_probabilistic",
     "solve",
     "solve_ladder",
-    "stability_gap",
     "table_nonlinearity",
     "vd_check",
     "verify_projective",
@@ -622,45 +620,6 @@ def verify_projective(u, spec: ProblemSpec) -> dict:
     return {"variational": d_var}
 
 
-def compare(spec1: ProblemSpec, spec2: ProblemSpec) -> dict:
-    """Order the two solutions after checking the comparison hypotheses.
-
-    Requires mu1 <= mu2 atomwise, g1 <= g2 on the harmonic boundary, and the
-    absorption ordering evaluated along the computed solutions.  On a
-    precondition violation the comparison is skipped and reported.
-    """
-    form, idx = spec1.form, spec1.D
-    report = {"checked": False, "ordered": False, "max_violation": np.nan, "precondition": ""}
-    if form is not spec2.form and not (
-            np.array_equal(form.m, spec2.form.m)
-            and np.array_equal(form.J, spec2.form.J)
-            and np.array_equal(form.kappa, spec2.form.kappa)):
-        report["precondition"] = "forms differ"
-        return report
-    if not np.array_equal(idx, spec2.D):
-        report["precondition"] = "domains differ"
-        return report
-    if np.any(spec1.mu > spec2.mu + 1e-12):
-        report["precondition"] = "mu ordering violated"
-        return report
-    bd = harmonic_boundary(form, idx)
-    if np.any(spec1.g[bd] > spec2.g[bd] + 1e-12):
-        report["precondition"] = "g ordering violated on harmonic boundary"
-        return report
-    u1 = solve(spec1).u
-    u2 = solve(spec2).u
-    f_le_at_u2 = not np.any(spec1.f(idx, u2[idx]) > spec2.f(idx, u2[idx]) + 1e-12)
-    f_le_at_u1 = not np.any(spec1.f(idx, u1[idx]) > spec2.f(idx, u1[idx]) + 1e-12)
-    if not (f_le_at_u2 or f_le_at_u1):
-        report["precondition"] = "absorption ordering violated"
-        return report
-    report["checked"] = True
-    viol = float(np.max((u1 - u2)[idx], initial=0.0))
-    report["max_violation"] = max(viol, 0.0)
-    report["ordered"] = bool(np.all(u1[idx] <= u2[idx] + 1e-9))
-    return report
-
-
 def apriori_report(u, spec: ProblemSpec) -> dict:
     """Defects of the three a-priori bounds for a solved instance.
 
@@ -703,28 +662,6 @@ def apriori_report(u, spec: ProblemSpec) -> dict:
 def _f_on_D(spec: ProblemSpec, u) -> np.ndarray:
     out = np.zeros(spec.form.n)
     out[spec.D] = spec.f(spec.D, np.asarray(u)[spec.D])
-    return out
-
-
-def stability_gap(spec1: ProblemSpec, spec2: ProblemSpec) -> dict:
-    """Defects of the data-continuity bounds between two solved instances."""
-    form, idx = spec1.form, spec1.D
-    u1 = solve(spec1).u
-    u2 = solve(spec2).u
-    df = np.zeros(form.n)
-    df[idx] = np.abs(spec1.f(idx, u1[idx]) - spec2.f(idx, u1[idx]))
-    rd_df = green_apply(form, idx, df * form.m)
-    rd_dmu = green_apply(form, idx, np.abs(spec1.mu - spec2.mu))
-    pd_dg = harmonic_extension(form, idx, np.abs(spec1.g - spec2.g))
-    gap = float(np.max((np.abs(u1 - u2) - rd_df - rd_dmu - pd_dg)[idx], initial=0.0))
-    out = {"stability": gap}
-    # names do not tell absorptions apart: power[3.0] with two different b
-    same_f = spec1.f is spec2.f or bool(spec1.f.params) and spec1.f.params == spec2.f.params
-    if same_f:
-        dff = np.zeros(form.n)
-        dff[idx] = np.abs(spec1.f(idx, u1[idx]) - spec1.f(idx, u2[idx]))
-        lhs = np.abs(u1 - u2) + green_apply(form, idx, dff * form.m)
-        out["stability_strong"] = float(np.max((lhs - rd_dmu - pd_dg)[idx], initial=0.0))
     return out
 
 

@@ -10,7 +10,6 @@ from .semilinear import (Nonlinearity, ProblemSpec, exp_nonlinearity,
 
 __all__ = [
     "random_form",
-    "random_nested_subsets",
     "random_nonlinearity",
     "random_problem",
     "random_ordered_pair",
@@ -51,21 +50,6 @@ def random_domain(rng: np.random.Generator, form: DiscreteForm) -> np.ndarray:
         if is_transient(form, D):
             return D
     raise RuntimeError("failed to draw a transient domain")
-
-
-def random_nested_subsets(rng: np.random.Generator, form: DiscreteForm):
-    """Transient nested pair V inside W, both proper."""
-    for _ in range(64):
-        W = random_domain(rng, form)
-        if W.size < 2:
-            continue
-        keep = rng.random(W.size) < 0.6
-        if not keep.any():
-            keep[0] = True
-        V = W[keep]
-        if is_transient(form, V):
-            return V, W
-    raise RuntimeError("failed to draw nested transient subsets")
 
 
 def random_nonlinearity(rng: np.random.Generator, n: int) -> Nonlinearity:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forms import DiscreteForm, as_subset, complement
-from .frac1d import _graded_panels, _split_rule, apply_PV_interval
+from .frac1d import apply_PV_interval
 from .potential import green_apply
 from .projection import harmonic_extension
 
@@ -23,7 +23,6 @@ __all__ = [
     "TraceSequence",
     "aitken",
     "aitken_iterated",
-    "eta_measure",
     "killing_part",
     "killing_part_frac",
     "trace_sequence_frac",
@@ -141,34 +140,3 @@ def trace_sequence_frac(kernels, u_fn, radii, probes=(0.0, 0.5, -0.5, 0.9, -0.9)
     extrap = np.array([aitken_iterated(values[inside[:, j], j])
                        for j in range(probes.size)])
     return TraceSequence(probes=probes, values=values, extrapolated=extrap)
-
-
-def eta_measure(kernels, u_fn, a: float) -> float:
-    """Total mass of the exit-flux measure of u across (-a, a) inside (-1, 1).
-
-    Double integral of G_V(0, z) j(|z - y|) u(y) over z in V and y in the
-    annulus a < |y| < 1; equals the exit average of u restricted to D started
-    at 0, which callers can cross-check through the interval kernel route.
-    """
-    alpha = kernels.alpha
-    # outer rule in z: graded toward +-a, where the Green factor vanishes
-    # like dist^(alpha/2) but the inner y-integral blows up like
-    # dist^(-alpha), and toward the base point, where the Green factor has
-    # its diagonal singularity
-    diag_gamma = alpha - 1.0 if alpha < 1.0 else 0.0
-    (z0, w0), (z1, w1) = _split_rule(-a, 0.0, a, 12, 22, -alpha / 2.0, diag_gamma)
-    zx = np.concatenate([z0, z1])
-    zw = np.concatenate([w0, w1])
-    # inner rule in y: graded toward +-a, where j(|z - y|) peaks as z nears +-a
-    annulus = (_graded_panels(a, 1.0, 12, 36, left=0.0),
-               _graded_panels(-1.0, -a, 12, 36, right=0.0))
-    total = 0.0
-    for z, wz in zip(zx, zw):
-        # the Green function of (-a, a) by stable scaling
-        gv = a ** (alpha - 1.0) * kernels.green(0.0, z / a)
-        inner = 0.0
-        for yx, yw in annulus:
-            inner += float(np.sum(yw * kernels.j(np.abs(z - yx)) * u_fn(yx)))
-        total += wz * gv * inner
-    return float(total)
-

@@ -8,20 +8,18 @@ one-line verdicts.
 import time
 
 import numpy as np
-import pytest
 
-from dirichlet_lab import (LadderConfig, apriori_report, compare, energy,
-                           exit_second_moment, exp_nonlinearity, harmonic_extension,
-                           poisson_kernel, power_nonlinearity, project,
-                           residual_probabilistic, solve, stability_gap, vd_check,
-                           verify_projective, very_weak_defect, zero_nonlinearity)
+from dirichlet_lab import (LadderConfig, apriori_report, exit_second_moment, exp_nonlinearity,
+                           harmonic_extension, poisson_kernel, power_nonlinearity, project,
+                           residual_probabilistic, solve, vd_check, verify_projective,
+                           very_weak_defect, zero_nonlinearity)
 from dirichlet_lab import frac1d as f1
 from dirichlet_lab import wos
 from dirichlet_lab.chain_sim import mc_estimate
-from dirichlet_lab.potential import dynkin_defect, green_apply
-from dirichlet_lab.suite import (random_form, random_nested_subsets, random_ordered_pair,
-                                 random_problem)
+from dirichlet_lab.potential import green_apply
+from dirichlet_lab.suite import random_form, random_ordered_pair, random_problem
 from dirichlet_lab.trace import trace_sequence_frac, trace_sequence_graph
+from paper_checks import compare, dynkin_defect, random_nested_subsets, stability_gap
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -96,7 +94,7 @@ def test_criterion_03_existence_uniqueness():
             worst_gap = max(worst_gap, float(np.max(np.abs(s1.u - s2.u))))
             diff = project(spec.form, spec.D, s1.u - s2.u)
             worst_cert = max(worst_cert,
-                             energy(spec.form, diff, np.clip(diff, -1.0, 1.0)))
+                             diff @ spec.form.energy_matrix() @ np.clip(diff, -1.0, 1.0))
     _verdict(3, all_converged and worst_gap < 1e-8 and worst_cert <= 1e-10,
              f"truncation ladder: converged {all_converged}, shuffled-schedule gap "
              f"{worst_gap:.2e}, clamp certificate {worst_cert:.2e}")

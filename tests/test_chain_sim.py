@@ -63,9 +63,11 @@ def _chunk_reference(form, D, x, n_paths, seed, V, max_steps=10 ** 6):
     return exits, occ, F, steps
 
 
-def _exit_cells_reference(form, D, x, exits):
-    """Observed and expected exit counts, states outside D then death, from
-    the full exit kernel, with the cells expecting fewer than 5 pooled."""
+def _exit_law_chi2(form, D, x, n_paths, seed):
+    """Chi-square test of ``simulate_batch``'s exits, states outside D then
+    death, against row x of the exit kernel and its death mass, with the
+    cells expecting fewer than 5 pooled; returns the counts and ``(statistic, p)``."""
+    exits, _ = simulate_batch(form, D, x, n_paths, seed)
     comp = complement(form.n, as_subset(form.n, D))
     row = poisson_kernel(form, D)[x, comp]
     counts = np.array([(exits == s).sum() for s in comp] + [(exits == -1).sum()], dtype=float)
@@ -76,15 +78,7 @@ def _exit_cells_reference(form, D, x, exits):
         expected = np.append(expected[keep], expected[~keep].sum())
         if expected[-1] == 0:
             counts, expected = counts[:-1], expected[:-1]
-    return counts, expected
-
-
-def _exit_chi2_cells(monkeypatch, form, D, x, n_paths, seed):
-    """The counts and expected counts that ``exit_chi2`` hands to the test."""
-    cells = []
-    monkeypatch.setattr(chain_sim, "chisquare", lambda c, e: cells.append((c, e)) or (0.0, 1.0))
-    mc_estimate(("exit_chi2",), form, D, x, n_paths=n_paths, seed=seed)
-    return cells[-1]
+    return counts, chisquare(counts, expected * (counts.sum() / expected.sum()))
 
 
 @pytest.fixture(scope="module")
@@ -190,27 +184,12 @@ def test_exit_law_chi2_random_form():
     form = random_form(rng, 12, 18)
     spec = random_problem(rng, form)
     x = int(spec.D[0])
-    [(stat, p)] = mc_estimate(("exit_chi2",), form, spec.D, x, n_paths=100_000, seed=3)
+    _, (stat, p) = _exit_law_chi2(form, spec.D, x, n_paths=100_000, seed=3)
     assert p > 0.001
 
 
-def test_exit_chi2_row_matches_poisson_kernel(monkeypatch):
-    # one solve with the cached factor gives row x of the kernel that
-    # poisson_kernel assembles column by column
-    rng = np.random.default_rng(26)
-    for _ in range(6):
-        form = random_form(rng, 12, 40)
-        D = random_problem(rng, form).D
-        x = int(rng.choice(D))
-        exits, _ = simulate_batch(form, D, x, 1000, seed=4)
-        counts, expected = _exit_chi2_cells(monkeypatch, form, D, x, 1000, seed=4)
-        ref_counts, ref_expected = _exit_cells_reference(form, D, x, exits)
-        np.testing.assert_array_equal(counts, ref_counts)
-        np.testing.assert_allclose(expected / 1000, ref_expected / 1000, rtol=0, atol=1e-13)
-
-
 @pytest.mark.parametrize("weak", [(1e-3, 2e-3), (0.0, 0.0)])
-def test_exit_law_chi2_pools_small_cells(monkeypatch, weak):
+def test_exit_law_chi2_pools_small_cells(weak):
     # D = {1, 2} exits to 0 and 3, to 4 and 5 only through weak bonds, and
     # never dies: at 2,000 paths the cells of 4, 5 and death expect fewer
     # than 5 exits and are pooled into one; with no bond at all the pooled
@@ -219,11 +198,8 @@ def test_exit_law_chi2_pools_small_cells(monkeypatch, weak):
     for a, b, w in ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (2, 4, weak[0]), (1, 5, weak[1])):
         J[a, b] = J[b, a] = w
     form = DiscreteForm(m=np.ones(6), J=J, kappa=np.zeros(6))
-    cells = []
-    real = chain_sim.chisquare
-    monkeypatch.setattr(chain_sim, "chisquare", lambda c, e: cells.append(c) or real(c, e))
-    [(_, p)] = mc_estimate(("exit_chi2",), form, [1, 2], 1, n_paths=2000, seed=0)
-    assert len(cells[0]) == (3 if weak[0] else 2) and cells[0].sum() == 2000
+    counts, (_, p) = _exit_law_chi2(form, [1, 2], 1, n_paths=2000, seed=0)
+    assert len(counts) == (3 if weak[0] else 2) and counts.sum() == 2000
     assert p >= 1e-3
 
 
@@ -334,12 +310,9 @@ def test_mc_estimate_checks_arguments_before_simulating(k3, monkeypatch):
     for kind, (given_args, missing) in cases.items():
         with pytest.raises(ValueError, match=f"needs {missing}$"):
             mc_estimate((kind,), k3, [1, 2], 1, n_paths=200, **given_args)
-
-
-def test_exit_law_chi2_too_few_paths(k3):
     for n in (0, 99):
         with pytest.raises(ValueError, match="n_paths"):
-            mc_estimate(("exit_chi2",), k3, [1, 2], 1, n_paths=n, seed=0)
+            mc_estimate(("PDg",), k3, [1, 2], 1, n_paths=n, seed=0, g=vec)
 
 
 def test_start_state_validation(k3):
@@ -427,7 +400,7 @@ def test_category_search_matches_dense_count(data):
                           (u[:, None] > cum[state]).sum(axis=1))
 
 
-def test_streamed_functionals_match_full_occupation(random_chain, monkeypatch):
+def test_streamed_functionals_match_full_occupation(random_chain):
     form, D, x, vecs = random_chain
     n = 2 * 4096 + 1000  # two full chunks and a partial one
     exits, occ = _occupation(form, D, x, n, seed=12)
@@ -438,9 +411,6 @@ def test_streamed_functionals_match_full_occupation(random_chain, monkeypatch):
         np.testing.assert_allclose(Fj, occ @ v, rtol=4 * np.finfo(float).eps, atol=0)
     exits_e, F_e = simulate_batch(form, D, x, n, seed=12, functionals=())
     assert np.array_equal(exits, exits_e) and F_e.shape == (0, n)
-    # the exit_chi2 cells count the same exits: states outside D, then death
-    counts, _ = _exit_chi2_cells(monkeypatch, form, D, x, n, seed=12)
-    np.testing.assert_array_equal(counts, _exit_cells_reference(form, D, x, exits)[0])
     with pytest.raises(ValueError, match="length"):
         simulate_batch(form, D, x, 100, seed=12, functionals=(np.ones(D.size + 1),))
 

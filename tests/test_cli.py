@@ -16,6 +16,7 @@ from dirichlet_lab import cli, projection, semilinear
 from dirichlet_lab.forms import form_from_dict
 from dirichlet_lab.forms import is_transient
 from dirichlet_lab.suite import random_form
+from paper_checks import stability_gap
 
 
 def _demo_graph_obj() -> dict:
@@ -339,9 +340,17 @@ def test_gen_stable_and_valid(tmp_path):
         assert np.all(np.asarray(a["g"]) <= np.asarray(b["g"]) + 1e-15)
 
 
-def test_gen_validation():
+def test_gen_validation(tmp_path, capsys):
     with pytest.raises(ValueError):
         cli.generate_random_suite(seed=1, count=0, out_dir="/tmp/nope")
+    # through main, a count below 1 or a negative seed is exit 2 with one
+    # error line, as for run, and nothing is written
+    out = tmp_path / "gen"
+    for argv, message in ((["--seed", "1", "--count", "0"], "count must be >= 1, got 0"),
+                          (["--seed", "-1", "--count", "1"], "seed must be >= 0, got -1")):
+        assert cli.main(["gen", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().out == f"error: gen: {message}\n"
+        assert not out.exists()
 
 
 def test_cli_main_roundtrip(tmp_path, capsys):
@@ -699,9 +708,6 @@ _LEAF_EXCEPTIONS = {
     **{(b, "schema", "removed"): (None, "a spec without a schema is read as schema 1")
        for b in _SPEC_OBJS},
     ("graph", "backend", "removed"): (None, "the backend defaults to graph"),
-    ("frac1d", "backend", "removed"): (
-        "'form.m'", "the backend defaults to graph, so the continuum spec is read as a "
-                    "graph spec and refused at its first missing graph key"),
     **{("graph", key, case): (None, f"{key} null or absent is zero data on every state")
        for key in ("g", "mu") for case in ("null", "removed")},
     **{(b, f"f.{key}", "removed"): (None, f"f.{key} defaults to 1")
@@ -1104,7 +1110,7 @@ def test_number_absorption_is_plain_data(tmp_path):
         path = tmp_path / f"graph_{g0}.json"
         path.write_text(json.dumps(obj))
         specs.append(cli.load_problem(path)[0])
-    rep = semilinear.stability_gap(*specs)
+    rep = stability_gap(*specs)
     assert set(rep) == {"stability", "stability_strong"} and max(rep.values()) < 1e-9
 
 

@@ -11,13 +11,14 @@ import pytest
 from numpy.linalg import LinAlgError
 
 from dirichlet_lab import (DiscreteForm, NonTransientError, apriori_report,
-                           exit_second_moment, green_apply, harmonic_boundary,
+                           exit_second_moment, green_apply,
                            harmonic_extension, poisson_kernel, residual_probabilistic, solve,
                            verify_projective)
 from dirichlet_lab import cli, projection, semilinear
 from dirichlet_lab.forms import complement
 from dirichlet_lab.semilinear import ProblemSpec, power_nonlinearity
 from dirichlet_lab.suite import random_domain, random_form
+from paper_checks import harmonic_boundary
 from dirichlet_lab.trace import killing_part, trace_sequence_graph
 
 

@@ -5,19 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirichlet_lab import DiscreteForm, energy, generator, is_transient
+from dirichlet_lab import DiscreteForm, is_transient
 from dirichlet_lab.forms import form_from_dict, form_to_dict
 from dirichlet_lab.suite import random_form
 
 
 def test_energy_zero_vector(two_state):
-    assert energy(two_state, np.zeros(2), np.zeros(2)) == 0.0
+    assert np.zeros(2) @ two_state.energy_matrix() @ np.zeros(2) == 0.0
 
 
 def test_energy_two_state_by_hand(two_state):
     # expand the double sum by hand: each unordered pair is counted twice
     u = np.array([1.0, 0.0])
-    assert energy(two_state, u, u) == pytest.approx(2.0 * 0.5 * 1.0 + 1.0, abs=0)
+    assert u @ two_state.energy_matrix() @ u == pytest.approx(2.0 * 0.5 * 1.0 + 1.0, abs=0)
 
 
 def test_energy_symmetric_random():
@@ -26,7 +26,7 @@ def test_energy_symmetric_random():
         form = random_form(rng, 3, 12)
         u = rng.normal(size=form.n)
         v = rng.normal(size=form.n)
-        assert abs(energy(form, u, v) - energy(form, v, u)) < 1e-12
+        assert abs(u @ form.energy_matrix() @ v - v @ form.energy_matrix() @ u) < 1e-12
 
 
 def test_energy_nonnegative_random():
@@ -34,7 +34,7 @@ def test_energy_nonnegative_random():
     for _ in range(100):
         form = random_form(rng, 3, 15)
         u = rng.normal(size=form.n)
-        assert energy(form, u, u) >= -1e-12
+        assert u @ form.energy_matrix() @ u >= -1e-12
 
 
 def test_energy_matrix_bytes_match_dense_formula():
@@ -53,25 +53,20 @@ def test_energy_matrix_bytes_match_dense_formula():
     assert form.energy_matrix().tobytes() == dense.tobytes()
 
 
-def test_energy_dimension_mismatch(two_state):
-    with pytest.raises(ValueError):
-        energy(two_state, np.zeros(3), np.zeros(2))
-
-
 def test_generator_zero_form():
     form = DiscreteForm(m=np.ones(3), J=np.zeros((3, 3)), kappa=np.zeros(3))
-    assert np.all(generator(form) == 0.0)
+    assert np.all(-(form.energy_matrix() / form.m[:, None]) == 0.0)
 
 
 def test_generator_duality_identity(two_state, k3):
     for form in (two_state, k3):
-        L = generator(form)
+        L = -(form.energy_matrix() / form.m[:, None])
         n = form.n
         for i in range(n):
             for j in range(n):
                 ei = np.eye(n)[i]
                 ej = np.eye(n)[j]
-                lhs = energy(form, ei, ej)
+                lhs = ei @ form.energy_matrix() @ ej
                 rhs = float((-L @ ei) @ (ej * form.m))
                 assert abs(lhs - rhs) < 1e-12
 
@@ -80,7 +75,7 @@ def test_generator_row_structure():
     rng = np.random.default_rng(2)
     for _ in range(20):
         form = random_form(rng, 3, 20)
-        L = generator(form)
+        L = -(form.energy_matrix() / form.m[:, None])
         off = L - np.diag(np.diag(L))
         assert np.all(off >= 0)
         assert np.all(np.diag(L) <= 0)
@@ -96,7 +91,7 @@ def test_unit_contraction_decreases_energy():
         form = random_form(rng, 3, 15)
         u = rng.normal(scale=2.0, size=form.n)
         tu = np.clip(u, 0.0, 1.0)
-        assert energy(form, tu, tu) <= energy(form, u, u) + 1e-12
+        assert tu @ form.energy_matrix() @ tu <= u @ form.energy_matrix() @ u + 1e-12
 
 
 @settings(max_examples=50, deadline=None)
@@ -106,14 +101,14 @@ def test_contraction_property_hypothesis(seed):
     form = random_form(rng, 3, 10)
     u = rng.normal(scale=3.0, size=form.n)
     tu = np.clip(u, 0.0, 1.0)
-    assert energy(form, tu, tu) <= energy(form, u, u) + 1e-12
+    assert tu @ form.energy_matrix() @ tu <= u @ form.energy_matrix() @ u + 1e-12
 
 
 def test_restrict_full_and_empty(k3):
     A = k3.energy_matrix()
     full = A[np.ix_(range(3), range(3))]
     u = np.array([0.3, -1.0, 2.0])
-    assert u @ full @ u == pytest.approx(energy(k3, u, u))
+    assert u @ full @ u == pytest.approx(u @ k3.energy_matrix() @ u)
     empty = A[np.ix_([], [])]
     assert empty.shape[0] == 0
 
@@ -121,7 +116,7 @@ def test_restrict_full_and_empty(k3):
 def test_restrict_principal_submatrix(k3):
     sub = k3.energy_matrix()[np.ix_([1], [1])]
     e1 = np.array([0.0, 1.0, 0.0])
-    assert np.array([1.0]) @ sub @ np.array([1.0]) == pytest.approx(energy(k3, e1, e1))
+    assert np.array([1.0]) @ sub @ np.array([1.0]) == pytest.approx(e1 @ k3.energy_matrix() @ e1)
 
 
 def test_transience_cases(two_state, k3):

@@ -898,15 +898,3 @@ def test_atoms_lie_inside_the_interval(packs):
     for pos in (1.0, -1.5, float("nan")):
         with pytest.raises(ValueError, match="atoms must lie in"):
             replace(prob, mu_atoms=((pos, 1.0),))
-
-
-def test_nest_from_potential(packs):
-    # exact level sets of the mean exit time, proportional to (1 - x^2)^(alpha/2)
-    for a in ALPHAS:
-        radii = f1.nest_from_potential(packs[a][0], levels=8)
-        assert len(radii) == 8
-        assert all(b > r for r, b in zip(radii, radii[1:]))
-        n = np.arange(1, 9)
-        assert np.array_equal(radii, np.sqrt(1.0 - 2.0 ** (-2.0 * n / a)))
-    with pytest.raises(ValueError, match="level 6 of 8"):
-        f1.nest_from_potential(f1.build_kernels(0.2), levels=8)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from dirichlet_lab import (dynkin_defect, exit_second_moment, green_apply, green_operator,
-                           harmonic_extension, is_excessive, project)
+from dirichlet_lab import (exit_second_moment, green_apply, green_operator, harmonic_extension,
+                           project)
 from dirichlet_lab.forms import NonTransientError, DiscreteForm
-from dirichlet_lab.suite import random_form, random_nested_subsets
+from dirichlet_lab.suite import random_form
+from paper_checks import dynkin_defect, is_excessive, random_nested_subsets
 
 
 def test_green_zero_measure(k3):

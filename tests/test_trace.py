@@ -4,9 +4,10 @@ import pytest
 from dirichlet_lab import frac1d as f1
 from dirichlet_lab.potential import green_apply
 from dirichlet_lab.semilinear import ProblemSpec, power_nonlinearity, solve
-from dirichlet_lab.suite import random_form, random_nested_subsets, random_problem
-from dirichlet_lab.trace import (aitken, eta_measure, killing_part, killing_part_frac,
+from dirichlet_lab.suite import random_form, random_problem
+from dirichlet_lab.trace import (aitken, killing_part, killing_part_frac,
                                  trace_sequence_frac, trace_sequence_graph)
+from paper_checks import random_nested_subsets
 
 
 def test_killing_part_k3(k3):
@@ -138,6 +139,36 @@ def test_frac_trace_solved_boundary_measure_input():
     seq = trace_sequence_frac(k, u_fn, f1.default_nest(12), probes=(0.0,),
                               edge_exponent=alpha / 2.0 - 1.0)
     assert seq.extrapolated[0] == pytest.approx(1.0, abs=0.05)
+
+
+def eta_measure(kernels, u_fn, a: float) -> float:
+    """Total mass of the exit-flux measure of u across (-a, a) inside (-1, 1).
+
+    Double integral of G_V(0, z) j(|z - y|) u(y) over z in V and y in the
+    annulus a < |y| < 1; equals the exit average of u restricted to D started
+    at 0, which the tests cross-check through the interval kernel route.
+    """
+    alpha = kernels.alpha
+    # outer rule in z: graded toward +-a, where the Green factor vanishes
+    # like dist^(alpha/2) but the inner y-integral blows up like
+    # dist^(-alpha), and toward the base point, where the Green factor has
+    # its diagonal singularity
+    diag_gamma = alpha - 1.0 if alpha < 1.0 else 0.0
+    (z0, w0), (z1, w1) = f1._split_rule(-a, 0.0, a, 12, 22, -alpha / 2.0, diag_gamma)
+    zx = np.concatenate([z0, z1])
+    zw = np.concatenate([w0, w1])
+    # inner rule in y: graded toward +-a, where j(|z - y|) peaks as z nears +-a
+    annulus = (f1._graded_panels(a, 1.0, 12, 36, left=0.0),
+               f1._graded_panels(-1.0, -a, 12, 36, right=0.0))
+    total = 0.0
+    for z, wz in zip(zx, zw):
+        # the Green function of (-a, a) by stable scaling
+        gv = a ** (alpha - 1.0) * kernels.green(0.0, z / a)
+        inner = 0.0
+        for yx, yw in annulus:
+            inner += float(np.sum(yw * kernels.j(np.abs(z - yx)) * u_fn(yx)))
+        total += wz * gv * inner
+    return float(total)
 
 
 def test_eta_measure_zero_and_constant():
