@@ -310,9 +310,13 @@ def test_mc_estimate_checks_arguments_before_simulating(k3, monkeypatch):
     for kind, (given_args, missing) in cases.items():
         with pytest.raises(ValueError, match=f"needs {missing}$"):
             mc_estimate((kind,), k3, [1, 2], 1, n_paths=200, **given_args)
+
+
+def test_exit_law_chi2_too_few_paths(k3):
+    # mc_estimate refuses fewer than 100 paths before it simulates any
     for n in (0, 99):
         with pytest.raises(ValueError, match="n_paths"):
-            mc_estimate(("PDg",), k3, [1, 2], 1, n_paths=n, seed=0, g=vec)
+            mc_estimate(("PDg",), k3, [1, 2], 1, n_paths=n, seed=0, g=np.zeros(3))
 
 
 def test_start_state_validation(k3):
