@@ -8,16 +8,14 @@ chains, stable-ball exit walks) cross-checking every deterministic quantity.
 from .forms import DiscreteForm, NonTransientError, is_transient
 from .potential import exit_second_moment, green_apply, green_operator
 from .projection import harmonic_extension, poisson_kernel, project
-from .semilinear import (LadderConfig, Nonlinearity, ProblemSpec, Solution, apriori_report,
-                         exp_nonlinearity, power_nonlinearity, residual_probabilistic, solve,
-                         table_nonlinearity, vd_check, verify_projective, very_weak_defect,
-                         zero_nonlinearity)
+from .semilinear import (Nonlinearity, ProblemSpec, Solution, apriori_report, exp_nonlinearity,
+                         power_nonlinearity, residual_probabilistic, solve, table_nonlinearity,
+                         vd_check, verify_projective, very_weak_defect, zero_nonlinearity)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "DiscreteForm",
-    "LadderConfig",
     "NonTransientError",
     "Nonlinearity",
     "ProblemSpec",

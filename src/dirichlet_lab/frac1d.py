@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .semilinear import LadderConfig, Nonlinearity, Solution, _newton_fixed_point, solve_ladder
+from .semilinear import Nonlinearity, Solution, _newton_fixed_point
 
 __all__ = [
     "ContinuumProblem",
@@ -989,30 +989,38 @@ def _check_absorption_integrable(prob: ContinuumProblem) -> None:
     raise ValueError(f"absorption along the boundary part has no finite potential ({why})")
 
 
-def solve_continuum(prob: ContinuumProblem, ladder: LadderConfig | None = None) -> Solution:
-    """Solve u = martin part + exit average of g + Green terms on the grid's
-    interior nodes: by Newton on the fixed point u = base + W f(u), or by
-    ``solve_ladder`` when ``ladder`` is given; Newton starts from the base
-    or 0 (``_damped_newton``).  The Green matrix W is formed only for
-    nonzero absorption."""
-    kern, grid = prob.kernels, prob.grid
-    nodes = grid.interior_x
-    base = apply_PD(kern, grid, prob.g, x=nodes)
+def _continuum_base(prob: ContinuumProblem) -> np.ndarray:
+    """The base of the fixed point u = base + W f(u) on the grid's interior
+    nodes: the exit average of g, the Martin part of the boundary measure
+    and the Green potential of the atoms.  Boundary mass with nonzero
+    absorption is checked against the hypothesis first."""
+    nodes = prob.grid.interior_x
+    base = apply_PD(prob.kernels, prob.grid, prob.g, x=nodes)
     if prob.nu_plus or prob.nu_minus:
         base = base + prob.martin_part(nodes)
         if not prob.f.is_zero:
             _check_absorption_integrable(prob)
     if prob.mu_atoms:
         base = base + prob.atom_part(nodes)
-    W = None if prob.f.is_zero else green_matrix(kern, grid)
-    if ladder is None and W is not None:
+    return base
+
+
+def solve_continuum(prob: ContinuumProblem) -> Solution:
+    """Solve u = martin part + exit average of g + Green terms on the grid's
+    interior nodes by Newton on the fixed point u = base + W f(u), from the
+    base or 0 (``_damped_newton``).  Zero absorption returns the base with
+    an empty trace, and forms no Green matrix W."""
+    nodes = prob.grid.interior_x
+    base = _continuum_base(prob)
+    if prob.f.is_zero:
+        W, u, trace, met = None, base.copy(), [], True
+    else:
+        W = green_matrix(prob.kernels, prob.grid)
         u, row, met = _newton_fixed_point(base, base, W, partial(prob.f, nodes),
                                           partial(prob.f.derivative, nodes), np.zeros_like(base))
-        trace, meta = [row], {"converged": met}
-    else:  # for zero absorption the ladder returns a copy of the base
-        u, trace, meta = solve_ladder(base, W, prob.f, nodes, ladder)
-    sol = Solution(u=u, residuals={}, ladder_trace=trace, converged=meta["converged"],
-                   meta={"x": nodes, "problem": prob, "base": base, "green_matrix": W, **meta})
+        trace = [row]
+    sol = Solution(u=u, residuals={}, ladder_trace=trace, converged=met,
+                   meta={"x": nodes, "problem": prob, "base": base, "green_matrix": W})
     sol.residuals["fixed_point"] = fixed_point_residual(sol)
     return sol
 

@@ -3,17 +3,15 @@
 On the graph, u = P_D g + R_D f(.,u) + R_D mu is the minimizer over D of the
 strictly convex energy 1/2 u A_DD u - <A_DD base, u> - sum_x m_x F_x(u_x)
 (base = P_D g + R_D mu, F_x' = f(x, .)), whose gradient is the residual of
-the very-weak identity.  The graph's default solve is damped Newton on it,
+the very-weak identity.  The graph's solve is damped Newton on it,
 each step a conjugate-gradient solve preconditioned by the cached Cholesky
-factor of A_DD.  The continuum's default solve is damped Newton on the fixed
+factor of A_DD.  The continuum's solve is damped Newton on the fixed
 point u = base + W f(u) of its Green matrix W, each step GMRES on products
-with W.  The monotone truncation ladder is the paper's construction and the
-reference on both backends, run when a ``LadderConfig`` is given: the
-absorption term is clipped between growing envelopes -m*rho_m and n*rho_n
-(rho_k = k/(1+k)), each bounded problem is solved by the same Newton on the
-fixed point as the continuum's default, and the envelopes grow until
-successive outer iterates stabilize.  The exterior condition is imposed
-exactly: u is g outside D.
+with W.  Zero absorption returns the base on both backends.  The paper's
+monotone truncation ladder is the tests' reference for these solves
+(``tests/paper_checks.solve_by_ladder``); each of its levels is solved by
+``_newton_fixed_point``.  The exterior condition is imposed exactly: u is g
+outside D.
 
 Verification operations check the solved function against every equivalent
 characterization: the probabilistic fixed point, the projective variational
@@ -24,8 +22,6 @@ double-sum energy layer, and the a-priori bounds.
 from __future__ import annotations
 
 import math
-import numbers
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -33,12 +29,11 @@ from typing import Callable
 import numpy as np
 
 from .forms import DiscreteForm, as_subset, complement
-from .potential import green_apply, green_operator
+from .potential import green_apply
 from .projection import (_cho_apply, _restricted_cho, cho_factor, cho_solve, factor_nest,
                          harmonic_extension, project)
 
 __all__ = [
-    "LadderConfig",
     "Nonlinearity",
     "ProblemSpec",
     "Solution",
@@ -47,7 +42,6 @@ __all__ = [
     "power_nonlinearity",
     "residual_probabilistic",
     "solve",
-    "solve_ladder",
     "table_nonlinearity",
     "vd_check",
     "verify_projective",
@@ -221,9 +215,7 @@ class ProblemSpec:
         return out
 
 
-# ladder stop on successive outer iterates, and the stop of the Newton solve of
-# u = base + gmat f(u) relative to the data scale
-_OUTER_TOL = 1e-10
+# the stop of the Newton solve of u = base + gmat f(u) relative to the data scale
 _INNER_TOL = 1e-12
 # every Newton loop: its step cap, and the iterations of a Krylov step (GMRES
 # on the continuum, CG on the graph) before it goes on by a dense step
@@ -234,36 +226,16 @@ _MAX_KRYLOV = 30
 # stop in units of eps times the scale of r
 _KRYLOV_TOL = 1e-10
 _ROUNDOFF = 64.0
-# the largest ladder envelope m whose m*m is a finite float: the ladder's only
-# stop other than settling
-_MAX_ENVELOPE = math.sqrt(sys.float_info.max)
-
-
-@dataclass(frozen=True)
-class LadderConfig:
-    """Truncation schedule: envelope indices base**k for k = 0, 1, 2, ..."""
-
-    base: int = 2
-
-    def __post_init__(self):
-        base = self.base
-        if isinstance(base, bool) or not isinstance(base, numbers.Integral) or base < 2:
-            raise ValueError(f"ladder base must be an integer >= 2, got {base!r}")
-
-    def schedule(self) -> list[int]:
-        """The envelope indices up to ``_MAX_ENVELOPE``."""
-        out = [1]
-        while out[-1] * self.base <= _MAX_ENVELOPE:
-            out.append(out[-1] * self.base)
-        return out
 
 
 @dataclass
 class Solution:
-    """Solver output: values, named residuals, per-level ladder trace."""
+    """Solver output: values, named residuals, the Newton trace."""
 
     u: np.ndarray
     residuals: dict
+    # the Newton trace, a row per step on the graph and one row on the
+    # continuum; benchmark/layers.py reads it by this name
     ladder_trace: list
     converged: bool
     meta: dict = field(default_factory=dict)
@@ -335,17 +307,17 @@ def _damped_newton(starts, residual, direction, done, max_steps: int, norm):
 def _newton_fixed_point(u, base, gmat, fappl, fder, *more):
     """Solve u = base + gmat f(u) by ``_damped_newton`` in the max norm from
     the first of ``u`` and the ``more`` starts with the smallest residual.
-    The continuum's default solve, on f itself from the base or 0, and each
-    ladder level, on the clipped f from the last level's u alone.  Each step
-    solves (I - gmat diag(f'(u))) s = r by ``_gmres``, from products with
-    gmat alone; a step whose GMRES misses its tolerance in ``_MAX_KRYLOV``
-    iterations is an LU solve of that matrix, and so is every later step of
-    this call.  The stop is ||r||_inf <= ``_INNER_TOL`` max(1, |base|).  No
-    array is written in place: a start may be returned as is.  f and its
-    slope may overflow where a trial step is rejected, or where the ladder
-    clips or masks them: no such value is used.  Returns (u, row,
-    met): the row holds the Newton steps (``inner_iterations``), the
-    max-norm ``residual``, and the steps' ``krylov_iterations`` and
+    The continuum's solve, on f itself from the base or 0, and each level
+    of the test-side ladder, on the clipped f from the last level's u alone.
+    Each step solves (I - gmat diag(f'(u))) s = r by ``_gmres``, from
+    products with gmat alone; a step whose GMRES misses its tolerance in
+    ``_MAX_KRYLOV`` iterations is an LU solve of that matrix, and so is
+    every later step of this call.  The stop is ||r||_inf <= ``_INNER_TOL``
+    max(1, |base|).  No array is written in place: a start may be returned
+    as is.  f and its slope may overflow where a trial step is rejected, or
+    where the ladder clips or masks them: no such value is used.  Returns
+    (u, row, met): the row holds the Newton steps (``inner_iterations``),
+    the max-norm ``residual``, and the steps' ``krylov_iterations`` and
     ``dense_steps``.
     """
     tol = _INNER_TOL * max(1.0, float(np.max(np.abs(base), initial=0.0)))
@@ -501,89 +473,21 @@ def _solve_newton(spec: ProblemSpec):
     return u, rows, converged
 
 
-def solve_ladder(base: np.ndarray, gmat: np.ndarray | None, f: Nonlinearity, points,
-                 cfg: LadderConfig | None = None):
-    """Monotone truncation-ladder fixed point of u = base + gmat f(points, u).
-
-    The reference solve on either backend (``solve`` with a
-    ``LadderConfig``).  Each level is ``_newton_fixed_point`` on f clipped
-    between the envelopes, from the last level's u.  The envelopes grow
-    until successive iterates settle on both loops, or up to
-    ``_MAX_ENVELOPE``, where the last iterate is returned unconverged;
-    ``converged`` also needs the settling level's solve to have met its
-    tolerance.  Each level's trace row is the row of ``_newton_fixed_point``
-    with its envelope indices ``n`` and ``m``.  f must be nonincreasing in y
-    at ``points``; the problem types check that when they are built, before
-    any ``gmat`` is formed.  Zero absorption returns ``base.copy()`` with an
-    empty trace and never reads ``gmat``, so a caller may pass None for it.
-    Returns (u, trace, meta); ``meta`` holds ``converged`` and the worst
-    violations of the ladder ordering, nondecreasing in the upper envelope
-    index (``monotone_up_slack``) and nonincreasing in the lower one
-    (``monotone_down_slack``).
-    """
-    if f.is_zero:
-        return base.copy(), [], {"converged": True, "monotone_up_slack": 0.0,
-                                 "monotone_down_slack": 0.0}
-    schedule = (cfg or LadderConfig()).schedule()
-    trace = []
-    up = down = 0.0
-    converged = False
-    u = base
-    prev_m = None
-    for m in schedule:
-        lo = -(m * m) / (1.0 + m)
-        prev_n = None
-        for n in schedule:
-            hi = (n * n) / (1.0 + n)
-
-            def fnm(v, lo=lo, hi=hi):
-                return np.clip(f(points, v), lo, hi)
-
-            def dnm(v, lo=lo, hi=hi):
-                raw = f(points, v)
-                return np.where((raw > lo) & (raw < hi), f.derivative(points, v), 0.0)
-
-            u, row, met = _newton_fixed_point(u, base, gmat, fnm, dnm)
-            trace.append({"n": n, "m": m, **row})
-            if prev_n is not None:
-                up = min(up, float(np.min(u - prev_n, initial=0.0)))
-                if float(np.max(np.abs(u - prev_n))) < _OUTER_TOL:
-                    break
-            prev_n = u
-        if prev_m is not None:
-            down = min(down, float(np.min(prev_m - u, initial=0.0)))
-            if float(np.max(np.abs(u - prev_m))) < _OUTER_TOL:
-                # settled iterates of a stalled level solve are no solution
-                converged = met
-                break
-        prev_m = u
-    return u, trace, {"converged": converged, "monotone_up_slack": up, "monotone_down_slack": down}
-
-
-def solve(spec, ladder: LadderConfig | None = None) -> Solution:
-    """Solve the Dirichlet problem for the given spec (graph or continuum):
-    by Newton, or by the truncation ladder when ``ladder`` is given."""
+def solve(spec) -> Solution:
+    """Solve the Dirichlet problem for the given spec (graph or continuum) by Newton."""
     if not isinstance(spec, ProblemSpec):
         from .frac1d import solve_continuum
-        return solve_continuum(spec, ladder=ladder)
-    return _solve_graph(spec, ladder)
+        return solve_continuum(spec)
+    return _solve_graph(spec)
 
 
-def _solve_graph(spec: ProblemSpec, ladder: LadderConfig | None) -> Solution:
-    """u = g off D.  On D: Newton on the energy (``_solve_newton``), or with
-    a ``LadderConfig`` the ladder from base P_D g + R_D mu, for which the
-    Green matrix G of D is formed when the absorption is nonzero."""
-    idx = spec.D
-    if ladder is None:
-        uD, trace, converged = _solve_newton(spec)
-        meta = {"converged": converged}
-    else:
-        G = None if spec.f.is_zero else green_operator(spec.form, idx)
-        uD, trace, meta = solve_ladder((spec.pdg + spec.rdm)[idx], G, spec.f, idx, ladder)
+def _solve_graph(spec: ProblemSpec) -> Solution:
+    """u = g off D, and on D Newton on the energy (``_solve_newton``)."""
+    uD, trace, converged = _solve_newton(spec)
     u = spec.g.copy()
-    u[idx] = uD
+    u[spec.D] = uD
     return Solution(u=u, residuals={"fixed_point": residual_probabilistic(u, spec)},
-                    ladder_trace=trace, converged=meta["converged"], meta=meta)
+                    ladder_trace=trace, converged=converged)
 
 
 def residual_probabilistic(u, spec: ProblemSpec) -> float:

@@ -1,16 +1,136 @@
-"""The paper's side results on the graph, which the tests check and no run
-computes: comparison, stability, the Dynkin identity, excessive potentials;
-and the nested transient pairs the projection and trace tests draw."""
+"""The paper's results that the tests check and no run computes: its
+monotone truncation ladder, the reference of the Newton solves on both
+backends; and on the graph comparison, stability, the Dynkin identity,
+excessive potentials, and the nested transient pairs the projection and
+trace tests draw."""
+
+import math
+import numbers
+import sys
+from dataclasses import dataclass
 
 import numpy as np
 
+from dirichlet_lab import frac1d, semilinear
 from dirichlet_lab.forms import DiscreteForm, as_subset, complement, is_transient
-from dirichlet_lab.potential import green_apply
+from dirichlet_lab.potential import green_apply, green_operator
 from dirichlet_lab.projection import _solve, harmonic_extension, project
-from dirichlet_lab.semilinear import ProblemSpec, solve
+from dirichlet_lab.semilinear import (Nonlinearity, ProblemSpec, Solution,
+                                      residual_probabilistic, solve)
 from dirichlet_lab.suite import random_domain
 
 _EXCESSIVE_TOL = 1e-12
+# ladder stop on successive outer iterates
+_OUTER_TOL = 1e-10
+# the largest ladder envelope m whose m*m is a finite float: the ladder's only
+# stop other than settling
+_MAX_ENVELOPE = math.sqrt(sys.float_info.max)
+
+
+@dataclass(frozen=True)
+class LadderConfig:
+    """Truncation schedule: envelope indices base**k for k = 0, 1, 2, ..."""
+
+    base: int = 2
+
+    def __post_init__(self):
+        base = self.base
+        if isinstance(base, bool) or not isinstance(base, numbers.Integral) or base < 2:
+            raise ValueError(f"ladder base must be an integer >= 2, got {base!r}")
+
+    def schedule(self) -> list[int]:
+        """The envelope indices up to ``_MAX_ENVELOPE``."""
+        out = [1]
+        while out[-1] * self.base <= _MAX_ENVELOPE:
+            out.append(out[-1] * self.base)
+        return out
+
+
+def solve_ladder(base: np.ndarray, gmat: np.ndarray | None, f: Nonlinearity, points,
+                 cfg: LadderConfig | None = None):
+    """Monotone truncation-ladder fixed point of u = base + gmat f(points, u).
+
+    The reference solve on either backend (``solve_by_ladder``).  Each level
+    is ``semilinear._newton_fixed_point`` on f clipped between the
+    envelopes, from the last level's u.  The envelopes grow until
+    successive iterates settle on both loops, or up to ``_MAX_ENVELOPE``,
+    where the last iterate is returned unconverged; ``converged`` also
+    needs the settling level's solve to have met its tolerance.  Each
+    level's trace row is the row of ``_newton_fixed_point`` with its
+    envelope indices ``n`` and ``m``.  f must be nonincreasing in y at
+    ``points``; the problem types check that when they are built, before
+    any ``gmat`` is formed.  Zero absorption returns ``base.copy()`` with an
+    empty trace and never reads ``gmat``, so a caller may pass None for it.
+    Returns (u, trace, meta); ``meta`` holds ``converged`` and the worst
+    violations of the ladder ordering, nondecreasing in the upper envelope
+    index (``monotone_up_slack``) and nonincreasing in the lower one
+    (``monotone_down_slack``).
+    """
+    if f.is_zero:
+        return base.copy(), [], {"converged": True, "monotone_up_slack": 0.0,
+                                 "monotone_down_slack": 0.0}
+    schedule = (cfg or LadderConfig()).schedule()
+    trace = []
+    up = down = 0.0
+    converged = False
+    u = base
+    prev_m = None
+    for m in schedule:
+        lo = -(m * m) / (1.0 + m)
+        prev_n = None
+        for n in schedule:
+            hi = (n * n) / (1.0 + n)
+
+            def fnm(v, lo=lo, hi=hi):
+                return np.clip(f(points, v), lo, hi)
+
+            def dnm(v, lo=lo, hi=hi):
+                raw = f(points, v)
+                return np.where((raw > lo) & (raw < hi), f.derivative(points, v), 0.0)
+
+            u, row, met = semilinear._newton_fixed_point(u, base, gmat, fnm, dnm)
+            trace.append({"n": n, "m": m, **row})
+            if prev_n is not None:
+                up = min(up, float(np.min(u - prev_n, initial=0.0)))
+                if float(np.max(np.abs(u - prev_n))) < _OUTER_TOL:
+                    break
+            prev_n = u
+        if prev_m is not None:
+            down = min(down, float(np.min(prev_m - u, initial=0.0)))
+            if float(np.max(np.abs(u - prev_m))) < _OUTER_TOL:
+                # settled iterates of a stalled level solve are no solution
+                converged = met
+                break
+        prev_m = u
+    return u, trace, {"converged": converged, "monotone_up_slack": up, "monotone_down_slack": down}
+
+
+def solve_by_ladder(problem, base: int = 2) -> Solution:
+    """``problem`` (graph or continuum) solved by ``solve_ladder`` on the
+    envelope indices base**k, from the base of its Newton solve.  The Green
+    matrix, G of D on the graph and the grid's W on the continuum, is formed
+    only for nonzero absorption.  ``fixed_point`` is the residual that
+    ``solve`` reports: ``residual_probabilistic`` on the graph and
+    ``frac1d.fixed_point_residual`` on the continuum.  ``meta`` holds the
+    ladder's ``converged`` and monotone slacks, and on the continuum what
+    ``frac1d.solve_continuum`` puts there."""
+    cfg, f = LadderConfig(base), problem.f
+    if isinstance(problem, ProblemSpec):
+        idx = problem.D
+        G = None if f.is_zero else green_operator(problem.form, idx)
+        uD, trace, meta = solve_ladder((problem.pdg + problem.rdm)[idx], G, f, idx, cfg)
+        u = problem.g.copy()
+        u[idx] = uD
+        return Solution(u=u, residuals={"fixed_point": residual_probabilistic(u, problem)},
+                        ladder_trace=trace, converged=meta["converged"], meta=meta)
+    nodes = problem.grid.interior_x
+    start = frac1d._continuum_base(problem)
+    W = None if f.is_zero else frac1d.green_matrix(problem.kernels, problem.grid)
+    u, trace, meta = solve_ladder(start, W, f, nodes, cfg)
+    sol = Solution(u=u, residuals={}, ladder_trace=trace, converged=meta["converged"],
+                   meta={"x": nodes, "problem": problem, "base": start, "green_matrix": W, **meta})
+    sol.residuals["fixed_point"] = frac1d.fixed_point_residual(sol)
+    return sol
 
 
 def harmonic_boundary(form: DiscreteForm, D) -> np.ndarray:

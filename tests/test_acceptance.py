@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from dirichlet_lab import (LadderConfig, apriori_report, exit_second_moment, exp_nonlinearity,
+from dirichlet_lab import (apriori_report, exit_second_moment, exp_nonlinearity,
                            harmonic_extension, poisson_kernel, power_nonlinearity, project,
                            residual_probabilistic, solve, vd_check, verify_projective,
                            very_weak_defect, zero_nonlinearity)
@@ -19,7 +19,8 @@ from dirichlet_lab.chain_sim import mc_estimate
 from dirichlet_lab.potential import green_apply
 from dirichlet_lab.suite import random_form, random_ordered_pair, random_problem
 from dirichlet_lab.trace import trace_sequence_frac, trace_sequence_graph
-from paper_checks import compare, dynkin_defect, random_nested_subsets, stability_gap
+from paper_checks import (compare, dynkin_defect, random_nested_subsets, solve_by_ladder,
+                          stability_gap)
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -88,8 +89,8 @@ def test_criterion_03_existence_uniqueness():
         for _ in range(5):
             form = random_form(rng, 5, 25)
             spec = random_problem(rng, form, f=make(rng.uniform(0.1, 1.0, size=form.n)))
-            s1 = solve(spec, LadderConfig(base=2))
-            s2 = solve(spec, LadderConfig(base=3))
+            s1 = solve_by_ladder(spec, base=2)
+            s2 = solve_by_ladder(spec, base=3)
             all_converged &= s1.converged and s2.converged
             worst_gap = max(worst_gap, float(np.max(np.abs(s1.u - s2.u))))
             diff = project(spec.form, spec.D, s1.u - s2.u)

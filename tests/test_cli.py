@@ -16,7 +16,8 @@ from dirichlet_lab import cli, projection, semilinear
 from dirichlet_lab.forms import form_from_dict
 from dirichlet_lab.forms import is_transient
 from dirichlet_lab.suite import random_form
-from paper_checks import stability_gap
+import paper_checks
+from paper_checks import solve_by_ladder, stability_gap
 
 
 def _demo_graph_obj() -> dict:
@@ -121,7 +122,7 @@ def test_wos_suite_walks_three_times(tmp_path, monkeypatch, absorbing):
         assert res["wos_fk_residual"] == cli._band(*fk, 0.0)
 
 
-def test_spec_ladder_reaches_the_solver(tmp_path, monkeypatch):
+def test_run_reports_solver_convergence(tmp_path, monkeypatch):
     # a run reports the solver's convergence: the continuum Newton solve
     # converges, and when it may take one step it cannot meet its tolerance,
     # so run returns 1 and reports the solver unconverged
@@ -212,7 +213,7 @@ def test_overflowing_datum_still_solves(tmp_path):
     assert res["results"]["fixed_point"]["value"] <= 1e-10 * 1e4
     u = np.loadtxt(out / "solution.csv", delimiter=",", skiprows=1)[:, -1]
     with np.errstate(over="ignore", invalid="ignore"):
-        ref = semilinear.solve(cli.load_problem(spec)[0], semilinear.LadderConfig())
+        ref = solve_by_ladder(cli.load_problem(spec)[0])
     assert ref.converged and np.max(np.abs(u - ref.u)) <= 1e-10 * 1e4
 
 
@@ -475,7 +476,7 @@ def test_suite_or_tol_of_another_backend_is_a_config_error(tmp_path, capsys):
 
 
 def test_unknown_ladder_key_is_a_config_error(tmp_path, capsys):
-    # no spec key selects a solver: the ladder is reached from Python only
+    # no spec key selects a solver: Newton is the only solve of a run
     for backend, make_spec in (("graph", _demo_graph_spec), ("frac1d", _small_frac_spec)):
         obj = json.loads(make_spec(tmp_path).read_text())
         obj["ladder"] = {"base": 2}
@@ -1022,7 +1023,8 @@ def test_boundary_measure_with_exp_absorption_is_a_config_error(tmp_path, capsys
 
 
 def _counted_green_builds(monkeypatch) -> list:
-    """The names of the Green matrices (W of frac1d, G of the graph) built from now on."""
+    """The names of the Green matrices built from now on: W of frac1d, and G
+    of the graph, which the test-side ladder forms."""
     calls = []
 
     def counted(build):
@@ -1032,7 +1034,7 @@ def _counted_green_builds(monkeypatch) -> list:
         return wrapper
 
     monkeypatch.setattr(cli.frac1d, "green_matrix", counted(cli.frac1d.green_matrix))
-    monkeypatch.setattr(semilinear, "green_operator", counted(semilinear.green_operator))
+    monkeypatch.setattr(paper_checks, "green_operator", counted(paper_checks.green_operator))
     return calls
 
 

@@ -104,21 +104,6 @@ def test_contraction_property_hypothesis(seed):
     assert tu @ form.energy_matrix() @ tu <= u @ form.energy_matrix() @ u + 1e-12
 
 
-def test_restrict_full_and_empty(k3):
-    A = k3.energy_matrix()
-    full = A[np.ix_(range(3), range(3))]
-    u = np.array([0.3, -1.0, 2.0])
-    assert u @ full @ u == pytest.approx(u @ k3.energy_matrix() @ u)
-    empty = A[np.ix_([], [])]
-    assert empty.shape[0] == 0
-
-
-def test_restrict_principal_submatrix(k3):
-    sub = k3.energy_matrix()[np.ix_([1], [1])]
-    e1 = np.array([0.0, 1.0, 0.0])
-    assert np.array([1.0]) @ sub @ np.array([1.0]) == pytest.approx(e1 @ k3.energy_matrix() @ e1)
-
-
 def test_transience_cases(two_state, k3):
     assert is_transient(two_state, [0, 1])  # state 0 is killed
     conservative = DiscreteForm(m=np.ones(3), J=k3.J, kappa=np.zeros(3))

@@ -6,8 +6,9 @@ import pytest
 from scipy.special import beta as beta_fn
 
 from dirichlet_lab import frac1d as f1
-from dirichlet_lab.semilinear import (LadderConfig, Nonlinearity, exp_nonlinearity,
-                                      power_nonlinearity, zero_nonlinearity)
+from dirichlet_lab.semilinear import (Nonlinearity, exp_nonlinearity, power_nonlinearity,
+                                      zero_nonlinearity)
+from paper_checks import solve_by_ladder
 
 ALPHAS = (0.5, 1.0, 1.5)
 
@@ -716,7 +717,7 @@ def test_newton_starts_from_the_smaller_residual(g):
                                g=f1.const_exterior(g), f=exp_nonlinearity(1.0))
     sol = f1.solve_continuum(prob)
     assert sol.converged and sol.ladder_trace[0]["inner_iterations"] <= 20
-    ladder = f1.solve_continuum(prob, LadderConfig())
+    ladder = solve_by_ladder(prob)
     assert np.max(np.abs(sol.u - ladder.u)) <= 1e-10 * np.max(np.abs(ladder.u))
 
 
@@ -725,7 +726,7 @@ def test_ladder_clips_an_overflowing_absorption_without_warnings():
     # e^y overflows where the envelopes clip it, and its central-difference
     # slope reads inf - inf where they mask it; neither value is used
     prob = _exp_at_large_data()
-    sol = f1.solve_continuum(prob, LadderConfig())
+    sol = solve_by_ladder(prob)
     assert sol.converged and sol.residuals["fixed_point"] < 1e-6
     newton = f1.solve_continuum(prob)
     assert np.max(np.abs(newton.u - sol.u)) <= 1e-10 * np.max(np.abs(sol.u))

@@ -78,8 +78,6 @@ def test_imports_only_numpy_and_the_standard_library(path):
 
 # functions in src/ that no ``dirichlet-lab run`` or ``gen`` enters, and why each stays
 EXCEPTIONS = {
-    "semilinear.LadderConfig.__post_init__": "solve(p, LadderConfig()) runs the paper's ladder",
-    "semilinear.LadderConfig.schedule": "the ladder's levels, the Newton tests' reference",
     "frac1d.apply_RD": "the benchmark's nonfinite probe reads it; green_matrix is tested on it",
     "frac1d.FracKernels.poisson": "the exit density that _exit_average inlines, its test",
     "frac1d.QuadGrid.refine": "README's error-estimate pattern",

@@ -28,6 +28,7 @@ import pytest
 from dirichlet_lab import cli, frac1d, potential, projection, semilinear, trace, wos
 from dirichlet_lab.forms import DiscreteForm, as_subset
 from dirichlet_lab.semilinear import ProblemSpec, power_nonlinearity, zero_nonlinearity
+import paper_checks
 
 PATHS = 20000
 SEED = 1
@@ -56,7 +57,7 @@ def _graph_spec(absorbing: bool) -> dict:
 
 SPECS = {
     "graph": _graph_spec(True),
-    "graph_ladder": _graph_spec(True),  # solved by the ladder, from Python (run_mutation)
+    "graph_ladder": _graph_spec(True),  # solved by the test-side ladder (run_mutation)
     "graph_vd": _graph_spec(False),
     "frac": {"backend": "frac1d", "alpha": 1.0, "g": {"kind": "const", "value": 1.0},
              "f": {"kind": "power", "b": 1.0, "p": 3.0},
@@ -180,7 +181,7 @@ def _green_column_in_solve(mp):
             return G
         return green_operator
 
-    _during_solve(mp, semilinear, "green_operator", wrap)
+    _during_solve(mp, paper_checks, "green_operator", wrap)
 
 
 def _green_of_D_scaled(factor):
@@ -370,8 +371,7 @@ def run_mutation(name, tmp_path, monkeypatch) -> dict:
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(SPECS[mutation.spec]))
     if mutation.spec == "graph_ladder":
-        real = cli.solve
-        monkeypatch.setattr(cli, "solve", lambda problem: real(problem, semilinear.LadderConfig()))
+        monkeypatch.setattr(cli, "solve", paper_checks.solve_by_ladder)
     mutation.apply(monkeypatch)
     cfg = cli.RunConfig(spec_path=spec, out_dir=tmp_path / "out", suites=mutation.suites,
                         seed=SEED, paths=PATHS)
@@ -409,5 +409,5 @@ def test_graph_spec_newton_matches_its_ladder(tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(SPECS["graph"]))
     problem, _ = cli.load_problem(spec)
-    sol, ref = semilinear.solve(problem), semilinear.solve(problem, semilinear.LadderConfig())
+    sol, ref = semilinear.solve(problem), paper_checks.solve_by_ladder(problem)
     assert np.max(np.abs(sol.u - ref.u)) <= 1e-10 * np.max(np.abs(ref.u))

@@ -5,7 +5,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from dirichlet_lab import (DiscreteForm, LadderConfig, Nonlinearity, ProblemSpec,
+from dirichlet_lab import (DiscreteForm, Nonlinearity, ProblemSpec,
                            apriori_report, exp_nonlinearity, harmonic_extension,
                            power_nonlinearity, project, residual_probabilistic, solve,
                            table_nonlinearity, vd_check, verify_projective,
@@ -13,7 +13,8 @@ from dirichlet_lab import (DiscreteForm, LadderConfig, Nonlinearity, ProblemSpec
 from dirichlet_lab import frac1d, semilinear
 from dirichlet_lab.potential import green_apply, green_operator
 from dirichlet_lab.suite import random_form, random_ordered_pair, random_problem
-from paper_checks import compare, is_excessive, stability_gap
+import paper_checks
+from paper_checks import LadderConfig, compare, is_excessive, solve_by_ladder, stability_gap
 
 # independent 50-digit root of the 2-unknown cubic system on the killed chain
 # (u1 = 1 - u1^3 - u2^3, u2 = 1 - u1^3 - 2 u2^3), recomputed below at test time
@@ -380,8 +381,8 @@ def test_uniqueness_shuffled_ladders_and_clamp(k3):
     spec = ProblemSpec(form=k3, D=[1, 2], g=np.array([1.0, 0.0, 0.0]),
                        mu=np.array([0.0, 0.0, 0.5]),
                        f=exp_nonlinearity(np.full(3, 0.8)))
-    u1 = solve(spec, LadderConfig(base=2)).u
-    u2 = solve(spec, LadderConfig(base=3)).u
+    u1 = solve_by_ladder(spec, base=2).u
+    u2 = solve_by_ladder(spec, base=3).u
     assert np.max(np.abs(u1 - u2)) < 1e-8
     diff = project(k3, spec.D, u1 - u2)
     cert = diff @ k3.energy_matrix() @ np.clip(diff, -1.0, 1.0)
@@ -392,16 +393,17 @@ def test_ladder_monotone_ordering():
     rng = np.random.default_rng(23)
     for _ in range(10):
         spec = random_problem(rng)
-        sol = solve(spec, LadderConfig())
+        sol = solve_by_ladder(spec)
         assert sol.meta["monotone_up_slack"] >= -1e-10
         assert sol.meta["monotone_down_slack"] >= -1e-10
         assert bool(sol.ladder_trace) == (not spec.f.is_zero)  # per-level counts recorded
 
 
 def test_zero_absorption_forms_no_green_matrix(monkeypatch):
-    # f = 0: the solve returns its base on either backend without the Green
-    # matrix; the counters see the one matrix each cubic ladder builds, and
-    # none for the graph's default Newton solve
+    # f = 0: the solve and the ladder return their base on either backend
+    # without the Green matrix; the counters see the one matrix the cubic
+    # graph ladder and the cubic continuum solve each build, and none for the
+    # graph's Newton solve
     calls = []
 
     def counted(build):
@@ -410,7 +412,7 @@ def test_zero_absorption_forms_no_green_matrix(monkeypatch):
             return build(*args)
         return wrapper
 
-    monkeypatch.setattr(semilinear, "green_operator", counted(green_operator))
+    monkeypatch.setattr(paper_checks, "green_operator", counted(green_operator))
     monkeypatch.setattr(frac1d, "green_matrix", counted(frac1d.green_matrix))
     spec = random_problem(np.random.default_rng(5), f=zero_nonlinearity())
     sol = solve(spec)
@@ -426,7 +428,7 @@ def test_zero_absorption_forms_no_green_matrix(monkeypatch):
     assert calls == []
     cubic = power_nonlinearity(1.0, 3.0)
     assert solve(replace(spec, f=cubic)).converged and calls == []
-    solve(replace(spec, f=cubic), LadderConfig())
+    solve_by_ladder(replace(spec, f=cubic))
     solve(replace(prob, f=cubic))
     assert calls == ["green_operator", "green_matrix"]
 
@@ -434,9 +436,9 @@ def test_zero_absorption_forms_no_green_matrix(monkeypatch):
 def test_nonconvergence_returns_best_iterate(k3, monkeypatch):
     # a one-level ladder (largest envelope 1) cannot certify stabilization:
     # the solver must come back with its best iterate and a cleared flag
-    monkeypatch.setattr(semilinear, "_MAX_ENVELOPE", 1)
+    monkeypatch.setattr(paper_checks, "_MAX_ENVELOPE", 1)
     spec = _cubic_spec(k3)
-    sol = solve(spec, LadderConfig())
+    sol = solve_by_ladder(spec)
     assert not sol.converged
     assert np.all(np.isfinite(sol.u))
     assert sol.ladder_trace
@@ -525,7 +527,7 @@ def test_newton_converges_at_large_exterior_data(g):
     form = random_form(np.random.default_rng(0), 40, 40)
     spec = ProblemSpec(form=form, D=np.arange(20), g=np.full(form.n, g), mu=np.zeros(form.n),
                        f=power_nonlinearity(1.0, 3.0))
-    sol, ref = solve(spec), solve(spec, LadderConfig())
+    sol, ref = solve(spec), solve_by_ladder(spec)
     assert sol.converged and ref.converged
     assert sol.residuals["fixed_point"] <= 1e-10 * np.max(np.abs(sol.u))
     assert np.max(np.abs(sol.u - ref.u)) <= 1e-10 * np.max(np.abs(ref.u))
@@ -549,7 +551,7 @@ def test_newton_agrees_with_the_ladder():
                   for f in (power_nonlinearity(1.0, 3.0), exp_nonlinearity(1.0), table)]
     specs.append(replace(specs[-3], mu_atoms=((0.1, 0.5),), nu_plus=0.1, nu_minus=0.05))
     for spec in specs:
-        sol, ref = solve(spec), solve(spec, LadderConfig())
+        sol, ref = solve(spec), solve_by_ladder(spec)
         assert sol.converged and ref.converged
         assert np.max(np.abs(sol.u - ref.u)) <= 1e-10 * np.max(np.abs(ref.u))
         assert all(row["residual"] >= 0 and row["inner_iterations"] >= 1
@@ -592,7 +594,7 @@ def test_graph_newton_starts_from_the_smaller_residual(g):
     form = random_form(np.random.default_rng(1), 120, 120)
     spec = ProblemSpec(form=form, D=np.arange(80), g=np.full(form.n, g), mu=np.zeros(form.n),
                        f=exp_nonlinearity(1.0))
-    sol, ref = solve(spec), solve(spec, LadderConfig())
+    sol, ref = solve(spec), solve_by_ladder(spec)
     assert sol.converged and ref.converged
     assert np.max(np.abs(sol.u - ref.u)) <= 1e-10 * np.max(np.abs(ref.u))
     if g == 100.0:
@@ -667,11 +669,11 @@ def test_ladder_without_inner_convergence_is_not_converged(monkeypatch):
     # level solves that stall above their tolerance leave the iterates equal,
     # which the settle rule alone took for convergence
     prob = _continuum_cubic(1.2)
-    assert frac1d.solve_continuum(prob, LadderConfig()).converged
+    assert solve_by_ladder(prob).converged
     monkeypatch.setattr(semilinear, "_newton_fixed_point", lambda u, *args: (u, {
         "inner_iterations": 0, "residual": 1.0, "krylov_iterations": 0, "dense_steps": 0},
         False))
-    sol = frac1d.solve_continuum(prob, LadderConfig())
+    sol = solve_by_ladder(prob)
     assert not sol.converged and sol.residuals["fixed_point"] > 0.1
 
 
@@ -681,14 +683,14 @@ def test_ladder_newton_steps_by_gmres_match_dense_steps(alpha, monkeypatch):
     # ladder matches the one whose every step is a dense LU solve; g and b at
     # the top of the benchmark's ranges
     prob = _continuum_cubic(alpha, g=1.5, b=2.0)
-    sol = frac1d.solve_continuum(prob, LadderConfig())
+    sol = solve_by_ladder(prob)
     assert sol.converged
     assert sum(row["krylov_iterations"] for row in sol.ladder_trace) > 0
     assert sum(row["dense_steps"] for row in sol.ladder_trace) == 0
     for row in sol.ladder_trace:
         assert all(type(v) in (int, float) for v in row.values()), row
     monkeypatch.setattr(semilinear, "_gmres", lambda matvec, b, tol, cap: (b, 0, False))
-    ref = frac1d.solve_continuum(prob, LadderConfig())
+    ref = solve_by_ladder(prob)
     assert ref.converged and sum(row["dense_steps"] for row in ref.ladder_trace) > 0
     assert np.max(np.abs(sol.u - ref.u)) <= 1e-12 * np.max(np.abs(ref.u))
 
