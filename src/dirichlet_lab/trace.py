@@ -118,9 +118,16 @@ def trace_sequence_frac(kernels, u_fn, radii, probes=(0.0, 0.5, -0.5, 0.9, -0.9)
     the exit average of |u| restricted to D.  ``edge_exponent`` declares a
     known blow-up power of u at the boundary (e.g. for Martin inputs) so the
     quadrature can bake it into the edge panels.  Each probe's limit is the
-    iterated Aitken value of its levels.
+    iterated Aitken value of its levels; a probe that no level enters is a
+    ValueError naming it and the largest radius.
     """
     probes = np.asarray(probes, dtype=float)
+    # a probe no level enters has no sequence to extrapolate
+    top = max(radii)
+    outside = probes[np.abs(probes) >= top]
+    if outside.size:
+        raise ValueError(f"trace probes {outside.tolist()} enter no level of the nest, "
+                         f"whose largest radius is {top:g}")
     rows = []
     inside = []
     for a in radii:

@@ -85,10 +85,11 @@ def test_mc_suite_walks_once(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("absorbing", [True, False])
-def test_wos_suite_walks_three_times(tmp_path, monkeypatch, absorbing):
-    # one walk per start point, 0.3, 0.2 and -0.7; the mean exit time and the
-    # FK residual have the bits of one-kind calls at 0.3 / seed + 7 and
-    # 0.2 / seed + 8, and without absorption the FK check is skipped
+def test_wos_suite_walks_twice(tmp_path, monkeypatch, absorbing):
+    # two walks, from -0.7 at seed + 2 and from 0.2 at seed + 8, with or
+    # without absorption; the mean exit time and the FK residual have the bits
+    # of one-kind calls at 0.2 / seed + 8, and without absorption the FK check
+    # is skipped
     walks = []
     real = cli.wos.wos_exit_batch
 
@@ -105,14 +106,14 @@ def test_wos_suite_walks_three_times(tmp_path, monkeypatch, absorbing):
     cfg = cli.RunConfig(spec_path=path, out_dir=tmp_path / "out", seed=3,
                         suites=("wos",), paths=20000)
     cli.run(cfg)
-    assert sorted(walks) == [(-0.7, 5), (0.2, 11), (0.3, 10)]
+    assert walks == [(-0.7, 5), (0.2, 11)]
     res = json.loads((tmp_path / "out" / "mc.json").read_text())["results"]
     assert set(res) == {"wos_exit_chi2_pmin", "wos_mean_exit"} | (
         {"wos_fk_residual"} if absorbing else set())
     prob, _ = cli.load_problem(path)
     k = prob.kernels
-    exact = k.exit_coef * (1.0 - 0.3 ** 2) ** (k.alpha / 2.0)
-    [mean] = cli.wos.wos_estimate(("mean_exit_time",), k, 0.3, n_paths=20000, seed=10)
+    exact = k.exit_coef * (1.0 - 0.2 ** 2) ** (k.alpha / 2.0)
+    [mean] = cli.wos.wos_estimate(("mean_exit_time",), k, 0.2, n_paths=20000, seed=11)
     assert res["wos_mean_exit"] == cli._band(*mean, exact)
     if absorbing:
         sol = cli.solve(prob)
@@ -372,6 +373,20 @@ def test_main_reports_config_errors(tmp_path, capsys):
     assert "error:" in capsys.readouterr().out
     assert cli.main(["run", str(tmp_path / "missing.json"),
                      "--out", str(tmp_path / "o")]) == 2
+
+
+def test_trace_suite_names_a_probe_no_level_enters(tmp_path, capsys):
+    # a valid 16-radius nest that stops at 0.4: probes 0.5 and 0.9 enter no
+    # level, which ended in an IndexError from the empty extrapolation
+    spec = tmp_path / "short_nest.json"
+    spec.write_text(json.dumps({"backend": "frac1d", "alpha": 1.0,
+                                "g": {"kind": "const", "value": 1.0},
+                                "f": {"kind": "power", "b": 1.0, "p": 3.0},
+                                "nest": [0.1 + 0.02 * i for i in range(16)]}))
+    assert cli.main(["run", str(spec), "--out", str(tmp_path / "out"),
+                     "--suite", "trace"]) == 2
+    printed = capsys.readouterr().out
+    assert printed.startswith("error:") and "0.9" in printed and "0.4" in printed
 
 
 def test_wos_suite_rejects_too_few_paths(tmp_path, capsys):

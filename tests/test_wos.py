@@ -244,23 +244,77 @@ def test_exit_law_chi2_three_probes(pack):
 
 
 def test_wos_suite_oracles_are_calibrated():
-    # the wos suite's probes over 100 seeds at 1e4 paths: the exit-law
-    # chi-square p-values of the walks from -0.7, 0.3 and 0.2 are uniform, and
-    # the mean exit time's z-scores against its closed form are N(0, 1), each
-    # by a KS test at 1%
-    for alpha in (0.5, 1.0, 1.5):
+    # the wos suite's two walks over 100 seeds at 1e4 paths: the exit-law
+    # chi-square p-values of the walks from -0.7 and 0.2 are uniform, and the
+    # mean exit time's z-scores from 0.2 against its closed form are N(0, 1),
+    # each by a KS test at 1%
+    for alpha in (0.5, 1.0, 1.1, 1.5):
         k = f1.build_kernels(alpha)
-        closed = k.exit_coef * (1.0 - 0.3 ** 2) ** (alpha / 2.0)
+        closed = k.exit_coef * (1.0 - 0.2 ** 2) ** (alpha / 2.0)
         p_values, z = [], []
         for seed in range(100):
             p_values.append(wos.wos_exit_chi2(k, -0.7, n_paths=10_000, seed=seed + 2)[1])
-            (_, p), (est, se) = wos.wos_estimate(("exit_chi2", "mean_exit_time"), k, 0.3,
-                                                 n_paths=10_000, seed=seed + 7)
+            (_, p), (est, se) = wos.wos_estimate(("exit_chi2", "mean_exit_time"), k, 0.2,
+                                                 n_paths=10_000, seed=seed + 8)
             p_values.append(p)
             z.append((est - closed) / se)
-            p_values.append(wos.wos_exit_chi2(k, 0.2, n_paths=10_000, seed=seed + 8)[1])
         assert kstest(p_values, "uniform").pvalue > 0.01, alpha
         assert kstest(z, "norm").pvalue > 0.01, alpha
+
+
+_EXIT_JUMPS = wos._exit_jumps
+_MEAN_EXIT_BALL = f1.FracKernels.mean_exit_ball
+
+
+def _far_jumps_longer(alpha, w):
+    # the 2% longest jumps, min(w, 1 - w) < 0.01, made 1.3x longer
+    y = _EXIT_JUMPS(alpha, w)
+    y[np.minimum(w, 1.0 - w) < 0.01] *= 1.3
+    return y
+
+
+def _more_left_jumps(alpha, w):
+    # P(Y < 0) raised from 1/2 to 0.51: the jumps of w in [0.5, 0.51) turn left
+    y = _EXIT_JUMPS(alpha, w)
+    turn = (w >= 0.5) & (w < 0.51)
+    y[turn] = -y[turn]
+    return y
+
+
+# name -> (owner, attribute, replacement) of each mutation of the walk
+_WALK_MUTATIONS = {
+    "law of alpha + 0.1": (wos, "_exit_jumps", lambda alpha, w: _EXIT_JUMPS(alpha + 0.1, w)),
+    "far jumps x1.3": (wos, "_exit_jumps", _far_jumps_longer),
+    "P(Y < 0) + 0.01": (wos, "_exit_jumps", _more_left_jumps),
+    "ball mean exit x1.05": (f1.FracKernels, "mean_exit_ball",
+                             lambda self, radius: 1.05 * _MEAN_EXIT_BALL(self, radius)),
+}
+
+
+def test_each_wos_suite_walk_earns_its_place(monkeypatch):
+    # every start the wos suite has walked from, at its seed at --seed 0, under
+    # each mutation: a walk catches one when its exit-law chi-square reads
+    # p < 1e-3 or its mean exit time |z| > 3.  The walk from 0.3 left the
+    # suite: everything it catches, -0.7 or 0.2 catches too.  The walk from
+    # -0.7 stays: at alpha = 1.4 its long jumps catch the far-jump mutation,
+    # which 0.2 misses (p = 0.03).
+    seeds = {-0.7: 2, 0.2: 8, 0.3: 7}
+    chi2_p, caught = {}, {}
+    for name, (owner, attr, fn) in _WALK_MUTATIONS.items():
+        with monkeypatch.context() as mp:
+            mp.setattr(owner, attr, fn)
+            for alpha in (0.6, 1.0, 1.4):
+                k = f1.build_kernels(alpha)
+                for x, seed in seeds.items():
+                    (_, p), (est, se) = wos.wos_estimate(("exit_chi2", "mean_exit_time"), k, x,
+                                                         n_paths=100_000, seed=seed)
+                    z = (est - k.exit_coef * (1.0 - x * x) ** (alpha / 2.0)) / se
+                    chi2_p[name, alpha, x] = p
+                    caught[name, alpha, x] = p < 1e-3 or abs(z) > 3.0
+    assert chi2_p["far jumps x1.3", 1.4, -0.7] < 1e-3 and not caught["far jumps x1.3", 1.4, 0.2]
+    for name, alpha, x in caught:
+        if x == 0.3 and caught[name, alpha, x]:
+            assert caught[name, alpha, -0.7] or caught[name, alpha, 0.2], (name, alpha)
 
 
 def test_one_step_exit_probability(pack):
