@@ -638,6 +638,13 @@ def _suite_trace_frac(cfg, prob, sol, outdir):
     if len(radii) < 16:
         radii = frac1d.default_nest(16)
     seq = trace.trace_sequence_frac(prob.kernels, u_fn, radii)
+    # Aitken extrapolates a tail of three levels: with fewer, a probe's last
+    # value is no limit, and the check would blame u for the nest
+    entered = np.sum(np.abs(seq.probes)[None, :] < np.asarray(radii)[:, None], axis=0)
+    if entered.min() < 3:
+        short = {float(p): int(n) for p, n in zip(seq.probes, entered) if n < 3}
+        raise ValueError(f"trace probes enter fewer than three levels of the nest "
+                         f"(probe: levels {short}), so their limits cannot be extrapolated")
     _write_trace(outdir, seq)
     # the trace of u is its boundary measure: the limits tend to M|nu|, 0 without nu
     limit = (abs(prob.nu_plus) * frac1d.martin_kernel(prob.kernels, seq.probes, +1)
@@ -655,11 +662,12 @@ def _suite_wos_frac(cfg, prob, sol, outdir):
     [(_, p_far)] = wos.wos_estimate(("exit_chi2",), k, -0.7, n_paths=n_paths, seed=cfg.seed + 2)
     fk = not prob.f.is_zero and not prob.mu_atoms
     kinds = ("exit_chi2", "mean_exit_time") + (("FK_residual",) if fk else ())
-    extra = dict(g=prob.g, u_fn=frac1d.continuum_callable(prob, sol), f=prob.f) if fk else {}
+    # the FK walk integrates the density that W integrates, Pi f(u)
+    extra = dict(g=prob.g, source=frac1d.source_density(prob, sol),
+                 u_x=float(frac1d.continuum_callable(prob, sol)([0.2])[0])) if fk else {}
     (_, p_near), mean, *fk_est = wos.wos_estimate(kinds, k, 0.2, n_paths=n_paths,
                                                  seed=cfg.seed + 8, **extra)
-    # E_x tau of (-1, 1) in closed form
-    out = {"wos_mean_exit": _band(*mean, k.exit_coef * (1.0 - 0.2 ** 2) ** (k.alpha / 2.0))}
+    out = {"wos_mean_exit": _band(*mean, k.mean_exit(0.2))}
     if fk:
         # E g(exit) + R_D f(u) - u at the start is -(M nu), zero without nu
         out["wos_fk_residual"] = _band(*fk_est[0], -float(prob.martin_part([0.2])[0]))

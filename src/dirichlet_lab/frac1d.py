@@ -44,6 +44,7 @@ __all__ = [
     "power_singular_exterior",
     "projective_exhaustion_defects",
     "solve_continuum",
+    "source_density",
     "zero_exterior",
 ]
 
@@ -197,12 +198,12 @@ _TABLE_DEGREE = 7
 _TABLE_FIT = _frozen(0.5 - 0.5 * np.cos(np.pi * np.arange(_TABLE_DEGREE + 1) / _TABLE_DEGREE))[0]
 
 
-def _table_fit(values: np.ndarray) -> np.ndarray:
+def _table_fit(values: np.ndarray, nodes: np.ndarray = _TABLE_FIT) -> np.ndarray:
     """Read-only coefficients of the table through values[k, i], the value at
-    fit node i of piece k: coef[j, k] is the coefficient of s^j on piece k,
-    s in [0, 1) from its left end."""
+    fit node ``nodes[i]`` (in [0, 1]) of piece k: coef[j, k] is the
+    coefficient of s^j on piece k, s in [0, 1) from its left end."""
     return _frozen(np.ascontiguousarray(
-        np.linalg.solve(np.vander(_TABLE_FIT, increasing=True), values.T)))[0]
+        np.linalg.solve(np.vander(nodes, increasing=True), values.T)))[0]
 
 
 def _table_eval(coef: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -425,6 +426,10 @@ class FracKernels:
         """Expected exit time from a centered interval of given radius,
         started at the center."""
         return self.exit_coef * radius ** self.alpha
+
+    def mean_exit(self, x):
+        """E_x tau of (-1, 1) in closed form, exit_coef (1 - x^2)^(alpha/2)."""
+        return self.exit_coef * (1.0 - x ** 2) ** (self.alpha / 2.0)
 
 
 def levy_symbol(kernels: FracKernels, xi: float) -> float:
@@ -1046,6 +1051,25 @@ def continuum_callable(prob: ContinuumProblem, sol: Solution):
         return out
 
     return u_fn
+
+
+def source_density(prob: ContinuumProblem, sol: Solution):
+    """The absorption density that W integrates, Pi f(u): on each panel the
+    polynomial through the node values f(x_j, u_j), the panel's Lagrange
+    interpolant of ``green_matrix``.  The returned function evaluates it at
+    any array of points in (-1, 1) by ``_table_eval``, at s = k + (y - b_k) /
+    (b_(k+1) - b_k) on panel k; points off the interval take the end panels'
+    polynomials, which the Green potential never reads."""
+    breaks, order = prob.grid.interior_breaks, prob.grid.order
+    t, _ = _gl(order)
+    values = prob.f(sol.meta["x"], sol.u).reshape(-1, order)
+    coef = _table_fit(values, 0.5 * (t + 1.0))
+    pieces = np.arange(breaks.size, dtype=float)
+
+    def density(y):
+        return _table_eval(coef, np.interp(y, breaks, pieces))
+
+    return density
 
 
 def projective_exhaustion_defects(prob: ContinuumProblem, sol: Solution,

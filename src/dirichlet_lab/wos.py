@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 # arguments each estimator kind reads, checked before any path is walked
-_NEEDS = {"PDg": ("g",), "mean_exit_time": (), "FK_residual": ("g", "u_fn", "f"),
+_NEEDS = {"PDg": ("g",), "mean_exit_time": (), "FK_residual": ("g", "source", "u_x"),
           "exit_chi2": ()}
 # edges of the exit-law chi-square's cells on |y| > 1, mirrored to y < -1
 _CELL_EDGES = (1.0, 1.05, 1.15, 1.3, 1.6, 2.5, 6.0)
@@ -291,40 +291,51 @@ def wos_exit_batch(kernels: FracKernels, x: float, n_paths: int, seed: int,
     return exits, mean_exit, occ
 
 
+def _control_variate(vals: np.ndarray, mean_exit: np.ndarray, exact: float):
+    """``mean_and_stderr`` of vals less its regression on the mean exit times,
+    vals - beta (T - E_x tau) with beta = cov(vals, T) / var(T): the mean is
+    kept, and the part of the spread that T explains goes.  A non-finite
+    sample (an exit value of inf), or T without spread (a start at 0, where
+    every path is one ball), gives the plain estimate."""
+    if not np.isfinite(vals).all():
+        return mean_and_stderr(vals)
+    dev = mean_exit - mean_exit.mean()
+    var = float(np.dot(dev, dev))
+    beta = float(np.dot(vals - vals.mean(), dev)) / var if var > 0.0 else 0.0
+    return mean_and_stderr(vals - beta * (mean_exit - exact))
+
+
 def wos_estimate(kinds: tuple, kernels: FracKernels, x: float, *, n_paths: int = 100_000,
-                 seed: int = 0, g=None, u_fn=None, f=None) -> list[tuple[float, float]]:
+                 seed: int = 0, g=None, source=None, u_x=None) -> list[tuple[float, float]]:
     """One result per requested kind, in the order of ``kinds``, all read
     from one ``wos_exit_batch`` walk.
 
     Kinds: ``PDg`` (exterior datum at the exit point), ``mean_exit_time``
     (sum of per-ball expected exit times), ``FK_residual`` (exterior value
-    plus occupation of the absorption along the solved function, minus the
-    solved value at the start; measure atoms are not supported here) give
+    plus occupation of the density ``source``, minus ``u_x``, the solved
+    value at the start; measure atoms are not supported here) give
     ``(estimate, stderr)``; ``exit_chi2`` gives ``(statistic, p)`` of the
-    walk's exit points against the exit density.  The walk carries the
-    source only when ``FK_residual`` is asked for, and its exits and mean
-    exit times do not depend on it, so each result has the bits of a
-    one-kind call at the same seed.
+    walk's exit points against the exit density.  ``FK_residual`` takes the
+    mean exit times as a control variate (``_control_variate``), against
+    ``FracKernels.mean_exit``.  The walk carries the source only when
+    ``FK_residual`` is asked for, and its exits and mean exit times do not
+    depend on it, so each result has the bits of a one-kind call at the
+    same seed.
     """
-    check_estimate_args(kinds, n_paths, _NEEDS, {"g": g, "u_fn": u_fn, "f": f})
-    h = None
-    if "FK_residual" in kinds:
-        def h(pts):
-            return f(pts, u_fn(pts))
-
+    check_estimate_args(kinds, n_paths, _NEEDS, {"g": g, "source": source, "u_x": u_x})
+    h = source if "FK_residual" in kinds else None
     exits, mean_exit, occ = wos_exit_batch(kernels, x, n_paths, seed, h=h)
     out = []
     for kind in kinds:
         if kind == "exit_chi2":
             out.append(_exit_chi2(kernels, x, exits))
-            continue
-        if kind == "PDg":
-            vals = np.asarray(g(exits), dtype=float)
+        elif kind == "PDg":
+            out.append(mean_and_stderr(np.asarray(g(exits), dtype=float)))
         elif kind == "mean_exit_time":
-            vals = mean_exit
+            out.append(mean_and_stderr(mean_exit))
         else:
-            vals = np.asarray(g(exits), dtype=float) + occ - float(u_fn(np.asarray([x]))[0])
-        out.append(mean_and_stderr(vals))
+            vals = np.asarray(g(exits), dtype=float) + occ - float(u_x)
+            out.append(_control_variate(vals, mean_exit, kernels.mean_exit(float(x))))
     return out
 
 

@@ -117,9 +117,10 @@ def test_wos_suite_walks_twice(tmp_path, monkeypatch, absorbing):
     assert res["wos_mean_exit"] == cli._band(*mean, exact)
     if absorbing:
         sol = cli.solve(prob)
+        u_x = float(cli.frac1d.continuum_callable(prob, sol)([0.2])[0])
         [fk] = cli.wos.wos_estimate(("FK_residual",), k, 0.2, n_paths=20000, seed=11,
-                                    g=prob.g, u_fn=cli.frac1d.continuum_callable(prob, sol),
-                                    f=prob.f)
+                                    g=prob.g, source=cli.frac1d.source_density(prob, sol),
+                                    u_x=u_x)
         assert res["wos_fk_residual"] == cli._band(*fk, 0.0)
 
 
@@ -387,6 +388,22 @@ def test_trace_suite_names_a_probe_no_level_enters(tmp_path, capsys):
                      "--suite", "trace"]) == 2
     printed = capsys.readouterr().out
     assert printed.startswith("error:") and "0.9" in printed and "0.4" in printed
+
+
+def test_trace_suite_refuses_a_nest_without_an_aitken_tail(tmp_path, capsys):
+    # 15 radii up to 0.38, then 0.95: probes 0.5 and 0.9 enter one level
+    # each, where Aitken has no tail, and the check read 1.21 as though u
+    # were wrong (exit 1); the nest is refused, naming each probe's count
+    spec = tmp_path / "thin_nest.json"
+    spec.write_text(json.dumps({"backend": "frac1d", "alpha": 1.0,
+                                "g": {"kind": "const", "value": 1.0},
+                                "f": {"kind": "power", "b": 1.0, "p": 3.0},
+                                "nest": [0.1 + 0.02 * i for i in range(15)] + [0.95]}))
+    assert cli.main(["run", str(spec), "--out", str(tmp_path / "out"),
+                     "--suite", "trace"]) == 2
+    printed = capsys.readouterr().out
+    assert printed.startswith("error:") and "fewer than three levels" in printed
+    assert "0.9: 1" in printed and "-0.5: 1" in printed and "0.0:" not in printed
 
 
 def test_wos_suite_rejects_too_few_paths(tmp_path, capsys):

@@ -676,6 +676,41 @@ def test_solve_continuum_cubic(packs):
     assert np.max(np.abs(sol.u - sol.u[::-1])) < 1e-9
 
 
+def _panel_value(grid, values, x):
+    """The panel interpolant of node values at the point x, by the Lagrange
+    basis of its panel."""
+    breaks = grid.interior_breaks
+    p = int(np.searchsorted(breaks, x, side="right")) - 1
+    t = 2.0 * (x - breaks[p]) / (breaks[p + 1] - breaks[p]) - 1.0
+    return float((f1._lagrange_matrix(grid.order, np.array([t]))
+                  @ values.reshape(-1, grid.order)[p])[0])
+
+
+@pytest.mark.parametrize("alpha", [0.6, 1.0, 1.4])
+def test_source_density_closes_the_fixed_point(alpha):
+    # the source the FK walk integrates is the one W integrates: with u(0.2)
+    # read through its panel, P_D g + R_D (Pi f(u)) - u closes to 2.2e-9 or
+    # less (alpha 0.6 / 1.0 / 1.4: 2.1e-9, -1.1e-9, -2.2e-11); the source
+    # f(continuum_callable) leaves -2.7e-5, -4.9e-5, -5.5e-5
+    k, grid = f1.build_kernels(alpha), f1.build_grid(alpha)
+    prob = f1.ContinuumProblem(kernels=k, grid=grid, g=f1.const_exterior(1.0),
+                               f=power_nonlinearity(1.0, 3.0))
+    sol = f1.solve_continuum(prob)
+    density = f1.source_density(prob, sol)
+    at_nodes = prob.f(grid.interior_x, sol.u)
+    y = np.random.default_rng(3).uniform(-1.0, 1.0, 200)
+    np.testing.assert_allclose(density(y), [_panel_value(grid, at_nodes, v) for v in y],
+                               rtol=0.0, atol=1e-14)
+
+    def gap(source):
+        pdg = f1.apply_PD(k, grid, prob.g, x=[0.2])[0]
+        return pdg + f1.apply_RD(k, grid, source, x=[0.2])[0] - _panel_value(grid, sol.u, 0.2)
+
+    u_fn = f1.continuum_callable(prob, sol)
+    assert abs(gap(density)) <= 1e-8
+    assert abs(gap(lambda v: prob.f(v, u_fn(v)))) > 1e-5
+
+
 @pytest.mark.parametrize("f, g", [
     (power_nonlinearity(1.0, 3.0), 30.0),
     (power_nonlinearity(1.0, 3.0), 100.0),

@@ -13,7 +13,8 @@ The exact mutations move a value by 1e-6 (graph) or 1e-4 (continuum),
 above the contracts of 1e-10 to 1e-6 and far below the Monte Carlo bands.
 Each Monte Carlo mutation moves an oracle's mean by at least three of its
 bands: a band of 2e4 paths (three standard errors) is 5e-3 to 1.1e-2 wide
-on these specs.  Seeds are fixed, so the table is deterministic.  Prior
+on these specs, and 4.5e-4 to 1.5e-3 for the control-variate FK band of the
+walk-on-spheres.  Seeds are fixed, so the table is deterministic.  Prior
 art: mutation analysis (DeMillo, Lipton and Sayward, "Hints on test data
 selection", IEEE Computer 11, 1978).
 """
@@ -306,6 +307,7 @@ MUTATIONS = {
     "frac: u +0.05 M(., +1)": Mutation("frac", _frac_martin_added),
     "frac: P_D g x1.05 in solve": Mutation("frac", _frac_in_solve("apply_PD", 1.05)),
     "frac: W x1.05 in solve": Mutation("frac", _frac_in_solve("green_matrix", 1.05)),
+    "frac: W x1.005 in solve": Mutation("frac", _frac_in_solve("green_matrix", 1.005)),
     "frac: exit law of alpha + 0.1": Mutation("frac", _frac_exit_law_off),
     "frac: ball mean exit x1.05": Mutation("frac", _frac_ball_mass_off),
     "frac_nu": Mutation("frac_nu"),
@@ -346,9 +348,14 @@ CATCHES = {
     "trace_extrapolated": ("frac: u +0.05 M(., +1)", "frac_nu: nu dropped in solve"),
     "weighted_ratio": ("frac: u inf",),
     "wos_mean_exit": ("frac: exit law of alpha + 0.1", "frac: ball mean exit x1.05"),
+    # the mean exit time is the FK band's control variate, so a fault in it
+    # shows there; a wrong exit law moves the FK sample and the mean exit
+    # time together, and the variate cancels it (0.22 bands): the exit-law
+    # keys catch that one
     "wos_fk_residual": ("frac: u +0.04", "frac: u +0.05 M(., +1)",
                         "frac: P_D g x1.05 in solve", "frac: W x1.05 in solve",
-                        "frac: exit law of alpha + 0.1", "frac_nu: nu dropped in solve"),
+                        "frac: W x1.005 in solve", "frac: ball mean exit x1.05",
+                        "frac_nu: nu dropped in solve"),
     "wos_exit_chi2_pmin": ("frac: exit law of alpha + 0.1",),
 }
 # key -> why no mutation of the table needs to fail it

@@ -7,7 +7,7 @@ from scipy.stats import kstest
 
 from dirichlet_lab import frac1d as f1
 from dirichlet_lab import wos
-from dirichlet_lab.rng import CHUNK, substream
+from dirichlet_lab.rng import CHUNK, mean_and_stderr, substream
 from dirichlet_lab.semilinear import power_nonlinearity
 
 
@@ -17,13 +17,13 @@ def pack():
     return f1.build_kernels(alpha), f1.build_grid(alpha)
 
 
-# a smooth solved-function stand-in and its cubic absorption source
-_FK = dict(u_fn=lambda y: 0.5 + 0.25 * np.cos(y),
-           f=power_nonlinearity(1.0, 3.0))
-
-
 def _fk_source(y):
-    return _FK["f"](y, _FK["u_fn"](y))
+    """The cubic absorption source of a smooth solved-function stand-in."""
+    return power_nonlinearity(1.0, 3.0)(y, 0.5 + 0.25 * np.cos(y))
+
+
+# the FK arguments other than g: the source and the stand-in's value at 0.3
+_FK = dict(source=_fk_source, u_x=0.5 + 0.25 * np.cos(0.3))
 
 
 def exit_cdf_ball(alpha: float, t) -> np.ndarray:
@@ -244,22 +244,31 @@ def test_exit_law_chi2_three_probes(pack):
 
 
 def test_wos_suite_oracles_are_calibrated():
-    # the wos suite's two walks over 100 seeds at 1e4 paths: the exit-law
-    # chi-square p-values of the walks from -0.7 and 0.2 are uniform, and the
-    # mean exit time's z-scores from 0.2 against its closed form are N(0, 1),
-    # each by a KS test at 1%
+    # the wos suite's two walks over 100 seeds at 1e4 paths, on the solve of
+    # const 1 with cubic b = 1: the exit-law chi-square p-values of the walks
+    # from -0.7 and 0.2 are uniform, and the z-scores from 0.2 of the mean
+    # exit time against its closed form and of the control-variate FK
+    # residual against 0 are N(0, 1), each by a KS test at 1%.  The FK kind
+    # adds about 1 s to the test.
     for alpha in (0.5, 1.0, 1.1, 1.5):
         k = f1.build_kernels(alpha)
-        closed = k.exit_coef * (1.0 - 0.2 ** 2) ** (alpha / 2.0)
-        p_values, z = [], []
+        prob = f1.ContinuumProblem(kernels=k, grid=f1.build_grid(alpha),
+                                   g=f1.const_exterior(1.0), f=power_nonlinearity(1.0, 3.0))
+        sol = f1.solve_continuum(prob)
+        fk = dict(g=prob.g, source=f1.source_density(prob, sol),
+                  u_x=float(f1.continuum_callable(prob, sol)([0.2])[0]))
+        p_values, z, z_fk = [], [], []
         for seed in range(100):
             p_values.append(wos.wos_exit_chi2(k, -0.7, n_paths=10_000, seed=seed + 2)[1])
-            (_, p), (est, se) = wos.wos_estimate(("exit_chi2", "mean_exit_time"), k, 0.2,
-                                                 n_paths=10_000, seed=seed + 8)
+            (_, p), (est, se), (res, res_se) = wos.wos_estimate(
+                ("exit_chi2", "mean_exit_time", "FK_residual"), k, 0.2, n_paths=10_000,
+                seed=seed + 8, **fk)
             p_values.append(p)
-            z.append((est - closed) / se)
+            z.append((est - k.mean_exit(0.2)) / se)
+            z_fk.append(res / res_se)
         assert kstest(p_values, "uniform").pvalue > 0.01, alpha
         assert kstest(z, "norm").pvalue > 0.01, alpha
+        assert kstest(z_fk, "norm").pvalue > 0.01, alpha
 
 
 _EXIT_JUMPS = wos._exit_jumps
@@ -375,14 +384,29 @@ def test_ball_green_rule_total_mass(pack):
 
 
 def test_fk_residual_cubic(pack):
+    # the FK residual of the solve is 0 within its band, whose control
+    # variate, the mean exit time, explains most of the FK sample's spread on
+    # constant data (band 0.15 of the plain one here); a non-finite sample,
+    # or mean exit times without spread, keep the plain estimate
     k, grid = pack
     prob = f1.ContinuumProblem(kernels=k, grid=grid, g=f1.const_exterior(1.0),
                                f=power_nonlinearity(1.0, 3.0))
     sol = f1.solve_continuum(prob)
-    u_fn = f1.continuum_callable(prob, sol)
+    source, u_x = f1.source_density(prob, sol), float(f1.continuum_callable(prob, sol)([0.2])[0])
     [(est, se)] = wos.wos_estimate(("FK_residual",), k, 0.2, n_paths=100_000, seed=13,
-                                   g=prob.g, u_fn=u_fn, f=prob.f)
+                                   g=prob.g, source=source, u_x=u_x)
     assert abs(est) < 3 * se
+    _, mean_exit, occ = wos.wos_exit_batch(k, 0.2, 100_000, 13, h=source)
+    vals = 1.0 + occ - u_x
+    plain = mean_and_stderr(vals)
+    assert se < 0.3 * plain[1] and abs(est - plain[0]) < 3.0 * plain[1]
+    vals[7] = np.inf
+    with np.errstate(invalid="ignore"):
+        est, se = wos._control_variate(vals, mean_exit, k.mean_exit(0.2))
+    assert est == np.inf and np.isnan(se)
+    vals[7] = 0.0
+    flat = np.full(vals.size, k.mean_exit(0.0))
+    assert wos._control_variate(vals, flat, k.mean_exit(0.0)) == mean_and_stderr(vals)
 
 
 def test_kinds_of_one_walk_match_one_kind_calls(pack):
@@ -414,9 +438,9 @@ def test_estimate_checks_arguments_before_walking(pack, monkeypatch):
     k, _ = pack
     monkeypatch.setattr(wos, "wos_exit_batch", walk)
     g = f1.const_exterior(1.0)
-    cases = [("PDg", {}, "g"), ("FK_residual", {}, "g, u_fn, f"),
-             ("FK_residual", {"g": g, "f": _FK["f"]}, "u_fn"),
-             ("FK_residual", {"g": g, "u_fn": _FK["u_fn"]}, "f")]
+    cases = [("PDg", {}, "g"), ("FK_residual", {}, "g, source, u_x"),
+             ("FK_residual", {"g": g, "source": _FK["source"]}, "u_x"),
+             ("FK_residual", {"g": g, "u_x": _FK["u_x"]}, "source")]
     for kind, given, missing in cases:
         with pytest.raises(ValueError, match=f"estimator {kind} needs {missing}$"):
             wos.wos_estimate(("mean_exit_time", kind), k, 0.3, n_paths=100, seed=0, **given)
