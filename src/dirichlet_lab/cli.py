@@ -630,6 +630,10 @@ def _suite_verify_frac(cfg, prob, sol, outdir):
     return out
 
 
+# the continuum trace probes: the centre, the middle and near the boundary
+_FRAC_PROBES = np.array([0.0, 0.5, -0.5, 0.9, -0.9])
+
+
 def _suite_trace_frac(cfg, prob, sol, outdir):
     u_fn = frac1d.continuum_callable(prob, sol)
     # probes near the boundary only enter the exhaustion after a few levels,
@@ -637,14 +641,16 @@ def _suite_trace_frac(cfg, prob, sol, outdir):
     radii = prob.nest
     if len(radii) < 16:
         radii = frac1d.default_nest(16)
-    seq = trace.trace_sequence_frac(prob.kernels, u_fn, radii)
     # Aitken extrapolates a tail of three levels: with fewer, a probe's last
-    # value is no limit, and the check would blame u for the nest
-    entered = np.sum(np.abs(seq.probes)[None, :] < np.asarray(radii)[:, None], axis=0)
+    # value is no limit, and the check would blame u for the nest; refused
+    # before any level is computed
+    entered = np.sum(np.abs(_FRAC_PROBES)[None, :] < np.asarray(radii)[:, None], axis=0)
     if entered.min() < 3:
-        short = {float(p): int(n) for p, n in zip(seq.probes, entered) if n < 3}
-        raise ValueError(f"trace probes enter fewer than three levels of the nest "
-                         f"(probe: levels {short}), so their limits cannot be extrapolated")
+        short = {float(p): int(n) for p, n in zip(_FRAC_PROBES, entered) if n < 3}
+        raise ValueError(f"trace probes enter fewer than three levels of the nest, whose "
+                         f"largest radius is {max(radii):g} (probe: levels {short}), so "
+                         f"their limits cannot be extrapolated")
+    seq = trace.trace_sequence_frac(prob.kernels, u_fn, radii, probes=_FRAC_PROBES)
     _write_trace(outdir, seq)
     # the trace of u is its boundary measure: the limits tend to M|nu|, 0 without nu
     limit = (abs(prob.nu_plus) * frac1d.martin_kernel(prob.kernels, seq.probes, +1)

@@ -294,14 +294,20 @@ def wos_exit_batch(kernels: FracKernels, x: float, n_paths: int, seed: int,
 def _control_variate(vals: np.ndarray, mean_exit: np.ndarray, exact: float):
     """``mean_and_stderr`` of vals less its regression on the mean exit times,
     vals - beta (T - E_x tau) with beta = cov(vals, T) / var(T): the mean is
-    kept, and the part of the spread that T explains goes.  A non-finite
-    sample (an exit value of inf), or T without spread (a start at 0, where
-    every path is one ball), gives the plain estimate."""
-    if not np.isfinite(vals).all():
+    kept, and the part of the spread that T explains goes.
+
+    The variate holds only for a walk whose mean exit time is E_x tau: a
+    walk of the wrong law moves the FK sample and T together, and the
+    regression would cancel the fault.  So T's own mean must lie within
+    three standard errors of E_x tau (the mean exit check); a walk where it
+    does not, a non-finite sample (an exit value of inf), or T without
+    spread (a start at 0, where every path is one ball) gives the plain
+    estimate."""
+    t_mean, t_se = mean_and_stderr(mean_exit)
+    if not (np.isfinite(vals).all() and 0.0 < t_se and abs(t_mean - exact) <= 3.0 * t_se):
         return mean_and_stderr(vals)
-    dev = mean_exit - mean_exit.mean()
-    var = float(np.dot(dev, dev))
-    beta = float(np.dot(vals - vals.mean(), dev)) / var if var > 0.0 else 0.0
+    dev = mean_exit - t_mean
+    beta = float(np.dot(vals - vals.mean(), dev)) / float(np.dot(dev, dev))
     return mean_and_stderr(vals - beta * (mean_exit - exact))
 
 

@@ -348,13 +348,9 @@ CATCHES = {
     "trace_extrapolated": ("frac: u +0.05 M(., +1)", "frac_nu: nu dropped in solve"),
     "weighted_ratio": ("frac: u inf",),
     "wos_mean_exit": ("frac: exit law of alpha + 0.1", "frac: ball mean exit x1.05"),
-    # the mean exit time is the FK band's control variate, so a fault in it
-    # shows there; a wrong exit law moves the FK sample and the mean exit
-    # time together, and the variate cancels it (0.22 bands): the exit-law
-    # keys catch that one
     "wos_fk_residual": ("frac: u +0.04", "frac: u +0.05 M(., +1)",
                         "frac: P_D g x1.05 in solve", "frac: W x1.05 in solve",
-                        "frac: W x1.005 in solve", "frac: ball mean exit x1.05",
+                        "frac: W x1.005 in solve", "frac: exit law of alpha + 0.1",
                         "frac_nu: nu dropped in solve"),
     "wos_exit_chi2_pmin": ("frac: exit law of alpha + 0.1",),
 }

@@ -387,7 +387,8 @@ def test_fk_residual_cubic(pack):
     # the FK residual of the solve is 0 within its band, whose control
     # variate, the mean exit time, explains most of the FK sample's spread on
     # constant data (band 0.15 of the plain one here); a non-finite sample,
-    # or mean exit times without spread, keep the plain estimate
+    # mean exit times without spread, or mean exit times whose mean misses
+    # E_x tau, keep the plain estimate
     k, grid = pack
     prob = f1.ContinuumProblem(kernels=k, grid=grid, g=f1.const_exterior(1.0),
                                f=power_nonlinearity(1.0, 3.0))
@@ -407,6 +408,9 @@ def test_fk_residual_cubic(pack):
     vals[7] = 0.0
     flat = np.full(vals.size, k.mean_exit(0.0))
     assert wos._control_variate(vals, flat, k.mean_exit(0.0)) == mean_and_stderr(vals)
+    t_mean, t_se = mean_and_stderr(mean_exit)
+    assert wos._control_variate(vals, mean_exit, t_mean + 2.9 * t_se) != mean_and_stderr(vals)
+    assert wos._control_variate(vals, mean_exit, t_mean + 3.1 * t_se) == mean_and_stderr(vals)
 
 
 def test_kinds_of_one_walk_match_one_kind_calls(pack):
