@@ -35,6 +35,7 @@ from . import chain_sim, frac1d, trace, wos
 from .forms import form_from_dict, form_to_dict
 from .potential import exit_second_moment, green_apply, green_operator
 from .projection import poisson_kernel
+from .rng import BAND_Z
 from .semilinear import (ProblemSpec, apriori_report, exp_nonlinearity, power_nonlinearity,
                          residual_probabilistic, solve, table_nonlinearity, vd_check,
                          verify_projective, very_weak_defect, zero_nonlinearity)
@@ -573,10 +574,10 @@ def _checked(cfg, backend, key, value) -> dict:
 
 
 def _band(est, se, exact) -> dict:
-    """Monte Carlo agreement: ``|est - exact|`` within three standard errors,
+    """Monte Carlo agreement: ``|est - exact|`` within ``BAND_Z`` standard errors,
     and at least 1e-9.  A standard error that is not finite leaves the band
     at 1e-9, so an estimate that is not finite fails against a finite one."""
-    band = 3.0 * se
+    band = BAND_Z * se
     return _entry(abs(est - exact), band if 1e-9 < band < math.inf else 1e-9, "band")
 
 
@@ -630,10 +631,6 @@ def _suite_verify_frac(cfg, prob, sol, outdir):
     return out
 
 
-# the continuum trace probes: the centre, the middle and near the boundary
-_FRAC_PROBES = np.array([0.0, 0.5, -0.5, 0.9, -0.9])
-
-
 def _suite_trace_frac(cfg, prob, sol, outdir):
     u_fn = frac1d.continuum_callable(prob, sol)
     # probes near the boundary only enter the exhaustion after a few levels,
@@ -641,16 +638,7 @@ def _suite_trace_frac(cfg, prob, sol, outdir):
     radii = prob.nest
     if len(radii) < 16:
         radii = frac1d.default_nest(16)
-    # Aitken extrapolates a tail of three levels: with fewer, a probe's last
-    # value is no limit, and the check would blame u for the nest; refused
-    # before any level is computed
-    entered = np.sum(np.abs(_FRAC_PROBES)[None, :] < np.asarray(radii)[:, None], axis=0)
-    if entered.min() < 3:
-        short = {float(p): int(n) for p, n in zip(_FRAC_PROBES, entered) if n < 3}
-        raise ValueError(f"trace probes enter fewer than three levels of the nest, whose "
-                         f"largest radius is {max(radii):g} (probe: levels {short}), so "
-                         f"their limits cannot be extrapolated")
-    seq = trace.trace_sequence_frac(prob.kernels, u_fn, radii, probes=_FRAC_PROBES)
+    seq = trace.trace_sequence_frac(prob.kernels, u_fn, radii)
     _write_trace(outdir, seq)
     # the trace of u is its boundary measure: the limits tend to M|nu|, 0 without nu
     limit = (abs(prob.nu_plus) * frac1d.martin_kernel(prob.kernels, seq.probes, +1)

@@ -1,5 +1,6 @@
 """Counter-based random substreams, the oracles' goodness-of-fit test, and
-the argument check and reduction shared by the Monte Carlo front ends.
+the argument check, reduction and band width shared by the Monte Carlo front
+ends.
 
 Every consumer keys a Philox generator by (seed, stream); a path's draws then
 depend only on its stream, not on how many paths are stepped together.
@@ -15,6 +16,8 @@ __all__ = ["check_estimate_args", "chisquare", "live_segments", "mean_and_stderr
 
 # paths per substream chunk of both walks: chunk c's paths draw from stream c
 CHUNK = 4096
+# half-width of a Monte Carlo band, in standard errors of its estimate
+BAND_Z = 3.0
 _MASK64 = (1 << 64) - 1
 
 

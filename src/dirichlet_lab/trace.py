@@ -118,32 +118,32 @@ def trace_sequence_frac(kernels, u_fn, radii, probes=(0.0, 0.5, -0.5, 0.9, -0.9)
     the exit average of |u| restricted to D.  ``edge_exponent`` declares a
     known blow-up power of u at the boundary (e.g. for Martin inputs) so the
     quadrature can bake it into the edge panels.  Each probe's limit is the
-    iterated Aitken value of its levels; a probe that no level enters is a
-    ValueError naming it and the largest radius.
+    iterated Aitken value of its levels, which needs a tail of three: a nest
+    in which a probe enters fewer than three levels is a ValueError naming
+    the largest radius and each such probe's level count, raised before
+    ``u_fn`` is called.
     """
     probes = np.asarray(probes, dtype=float)
-    # a probe no level enters has no sequence to extrapolate
-    top = max(radii)
-    outside = probes[np.abs(probes) >= top]
-    if outside.size:
-        raise ValueError(f"trace probes {outside.tolist()} enter no level of the nest, "
-                         f"whose largest radius is {top:g}")
+    # inside[k, j]: probe j has entered level k; with fewer than three
+    # levels a probe's last value is no limit
+    inside = np.abs(probes)[None, :] < np.asarray(radii)[:, None]
+    short = {float(p): int(n) for p, n in zip(probes, inside.sum(axis=0)) if n < 3}
+    if short:
+        raise ValueError(f"trace probes enter fewer than three levels of the nest, whose "
+                         f"largest radius is {max(radii):g} (probe: levels {short}), so "
+                         f"their limits cannot be extrapolated")
     rows = []
-    inside = []
-    for a in radii:
-        entered = np.abs(probes) < a
+    for a, level in zip(radii, inside):
         vals = np.empty(probes.size)
-        if entered.any():
-            vals[entered] = apply_PV_interval(kernels, a, lambda y: np.abs(u_fn(y)),
-                                              probes[entered], edge_exponent=edge_exponent)
+        if level.any():
+            vals[level] = apply_PV_interval(kernels, a, lambda y: np.abs(u_fn(y)),
+                                            probes[level], edge_exponent=edge_exponent)
         # a probe that has not entered the level yet sees the identity exit
         # kernel, so its value is just |u| at the probe
-        if not entered.all():
-            vals[~entered] = np.abs(u_fn(probes[~entered]))
+        if not level.all():
+            vals[~level] = np.abs(u_fn(probes[~level]))
         rows.append(vals)
-        inside.append(entered)
     values = np.asarray(rows)
-    inside = np.asarray(inside)
     extrap = np.array([aitken_iterated(values[inside[:, j], j])
                        for j in range(probes.size)])
     return TraceSequence(probes=probes, values=values, extrapolated=extrap)

@@ -25,7 +25,8 @@ import numpy as np
 
 from .frac1d import (ExteriorData, FracKernels, _exit_average, _exterior_rule, _gj, _graded_breaks,
                      _green_rule, _TABLE_FIT, _table_eval, _table_fit)
-from .rng import CHUNK, check_estimate_args, chisquare, live_segments, mean_and_stderr, substream
+from .rng import (BAND_Z, CHUNK, check_estimate_args, chisquare, live_segments, mean_and_stderr,
+                  substream)
 
 __all__ = [
     "ball_green_rule",
@@ -299,12 +300,12 @@ def _control_variate(vals: np.ndarray, mean_exit: np.ndarray, exact: float):
     The variate holds only for a walk whose mean exit time is E_x tau: a
     walk of the wrong law moves the FK sample and T together, and the
     regression would cancel the fault.  So T's own mean must lie within
-    three standard errors of E_x tau (the mean exit check); a walk where it
-    does not, a non-finite sample (an exit value of inf), or T without
-    spread (a start at 0, where every path is one ball) gives the plain
-    estimate."""
+    ``BAND_Z`` standard errors of E_x tau, the band of the mean exit check;
+    a walk where it does not, a non-finite sample (an exit value of inf), or
+    T without spread (a start at 0, where every path is one ball) gives the
+    plain estimate."""
     t_mean, t_se = mean_and_stderr(mean_exit)
-    if not (np.isfinite(vals).all() and 0.0 < t_se and abs(t_mean - exact) <= 3.0 * t_se):
+    if not (np.isfinite(vals).all() and 0.0 < t_se and abs(t_mean - exact) <= BAND_Z * t_se):
         return mean_and_stderr(vals)
     dev = mean_exit - t_mean
     beta = float(np.dot(vals - vals.mean(), dev)) / float(np.dot(dev, dev))

@@ -1,8 +1,8 @@
 """The paper's results that the tests check and no run computes: its
 monotone truncation ladder, the reference of the Newton solves on both
 backends; and on the graph comparison, stability, the Dynkin identity,
-excessive potentials, and the nested transient pairs the projection and
-trace tests draw."""
+excessive potentials, and the random domains and nested transient pairs
+the projection and trace tests draw."""
 
 import math
 import numbers
@@ -17,7 +17,7 @@ from dirichlet_lab.potential import green_apply, green_operator
 from dirichlet_lab.projection import _solve, harmonic_extension, project
 from dirichlet_lab.semilinear import (Nonlinearity, ProblemSpec, Solution,
                                       residual_probabilistic, solve)
-from dirichlet_lab.suite import random_domain
+from dirichlet_lab.suite import random_domain, random_form
 
 _EXCESSIVE_TOL = 1e-12
 # ladder stop on successive outer iterates
@@ -254,3 +254,14 @@ def random_nested_subsets(rng: np.random.Generator, form: DiscreteForm):
         if is_transient(form, V):
             return V, W
     raise RuntimeError("failed to draw nested transient subsets")
+
+
+def forms_and_domains():
+    """``(rng, form, D)`` on twelve random forms, each with a random domain,
+    the whole state space (transient by killing) and the empty domain."""
+    rng = np.random.default_rng(11)
+    for _ in range(12):
+        form = random_form(rng, 5, 40)
+        yield rng, form, random_domain(rng, form)
+        yield rng, form, np.arange(form.n)  # empty complement; killing makes it transient
+        yield rng, form, np.array([], dtype=int)

@@ -15,10 +15,9 @@ from dirichlet_lab import (DiscreteForm, NonTransientError, apriori_report,
                            harmonic_extension, poisson_kernel, residual_probabilistic, solve,
                            verify_projective)
 from dirichlet_lab import cli, projection, semilinear
-from dirichlet_lab.forms import complement
 from dirichlet_lab.semilinear import ProblemSpec, power_nonlinearity
 from dirichlet_lab.suite import random_domain, random_form
-from paper_checks import harmonic_boundary
+from paper_checks import forms_and_domains
 from dirichlet_lab.trace import killing_part, trace_sequence_graph
 
 
@@ -195,17 +194,8 @@ def test_cached_factor_is_read_only(k3):
     assert projection._restricted_cho(k3, np.array([1, 2]))[0][0] is c
 
 
-def _forms_and_domains():
-    rng = np.random.default_rng(11)
-    for _ in range(12):
-        form = random_form(rng, 5, 40)
-        yield rng, form, random_domain(rng, form)
-        yield rng, form, np.arange(form.n)  # empty complement; killing makes it transient
-        yield rng, form, np.array([], dtype=int)
-
-
 def test_trace_without_kernel_matches_kernel():
-    for rng, form, D in _forms_and_domains():
+    for rng, form, D in forms_and_domains():
         u = rng.normal(size=form.n)
         keep = rng.random(D.size) < 0.5
         nest = [np.array([], dtype=int), D[keep], D, np.arange(form.n)]
@@ -215,23 +205,3 @@ def test_trace_without_kernel_matches_kernel():
             ref = (poisson_kernel(form, V) @ integrand)[D]
             np.testing.assert_allclose(seq.values[k], ref, rtol=1e-12, atol=0.0)
         assert np.all(seq.values[2] == 0.0)
-
-
-def _boundary_by_kernel(form, D):
-    """Reference definition: aggregated mass m @ P_D over the complement."""
-    if D.size == 0:
-        return np.array([], dtype=int)
-    comp = complement(form.n, D)
-    P = poisson_kernel(form, D)
-    return comp[form.m[D] @ P[D][:, comp] > 1e-14]
-
-
-def test_harmonic_boundary_without_kernel_matches_kernel():
-    for _, form, D in _forms_and_domains():
-        assert np.array_equal(harmonic_boundary(form, D), _boundary_by_kernel(form, D))
-
-
-def test_harmonic_boundary_non_transient_without_complement():
-    form = DiscreteForm(m=np.ones(2), J=np.array([[0.0, 1.0], [1.0, 0.0]]), kappa=np.zeros(2))
-    with pytest.raises(NonTransientError):
-        harmonic_boundary(form, [0, 1])

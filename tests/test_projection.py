@@ -3,8 +3,9 @@ import pytest
 
 from dirichlet_lab import (DiscreteForm, NonTransientError, harmonic_extension, poisson_kernel,
                            project, projection)
+from dirichlet_lab.forms import complement
 from dirichlet_lab.suite import random_form
-from paper_checks import harmonic_boundary, random_nested_subsets
+from paper_checks import forms_and_domains, harmonic_boundary, random_nested_subsets
 
 
 def test_project_already_supported(k3):
@@ -151,6 +152,26 @@ def test_harmonic_boundary_excludes_unreachable():
     form = DiscreteForm(m=np.ones(4), J=J, kappa=np.zeros(4))
     assert harmonic_boundary(form, [1]).tolist() == [0, 2]
     assert harmonic_boundary(form, [1, 2]).tolist() == [0, 3]
+
+
+def _boundary_by_kernel(form, D):
+    """Reference definition: aggregated mass m @ P_D over the complement."""
+    if D.size == 0:
+        return np.array([], dtype=int)
+    comp = complement(form.n, D)
+    P = poisson_kernel(form, D)
+    return comp[form.m[D] @ P[D][:, comp] > 1e-14]
+
+
+def test_harmonic_boundary_without_kernel_matches_kernel():
+    for _, form, D in forms_and_domains():
+        assert np.array_equal(harmonic_boundary(form, D), _boundary_by_kernel(form, D))
+
+
+def test_harmonic_boundary_non_transient_without_complement():
+    form = DiscreteForm(m=np.ones(2), J=np.array([[0.0, 1.0], [1.0, 0.0]]), kappa=np.zeros(2))
+    with pytest.raises(NonTransientError):
+        harmonic_boundary(form, [0, 1])
 
 
 def _spd(rng, n, cond):

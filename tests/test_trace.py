@@ -53,11 +53,23 @@ def test_frac_trace_probes_outside_a_level_read_u():
     k = f1.build_kernels(1.2)
     probes = np.array([0.0, 0.5, -0.5, 0.9, -0.9])
     u_fn = lambda y: np.cos(3.0 * np.asarray(y)) - 0.5  # noqa: E731
-    radii = (0.3, 0.7, 0.95)
+    # each probe but the centre is outside a level, and enters three or more
+    radii = (0.3, 0.7, 0.92, 0.95, 0.97)
     seq = trace_sequence_frac(k, u_fn, radii, probes=probes)
     for level, a in enumerate(radii):
         for j in np.flatnonzero(np.abs(probes) >= a):
             assert seq.values[level, j] == abs(u_fn(probes[j:j + 1])[0])
+
+
+def test_frac_trace_refuses_a_probe_with_fewer_than_three_levels():
+    # Aitken needs a tail of three levels: at (0.3, 0.7, 0.95) the default
+    # probes +-0.5 enter two and +-0.9 one, refused before u is read
+    def u_fn(y):
+        raise AssertionError("u_fn called on a refused nest")
+
+    with pytest.raises(ValueError, match="fewer than three levels") as err:
+        trace_sequence_frac(f1.build_kernels(1.2), u_fn, (0.3, 0.7, 0.95))
+    assert "0.95" in str(err.value) and "0.9: 1" in str(err.value) and "0.5: 2" in str(err.value)
 
 
 def test_graph_trace_reports_terminal_level_as_limit():
