@@ -14,14 +14,24 @@ steps the live paths of all chunks together, and the estimators' linear
 functionals of the occupation times are summed visit by visit, so no
 path-by-state matrix is ever formed.  ``mc_estimate`` reads every check
 from one walk.
+
+The kinds that read the exit state take an exact zero-mean martingale as a
+control variate (Henderson and Glynn, "Approximating martingales for
+variance reduction in Markov process simulation", Math. Oper. Res. 27,
+2002).  With phi = g off D and 0 on D and at death, optional stopping gives
+E[g(X_tau) - sum_{k<tau} h(X_k)] = 0 for h(s) = sum_{z not in D} P(s, z) g(z),
+P being the jump chain's kernel.  Its sum is one more functional row, the
+exterior flux of g over m (``forms.exterior_flux``), since the walk folds
+1/q into every row; the row reads only J, m, kappa and g.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .forms import DiscreteForm, as_subset, is_transient
-from .rng import CHUNK, check_estimate_args, live_segments, mean_and_stderr, substream
+from .forms import DiscreteForm, as_subset, exterior_flux, is_transient
+from .rng import (CHUNK, check_estimate_args, control_variate, live_segments, mean_and_stderr,
+                  substream)
 
 __all__ = ["mc_estimate", "simulate_batch"]
 
@@ -29,9 +39,10 @@ __all__ = ["mc_estimate", "simulate_batch"]
 _NEEDS = {"PDg": ("g",), "RDf": ("h",), "RDmu": ("mu",), "second_moment": ("mu",),
           "FK_residual": ("g", "mu", "u", "f")}
 # functional rows of the walk each kind reads: h, the atoms' weights mu/m, their
-# squares over the rates, and the FK integrand f(u) + mu/m
-_ROWS = {"PDg": (), "RDf": ("h",), "RDmu": ("mu",), "second_moment": ("mu", "mu2"),
-         "FK_residual": ("fk",)}
+# squares over the rates, the FK integrand f(u) + mu/m, and the exterior flux of
+# g over m, whose sum is the compensator of the martingale control variate
+_ROWS = {"PDg": ("flux",), "RDf": ("h",), "RDmu": ("mu",), "second_moment": ("mu", "mu2"),
+         "FK_residual": ("fk", "flux")}
 
 
 def _rates(form: DiscreteForm, idx: np.ndarray):
@@ -153,10 +164,15 @@ def mc_estimate(kinds: tuple, form: DiscreteForm, D, x: int, *, n_paths: int = 1
     ``second_moment`` (its square), ``FK_residual`` (full path functional
     minus u at the start point; needs g, mu, u and the absorption f) give
     ``(estimate, stderr)``.  The walk carries the union of the functional
-    rows the kinds read (``PDg`` reads only the exits, which do not depend
-    on the rows), so each result has the bits of a one-kind call at the
-    same seed; estimates of one call are correlated, each at its own
-    standard error.
+    rows the kinds read, and its exits do not depend on the rows, so each
+    result has the bits of a one-kind call at the same seed; estimates of
+    one call are correlated, each at its own standard error.
+
+    ``PDg`` and ``FK_residual`` are regressed on the martingale
+    c = g(X_tau) - sum_{k<tau} h(X_k), of mean exactly 0
+    (``rng.control_variate``): where c's own mean misses 0 by more than
+    ``rng.BAND_Z`` standard errors, as on a walk whose exits do not follow
+    the chain's kernel, the plain estimate is kept.
 
     The time integrals are read at their conditional means given the jump
     chain (``simulate_batch``), which are unbiased for every kind but the
@@ -172,21 +188,25 @@ def mc_estimate(kinds: tuple, form: DiscreteForm, D, x: int, *, n_paths: int = 1
     make = {"h": lambda: np.asarray(h, dtype=float)[idx],
             "mu": lambda: weights,
             "mu2": lambda: weights * weights / _rates(form, idx)[0],
-            "fk": lambda: f(idx, np.asarray(u, dtype=float)[idx]) + weights}
+            "fk": lambda: f(idx, np.asarray(u, dtype=float)[idx]) + weights,
+            "flux": lambda: exterior_flux(form, idx, g) / form.m[idx]}
     exits, F = simulate_batch(form, D, x, n_paths, seed,
                               functionals=[make[name]() for name in names])
     occ = dict(zip(names, F))
+    if "flux" in occ:
+        at_exit = np.append(np.asarray(g, dtype=float), 0.0)[exits]  # g = 0 on death
+        martingale = at_exit - occ["flux"]
     out = []
     for kind in kinds:
         if kind == "RDf":
-            vals = occ["h"]
+            out.append(mean_and_stderr(occ["h"]))
         elif kind == "RDmu":
-            vals = occ["mu"]
+            out.append(mean_and_stderr(occ["mu"]))
         elif kind == "second_moment":
-            vals = occ["mu"] * occ["mu"] + occ["mu2"]
+            out.append(mean_and_stderr(occ["mu"] * occ["mu"] + occ["mu2"]))
         else:
-            vals = np.append(np.asarray(g, dtype=float), 0.0)[exits]  # g = 0 on death
+            vals = at_exit
             if kind == "FK_residual":
                 vals = vals + occ["fk"] - np.asarray(u, dtype=float)[x]
-        out.append(mean_and_stderr(vals))
+            out.append(control_variate(vals, martingale, 0.0))
     return out

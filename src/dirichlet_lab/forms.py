@@ -23,6 +23,7 @@ __all__ = [
     "NonTransientError",
     "as_subset",
     "complement",
+    "exterior_flux",
     "form_from_dict",
     "form_to_dict",
     "is_transient",
@@ -121,6 +122,19 @@ def complement(n: int, V) -> np.ndarray:
     return np.nonzero(mask)[0]
 
 
+def exterior_flux(form: DiscreteForm, V, w) -> np.ndarray:
+    """``2 (J @ w_out)[V]``, w_out being ``w`` (length n) with its entries on V
+    zeroed: the jump intensity from each state of the sorted ``V`` into the
+    complement, weighted by w there.  With w = 1 it is the jump part of the
+    killing measure of the form restricted to V; divided by m it is the rate
+    of w-weighted jumps out of V.  One product with J, no row or column
+    gather."""
+    idx = as_subset(form.n, V)
+    w_out = np.array(w, dtype=float)
+    w_out[idx] = 0.0
+    return 2.0 * (form.J @ w_out)[idx]
+
+
 def is_transient(form: DiscreteForm, V) -> bool:
     """Whether the restricted negative generator on ``V`` is nonsingular.
 
@@ -137,8 +151,7 @@ def is_transient(form: DiscreteForm, V) -> bool:
     # exactly where a row has an edge into the mask (no column gather)
     J = form.J
     escape = np.zeros(form.n, dtype=bool)
-    out_mass = J @ (~in_V).astype(float)
-    escape[idx] = (form.kappa[idx] > 0) | (out_mass[idx] > 0)
+    escape[idx] = (form.kappa[idx] > 0) | (exterior_flux(form, idx, np.ones(form.n)) > 0)
     # breadth-first sweep backwards along edges inside V
     reached = escape & in_V
     frontier = reached

@@ -1,5 +1,5 @@
 """Counter-based random substreams, the oracles' goodness-of-fit test, and
-the argument check, reduction and band width shared by the Monte Carlo front
+the argument check, reductions and band width shared by the Monte Carlo front
 ends.
 
 Every consumer keys a Philox generator by (seed, stream); a path's draws then
@@ -12,7 +12,8 @@ import math
 
 import numpy as np
 
-__all__ = ["check_estimate_args", "chisquare", "live_segments", "mean_and_stderr", "substream"]
+__all__ = ["check_estimate_args", "chisquare", "control_variate", "live_segments",
+           "mean_and_stderr", "substream"]
 
 # paths per substream chunk of both walks: chunk c's paths draw from stream c
 CHUNK = 4096
@@ -55,6 +56,25 @@ def check_estimate_args(kinds, n_paths: int, needs: dict, given: dict) -> None:
 def mean_and_stderr(vals: np.ndarray) -> tuple[float, float]:
     """Sample mean of the per-path values and its standard error."""
     return float(np.mean(vals)), float(np.std(vals, ddof=1) / np.sqrt(vals.size))
+
+
+def control_variate(vals: np.ndarray, cv: np.ndarray, cv_mean: float) -> tuple[float, float]:
+    """``mean_and_stderr`` of vals less its regression on a control variate cv
+    of known mean: vals - beta (cv - cv_mean) with beta = cov(vals, cv) /
+    var(cv).  The mean is kept, and the part of the spread that cv explains
+    goes.
+
+    The variate holds only for a walk of the law that makes cv_mean its mean:
+    a walk of the wrong law can move the sample and cv together, and the
+    regression would cancel the fault.  So cv's own mean must lie within
+    ``BAND_Z`` standard errors of cv_mean; a walk where it does not, a sample
+    that is not finite, or cv without spread gives the plain estimate."""
+    c_mean, c_se = mean_and_stderr(cv)
+    if not (np.isfinite(vals).all() and 0.0 < c_se and abs(c_mean - cv_mean) <= BAND_Z * c_se):
+        return mean_and_stderr(vals)
+    dev = cv - c_mean
+    beta = float(np.dot(vals - vals.mean(), dev)) / float(np.dot(dev, dev))
+    return mean_and_stderr(vals - beta * (cv - cv_mean))
 
 
 def _chi2_tail(k: int, x: float) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import DiscreteForm, as_subset, complement
+from .forms import DiscreteForm, as_subset, exterior_flux
 from .frac1d import apply_PV_interval
 from .potential import green_apply
 from .projection import harmonic_extension
@@ -38,10 +38,8 @@ def killing_part(form: DiscreteForm, D) -> np.ndarray:
     kappa_D is exactly one on D for any transient D.
     """
     idx = as_subset(form.n, D)
-    comp = complement(form.n, idx)
     out = np.zeros(form.n)
-    if idx.size:
-        out[idx] = 2.0 * form.J[idx][:, comp].sum(axis=1) + form.kappa[idx]
+    out[idx] = exterior_flux(form, idx, np.ones(form.n)) + form.kappa[idx]
     return out
 
 

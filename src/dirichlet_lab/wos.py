@@ -25,8 +25,8 @@ import numpy as np
 
 from .frac1d import (ExteriorData, FracKernels, _exit_average, _exterior_rule, _gj, _graded_breaks,
                      _green_rule, _TABLE_FIT, _table_eval, _table_fit)
-from .rng import (BAND_Z, CHUNK, check_estimate_args, chisquare, live_segments, mean_and_stderr,
-                  substream)
+from .rng import (CHUNK, check_estimate_args, chisquare, control_variate, live_segments,
+                  mean_and_stderr, substream)
 
 __all__ = [
     "ball_green_rule",
@@ -292,26 +292,6 @@ def wos_exit_batch(kernels: FracKernels, x: float, n_paths: int, seed: int,
     return exits, mean_exit, occ
 
 
-def _control_variate(vals: np.ndarray, mean_exit: np.ndarray, exact: float):
-    """``mean_and_stderr`` of vals less its regression on the mean exit times,
-    vals - beta (T - E_x tau) with beta = cov(vals, T) / var(T): the mean is
-    kept, and the part of the spread that T explains goes.
-
-    The variate holds only for a walk whose mean exit time is E_x tau: a
-    walk of the wrong law moves the FK sample and T together, and the
-    regression would cancel the fault.  So T's own mean must lie within
-    ``BAND_Z`` standard errors of E_x tau, the band of the mean exit check;
-    a walk where it does not, a non-finite sample (an exit value of inf), or
-    T without spread (a start at 0, where every path is one ball) gives the
-    plain estimate."""
-    t_mean, t_se = mean_and_stderr(mean_exit)
-    if not (np.isfinite(vals).all() and 0.0 < t_se and abs(t_mean - exact) <= BAND_Z * t_se):
-        return mean_and_stderr(vals)
-    dev = mean_exit - t_mean
-    beta = float(np.dot(vals - vals.mean(), dev)) / float(np.dot(dev, dev))
-    return mean_and_stderr(vals - beta * (mean_exit - exact))
-
-
 def wos_estimate(kinds: tuple, kernels: FracKernels, x: float, *, n_paths: int = 100_000,
                  seed: int = 0, g=None, source=None, u_x=None) -> list[tuple[float, float]]:
     """One result per requested kind, in the order of ``kinds``, all read
@@ -323,8 +303,10 @@ def wos_estimate(kinds: tuple, kernels: FracKernels, x: float, *, n_paths: int =
     value at the start; measure atoms are not supported here) give
     ``(estimate, stderr)``; ``exit_chi2`` gives ``(statistic, p)`` of the
     walk's exit points against the exit density.  ``FK_residual`` takes the
-    mean exit times as a control variate (``_control_variate``), against
-    ``FracKernels.mean_exit``.  The walk carries the source only when
+    mean exit times as a control variate (``rng.control_variate``), against
+    ``FracKernels.mean_exit``: a walk whose mean exit time misses it by more
+    than ``rng.BAND_Z`` standard errors, the band of the mean exit check, keeps
+    the plain estimate.  The walk carries the source only when
     ``FK_residual`` is asked for, and its exits and mean exit times do not
     depend on it, so each result has the bits of a one-kind call at the
     same seed.
@@ -342,7 +324,7 @@ def wos_estimate(kinds: tuple, kernels: FracKernels, x: float, *, n_paths: int =
             out.append(mean_and_stderr(mean_exit))
         else:
             vals = np.asarray(g(exits), dtype=float) + occ - float(u_x)
-            out.append(_control_variate(vals, mean_exit, kernels.mean_exit(float(x))))
+            out.append(control_variate(vals, mean_exit, kernels.mean_exit(float(x))))
     return out
 
 

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import kstest
 
 from dirichlet_lab import DiscreteForm, chain_sim, exit_second_moment
 from dirichlet_lab.chain_sim import _category, _rates, _rise_table, mc_estimate, simulate_batch
-from dirichlet_lab.forms import as_subset, complement
+from dirichlet_lab.forms import as_subset, complement, exterior_flux
 from dirichlet_lab.potential import green_apply, green_operator
 from dirichlet_lab.projection import poisson_kernel
-from dirichlet_lab.rng import _chi2_tail, chisquare, substream
+from dirichlet_lab.rng import _chi2_tail, chisquare, mean_and_stderr, substream
 from dirichlet_lab.semilinear import ProblemSpec, power_nonlinearity, solve
 from dirichlet_lab.suite import random_form, random_problem
 
@@ -247,9 +248,9 @@ def test_fk_residual_on_solution(k3):
 
 def test_kinds_of_one_walk_match_one_kind_calls(k3, monkeypatch):
     # one walk carries the union of the rows the kinds read (RDmu and the
-    # second moment share the weights, PDg reads none); the exits do not
-    # depend on the rows, nor a row on the others, so every estimate has the
-    # bits of its one-kind call at the same seed
+    # second moment share the weights, PDg and FK the flux of g); the exits
+    # do not depend on the rows, nor a row on the others, so every estimate
+    # has the bits of its one-kind call at the same seed
     spec = ProblemSpec(form=k3, D=[1, 2], g=np.array([1.0, -0.5, 0.0]),
                        mu=np.array([0.0, 0.3, 0.1]), f=power_nonlinearity(np.ones(3), 3.0))
     sol = solve(spec)
@@ -264,7 +265,7 @@ def test_kinds_of_one_walk_match_one_kind_calls(k3, monkeypatch):
 
     monkeypatch.setattr(chain_sim, "simulate_batch", simulate)
     together = mc_estimate(kinds, k3, spec.D, 1, n_paths=10_000, seed=21, **given_args)
-    assert rows == [4]
+    assert rows == [5]
     alone = [mc_estimate((kind,), k3, spec.D, 1, n_paths=10_000, seed=21, **given_args)[0]
              for kind in kinds]
     assert together == alone
@@ -274,20 +275,41 @@ def test_kinds_of_one_walk_match_one_kind_calls(k3, monkeypatch):
 
 
 def test_shared_walk_calibration():
-    # the mc suite's three estimates read from one walk keep their 3-sigma
-    # coverage: over 200 seeds at 1e4 paths each band misses at most 4 times
+    # the mc suite's three estimates read from one walk, PD g and FK
+    # regressed on the martingale, keep their 3-sigma coverage: over 200
+    # seeds at 1e4 paths each band misses at most 4 times, and the z-scores
+    # are N(0, 1) by a KS test at 1% each
     spec = random_problem(np.random.default_rng(5))
     sol = solve(spec)
     assert sol.converged
     form, D = spec.form, spec.D
     x, h = int(D[0]), np.ones(form.n)
     exact = (float(spec.pdg[x]), float(green_apply(form, D, h * form.m)[x]), 0.0)
-    misses = np.zeros(3, dtype=int)
-    for seed in range(200):
-        got = mc_estimate(("PDg", "RDf", "FK_residual"), form, D, x, n_paths=10_000,
-                          seed=seed, g=spec.g, h=h, mu=spec.mu, u=sol.u, f=spec.f)
-        misses += [abs(est - ex) > 3 * max(se, 1e-9) for (est, se), ex in zip(got, exact)]
+    z = np.array([[(est - ex) / max(se, 1e-9) for (est, se), ex in zip(
+        mc_estimate(("PDg", "RDf", "FK_residual"), form, D, x, n_paths=10_000, seed=seed,
+                    g=spec.g, h=h, mu=spec.mu, u=sol.u, f=spec.f), exact)]
+        for seed in range(200)])
+    misses = (np.abs(z) > 3).sum(axis=0)
     assert np.all(misses <= 4), misses
+    for kind, column in zip(("PDg", "RDf", "FK_residual"), z.T):
+        assert kstest(column, "norm").pvalue > 0.01, kind
+
+
+def test_martingale_control_variate():
+    # c = g(X_tau) - sum_k h(X_k), h(s) = sum_{z not in D} P(s, z) g(z), has
+    # mean 0; regressed on it, PD g keeps its mean and loses spread
+    spec = random_problem(np.random.default_rng(5))
+    form, D = spec.form, spec.D
+    x, idx = int(D[0]), as_subset(spec.form.n, spec.D)
+    flux = exterior_flux(form, idx, spec.g) / form.m[idx]
+    exits, F = simulate_batch(form, D, x, 100_000, 9, functionals=[flux])
+    at_exit = np.append(spec.g, 0.0)[exits]
+    c_mean, c_se = mean_and_stderr(at_exit - F[0])
+    assert abs(c_mean) < 3 * c_se
+    plain = mean_and_stderr(at_exit)
+    [(est, se)] = mc_estimate(("PDg",), form, D, x, n_paths=100_000, seed=9, g=spec.g)
+    assert se < 0.9 * plain[1]
+    assert abs(est - spec.pdg[x]) < 3 * se and abs(est - plain[0]) < 3 * plain[1]
 
 
 def test_mc_estimate_validation(k3):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirichlet_lab import DiscreteForm, is_transient
-from dirichlet_lab.forms import form_from_dict, form_to_dict
+from dirichlet_lab.forms import complement, exterior_flux, form_from_dict, form_to_dict
 from dirichlet_lab.suite import random_form
 
 
@@ -120,6 +120,22 @@ def test_transience_isolated_component():
     assert is_transient(form, [0, 1])
     assert not is_transient(form, [2, 3])  # component never reaches a kill
     assert not is_transient(form, [0, 1, 2, 3])
+
+
+def test_exterior_flux_matches_the_gathered_sum():
+    # 2 (J @ w_out)[V] is the gathered sum 2 J[V][:, V^c] @ w[V^c], to
+    # rounding, on random forms, subsets and weights; w's entries on V are
+    # never read
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        form = random_form(rng, 5, 40)
+        V = np.flatnonzero(rng.random(form.n) < 0.6)
+        comp = complement(form.n, V)
+        w = rng.normal(size=form.n)
+        gathered = 2.0 * form.J[V][:, comp] @ w[comp]
+        assert np.allclose(exterior_flux(form, V, w), gathered, rtol=1e-14, atol=1e-14)
+        w[V] = np.nan
+        assert np.allclose(exterior_flux(form, V, w), gathered, rtol=1e-14, atol=1e-14)
 
 
 def test_validation_errors():

@@ -7,7 +7,7 @@ from scipy.stats import kstest
 
 from dirichlet_lab import frac1d as f1
 from dirichlet_lab import wos
-from dirichlet_lab.rng import CHUNK, mean_and_stderr, substream
+from dirichlet_lab.rng import CHUNK, control_variate, mean_and_stderr, substream
 from dirichlet_lab.semilinear import power_nonlinearity
 
 
@@ -403,14 +403,14 @@ def test_fk_residual_cubic(pack):
     assert se < 0.3 * plain[1] and abs(est - plain[0]) < 3.0 * plain[1]
     vals[7] = np.inf
     with np.errstate(invalid="ignore"):
-        est, se = wos._control_variate(vals, mean_exit, k.mean_exit(0.2))
+        est, se = control_variate(vals, mean_exit, k.mean_exit(0.2))
     assert est == np.inf and np.isnan(se)
     vals[7] = 0.0
     flat = np.full(vals.size, k.mean_exit(0.0))
-    assert wos._control_variate(vals, flat, k.mean_exit(0.0)) == mean_and_stderr(vals)
+    assert control_variate(vals, flat, k.mean_exit(0.0)) == mean_and_stderr(vals)
     t_mean, t_se = mean_and_stderr(mean_exit)
-    assert wos._control_variate(vals, mean_exit, t_mean + 2.9 * t_se) != mean_and_stderr(vals)
-    assert wos._control_variate(vals, mean_exit, t_mean + 3.1 * t_se) == mean_and_stderr(vals)
+    assert control_variate(vals, mean_exit, t_mean + 2.9 * t_se) != mean_and_stderr(vals)
+    assert control_variate(vals, mean_exit, t_mean + 3.1 * t_se) == mean_and_stderr(vals)
 
 
 def test_kinds_of_one_walk_match_one_kind_calls(pack):
