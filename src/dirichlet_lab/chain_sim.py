@@ -23,26 +23,50 @@ E[g(X_tau) - sum_{k<tau} h(X_k)] = 0 for h(s) = sum_{z not in D} P(s, z) g(z),
 P being the jump chain's kernel.  Its sum is one more functional row, the
 exterior flux of g over m (``forms.exterior_flux``), since the walk folds
 1/q into every row; the row reads only J, m, kappa and g.
+
+The occupation-time kinds take a second exact martingale.  The killing part
+kappa_D of D (``trace.killing_part``) has potential one on D, so with
+p_out(s) the chance that a jump from s leaves D or kills the path,
+E[sum_{k<tau} p_out(X_k)] = 1, and c1 = sum_{k<tau} p_out(X_k) - 1 has mean
+exactly 0.  Its sum is the row kappa_D / m, which reads only J, m and kappa.
+
+Before a walk starts, its length can be known: the expected number of jumps
+from x is E_x N = R_D(q m)(x), q being the total rate.  ``mc_estimate``
+refuses a walk whose n_paths E_x N exceeds ``STEP_BUDGET`` before it walks
+any path, and the walk's own step cap raises the same ``WalkBudgetError``.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .forms import DiscreteForm, as_subset, exterior_flux, is_transient
+from .potential import green_apply
 from .rng import (CHUNK, check_estimate_args, control_variate, live_segments, mean_and_stderr,
                   substream)
+from .trace import killing_part
 
-__all__ = ["mc_estimate", "simulate_batch"]
+__all__ = ["STEP_BUDGET", "WalkBudgetError", "mc_estimate", "simulate_batch"]
+
+# path-steps (paths times expected jumps per path) ``mc_estimate`` lets one walk
+# take: about 7 s at the 14-22 million path-steps per second of a 2-vCPU x86 host
+STEP_BUDGET = 1e8
 
 # arguments each estimator kind reads, checked before any path is simulated
 _NEEDS = {"PDg": ("g",), "RDf": ("h",), "RDmu": ("mu",), "second_moment": ("mu",),
           "FK_residual": ("g", "mu", "u", "f")}
 # functional rows of the walk each kind reads: h, the atoms' weights mu/m, their
-# squares over the rates, the FK integrand f(u) + mu/m, and the exterior flux of
-# g over m, whose sum is the compensator of the martingale control variate
-_ROWS = {"PDg": ("flux",), "RDf": ("h",), "RDmu": ("mu",), "second_moment": ("mu", "mu2"),
-         "FK_residual": ("fk", "flux")}
+# squares over the rates, the FK integrand f(u) + mu/m, and the compensators of
+# the two martingale control variates: the exterior flux of g over m, and the
+# killing part of D over m
+_ROWS = {"PDg": ("flux",), "RDf": ("h", "kill"), "RDmu": ("mu", "kill"),
+         "second_moment": ("mu", "mu2"), "FK_residual": ("fk", "flux")}
+
+
+class WalkBudgetError(ValueError):
+    """A walk that would take, or has taken, more steps than it was allowed."""
 
 
 def _rates(form: DiscreteForm, idx: np.ndarray):
@@ -148,7 +172,7 @@ def simulate_batch(form: DiscreteForm, D, x: int, n_paths: int, seed: int,
         if active.size == 0:
             break
     else:
-        raise RuntimeError(f"batch exceeded {max_steps} steps without absorbing")
+        raise WalkBudgetError(f"batch exceeded {max_steps} steps without absorbing")
     exits[exits == form.n] = -1  # category n is death
     return exits, F
 
@@ -169,10 +193,18 @@ def mc_estimate(kinds: tuple, form: DiscreteForm, D, x: int, *, n_paths: int = 1
     one call are correlated, each at its own standard error.
 
     ``PDg`` and ``FK_residual`` are regressed on the martingale
-    c = g(X_tau) - sum_{k<tau} h(X_k), of mean exactly 0
-    (``rng.control_variate``): where c's own mean misses 0 by more than
-    ``rng.BAND_Z`` standard errors, as on a walk whose exits do not follow
-    the chain's kernel, the plain estimate is kept.
+    c = g(X_tau) - sum_{k<tau} h(X_k), ``RDf`` and ``RDmu`` on
+    c1 = sum_{k<tau} p_out(X_k) - 1, both of mean exactly 0
+    (``rng.control_variate``): where a variate's own mean misses 0 by more
+    than ``rng.BAND_Z`` standard errors, as on a walk whose exits do not
+    follow the chain's kernel, the plain estimate is kept.  ``second_moment``
+    keeps its plain estimate.  A standard error is 0 only for a sample
+    without spread, and is otherwise no smaller than the rounding of the
+    estimate (``_estimate``).
+
+    Before any path is walked, a walk of n_paths E_x N path-steps above
+    ``STEP_BUDGET`` is refused with ``WalkBudgetError``; E_x N is one solve
+    on the cached factor of D.
 
     The time integrals are read at their conditional means given the jump
     chain (``simulate_batch``), which are unbiased for every kind but the
@@ -183,30 +215,53 @@ def mc_estimate(kinds: tuple, form: DiscreteForm, D, x: int, *, n_paths: int = 1
     """
     check_estimate_args(kinds, n_paths, _NEEDS, {"g": g, "h": h, "mu": mu, "u": u, "f": f})
     idx = as_subset(form.n, D)
+    # the walk's exact expected length, E_x N = R_D(q m)(x) with q m = 2 J 1 + kappa
+    jumps = float(green_apply(form, idx, 2.0 * form.J.sum(axis=1) + form.kappa)[x])
+    if not n_paths * jumps <= STEP_BUDGET:
+        raise WalkBudgetError(
+            f"the walk is over its budget: {n_paths} paths of E_x N = {jumps:.3g} expected "
+            f"jumps from state {x} make {n_paths * jumps:.3g} path-steps, above "
+            f"chain_sim.STEP_BUDGET = {STEP_BUDGET:.3g}; take fewer paths")
     names = list(dict.fromkeys(row for kind in kinds for row in _ROWS[kind]))
     weights = None if mu is None else np.asarray(mu, dtype=float)[idx] / form.m[idx]
     make = {"h": lambda: np.asarray(h, dtype=float)[idx],
             "mu": lambda: weights,
             "mu2": lambda: weights * weights / _rates(form, idx)[0],
             "fk": lambda: f(idx, np.asarray(u, dtype=float)[idx]) + weights,
-            "flux": lambda: exterior_flux(form, idx, g) / form.m[idx]}
+            "flux": lambda: exterior_flux(form, idx, g) / form.m[idx],
+            "kill": lambda: killing_part(form, idx)[idx] / form.m[idx]}
     exits, F = simulate_batch(form, D, x, n_paths, seed,
                               functionals=[make[name]() for name in names])
     occ = dict(zip(names, F))
     if "flux" in occ:
         at_exit = np.append(np.asarray(g, dtype=float), 0.0)[exits]  # g = 0 on death
         martingale = at_exit - occ["flux"]
+    if "kill" in occ:
+        c1 = occ["kill"] - 1.0  # sum_{k<tau} p_out(X_k) - R_D kappa_D(x)
     out = []
     for kind in kinds:
-        if kind == "RDf":
-            out.append(mean_and_stderr(occ["h"]))
-        elif kind == "RDmu":
-            out.append(mean_and_stderr(occ["mu"]))
+        if kind in ("RDf", "RDmu"):
+            out.append(_estimate(occ[_ROWS[kind][0]], c1))
         elif kind == "second_moment":
-            out.append(mean_and_stderr(occ["mu"] * occ["mu"] + occ["mu2"]))
+            out.append(_estimate(occ["mu"] * occ["mu"] + occ["mu2"]))
         else:
             vals = at_exit
             if kind == "FK_residual":
                 vals = vals + occ["fk"] - np.asarray(u, dtype=float)[x]
-            out.append(control_variate(vals, martingale, 0.0))
+            out.append(_estimate(vals, martingale))
     return out
+
+
+def _estimate(vals: np.ndarray, cv=None) -> tuple[float, float]:
+    """``(estimate, stderr)`` of a per-path sample, regressed on the
+    zero-mean martingale cv where one is given (``rng.control_variate``).
+
+    A sample without spread is its own mean, at standard error 0.  Any other
+    standard error is at least eps log2(n) mean|vals|, the rounding of a
+    pairwise mean of n terms: a variate that explains the whole spread would
+    otherwise report an error below the rounding of its own estimate."""
+    if vals.min() == vals.max():
+        return float(vals[0]), 0.0
+    est, se = mean_and_stderr(vals) if cv is None else control_variate(vals, cv, 0.0)
+    rounding = np.finfo(float).eps * math.log2(vals.size) * float(np.mean(np.abs(vals)))
+    return est, se if not se < rounding else rounding  # a non-finite se is kept

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import chain_sim, frac1d, trace, wos
-from .forms import form_from_dict, form_to_dict
+from .forms import complement, form_from_dict, form_to_dict
 from .potential import exit_second_moment, green_apply, green_operator
 from .projection import poisson_kernel
 from .rng import BAND_Z
@@ -573,12 +573,24 @@ def _checked(cfg, backend, key, value) -> dict:
     return _entry(value, float(cfg.tolerances.get(key, default)), direction)
 
 
-def _band(est, se, exact) -> dict:
+def _band(est, se, exact, unseen=0.0) -> dict:
     """Monte Carlo agreement: ``|est - exact|`` within ``BAND_Z`` standard errors,
-    and at least 1e-9.  A standard error that is not finite leaves the band
-    at 1e-9, so an estimate that is not finite fails against a finite one."""
-    band = BAND_Z * se
+    and at least 1e-9.  A sample without spread (se = 0) gets the band
+    ``unseen`` instead (``_unseen_band``).  A standard error that is not finite
+    leaves the band at 1e-9, so an estimate that is not finite fails against a
+    finite one."""
+    band = unseen if se == 0.0 else BAND_Z * se
     return _entry(abs(est - exact), band if 1e-9 < band < math.inf else 1e-9, "band")
+
+
+def _unseen_band(n_paths, outcomes) -> float:
+    """Band of a sample of n_paths without spread, whose values range over
+    ``outcomes``: an outcome of chance p goes unseen in n paths with chance
+    (1 - p)^n <= exp(-p n), which is below the one-sided tail of ``BAND_Z``
+    standard errors (0.00135) once p > -ln(0.00135) / n, about 6.6 / n.  The
+    mean then lies within that chance times the outcomes' range."""
+    tail = 0.5 * math.erfc(BAND_Z / math.sqrt(2.0))
+    return -math.log(tail) / n_paths * float(np.ptp(outcomes))
 
 
 def _suite_verify_graph(cfg, spec, sol, outdir):
@@ -614,11 +626,13 @@ def _suite_trace_graph(cfg, spec, sol, outdir):
 
 def _suite_mc_graph(cfg, spec, sol, outdir):
     form, D = spec.form, spec.D
-    x, h = int(D[0]), np.ones(form.n)
+    x, h, n_paths = int(D[0]), np.ones(form.n), int(cfg.paths)
     pdg, rd1, fk = chain_sim.mc_estimate(("PDg", "RDf", "FK_residual"), form, D, x,
-                                         n_paths=int(cfg.paths), seed=cfg.seed, g=spec.g,
+                                         n_paths=n_paths, seed=cfg.seed, g=spec.g,
                                          h=h, mu=spec.mu, u=sol.u, f=spec.f)
-    return {"mc_PDg": _band(*pdg, float(spec.pdg[x])),
+    # the values an exit can take: g off D, and 0 at death where D kills
+    outcomes = np.append(spec.g[complement(form.n, D)], [0.0] * bool(np.any(form.kappa[D])))
+    return {"mc_PDg": _band(*pdg, float(spec.pdg[x]), _unseen_band(n_paths, outcomes)),
             "mc_RD1": _band(*rd1, float(green_apply(form, D, h * form.m)[x])),
             "mc_FK_residual": _band(*fk, 0.0)}
 

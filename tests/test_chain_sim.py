@@ -8,13 +8,15 @@ from hypothesis import strategies as st
 from scipy.stats import kstest
 
 from dirichlet_lab import DiscreteForm, chain_sim, exit_second_moment
-from dirichlet_lab.chain_sim import _category, _rates, _rise_table, mc_estimate, simulate_batch
+from dirichlet_lab.chain_sim import (WalkBudgetError, _category, _rates, _rise_table, mc_estimate,
+                                     simulate_batch)
 from dirichlet_lab.forms import as_subset, complement, exterior_flux
 from dirichlet_lab.potential import green_apply, green_operator
 from dirichlet_lab.projection import poisson_kernel
 from dirichlet_lab.rng import _chi2_tail, chisquare, mean_and_stderr, substream
 from dirichlet_lab.semilinear import ProblemSpec, power_nonlinearity, solve
 from dirichlet_lab.suite import random_form, random_problem
+from dirichlet_lab.trace import killing_part
 
 
 def _occupation(form, D, x, n_paths, seed, **kwargs):
@@ -113,9 +115,9 @@ def test_step_cap_with_live_paths_in_several_chunks(random_chain):
     np.testing.assert_array_equal(exits, exits_ref)
     np.testing.assert_array_equal(F, F_ref)
     # two chunks, at least, still have live paths after this many steps
-    with pytest.raises(RuntimeError, match="exceeded"):
+    with pytest.raises(WalkBudgetError, match="exceeded"):
         simulate_batch(form, D, x, n, seed=13, max_steps=sorted(steps)[-2] - 1, functionals=V)
-    with pytest.raises(RuntimeError, match="exceeded"):
+    with pytest.raises(WalkBudgetError, match="exceeded"):
         simulate_batch(form, D, x, n, seed=13, max_steps=max(steps) - 1)
 
 
@@ -227,6 +229,14 @@ def test_rdf_estimate_vs_green(k3):
     G = green_operator(k3, np.array(D))
     exact = float(G[0] @ h[1:])
     assert abs(est - exact) < 3 * se
+    # only state 1 exits, and each visit to 2 returns to 1, so the occupation
+    # integral of h is affine in c1 = (visits to 1) / 2 - 1: the regression
+    # on c1 leaves no spread, the estimate is exact to rounding, and its
+    # standard error is that rounding's bound
+    assert abs(est - exact) < 1e-12 and se < 1e-12
+    _, F = simulate_batch(k3, D, 1, 100_000, 6, functionals=[h[1:]])
+    plain, plain_se = mean_and_stderr(F[0])
+    assert abs(plain - exact) < 3 * plain_se
 
 
 def test_second_moment_estimate(k3):
@@ -248,7 +258,8 @@ def test_fk_residual_on_solution(k3):
 
 def test_kinds_of_one_walk_match_one_kind_calls(k3, monkeypatch):
     # one walk carries the union of the rows the kinds read (RDmu and the
-    # second moment share the weights, PDg and FK the flux of g); the exits
+    # second moment share the weights, RDf and RDmu the killing part, PDg
+    # and FK the flux of g); the exits
     # do not depend on the rows, nor a row on the others, so every estimate
     # has the bits of its one-kind call at the same seed
     spec = ProblemSpec(form=k3, D=[1, 2], g=np.array([1.0, -0.5, 0.0]),
@@ -265,7 +276,7 @@ def test_kinds_of_one_walk_match_one_kind_calls(k3, monkeypatch):
 
     monkeypatch.setattr(chain_sim, "simulate_batch", simulate)
     together = mc_estimate(kinds, k3, spec.D, 1, n_paths=10_000, seed=21, **given_args)
-    assert rows == [5]
+    assert rows == [6]
     alone = [mc_estimate((kind,), k3, spec.D, 1, n_paths=10_000, seed=21, **given_args)[0]
              for kind in kinds]
     assert together == alone
@@ -310,6 +321,24 @@ def test_martingale_control_variate():
     [(est, se)] = mc_estimate(("PDg",), form, D, x, n_paths=100_000, seed=9, g=spec.g)
     assert se < 0.9 * plain[1]
     assert abs(est - spec.pdg[x]) < 3 * se and abs(est - plain[0]) < 3 * plain[1]
+
+
+def test_killing_martingale_control_variate():
+    # c1 = sum_k p_out(X_k) - 1, p_out the chance that a jump leaves D or
+    # kills, has mean 0 since R_D kappa_D = 1 on D; regressed on it, the
+    # occupation time R_D 1 keeps its mean and loses spread
+    spec = random_problem(np.random.default_rng(5))
+    form, D = spec.form, spec.D
+    x, idx = int(D[0]), as_subset(spec.form.n, spec.D)
+    kill = killing_part(form, idx)[idx] / form.m[idx]
+    exits, F = simulate_batch(form, D, x, 100_000, 9, functionals=[np.ones(idx.size), kill])
+    c_mean, c_se = mean_and_stderr(F[1] - 1.0)
+    assert abs(c_mean) < 3 * c_se
+    plain = mean_and_stderr(F[0])
+    [(est, se)] = mc_estimate(("RDf",), form, D, x, n_paths=100_000, seed=9, h=np.ones(form.n))
+    assert se < 0.8 * plain[1]
+    exact = green_apply(form, D, form.m)[x]
+    assert abs(est - exact) < 3 * se and abs(est - plain[0]) < 3 * plain[1]
 
 
 def test_mc_estimate_validation(k3):
@@ -357,7 +386,7 @@ def test_estimates_bitwise_reproducible(k3):
 
 def test_runaway_path_cap(k3, two_state):
     # from state 2 the chain must pass through state 1 before it can leave
-    with pytest.raises(RuntimeError):
+    with pytest.raises(WalkBudgetError):
         simulate_batch(k3, [1, 2], 2, 100, seed=99, max_steps=1)
     # a lone state is left at the first step, so one step is enough
     exits, _ = simulate_batch(two_state, [0], 0, 100, seed=99, max_steps=1)
@@ -372,8 +401,29 @@ def test_conservative_interior_exits_with_probability_one():
     form = DiscreteForm(m=np.ones(4), J=J, kappa=np.zeros(4))
     exits, _ = simulate_batch(form, [1, 2], 1, 20_000, seed=9)
     assert np.all(exits >= 0)
-    [(est, se)] = mc_estimate(("PDg",), form, [1, 2], 1, n_paths=20_000, seed=10, g=np.ones(4))
-    assert est == 1.0 and se == 0.0
+    # so g constant gives a sample without spread: the estimate is g itself at
+    # standard error 0, also for 100.1, whose mean over the paths rounds away
+    for g in (1.0, 100.1):
+        [(est, se)] = mc_estimate(("PDg",), form, [1, 2], 1, n_paths=20_000, seed=10,
+                                  g=np.full(4, g))
+        assert est == g and se == 0.0
+    assert np.full(20_000, 100.1).mean() != 100.1
+
+
+def test_walk_budget_reads_the_expected_jump_count(k3, monkeypatch):
+    # the row q counts one per jump, so its per-path sum is the jump count N,
+    # whose mean the budget reads exactly as E_x N = R_D(q m)(x)
+    D, x = np.array([1, 2]), 1
+    total, _ = _rates(k3, D)
+    _, F = simulate_batch(k3, D, x, 100_000, seed=12, functionals=[total])
+    expected = green_apply(k3, D, 2.0 * k3.J.sum(axis=1) + k3.kappa)[x]
+    mean, se = mean_and_stderr(F[0])
+    assert abs(mean - expected) < 3 * se
+    # a walk over the budget is refused by name before any path is walked
+    monkeypatch.setattr(chain_sim, "STEP_BUDGET", 100 * expected - 1.0)
+    monkeypatch.setattr(chain_sim, "simulate_batch", None)
+    with pytest.raises(WalkBudgetError, match=f"E_x N = {expected:.3g}"):
+        mc_estimate(("RDf",), k3, D, x, n_paths=100, h=np.ones(3))
 
 
 def test_chisquare_closed_form():

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -158,6 +159,68 @@ def test_band_of_a_non_finite_estimate_fails_with_a_finite_contract(tmp_path):
         entry = cli._band(est, se, 0.5)
         assert entry["contract"] == (3.0 * se if np.isfinite(se) else 1e-9)
         assert entry["pass"] is (est == 0.5)
+
+
+def _stress_graph_obj(kappa=0.0, g=1.0) -> dict:
+    """30 states, a random symmetric J with a path through every state,
+    m = 1, D the states 0..19, g constant and cubic b = 1."""
+    rng = np.random.default_rng(0)
+    n = 30
+    J = np.triu(rng.uniform(0.0, 1.0, (n, n)) * (rng.random((n, n)) < 0.3), 1)
+    J[np.arange(n - 1), np.arange(1, n)] += 0.5
+    return {"backend": "graph",
+            "form": {"m": [1.0] * n, "J": (J + J.T).tolist(), "kappa": [kappa] * n},
+            "D": list(range(20)), "g": [g] * n,
+            "mu": [0.0] * n, "f": {"kind": "power", "b": 1.0, "p": 3.0}}
+
+
+def test_walk_over_budget_is_refused_before_it_starts(tmp_path, capsys, monkeypatch):
+    # the weak-escape spec: 30 states, D the first 29, the only edge out of D
+    # joining 0 to 29 at weight 1e-3, kappa = 0.  E_x N = 1.48e5 expected
+    # jumps: 2e4 paths would take 3e9 path-steps, so the mc suite refuses by
+    # name with exit 2 before any path is walked; the solve has written
+    # solution.csv, and no residuals.json or mc.json is left
+    spec = Path(__file__).with_name("weak_escape.json")
+
+    def simulate(*args, **kwargs):
+        raise AssertionError("a walk over budget started")
+
+    monkeypatch.setattr(cli.chain_sim, "simulate_batch", simulate)
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    status = cli.main(["run", str(spec), "--out", str(out), "--suite", "mc", "--paths", "20000"])
+    assert status == 2 and time.perf_counter() - start < 1.0
+    message = capsys.readouterr().out
+    assert "E_x N = 1.48e+05" in message and "budget" in message, message
+    assert sorted(p.name for p in out.iterdir()) == ["solution.csv"]
+    assert issubclass(cli.chain_sim.WalkBudgetError, ValueError)
+
+
+@pytest.mark.parametrize("g", [1.0, 100.1])
+def test_sample_without_spread_gets_the_unseen_band(tmp_path, monkeypatch, g):
+    # kappa = 1e-8: no path of 2e4 dies, so the PD g sample is all g and its
+    # standard error 0, where the exact value misses g by g times the death
+    # chance 3.3e-9.  The band is the one-sided bound of an unseen outcome,
+    # -ln(0.00135) / n times the range of the exit values, not 1e-9.  A mean
+    # of 2e4 copies of 100.1 does not round to 100.1, yet the sample still
+    # has no spread
+    spec = tmp_path / "tiny.json"
+    spec.write_text(json.dumps(_stress_graph_obj(kappa=1e-8, g=g)))
+    out = tmp_path / "out"
+    cfg = cli.RunConfig(spec_path=spec, out_dir=out, seed=0, suites=("mc",), paths=20000)
+    assert cli.run(cfg) == 0
+    entry = json.loads((out / "mc.json").read_text())["results"]["mc_PDg"]
+    assert 1e-9 < entry["value"] / g < 1e-8
+    assert entry["contract"] == pytest.approx(6.6077 / 20000 * g, rel=1e-4)
+    # a reference off by more than that band still fails the sample
+    real = semilinear.ProblemSpec.pdg.func
+    monkeypatch.setattr(semilinear.ProblemSpec, "pdg", property(lambda p: real(p) - 1e-3 * g))
+    assert cli.run(cfg) == 1
+    entry = json.loads((out / "mc.json").read_text())["results"]["mc_PDg"]
+    assert entry["pass"] is False and entry["value"] > entry["contract"]
+    # a band of the range: no outcome but one value, no band beyond 1e-9
+    assert cli._unseen_band(20000, [1.0, 1.0]) == 0.0
+    assert cli._band(1.0, 0.0, 1.0 - 2e-9, 0.0)["contract"] == 1e-9
 
 
 @pytest.mark.parametrize("alpha, nu, g, atoms", [

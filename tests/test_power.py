@@ -9,7 +9,8 @@ test fails when a key catches fewer.  ``BOUNDS`` gives the reason of each
 key that no mutation here needs to fail: an inequality whose slack hides
 every mutation, or a record.  The unmutated runs pass every key, and so do
 the runs of ``ABSORBED``: faults in a control variate, which its gate must
-answer with the plain estimate, never with a biased one.
+answer with the plain estimate of the key that ``ABSORBED`` names, bit for
+bit, never with a biased one.
 
 The exact mutations move a value by 1e-6 (graph) or 1e-4 (continuum),
 above the contracts of 1e-10 to 1e-6 and far below the Monte Carlo bands.
@@ -301,6 +302,13 @@ def _flux_row_scaled(mp):
     mp.setattr(chain_sim, "exterior_flux", lambda *args: 1.1 * original(*args))
 
 
+def _killing_row_scaled(mp):
+    # the compensator of c1 x1.1, so the variate's mean is 0.1 R_D kappa_D(x)
+    # = 0.1, not 0
+    original = chain_sim.killing_part
+    mp.setattr(chain_sim, "killing_part", lambda *args: 1.1 * original(*args))
+
+
 @dataclasses.dataclass(frozen=True)
 class Mutation:
     spec: str
@@ -328,6 +336,7 @@ MUTATIONS = {
     "P_D +0.05": Mutation("graph", _PD_shifted(0.05)),
     "chain: exits at 0 of every 25th path at 7": Mutation("graph", _exits_moved, ("mc",)),
     "chain: flux row x1.1": Mutation("graph", _flux_row_scaled, ("mc",)),
+    "chain: killing row x1.1": Mutation("graph", _killing_row_scaled, ("mc",)),
     "graph_vd": Mutation("graph_vd"),
     "vd: u on D x(1+1e-6)": Mutation("graph_vd", _u_on_D_scaled(1 + 1e-6)),
     "vd: PDg +1e-6 on D in solve": Mutation("graph_vd", _pdg_in_solve(lambda v: _on_D(v, 1e-6))),
@@ -387,11 +396,13 @@ CATCHES = {
                         "frac_nu: nu dropped in solve"),
     "wos_exit_chi2_pmin": ("frac: exit law of alpha + 0.1",),
 }
-# mutation -> why every key passes it
+# mutation -> (the key whose plain estimate it pins, why every key passes it)
 ABSORBED = {
-    "chain: flux row x1.1": "the variate's mean misses 0 by far more than three of its "
-                            "standard errors, so the gate keeps the plain estimate, which "
-                            "reads no flux row",
+    "chain: flux row x1.1": ("mc_PDg", "the variate's mean misses 0 by far more than three "
+                                       "of its standard errors, so the gate keeps the plain "
+                                       "estimate, which reads no flux row"),
+    "chain: killing row x1.1": ("mc_RD1", "as for the flux row: the gate keeps the plain "
+                                          "occupation time, which reads no killing row"),
 }
 # key -> why no mutation of the table needs to fail it
 BOUNDS = {
@@ -432,11 +443,21 @@ def test_power_table(name, tmp_path, monkeypatch):
         assert failed == set()
     if name in ABSORBED:
         # the plain estimate, so no biased one passes inside its band
-        problem, _ = cli.load_problem(tmp_path / "spec.json")
-        x = int(problem.D[0])
-        exits, _ = chain_sim.simulate_batch(problem.form, problem.D, x, PATHS, SEED)
-        plain = mean_and_stderr(np.append(problem.g, 0.0)[exits])
-        assert results["mc_PDg"] == cli._band(*plain, float(problem.pdg[x]))
+        key = ABSORBED[name][0]
+        assert results[key] == _plain_entry(key, cli.load_problem(tmp_path / "spec.json")[0])
+
+
+def _plain_entry(key, problem) -> dict:
+    """The entry of ``mc_PDg`` or ``mc_RD1`` from the walk's plain estimate,
+    without a control variate, at the table's paths and seed."""
+    form, D = problem.form, problem.D
+    x = int(D[0])
+    exits, F = chain_sim.simulate_batch(form, D, x, PATHS, SEED, functionals=[np.ones(D.size)])
+    if key == "mc_PDg":
+        return cli._band(*mean_and_stderr(np.append(problem.g, 0.0)[exits]),
+                         float(problem.pdg[x]))
+    cli.solve(problem)  # caches the factor of D in the nest's order, as the run did
+    return cli._band(*mean_and_stderr(F[0]), float(potential.green_apply(form, D, form.m)[x]))
 
 
 def test_table_covers_every_key(tmp_path, monkeypatch):

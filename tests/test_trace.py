@@ -29,12 +29,17 @@ def test_killing_part_state_without_exit():
 def test_killing_potential_is_one_on_domain():
     # fixes the pair-counting factor: the potential of the killing part is
     # the probability of leaving by an interior jump or death, which is one
+    # to rounding, on nest levels and on the domains of random problems; the
+    # graph mc_RD1 oracle's control variate takes it as its mean
     rng = np.random.default_rng(24)
+    cases = []
     for _ in range(50):
         form = random_form(rng, 4, 20)
-        V, _ = random_nested_subsets(rng, form)
+        cases.append((form, random_nested_subsets(rng, form)[0]))
+    cases += [(spec.form, spec.D) for spec in (random_problem(rng) for _ in range(20))]
+    for form, V in cases:
         pot = green_apply(form, V, killing_part(form, V))
-        assert np.max(np.abs(pot[V] - 1.0)) < 1e-10
+        assert np.max(np.abs(pot[V] - 1.0)) < 1e-12
 
 
 def test_graph_trace_terminal_level_exactly_zero(k3):
